@@ -15,7 +15,6 @@ perturbation that the (stable) continuum model cannot see.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .potentials import (
     total_energy,
 )
 from .stability import max_frequency
-from .static import SolverError, interp_gradient_gap, interp_value_gap, _quasi_sample
+from .static import SolverError, interp_gradient_gap, interp_value_gap, _map_members, _quasi_sample
 from .stress import CBModel
 
 __all__ = [
@@ -159,14 +158,14 @@ def integrate_atomistic(
         except AdmissibilityError as exc:
             raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
 
+    t = 0.0
+    a = accel(u, t)
     keep_initial = abs(snap_times[0]) < 1e-14
     pending = snap_times[1:] if keep_initial else snap_times
     times = [0.0]
     us = [u.copy()]
     vs = [v.copy()]
     energies = [total_energy(P, u0) + 0.5 * float(np.sum(v * v))]
-    t = 0.0
-    a = accel(u, t)
     for t_snap in pending:
         span = t_snap - t
         n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
@@ -363,11 +362,7 @@ def dynamic_error_sweep(
         (P, data, cb_times, cb.U, cb.V, eps, cfl, q, hessian_diagnostic)
         for eps in eps_list
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(_dynamic_member, payloads))
-    else:
-        members = [_dynamic_member(p) for p in payloads]
+    members = _map_members(_dynamic_member, payloads, workers)
 
     out = {
         "eps": [float(e) for e in eps_list],

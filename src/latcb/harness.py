@@ -24,6 +24,7 @@ import numpy as np
 from .fields import TrigField
 from .potentials import Potential, potential_from_config
 from .stability import (
+    _GOLDEN_FRAC,
     dispersion_spectrum,
     instability_eigenprobe,
     legendre_hadamard_min,
@@ -52,8 +53,6 @@ EXPERIMENTS = (
     "instability-demo",
 )
 
-_GOLDEN_FRAC = 0.6180339887498949
-
 
 class ConfigError(Exception):
     """Invalid configuration (schema violation or unreadable file)."""
@@ -65,6 +64,28 @@ class ConfigError(Exception):
 
 def _field_error(name: str, message: str) -> ConfigError:
     return ConfigError(f"config field {name!r}: {message}")
+
+
+def _even_reciprocal(v) -> bool:
+    n = round(1.0 / v) if 0 < v <= 0.25 else 0
+    return n >= 4 and n % 2 == 0 and abs(n * v - 1.0) <= 1e-9
+
+
+# (key, experiments whose runner reads it, type, check, rule): a value that
+# fails here would crash the solver, so it is a configuration error (exit 2)
+_PARAM_RULES = (
+    ("cfl", ("dynamic-converge", "instability-demo"), float, lambda v: v > 0, "must be > 0"),
+    ("T", ("dynamic-converge",), float, lambda v: v > 0, "must be > 0"),
+    ("n_snap", ("dynamic-converge",), int, lambda v: v >= 2, "must be an integer >= 2"),
+    ("n_grid", ("static-converge", "dynamic-converge"), int,
+     lambda v: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
+    ("n_grid", ("stability",), int, lambda v: v >= 8, "must be an integer >= 8"),
+    ("solver_tol", ("static-converge",), float, lambda v: v > 0, "must be > 0"),
+    ("quadrature", ("static-converge", "dynamic-converge"), int,
+     lambda v: v >= 1, "must be an integer >= 1"),
+    ("eps", ("instability-demo",), float, _even_reciprocal,
+     "must be 1/N for an even integer N >= 4"),
+)
 
 
 @dataclass
@@ -148,6 +169,18 @@ class ExperimentConfig:
                 raise _field_error("geometry.d", "does not match the potential dimension")
         if self.experiment in ("stress-consistency", "static-converge", "dynamic-converge"):
             self.eps_list()  # validates presence and shape
+        for key, experiments, kind, ok, rule in _PARAM_RULES:
+            if self.experiment not in experiments or key not in self.params:
+                continue
+            v = self.params[key]
+            if (
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or not math.isfinite(v)
+                or (kind is int and v != int(v))
+                or not ok(v)
+            ):
+                raise _field_error(f"params.{key}", f"{rule}; got {v!r}")
 
     def eps_list(self) -> list[float]:
         """Spacing sweep from the geometry block (eps_list or N_list)."""
@@ -157,16 +190,22 @@ class ExperimentConfig:
         elif "N_list" in geo:
             if not isinstance(geo["N_list"], list):
                 raise _field_error("geometry.N_list", "must be a list of integers")
-            vals = [1.0 / n for n in geo["N_list"]]
+            vals = [
+                1.0 / n if isinstance(n, (int, float)) and n else math.nan
+                for n in geo["N_list"]
+            ]
         else:
             raise _field_error("geometry", "needs eps_list or N_list")
         if not isinstance(vals, list) or len(vals) < 3:
             raise _field_error("geometry", "the spacing sweep needs at least 3 values")
         out = []
         for v in vals:
-            v = float(v)
-            n = round(1.0 / v)
-            if v <= 0 or abs(n * v - 1.0) > 1e-9 or n < 4:
+            try:
+                v = float(v)
+            except (TypeError, ValueError):
+                v = math.nan
+            n = round(1.0 / v) if 0 < v <= 0.25 else 0
+            if abs(n * v - 1.0) > 1e-9 or n < 4:
                 raise _field_error(
                     "geometry", f"spacings must be reciprocals of integers >= 4; got {v!r}"
                 )
@@ -592,13 +631,16 @@ def run(
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if workers < 1:
+        print(f"config error: workers must be >= 1, got {workers}", file=sys.stderr)
+        return 2
     if seed is not None:
         cfg.seed = seed
     rng = np.random.default_rng(cfg.seed)
     out = Path(out_dir) if out_dir is not None else Path(".")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        passed, report_fields, tables = _RUNNERS[cfg.experiment](cfg, rng, max(1, workers))
+        passed, report_fields, tables = _RUNNERS[cfg.experiment](cfg, rng, workers)
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

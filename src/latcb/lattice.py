@@ -9,6 +9,7 @@ on a periodic supercell ``{0, ..., N-1}^d`` and are extended periodically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "finite_difference",
     "stencil",
     "all_stencils",
+    "scatter_bonds",
     "stencil_sup_norm",
     "grad_norm",
     "cell_corner_values",
@@ -134,7 +136,7 @@ class StencilSet:
     def d(self) -> int:
         return self.directions.shape[1]
 
-    @property
+    @cached_property
     def norms(self) -> np.ndarray:
         """Euclidean lengths |rho| of all directions, shape (n,)."""
         return np.linalg.norm(self.directions, axis=1)
@@ -214,6 +216,32 @@ def stencil(u: DisplacementField, xi, S: StencilSet) -> np.ndarray:
     return u.site_values(shifted) - u.site_values(xi)[..., None, :]
 
 
+@lru_cache(maxsize=64)
+def _plan(shape: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Flat neighbour tables of the periodic cell ``shape`` for one stencil.
+
+    ``gather[xi, i]`` is the row-major index of site ``xi + rho_i``;
+    ``scatter[i, xi] = gather[xi, j] * n + i`` with ``rho_j = -rho_i``
+    addresses slot ``i`` of site ``xi - rho_i`` in a flattened
+    (sites * n, d) bond array.  Keyed on the raw direction bytes:
+    ``StencilSet`` compares on ``r_cut`` alone.
+    """
+    d = len(shape)
+    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
+    sites = np.indices(shape).reshape(d, -1).T
+    nbrs = np.mod(sites[:, None, :] + dirs, shape)
+    gather = np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), shape)
+    neg = [int(np.flatnonzero((dirs == -r).all(axis=1))[0]) for r in dirs]
+    scatter = gather[:, neg].T * len(dirs) + np.arange(len(dirs))[:, None]
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, scatter
+
+
+def neighbour_plan(shape, S: StencilSet) -> tuple[np.ndarray, np.ndarray]:
+    """Cached ``(gather, scatter)`` tables for cell ``shape`` and stencil ``S``."""
+    return _plan(tuple(shape), S.directions.tobytes())
+
+
 def all_stencils(values: np.ndarray, S: StencilSet) -> np.ndarray:
     """Difference stencils at every site at once.
 
@@ -228,12 +256,25 @@ def all_stencils(values: np.ndarray, S: StencilSet) -> np.ndarray:
     array, shape (N,)*d + (n, d)
         ``out[xi, i] = u(xi + rho_i) - u(xi)``.
     """
-    d = values.ndim - 1
-    out = np.empty(values.shape[:-1] + (S.n, d))
-    axes = tuple(range(d))
-    for i, rho in enumerate(S.directions):
-        out[..., i, :] = np.roll(values, shift=tuple(-rho), axis=axes) - values
-    return out
+    cell, d = values.shape[:-1], values.shape[-1]
+    gather, _ = neighbour_plan(cell, S)
+    flat = values.reshape(-1, d)
+    return (np.take(flat, gather, axis=0) - flat[:, None, :]).reshape(cell + (S.n, d))
+
+
+def scatter_bonds(Vr: np.ndarray, S: StencilSet) -> np.ndarray:
+    """Adjoint of ``all_stencils``: sum_rho (Vr_rho(xi - rho) - Vr_rho(xi)).
+
+    ``Vr`` has shape (N,)*d + (n, d); the result has shape (N,)*d + (d,).
+    The terms are laid out slot-major so the sum over slots runs in stencil
+    order; numpy sums a contiguous axis of 8 or more entries pairwise,
+    which would change the last bits of the result.
+    """
+    cell, d = Vr.shape[:-2], Vr.shape[-1]
+    _, scatter = neighbour_plan(cell, S)
+    terms = np.take(Vr.reshape(-1, d), scatter, axis=0)
+    terms -= Vr.reshape(-1, S.n, d).swapaxes(0, 1)
+    return terms.sum(axis=0).reshape(cell + (d,))
 
 
 def stencil_sup_norm(g: np.ndarray, S: StencilSet) -> float:

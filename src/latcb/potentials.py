@@ -32,6 +32,7 @@ from .lattice import (
     LatticeSpec,
     StencilSet,
     all_stencils,
+    scatter_bonds,
     stencil_sup_norm,
 )
 
@@ -214,15 +215,19 @@ class Potential:
         return 1.0 - self.kappa * self.inv_norm_A
 
     def check_admissible(self, g: np.ndarray, context: str = "") -> None:
-        """Raise AdmissibilityError unless max_rho |g_rho|/|rho| <= kappa."""
-        if math.isinf(self.kappa):
-            return
+        """Raise AdmissibilityError unless max_rho |g_rho|/|rho| <= kappa.
+
+        Non-finite stencils are rejected for every kappa, infinite included.
+        """
         nrm = stencil_sup_norm(g, self.S)
-        if nrm > self.kappa:
-            where = f" ({context})" if context else ""
-            raise AdmissibilityError(
-                f"stencil norm {nrm:.6g} exceeds kappa={self.kappa:.6g}{where}"
-            )
+        if not math.isfinite(nrm):
+            problem = f"non-finite stencil norm {nrm}"
+        elif not nrm <= self.kappa:
+            problem = f"stencil norm {nrm:.6g} exceeds kappa={self.kappa:.6g}"
+        else:
+            return
+        where = f" ({context})" if context else ""
+        raise AdmissibilityError(problem + where)
 
     # -- derivative interface ----------------------------------------------
 
@@ -450,13 +455,7 @@ def gradient_array(P: Potential, values: np.ndarray, check: bool = True) -> np.n
     g = all_stencils(values, P.S)
     if check:
         P.check_admissible(g)
-    Vr = P.site_gradient(g)  # (N..., n, d)
-    d = values.ndim - 1
-    axes = tuple(range(d))
-    out = np.zeros_like(values)
-    for i, rho in enumerate(P.S.directions):
-        out += np.roll(Vr[..., i, :], shift=tuple(rho), axis=axes) - Vr[..., i, :]
-    return out
+    return scatter_bonds(P.site_gradient(g), P.S)
 
 
 def force_array(P: Potential, values: np.ndarray, check: bool = True) -> np.ndarray:
@@ -480,17 +479,10 @@ def hessian_operator(P: Potential, values: np.ndarray):
     g = all_stencils(values, P.S)
     M = P.site_hessian(g)  # (N..., n, d, n, d)
     S = P.S
-    d = values.ndim - 1
-    axes = tuple(range(d))
 
     def apply(v_values: np.ndarray) -> np.ndarray:
-        v_values = np.asarray(v_values, dtype=float)
-        Dv = all_stencils(v_values, S)
-        A = np.einsum("...aibj,...ai->...bj", M, Dv)
-        out = np.zeros_like(v_values)
-        for j, sig in enumerate(S.directions):
-            out += np.roll(A[..., j, :], shift=tuple(sig), axis=axes) - A[..., j, :]
-        return out
+        Dv = all_stencils(np.asarray(v_values, dtype=float), S)
+        return scatter_bonds(np.einsum("...aibj,...ai->...bj", M, Dv), S)
 
     return apply
 

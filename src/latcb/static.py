@@ -15,6 +15,7 @@ order in the spacing for stable potentials and small loads.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -477,6 +478,18 @@ def _quasi_sample(su: ScaledDisplacement, lattice: LatticeSpec, q: int = 8) -> D
     return DisplacementField(lattice, vals.reshape((lattice.N,) * lattice.d + (lattice.d,)))
 
 
+def _map_members(fn, payloads: list, workers: int) -> list:
+    """Sweep members in order, in a process pool when ``workers > 1``.
+
+    The pool is capped at the CPU count and the number of members.
+    """
+    n_proc = min(workers, os.cpu_count() or 1, len(payloads))
+    if n_proc > 1:
+        with ProcessPoolExecutor(max_workers=n_proc) as pool:
+            return list(pool.map(fn, payloads))
+    return [fn(p) for p in payloads]
+
+
 def _static_member(payload) -> dict:
     """One sweep member (module-level so process pools can pickle it)."""
     P, U_c, F, eps, tol, q = payload
@@ -518,11 +531,7 @@ def static_converge_sweep(
     for tag, load in loads.items():
         cb = solve_cb_static(M, load, n_grid=n_grid, tol=min(tol, 1e-10))
         payloads = [(P, cb.field, load, eps, tol, q) for eps in eps_list]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                members = list(pool.map(_static_member, payloads))
-        else:
-            members = [_static_member(p) for p in payloads]
+        members = _map_members(_static_member, payloads, workers)
         runs[tag] = {"cb_residual": cb.residual, "members": members}
 
     out = {

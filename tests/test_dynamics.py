@@ -153,6 +153,15 @@ def test_integrator_validation_and_abort():
         integrate_atomistic(lj_chain(), zero, kick, [1.0])
 
 
+def test_integrator_rejects_nan_site(rng):
+    lattice = LatticeSpec(d=1, A=np.eye(1), N=64)
+    u = 0.01 * rng.standard_normal((64, 1))
+    u[17, 0] = np.nan
+    start = DisplacementField(lattice, u)
+    with pytest.raises(SolverError, match=r"t=0.*non-finite"):
+        integrate_atomistic(lj_chain(), start, DisplacementField.zeros(lattice), [0.05])
+
+
 # ---------------------------------------------------------------------------
 # continuum wave solver
 # ---------------------------------------------------------------------------

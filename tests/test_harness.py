@@ -5,13 +5,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcb.cli import main
 from latcb.harness import ConfigError, ExperimentConfig, _initial_field, fit_rate, run
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CHAIN_POT = {"variant": "harmonic_chain", "a1": 2.0, "a2": -0.25}
 LJ_POT = {"variant": "pair", "d": 1, "r_cut": 3.0, "phi": {"kind": "lennard_jones"}}
@@ -76,6 +80,10 @@ def test_eps_list_rules():
         {"eps_list": [1.0 / 3.0, 0.125, 0.0625]},    # coarser than 1/4
         {"eps_list": [0.125, 0.125, 0.0625]},        # duplicate
         {"eps_list": [0.125, 0.0625]},               # too short
+        {"eps_list": [0.125, 0.0625, 0.0]},          # zero spacing
+        {"eps_list": [0.125, 0.0625, "x"]},          # not a number
+        {"N_list": [8, 16, 0]},                      # zero period
+        {"N_list": [8, 16, "x"]},                    # not a number
         {},                                           # missing entirely
     ):
         with pytest.raises(ConfigError):
@@ -222,6 +230,89 @@ def test_run_runtime_errors_return_three(tmp_path, capsys):
     path = _write_cfg(tmp_path, obj)
     assert run(path, out_dir=tmp_path) == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+def _static_cfg(**params):
+    return {
+        "experiment": "static-converge",
+        "name": "static3",
+        "potential": LJ_POT,
+        "geometry": {"eps_list": [0.125, 0.0625, 0.03125]},
+        "params": {"n_grid": 64, "delta_halving": False, **params},
+    }
+
+
+def _dynamic_cfg(**params):
+    return {
+        "experiment": "dynamic-converge",
+        "potential": LJ_POT,
+        "geometry": {"eps_list": [0.0625, 0.03125, 0.015625]},
+        "params": params,
+    }
+
+
+def _demo_cfg(**params):
+    return {"experiment": "instability-demo", "params": params}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _dynamic_cfg(cfl=0),
+        _dynamic_cfg(cfl=-0.1),
+        _dynamic_cfg(T=0.0),
+        _dynamic_cfg(T=float("inf")),
+        _dynamic_cfg(n_snap=1),
+        _dynamic_cfg(n_grid=63),
+        _dynamic_cfg(n_grid=4),
+        _dynamic_cfg(quadrature=0),
+        _dynamic_cfg(cfl="fast"),
+        _static_cfg(solver_tol=0.0),
+        _static_cfg(n_grid=100.5),
+        _static_cfg(quadrature=0),
+        _demo_cfg(cfl=0.0),
+        _demo_cfg(eps=1.0 / 63.0),
+        _demo_cfg(eps=0.3),
+        _demo_cfg(eps=0.0),
+        {"experiment": "stability", "potential": CHAIN_POT, "params": {"n_grid": 0}},
+    ],
+)
+def test_run_bad_numeric_params_return_two(tmp_path, capsys, obj):
+    path = _write_cfg(tmp_path, obj)
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert "config error: config field 'params." in capsys.readouterr().err
+
+
+def test_shipped_configs_validate():
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert len(paths) == 9
+    for path in paths:
+        ExperimentConfig.from_file(path)
+
+
+def test_workers_below_one_exit_two(tmp_path, capsys):
+    path = _write_cfg(tmp_path, _static_cfg())
+    assert main(["static-converge", "--config", str(path), "--out", str(tmp_path),
+                 "--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "static3.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _static_cfg(),
+        {**_dynamic_cfg(T=1.0 / 64.0, n_snap=3, n_grid=32), "name": "dynamic3"},
+    ],
+)
+def test_parallel_sweep_is_byte_identical(tmp_path, obj):
+    path = _write_cfg(tmp_path, obj)
+    for workers in (1, 2):
+        argv = [obj["experiment"], "--config", str(path), "--out",
+                str(tmp_path / f"w{workers}"), "--workers", str(workers)]
+        assert main(argv) == 0
+    for fname in (f"{obj['name']}.csv", f"{obj['name']}.report.json"):
+        assert (tmp_path / "w1" / fname).read_bytes() == (tmp_path / "w2" / fname).read_bytes()
 
 
 def test_cli_subprocess_bad_config(tmp_path):

@@ -1,0 +1,139 @@
+"""Gather-table stencil kernels against the ``np.roll`` reference, bit for bit.
+
+``all_stencils``, ``gradient_array`` and the Hessian apply share one cached
+neighbour plan per (cell shape, stencil directions).  Every comparison here
+is ``np.array_equal``: the plan must reproduce the reference's floating-point
+operations in the same order, so artifacts stay byte-identical.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from latcb.lattice import StencilSet, all_stencils, scatter_bonds
+from latcb.potentials import (
+    EAMPotential,
+    ExpProfile,
+    HarmonicChain,
+    MorseProfile,
+    PairPotential,
+    PolynomialEmbedding,
+    gradient_array,
+    hessian_operator,
+    lennard_jones,
+)
+
+from roll_kernels import roll_gradient, roll_hessian_operator, roll_scatter, roll_stencils
+
+# widest extra direction per dimension: 1D stencils reach 8+ slots, where a
+# sum over a contiguous slot axis would switch to pairwise summation
+_REACH = {1: 5, 2: 2, 3: 1}
+
+
+@st.composite
+def stencils(draw, d: int) -> StencilSet:
+    """Nearest neighbours plus up to four random extra directions, closed under negation."""
+    m = _REACH[d]
+    extra = draw(
+        st.lists(
+            st.tuples(*[st.integers(-m, m)] * d).filter(any), max_size=4
+        )
+    )
+    dirs = {tuple(int(a == k) for a in range(d)) for k in range(d)} | set(extra)
+    dirs |= {tuple(-x for x in r) for r in dirs}
+    r_cut = max(1.0, max(float(np.linalg.norm(r)) for r in dirs))
+    return StencilSet(r_cut=r_cut, directions=np.array(sorted(dirs), dtype=int))
+
+
+@st.composite
+def cases(draw):
+    """(stencil, cell period, rng) for a random dimension."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    S = draw(stencils(d))
+    N = draw(st.integers(4, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return S, N, rng
+
+
+def _state(rng, N: int, d: int) -> np.ndarray:
+    """Small admissible state: |D_rho u| <= 0.08 sqrt(3) < 0.25 <= kappa |rho|."""
+    return rng.uniform(-0.04, 0.04, (N,) * d + (d,))
+
+
+def _potential(kind: str, S: StencilSet):
+    d = S.d
+    if kind == "pair":
+        return PairPotential(d=d, A=np.eye(d), S=S, kappa=0.25, phi=lennard_jones())
+    return EAMPotential(
+        d=d, A=np.eye(d), S=S, kappa=0.25, phi=MorseProfile(), psi=ExpProfile(),
+        embed=PolynomialEmbedding((0.0, 1.0, 0.3, -0.05)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_all_stencils_and_scatter_match_roll(case):
+    S, N, rng = case
+    d = S.d
+    u = rng.standard_normal((N,) * d + (d,))
+    Vr = rng.standard_normal((N,) * d + (S.n, d))
+    assert np.array_equal(all_stencils(u, S), roll_stencils(u, S))
+    assert np.array_equal(scatter_bonds(Vr, S), roll_scatter(Vr, S))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.sampled_from(("pair", "eam")))
+def test_gradient_and_hessian_match_roll(case, kind):
+    S, N, rng = case
+    P = _potential(kind, S)
+    u = _state(rng, N, S.d)
+    v = rng.standard_normal(u.shape)
+    assert np.array_equal(gradient_array(P, u), roll_gradient(P, u))
+    assert np.array_equal(hessian_operator(P, u)(v), roll_hessian_operator(P, u)(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(4, 10),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_harmonic_chain_matches_roll(N, a1, a2, seed):
+    P = HarmonicChain.build(a1, a2)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((N, 1))
+    v = rng.standard_normal((N, 1))
+    assert np.array_equal(gradient_array(P, u), roll_gradient(P, u))
+    assert np.array_equal(hessian_operator(P, u)(v), roll_hessian_operator(P, u)(v))
+
+
+def test_plan_cache_separates_equal_comparing_stencils(rng):
+    """StencilSet compares on r_cut alone; the plan must key on the directions."""
+    full = StencilSet.ball(1, 2.0)
+    nearest = StencilSet(r_cut=2.0, directions=np.array([[-1], [1]]))
+    assert full == nearest and hash(full) == hash(nearest)
+    u = rng.standard_normal((8, 1))
+    for S in (full, nearest, full):
+        g = all_stencils(u, S)
+        assert g.shape == (8, S.n, 1)
+        assert np.array_equal(g, roll_stencils(u, S))
+        assert np.array_equal(scatter_bonds(g, S), roll_scatter(g, S))
+
+    # same slot count, different directions
+    diag = StencilSet(r_cut=2.0, directions=np.array(
+        [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]))
+    axial = StencilSet(r_cut=2.0, directions=np.array(
+        [(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (0, 2), (0, -2)]))
+    assert diag == axial and diag.n == axial.n
+    w = rng.standard_normal((6, 6, 2))
+    for S in (diag, axial, diag):
+        g = all_stencils(w, S)
+        assert np.array_equal(g, roll_stencils(w, S))
+        assert np.array_equal(scatter_bonds(g, S), roll_scatter(g, S))
+
+    # same stencil, different cell shapes
+    for N in (5, 9, 5):
+        x = rng.standard_normal((N, 1))
+        assert np.array_equal(all_stencils(x, full), roll_stencils(x, full))

@@ -196,6 +196,16 @@ def test_admissibility_checks():
     site_energy(Q, 10.0 * np.ones((Q.S.n, 1)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_stencils_rejected(bad):
+    # an infinite kappa (quadratic chain) admits every finite stencil, not these
+    for P in (lj_chain(), HarmonicChain.build(a1=1.0, a2=0.0)):
+        g = np.zeros((P.S.n, 1))
+        g[0, 0] = bad
+        with pytest.raises(AdmissibilityError, match="non-finite"):
+            site_energy(P, g)
+
+
 def test_kappa_guard_against_bond_collapse():
     with pytest.raises(ValueError):
         lj_chain(kappa=1.0)  # mu = 1 - kappa ||A^-1|| would reach zero
