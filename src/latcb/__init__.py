@@ -28,7 +28,6 @@ from .potentials import (
     site_gradient,
     site_hessian,
     total_energy,
-    forces,
     decay_report,
 )
 from .interpolation import (
@@ -44,11 +43,7 @@ from .interpolation import (
 from .stress import (
     CBModel,
     StressField,
-    cb_energy_density,
-    cb_stress,
-    cb_moduli,
     atomistic_stress,
-    div_atomistic_stress,
     div_cb_stress,
     stress_consistency_field,
 )
@@ -67,7 +62,6 @@ from .static import (
     make_forces,
     solve_cb_static,
     solve_atomistic_static,
-    static_error,
     static_converge_sweep,
 )
 from .dynamics import (
@@ -96,7 +90,6 @@ __all__ = [
     "site_gradient",
     "site_hessian",
     "total_energy",
-    "forces",
     "decay_report",
     "zeta_eval",
     "nodal_interp",
@@ -108,11 +101,7 @@ __all__ = [
     "smooth_nodal_interp",
     "CBModel",
     "StressField",
-    "cb_energy_density",
-    "cb_stress",
-    "cb_moduli",
     "atomistic_stress",
-    "div_atomistic_stress",
     "div_cb_stress",
     "stress_consistency_field",
     "DispersionSpectrum",
@@ -127,7 +116,6 @@ __all__ = [
     "make_forces",
     "solve_cb_static",
     "solve_atomistic_static",
-    "static_error",
     "static_converge_sweep",
     "InitialData",
     "Trajectory",

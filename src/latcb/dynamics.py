@@ -123,6 +123,43 @@ def make_initial_data(
 
 
 # ---------------------------------------------------------------------------
+# time stepping (shared by the lattice and the continuum)
+# ---------------------------------------------------------------------------
+
+def _verlet(x, v, accel, snap_times, dt_target: float, record) -> None:
+    """Velocity Verlet from t = 0, calling ``record(t, x, v)`` at every snapshot.
+
+    ``accel(x, t)`` returns the acceleration.  Snapshot times must be
+    nonnegative and strictly increasing; each snapshot interval is split
+    into equal steps no longer than ``dt_target`` so snapshots land
+    exactly, and a snapshot at the current time records without stepping.
+    """
+    snap_times = np.asarray(snap_times, dtype=float)
+    if (
+        snap_times.ndim != 1
+        or snap_times.size == 0
+        or not snap_times[0] >= 0.0
+        or np.any(np.diff(snap_times) <= 0)
+    ):
+        raise ValueError("snapshot times must be >= 0 and strictly increasing")
+    t = 0.0
+    a = accel(x, t)
+    for t_snap in snap_times:
+        span = t_snap - t
+        if span > 1e-14:
+            n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
+            dt = span / n_steps
+            for _ in range(n_steps):
+                v_half = v + 0.5 * dt * a
+                x = x + dt * v_half
+                t += dt
+                a = accel(x, t)
+                v = v_half + 0.5 * dt * a
+            t = t_snap  # guard accumulated roundoff
+        record(t, x, v)
+
+
+# ---------------------------------------------------------------------------
 # atomistic integrator
 # ---------------------------------------------------------------------------
 
@@ -144,13 +181,8 @@ def integrate_atomistic(
     integrator their drift is O(dt^2).
     """
     lattice = u0.lattice
-    snap_times = np.asarray(snap_times, dtype=float)
-    if snap_times.ndim != 1 or snap_times.size == 0 or np.any(np.diff(snap_times) <= 0):
-        raise ValueError("snapshot times must be strictly increasing")
     if dt_target is None:
         dt_target = cfl / max_frequency(P)
-    u = u0.values.copy()
-    v = v0.values.copy()
 
     def accel(vals, t):
         try:
@@ -158,33 +190,17 @@ def integrate_atomistic(
         except AdmissibilityError as exc:
             raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
 
-    t = 0.0
-    a = accel(u, t)
-    keep_initial = abs(snap_times[0]) < 1e-14
-    pending = snap_times[1:] if keep_initial else snap_times
-    times = [0.0]
-    us = [u.copy()]
-    vs = [v.copy()]
-    energies = [total_energy(P, u0) + 0.5 * float(np.sum(v * v))]
-    for t_snap in pending:
-        span = t_snap - t
-        n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
-        dt = span / n_steps
-        for _ in range(n_steps):
-            v_half = v + 0.5 * dt * a
-            u = u + dt * v_half
-            t += dt
-            a = accel(u, t)
-            v = v_half + 0.5 * dt * a
-        t = t_snap  # guard accumulated roundoff
+    times, us, vs, energies = [], [], [], []
+
+    def record(t, u, v):
         times.append(t)
-        us.append(u.copy())
-        vs.append(v.copy())
+        us.append(u)
+        vs.append(v)
         energies.append(
             total_energy(P, DisplacementField(lattice, u)) + 0.5 * float(np.sum(v * v))
         )
-    if not keep_initial:
-        times, us, vs, energies = times[1:], us[1:], vs[1:], energies[1:]
+
+    _verlet(u0.values, v0.values, accel, snap_times, dt_target, record)
     return Trajectory(
         lattice=lattice,
         times=np.array(times),
@@ -218,9 +234,6 @@ def solve_cb_wave(
     """
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
-    snap_times = np.asarray(snap_times, dtype=float)
-    if snap_times.ndim != 1 or snap_times.size == 0 or np.any(np.diff(snap_times) < 0):
-        raise ValueError("snapshot times must be nondecreasing")
     Mg = n_grid
     X = (np.arange(Mg) / Mg)[:, None]
     U = data.U0.value(X)[:, 0].copy()
@@ -245,7 +258,7 @@ def solve_cb_wave(
             )
         return up, float(np.sqrt(np.max(mods)))
 
-    def accel(Uv, t=0.0):
+    def accel(Uv, t):
         # Regularity is monitored every step, not just at snapshots: once the
         # gradient leaves the admissible region the quasilinear problem is no
         # longer meaningful and everything downstream would be silent noise.
@@ -257,34 +270,20 @@ def solve_cb_wave(
         up = ddx(Uv)
         return float(np.mean(0.5 * Vv * Vv + M.energy_density(up[:, None, None])))
 
-    up0, c_max = grad_and_speed(U)
+    _, c_max = grad_and_speed(U)
     dt_target = cfl / (Mg * c_max)
 
     times, Us, Vs, energies = [], [], [], []
-    t = 0.0
-    a = accel(U)
 
-    def record():
-        if not np.all(np.isfinite(U)):
+    def record(t, Uv, Vv):
+        if not np.all(np.isfinite(Uv)):
             raise SolverError(f"spectral blow-up in the wave solver at t={t:.6g}")
         times.append(t)
-        Us.append(TrigField.from_grid_1d(U[:, None]))
-        Vs.append(TrigField.from_grid_1d(V[:, None]))
-        energies.append(energy(U, V))
+        Us.append(TrigField.from_grid_1d(Uv[:, None]))
+        Vs.append(TrigField.from_grid_1d(Vv[:, None]))
+        energies.append(energy(Uv, Vv))
 
-    for t_snap in snap_times:
-        span = t_snap - t
-        if span > 1e-14:
-            n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
-            dt = span / n_steps
-            for _ in range(n_steps):
-                V_half = V + 0.5 * dt * a
-                U = U + dt * V_half
-                t += dt
-                a = accel(U, t)
-                V = V_half + 0.5 * dt * a
-            t = t_snap
-        record()
+    _verlet(U, V, accel, snap_times, dt_target, record)
     return CBWaveTrajectory(
         times=np.array(times),
         U=Us,
@@ -304,15 +303,11 @@ def _dynamic_member(payload) -> dict:
     (P, data, cb_times, cb_U, cb_V, eps, cfl, q, hessian_diag) = payload
     u0, v0 = make_initial_data(data, eps)
     micro_times = cb_times / eps
-    traj = integrate_atomistic(P, u0, v0, micro_times[1:], cfl=cfl)
+    traj = integrate_atomistic(P, u0, v0, micro_times, cfl=cfl)
     errors = []
     hess_energy = []
     for j, (Uj, Vj) in enumerate(zip(cb_U, cb_V)):
-        if j == 0:
-            ua, va = u0, v0
-        else:
-            ua = DisplacementField(u0.lattice, traj.u[j - 1])
-            va = DisplacementField(u0.lattice, traj.v[j - 1])
+        ua, va = traj.displacement(j), traj.velocity(j)
         e_grad = interp_gradient_gap(Uj, ua, eps, q=q)
         e_vel = interp_value_gap(Vj, va, eps, q=q)
         errors.append(e_grad + e_vel)

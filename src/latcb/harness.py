@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import TrigField
-from .potentials import Potential, potential_from_config
+from .potentials import potential_from_config
 from .stability import (
     _GOLDEN_FRAC,
     dispersion_spectrum,
@@ -335,7 +335,7 @@ def _check(checks: list, name: str, ok: bool, observed, constraint: str):
 # each runner returns (passed, report_fields, tables); tables are
 # (suffix, columns, rows) with suffix "" for the main `<name>.csv`.
 
-def _run_stability(cfg: ExperimentConfig, rng, workers: int):
+def _run_stability(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
     default_grid = {1: 512, 2: 128, 3: 32}[P.d]
     n_grid = int(cfg.params.get("n_grid", default_grid))
@@ -377,7 +377,7 @@ def _run_stability(cfg: ExperimentConfig, rng, workers: int):
     return passed, report, [("", ("quantity", "value"), rows)]
 
 
-def _run_dispersion(cfg: ExperimentConfig, rng, workers: int):
+def _run_dispersion(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
     d = P.d
     default_nk = {1: 256, 2: 48, 3: 12}[d]
@@ -425,7 +425,7 @@ def _initial_field(spec: dict, default_kind: str = "sin") -> TrigField:
     return TrigField.from_terms(1, 1, [((mode,), 0, kind, amp)])
 
 
-def _run_stress_consistency(cfg: ExperimentConfig, rng, workers: int):
+def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
     M = CBModel(P)
     U = _initial_field(cfg.params.get("displacement", {"grad_amplitude": 0.05, "mode": 1}))
@@ -467,7 +467,7 @@ def _macro_force(cfg: ExperimentConfig) -> MacroForce:
     )
 
 
-def _run_static_converge(cfg: ExperimentConfig, rng, workers: int):
+def _run_static_converge(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
     if P.d != 1:
         raise SolverError("the static sweep is one-dimensional")
@@ -514,7 +514,7 @@ def _run_static_converge(cfg: ExperimentConfig, rng, workers: int):
     return all(c["passed"] for c in checks), report, [("", tuple(columns), rows)]
 
 
-def _run_dynamic_converge(cfg: ExperimentConfig, rng, workers: int):
+def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
     if P.d != 1:
         raise SolverError("the dynamic sweep is one-dimensional")
@@ -556,7 +556,7 @@ def _run_dynamic_converge(cfg: ExperimentConfig, rng, workers: int):
     return all(c["passed"] for c in checks), report, table
 
 
-def _run_instability_demo(cfg: ExperimentConfig, rng, workers: int):
+def _run_instability_demo(cfg: ExperimentConfig, workers: int):
     params = cfg.params
     eps = float(params.get("eps", 1.0 / 64.0))
     rep = instability_demo(
@@ -636,11 +636,10 @@ def run(
         return 2
     if seed is not None:
         cfg.seed = seed
-    rng = np.random.default_rng(cfg.seed)
     out = Path(out_dir) if out_dir is not None else Path(".")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        passed, report_fields, tables = _RUNNERS[cfg.experiment](cfg, rng, workers)
+        passed, report_fields, tables = _RUNNERS[cfg.experiment](cfg, workers)
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

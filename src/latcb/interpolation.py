@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import DisplacementField, LatticeSpec, as_direction, gauss_rule_01
+from .lattice import DisplacementField, as_direction, gauss_rule_01
 
 __all__ = [
     "zeta_eval",

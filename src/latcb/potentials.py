@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "site_hessian",
     "pair_block",
     "total_energy",
-    "forces",
     "force_array",
     "gradient_array",
     "hessian_operator",
@@ -80,8 +78,6 @@ class RadialProfile:
     """
 
     r_min: float = 0.0
-    #: highest derivative order available (None = unlimited)
-    max_derivative_order: Optional[int] = None
 
     def __call__(self, r):
         return self.deriv(r, 0)
@@ -240,10 +236,6 @@ class Potential:
     def site_hessian(self, g: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def supports_order(self, j: int) -> bool:
-        """Whether profile derivatives up to order j are available."""
-        return True
-
     # -- helpers shared by pair-type variants -------------------------------
 
     def _bond_geometry(self, g: np.ndarray):
@@ -318,10 +310,6 @@ class EAMPotential(Potential):
         self._phi_ref = self.phi.deriv(self.bond_len, 0)
         self._psi_ref = self.psi.deriv(self.bond_len, 0)
         self._s_ref = float(np.sum(self._psi_ref))
-
-    def host_density(self, g):
-        _, r, _ = self._bond_geometry(g)
-        return np.sum(self.psi.deriv(r, 0), axis=-1)
 
     def site_energy(self, g):
         _, r, _ = self._bond_geometry(g)
@@ -461,11 +449,6 @@ def gradient_array(P: Potential, values: np.ndarray, check: bool = True) -> np.n
 def force_array(P: Potential, values: np.ndarray, check: bool = True) -> np.ndarray:
     """Forces -dE/du as a raw value array."""
     return -gradient_array(P, values, check=check)
-
-
-def forces(P: Potential, u: DisplacementField) -> DisplacementField:
-    """Force field -dE/du on the supercell."""
-    return DisplacementField(u.lattice, force_array(P, u.values))
 
 
 def hessian_operator(P: Potential, values: np.ndarray):

@@ -45,7 +45,6 @@ __all__ = [
     "solve_atomistic_static",
     "interp_gradient_gap",
     "interp_value_gap",
-    "static_error",
     "static_converge_sweep",
 ]
 
@@ -149,6 +148,33 @@ class StaticSolution:
 
 
 # ---------------------------------------------------------------------------
+# damped-Newton acceptance (shared by both solvers)
+# ---------------------------------------------------------------------------
+
+def _line_search(x, delta, evaluate, base: float, slope: float, rnorm: float,
+                 floor: float, solver: str):
+    """Backtrack ``x + t delta`` from t = 1 by halving, up to 40 times.
+
+    ``evaluate(trial)`` returns the merit and the residual norm of a trial;
+    an inadmissible trial counts as infinitely bad.  A step is accepted on
+    the Armijo condition relaxed by the noise ``floor`` (merit differences
+    cancel at roundoff once the true decrease is that small) or on a plain
+    residual decrease, which accepts steps in the quadratic phase.
+    """
+    t = 1.0
+    for _ in range(40):
+        trial = x + t * delta
+        try:
+            mt, rt = evaluate(trial)
+        except AdmissibilityError:
+            mt, rt = math.inf, math.inf
+        if mt <= base + 1e-4 * t * slope + floor or rt <= (1.0 - 1e-4 * t) * rnorm:
+            return trial
+        t *= 0.5
+    raise SolverError(f"line search failed in the {solver} solver")
+
+
+# ---------------------------------------------------------------------------
 # Cauchy-Born solver (1D, spectral grid + dense Newton)
 # ---------------------------------------------------------------------------
 
@@ -197,6 +223,10 @@ def solve_cb_static(
         up = D @ U
         return -(D @ stress_of(up)) - Fv
 
+    def evaluate(U):
+        R = residual(U)
+        return merit(U), float(np.sqrt(np.mean(R * R)))
+
     # linearized start: C0 U'' = -F in Fourier space
     C0 = float(M.moduli(np.zeros((1, 1, 1)))[0, 0, 0, 0, 0])
     k = 2.0 * np.pi * np.fft.rfftfreq(Mg, d=1.0 / Mg)
@@ -240,25 +270,8 @@ def solve_cb_static(
             raise SolverError(f"Newton system singular at iteration {it}: {exc}")
         base = history[-1]
         slope = float(np.mean(R * delta))  # directional derivative of the merit
-        # energy differences cancel in floating point once the true decrease
-        # drops below the roundoff of the per-point densities; the floor keeps
-        # the Armijo test meaningful, and a plain residual decrease accepts
-        # steps in the quadratic phase
         floor = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
-        t = 1.0
-        for _ in range(40):
-            trial = U + t * delta
-            try:
-                mt = merit(trial)
-                Rt = residual(trial)
-                rt = float(np.sqrt(np.mean(Rt * Rt)))
-            except AdmissibilityError:
-                mt, rt = math.inf, math.inf
-            if mt <= base + 1e-4 * t * slope + floor or rt <= (1.0 - 1e-4 * t) * rnorm:
-                break
-            t *= 0.5
-        else:
-            raise SolverError("line search failed in the continuum solver")
+        trial = _line_search(U, delta, evaluate, base, slope, rnorm, floor, "continuum")
         U = strip_null(trial)
         history.append(merit(U))
     else:
@@ -336,15 +349,11 @@ def solve_atomistic_static(
     def merit(vals):
         return total_energy(P, DisplacementField(lattice, vals)) - float(np.sum(fv * vals))
 
-    def safe_merit(vals):
-        # inadmissible trial steps are treated as infinitely bad and backtracked
-        try:
-            return merit(vals)
-        except AdmissibilityError:
-            return math.inf
-
     def grad(vals):
         return gradient_array(P, vals) - fv
+
+    def evaluate(vals):
+        return merit(vals), float(np.max(np.abs(grad(vals))))
 
     history = [merit(u)]
     res_hist = []
@@ -378,24 +387,8 @@ def solve_atomistic_static(
         delta = delta_flat.reshape(fv.shape)
         slope = float(np.sum(G * delta))
         base = history[-1]
-        # same noise-aware acceptance as the continuum solver: the energy
-        # merit saturates at roundoff for small loads, so a decrease of the
-        # force residual also accepts the step
         floor = 64.0 * N * np.finfo(float).eps * (1.0 + abs(base))
-        t = 1.0
-        for _ in range(40):
-            trial = u + t * delta
-            try:
-                gt = float(np.max(np.abs(grad(trial))))
-            except AdmissibilityError:
-                gt = math.inf
-            if safe_merit(trial) <= base + 1e-4 * t * slope + floor or gt <= (
-                1.0 - 1e-4 * t
-            ) * gnorm:
-                break
-            t *= 0.5
-        else:
-            raise SolverError("line search failed in the lattice solver")
+        trial = _line_search(u, delta, evaluate, base, slope, gnorm, floor, "lattice")
         u = trial - np.mean(trial)
         history.append(merit(u))
     else:
@@ -462,11 +455,6 @@ def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 
     return eps ** (d / 2.0) * math.sqrt(val)
 
 
-def static_error(U_c: TrigField, u_a: DisplacementField, eps: float, q: int = 6) -> float:
-    """Static convergence metric: the scaled gradient gap of the equilibria."""
-    return interp_gradient_gap(U_c, u_a, eps, q=q)
-
-
 # ---------------------------------------------------------------------------
 # convergence sweep
 # ---------------------------------------------------------------------------
@@ -497,7 +485,7 @@ def _static_member(payload) -> dict:
     su = ScaledDisplacement(U_c, eps)
     u0 = _quasi_sample(su, f_a.lattice)
     sol = solve_atomistic_static(P, f_a, u0=u0, tol=tol)
-    err = static_error(U_c, sol.field, eps, q=q)
+    err = interp_gradient_gap(U_c, sol.field, eps, q=q)
     return {
         "eps": float(eps),
         "error": float(err),

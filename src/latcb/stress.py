@@ -29,11 +29,7 @@ __all__ = [
     "CBModel",
     "AffineDisplacement",
     "StressField",
-    "cb_energy_density",
-    "cb_stress",
-    "cb_moduli",
     "atomistic_stress",
-    "div_atomistic_stress",
     "div_cb_stress",
     "stress_consistency_field",
 ]
@@ -68,21 +64,6 @@ class CBModel:
         H = self.P.site_hessian(self.homogeneous_stencil(F))
         dirs = self.P.S.directions.astype(float)
         return np.einsum("...aibj,ap,bq->...ipjq", H, dirs, dirs)
-
-
-def cb_energy_density(M: CBModel, F) -> np.ndarray:
-    """Cauchy-Born energy density W(F) for a deformation-gradient batch."""
-    return M.energy_density(F)
-
-
-def cb_stress(M: CBModel, F) -> np.ndarray:
-    """Continuum stress dW/dF, shape (..., d, d)."""
-    return M.stress(F)
-
-
-def cb_moduli(M: CBModel, F) -> np.ndarray:
-    """Elasticity tensor d^2W/dF^2, shape (..., d, d, d, d)."""
-    return M.moduli(F)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +176,6 @@ def atomistic_stress(P: Potential, u) -> StressField:
     return StressField(P=P, mode=mode, table=table, N=N)
 
 
-def div_atomistic_stress(P: Potential, u, x) -> np.ndarray:
-    """Divergence of the atomistic stress at the given points."""
-    return atomistic_stress(P, u).div(x)
-
-
 def div_cb_stress(M: CBModel, u, x) -> np.ndarray:
     """Pointwise divergence of the Cauchy-Born stress of a smooth field.
 
@@ -253,7 +229,7 @@ def stress_consistency_field(
 
     field = atomistic_stress(P, su)
     Sa = field.eval(pts)
-    Sc = cb_stress(M, su.grad(pts))
+    Sc = M.stress(su.grad(pts))
     err_stress = float(np.max(np.abs(Sa - Sc)))
 
     diva = field.div(pts)

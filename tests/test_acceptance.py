@@ -30,7 +30,6 @@ from latcb.stress import (
     AffineDisplacement,
     CBModel,
     atomistic_stress,
-    cb_stress,
     stress_consistency_field,
 )
 from latcb.potentials import HarmonicChain
@@ -145,7 +144,7 @@ def test_c05_affine_exactness():
             F *= rng.uniform(0.0, 0.95) * P.kappa / max(np.linalg.norm(F, 2), 1e-12)
             field = atomistic_stress(P, AffineDisplacement(F))
             x = rng.uniform(-2.0, 2.0, size=(5, d))
-            worst = max(worst, float(np.max(np.abs(field.eval(x) - cb_stress(M, F)))))
+            worst = max(worst, float(np.max(np.abs(field.eval(x) - M.stress(F)))))
             worst = max(worst, float(np.max(np.abs(field.div(x)))))
     ok = worst <= 1e-12
     assert _report(5, "affine states collapse onto the continuum stress", ok,

@@ -22,7 +22,7 @@ from latcb.dynamics import (
 from latcb.fields import TrigField
 from latcb.interpolation import zeta_convolve
 from latcb.lattice import DisplacementField, LatticeSpec
-from latcb.potentials import HarmonicChain
+from latcb.potentials import HarmonicChain, total_energy
 from latcb.stability import dynamical_symbol
 from latcb.static import SolverError
 from latcb.stress import CBModel
@@ -153,6 +153,17 @@ def test_integrator_validation_and_abort():
         integrate_atomistic(lj_chain(), zero, kick, [1.0])
 
 
+BAD_SNAPSHOT_TIMES = [[-1.0, -0.5], [-0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("snap", BAD_SNAPSHOT_TIMES)
+def test_integrator_rejects_bad_snapshot_times(snap):
+    lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
+    zero = DisplacementField.zeros(lattice)
+    with pytest.raises(ValueError, match="snapshot times"):
+        integrate_atomistic(_chain(), zero, zero, snap, dt_target=0.01)
+
+
 def test_integrator_rejects_nan_site(rng):
     lattice = LatticeSpec(d=1, A=np.eye(1), N=64)
     u = 0.01 * rng.standard_normal((64, 1))
@@ -180,6 +191,13 @@ def test_cb_wave_dalembert_standing_wave():
         expect_v = -AMP * 2.0 * np.pi * np.sin(2.0 * np.pi * X[:, 0]) * np.sin(2.0 * np.pi * t)
         np.testing.assert_allclose(Vj.value(X)[:, 0], expect_v, atol=5e-6)
     assert np.max(np.abs(cb.energies - cb.energies[0])) < 1e-7
+
+
+@pytest.mark.parametrize("snap", BAD_SNAPSHOT_TIMES)
+def test_cb_wave_rejects_bad_snapshot_times(snap):
+    M = CBModel(_chain())
+    with pytest.raises(ValueError, match="snapshot times"):
+        solve_cb_wave(M, InitialData(_sin_field(), _zero_field()), snap, n_grid=16)
 
 
 def test_cb_wave_aborts():
@@ -220,6 +238,22 @@ def test_dynamic_sweep_harmonic():
         assert len(m["hessian_energy"]) == 9
         assert all(h >= 0.0 for h in m["hessian_energy"])
         assert m["energy_drift"] < 1e-5
+
+
+def test_sweep_energy_drift_is_measured_from_t0():
+    # with two snapshots the lattice records t = 0 and the horizon only, so
+    # the drift is the energy change over the whole run
+    P = lj_chain()
+    data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
+    T, eps_list = 1.0 / 64.0, [1.0 / 32.0, 1.0 / 64.0]
+    sweep = dynamic_error_sweep(P, data, T=T, eps_list=eps_list, n_snap=2,
+                                half_dt_check=False)
+    for eps, m in zip(eps_list, sweep["details"]):
+        u0, v0 = make_initial_data(data, eps)
+        e0 = total_energy(P, u0) + 0.5 * float(np.sum(v0.values * v0.values))
+        traj = integrate_atomistic(P, u0, v0, [T / eps])
+        assert m["energy_drift"] > 0.0
+        assert m["energy_drift"] == pytest.approx(abs(traj.energies[-1] - e0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

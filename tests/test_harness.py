@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latcb
 from latcb.cli import main
 from latcb.harness import ConfigError, ExperimentConfig, _initial_field, fit_rate, run
 
@@ -315,13 +317,20 @@ def test_parallel_sweep_is_byte_identical(tmp_path, obj):
         assert (tmp_path / "w1" / fname).read_bytes() == (tmp_path / "w2" / fname).read_bytes()
 
 
-def test_cli_subprocess_bad_config(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "latcb.cli", "stability", "--config",
-         str(tmp_path / "nope.json")],
+def _cli(*args) -> subprocess.CompletedProcess:
+    """``python -m latcb.cli`` in a subprocess that imports this test run's latcb."""
+    src = str(Path(latcb.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "latcb.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_cli_subprocess_bad_config(tmp_path):
+    proc = _cli("stability", "--config", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
     assert "config error" in proc.stderr
 
@@ -335,12 +344,7 @@ def test_cli_subprocess_runs_instability(tmp_path):
                        "cb_zero_tol": 1e-12},
     }
     path = _write_cfg(tmp_path, cfg)
-    proc = subprocess.run(
-        [sys.executable, "-m", "latcb.cli", "instability-demo", "--config", str(path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
+    proc = _cli("instability-demo", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "PASS demo16:growth_lower_bound" in proc.stdout
     assert (tmp_path / "out" / "demo16.csv").exists()

@@ -22,7 +22,7 @@ from latcb.stability import (
     nn_difference_gram,
     stability_constant,
 )
-from latcb.stress import CBModel, cb_moduli
+from latcb.stress import CBModel
 
 from conftest import eam_square, lj_chain, lj_square
 
@@ -135,14 +135,14 @@ def test_max_frequency():
 def test_legendre_hadamard_1d_is_the_modulus():
     M = CBModel(lj_chain())
     lh = legendre_hadamard_min(M)
-    assert lh == pytest.approx(float(cb_moduli(M, np.zeros((1, 1)))[0, 0, 0, 0]), rel=1e-13)
+    assert lh == pytest.approx(float(M.moduli(np.zeros((1, 1)))[0, 0, 0, 0]), rel=1e-13)
     assert lh == pytest.approx(70.61065314157345, rel=1e-12)
 
 
 def test_legendre_hadamard_2d_bounds():
     M = CBModel(lj_square())
     lh = legendre_hadamard_min(M)
-    C = cb_moduli(M, np.zeros((2, 2)))
+    C = M.moduli(np.zeros((2, 2)))
     # shear-soft but axis-stiff; the lattice infimum is below the long-wave one
     assert lh == pytest.approx(-3.1904296875, rel=1e-9)
     assert lh <= float(C[0, 0, 0, 0]) + 1e-10
