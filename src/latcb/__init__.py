@@ -14,9 +14,6 @@ from .lattice import (
     LatticeSpec,
     StencilSet,
     DisplacementField,
-    finite_difference,
-    stencil,
-    grad_norm,
 )
 from .potentials import (
     Potential,
@@ -24,16 +21,10 @@ from .potentials import (
     EAMPotential,
     HarmonicChain,
     AdmissibilityError,
-    site_energy,
-    site_gradient,
-    site_hessian,
     total_energy,
-    decay_report,
 )
 from .interpolation import (
     zeta_eval,
-    nodal_interp,
-    nodal_grad,
     quasi_interp,
     quasi_grad,
     chi_eval,
@@ -78,22 +69,13 @@ __all__ = [
     "LatticeSpec",
     "StencilSet",
     "DisplacementField",
-    "finite_difference",
-    "stencil",
-    "grad_norm",
     "Potential",
     "PairPotential",
     "EAMPotential",
     "HarmonicChain",
     "AdmissibilityError",
-    "site_energy",
-    "site_gradient",
-    "site_hessian",
     "total_energy",
-    "decay_report",
     "zeta_eval",
-    "nodal_interp",
-    "nodal_grad",
     "quasi_interp",
     "quasi_grad",
     "chi_eval",

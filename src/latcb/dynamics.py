@@ -27,7 +27,6 @@ from .potentials import (
     HarmonicChain,
     Potential,
     force_array,
-    hessian_operator,
     total_energy,
 )
 from .stability import max_frequency
@@ -60,12 +59,6 @@ class InitialData:
     def __post_init__(self):
         if self.U0.d != self.U1.d or self.U0.n_components != self.U1.n_components:
             raise ValueError("displacement and velocity fields must match in shape")
-
-    def grad_sup(self, n_sample: int = 512) -> float:
-        """Sup norm of grad U0 (sampled; fields are band-limited and smooth)."""
-        X = np.arange(n_sample) / n_sample
-        pts = np.stack(np.meshgrid(*([X] * self.U0.d), indexing="ij"), axis=-1).reshape(-1, self.U0.d)
-        return float(np.max(np.abs(self.U0.grad(pts))))
 
 
 @dataclass
@@ -186,7 +179,7 @@ def integrate_atomistic(
 
     def accel(vals, t):
         try:
-            return force_array(P, vals, check=True)
+            return force_array(P, vals)
         except AdmissibilityError as exc:
             raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
 
@@ -300,32 +293,22 @@ def solve_cb_wave(
 
 def _dynamic_member(payload) -> dict:
     """One spacing member of the dynamic sweep (picklable for process pools)."""
-    (P, data, cb_times, cb_U, cb_V, eps, cfl, q, hessian_diag) = payload
+    (P, data, cb_times, cb_U, cb_V, eps, cfl, q) = payload
     u0, v0 = make_initial_data(data, eps)
     micro_times = cb_times / eps
     traj = integrate_atomistic(P, u0, v0, micro_times, cfl=cfl)
     errors = []
-    hess_energy = []
     for j, (Uj, Vj) in enumerate(zip(cb_U, cb_V)):
         ua, va = traj.displacement(j), traj.velocity(j)
         e_grad = interp_gradient_gap(Uj, ua, eps, q=q)
         e_vel = interp_value_gap(Vj, va, eps, q=q)
         errors.append(e_grad + e_vel)
-        if hessian_diag:
-            z = _quasi_sample(ScaledDisplacement(Uj, eps), u0.lattice)
-            diff = ua.values - z.values
-            diff -= np.mean(diff, axis=tuple(range(u0.lattice.d)), keepdims=True)
-            Hd = hessian_operator(P, z.values)(diff)
-            hess_energy.append(float(eps * abs(np.sum(diff * Hd))) ** 0.5)
-    out = {
+    return {
         "eps": float(eps),
         "error": float(np.max(errors)),
         "per_snapshot": [float(e) for e in errors],
         "energy_drift": float(np.max(np.abs(traj.energies - traj.energies[0]))),
     }
-    if hessian_diag:
-        out["hessian_energy"] = hess_energy
-    return out
 
 
 def dynamic_error_sweep(
@@ -338,7 +321,6 @@ def dynamic_error_sweep(
     cfl: float = 0.2,
     q: int = 6,
     half_dt_check: bool = True,
-    hessian_diagnostic: bool = False,
     workers: int = 1,
 ) -> dict:
     """Shadowing error between lattice dynamics and the Cauchy-Born wave.
@@ -353,10 +335,7 @@ def dynamic_error_sweep(
     M = CBModel(P)
     cb_times = np.linspace(0.0, T, n_snap)
     cb = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=cfl)
-    payloads = [
-        (P, data, cb_times, cb.U, cb.V, eps, cfl, q, hessian_diagnostic)
-        for eps in eps_list
-    ]
+    payloads = [(P, data, cb_times, cb.U, cb.V, eps, cfl, q) for eps in eps_list]
     members = _map_members(_dynamic_member, payloads, workers)
 
     out = {
@@ -373,7 +352,7 @@ def dynamic_error_sweep(
         finest = min(eps_list)
         cb_half = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=0.5 * cfl)
         control = _dynamic_member(
-            (P, data, cb_times, cb_half.U, cb_half.V, finest, 0.5 * cfl, q, False)
+            (P, data, cb_times, cb_half.U, cb_half.V, finest, 0.5 * cfl, q)
         )
         base = members[list(eps_list).index(finest)]["error"]
         out["half_dt"] = {

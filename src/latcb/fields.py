@@ -218,9 +218,9 @@ class ScaledDisplacement:
     def hess(self, x) -> np.ndarray:
         return self.U.hess(np.asarray(x, float) * self.eps) * self.eps
 
-    def lattice_restriction(self, lattice_N: int | None = None) -> np.ndarray:
+    def lattice_restriction(self) -> np.ndarray:
         """Values at integer sites, shape (N,)*d + (m,)."""
-        N = lattice_N if lattice_N is not None else self.N
+        N = self.N
         axes = [np.arange(N, dtype=float)] * self.U.d
         grid = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grid], axis=-1)

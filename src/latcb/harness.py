@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -237,18 +237,6 @@ class RateReport:
     passed: bool | None = None
     dropped: list = dc_field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "errors": self.errors,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "fit_residual": self.fit_residual,
-            "band": self.band,
-            "passed": self.passed,
-            "dropped": self.dropped,
-        }
-
 
 def fit_rate(eps_list, errors, band=None, noise_floor=None) -> RateReport:
     """Least-squares slope of log error against log spacing.
@@ -332,8 +320,9 @@ def _check(checks: list, name: str, ok: bool, observed, constraint: str):
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
-# each runner returns (passed, report_fields, tables); tables are
-# (suffix, columns, rows) with suffix "" for the main `<name>.csv`.
+# each runner returns (report_fields, tables); report_fields carries the
+# "checks" list, and tables are (suffix, columns, rows) with suffix "" for
+# the main `<name>.csv`.
 
 def _run_stability(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
@@ -373,8 +362,7 @@ def _run_stability(cfg: ExperimentConfig, workers: int):
             f"|quotient - {tol['eigenprobe_value']}| <= {abs_tol}",
         )
     report["checks"] = checks
-    passed = all(c["passed"] for c in checks)
-    return passed, report, [("", ("quantity", "value"), rows)]
+    return report, [("", ("quantity", "value"), rows)]
 
 
 def _run_dispersion(cfg: ExperimentConfig, workers: int):
@@ -404,7 +392,7 @@ def _run_dispersion(cfg: ExperimentConfig, workers: int):
         _check(checks, "min_ratio_min", min_ratio >= bound, min_ratio,
                f"min ratio >= {bound}")
     report["checks"] = checks
-    return all(c["passed"] for c in checks), report, [("", columns, rows)]
+    return report, [("", columns, rows)]
 
 
 def _initial_field(spec: dict, default_kind: str = "sin") -> TrigField:
@@ -445,12 +433,12 @@ def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
         _check(checks, "divergence_slope", rr_div.passed, rr_div.slope,
                f"slope in {band}")
     report = {
-        "stress_rate": rr_stress.to_dict(),
-        "divergence_rate": rr_div.to_dict(),
+        "stress_rate": asdict(rr_stress),
+        "divergence_rate": asdict(rr_div),
         "checks": checks,
     }
     table = [("", ("eps", "err_stress", "err_div"), rows)]
-    return all(c["passed"] for c in checks), report, table
+    return report, table
 
 
 def _macro_force(cfg: ExperimentConfig) -> MacroForce:
@@ -505,13 +493,13 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
         ok = all(lo <= r <= hi for r in ratios)
         _check(checks, "delta_halving", ok, ratios, f"ratios in [{lo}, {hi}]")
     report = {
-        "rate": rr.to_dict(),
+        "rate": asdict(rr),
         "delta": sweep["delta"],
         "checks": checks,
     }
     if halved:
         report["half_ratios"] = sweep["half_ratios"]
-    return all(c["passed"] for c in checks), report, [("", tuple(columns), rows)]
+    return report, [("", tuple(columns), rows)]
 
 
 def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
@@ -549,11 +537,11 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
         bound = float(cfg.tolerances["half_dt_rel_max"])
         rel = sweep["half_dt"]["rel_change"]
         _check(checks, "half_dt_control", rel < bound, rel, f"relative change < {bound}")
-    report = {"rate": rr.to_dict(), "T": sweep["T"], "checks": checks}
+    report = {"rate": asdict(rr), "T": sweep["T"], "checks": checks}
     if half_check:
         report["half_dt"] = sweep["half_dt"]
     table = [("", ("eps", "error", "energy_drift"), rows)]
-    return all(c["passed"] for c in checks), report, table
+    return report, table
 
 
 def _run_instability_demo(cfg: ExperimentConfig, workers: int):
@@ -589,7 +577,7 @@ def _run_instability_demo(cfg: ExperimentConfig, workers: int):
     report = {k: v for k, v in rep.items() if k not in ("times", "velocity_norms")}
     report["checks"] = checks
     table = [("", ("t", "velocity_norm", "growth_bound"), rows)]
-    return all(c["passed"] for c in checks), report, table
+    return report, table
 
 
 _RUNNERS = {
@@ -639,10 +627,11 @@ def run(
     out = Path(out_dir) if out_dir is not None else Path(".")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        passed, report_fields, tables = _RUNNERS[cfg.experiment](cfg, workers)
+        report_fields, tables = _RUNNERS[cfg.experiment](cfg, workers)
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    passed = all(c["passed"] for c in report_fields["checks"])
     comments = [
         f"latcb {__version__}",
         f"experiment: {cfg.experiment}",
@@ -657,14 +646,14 @@ def run(
         "version": __version__,
         "config_sha256": cfg.config_hash,
         "seed": cfg.seed,
-        "passed": bool(passed),
+        "passed": passed,
     }
     report.update(report_fields)
     _atomic_write(
         out / f"{cfg.name}.report.json",
         json.dumps(report, indent=2, sort_keys=True) + "\n",
     )
-    for c in report_fields.get("checks", []):
+    for c in report_fields["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {cfg.name}:{c['name']} observed={c['observed']} ({c['constraint']})")
     return 0 if passed else 1

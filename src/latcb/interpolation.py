@@ -2,8 +2,8 @@
 
 Three ingredients:
 
-* the tensor-product hat basis ``zeta`` and its periodic multilinear
-  interpolant (P1/Q1),
+* the tensor-product hat basis ``zeta``, whose lattice combinations are the
+  periodic multilinear (P1/Q1) interpolants,
 * the quasi-interpolant obtained by convolving the interpolant with ``zeta``
   once more, which is C^2 (a tensor cubic B-spline filter) and is inverted
   exactly on the lattice by a periodic deconvolution,
@@ -27,8 +27,6 @@ __all__ = [
     "hat",
     "b3",
     "b3_prime",
-    "nodal_interp",
-    "nodal_grad",
     "quasi_interp",
     "quasi_grad",
     "b3_filter",
@@ -47,11 +45,6 @@ __all__ = [
 def hat(s: np.ndarray) -> np.ndarray:
     """Hat profile max(0, 1 - |s|)."""
     return np.maximum(0.0, 1.0 - np.abs(s))
-
-
-def _hat_prime(s: np.ndarray) -> np.ndarray:
-    """a.e. derivative of the hat profile (0 outside the support)."""
-    return np.where(np.abs(s) < 1.0, -np.sign(s), 0.0)
 
 
 def b3(s: np.ndarray) -> np.ndarray:
@@ -92,66 +85,6 @@ def zeta_eval(x) -> np.ndarray:
     return np.prod(hat(x), axis=-1)
 
 
-def _zeta_grad(x: np.ndarray) -> np.ndarray:
-    """Gradient of zeta, shape = x.shape (a.e. defined)."""
-    x = np.asarray(x, dtype=float)
-    h = hat(x)
-    hp = _hat_prime(x)
-    d = x.shape[-1]
-    out = np.empty_like(x)
-    for alpha in range(d):
-        others = [b for b in range(d) if b != alpha]
-        out[..., alpha] = hp[..., alpha] * (np.prod(h[..., others], axis=-1) if others else 1.0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# periodic nodal (Q1) interpolation
-# ---------------------------------------------------------------------------
-
-def nodal_interp(u: DisplacementField, x) -> np.ndarray:
-    """Piecewise multilinear interpolant of a periodic lattice function.
-
-    ``x`` is a real point batch of shape (..., d); values are looked up with
-    periodic wrap.  Interpolates nodal values exactly and reproduces affine
-    functions inside each cell.
-    """
-    x = np.asarray(x, dtype=float)
-    d = u.lattice.d
-    base = np.floor(x).astype(int)
-    frac = x - base
-    out = 0.0
-    for sigma in product((0, 1), repeat=d):
-        s = np.array(sigma)
-        w = np.prod(np.where(s.astype(bool), frac, 1.0 - frac), axis=-1)
-        out = out + w[..., None] * u.site_values(base + s)
-    return out
-
-
-def nodal_grad(u: DisplacementField, x) -> np.ndarray:
-    """Gradient of the multilinear interpolant, shape (..., d, d).
-
-    Entry [..., j, alpha] is the derivative of component j along axis alpha;
-    piecewise constant per cell in 1D, multilinear in the other coordinates
-    in general.
-    """
-    x = np.asarray(x, dtype=float)
-    d = u.lattice.d
-    base = np.floor(x).astype(int)
-    frac = x - base
-    out = np.zeros(x.shape[:-1] + (d, d))
-    for sigma in product((0, 1), repeat=d):
-        s = np.array(sigma)
-        vals = u.site_values(base + s)  # (..., d)
-        fac = np.where(s.astype(bool), frac, 1.0 - frac)  # (..., d)
-        sign = np.where(s.astype(bool), 1.0, -1.0)
-        for alpha in range(d):
-            others = [b for b in range(d) if b != alpha]
-            w = sign[alpha] * (np.prod(fac[..., others], axis=-1) if others else 1.0)
-            out[..., :, alpha] += w[..., None] * vals
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quasi-interpolation (B-spline filter) and deconvolution
 # ---------------------------------------------------------------------------
@@ -160,7 +93,7 @@ _B3_OFFSETS = np.array([-1, 0, 1, 2])
 
 
 def quasi_interp(u: DisplacementField, x) -> np.ndarray:
-    """C^2 quasi-interpolant: the nodal interpolant convolved with zeta.
+    """C^2 quasi-interpolant: the multilinear interpolant convolved with zeta.
 
     Equals ``sum_xi u(xi) prod_alpha b3(x_alpha - xi_alpha)`` and reproduces
     affine functions; pointwise it is a local average, e.g. a unit impulse
@@ -200,7 +133,7 @@ def b3_filter(values: np.ndarray) -> np.ndarray:
     """Periodic B-spline filter [1/6, 2/3, 1/6] applied along every lattice axis.
 
     This is the lattice restriction of the quasi-interpolant:
-    ``(zeta * nodal_interp(u))(xi) = (b3_filter(u.values))[xi]``.
+    ``quasi_interp(u, xi) = b3_filter(u.values)[xi]`` at every site ``xi``.
     """
     d = values.ndim - 1
     out = values
@@ -221,7 +154,7 @@ def smooth_nodal_interp(u: DisplacementField) -> DisplacementField:
     """Preimage of ``u`` under the lattice B-spline filter.
 
     Returns the periodic lattice function ``w`` with
-    ``(zeta * nodal_interp(w))|_lattice = u``; the filter symbol
+    ``b3_filter(w.values) = u.values``; the filter symbol
     ``prod_alpha (2/3 + cos(k_alpha)/3)`` is strictly positive, so the
     deconvolution is well posed with a modest condition number (<= 3 per
     axis).  ``quasi_interp(w, .)`` is then a C^2 field that matches ``u``

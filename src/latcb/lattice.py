@@ -1,9 +1,12 @@
-"""Periodic lattice geometry, displacement fields, and finite differences.
+"""Periodic lattice geometry, displacement fields, and difference stencils.
 
 A simple lattice ``A Z^d`` is represented through its integer coordinates:
 sites are elements of ``Z^d`` and the deformation matrix ``A`` only enters
 through bond lengths ``|A rho|`` inside the site potentials.  All fields live
 on a periodic supercell ``{0, ..., N-1}^d`` and are extended periodically.
+The difference stencils ``Du(xi) = (u(xi + rho) - u(xi))_rho`` of every site
+and their adjoint scatter share one cached neighbour table per cell shape
+and stencil, which energy, forces and Hessian all go through.
 """
 
 from __future__ import annotations
@@ -19,13 +22,9 @@ __all__ = [
     "StencilSet",
     "DisplacementField",
     "as_direction",
-    "finite_difference",
-    "stencil",
     "all_stencils",
     "scatter_bonds",
     "stencil_sup_norm",
-    "grad_norm",
-    "cell_corner_values",
     "gauss_rule_01",
 ]
 
@@ -195,26 +194,8 @@ class DisplacementField:
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# difference stencils
 # ---------------------------------------------------------------------------
-
-def finite_difference(u: DisplacementField, xi, rho) -> np.ndarray:
-    """Long finite difference D_rho u(xi) = u(xi + rho) - u(xi).
-
-    ``xi`` may be a single site or a batch of shape (..., d); the result has
-    the matching shape with a trailing component axis.
-    """
-    rho = as_direction(rho, u.lattice.d)
-    xi = np.asarray(xi, dtype=int)
-    return u.site_values(xi + rho) - u.site_values(xi)
-
-
-def stencil(u: DisplacementField, xi, S: StencilSet) -> np.ndarray:
-    """Full difference stencil Du(xi) = (D_rho u(xi))_rho, shape (..., n, d)."""
-    xi = np.asarray(xi, dtype=int)
-    shifted = xi[..., None, :] + S.directions
-    return u.site_values(shifted) - u.site_values(xi)[..., None, :]
-
 
 @lru_cache(maxsize=64)
 def _plan(shape: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -288,88 +269,10 @@ def stencil_sup_norm(g: np.ndarray, S: StencilSet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# norms of the piecewise multilinear interpolant
+# quadrature
 # ---------------------------------------------------------------------------
 
 def gauss_rule_01(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(q)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def cell_corner_values(values: np.ndarray) -> np.ndarray:
-    """Corner values of every lattice cell.
-
-    Returns an array of shape ``(N,)*d + (2,)*d + (d,)`` whose entry
-    ``[cell, sigma]`` is ``u(cell + sigma)`` with periodic wrap.
-    """
-    d = values.ndim - 1
-    N = values.shape[0]
-    out = np.empty((N,) * d + (2,) * d + (d,))
-    axes = tuple(range(d))
-    for sigma in product((0, 1), repeat=d):
-        out[(slice(None),) * d + sigma] = np.roll(values, shift=tuple(-s for s in sigma), axis=axes)
-    return out
-
-
-def _cell_gradients(corners: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradients of the multilinear interpolant at local points.
-
-    Parameters
-    ----------
-    corners : shape (C,) + (2,)*d + (m,)
-        Corner values per cell (C cells, m components).
-    y : shape (Q, d)
-        Local coordinates in [0, 1]^d.
-
-    Returns
-    -------
-    shape (C, Q, m, d) array of gradients d(u_j)/d(x_alpha).
-    """
-    d = y.shape[1]
-    C = corners.shape[0]
-    m = corners.shape[-1]
-    Q = y.shape[0]
-    grads = np.zeros((C, Q, m, d))
-    for sigma in product((0, 1), repeat=d):
-        c = corners[(slice(None),) + sigma]  # (C, m)
-        # weight factors per axis: y or (1 - y); derivative flips one factor
-        fac = np.where(np.array(sigma, bool), y, 1.0 - y)  # (Q, d)
-        sign = np.where(np.array(sigma, bool), 1.0, -1.0)  # (d,)
-        for alpha in range(d):
-            others = [b for b in range(d) if b != alpha]
-            wgt = sign[alpha] * (np.prod(fac[:, others], axis=1) if others else np.ones(Q))
-            grads[:, :, :, alpha] += c[:, None, :] * wgt[None, :, None]
-    return grads
-
-
-def grad_norm(u: DisplacementField, p: float = 2) -> float:
-    """Norm of the gradient of the piecewise multilinear interpolant.
-
-    For ``p = 2`` the per-cell quadrature (2-point Gauss per axis) is exact
-    because |grad v|^2 has degree <= 2 in each coordinate.  For ``p = inf``
-    the maximum over cell corners is exact since |grad v|^2 is convex in
-    each coordinate separately.  ``p = 1`` uses the same quadrature and is
-    accurate to quadrature order (|grad v| is not polynomial).
-
-    Examples
-    --------
-    A single hat profile (0, 1, 0, 0) on a 1D supercell of period 4 has
-    squared L2 gradient norm 2: slope +1 on one cell, -1 on the next.
-    """
-    d = u.lattice.d
-    corners = cell_corner_values(u.values).reshape((u.lattice.n_sites,) + (2,) * d + (d,))
-    if p == np.inf or p == "inf":
-        y = np.array(list(product((0.0, 1.0), repeat=d)))
-        g = _cell_gradients(corners, y)
-        return float(np.sqrt(np.max(np.sum(g * g, axis=(2, 3)))))
-    if p not in (1, 2):
-        raise ValueError(f"grad_norm supports p in {{1, 2, inf}}, got {p}")
-    x1, w1 = gauss_rule_01(2)
-    pts = np.array(list(product(x1, repeat=d)))
-    wts = np.prod(np.array(list(product(w1, repeat=d))), axis=1)
-    g = _cell_gradients(corners, pts)  # (C, Q, d, d)
-    mag2 = np.sum(g * g, axis=(2, 3))  # (C, Q)
-    if p == 2:
-        return float(np.sqrt(np.sum(mag2 @ wts)))
-    return float(np.sum(np.sqrt(mag2) @ wts))

@@ -28,7 +28,6 @@ import numpy as np
 
 from .lattice import (
     DisplacementField,
-    LatticeSpec,
     StencilSet,
     all_stencils,
     scatter_bonds,
@@ -47,17 +46,10 @@ __all__ = [
     "PairPotential",
     "EAMPotential",
     "HarmonicChain",
-    "site_energy",
-    "site_gradient",
-    "site_hessian",
-    "pair_block",
     "total_energy",
     "force_array",
     "gradient_array",
     "hessian_operator",
-    "hessian_matrix",
-    "decay_report",
-    "DecayReport",
     "potential_from_config",
 ]
 
@@ -395,37 +387,8 @@ class HarmonicChain(Potential):
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (thin wrappers with validation)
+# assembled lattice operators
 # ---------------------------------------------------------------------------
-
-def site_energy(P: Potential, g: np.ndarray) -> np.ndarray:
-    """Energy V(g) of a single stencil or stencil batch (..., n, d)."""
-    g = np.asarray(g, dtype=float)
-    P.check_admissible(g)
-    return P.site_energy(g)
-
-
-def site_gradient(P: Potential, g: np.ndarray) -> np.ndarray:
-    """First derivatives (V_rho(g))_rho, shape (..., n, d)."""
-    g = np.asarray(g, dtype=float)
-    P.check_admissible(g)
-    return P.site_gradient(g)
-
-
-def site_hessian(P: Potential, g: np.ndarray) -> np.ndarray:
-    """Second-derivative blocks V_{rho sigma}(g), shape (..., n, d, n, d)."""
-    g = np.asarray(g, dtype=float)
-    P.check_admissible(g)
-    return P.site_hessian(g)
-
-
-def pair_block(P: Potential, g: np.ndarray, rho, sigma) -> np.ndarray:
-    """Single Hessian block V_{rho sigma}(g) as a (d, d) matrix."""
-    H = site_hessian(P, g)
-    i = P.S.index_of(rho)
-    j = P.S.index_of(sigma)
-    return H[..., i, :, j, :]
-
 
 def total_energy(P: Potential, u: DisplacementField) -> float:
     """Supercell energy E(u) = sum_xi V(Du(xi))."""
@@ -434,21 +397,20 @@ def total_energy(P: Potential, u: DisplacementField) -> float:
     return float(np.sum(P.site_energy(g)))
 
 
-def gradient_array(P: Potential, values: np.ndarray, check: bool = True) -> np.ndarray:
+def gradient_array(P: Potential, values: np.ndarray) -> np.ndarray:
     """Assembled energy gradient dE/du(eta) as a raw value array.
 
     Site gradients are scattered by the difference structure:
     dE/du(eta) = sum_rho (V_rho(Du(eta - rho)) - V_rho(Du(eta))).
     """
     g = all_stencils(values, P.S)
-    if check:
-        P.check_admissible(g)
+    P.check_admissible(g)
     return scatter_bonds(P.site_gradient(g), P.S)
 
 
-def force_array(P: Potential, values: np.ndarray, check: bool = True) -> np.ndarray:
+def force_array(P: Potential, values: np.ndarray) -> np.ndarray:
     """Forces -dE/du as a raw value array."""
-    return -gradient_array(P, values, check=check)
+    return -gradient_array(P, values)
 
 
 def hessian_operator(P: Potential, values: np.ndarray):
@@ -468,245 +430,6 @@ def hessian_operator(P: Potential, values: np.ndarray):
         return scatter_bonds(np.einsum("...aibj,...ai->...bj", M, Dv), S)
 
     return apply
-
-
-def hessian_matrix(P: Potential, lattice: LatticeSpec, values: np.ndarray | None = None) -> np.ndarray:
-    """Dense Hessian of the supercell energy (desk-scale sizes only).
-
-    Row/column index is ``site * d + component`` with sites in row-major
-    order.  Assembled by applying the matrix-free Hessian to unit vectors.
-    """
-    if values is None:
-        values = np.zeros((lattice.N,) * lattice.d + (lattice.d,))
-    apply = hessian_operator(P, values)
-    n_dof = lattice.n_sites * lattice.d
-    H = np.empty((n_dof, n_dof))
-    shape = values.shape
-    for j in range(n_dof):
-        e = np.zeros(n_dof)
-        e[j] = 1.0
-        H[:, j] = apply(e.reshape(shape)).ravel()
-    return 0.5 * (H + H.T)
-
-
-# ---------------------------------------------------------------------------
-# decay report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DecayReport:
-    """Certified bounds on stencil-derivative magnitudes and their sums.
-
-    ``m[j]`` maps each direction (or direction pair for the embedding cross
-    terms) to an upper bound on the derivative block norms over all
-    admissible configurations, scaled by the bond-length weights
-    ``prod |rho_i|``.  ``M`` collects the partial sums per order,
-    ``Ms2``/``Md2`` the weighted second-order sums used by the stress and
-    dynamics error constants, and ``tails`` the bound on the remainder if
-    the interaction were extended beyond the cutoff with the declared decay
-    exponent (``None`` when the sum would diverge).
-    """
-
-    variant: str
-    kappa: float
-    j_max: int
-    m: dict
-    M: dict
-    Ms2: float
-    Md2: float
-    tails: dict
-    notes: str = ""
-
-    def summary(self) -> str:
-        lines = [f"decay report ({self.variant}, kappa={self.kappa:g})"]
-        for j in sorted(self.M):
-            lines.append(f"  M^({j}) = {self.M[j]:.6g}")
-        lines.append(f"  Ms^(2,2) = {self.Ms2:.6g}, Md^(2,2) = {self.Md2:.6g}")
-        for name, val in self.tails.items():
-            lines.append(f"  tail[{name}] = {'divergent' if val is None else f'{val:.3g}'}")
-        if self.notes:
-            lines.append(f"  note: {self.notes}")
-        return "\n".join(lines)
-
-
-def _interval_sup(profile: RadialProfile, order: int, lo: float, hi: float, n: int = 400) -> float:
-    """Upper bound for |profile^(order)| on [lo, hi] via a dense grid."""
-    r = np.linspace(lo, hi, n)
-    return float(np.max(np.abs(profile.deriv(r, order))))
-
-
-def _radial_block_bound(profile: RadialProfile, j: int, lo: float, hi: float) -> float:
-    """Bound on j-th derivative blocks of v -> profile(|b + v|) on the shell.
-
-    Uses max_i |profile^(i)(r)| / r^(j-i) over the radius interval
-    (combinatorial constants of the chain rule are dropped; this is a
-    finiteness certificate, not a sharp constant).
-    """
-    r = np.linspace(lo, hi, 400)
-    best = 0.0
-    for i in range(1, j + 1):
-        best = max(best, float(np.max(np.abs(profile.deriv(r, i)) / r ** (j - i))))
-    return best
-
-
-def decay_report(
-    P: Potential,
-    alpha: float | None = None,
-    beta: float | None = None,
-    j_max: int = 4,
-    r_tail: float | None = None,
-) -> DecayReport:
-    """Tabulated decay constants m(rho) and tail bounds for a potential.
-
-    Parameters
-    ----------
-    P : Potential
-    alpha : power-law decay exponent of the pair profile tail
-        (|phi^(i)(r)| ~ r^{-alpha-i}); required for pair-tail bounds.
-    beta : exponential rate of the density weight (EAM); required for
-        embedding-tail bounds.
-    j_max : highest derivative order tabulated.
-    r_tail : radius beyond which the tail bound is evaluated
-        (defaults to the stencil cutoff).
-
-    Divergent sums (e.g. alpha <= d) are reported as ``None`` entries in
-    ``tails`` rather than raising.
-    """
-    S = P.S
-    d = P.d
-    R = float(r_tail if r_tail is not None else S.r_cut)
-    kappa = P.kappa
-    m: dict[int, dict] = {j: {} for j in range(1, j_max + 1)}
-    notes = ""
-
-    if P.variant == "harmonic_chain":
-        # quadratic: only j in {1, 2} nonzero; exact values per direction
-        for i, rho in enumerate(S.directions):
-            t = tuple(rho)
-            nrm = float(np.linalg.norm(rho))
-            c = 2.0 * P._c[i]
-            m[2][t] = nrm**2 * abs(c)
-            m[1][t] = nrm * abs(c) * kappa * nrm if math.isfinite(kappa) else math.inf
-        for j in range(3, j_max + 1):
-            for rho in S.directions:
-                m[j][tuple(rho)] = 0.0
-        M = {j: float(sum(m[j].values())) for j in m}
-        Ms2 = float(
-            sum(
-                v * (2 * np.linalg.norm(np.array(t))) ** 2 * math.sqrt(2 * np.linalg.norm(np.array(t)))
-                for t, v in m[2].items()
-            )
-        )
-        Md2 = float(
-            sum(
-                v * 8.0 * np.linalg.norm(np.array(t)) ** 2 * math.sqrt(2 * np.linalg.norm(np.array(t)))
-                for t, v in m[2].items()
-            )
-        )
-        return DecayReport(
-            variant=P.variant, kappa=kappa, j_max=j_max, m=m, M=M, Ms2=Ms2, Md2=Md2,
-            tails={"pair": 0.0}, notes="finite-range quadratic; tails vanish identically",
-        )
-
-    mu_lo = max(P.mu, 0.0) if math.isfinite(kappa) else 1.0
-    mu_hi = 2.0 - mu_lo
-
-    def shell(i_slot: int) -> tuple[float, float]:
-        L = P.bond_len[i_slot]
-        return max(L * mu_lo, getattr(P.phi, "r_min", 0.0) + 1e-9), L * mu_hi
-
-    pair_scale = 0.5 if P.variant == "pair" else 1.0
-    for i, rho in enumerate(S.directions):
-        t = tuple(rho)
-        lo, hi = shell(i)
-        nrm = float(np.linalg.norm(rho))
-        for j in range(1, j_max + 1):
-            m[j][t] = pair_scale * nrm**j * _radial_block_bound(P.phi, j, lo, hi)
-
-    cross2 = 0.0
-    if P.variant == "eam":
-        # embedding contributions: diagonal radial part plus cross products
-        s_lo = float(sum(min(P.psi.deriv(np.array([lo, hi]), 0)) for lo, hi in map(shell, range(S.n))))
-        s_hi = float(sum(max(P.psi.deriv(np.array([lo, hi]), 0)) for lo, hi in map(shell, range(S.n))))
-        supG = {i: _interval_sup(P.embed, i, min(s_lo, s_hi), max(s_lo, s_hi)) for i in range(1, j_max + 1)}
-        E1 = {}
-        for i, rho in enumerate(S.directions):
-            lo, hi = shell(i)
-            E1[i] = _interval_sup(P.psi, 1, lo, hi)
-            t = tuple(rho)
-            nrm = float(np.linalg.norm(rho))
-            for j in range(1, j_max + 1):
-                m[j][t] += supG[1] * nrm**j * _radial_block_bound(P.psi, j, lo, hi)
-        # rank-one cross-blocks at order 2: G'' psi' psi' over all pairs
-        for i, rho in enumerate(S.directions):
-            for k, sig in enumerate(S.directions):
-                if i == k:
-                    continue
-                val = supG[2] * E1[i] * E1[k]
-                nr, ns = np.linalg.norm(rho), np.linalg.norm(sig)
-                m[2][(tuple(rho), tuple(sig))] = float(nr * ns * val)
-                cross2 += float(nr * ns * val)
-        notes = "embedding cross terms tabulated at order 2; higher orders bounded by products"
-
-    M = {j: float(sum(m[j].values())) for j in m}
-
-    def pairweights(t) -> tuple[float, float, float]:
-        """(|rho1|, |rho2|, cross weight) for a diagonal or off-diagonal entry."""
-        if isinstance(t[0], tuple):
-            r1, r2 = np.array(t[0], float), np.array(t[1], float)
-        else:
-            r1 = r2 = np.array(t, float)
-        n1, n2 = np.linalg.norm(r1), np.linalg.norm(r2)
-        if len(r1) == 3:
-            crs = np.linalg.norm(np.cross(r1, r2))
-        elif len(r1) == 2:
-            crs = abs(r1[0] * r2[1] - r1[1] * r2[0])
-        else:
-            crs = 0.0
-        return n1, n2, crs
-
-    Ms2 = 0.0
-    Md2 = 0.0
-    for t, v in m[2].items():
-        n1, n2, crs = pairweights(t)
-        tot = n1 + n2
-        w = math.sqrt(crs + n1 + n2)
-        Ms2 += v * tot**2 * w
-        Md2 += v * tot**3 / n1 * w
-    Ms2, Md2 = float(Ms2), float(Md2)
-
-    tails: dict[str, float | None] = {}
-    if alpha is not None:
-        # power-law tail: m_j(rho) ~ K |rho|^{-alpha}; calibrate K on the
-        # outermost shell, count lattice shells by c_d n^{d-1}
-        c_d = 2 * d * 3 ** (d - 1)
-        outer = max(
-            (v * np.linalg.norm(np.array(t)) ** alpha)
-            for t, v in m[min(2, j_max)].items()
-            if not isinstance(t[0], tuple)
-        )
-        if alpha <= d:
-            tails["pair"] = None
-        else:
-            tails["pair"] = float(c_d * outer * R ** (d - alpha) / (alpha - d))
-        tails["pair_weighted"] = (
-            None if alpha <= d + 2.5
-            else float(c_d * outer * 8.0 * R ** (d + 2.5 - alpha) / (alpha - d - 2.5))
-        )
-    if beta is not None and P.variant == "eam":
-        # exponential tail via a geometric majorant on lattice shells
-        c_d = 2 * d * 3 ** (d - 1)
-        q = ((R + 1.0) / R) ** (d + 1) * math.exp(-beta * mu_lo)
-        if q >= 1.0:
-            tails["embedding"] = None
-        else:
-            first = c_d * (R + 1.0) ** (d + 1) * math.exp(-beta * mu_lo * (R + 1.0))
-            tails["embedding"] = float(first / (1.0 - q))
-
-    return DecayReport(
-        variant=P.variant, kappa=kappa, j_max=j_max, m=m, M=M,
-        Ms2=Ms2, Md2=Md2, tails=tails, notes=notes,
-    )
 
 
 # ---------------------------------------------------------------------------

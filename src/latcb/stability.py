@@ -37,7 +37,6 @@ __all__ = [
     "max_frequency",
     "legendre_hadamard_min",
     "instability_eigenprobe",
-    "nn_difference_gram",
 ]
 
 _GOLDEN_FRAC = 0.6180339887498949  # fractional grid offset avoiding symmetry points
@@ -244,15 +243,6 @@ def legendre_hadamard_min(M: CBModel, F=None) -> float:
 # ---------------------------------------------------------------------------
 # real-space probes
 # ---------------------------------------------------------------------------
-
-def nn_difference_gram(N: int) -> np.ndarray:
-    """Gram matrix of the 1D first-difference form sum_xi (v(xi+1) - v(xi))^2."""
-    B = 2.0 * np.eye(N)
-    idx = np.arange(N)
-    B[idx, (idx + 1) % N] -= 1.0
-    B[idx, (idx - 1) % N] -= 1.0
-    return B
-
 
 def instability_eigenprobe(P: Potential, N: int) -> tuple[float, DisplacementField]:
     """Rayleigh quotient of the alternating-strain probe.

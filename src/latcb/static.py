@@ -38,7 +38,6 @@ from .stress import CBModel
 __all__ = [
     "SolverError",
     "MacroForce",
-    "ScaledForce",
     "StaticSolution",
     "make_forces",
     "solve_cb_static",
@@ -78,52 +77,37 @@ class MacroForce:
         return self.field.sobolev_norm(-1.0) + self.field.sobolev_norm(1.0)
 
     @classmethod
-    def single_mode(cls, delta: float, mode: int = 1, d: int = 1,
-                    component: int = 0, kind: str = "sin") -> "MacroForce":
-        """Load c * sin(2 pi m X) (or cos) with amplitude tuned to the target delta."""
-        if d != 1:
-            raise NotImplementedError("single-mode loads are one-dimensional")
+    def single_mode(cls, delta: float, mode: int = 1, kind: str = "sin") -> "MacroForce":
+        """1D load c * sin(2 pi m X) (or cos) with amplitude tuned to the target delta."""
         km = 2.0 * math.pi * mode
         c = delta * math.sqrt(2.0) / (1.0 / km + km)
-        f = TrigField.from_terms(d, 1, [((mode,), component, kind, c)])
+        f = TrigField.from_terms(1, 1, [((mode,), 0, kind, c)])
         return cls(field=f)
 
     def scaled(self, factor: float) -> "MacroForce":
         return MacroForce(field=self.field.scale(factor))
 
 
-@dataclass
-class ScaledForce:
-    """Microscopic view f(x) = eps F(eps x) of a macroscopic load."""
-
-    F: TrigField
-    eps: float
-
-    def value(self, x) -> np.ndarray:
-        return self.F.value(np.asarray(x, float) * self.eps) * self.eps
-
-    def __call__(self, x) -> np.ndarray:
-        return self.value(x)
-
-
-def make_forces(F: MacroForce, eps: float, q: int = 8):
+def make_forces(F: MacroForce, eps: float, q: int = 8) -> DisplacementField:
     """Scale a macroscopic load to the lattice.
 
-    Returns the microscopic continuum force ``f(x) = eps F(eps x)`` and its
-    site transfer ``f_a(xi) = (zeta * f)(xi)`` as a DisplacementField on the
+    Returns the site transfer ``f_a(xi) = (zeta * f)(xi)`` of the
+    microscopic force ``f(x) = eps F(eps x)`` as a DisplacementField on the
     matching supercell.  The convolution reproduces constants exactly
     (the hat kernel integrates to one).
     """
-    f_c = ScaledForce(F.field, eps)
     N = int(round(1.0 / eps))
     if abs(N * eps - 1.0) > 1e-9:
         raise ValueError("1/eps must be an integer number of lattice cells")
     d = F.field.d
     lattice = LatticeSpec(d=d, A=np.eye(d), N=N)
     sites = lattice.site_coords().astype(float)
-    vals = zeta_convolve(f_c.value, sites, n_components=d, q=q)
-    f_a = DisplacementField(lattice, vals.reshape((N,) * d + (d,)))
-    return f_c, f_a
+
+    def f(x):
+        return F.field.value(np.asarray(x, float) * eps) * eps
+
+    vals = zeta_convolve(f, sites, n_components=d, q=q)
+    return DisplacementField(lattice, vals.reshape((N,) * d + (d,)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +119,13 @@ class StaticSolution:
     """Equilibrium with solver provenance.
 
     ``field`` is a TrigField (continuum) or DisplacementField (lattice);
-    ``residual`` is the final gradient norm re-evaluated from scratch.
+    ``residual`` is the residual norm of ``field`` that ended the iteration.
     """
 
     kind: str
     field: object
     residual: float
-    energy: float
     iterations: int
-    merit_history: list = dc_field(default_factory=list)
     diagnostics: dict = dc_field(default_factory=dict)
 
 
@@ -186,12 +168,14 @@ def _spectral_derivative_matrix(M: int) -> np.ndarray:
     return np.fft.irfft(1j * k[:, None] * spec, n=M, axis=0)
 
 
+_CB_MAX_ITER = 60  # Newton steps of the continuum solver
+
+
 def solve_cb_static(
     M: CBModel,
     F: MacroForce,
     n_grid: int = 256,
     tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> StaticSolution:
     """Cauchy-Born equilibrium on the unit torus (one dimension).
 
@@ -235,9 +219,7 @@ def solve_cb_static(
     Uh[1:] = Fh[1:] / (C0 * k[1:] ** 2)
     U = np.fft.irfft(Uh, n=Mg)
 
-    history = [merit(U)]
     res_hist = []
-    it = 0
     # the spectral derivative annihilates the mean and (for even grids) the
     # Nyquist mode, so both are gauged out of the Newton system and stripped
     # from iterates; otherwise the linear solves leave junk in those modes
@@ -254,7 +236,8 @@ def solve_cb_static(
         return np.fft.irfft(vh, n=Mg)
 
     U = strip_null(U)
-    for it in range(1, max_iter + 1):
+    merit_U = merit(U)
+    for it in range(1, _CB_MAX_ITER + 1):
         R = residual(U)
         rnorm = float(np.sqrt(np.mean(R * R)))
         res_hist.append(rnorm)
@@ -268,29 +251,24 @@ def solve_cb_static(
             delta = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"Newton system singular at iteration {it}: {exc}")
-        base = history[-1]
         slope = float(np.mean(R * delta))  # directional derivative of the merit
-        floor = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
-        trial = _line_search(U, delta, evaluate, base, slope, rnorm, floor, "continuum")
+        floor = 64.0 * np.finfo(float).eps * (1.0 + abs(merit_U))
+        trial = _line_search(U, delta, evaluate, merit_U, slope, rnorm, floor, "continuum")
         U = strip_null(trial)
-        history.append(merit(U))
+        merit_U = merit(U)
     else:
         raise SolverError(
-            f"continuum Newton did not reach tol={tol:g} in {max_iter} iterations "
+            f"continuum Newton did not reach tol={tol:g} in {_CB_MAX_ITER} iterations "
             f"(last residual {res_hist[-1]:.3e})"
         )
 
-    R = residual(U)
-    rnorm = float(np.sqrt(np.mean(R * R)))
     up = D @ U
     field = TrigField.from_grid_1d(U[:, None])
     return StaticSolution(
         kind="cb",
         field=field,
         residual=rnorm,
-        energy=float(np.mean(M.energy_density(up[:, None, None]))),
         iterations=it,
-        merit_history=history,
         diagnostics={
             "residual_history": res_hist,
             "grad_inf": float(np.max(np.abs(up))),
@@ -319,13 +297,15 @@ def _symbol_preconditioner(P: Potential, N: int):
     return apply
 
 
+_LATTICE_MAX_ITER = 40  # Newton steps of the lattice solver
+_CG_RTOL = 1e-12  # relative tolerance of its inner CG solves
+
+
 def solve_atomistic_static(
     P: Potential,
     f_a: DisplacementField,
     u0: DisplacementField | None = None,
     tol: float = 1e-10,
-    max_iter: int = 40,
-    cg_rtol: float = 1e-12,
 ) -> StaticSolution:
     """Atomistic equilibrium under dead site loads (one dimension).
 
@@ -355,11 +335,10 @@ def solve_atomistic_static(
     def evaluate(vals):
         return merit(vals), float(np.max(np.abs(grad(vals))))
 
-    history = [merit(u)]
+    merit_u = merit(u)
     res_hist = []
     cg_iters = []
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _LATTICE_MAX_ITER + 1):
         G = grad(u)
         gnorm = float(np.max(np.abs(G)))
         res_hist.append(gnorm)
@@ -379,33 +358,28 @@ def solve_atomistic_static(
         A = LinearOperator((N, N), matvec=matvec)
         Mpre = LinearOperator((N, N), matvec=precond)
         delta_flat, info = cg(
-            A, -G.ravel(), rtol=cg_rtol, atol=0.0, maxiter=8 * N, M=Mpre, callback=tick
+            A, -G.ravel(), rtol=_CG_RTOL, atol=0.0, maxiter=8 * N, M=Mpre, callback=tick
         )
         cg_iters.append(count["n"])
         if info != 0:
             raise SolverError(f"inner CG failed (info={info}) at Newton iteration {it}")
         delta = delta_flat.reshape(fv.shape)
         slope = float(np.sum(G * delta))
-        base = history[-1]
-        floor = 64.0 * N * np.finfo(float).eps * (1.0 + abs(base))
-        trial = _line_search(u, delta, evaluate, base, slope, gnorm, floor, "lattice")
+        floor = 64.0 * N * np.finfo(float).eps * (1.0 + abs(merit_u))
+        trial = _line_search(u, delta, evaluate, merit_u, slope, gnorm, floor, "lattice")
         u = trial - np.mean(trial)
-        history.append(merit(u))
+        merit_u = merit(u)
     else:
         raise SolverError(
-            f"lattice Newton did not reach tol={tol:g} in {max_iter} iterations "
+            f"lattice Newton did not reach tol={tol:g} in {_LATTICE_MAX_ITER} iterations "
             f"(last gradient norm {res_hist[-1]:.3e})"
         )
 
-    field = DisplacementField(lattice, u)
-    final = float(np.max(np.abs(grad(u))))
     return StaticSolution(
         kind="atomistic",
-        field=field,
-        residual=final,
-        energy=total_energy(P, field),
+        field=DisplacementField(lattice, u),
+        residual=gnorm,
         iterations=it,
-        merit_history=history,
         diagnostics={"residual_history": res_hist, "cg_iterations": cg_iters},
     )
 
@@ -481,7 +455,7 @@ def _map_members(fn, payloads: list, workers: int) -> list:
 def _static_member(payload) -> dict:
     """One sweep member (module-level so process pools can pickle it)."""
     P, U_c, F, eps, tol, q = payload
-    f_c, f_a = make_forces(F, eps)
+    f_a = make_forces(F, eps)
     su = ScaledDisplacement(U_c, eps)
     u0 = _quasi_sample(su, f_a.lattice)
     sol = solve_atomistic_static(P, f_a, u0=u0, tol=tol)

@@ -104,7 +104,7 @@ def _bond_gradient_table(P: Potential, u):
 
 @dataclass
 class StressField:
-    """Atomistic stress as a callable field with divergence and export helpers."""
+    """Atomistic stress as a field with its divergence."""
 
     P: Potential
     mode: str
@@ -152,15 +152,6 @@ class StressField:
                 acc += grad_w @ phi
             out[k] = acc
         return out[0] if single else out.reshape(x.shape[:-1] + (d,))
-
-    def __call__(self, x) -> np.ndarray:
-        return self.eval(x)
-
-    def to_rows(self, points: np.ndarray) -> np.ndarray:
-        """Table [x..., S entries (row-major)] for CSV export."""
-        points = np.atleast_2d(points)
-        S = self.eval(points)
-        return np.concatenate([points, S.reshape(points.shape[0], -1)], axis=1)
 
 
 def atomistic_stress(P: Potential, u) -> StressField:

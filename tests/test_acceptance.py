@@ -233,7 +233,7 @@ def test_c09_companion_small_amplitude():
         eps_list=[1 / 64, 1 / 128, 1 / 256], cfl=0.05,
     )
     np.testing.assert_allclose(
-        sweep["errors"], [1.096405e-03, 3.113231e-04, 8.087329e-05], rtol=1e-5
+        sweep["errors"], [1.096405e-03, 3.113231e-04, 8.087270e-05], rtol=1e-5
     )
     rr = fit_rate(sweep["eps"], sweep["errors"])
     ok = 1.8 <= rr.slope <= 2.2 and sweep["half_dt"]["rel_change"] < 0.1

@@ -1,4 +1,4 @@
-"""The public API: every exported name resolves."""
+"""The public API: every exported name resolves, and the package exports a fixed list."""
 
 from __future__ import annotations
 
@@ -25,3 +25,25 @@ def test_package_all_resolves():
     assert len(latcb.__all__) == len(set(latcb.__all__))
     missing = [n for n in latcb.__all__ if not hasattr(latcb, n)]
     assert not missing, f"latcb.__all__ names missing attributes: {missing}"
+
+
+# every addition to or removal from the package API shows up as a diff here
+PACKAGE_API = [
+    "LatticeSpec", "StencilSet", "DisplacementField",
+    "Potential", "PairPotential", "EAMPotential", "HarmonicChain", "AdmissibilityError",
+    "total_energy",
+    "zeta_eval", "quasi_interp", "quasi_grad", "chi_eval", "grad_chi_eval",
+    "smooth_nodal_interp",
+    "CBModel", "StressField", "atomistic_stress", "div_cb_stress", "stress_consistency_field",
+    "DispersionSpectrum", "dynamical_symbol", "dispersion_spectrum", "stability_constant",
+    "legendre_hadamard_min", "instability_eigenprobe",
+    "MacroForce", "StaticSolution", "SolverError", "make_forces", "solve_cb_static",
+    "solve_atomistic_static", "static_converge_sweep",
+    "InitialData", "Trajectory", "integrate_atomistic", "solve_cb_wave",
+    "dynamic_error_sweep", "instability_demo",
+    "ExperimentConfig", "RateReport", "ConfigError", "fit_rate", "run",
+]
+
+
+def test_package_all_is_pinned():
+    assert latcb.__all__ == PACKAGE_API

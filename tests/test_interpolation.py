@@ -22,8 +22,6 @@ from latcb.interpolation import (
     chi_window,
     grad_chi_eval,
     hat,
-    nodal_grad,
-    nodal_interp,
     quasi_grad,
     quasi_interp,
     smooth_nodal_interp,
@@ -100,43 +98,8 @@ def test_zeta_affine_reproduction(rng):
 
 
 # ---------------------------------------------------------------------------
-# nodal and quasi-interpolation
+# quasi-interpolation
 # ---------------------------------------------------------------------------
-
-def test_nodal_interp_matches_site_values(rng):
-    for d in (1, 2):
-        lattice = LatticeSpec(d=d, A=np.eye(d), N=6)
-        u = random_displacement(lattice, rng, scale=1.0)
-        sites = lattice.site_coords().astype(float)
-        assert np.allclose(nodal_interp(u, sites), u.site_values(sites.astype(int)), atol=1e-14)
-
-
-def test_nodal_interp_reproduces_compatible_affine(rng):
-    # u(xi) = F xi is periodic-compatible only through its differences, so
-    # compare on a single cell with the affine values placed by hand
-    lattice = LatticeSpec(d=2, A=np.eye(2), N=5)
-    F = rng.standard_normal((2, 2))
-    u = DisplacementField.from_function(lattice, lambda c: c @ F.T)
-    pts = rng.uniform(0.0, 1.0, size=(20, 2))  # first cell: no wrap involved
-    assert np.allclose(nodal_interp(u, pts), pts @ F.T, atol=1e-13)
-    g = nodal_grad(u, pts)
-    assert np.allclose(g, np.broadcast_to(F, g.shape), atol=1e-13)
-
-
-def test_nodal_grad_matches_finite_differences(rng):
-    lattice = LatticeSpec(d=2, A=np.eye(2), N=6)
-    u = random_displacement(lattice, rng, scale=1.0)
-    pts = rng.uniform(0.05, 5.95, size=(30, 2))
-    # keep a safe distance from cell faces where the interpolant kinks
-    pts = pts[np.min(np.abs(pts - np.round(pts)), axis=1) > 1e-3]
-    h = 1e-6
-    g = nodal_grad(u, pts)
-    for alpha in range(2):
-        e = np.zeros(2)
-        e[alpha] = h
-        fd = (nodal_interp(u, pts + e) - nodal_interp(u, pts - e)) / (2.0 * h)
-        assert np.max(np.abs(g[..., alpha] - fd)) < 1e-8
-
 
 def test_quasi_interp_impulse_profile():
     lattice = LatticeSpec(d=1, A=np.eye(1), N=8)

@@ -1,11 +1,10 @@
-"""Lattice geometry, stencils, finite differences, and discrete norms."""
+"""Lattice geometry, difference stencils, and quadrature."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from itertools import product
 
 from latcb.lattice import (
     DisplacementField,
@@ -13,11 +12,7 @@ from latcb.lattice import (
     StencilSet,
     all_stencils,
     as_direction,
-    cell_corner_values,
-    finite_difference,
     gauss_rule_01,
-    grad_norm,
-    stencil,
     stencil_sup_norm,
 )
 
@@ -130,10 +125,11 @@ def test_finite_difference_examples():
     u = DisplacementField.from_function(
         lattice, lambda c: np.sin(2.0 * np.pi * c / 8.0)
     )
+    S = StencilSet.ball(1, 3.0)
     # sin(pi/2) - sin(0) = 1 for the two-site difference at the origin
-    assert finite_difference(u, [0], [2])[0] == pytest.approx(1.0, abs=1e-14)
+    assert all_stencils(u.values, S)[0, S.index_of([2]), 0] == pytest.approx(1.0, abs=1e-14)
     const = DisplacementField(lattice, np.full((8, 1), 0.37))
-    assert np.max(np.abs(all_stencils(const.values, StencilSet.ball(1, 3.0)))) == 0.0
+    assert np.max(np.abs(all_stencils(const.values, S))) == 0.0
 
 
 def test_all_stencils_matches_direct_lookup(rng):
@@ -143,7 +139,7 @@ def test_all_stencils_matches_direct_lookup(rng):
         u = random_displacement(lattice, rng)
         g = all_stencils(u.values, S)
         sites = lattice.site_coords()
-        direct = stencil(u, sites, S)
+        direct = u.site_values(sites[:, None] + S.directions) - u.site_values(sites)[:, None]
         np.testing.assert_allclose(
             g.reshape(-1, S.n, d), direct, atol=1e-15
         )
@@ -166,7 +162,7 @@ def test_stencil_sup_norm_scaling():
 
 
 # ---------------------------------------------------------------------------
-# quadrature and interpolant norms
+# quadrature
 # ---------------------------------------------------------------------------
 
 def test_gauss_rule_polynomial_exactness():
@@ -176,41 +172,3 @@ def test_gauss_rule_polynomial_exactness():
         for k in range(2 * q):
             assert np.sum(w * x**k) == pytest.approx(1.0 / (k + 1), abs=1e-13), (q, k)
 
-
-def test_cell_corner_values(rng):
-    lattice = LatticeSpec(d=2, A=np.eye(2), N=4)
-    u = random_displacement(lattice, rng)
-    corners = cell_corner_values(u.values)
-    for cell in ([0, 0], [3, 2]):
-        for sigma in product((0, 1), repeat=2):
-            got = corners[cell[0], cell[1], sigma[0], sigma[1]]
-            want = u.site_values(np.array(cell) + np.array(sigma))
-            np.testing.assert_allclose(got, want, atol=1e-15)
-
-
-def test_grad_norm_hat_profile():
-    lattice = LatticeSpec(d=1, A=np.eye(1), N=4)
-    vals = np.array([[0.0], [1.0], [0.0], [0.0]])
-    u = DisplacementField(lattice, vals)
-    # slopes +1 and -1 on two cells: squared L2 norm 2, sup norm 1, L1 norm 2
-    assert grad_norm(u, 2) == pytest.approx(np.sqrt(2.0), abs=1e-13)
-    assert grad_norm(u, np.inf) == pytest.approx(1.0, abs=1e-13)
-    assert grad_norm(u, 1) == pytest.approx(2.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        grad_norm(u, 3)
-
-
-def test_grad_norm_matches_dense_quadrature(rng):
-    """2-point Gauss per axis is exact for |grad|^2; check against 6-point."""
-    from latcb.interpolation import nodal_grad
-
-    lattice = LatticeSpec(d=2, A=np.eye(2), N=4)
-    u = random_displacement(lattice, rng, scale=1.0)
-    x1, w1 = gauss_rule_01(6)
-    pts1 = np.array(list(product(x1, repeat=2)))
-    wts = np.prod(np.array(list(product(w1, repeat=2))), axis=1)
-    total = 0.0
-    for cell in lattice.site_coords():
-        g = nodal_grad(u, cell + pts1)
-        total += float(np.sum(wts * np.sum(g * g, axis=(1, 2))))
-    assert grad_norm(u, 2) == pytest.approx(np.sqrt(total), rel=1e-12)

@@ -19,7 +19,6 @@ from latcb.stability import (
     instability_eigenprobe,
     legendre_hadamard_min,
     max_frequency,
-    nn_difference_gram,
     stability_constant,
 )
 from latcb.stress import CBModel
@@ -161,15 +160,6 @@ def test_eam_square_infimum_is_long_wave():
 # ---------------------------------------------------------------------------
 # real-space probes
 # ---------------------------------------------------------------------------
-
-def test_nn_difference_gram_spectrum():
-    N = 5
-    B = nn_difference_gram(N)
-    eigs = np.sort(np.linalg.eigvalsh(B))
-    expect = np.sort(4.0 * np.sin(np.pi * np.arange(N) / N) ** 2)
-    np.testing.assert_allclose(eigs, expect, atol=1e-12)
-    assert np.max(np.abs(B @ np.ones(N))) < 1e-14
-
 
 def test_instability_eigenprobe_closed_forms():
     q, v = instability_eigenprobe(HarmonicChain.build(a1=-1.0, a2=0.5), N=16)

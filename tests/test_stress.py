@@ -269,10 +269,3 @@ def test_stress_consistency_field_decay(rng):
     assert r8["err_div"] / r16["err_div"] > 3.0
     assert r8["n_points"] == 8 * 4
 
-
-def test_stress_field_to_rows(rng):
-    P = lj_chain()
-    field = atomistic_stress(P, AffineDisplacement(np.array([[0.05]])))
-    rows = field.to_rows(np.array([[0.25], [0.5]]))
-    assert rows.shape == (2, 2)
-    assert np.allclose(rows[:, 1], rows[0, 1])
