@@ -24,14 +24,15 @@ import numpy as np
 from .fields import TrigField
 from .potentials import potential_from_config
 from .stability import (
-    _GOLDEN_FRAC,
+    ZONE_GRID,
     dispersion_spectrum,
     instability_eigenprobe,
     legendre_hadamard_min,
     max_frequency,
     stability_constant,
+    zone_grid,
 )
-from .static import MacroForce, SolverError, static_converge_sweep
+from .static import MacroForce, static_converge_sweep
 from .stress import CBModel, stress_consistency_field
 from .dynamics import InitialData, dynamic_error_sweep, instability_demo
 
@@ -167,6 +168,10 @@ class ExperimentConfig:
                 raise _field_error("potential", f"not resolvable: {exc}")
             if "d" in self.geometry and int(self.geometry["d"]) != P.d:
                 raise _field_error("geometry.d", "does not match the potential dimension")
+            if self.experiment in ("static-converge", "dynamic-converge") and P.d != 1:
+                raise _field_error(
+                    "geometry.d", f"the {self.experiment} sweep is one-dimensional; got d = {P.d}"
+                )
         if self.experiment in ("stress-consistency", "static-converge", "dynamic-converge"):
             self.eps_list()  # validates presence and shape
         for key, experiments, kind, ok, rule in _PARAM_RULES:
@@ -326,10 +331,9 @@ def _check(checks: list, name: str, ok: bool, observed, constraint: str):
 
 def _run_stability(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
-    default_grid = {1: 512, 2: 128, 3: 32}[P.d]
-    n_grid = int(cfg.params.get("n_grid", default_grid))
+    n_grid = int(cfg.params.get("n_grid", ZONE_GRID[P.d]))
     gamma = stability_constant(P, n_grid=n_grid)
-    omega = max_frequency(P)
+    omega = max_frequency(P, n_grid=ZONE_GRID[P.d])
     lh = legendre_hadamard_min(CBModel(P))
     rows = [("gamma", gamma), ("omega_max", omega), ("lh_min", lh)]
     report = {"gamma": gamma, "omega_max": omega, "lh_min": lh}
@@ -370,10 +374,7 @@ def _run_dispersion(cfg: ExperimentConfig, workers: int):
     d = P.d
     default_nk = {1: 256, 2: 48, 3: 12}[d]
     n_k = int(cfg.params.get("n_k", default_nk))
-    axis = -np.pi + (np.arange(n_k) + _GOLDEN_FRAC) * (2.0 * np.pi / n_k)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    k_grid = np.stack([g.ravel() for g in grids], axis=-1)
-    spec = dispersion_spectrum(P, k_grid)
+    spec = dispersion_spectrum(P, zone_grid(d, n_k))
     n_eig = spec.eigs.shape[1]
     columns = (
         tuple(f"k{i + 1}" for i in range(d))
@@ -457,8 +458,6 @@ def _macro_force(cfg: ExperimentConfig) -> MacroForce:
 
 def _run_static_converge(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
-    if P.d != 1:
-        raise SolverError("the static sweep is one-dimensional")
     F = _macro_force(cfg)
     eps_list = cfg.eps_list()
     tol = float(cfg.params.get("solver_tol", 1e-10))
@@ -504,8 +503,6 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
 
 def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
-    if P.d != 1:
-        raise SolverError("the dynamic sweep is one-dimensional")
     params = cfg.params
     U0 = _initial_field(params.get("U0", {"grad_amplitude": 0.05, "mode": 1}))
     U1 = _initial_field(params.get("U1", {"amplitude": 0.0, "mode": 1}))

@@ -33,7 +33,6 @@ __all__ = [
     "smooth_nodal_interp",
     "chi_eval",
     "grad_chi_eval",
-    "chi_window",
     "zeta_convolve",
 ]
 
@@ -184,9 +183,12 @@ def chi_eval(xi, rho, x) -> np.ndarray:
 
     ``xi`` may be a batch of shape (..., d) of lattice sites (not wrapped:
     geometric coordinates); ``rho`` a direction; ``x`` a single point of
-    shape (d,).  The t-integral is evaluated exactly by splitting at the
-    parameter values where any coordinate of ``xi + t rho - x`` crosses a
-    kink of the hat profile and applying 3-point Gauss per piece.
+    shape (d,) or a point batch that broadcasts against ``xi`` (points of
+    shape (P, 1, d) against per-point site windows (P, K, d) give (P, K)).
+    The t-integral is evaluated exactly by splitting at the parameter values
+    where any coordinate of ``xi + t rho - x`` crosses a kink of the hat
+    profile and applying 3-point Gauss per piece; every row is computed on
+    its own, so a batch gives the same bits as one point at a time.
 
     Example: in 1D, chi_{0,1}(0.5) = 3/4 (the bond from 0 to 1 is smeared
     so that its midpoint sees hat weight averaging 3/4).
@@ -194,9 +196,9 @@ def chi_eval(xi, rho, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     rho = as_direction(rho, d)
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    c0 = np.atleast_2d(xi.reshape(-1, d)) - x  # (K, d)
+    rel = np.asarray(xi, dtype=float) - x
+    single = rel.ndim == 1
+    c0 = rel.reshape(-1, d)  # (K, d)
     K = c0.shape[0]
 
     knot_cols = [np.zeros(K), np.ones(K)]
@@ -216,7 +218,7 @@ def chi_eval(xi, rho, x) -> np.ndarray:
     vals = zeta_eval(args)
     out = np.sum(vals * _T_WEIGHTS, axis=2) * dt
     out = out.sum(axis=1)
-    return float(out[0]) if single else out.reshape(xi.shape[:-1])
+    return float(out[0]) if single else out.reshape(rel.shape[:-1])
 
 
 def grad_chi_eval(xi, rho, x) -> np.ndarray:
@@ -230,23 +232,6 @@ def grad_chi_eval(xi, rho, x) -> np.ndarray:
     rho = as_direction(rho, d)
     xi = np.asarray(xi, dtype=float)
     return zeta_eval(xi - x) - zeta_eval(xi + rho - x)
-
-
-def chi_window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """All integer sites xi with chi_{xi,rho} possibly nonzero at x.
-
-    Per axis the support requires xi_alpha in
-    (x_alpha - 1 - max(rho_alpha, 0), x_alpha + 1 - min(rho_alpha, 0)).
-    Returns an (M, d) integer array (geometric coordinates, unwrapped).
-    """
-    d = x.shape[-1]
-    ranges = []
-    for alpha in range(d):
-        lo = int(np.ceil(x[alpha] - 1.0 - max(rho[alpha], 0)))
-        hi = int(np.floor(x[alpha] + 1.0 - min(rho[alpha], 0)))
-        ranges.append(np.arange(lo, hi + 1))
-    grid = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,6 @@ class LatticeSpec:
             raise ValueError(f"supercell period N must be >= 4, got {self.N}")
         object.__setattr__(self, "A", A)
 
-    @property
-    def n_sites(self) -> int:
-        return self.N**self.d
-
     def site_coords(self) -> np.ndarray:
         """All supercell sites as an (N^d, d) integer array, row-major order."""
         axes = [np.arange(self.N)] * self.d
@@ -148,11 +144,6 @@ class StencilSet:
             raise KeyError(f"direction {tuple(r)} not in stencil (r_cut={self.r_cut})")
         return int(hit[0])
 
-    @property
-    def negation_perm(self) -> np.ndarray:
-        """Permutation p with directions[p[i]] == -directions[i]."""
-        return np.array([self.index_of(-r) for r in self.directions], dtype=int)
-
 
 @dataclass
 class DisplacementField:
@@ -175,13 +166,6 @@ class DisplacementField:
     @classmethod
     def zeros(cls, lattice: LatticeSpec) -> "DisplacementField":
         return cls(lattice, np.zeros((lattice.N,) * lattice.d + (lattice.d,)))
-
-    @classmethod
-    def from_function(cls, lattice: LatticeSpec, fn) -> "DisplacementField":
-        """Sample ``fn`` (mapping (M, d) site coords to (M, d) values) on the supercell."""
-        coords = lattice.site_coords()
-        vals = np.asarray(fn(coords), dtype=float).reshape(coords.shape[0], lattice.d)
-        return cls(lattice, vals.reshape((lattice.N,) * lattice.d + (lattice.d,)))
 
     def site_values(self, xi: np.ndarray) -> np.ndarray:
         """Periodic lookup u(xi) for an integer site batch of shape (..., d)."""

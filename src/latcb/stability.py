@@ -35,11 +35,29 @@ __all__ = [
     "dispersion_spectrum",
     "stability_constant",
     "max_frequency",
+    "zone_grid",
+    "ZONE_GRID",
     "legendre_hadamard_min",
     "instability_eigenprobe",
 ]
 
 _GOLDEN_FRAC = 0.6180339887498949  # fractional grid offset avoiding symmetry points
+
+# default k-points per axis, per dimension, of the max_frequency sample
+# (also the stability runner's default stability_constant grid)
+ZONE_GRID = {1: 512, 2: 128, 3: 32}
+
+
+def zone_grid(d: int, n: int, offset: float = _GOLDEN_FRAC) -> np.ndarray:
+    """Offset k-grid of the Brillouin zone [-pi, pi)^d, shape (n^d, d).
+
+    Per axis ``k_j = -pi + (j + offset) 2 pi / n``, j = 0..n-1; rows run in
+    row-major (``ij``) order.  The default golden-ratio offset hits no
+    symmetry point of the zone, ``offset = 0.5`` gives the cell midpoints.
+    """
+    axis = -np.pi + (np.arange(n) + offset) * (2.0 * np.pi / n)
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def _symbol_blocks(P: Potential) -> np.ndarray:
@@ -143,9 +161,7 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
     """
     d = P.d
     h = 2.0 * np.pi / n_grid
-    axis = -np.pi + (np.arange(n_grid) + _GOLDEN_FRAC) * h
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = zone_grid(d, n_grid)
     vals = _min_ratio(P, pts)
     best_idx = int(np.argmin(vals))
     best_k = pts[best_idx]
@@ -178,17 +194,21 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
     return best
 
 
-def max_frequency(P: Potential, n_grid: int = 512) -> float:
+def max_frequency(P: Potential, n_grid: int | None = None) -> float:
     """Spectral radius sqrt(max_k |lambda|(H(k))) (sets stable step sizes).
 
-    For unstable potentials this also dominates the exponential growth
-    rate sqrt(-lambda_min), so a CFL fraction of it is safe either way.
+    The symbol is sampled at the cell midpoints of an ``n_grid^d`` zone
+    grid; ``None`` takes ``ZONE_GRID[d]``: 512 points in 1D, 128^2 in 2D
+    and 32^3 in 3D.  A midpoint sample can only underestimate the maximum;
+    in 2D the 128^2 default lies within 1e-4 relative of the 512^2 value
+    (LJ square 16.969312 against 16.970485, EAM square 20.060326 against
+    20.061733), which the CFL fraction absorbs.  For unstable potentials
+    this also dominates the exponential growth rate sqrt(-lambda_min), so a
+    CFL fraction of it is safe either way.
     """
-    d = P.d
-    axis = -np.pi + (np.arange(n_grid) + 0.5) * (2.0 * np.pi / n_grid)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    H = dynamical_symbol(P, pts)
+    if n_grid is None:
+        n_grid = ZONE_GRID[P.d]
+    H = dynamical_symbol(P, zone_grid(P.d, n_grid, offset=0.5))
     lam = np.linalg.eigvalsh(H)
     return float(np.sqrt(np.max(np.abs(lam))))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScaledDisplacement, TrigField
-from .interpolation import chi_eval, chi_window, zeta_eval
+from .interpolation import chi_eval, grad_chi_eval
 from .lattice import DisplacementField, LatticeSpec, all_stencils
 from .potentials import Potential
 
@@ -102,9 +102,36 @@ def _bond_gradient_table(P: Potential, u):
     raise TypeError(f"unsupported displacement provider: {type(u)!r}")
 
 
+# points per batch: bounds the (points x window x subinterval) kernel arrays
+_BLOCK = 4096
+
+
+def _window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sites xi with chi_{xi,rho} possibly nonzero at each point, (P, K, d).
+
+    Per axis ``xi_alpha = ceil(x_alpha) - 1 + j`` for j from
+    ``-max(rho_alpha, 0)`` to ``1 - min(rho_alpha, 0)``: the support
+    ``x_alpha - 1 - max(rho_alpha, 0) < xi_alpha < x_alpha + 1 - min(rho_alpha, 0)``
+    of the kernel.  The window has the same size at every point; at an
+    integer coordinate it leaves out the site on the open upper end, whose
+    kernel and kernel gradient are exactly zero there.
+    """
+    offsets = [np.arange(-max(r, 0), 2 - min(r, 0)) for r in rho]
+    grid = np.meshgrid(*offsets, indexing="ij")
+    combos = np.stack([g.ravel() for g in grid], axis=-1)  # (K, d)
+    return (np.ceil(x).astype(int) - 1)[:, None, :] + combos
+
+
 @dataclass
 class StressField:
-    """Atomistic stress as a field with its divergence."""
+    """Atomistic stress as a field with its divergence.
+
+    Both evaluations run one batch per stencil direction: every point gets
+    the same fixed window of sites per direction (see ``_window``), the
+    kernels of all (point, site) pairs come from one ``chi_eval`` or
+    ``grad_chi_eval`` call, and the sum over the window is one contraction.
+    Points are processed in blocks of ``_BLOCK``.
+    """
 
     P: Potential
     mode: str
@@ -112,46 +139,44 @@ class StressField:
     N: int | None
 
     def _phi(self, sites: np.ndarray, slot: int) -> np.ndarray:
-        """Bond gradients V_rho(Du(xi)) for a geometric site batch (K, d)."""
+        """Bond gradients V_rho(Du(xi)) for a geometric site batch (..., d)."""
         if self.mode == "affine":
-            return np.broadcast_to(self.table[slot], (sites.shape[0], self.P.d))
+            return np.broadcast_to(self.table[slot], sites.shape)
         idx = np.mod(sites, self.N)
         return self.table[tuple(np.moveaxis(idx, -1, 0)) + (slot,)]
 
+    def _sum_bonds(self, x, term, shape: tuple) -> np.ndarray:
+        """sum over directions of ``term(sites, phi, rho, x)`` at points (..., d)."""
+        x = np.asarray(x, dtype=float)
+        pts = x.reshape(-1, x.shape[-1])
+        out = np.zeros((pts.shape[0],) + shape)
+        for lo in range(0, pts.shape[0], _BLOCK):
+            p = pts[lo:lo + _BLOCK]
+            for slot, rho in enumerate(self.P.S.directions):
+                sites = _window(rho, p)
+                out[lo:lo + _BLOCK] += term(
+                    sites.astype(float), self._phi(sites, slot), rho, p[:, None, :]
+                )
+        return out.reshape(x.shape[:-1] + shape)
+
     def eval(self, x) -> np.ndarray:
         """Stress tensors at points ``x`` of shape (..., d); returns (..., d, d)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x.reshape(-1, x.shape[-1])
+
+        def term(sites, phi, rho, p):
+            w = chi_eval(sites, rho, p)
+            return np.einsum("pK,pKi,a->pia", w, phi, rho.astype(float))
+
         d = self.P.d
-        out = np.zeros((pts.shape[0], d, d))
-        for k, p in enumerate(pts):
-            acc = np.zeros((d, d))
-            for slot, rho in enumerate(self.P.S.directions):
-                window = chi_window(rho, p)
-                w = chi_eval(window.astype(float), rho, p)
-                phi = self._phi(window, slot)
-                acc += np.einsum("K,Ki,a->ia", w, phi, rho.astype(float))
-            out[k] = acc
-        return out[0] if single else out.reshape(x.shape[:-1] + (d, d))
+        return self._sum_bonds(x, term, (d, d))
 
     def div(self, x) -> np.ndarray:
         """Distributional divergence at points away from kernel kinks, (..., d)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x.reshape(-1, x.shape[-1])
-        d = self.P.d
-        out = np.zeros((pts.shape[0], d))
-        for k, p in enumerate(pts):
-            acc = np.zeros(d)
-            for slot, rho in enumerate(self.P.S.directions):
-                window = chi_window(rho, p)
-                wf = window.astype(float)
-                grad_w = zeta_eval(wf - p) - zeta_eval(wf + rho - p)
-                phi = self._phi(window, slot)
-                acc += grad_w @ phi
-            out[k] = acc
-        return out[0] if single else out.reshape(x.shape[:-1] + (d,))
+
+        def term(sites, phi, rho, p):
+            gw = grad_chi_eval(sites, rho, p)
+            return (gw[:, None, :] @ phi)[:, 0]
+
+        return self._sum_bonds(x, term, (self.P.d,))
 
 
 def atomistic_stress(P: Potential, u) -> StressField:

@@ -223,15 +223,31 @@ def test_run_config_errors_return_two(tmp_path, capsys):
 
 
 def test_run_runtime_errors_return_three(tmp_path, capsys):
+    # a valid config whose displacement leaves the admissible set (kappa 0.25)
     obj = {
-        "experiment": "static-converge",
+        "experiment": "stress-consistency",
+        "potential": LJ_POT,
+        "geometry": {"eps_list": [0.125, 0.0625, 0.03125]},
+        "params": {"displacement": {"grad_amplitude": 0.5, "mode": 1}},
+    }
+    path = _write_cfg(tmp_path, obj)
+    assert run(path, out_dir=tmp_path) == 3
+    assert "runtime error: AdmissibilityError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["static-converge", "dynamic-converge"])
+def test_two_dimensional_sweep_exits_two(tmp_path, capsys, experiment):
+    obj = {
+        "experiment": experiment,
         "potential": {"variant": "pair", "d": 2, "r_cut": 2.0,
                       "phi": {"kind": "lennard_jones"}},
         "geometry": {"eps_list": [0.125, 0.0625, 0.03125]},
     }
     path = _write_cfg(tmp_path, obj)
-    assert run(path, out_dir=tmp_path) == 3
-    assert "runtime error" in capsys.readouterr().err
+    assert run(path, out_dir=tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error: config field 'geometry.d'" in err
+    assert "one-dimensional" in err
 
 
 def _static_cfg(**params):

@@ -20,6 +20,7 @@ from latcb.stability import (
     legendre_hadamard_min,
     max_frequency,
     stability_constant,
+    zone_grid,
 )
 from latcb.stress import CBModel
 
@@ -125,6 +126,36 @@ def test_max_frequency():
         2.0, rel=1e-4
     )
     assert max_frequency(lj_chain()) == pytest.approx(LJ_OMEGA_MAX, rel=1e-6)
+    # the 1D default grid is 512 points, which fixes every 1D step size
+    assert max_frequency(lj_chain()) == max_frequency(lj_chain(), n_grid=512)
+
+
+def test_max_frequency_2d_default_grid():
+    # the 128^2 default loses < 1e-4 against 512^2 and still bounds the
+    # 48^2 golden-offset dispersion sample that the harness reports
+    for P in (lj_square(), eam_square()):
+        omega = max_frequency(P)
+        assert omega == pytest.approx(max_frequency(P, n_grid=512), rel=1e-4)
+        eigs = dispersion_spectrum(P, zone_grid(2, 48)).eigs
+        assert omega >= np.sqrt(np.max(np.abs(eigs)))
+
+
+def test_zone_grid_layout():
+    k = zone_grid(2, 4, offset=0.5)
+    assert k.shape == (16, 2)
+    axis = -np.pi + (np.arange(4) + 0.5) * (np.pi / 2.0)
+    np.testing.assert_array_equal(k[:4, 0], np.full(4, axis[0]))  # row-major: last axis fastest
+    np.testing.assert_array_equal(k[:4, 1], axis)
+    assert zone_grid(3, 5).shape == (125, 3)
+    # the default golden offset reproduces the sampler stability_constant
+    # used before the helper existed, bit for bit
+    for d, n in ((1, 256), (2, 96), (3, 12)):
+        h = 2.0 * np.pi / n
+        axis = -np.pi + (np.arange(n) + GOLDEN_FRAC) * h
+        grids = np.meshgrid(*([axis] * d), indexing="ij")
+        np.testing.assert_array_equal(
+            zone_grid(d, n), np.stack([g.ravel() for g in grids], axis=-1)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latcb.fields import ScaledDisplacement, TrigField
 from latcb.interpolation import zeta_convolve
@@ -22,7 +23,8 @@ from latcb.stress import (
     stress_consistency_field,
 )
 
-from conftest import lj_chain, lj_square, random_displacement
+from conftest import eam_square, lj_chain, lj_square, random_displacement
+from stress_loop import loop_div, loop_eval
 
 
 def _random_F(rng, d, scale):
@@ -123,6 +125,61 @@ def test_reference_stress_values():
         lj_chain(), AffineDisplacement(np.zeros((1, 1)))
     )
     assert field.eval(np.array([0.37]))[0, 0] == pytest.approx(resid, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched field against the per-point loop
+# ---------------------------------------------------------------------------
+
+_POTENTIALS = {"lj_chain": lj_chain, "lj_square": lj_square, "eam_square": eam_square}
+
+
+@st.composite
+def stress_cases(draw):
+    """(field, points): a periodic or affine field and points, some on cell boundaries."""
+    P = _POTENTIALS[draw(st.sampled_from(sorted(_POTENTIALS)))]()
+    d = P.d
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        F = rng.standard_normal((d, d))
+        u = AffineDisplacement(F * (0.9 * P.kappa / np.linalg.norm(F, 2)))
+    else:
+        mode = tuple(int(m) for m in rng.integers(-2, 3, size=d))
+        terms = [((1,) * d, 0, "cos", 0.01), (mode if any(mode) else (2,) * d, d - 1, "sin", 0.01)]
+        u = ScaledDisplacement(TrigField.from_terms(d, d, terms), 1.0 / 8.0)
+    n = draw(st.integers(1, 24))
+    pts = rng.uniform(-9.0, 17.0, size=(n, d))
+    # snap some coordinates onto cell boundaries (integers)
+    snap = rng.random((n, d)) < draw(st.sampled_from((0.0, 0.3, 1.0)))
+    pts[snap] = np.round(pts[snap])
+    return atomistic_stress(P, u), pts
+
+
+@settings(max_examples=30, deadline=None)
+@given(stress_cases())
+def test_batched_stress_matches_point_loop(case):
+    """Batched eval/div against the per-point loop of ``tests/stress_loop.py``.
+
+    Off the cell boundaries the fixed window holds the same sites in the
+    same order as ``chi_window``, so the results are bit-identical.  At an
+    integer coordinate the fixed window leaves out sites of zero weight,
+    which may regroup a reduction: there the gap is held to 1e-14 of the
+    largest bond gradient.
+    """
+    field, pts = case
+    scale = 1e-14 * float(np.max(np.abs(field.table)))
+    on_boundary = (pts == np.round(pts)).any(axis=1)
+    for batched, loop in ((field.eval(pts), loop_eval(field, pts)),
+                          (field.div(pts), loop_div(field, pts))):
+        assert np.array_equal(batched[~on_boundary], loop[~on_boundary])
+        assert np.max(np.abs(batched - loop), initial=0.0) <= scale
+
+
+def test_batched_stress_shapes():
+    field = atomistic_stress(lj_square(), AffineDisplacement(np.zeros((2, 2))))
+    assert field.eval(np.array([0.3, 0.7])).shape == (2, 2)
+    assert field.eval(np.zeros((3, 4, 2)) + 0.5).shape == (3, 4, 2, 2)
+    assert field.div(np.zeros((3, 4, 2)) + 0.5).shape == (3, 4, 2)
 
 
 # ---------------------------------------------------------------------------
