@@ -19,8 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ScaledDisplacement, TrigField
-from .interpolation import zeta_convolve
+from .fields import TrigField
 from .lattice import DisplacementField, LatticeSpec
 from .potentials import (
     AdmissibilityError,
@@ -30,7 +29,7 @@ from .potentials import (
     total_energy,
 )
 from .stability import max_frequency
-from .static import SolverError, interp_gradient_gap, interp_value_gap, _map_members, _quasi_sample
+from .static import SolverError, interp_gradient_gap, interp_value_gap, _hat_transfer, _map_members
 from .stress import CBModel
 
 __all__ = [
@@ -97,22 +96,13 @@ def make_initial_data(
 ) -> tuple[DisplacementField, DisplacementField]:
     """Quasi-interpolated lattice initial data for a macroscopic pair.
 
-    Displacements are sampled from ``zeta * (eps^-1 U0(eps .))``, velocities
-    from ``zeta * (U1(eps .))`` (velocities carry no eps scaling under the
-    two-scale time parametrization).
+    Displacements are the site samples of ``zeta * (eps^-1 U0(eps .))``,
+    velocities of ``zeta * (U1(eps .))`` (velocities carry no eps scaling
+    under the two-scale time parametrization).  Both convolutions are exact:
+    each mode ``m`` is multiplied by ``prod_a sinc(m_a eps)^2`` and the
+    smoothed field is evaluated at ``eps xi``.
     """
-    su = ScaledDisplacement(data.U0, eps)
-    N = su.N
-    lattice = LatticeSpec(d=data.U0.d, A=np.eye(data.U0.d), N=N)
-    u0 = _quasi_sample(su, lattice)
-
-    def vel(x):
-        return data.U1.value(np.asarray(x, float) * eps)
-
-    sites = lattice.site_coords().astype(float)
-    vals = zeta_convolve(vel, sites, n_components=lattice.d)
-    v0 = DisplacementField(lattice, vals.reshape((N,) * lattice.d + (lattice.d,)))
-    return u0, v0
+    return _hat_transfer(data.U0, eps, 1.0 / eps), _hat_transfer(data.U1, eps, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ represented as finite trigonometric sums
 
     U(X) = Re sum_k a_k exp(2 pi i m_k . X),
 
-which gives exact derivatives of any order and exact Sobolev norms, so the
+which gives exact derivatives of any order, exact Sobolev norms and exact
+convolutions with the hat kernel (the transfer to lattice sites), so the
 convergence experiments are not polluted by an extra discretization layer.
 ``ScaledDisplacement`` exposes the microscopic view
 ``u(x) = eps^-1 U(eps x)`` consumed by the lattice-side machinery.
@@ -183,6 +184,16 @@ class TrigField:
 
     def scale(self, c: float) -> "TrigField":
         return TrigField(self.d, self.modes.copy(), self.amps * c)
+
+    def hat_smoothed(self, h: float) -> "TrigField":
+        """Convolution with the hat kernel ``prod_a (hat(X_a / h) / h)``.
+
+        The kernel's Fourier coefficient at mode ``m`` is
+        ``prod_a sinc(m_a h)^2``, so the convolution is exact: the same
+        modes with their amplitudes multiplied by it.
+        """
+        mult = np.prod(np.sinc(self.modes * h) ** 2, axis=1)
+        return TrigField(self.d, self.modes.copy(), self.amps * mult[:, None])
 
 
 @dataclass

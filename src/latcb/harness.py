@@ -443,17 +443,12 @@ def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
 
 
 def _macro_force(cfg: ExperimentConfig) -> MacroForce:
+    """The load shaped by ``params.force`` and scaled to size ``params.delta``."""
     params = cfg.params
-    delta = float(params.get("delta", 0.01))
-    force_spec = params.get("force", {})
-    if "terms" in force_spec:
-        F = MacroForce(_initial_field(force_spec))
-        return F.scaled(delta / F.delta)
-    return MacroForce.single_mode(
-        delta,
-        mode=int(force_spec.get("mode", 1)),
-        kind=str(force_spec.get("kind", "sin")),
-    )
+    # the size comes from delta alone: any amplitude in the spec is replaced
+    shape = {k: v for k, v in params.get("force", {}).items() if k != "grad_amplitude"}
+    F = MacroForce(_initial_field({**shape, "amplitude": 1.0}))
+    return F.scaled(float(params.get("delta", 0.01)) / F.delta)
 
 
 def _run_static_converge(cfg: ExperimentConfig, workers: int):

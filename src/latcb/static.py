@@ -3,7 +3,10 @@
 The experiment follows the two-scale setup: a smooth macroscopic dead load
 ``F`` on the unit torus is scaled to the lattice as ``f(x) = eps F(eps x)``
 and transferred to sites by convolution with the hat basis, which preserves
-the discrete/continuum duality pairing.  The Cauchy-Born equilibrium is
+the discrete/continuum duality pairing.  For a trigonometric field that
+convolution is exact in closed form: mode ``m`` is multiplied by
+``prod_a sinc(m_a eps)^2`` (``TrigField.hat_smoothed``) and the smoothed
+field is evaluated at the sites.  The Cauchy-Born equilibrium is
 solved once per load (it is scale-free); the atomistic equilibrium is
 solved per lattice spacing with a Newton-Krylov iteration preconditioned by
 the reference dynamical symbol.  The reported error is the scaled L2 norm
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fields import ScaledDisplacement, TrigField
-from .interpolation import quasi_grad, quasi_interp, smooth_nodal_interp, zeta_convolve
+from .interpolation import quasi_grad, quasi_interp, smooth_nodal_interp
 from .lattice import DisplacementField, LatticeSpec, gauss_rule_01
 from .potentials import (
     AdmissibilityError,
@@ -76,38 +79,35 @@ class MacroForce:
     def delta(self) -> float:
         return self.field.sobolev_norm(-1.0) + self.field.sobolev_norm(1.0)
 
-    @classmethod
-    def single_mode(cls, delta: float, mode: int = 1, kind: str = "sin") -> "MacroForce":
-        """1D load c * sin(2 pi m X) (or cos) with amplitude tuned to the target delta."""
-        km = 2.0 * math.pi * mode
-        c = delta * math.sqrt(2.0) / (1.0 / km + km)
-        f = TrigField.from_terms(1, 1, [((mode,), 0, kind, c)])
-        return cls(field=f)
-
     def scaled(self, factor: float) -> "MacroForce":
         return MacroForce(field=self.field.scale(factor))
 
 
-def make_forces(F: MacroForce, eps: float, q: int = 8) -> DisplacementField:
-    """Scale a macroscopic load to the lattice.
+def _hat_transfer(U: TrigField, eps: float, c: float) -> DisplacementField:
+    """Site samples ``(zeta * u)(xi)`` of ``u(x) = c U(eps x)`` on the 1/eps supercell.
 
-    Returns the site transfer ``f_a(xi) = (zeta * f)(xi)`` of the
-    microscopic force ``f(x) = eps F(eps x)`` as a DisplacementField on the
-    matching supercell.  The convolution reproduces constants exactly
-    (the hat kernel integrates to one).
+    In micro coordinates the hat kernel multiplies mode ``m`` of ``U`` by
+    ``prod_a sinc(m_a eps)^2``, so the samples are ``c U.hat_smoothed(eps)``
+    at ``eps xi``, exact up to roundoff.
     """
     N = int(round(1.0 / eps))
     if abs(N * eps - 1.0) > 1e-9:
         raise ValueError("1/eps must be an integer number of lattice cells")
-    d = F.field.d
-    lattice = LatticeSpec(d=d, A=np.eye(d), N=N)
-    sites = lattice.site_coords().astype(float)
+    lattice = LatticeSpec(d=U.d, A=np.eye(U.d), N=N)
+    vals = c * U.hat_smoothed(eps).value(lattice.site_coords() * eps)
+    return DisplacementField(lattice, vals.reshape((N,) * U.d + (U.n_components,)))
 
-    def f(x):
-        return F.field.value(np.asarray(x, float) * eps) * eps
 
-    vals = zeta_convolve(f, sites, n_components=d, q=q)
-    return DisplacementField(lattice, vals.reshape((N,) * d + (d,)))
+def make_forces(F: MacroForce, eps: float) -> DisplacementField:
+    """Scale a macroscopic load to the lattice.
+
+    Returns the site transfer ``f_a(xi) = (zeta * f)(xi)`` of the
+    microscopic force ``f(x) = eps F(eps x)`` as a DisplacementField on the
+    matching supercell: the load's modes times ``prod_a sinc(m_a eps)^2``,
+    times ``eps``, sampled at ``eps xi``.  Constants pass unchanged (the hat
+    kernel integrates to one).
+    """
+    return _hat_transfer(F.field, eps, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +137,23 @@ def _line_search(x, delta, evaluate, base: float, slope: float, rnorm: float,
                  floor: float, solver: str):
     """Backtrack ``x + t delta`` from t = 1 by halving, up to 40 times.
 
-    ``evaluate(trial)`` returns the merit and the residual norm of a trial;
-    an inadmissible trial counts as infinitely bad.  A step is accepted on
-    the Armijo condition relaxed by the noise ``floor`` (merit differences
-    cancel at roundoff once the true decrease is that small) or on a plain
-    residual decrease, which accepts steps in the quadratic phase.
+    ``evaluate(trial)`` returns a tuple that starts with the merit and the
+    residual norm of a trial; an inadmissible trial counts as infinitely
+    bad.  A step is accepted on the Armijo condition relaxed by the noise
+    ``floor`` (merit differences cancel at roundoff once the true decrease
+    is that small) or on a plain residual decrease, which accepts steps in
+    the quadratic phase.  Returns the accepted trial and its evaluation, so
+    the caller never evaluates that state again.
     """
     t = 1.0
     for _ in range(40):
         trial = x + t * delta
         try:
-            mt, rt = evaluate(trial)
+            ev = evaluate(trial)
         except AdmissibilityError:
-            mt, rt = math.inf, math.inf
-        if mt <= base + 1e-4 * t * slope + floor or rt <= (1.0 - 1e-4 * t) * rnorm:
-            return trial
+            ev = (math.inf, math.inf)
+        if ev[0] <= base + 1e-4 * t * slope + floor or ev[1] <= (1.0 - 1e-4 * t) * rnorm:
+            return trial, ev
         t *= 0.5
     raise SolverError(f"line search failed in the {solver} solver")
 
@@ -193,23 +195,15 @@ def solve_cb_static(
     D = _spectral_derivative_matrix(Mg)
     kappa = M.P.kappa
 
-    def stress_of(up):
-        return M.stress(up[:, None, None])[:, 0, 0]
-
     def modulus_of(up):
         return M.moduli(up[:, None, None])[:, 0, 0, 0, 0]
 
-    def merit(U):
-        up = D @ U
-        return float(np.mean(M.energy_density(up[:, None, None]) - Fv * U))
-
-    def residual(U):
-        up = D @ U
-        return -(D @ stress_of(up)) - Fv
-
     def evaluate(U):
-        R = residual(U)
-        return merit(U), float(np.sqrt(np.mean(R * R)))
+        """Merit ``mean(W(U') - F U)``, residual norm and residual of a state."""
+        up = D @ U
+        R = -(D @ M.stress(up[:, None, None])[:, 0, 0]) - Fv
+        merit = float(np.mean(M.energy_density(up[:, None, None]) - Fv * U))
+        return merit, float(np.sqrt(np.mean(R * R))), R
 
     # linearized start: C0 U'' = -F in Fourier space
     C0 = float(M.moduli(np.zeros((1, 1, 1)))[0, 0, 0, 0, 0])
@@ -222,7 +216,8 @@ def solve_cb_static(
     res_hist = []
     # the spectral derivative annihilates the mean and (for even grids) the
     # Nyquist mode, so both are gauged out of the Newton system and stripped
-    # from iterates; otherwise the linear solves leave junk in those modes
+    # from the start and the steps; otherwise the linear solves leave junk
+    # in those modes
     gauge = np.full((Mg, Mg), 1.0 / Mg)
     if Mg % 2 == 0:
         alt = (-1.0) ** np.arange(Mg)
@@ -236,10 +231,8 @@ def solve_cb_static(
         return np.fft.irfft(vh, n=Mg)
 
     U = strip_null(U)
-    merit_U = merit(U)
+    merit_U, rnorm, R = evaluate(U)
     for it in range(1, _CB_MAX_ITER + 1):
-        R = residual(U)
-        rnorm = float(np.sqrt(np.mean(R * R)))
         res_hist.append(rnorm)
         if rnorm <= tol:
             break
@@ -251,11 +244,12 @@ def solve_cb_static(
             delta = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"Newton system singular at iteration {it}: {exc}")
+        delta = strip_null(delta)
         slope = float(np.mean(R * delta))  # directional derivative of the merit
         floor = 64.0 * np.finfo(float).eps * (1.0 + abs(merit_U))
-        trial = _line_search(U, delta, evaluate, merit_U, slope, rnorm, floor, "continuum")
-        U = strip_null(trial)
-        merit_U = merit(U)
+        U, (merit_U, rnorm, R) = _line_search(
+            U, delta, evaluate, merit_U, slope, rnorm, floor, "continuum"
+        )
     else:
         raise SolverError(
             f"continuum Newton did not reach tol={tol:g} in {_CB_MAX_ITER} iterations "
@@ -326,21 +320,16 @@ def solve_atomistic_static(
     u -= np.mean(u)
     precond = _symbol_preconditioner(P, N)
 
-    def merit(vals):
-        return total_energy(P, DisplacementField(lattice, vals)) - float(np.sum(fv * vals))
-
-    def grad(vals):
-        return gradient_array(P, vals) - fv
-
     def evaluate(vals):
-        return merit(vals), float(np.max(np.abs(grad(vals))))
+        """Merit ``E(u) - <f, u>``, gradient sup norm and gradient of a state."""
+        merit = total_energy(P, DisplacementField(lattice, vals)) - float(np.sum(fv * vals))
+        G = gradient_array(P, vals) - fv
+        return merit, float(np.max(np.abs(G))), G
 
-    merit_u = merit(u)
+    merit_u, gnorm, G = evaluate(u)
     res_hist = []
     cg_iters = []
     for it in range(1, _LATTICE_MAX_ITER + 1):
-        G = grad(u)
-        gnorm = float(np.max(np.abs(G)))
         res_hist.append(gnorm)
         if gnorm <= tol:
             break
@@ -364,11 +353,12 @@ def solve_atomistic_static(
         if info != 0:
             raise SolverError(f"inner CG failed (info={info}) at Newton iteration {it}")
         delta = delta_flat.reshape(fv.shape)
+        delta -= np.mean(delta)  # keeps the iterate zero-mean
         slope = float(np.sum(G * delta))
         floor = 64.0 * N * np.finfo(float).eps * (1.0 + abs(merit_u))
-        trial = _line_search(u, delta, evaluate, merit_u, slope, gnorm, floor, "lattice")
-        u = trial - np.mean(trial)
-        merit_u = merit(u)
+        u, (merit_u, gnorm, G) = _line_search(
+            u, delta, evaluate, merit_u, slope, gnorm, floor, "lattice"
+        )
     else:
         raise SolverError(
             f"lattice Newton did not reach tol={tol:g} in {_LATTICE_MAX_ITER} iterations "
@@ -433,13 +423,6 @@ def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 
 # convergence sweep
 # ---------------------------------------------------------------------------
 
-def _quasi_sample(su: ScaledDisplacement, lattice: LatticeSpec, q: int = 8) -> DisplacementField:
-    """Initial guess: lattice samples of zeta * u_c (the quasi-interpolant)."""
-    sites = lattice.site_coords().astype(float)
-    vals = zeta_convolve(su.value, sites, n_components=lattice.d, q=q)
-    return DisplacementField(lattice, vals.reshape((lattice.N,) * lattice.d + (lattice.d,)))
-
-
 def _map_members(fn, payloads: list, workers: int) -> list:
     """Sweep members in order, in a process pool when ``workers > 1``.
 
@@ -456,8 +439,8 @@ def _static_member(payload) -> dict:
     """One sweep member (module-level so process pools can pickle it)."""
     P, U_c, F, eps, tol, q = payload
     f_a = make_forces(F, eps)
-    su = ScaledDisplacement(U_c, eps)
-    u0 = _quasi_sample(su, f_a.lattice)
+    # initial guess: the quasi-interpolant zeta * u_c of u_c(x) = U_c(eps x) / eps
+    u0 = _hat_transfer(U_c, eps, 1.0 / eps)
     sol = solve_atomistic_static(P, f_a, u0=u0, tol=tol)
     err = interp_gradient_gap(U_c, sol.field, eps, q=q)
     return {

@@ -18,7 +18,9 @@ from latcb.potentials import (
     PolynomialEmbedding,
     lennard_jones,
 )
+from latcb.fields import TrigField
 from latcb.lattice import DisplacementField, LatticeSpec, StencilSet
+from latcb.static import MacroForce
 
 
 def lj_chain(r_cut: float = 3.0, kappa: float = 0.25) -> PairPotential:
@@ -64,6 +66,15 @@ def eam_square(kappa: float = 0.25) -> EAMPotential:
         psi=ExpProfile(),
         embed=PolynomialEmbedding((0.0, 1.0, 0.2)),
     )
+
+
+def single_mode_load(delta: float, mode: int = 1, kind: str = "sin") -> MacroForce:
+    """1D load c sin(2 pi m X) (or cos) with c tuned to the size ``delta``.
+
+    Built like the experiments' loads: unit amplitude, then scaled.
+    """
+    F = MacroForce(TrigField.from_terms(1, 1, [((mode,), 0, kind, 1.0)]))
+    return F.scaled(delta / F.delta)
 
 
 def random_displacement(

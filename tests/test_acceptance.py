@@ -21,11 +21,10 @@ import pytest
 from latcb.dynamics import InitialData, dynamic_error_sweep, instability_demo
 from latcb.fields import TrigField
 from latcb.harness import fit_rate, run
-from latcb.interpolation import zeta_convolve
 from latcb.lattice import LatticeSpec, StencilSet, gauss_rule_01
 from latcb.potentials import gradient_array, hessian_operator, total_energy
 from latcb.stability import instability_eigenprobe, stability_constant
-from latcb.static import MacroForce, SolverError, static_converge_sweep
+from latcb.static import SolverError, static_converge_sweep
 from latcb.stress import (
     AffineDisplacement,
     CBModel,
@@ -34,7 +33,8 @@ from latcb.stress import (
 )
 from latcb.potentials import HarmonicChain
 
-from conftest import lj_chain, lj_square, random_displacement
+from conftest import lj_chain, lj_square, random_displacement, single_mode_load
+from hat_quadrature import zeta_convolve
 from test_interpolation import _kernel_identity_violations, _trig_test_field
 from test_potentials import _variants
 from test_stress import _trig_velocity, weak_form_mismatch
@@ -186,7 +186,7 @@ def test_c07_stress_consistency_rates():
 
 
 def test_c08_static_convergence():
-    F = MacroForce.single_mode(0.01)
+    F = single_mode_load(0.01)
     eps_list = [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128]
     sweep = static_converge_sweep(lj_chain(), F, eps_list, tol=1e-10)
     rr = fit_rate(sweep["eps"], sweep["errors"], noise_floor=1e-10)

@@ -20,7 +20,6 @@ from latcb.dynamics import (
     solve_cb_wave,
 )
 from latcb.fields import TrigField
-from latcb.interpolation import zeta_convolve
 from latcb.lattice import DisplacementField, LatticeSpec
 from latcb.potentials import HarmonicChain, total_energy
 from latcb.stability import dynamical_symbol
@@ -28,6 +27,7 @@ from latcb.static import SolverError
 from latcb.stress import CBModel
 
 from conftest import lj_chain
+from hat_quadrature import zeta_convolve
 
 AMP = 0.05 / (2.0 * np.pi)  # unit-torus sin amplitude with gradient sup 0.05
 

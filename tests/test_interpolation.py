@@ -24,12 +24,12 @@ from latcb.interpolation import (
     quasi_grad,
     quasi_interp,
     smooth_nodal_interp,
-    zeta_convolve,
     zeta_eval,
 )
 from latcb.lattice import DisplacementField, LatticeSpec, gauss_rule_01
 
 from conftest import random_displacement
+from hat_quadrature import zeta_convolve
 from stress_loop import chi_window
 
 

@@ -7,13 +7,22 @@ response prediction and frozen regression anchors.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from latcb import static
+from latcb.dynamics import InitialData, make_initial_data
 from latcb.fields import ScaledDisplacement, TrigField
-from latcb.interpolation import zeta_convolve
+from latcb.harness import ExperimentConfig, _macro_force
 from latcb.lattice import DisplacementField, LatticeSpec
-from latcb.potentials import AdmissibilityError, HarmonicChain, gradient_array
+from latcb.potentials import (
+    AdmissibilityError,
+    HarmonicChain,
+    gradient_array,
+    potential_from_config,
+)
 from latcb.stability import dynamical_symbol
 from latcb.static import (
     MacroForce,
@@ -28,7 +37,10 @@ from latcb.static import (
 )
 from latcb.stress import CBModel
 
-from conftest import lj_chain, lj_square
+from conftest import lj_chain, lj_square, single_mode_load
+from hat_quadrature import zeta_convolve
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 LJ_GAMMA = 70.6106531415735
 
@@ -55,7 +67,7 @@ def _quasi_sample(U: TrigField, eps: float) -> DisplacementField:
 
 def test_single_mode_load_amplitude_and_size():
     delta = 0.01
-    F = MacroForce.single_mode(delta)
+    F = single_mode_load(delta)
     km = 2.0 * np.pi
     c = delta * np.sqrt(2.0) / (1.0 / km + km)
     assert F.field.value(np.array([[0.25]]))[0, 0] == pytest.approx(c, rel=1e-13)
@@ -73,17 +85,51 @@ def test_loads_require_zero_mean():
 
 
 def test_make_forces_transfer():
-    F = MacroForce.single_mode(0.01)
+    F = single_mode_load(0.01)
     eps = 1.0 / 8.0
     f_a = make_forces(F, eps)
     assert f_a.values.shape == (8, 1)
     # site load = hat-kernel average of the microscopic force eps F(eps x)
     sites = np.arange(8.0)[:, None]
     f_micro = zeta_convolve(lambda x: eps * F.field.value(x * eps), sites, n_components=1)
-    np.testing.assert_allclose(f_a.values, f_micro, rtol=1e-14)
+    # at the sin nodes (sites 0 and 4) both sides are roundoff of a true zero
+    atol = 1e-15 * float(np.max(np.abs(f_micro)))
+    np.testing.assert_allclose(f_a.values, f_micro, rtol=1e-14, atol=atol)
     assert abs(float(np.sum(f_a.values))) < 1e-15
     with pytest.raises(ValueError):
         make_forces(F, 0.3)
+
+
+_TRANSFER_TERMS = {
+    1: [((1,), 0, "sin", 0.7), ((2,), 0, "cos", -0.4), ((3,), 0, "sin", 0.25)],
+    2: [((1, 0), 0, "sin", 0.7), ((0, 2), 1, "cos", -0.4), ((1, -1), 0, "cos", 0.3),
+        ((2, 3), 1, "sin", 0.25), ((3, 1), 0, "sin", -0.2)],
+}
+
+
+@pytest.mark.parametrize("d, eps_list", [
+    (1, [1 / 8, 1 / 16, 1 / 64, 1 / 512]),
+    (2, [1 / 8, 1 / 16, 1 / 64]),
+])
+def test_hat_transfer_matches_quadrature_oracle(d, eps_list):
+    # zero-mean modes up to 3 in every component, plus a constant in U0
+    F = MacroForce(TrigField.from_terms(d, d, _TRANSFER_TERMS[d]))
+    U0 = TrigField.from_terms(d, d, _TRANSFER_TERMS[d] + [((0,) * d, d - 1, "cos", 0.5)])
+    U1 = F.field.scale(-1.5)
+    for eps in eps_list:
+        N = int(round(1.0 / eps))
+        sites = LatticeSpec(d=d, A=np.eye(d), N=N).site_coords().astype(float)
+        u0, v0 = make_initial_data(InitialData(U0, U1), eps)
+        # u0 is also the static sweep's start, _hat_transfer(U0, eps, 1 / eps)
+        pairs = [
+            (make_forces(F, eps), lambda x: eps * F.field.value(x * eps)),
+            (u0, lambda x: U0.value(x * eps) / eps),
+            (v0, lambda x: U1.value(x * eps)),
+        ]
+        for got, fn in pairs:
+            ref = zeta_convolve(fn, sites, n_components=d).reshape(got.values.shape)
+            gap = float(np.max(np.abs(got.values - ref)))
+            assert gap <= 4e-15 * float(np.max(np.abs(ref))), (eps, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +139,7 @@ def test_make_forces_transfer():
 def test_cb_solver_harmonic_one_step():
     # quadratic energy: the linearized start is already the solution
     M = CBModel(HarmonicChain.build(a1=2.0, a2=-0.25))
-    F = MacroForce.single_mode(0.01)
+    F = single_mode_load(0.01)
     sol = solve_cb_static(M, F)
     assert sol.iterations == 1
     assert sol.residual < 1e-12
@@ -107,7 +153,7 @@ def test_cb_solver_harmonic_one_step():
 
 def test_cb_solver_lj_linear_response():
     M = CBModel(lj_chain())
-    F = MacroForce.single_mode(0.01)
+    F = single_mode_load(0.01)
     sol = solve_cb_static(M, F)
     assert sol.residual <= 1e-10
     assert sol.iterations <= 6
@@ -121,7 +167,7 @@ def test_cb_solver_lj_linear_response():
 
 def test_cb_solver_is_one_dimensional():
     with pytest.raises(NotImplementedError):
-        solve_cb_static(CBModel(lj_square()), MacroForce.single_mode(0.01))
+        solve_cb_static(CBModel(lj_square()), single_mode_load(0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +177,7 @@ def test_cb_solver_is_one_dimensional():
 def test_atomistic_solver_matches_fft_oracle():
     a1, a2 = 2.0, -0.25
     P = HarmonicChain.build(a1=a1, a2=a2)
-    F = MacroForce.single_mode(0.05, mode=2)
+    F = single_mode_load(0.05, mode=2)
     f_a = make_forces(F, 1.0 / 16.0)
     sol = solve_atomistic_static(P, f_a, tol=1e-12)
     assert sol.residual <= 1e-12
@@ -159,12 +205,40 @@ def test_atomistic_solver_rejects_unbalanced_loads():
 
 
 def test_atomistic_solver_lj_small_load():
-    F = MacroForce.single_mode(0.01)
+    F = single_mode_load(0.01)
     f_a = make_forces(F, 1.0 / 8.0)
     sol = solve_atomistic_static(lj_chain(), f_a)
     assert sol.residual <= 1e-10
     assert sol.iterations <= 6
     assert abs(float(np.mean(sol.field.values))) < 1e-12
+
+
+def test_static_solvers_evaluate_each_state_once(monkeypatch):
+    # the eps = 1/64 member of the shipped LJ-chain static sweep; every
+    # Newton step of both solves is accepted at t = 1, so the states are the
+    # start plus one trial per step: as many as the iterations
+    cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
+    P = potential_from_config(cfg.potential)
+    F = _macro_force(cfg)
+    calls = {"energy_density": 0, "stress": 0, "total_energy": 0, "gradient_array": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    M = CBModel(P)
+    monkeypatch.setattr(M, "energy_density", counted(M.energy_density, "energy_density"))
+    monkeypatch.setattr(M, "stress", counted(M.stress, "stress"))
+    cb = solve_cb_static(M, F)
+    assert calls["energy_density"] == calls["stress"] == cb.iterations
+
+    for name in ("total_energy", "gradient_array"):
+        monkeypatch.setattr(static, name, counted(getattr(static, name), name))
+    member = static._static_member((P, cb.field, F, 1.0 / 64.0, 1e-10, 6))
+    assert member["newton_iterations"] == 2
+    assert calls["total_energy"] == calls["gradient_array"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +261,10 @@ def test_line_search_accepts_full_step_on_armijo():
     # merit x^2 / 2 from x = 1 along the Newton step; the residual never
     # decreases, so only the Armijo test can accept
     trials = _Trials(lambda x: (0.5 * x * x, np.inf))
-    x = _line_search(1.0, -1.0, trials, base=0.5, slope=-1.0, rnorm=1.0,
-                     floor=0.0, solver="test")
+    x, ev = _line_search(1.0, -1.0, trials, base=0.5, slope=-1.0, rnorm=1.0,
+                         floor=0.0, solver="test")
     assert x == 0.0
+    assert ev == (0.0, np.inf)
     assert trials.seen == [0.0]
 
 
@@ -199,8 +274,8 @@ def test_line_search_accepts_residual_decrease_when_merit_is_flat():
     base = 1.0
     floor = 64.0 * np.finfo(float).eps * (1.0 + base)
     trials = _Trials(lambda x: (base + 2.0 * floor, 0.5))
-    x = _line_search(1.0, -0.25, trials, base=base, slope=-1e-20, rnorm=1.0,
-                     floor=floor, solver="test")
+    x, _ = _line_search(1.0, -0.25, trials, base=base, slope=-1e-20, rnorm=1.0,
+                        floor=floor, solver="test")
     assert x == 0.75
     assert trials.seen == [0.75]
 
@@ -212,9 +287,11 @@ def test_line_search_backtracks_inadmissible_trials():
         return 0.5 * (x - 4.0) ** 2, abs(x - 4.0)
 
     trials = _Trials(evaluate)
-    x = _line_search(0.0, 4.0, trials, base=8.0, slope=-16.0, rnorm=4.0,
-                     floor=0.0, solver="test")
+    x, ev = _line_search(0.0, 4.0, trials, base=8.0, slope=-16.0, rnorm=4.0,
+                         floor=0.0, solver="test")
     assert x == 1.0
+    # the accepted trial's evaluation comes back with it
+    assert ev == (4.5, 3.0)
     assert trials.seen == [4.0, 2.0, 1.0]
 
 
@@ -271,7 +348,7 @@ def test_interp_gap_scales_linearly():
 # ---------------------------------------------------------------------------
 
 def test_static_sweep_short_lj():
-    F = MacroForce.single_mode(0.01)
+    F = single_mode_load(0.01)
     out = static_converge_sweep(lj_chain(), F, [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0])
     np.testing.assert_allclose(out["errors"], SWEEP_ERRORS, rtol=1e-6)
     for r in out["half_ratios"]:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcb.fields import ScaledDisplacement, TrigField
-from latcb.interpolation import zeta_convolve
 from latcb.lattice import LatticeSpec, all_stencils, gauss_rule_01
 from latcb.potentials import HarmonicChain, gradient_array, lennard_jones
 from latcb.stress import (
@@ -24,6 +23,7 @@ from latcb.stress import (
 )
 
 from conftest import eam_square, lj_chain, lj_square, random_displacement
+from hat_quadrature import zeta_convolve
 from stress_loop import loop_div, loop_eval
 
 
