@@ -310,7 +310,6 @@ def dynamic_error_sweep(
     n_grid: int = 128,
     cfl: float = 0.2,
     q: int = 6,
-    half_dt_check: bool = True,
     workers: int = 1,
 ) -> dict:
     """Shadowing error between lattice dynamics and the Cauchy-Born wave.
@@ -319,8 +318,8 @@ def dynamic_error_sweep(
     snapshots at ``n_snap`` aligned times; each spacing integrates the
     lattice to the corresponding microscopic horizon ``T / eps`` and the
     error is the maximum over snapshots of the scaled gradient gap plus
-    velocity gap.  With ``half_dt_check`` the finest spacing is re-run at
-    half the time step to confirm integration error is subdominant.
+    velocity gap.  The finest spacing is re-run at half the time step
+    (``half_dt``) to confirm integration error is subdominant.
     """
     M = CBModel(P)
     cb_times = np.linspace(0.0, T, n_snap)
@@ -328,29 +327,25 @@ def dynamic_error_sweep(
     payloads = [(P, data, cb_times, cb.U, cb.V, eps, cfl, q) for eps in eps_list]
     members = _map_members(_dynamic_member, payloads, workers)
 
-    out = {
+    # Both integrators are re-run at half step: the continuum solve is shared
+    # across the sweep, so its dt error is a common bias that an
+    # atomistic-only control would miss entirely.
+    finest = min(eps_list)
+    cb_half = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=0.5 * cfl)
+    control = _dynamic_member((P, data, cb_times, cb_half.U, cb_half.V, finest, 0.5 * cfl, q))
+    base = members[list(eps_list).index(finest)]["error"]
+    return {
         "eps": [float(e) for e in eps_list],
         "errors": [m["error"] for m in members],
         "T": float(T),
         "cb_energy_drift": float(np.max(np.abs(cb.energies - cb.energies[0]))),
         "details": members,
-    }
-    if half_dt_check:
-        # Both integrators are re-run at half step: the continuum solve is
-        # shared across the sweep, so its dt error is a common bias that an
-        # atomistic-only control would miss entirely.
-        finest = min(eps_list)
-        cb_half = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=0.5 * cfl)
-        control = _dynamic_member(
-            (P, data, cb_times, cb_half.U, cb_half.V, finest, 0.5 * cfl, q)
-        )
-        base = members[list(eps_list).index(finest)]["error"]
-        out["half_dt"] = {
+        "half_dt": {
             "eps": float(finest),
             "error": control["error"],
             "rel_change": abs(control["error"] - base) / base if base > 0 else 0.0,
-        }
-    return out
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

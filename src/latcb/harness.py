@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
@@ -67,6 +68,10 @@ def _field_error(name: str, message: str) -> ConfigError:
     return ConfigError(f"config field {name!r}: {message}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _even_reciprocal(v) -> bool:
     n = round(1.0 / v) if 0 < v <= 0.25 else 0
     return n >= 4 and n % 2 == 0 and abs(n * v - 1.0) <= 1e-9
@@ -82,11 +87,56 @@ _PARAM_RULES = (
      lambda v: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
     ("n_grid", ("stability",), int, lambda v: v >= 8, "must be an integer >= 8"),
     ("solver_tol", ("static-converge",), float, lambda v: v > 0, "must be > 0"),
+    ("delta", ("static-converge",), float, lambda v: v > 0, "must be > 0"),
     ("quadrature", ("static-converge", "dynamic-converge"), int,
      lambda v: v >= 1, "must be an integer >= 1"),
     ("eps", ("instability-demo",), float, _even_reciprocal,
      "must be 1/N for an even integer N >= 4"),
 )
+
+# (experiment, check name, tolerance key, report value, comparison, constraint
+# label): each row turns one declared tolerance into an acceptance check on the
+# finished report.  The report value is a key path; "*_band" keys are [lo, hi],
+# a "within" key is a target with the absolute tolerance named in _WITHIN, and
+# stable_factor is declared in units of eps^2.
+_CHECKS = (
+    ("stability", "gamma_value", "gamma_value", "gamma", "within", "gamma"),
+    ("stability", "gamma_min", "gamma_min", "gamma", ">=", "gamma"),
+    ("stability", "eigenprobe_value", "eigenprobe_value", "alternating_quotient", "within",
+     "quotient"),
+    ("dispersion", "min_ratio_min", "min_ratio_min", "min_ratio", ">=", "min ratio"),
+    ("stress-consistency", "stress_slope", "slope_band", "stress_rate.slope", "in", "slope"),
+    ("stress-consistency", "divergence_slope", "slope_band", "divergence_rate.slope", "in",
+     "slope"),
+    ("static-converge", "error_slope", "slope_band", "rate.slope", "in", "slope"),
+    ("static-converge", "delta_halving", "half_ratio_band", "half_ratios", "all in", "ratios"),
+    ("dynamic-converge", "error_slope", "slope_band", "rate.slope", "in", "slope"),
+    ("dynamic-converge", "half_dt_control", "half_dt_rel_max", "half_dt.rel_change", "<",
+     "relative change"),
+    ("instability-demo", "growth_lower_bound", "growth_ratio_min", "min_growth_ratio", ">=",
+     "min ratio"),
+    ("instability-demo", "stable_chain_bounded", "stable_factor", "stable_max_norm", "<=",
+     "max norm"),
+    ("instability-demo", "smooth_probe_bounded", "stable_factor", "smooth_max_norm", "<=",
+     "max norm"),
+    ("instability-demo", "cb_stays_zero", "cb_zero_tol", "cb_max_amplitude", "<=",
+     "max amplitude"),
+)
+
+# absolute tolerance key and its default for each "within" target
+_WITHIN = {"gamma_value": ("gamma_abs_tol", 1e-6),
+           "eigenprobe_value": ("eigenprobe_abs_tol", 1e-10)}
+
+# comparison -> (test of the observed value against the bound, constraint text)
+_COMPARE = {
+    ">=": (operator.ge, "{label} >= {0}"),
+    "<=": (operator.le, "{label} <= {0}"),
+    "<": (operator.lt, "{label} < {0}"),
+    "in": (lambda x, lo, hi: lo <= x <= hi, "{label} in [{0}, {1}]"),
+    "all in": (lambda xs, lo, hi: all(lo <= x <= hi for x in xs), "{label} in [{0}, {1}]"),
+    # a stability report without the eigenprobe has no quotient to compare
+    "within": (lambda x, v, tol: x is not None and abs(x - v) <= tol, "|{label} - {0}| <= {1}"),
+}
 
 
 @dataclass
@@ -115,13 +165,8 @@ class ExperimentConfig:
             raise _field_error(
                 "experiment", f"must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
             )
-        for key, kind in (
-            ("potential", dict),
-            ("geometry", dict),
-            ("params", dict),
-            ("tolerances", dict),
-        ):
-            if key in obj and not isinstance(obj[key], kind):
+        for key in ("potential", "geometry", "params", "tolerances"):
+            if key in obj and not isinstance(obj[key], dict):
                 raise _field_error(key, "must be a JSON object")
         name = obj.get("name", experiment.replace("-", "_"))
         if not isinstance(name, str) or not name:
@@ -158,8 +203,7 @@ class ExperimentConfig:
         return cls.from_dict(obj)
 
     def _validate(self):
-        needs_potential = self.experiment != "instability-demo"
-        if needs_potential:
+        if self.experiment != "instability-demo":
             if "variant" not in self.potential:
                 raise _field_error("potential.variant", "required")
             try:
@@ -178,14 +222,23 @@ class ExperimentConfig:
             if self.experiment not in experiments or key not in self.params:
                 continue
             v = self.params[key]
-            if (
-                isinstance(v, bool)
-                or not isinstance(v, (int, float))
-                or not math.isfinite(v)
-                or (kind is int and v != int(v))
-                or not ok(v)
-            ):
+            if not _is_number(v) or (kind is int and v != int(v)) or not ok(v):
                 raise _field_error(f"params.{key}", f"{rule}; got {v!r}")
+        if self.experiment == "static-converge":
+            try:
+                _macro_force(self)
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise _field_error("params.force", f"cannot make a load: {exc}")
+        read = {row[2] for row in _CHECKS if row[0] == self.experiment}
+        read |= {_WITHIN[k][0] for k in read & _WITHIN.keys() & self.tolerances.keys()}
+        for key, v in self.tolerances.items():
+            if key not in read:
+                raise _field_error(f"tolerances.{key}", f"not read by the {self.experiment} checks")
+            band = key.endswith("_band")
+            vals = v if band and isinstance(v, list) else [v]
+            if not all(map(_is_number, vals)) or band and (len(vals) != 2 or vals[0] > vals[1]):
+                rule = "[lo, hi], two finite numbers with lo <= hi" if band else "a finite number"
+                raise _field_error(f"tolerances.{key}", f"must be {rule}; got {v!r}")
 
     def eps_list(self) -> list[float]:
         """Spacing sweep from the geometry block (eps_list or N_list)."""
@@ -315,58 +368,50 @@ def write_csv(path: Path, comments, columns, rows):
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def _check(checks: list, name: str, ok: bool, observed, constraint: str):
-    checks.append(
-        {"name": name, "passed": bool(ok), "observed": observed, "constraint": constraint}
-    )
-    return bool(ok)
+def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
+    """The `_CHECKS` rows of the experiment whose tolerance the config declares."""
+    tol = cfg.tolerances
+    checks = []
+    for experiment, name, key, path, compare, label in _CHECKS:
+        if experiment != cfg.experiment or key not in tol:
+            continue
+        observed = report
+        for part in path.split("."):
+            observed = observed.get(part)
+        if key.endswith("_band"):
+            bound = [float(v) for v in tol[key]]
+        elif key in _WITHIN:
+            abs_key, default = _WITHIN[key]
+            bound = [float(tol[key]), float(tol.get(abs_key, default))]
+        else:
+            bound = [float(tol[key])]
+            if key == "stable_factor":
+                bound[0] *= report["eps"] ** 2
+        test, text = _COMPARE[compare]
+        checks.append({"name": name, "passed": bool(test(observed, *bound)), "observed": observed,
+                       "constraint": text.format(*bound, label=label)})
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
-# each runner returns (report_fields, tables); report_fields carries the
-# "checks" list, and tables are (suffix, columns, rows) with suffix "" for
-# the main `<name>.csv`.
+# each runner returns (report_fields, tables); `run` adds the "checks" list
+# from _CHECKS, and tables are (suffix, columns, rows) with suffix "" for the
+# main `<name>.csv`.
 
 def _run_stability(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
     n_grid = int(cfg.params.get("n_grid", ZONE_GRID[P.d]))
-    gamma = stability_constant(P, n_grid=n_grid)
-    omega = max_frequency(P, n_grid=ZONE_GRID[P.d])
-    lh = legendre_hadamard_min(CBModel(P))
-    rows = [("gamma", gamma), ("omega_max", omega), ("lh_min", lh)]
-    report = {"gamma": gamma, "omega_max": omega, "lh_min": lh}
+    report = {
+        "gamma": stability_constant(P, n_grid=n_grid),
+        "omega_max": max_frequency(P),
+        "lh_min": legendre_hadamard_min(CBModel(P)),
+    }
     if "eigenprobe_N" in cfg.params:
         quotient, _ = instability_eigenprobe(P, int(cfg.params["eigenprobe_N"]))
-        rows.append(("alternating_quotient", quotient))
         report["alternating_quotient"] = quotient
-    checks = []
-    tol = cfg.tolerances
-    if "gamma_value" in tol:
-        abs_tol = float(tol.get("gamma_abs_tol", 1e-6))
-        _check(
-            checks,
-            "gamma_value",
-            abs(gamma - float(tol["gamma_value"])) <= abs_tol,
-            gamma,
-            f"|gamma - {tol['gamma_value']}| <= {abs_tol}",
-        )
-    if "gamma_min" in tol:
-        _check(checks, "gamma_min", gamma >= float(tol["gamma_min"]), gamma,
-               f"gamma >= {tol['gamma_min']}")
-    if "eigenprobe_value" in tol:
-        abs_tol = float(tol.get("eigenprobe_abs_tol", 1e-10))
-        q = report.get("alternating_quotient")
-        _check(
-            checks,
-            "eigenprobe_value",
-            q is not None and abs(q - float(tol["eigenprobe_value"])) <= abs_tol,
-            q,
-            f"|quotient - {tol['eigenprobe_value']}| <= {abs_tol}",
-        )
-    report["checks"] = checks
-    return report, [("", ("quantity", "value"), rows)]
+    return report, [("", ("quantity", "value"), list(report.items()))]
 
 
 def _run_dispersion(cfg: ExperimentConfig, workers: int):
@@ -387,16 +432,10 @@ def _run_dispersion(cfg: ExperimentConfig, workers: int):
     min_ratio = float(np.min(finite))
     max_omega = float(np.sqrt(np.max(np.abs(spec.eigs))))
     report = {"min_ratio": min_ratio, "max_omega_sampled": max_omega, "n_k": n_k}
-    checks = []
-    if "min_ratio_min" in cfg.tolerances:
-        bound = float(cfg.tolerances["min_ratio_min"])
-        _check(checks, "min_ratio_min", min_ratio >= bound, min_ratio,
-               f"min ratio >= {bound}")
-    report["checks"] = checks
     return report, [("", columns, rows)]
 
 
-def _initial_field(spec: dict, default_kind: str = "sin") -> TrigField:
+def _initial_field(spec: dict) -> TrigField:
     """Band-limited scalar field on the unit torus from a config block."""
     if "terms" in spec:
         terms = [
@@ -406,7 +445,7 @@ def _initial_field(spec: dict, default_kind: str = "sin") -> TrigField:
         d = len(terms[0][0])
         return TrigField.from_terms(d, 1, terms)
     mode = int(spec.get("mode", 1))
-    kind = str(spec.get("kind", default_kind))
+    kind = str(spec.get("kind", "sin"))
     if "grad_amplitude" in spec:
         amp = float(spec["grad_amplitude"]) / (2.0 * np.pi * abs(mode))
     else:
@@ -427,19 +466,8 @@ def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
     band = cfg.tolerances.get("slope_band")
     rr_stress = fit_rate(eps_list, [r[1] for r in rows], band=band)
     rr_div = fit_rate(eps_list, [r[2] for r in rows], band=band)
-    checks = []
-    if band is not None:
-        _check(checks, "stress_slope", rr_stress.passed, rr_stress.slope,
-               f"slope in {band}")
-        _check(checks, "divergence_slope", rr_div.passed, rr_div.slope,
-               f"slope in {band}")
-    report = {
-        "stress_rate": asdict(rr_stress),
-        "divergence_rate": asdict(rr_div),
-        "checks": checks,
-    }
-    table = [("", ("eps", "err_stress", "err_div"), rows)]
-    return report, table
+    report = {"stress_rate": asdict(rr_stress), "divergence_rate": asdict(rr_div)}
+    return report, [("", ("eps", "err_stress", "err_div"), rows)]
 
 
 def _macro_force(cfg: ExperimentConfig) -> MacroForce:
@@ -448,52 +476,34 @@ def _macro_force(cfg: ExperimentConfig) -> MacroForce:
     # the size comes from delta alone: any amplitude in the spec is replaced
     shape = {k: v for k, v in params.get("force", {}).items() if k != "grad_amplitude"}
     F = MacroForce(_initial_field({**shape, "amplitude": 1.0}))
+    if not F.delta > 0.0:
+        raise ValueError("the force shape has zero size")
     return F.scaled(float(params.get("delta", 0.01)) / F.delta)
 
 
 def _run_static_converge(cfg: ExperimentConfig, workers: int):
     P = potential_from_config(cfg.potential)
     F = _macro_force(cfg)
-    eps_list = cfg.eps_list()
     tol = float(cfg.params.get("solver_tol", 1e-10))
-    halved = bool(cfg.params.get("delta_halving", True))
     sweep = static_converge_sweep(
         P,
         F,
-        eps_list,
+        cfg.eps_list(),
         n_grid=int(cfg.params.get("n_grid", 256)),
         tol=tol,
         q=int(cfg.params.get("quadrature", 6)),
-        halved=halved,
         workers=workers,
     )
     band = cfg.tolerances.get("slope_band")
     rr = fit_rate(sweep["eps"], sweep["errors"], band=band, noise_floor=tol)
-    columns = ["eps", "error", "residual", "newton_iterations"]
-    rows = []
-    for j, det in enumerate(sweep["details"]["full"]["members"]):
-        row = [det["eps"], det["error"], det["residual"], det["newton_iterations"]]
-        if halved:
-            row += [sweep["errors_half"][j], sweep["half_ratios"][j]]
-        rows.append(tuple(row))
-    if halved:
-        columns += ["error_half_delta", "half_ratio"]
-    checks = []
-    if band is not None:
-        _check(checks, "error_slope", rr.passed, rr.slope, f"slope in {band}")
-    if halved and "half_ratio_band" in cfg.tolerances:
-        lo, hi = (float(v) for v in cfg.tolerances["half_ratio_band"])
-        ratios = sweep["half_ratios"]
-        ok = all(lo <= r <= hi for r in ratios)
-        _check(checks, "delta_halving", ok, ratios, f"ratios in [{lo}, {hi}]")
-    report = {
-        "rate": asdict(rr),
-        "delta": sweep["delta"],
-        "checks": checks,
-    }
-    if halved:
-        report["half_ratios"] = sweep["half_ratios"]
-    return report, [("", tuple(columns), rows)]
+    columns = ("eps", "error", "residual", "newton_iterations", "error_half_delta", "half_ratio")
+    rows = [
+        (det["eps"], det["error"], det["residual"], det["newton_iterations"], half, ratio)
+        for det, half, ratio in zip(sweep["details"]["full"]["members"], sweep["errors_half"],
+                                    sweep["half_ratios"])
+    ]
+    report = {"rate": asdict(rr), "delta": sweep["delta"], "half_ratios": sweep["half_ratios"]}
+    return report, [("", columns, rows)]
 
 
 def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
@@ -502,18 +512,15 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
     U0 = _initial_field(params.get("U0", {"grad_amplitude": 0.05, "mode": 1}))
     U1 = _initial_field(params.get("U1", {"amplitude": 0.0, "mode": 1}))
     data = InitialData(U0, U1)
-    eps_list = cfg.eps_list()
-    half_check = bool(params.get("half_dt_check", True))
     sweep = dynamic_error_sweep(
         P,
         data,
         T=float(params.get("T", 0.5)),
-        eps_list=eps_list,
+        eps_list=cfg.eps_list(),
         n_snap=int(params.get("n_snap", 17)),
         n_grid=int(params.get("n_grid", 128)),
         cfl=float(params.get("cfl", 0.2)),
         q=int(params.get("quadrature", 6)),
-        half_dt_check=half_check,
         workers=workers,
     )
     band = cfg.tolerances.get("slope_band")
@@ -522,18 +529,8 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
         (det["eps"], det["error"], det["energy_drift"])
         for det in sweep["details"]
     ]
-    checks = []
-    if band is not None:
-        _check(checks, "error_slope", rr.passed, rr.slope, f"slope in {band}")
-    if half_check and "half_dt_rel_max" in cfg.tolerances:
-        bound = float(cfg.tolerances["half_dt_rel_max"])
-        rel = sweep["half_dt"]["rel_change"]
-        _check(checks, "half_dt_control", rel < bound, rel, f"relative change < {bound}")
-    report = {"rate": asdict(rr), "T": sweep["T"], "checks": checks}
-    if half_check:
-        report["half_dt"] = sweep["half_dt"]
-    table = [("", ("eps", "error", "energy_drift"), rows)]
-    return report, table
+    report = {"rate": asdict(rr), "T": sweep["T"], "half_dt": sweep["half_dt"]}
+    return report, [("", ("eps", "error", "energy_drift"), rows)]
 
 
 def _run_instability_demo(cfg: ExperimentConfig, workers: int):
@@ -550,26 +547,8 @@ def _run_instability_demo(cfg: ExperimentConfig, workers: int):
         (t, n, 0.5 * eps**2 * math.exp(t))
         for t, n in zip(rep["times"], rep["velocity_norms"])
     ]
-    tol = cfg.tolerances
-    checks = []
-    if "growth_ratio_min" in tol:
-        bound = float(tol["growth_ratio_min"])
-        _check(checks, "growth_lower_bound", rep["min_growth_ratio"] >= bound,
-               rep["min_growth_ratio"], f"min ratio >= {bound}")
-    if "stable_factor" in tol:
-        bound = float(tol["stable_factor"]) * eps**2
-        _check(checks, "stable_chain_bounded", rep["stable_max_norm"] <= bound,
-               rep["stable_max_norm"], f"max norm <= {bound}")
-        _check(checks, "smooth_probe_bounded", rep["smooth_max_norm"] <= bound,
-               rep["smooth_max_norm"], f"max norm <= {bound}")
-    if "cb_zero_tol" in tol:
-        bound = float(tol["cb_zero_tol"])
-        _check(checks, "cb_stays_zero", rep["cb_max_amplitude"] <= bound,
-               rep["cb_max_amplitude"], f"max amplitude <= {bound}")
     report = {k: v for k, v in rep.items() if k not in ("times", "velocity_norms")}
-    report["checks"] = checks
-    table = [("", ("t", "velocity_norm", "growth_bound"), rows)]
-    return report, table
+    return report, [("", ("t", "velocity_norm", "growth_bound"), rows)]
 
 
 _RUNNERS = {
@@ -620,6 +599,7 @@ def run(
     try:
         out.mkdir(parents=True, exist_ok=True)
         report_fields, tables = _RUNNERS[cfg.experiment](cfg, workers)
+        report_fields["checks"] = _evaluate_checks(cfg, report_fields)
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -221,17 +221,15 @@ def _lh_value(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ipjq,i,p,j,q->", C, a, b, a, b))
 
 
-def legendre_hadamard_min(M: CBModel, F=None) -> float:
-    """Minimum of (a x b) : C(F) : (a x b) over unit vectors a, b.
+def legendre_hadamard_min(M: CBModel) -> float:
+    """Minimum of (a x b) : C(0) : (a x b) over unit vectors a, b.
 
-    In one dimension this is just the scalar modulus C(F).  In higher
-    dimensions the rank-one cone is scanned with an angular grid and
-    polished with a local search.
+    C(0) are the moduli at the reference state; in one dimension this is
+    just the scalar modulus.  In higher dimensions the rank-one cone is
+    scanned with an angular grid and polished with a local search.
     """
     d = M.P.d
-    if F is None:
-        F = np.zeros((d, d))
-    C = M.moduli(np.asarray(F, dtype=float))
+    C = M.moduli(np.zeros((d, d)))
     if d == 1:
         return float(C[0, 0, 0, 0])
 

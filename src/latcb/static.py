@@ -458,7 +458,6 @@ def static_converge_sweep(
     n_grid: int = 256,
     tol: float = 1e-10,
     q: int = 6,
-    halved: bool = True,
     workers: int = 1,
 ) -> dict:
     """Measure the static convergence rate over a spacing sweep.
@@ -466,28 +465,25 @@ def static_converge_sweep(
     Solves the Cauchy-Born problem once per load, then for every spacing
     builds the transferred site load, solves the lattice equilibrium from
     the quasi-interpolated continuum start, and evaluates the scaled
-    gradient gap.  With ``halved=True`` the whole sweep is repeated for the
-    load scaled by one half, giving the linear-response check
-    (errors should scale by about 0.5).
+    gradient gap.  The whole sweep is run for ``F`` and for ``F`` scaled by
+    one half, giving the linear-response control ``half_ratios`` (errors
+    should scale by about 0.5).
     """
     M = CBModel(P)
     runs = {}
-    loads = {"full": F} if not halved else {"full": F, "half": F.scaled(0.5)}
-    for tag, load in loads.items():
+    for tag, load in (("full", F), ("half", F.scaled(0.5))):
         cb = solve_cb_static(M, load, n_grid=n_grid, tol=min(tol, 1e-10))
         payloads = [(P, cb.field, load, eps, tol, q) for eps in eps_list]
         members = _map_members(_static_member, payloads, workers)
         runs[tag] = {"cb_residual": cb.residual, "members": members}
 
-    out = {
+    errors = [m["error"] for m in runs["full"]["members"]]
+    errors_half = [m["error"] for m in runs["half"]["members"]]
+    return {
         "eps": [float(e) for e in eps_list],
-        "errors": [m["error"] for m in runs["full"]["members"]],
+        "errors": errors,
         "delta": F.delta,
         "details": runs,
+        "errors_half": errors_half,
+        "half_ratios": [h / f for h, f in zip(errors_half, errors)],
     }
-    if halved:
-        out["errors_half"] = [m["error"] for m in runs["half"]["members"]]
-        out["half_ratios"] = [
-            h / f for h, f in zip(out["errors_half"], out["errors"])
-        ]
-    return out

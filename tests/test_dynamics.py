@@ -244,8 +244,7 @@ def test_sweep_energy_drift_is_measured_from_t0():
     P = lj_chain()
     data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
     T, eps_list = 1.0 / 64.0, [1.0 / 32.0, 1.0 / 64.0]
-    sweep = dynamic_error_sweep(P, data, T=T, eps_list=eps_list, n_snap=2,
-                                half_dt_check=False)
+    sweep = dynamic_error_sweep(P, data, T=T, eps_list=eps_list, n_snap=2)
     for eps, m in zip(eps_list, sweep["details"]):
         u0, v0 = make_initial_data(data, eps)
         e0 = total_energy(P, u0) + 0.5 * float(np.sum(v0.values * v0.values))

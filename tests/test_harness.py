@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 
 import latcb
 from latcb.cli import main
-from latcb.harness import ConfigError, ExperimentConfig, _initial_field, fit_rate, run
+from latcb.harness import (
+    ConfigError,
+    ExperimentConfig,
+    _initial_field,
+    _macro_force,
+    fit_rate,
+    run,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -256,7 +264,7 @@ def _static_cfg(**params):
         "name": "static3",
         "potential": LJ_POT,
         "geometry": {"eps_list": [0.125, 0.0625, 0.03125]},
-        "params": {"n_grid": 64, "delta_halving": False, **params},
+        "params": {"n_grid": 64, **params},
     }
 
 
@@ -286,6 +294,8 @@ def _demo_cfg(**params):
         _dynamic_cfg(quadrature=0),
         _dynamic_cfg(cfl="fast"),
         _static_cfg(solver_tol=0.0),
+        _static_cfg(delta=0.0),
+        _static_cfg(delta="x"),
         _static_cfg(n_grid=100.5),
         _static_cfg(quadrature=0),
         _demo_cfg(cfl=0.0),
@@ -299,6 +309,123 @@ def test_run_bad_numeric_params_return_two(tmp_path, capsys, obj):
     path = _write_cfg(tmp_path, obj)
     assert run(path, out_dir=tmp_path / "out") == 2
     assert "config error: config field 'params." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        (_stability_cfg(tolerances={"gamma_vlaue": 5.0}), "gamma_vlaue"),  # read by no check
+        (_stability_cfg(tolerances={"gamma_abs_tol": 1e-3}), "gamma_abs_tol"),  # no gamma_value
+        ({**_static_cfg(), "tolerances": {"min_ratio_min": 1.0}}, "min_ratio_min"),
+        (_stability_cfg(tolerances={"gamma_value": "x"}), "gamma_value"),
+        (_stability_cfg(tolerances={"gamma_min": True}), "gamma_min"),
+        (_stability_cfg(tolerances={"gamma_value": 1.0, "gamma_abs_tol": None}),
+         "gamma_abs_tol"),
+        ({**_static_cfg(), "tolerances": {"slope_band": [2.2]}}, "slope_band"),
+        ({**_static_cfg(), "tolerances": {"slope_band": [2.2, 1.8]}}, "slope_band"),
+        ({**_static_cfg(), "tolerances": {"slope_band": 2.0}}, "slope_band"),
+        ({**_static_cfg(), "tolerances": {"half_ratio_band": [0.4, float("inf")]}},
+         "half_ratio_band"),
+    ],
+)
+def test_run_bad_tolerances_return_two(tmp_path, capsys, obj, key):
+    path = _write_cfg(tmp_path, obj)
+    argv = [obj["experiment"], "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"config error: config field 'tolerances.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "force",
+    [{"mode": 0}, {"terms": [[[1], 0, "sin", 0.0], [[2], 0, "cos", 0.0]]}],
+)
+def test_unloadable_force_returns_two(tmp_path, capsys, force):
+    with pytest.raises(ValueError, match="zero size"):
+        _macro_force(SimpleNamespace(params={"force": force}))
+    path = _write_cfg(tmp_path, _static_cfg(force=force))
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert "config error: config field 'params.force'" in capsys.readouterr().err
+
+
+def _pinned(*checks):
+    return [{"name": n, "passed": True, "constraint": c} for n, c in checks]
+
+
+_SLOPE = "slope in [1.8, 2.2]"
+SHIPPED_CHECKS = {
+    "dispersion_lj": _pinned(("min_ratio_min", "min ratio >= 50.0")),
+    "instability_demo": _pinned(
+        ("growth_lower_bound", "min ratio >= 1.0"),
+        ("stable_chain_bounded", "max norm <= 0.00048828125"),
+        ("smooth_probe_bounded", "max norm <= 0.00048828125"),
+        ("cb_stays_zero", "max amplitude <= 1e-15"),
+    ),
+    "stability_chain_stable": _pinned(
+        ("gamma_value", "|gamma - 1.0| <= 1e-06"),
+        ("gamma_min", "gamma >= 0.0"),
+        ("eigenprobe_value", "|quotient - 2.0| <= 1e-10"),
+    ),
+    "stability_chain_unstable": _pinned(
+        ("gamma_value", "|gamma - -1.0| <= 1e-06"),
+        ("eigenprobe_value", "|quotient - -1.0| <= 1e-10"),
+    ),
+    "stability_lj": _pinned(
+        ("gamma_value", "|gamma - 70.6106531415735| <= 1e-06"),
+        ("gamma_min", "gamma >= 0.0"),
+    ),
+    "static_converge_lj": _pinned(
+        ("error_slope", _SLOPE), ("delta_halving", "ratios in [0.4, 0.6]")
+    ),
+    "stress_consistency_lj": _pinned(("stress_slope", _SLOPE), ("divergence_slope", _SLOPE)),
+}
+
+
+def _run_checks(tmp_path, path):
+    """Exit code and the checks of ``run`` on a config, without the observed values."""
+    code = run(path, out_dir=tmp_path / "out")
+    name = json.loads(path.read_text())["name"]
+    report = json.loads((tmp_path / "out" / f"{name}.report.json").read_text())
+    observed = [c.pop("observed") for c in report["checks"]]
+    return code, report["checks"], observed
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CHECKS))
+def test_shipped_config_checks_are_pinned(tmp_path, name):
+    # every shipped config except the two long dynamic_converge_lj sweeps
+    code, checks, _ = _run_checks(tmp_path, CONFIGS / f"{name}.json")
+    assert (code, checks) == (0, SHIPPED_CHECKS[name])
+
+
+def test_eigenprobe_check_without_probe_fails(tmp_path):
+    obj = _stability_cfg(name="noprobe", params={}, tolerances={"eigenprobe_value": 2.0})
+    code, checks, observed = _run_checks(tmp_path, _write_cfg(tmp_path, obj))
+    assert code == 1 and observed == [None]
+    assert checks == [{"name": "eigenprobe_value", "passed": False,
+                       "constraint": "|quotient - 2.0| <= 1e-10"}]
+
+
+def test_half_dt_control_is_strict(tmp_path):
+    obj = {**_dynamic_cfg(T=1.0 / 64.0, n_snap=3, n_grid=32), "name": "dt",
+           "tolerances": {"half_dt_rel_max": 1.0}}
+    code, checks, (rel,) = _run_checks(tmp_path, _write_cfg(tmp_path, obj))
+    assert code == 0 and 0.0 < rel < 1.0
+    assert checks == _pinned(("half_dt_control", "relative change < 1.0"))
+    obj["tolerances"]["half_dt_rel_max"] = rel  # equality fails the control
+    code, checks, _ = _run_checks(tmp_path, _write_cfg(tmp_path, obj))
+    assert code == 1
+    assert checks == [{"name": "half_dt_control", "passed": False,
+                       "constraint": f"relative change < {rel}"}]
+
+
+def test_stable_factor_scales_with_eps_squared(tmp_path):
+    # the shipped demo (eps = 1/64) pins 2 / 64^2; here eps = 1/16
+    obj = {"experiment": "instability-demo", "name": "demo16", "params": {"eps": 0.0625},
+           "tolerances": {"stable_factor": 2.0}}
+    code, checks, _ = _run_checks(tmp_path, _write_cfg(tmp_path, obj))
+    assert code == 0
+    assert checks == _pinned(("stable_chain_bounded", f"max norm <= {2.0 / 16**2}"),
+                             ("smooth_probe_bounded", f"max norm <= {2.0 / 16**2}"))
 
 
 def test_shipped_configs_validate():
