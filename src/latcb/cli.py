@@ -6,16 +6,6 @@ import argparse
 
 from .harness import EXPERIMENTS, run
 
-_HELP = {
-    "stability": "lattice stability constant, max frequency, Legendre-Hadamard minimum",
-    "dispersion": "dynamical-symbol eigenvalues over a Brillouin-zone sample",
-    "stress-consistency": "atomistic vs Cauchy-Born stress gap over a spacing sweep",
-    "static-converge": "static equilibrium convergence rate study",
-    "dynamic-converge": "lattice dynamics vs Cauchy-Born wave convergence rate study",
-    "instability-demo": "exponential growth of the unstable chain vs its stable continuum",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcb",
@@ -23,7 +13,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=_HELP[name])
+        p = sub.add_parser(name, help=EXPERIMENTS[name].__doc__)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--workers", type=int, default=1, help="parallel sweep jobs")

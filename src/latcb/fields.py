@@ -228,12 +228,3 @@ class ScaledDisplacement:
 
     def hess(self, x) -> np.ndarray:
         return self.U.hess(np.asarray(x, float) * self.eps) * self.eps
-
-    def lattice_restriction(self) -> np.ndarray:
-        """Values at integer sites, shape (N,)*d + (m,)."""
-        N = self.N
-        axes = [np.arange(N, dtype=float)] * self.U.d
-        grid = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grid], axis=-1)
-        vals = self.value(pts)
-        return vals.reshape((N,) * self.U.d + (self.U.n_components,))

@@ -46,15 +46,6 @@ __all__ = [
     "run",
 ]
 
-EXPERIMENTS = (
-    "stability",
-    "dispersion",
-    "stress-consistency",
-    "static-converge",
-    "dynamic-converge",
-    "instability-demo",
-)
-
 
 class ConfigError(Exception):
     """Invalid configuration (schema violation or unreadable file)."""
@@ -93,6 +84,9 @@ _PARAM_RULES = (
     ("eps", ("instability-demo",), float, _even_reciprocal,
      "must be 1/N for an even integer N >= 4"),
 )
+
+# field specs each experiment's runner passes to _initial_field
+_FIELD_SPECS = {"stress-consistency": ("displacement",), "dynamic-converge": ("U0", "U1")}
 
 # (experiment, check name, tolerance key, report value, comparison, constraint
 # label): each row turns one declared tolerance into an acceptance check on the
@@ -229,6 +223,13 @@ class ExperimentConfig:
                 _macro_force(self)
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise _field_error("params.force", f"cannot make a load: {exc}")
+        for key in _FIELD_SPECS.get(self.experiment, ()):
+            if key not in self.params:
+                continue
+            try:
+                _initial_field(self.params[key])
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise _field_error(f"params.{key}", f"cannot make a field: {exc}")
         read = {row[2] for row in _CHECKS if row[0] == self.experiment}
         read |= {_WITHIN[k][0] for k in read & _WITHIN.keys() & self.tolerances.keys()}
         for key, v in self.tolerances.items():
@@ -401,6 +402,7 @@ def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
 # main `<name>.csv`.
 
 def _run_stability(cfg: ExperimentConfig, workers: int):
+    """lattice stability constant, max frequency, Legendre-Hadamard minimum"""
     P = potential_from_config(cfg.potential)
     n_grid = int(cfg.params.get("n_grid", ZONE_GRID[P.d]))
     report = {
@@ -415,6 +417,7 @@ def _run_stability(cfg: ExperimentConfig, workers: int):
 
 
 def _run_dispersion(cfg: ExperimentConfig, workers: int):
+    """dynamical-symbol eigenvalues over a Brillouin-zone sample"""
     P = potential_from_config(cfg.potential)
     d = P.d
     default_nk = {1: 256, 2: 48, 3: 12}[d]
@@ -447,6 +450,8 @@ def _initial_field(spec: dict) -> TrigField:
     mode = int(spec.get("mode", 1))
     kind = str(spec.get("kind", "sin"))
     if "grad_amplitude" in spec:
+        if mode == 0:
+            raise ValueError("grad_amplitude needs a nonzero mode")
         amp = float(spec["grad_amplitude"]) / (2.0 * np.pi * abs(mode))
     else:
         amp = float(spec.get("amplitude", 0.0))
@@ -454,6 +459,7 @@ def _initial_field(spec: dict) -> TrigField:
 
 
 def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
+    """atomistic vs Cauchy-Born stress gap over a spacing sweep"""
     P = potential_from_config(cfg.potential)
     M = CBModel(P)
     U = _initial_field(cfg.params.get("displacement", {"grad_amplitude": 0.05, "mode": 1}))
@@ -482,6 +488,7 @@ def _macro_force(cfg: ExperimentConfig) -> MacroForce:
 
 
 def _run_static_converge(cfg: ExperimentConfig, workers: int):
+    """static equilibrium convergence rate study"""
     P = potential_from_config(cfg.potential)
     F = _macro_force(cfg)
     tol = float(cfg.params.get("solver_tol", 1e-10))
@@ -507,6 +514,7 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
 
 
 def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
+    """lattice dynamics vs Cauchy-Born wave convergence rate study"""
     P = potential_from_config(cfg.potential)
     params = cfg.params
     U0 = _initial_field(params.get("U0", {"grad_amplitude": 0.05, "mode": 1}))
@@ -534,6 +542,7 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
 
 
 def _run_instability_demo(cfg: ExperimentConfig, workers: int):
+    """exponential growth of the unstable chain vs its stable continuum"""
     params = cfg.params
     eps = float(params.get("eps", 1.0 / 64.0))
     rep = instability_demo(
@@ -551,7 +560,8 @@ def _run_instability_demo(cfg: ExperimentConfig, workers: int):
     return report, [("", ("t", "velocity_norm", "growth_bound"), rows)]
 
 
-_RUNNERS = {
+# experiment name -> runner; each runner's docstring is its CLI help line
+EXPERIMENTS = {
     "stability": _run_stability,
     "dispersion": _run_dispersion,
     "stress-consistency": _run_stress_consistency,
@@ -598,7 +608,7 @@ def run(
     out = Path(out_dir) if out_dir is not None else Path(".")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        report_fields, tables = _RUNNERS[cfg.experiment](cfg, workers)
+        report_fields, tables = EXPERIMENTS[cfg.experiment](cfg, workers)
         report_fields["checks"] = _evaluate_checks(cfg, report_fields)
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -16,11 +16,9 @@ are applied to, so kernel identities hold to machine precision.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .lattice import DisplacementField, as_direction, gauss_rule_01
+from .lattice import DisplacementField, as_direction, gauss_rule_01, tensor_grid
 
 __all__ = [
     "zeta_eval",
@@ -90,6 +88,15 @@ def zeta_eval(x) -> np.ndarray:
 _B3_OFFSETS = np.array([-1, 0, 1, 2])
 
 
+def _b3_window(u: DisplacementField, x: np.ndarray):
+    """The 4^d sites ``xi`` whose B-spline reaches each point of ``x`` (..., d).
+
+    Returns ``(x - xi, u(xi))``, shapes (..., 4^d, d) and (..., 4^d, d).
+    """
+    xi = np.floor(x).astype(int)[..., None, :] + tensor_grid([_B3_OFFSETS] * u.lattice.d)
+    return x[..., None, :] - xi, u.site_values(xi)
+
+
 def quasi_interp(u: DisplacementField, x) -> np.ndarray:
     """C^2 quasi-interpolant: the multilinear interpolant convolved with zeta.
 
@@ -97,14 +104,8 @@ def quasi_interp(u: DisplacementField, x) -> np.ndarray:
     affine functions; pointwise it is a local average, e.g. a unit impulse
     at the origin yields the value 2/3 there.
     """
-    x = np.asarray(x, dtype=float)
-    d = u.lattice.d
-    base = np.floor(x).astype(int)
-    combos = np.array(list(product(_B3_OFFSETS, repeat=d)))  # (4^d, d)
-    xi = base[..., None, :] + combos
-    args = x[..., None, :] - xi
+    args, vals = _b3_window(u, np.asarray(x, dtype=float))
     w = np.prod(b3(args), axis=-1)  # (..., 4^d)
-    vals = u.site_values(xi)  # (..., 4^d, d)
     return np.sum(w[..., None] * vals, axis=-2)
 
 
@@ -112,11 +113,7 @@ def quasi_grad(u: DisplacementField, x) -> np.ndarray:
     """Gradient of the quasi-interpolant, shape (..., d, d), C^1 in x."""
     x = np.asarray(x, dtype=float)
     d = u.lattice.d
-    base = np.floor(x).astype(int)
-    combos = np.array(list(product(_B3_OFFSETS, repeat=d)))
-    xi = base[..., None, :] + combos
-    args = x[..., None, :] - xi  # (..., 4^d, d)
-    vals = u.site_values(xi)  # (..., 4^d, d)
+    args, vals = _b3_window(u, x)
     B = b3(args)
     Bp = b3_prime(args)
     out = np.zeros(x.shape[:-1] + (d, d))

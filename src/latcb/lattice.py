@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
 __all__ = [
+    "tensor_grid",
     "LatticeSpec",
     "StencilSet",
     "DisplacementField",
@@ -27,6 +27,14 @@ __all__ = [
     "stencil_sup_norm",
     "gauss_rule_01",
 ]
+
+
+def tensor_grid(axes) -> np.ndarray:
+    """Tensor-product grid of the 1D ``axes``, one point per row.
+
+    Rows run in row-major (``ij``) order, the last axis fastest; the dtype is the axes'.
+    """
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,7 @@ class LatticeSpec:
 
     def site_coords(self) -> np.ndarray:
         """All supercell sites as an (N^d, d) integer array, row-major order."""
-        axes = [np.arange(self.N)] * self.d
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=-1)
+        return tensor_grid([np.arange(self.N)] * self.d)
 
 
 def as_direction(rho, d: int) -> np.ndarray:
@@ -119,9 +125,9 @@ class StencilSet:
     def ball(cls, d: int, r_cut: float) -> "StencilSet":
         """All nonzero integer vectors with Euclidean norm <= r_cut."""
         m = int(np.floor(r_cut))
-        rng = range(-m, m + 1)
-        dirs = [r for r in product(rng, repeat=d) if any(r) and np.linalg.norm(r) <= r_cut]
-        return cls(r_cut=float(r_cut), directions=np.array(dirs, dtype=int))
+        box = tensor_grid([np.arange(-m, m + 1)] * d)
+        dirs = box[box.any(axis=1) & (np.linalg.norm(box, axis=1) <= r_cut)]
+        return cls(r_cut=float(r_cut), directions=dirs)
 
     @property
     def n(self) -> int:

@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 from scipy import optimize
 
-from .lattice import DisplacementField, LatticeSpec
+from .lattice import DisplacementField, LatticeSpec, tensor_grid
 from .potentials import Potential, hessian_operator
 from .stress import CBModel
 
@@ -56,8 +56,7 @@ def zone_grid(d: int, n: int, offset: float = _GOLDEN_FRAC) -> np.ndarray:
     symmetry point of the zone, ``offset = 0.5`` gives the cell midpoints.
     """
     axis = -np.pi + (np.arange(n) + offset) * (2.0 * np.pi / n)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return tensor_grid([axis] * d)
 
 
 def _symbol_blocks(P: Potential) -> np.ndarray:
@@ -138,15 +137,11 @@ def _tail_directions(d: int) -> np.ndarray:
     """Unit directions probing the k -> 0 limit (axes, diagonals, fans)."""
     if d == 1:
         return np.array([[1.0]])
-    dirs = []
     if d == 2:
-        for ang in np.linspace(0.0, np.pi, 33)[:-1]:
-            dirs.append([np.cos(ang), np.sin(ang)])
-    else:
-        for v in product((-1.0, 0.0, 1.0), repeat=d):
-            if any(v):
-                dirs.append(np.array(v) / np.linalg.norm(v))
-    return np.array(dirs)
+        return np.array([[np.cos(ang), np.sin(ang)] for ang in np.linspace(0.0, np.pi, 33)[:-1]])
+    box = tensor_grid([np.array([-1.0, 0.0, 1.0])] * d)
+    box = box[box.any(axis=1)]
+    return box / np.linalg.norm(box, axis=1, keepdims=True)
 
 
 def stability_constant(P: Potential, n_grid: int = 256) -> float:

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .fields import ScaledDisplacement, TrigField
 from .interpolation import quasi_grad, quasi_interp, smooth_nodal_interp
-from .lattice import DisplacementField, LatticeSpec, gauss_rule_01
+from .lattice import DisplacementField, LatticeSpec, gauss_rule_01, tensor_grid
 from .potentials import (
     AdmissibilityError,
     Potential,
@@ -378,32 +378,31 @@ def solve_atomistic_static(
 # error metric
 # ---------------------------------------------------------------------------
 
-def _cell_gauss_points(N: int, d: int, q: int):
-    x1, w1 = gauss_rule_01(q)
-    from itertools import product as iproduct
+def _interp_gap(u_a: DisplacementField, eps: float, q: int, exact, interp) -> float:
+    """Scaled L2 gap eps^{d/2} || exact - interp(I u_a) ||_{L2(micro torus)}.
 
-    offs = np.array(list(iproduct(x1, repeat=d)))
-    wts = np.prod(np.array(list(iproduct(w1, repeat=d))), axis=1)
-    cells = np.array(list(iproduct(range(N), repeat=d)), dtype=float)
-    pts = cells[:, None, :] + offs[None, :, :]
-    return pts.reshape(-1, d), np.tile(wts, cells.shape[0])
+    ``I`` is the smoothed interpolant: the C^2 quasi-interpolant of the
+    deconvolved lattice values, which matches ``u_a`` at every site.
+    ``exact(x)`` and ``interp(w, x)`` evaluate at the points of a q-point
+    Gauss rule per lattice cell, which integrates the spline factors
+    exactly.
+    """
+    N, d = u_a.lattice.N, u_a.lattice.d
+    x1, w1 = gauss_rule_01(q)
+    cells = tensor_grid([np.arange(N, dtype=float)] * d)
+    pts = (cells[:, None, :] + tensor_grid([x1] * d)).reshape(-1, d)
+    wts = np.tile(np.prod(tensor_grid([w1] * d), axis=1), cells.shape[0])
+    diff = (exact(pts) - interp(smooth_nodal_interp(u_a), pts)).reshape(pts.shape[0], -1)
+    val = float(np.sum(wts * np.sum(diff * diff, axis=-1)))
+    return eps ** (d / 2.0) * math.sqrt(val)
 
 
 def interp_gradient_gap(U: TrigField, u_a: DisplacementField, eps: float, q: int = 6) -> float:
     """Scaled L2 gap eps^{d/2} || grad u_c - grad I u_a ||_{L2(micro torus)}.
 
-    ``I`` is the smoothed interpolant: the C^2 quasi-interpolant of the
-    deconvolved lattice values, which matches ``u_a`` at every site.  The
-    per-cell Gauss rule integrates the spline factors exactly; equals the
-    macroscopic norm || grad U - (grad I u_a)(. / eps) ||_{L2(unit torus)}.
+    Equals the macroscopic norm || grad U - (grad I u_a)(. / eps) ||_{L2(unit torus)}.
     """
-    su = ScaledDisplacement(U, eps)
-    w = smooth_nodal_interp(u_a)
-    N, d = u_a.lattice.N, u_a.lattice.d
-    pts, wts = _cell_gauss_points(N, d, q)
-    diff = su.grad(pts) - quasi_grad(w, pts)
-    val = float(np.sum(wts * np.sum(diff * diff, axis=(-2, -1))))
-    return eps ** (d / 2.0) * math.sqrt(val)
+    return _interp_gap(u_a, eps, q, ScaledDisplacement(U, eps).grad, quasi_grad)
 
 
 def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 6) -> float:
@@ -411,12 +410,7 @@ def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 
 
     ``v_c(x) = V(eps x)`` (order-one fields such as velocities).
     """
-    w = smooth_nodal_interp(v_a)
-    N, d = v_a.lattice.N, v_a.lattice.d
-    pts, wts = _cell_gauss_points(N, d, q)
-    diff = V.value(pts * eps) - quasi_interp(w, pts)
-    val = float(np.sum(wts * np.sum(diff * diff, axis=-1)))
-    return eps ** (d / 2.0) * math.sqrt(val)
+    return _interp_gap(v_a, eps, q, lambda x: V.value(x * eps), quasi_interp)
 
 
 # ---------------------------------------------------------------------------

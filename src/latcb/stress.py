@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import ScaledDisplacement, TrigField
 from .interpolation import chi_eval, grad_chi_eval
-from .lattice import DisplacementField, LatticeSpec, all_stencils
+from .lattice import DisplacementField, LatticeSpec, all_stencils, tensor_grid
 from .potentials import Potential
 
 __all__ = [
@@ -80,26 +80,25 @@ class AffineDisplacement:
         self.F = np.asarray(self.F, dtype=float)
 
 
-def _bond_gradient_table(P: Potential, u):
-    """Per-site bond gradients V_rho(Du(xi)) for a displacement provider.
+def _bond_gradient_table(P: Potential, u) -> np.ndarray:
+    """Per-site bond gradients V_rho(Du(xi)), shape (N,)*d + (n, d).
 
-    Returns ``(mode, table, N)`` where mode is "affine" (table has shape
-    (n, d), valid at every site) or "periodic" (table has shape
-    (N,)*d + (n, d), indexed by wrapped site coordinates).
+    The table is periodic in the site.  An affine map has the same stencil
+    at every site, so its table is a single cell (N = 1); a smooth
+    ``ScaledDisplacement`` is sampled at the sites of its supercell.
     """
     if isinstance(u, AffineDisplacement):
-        g = np.einsum("ij,nj->ni", u.F, P.S.directions.astype(float))
-        P.check_admissible(g)
-        return "affine", P.site_gradient(g), None
-    if isinstance(u, ScaledDisplacement):
-        vals = u.lattice_restriction()
-        lattice = LatticeSpec(d=u.U.d, A=np.eye(u.U.d), N=u.N)
-        u = DisplacementField(lattice, vals)
-    if isinstance(u, DisplacementField):
+        g = CBModel(P).homogeneous_stencil(u.F)[(None,) * P.d]
+    else:
+        if isinstance(u, ScaledDisplacement):
+            lattice = LatticeSpec(d=u.U.d, A=np.eye(u.U.d), N=u.N)
+            vals = u.value(lattice.site_coords())
+            u = DisplacementField(lattice, vals.reshape((u.N,) * u.U.d + (u.U.n_components,)))
+        if not isinstance(u, DisplacementField):
+            raise TypeError(f"unsupported displacement provider: {type(u)!r}")
         g = all_stencils(u.values, P.S)
-        P.check_admissible(g)
-        return "periodic", P.site_gradient(g), u.lattice.N
-    raise TypeError(f"unsupported displacement provider: {type(u)!r}")
+    P.check_admissible(g)
+    return P.site_gradient(g)
 
 
 # points per batch: bounds the (points x window x subinterval) kernel arrays
@@ -116,10 +115,8 @@ def _window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
     integer coordinate it leaves out the site on the open upper end, whose
     kernel and kernel gradient are exactly zero there.
     """
-    offsets = [np.arange(-max(r, 0), 2 - min(r, 0)) for r in rho]
-    grid = np.meshgrid(*offsets, indexing="ij")
-    combos = np.stack([g.ravel() for g in grid], axis=-1)  # (K, d)
-    return (np.ceil(x).astype(int) - 1)[:, None, :] + combos
+    offsets = tensor_grid([np.arange(-max(r, 0), 2 - min(r, 0)) for r in rho])  # (K, d)
+    return (np.ceil(x).astype(int) - 1)[:, None, :] + offsets
 
 
 @dataclass
@@ -130,19 +127,16 @@ class StressField:
     the same fixed window of sites per direction (see ``_window``), the
     kernels of all (point, site) pairs come from one ``chi_eval`` or
     ``grad_chi_eval`` call, and the sum over the window is one contraction.
-    Points are processed in blocks of ``_BLOCK``.
+    Points are processed in blocks of ``_BLOCK``.  ``table`` holds the bond
+    gradients of one periodic cell, shape (N,)*d + (n, d).
     """
 
     P: Potential
-    mode: str
     table: np.ndarray
-    N: int | None
 
     def _phi(self, sites: np.ndarray, slot: int) -> np.ndarray:
         """Bond gradients V_rho(Du(xi)) for a geometric site batch (..., d)."""
-        if self.mode == "affine":
-            return np.broadcast_to(self.table[slot], sites.shape)
-        idx = np.mod(sites, self.N)
+        idx = np.mod(sites, self.table.shape[0])
         return self.table[tuple(np.moveaxis(idx, -1, 0)) + (slot,)]
 
     def _sum_bonds(self, x, term, shape: tuple) -> np.ndarray:
@@ -188,8 +182,7 @@ def atomistic_stress(P: Potential, u) -> StressField:
 
         S(x) = sum_xi sum_rho V_rho(Du(xi)) (x) rho  chi_{xi, rho}(x).
     """
-    mode, table, N = _bond_gradient_table(P, u)
-    return StressField(P=P, mode=mode, table=table, N=N)
+    return StressField(P=P, table=_bond_gradient_table(P, u))
 
 
 def div_cb_stress(M: CBModel, u, x) -> np.ndarray:
@@ -203,10 +196,10 @@ def div_cb_stress(M: CBModel, u, x) -> np.ndarray:
     pts = x.reshape(-1, x.shape[-1])
     F = u.grad(pts)  # (K, d, d)
     H2 = u.hess(pts)  # (K, d, d, d)
-    dirs = M.P.S.directions.astype(float)
-    g = np.einsum("kij,nj->kni", F, dirs)
+    g = M.homogeneous_stencil(F)
     M.P.check_admissible(g)
     blocks = M.P.site_hessian(g)  # (K, n, d, n, d)
+    dirs = M.P.S.directions.astype(float)
     t = np.einsum("ap,kjpq,bq->kabj", dirs, H2, dirs)
     out = np.einsum("kaibj,kabj->ki", blocks, t)
     return out[0] if single else out.reshape(x.shape[:-1] + (x.shape[-1],))
@@ -236,12 +229,8 @@ def stress_consistency_field(
     ``err_div`` = max |div S^a - div S^c| / eps over the grid.
     """
     su = ScaledDisplacement(U, eps)
-    d = U.d
-    N = su.N
     offsets = (np.arange(n_per_cell) + 0.5) / n_per_cell
-    axes = [np.add.outer(np.arange(N, dtype=float), offsets).ravel() for _ in range(d)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
+    pts = tensor_grid([np.add.outer(np.arange(su.N, dtype=float), offsets).ravel()] * U.d)
 
     field = atomistic_stress(P, su)
     Sa = field.eval(pts)

@@ -47,3 +47,53 @@ PACKAGE_API = [
 
 def test_package_all_is_pinned():
     assert latcb.__all__ == PACKAGE_API
+
+
+# every addition to or removal from a module's API shows up as a diff here
+MODULE_API = {
+    "cli": [],
+    "dynamics": [
+        "InitialData", "Trajectory", "CBWaveTrajectory", "make_initial_data",
+        "integrate_atomistic", "solve_cb_wave", "dynamic_error_sweep", "instability_demo",
+    ],
+    "fields": ["TrigField", "ScaledDisplacement"],
+    "harness": ["EXPERIMENTS", "ConfigError", "ExperimentConfig", "RateReport", "fit_rate", "run"],
+    "interpolation": [
+        "zeta_eval", "hat", "b3", "b3_prime", "quasi_interp", "quasi_grad", "b3_filter",
+        "smooth_nodal_interp", "chi_eval", "grad_chi_eval",
+    ],
+    "lattice": [
+        "tensor_grid", "LatticeSpec", "StencilSet", "DisplacementField", "as_direction",
+        "all_stencils", "scatter_bonds", "stencil_sup_norm", "gauss_rule_01",
+    ],
+    "potentials": [
+        "AdmissibilityError", "RadialProfile", "PowerLawProfile", "MorseProfile", "ExpProfile",
+        "PolynomialEmbedding", "lennard_jones", "Potential", "PairPotential", "EAMPotential",
+        "HarmonicChain", "total_energy", "force_array", "gradient_array", "hessian_operator",
+        "potential_from_config",
+    ],
+    "stability": [
+        "DispersionSpectrum", "dynamical_symbol", "difference_symbol", "dispersion_spectrum",
+        "stability_constant", "max_frequency", "zone_grid", "ZONE_GRID",
+        "legendre_hadamard_min", "instability_eigenprobe",
+    ],
+    "static": [
+        "SolverError", "MacroForce", "StaticSolution", "make_forces", "solve_cb_static",
+        "solve_atomistic_static", "interp_gradient_gap", "interp_value_gap",
+        "static_converge_sweep",
+    ],
+    "stress": [
+        "CBModel", "AffineDisplacement", "StressField", "atomistic_stress", "div_cb_stress",
+        "stress_consistency_field",
+    ],
+}
+
+
+def test_module_api_covers_every_module():
+    assert sorted(MODULE_API) == MODULES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_is_pinned(name):
+    module = importlib.import_module(f"latcb.{name}")
+    assert getattr(module, "__all__", []) == MODULE_API[name]

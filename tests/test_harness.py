@@ -118,6 +118,8 @@ def test_initial_field_amplitude_conventions():
     assert g.value(np.array([[0.0]]))[0, 0] == pytest.approx(0.3, rel=1e-14)
     h = _initial_field({"terms": [[[1], 0, "sin", 0.1], [[2], 0, "cos", 0.05]]})
     assert h.value(np.array([[0.25]]))[0, 0] == pytest.approx(0.1 - 0.05, rel=1e-12)
+    with pytest.raises(ValueError, match="nonzero mode"):
+        _initial_field({"grad_amplitude": 0.05, "mode": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +348,37 @@ def test_unloadable_force_returns_two(tmp_path, capsys, force):
     path = _write_cfg(tmp_path, _static_cfg(force=force))
     assert run(path, out_dir=tmp_path / "out") == 2
     assert "config error: config field 'params.force'" in capsys.readouterr().err
+
+
+def _stress_cfg(**params):
+    return {
+        "experiment": "stress-consistency",
+        "potential": LJ_POT,
+        "geometry": {"eps_list": [0.125, 0.0625, 0.03125]},
+        "params": params,
+    }
+
+
+_MODE_ZERO = {"grad_amplitude": 0.05, "mode": 0}
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        (_dynamic_cfg(U0=_MODE_ZERO), "U0"),
+        (_dynamic_cfg(U1=_MODE_ZERO), "U1"),
+        (_stress_cfg(displacement=_MODE_ZERO), "displacement"),
+        (_dynamic_cfg(U0={"terms": []}), "U0"),
+        (_stress_cfg(displacement={"kind": "tan"}), "displacement"),
+        (_stress_cfg(displacement=0.05), "displacement"),
+    ],
+)
+def test_unmakeable_field_returns_two(tmp_path, capsys, obj, key):
+    path = _write_cfg(tmp_path, obj)
+    assert run(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"config error: config field 'params.{key}': cannot make a field" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _pinned(*checks):

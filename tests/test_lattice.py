@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from latcb.lattice import (
     as_direction,
     gauss_rule_01,
     stencil_sup_norm,
+    tensor_grid,
 )
 
 from conftest import random_displacement
@@ -41,6 +44,30 @@ def test_site_coords_row_major():
     np.testing.assert_array_equal(coords[0], [0, 0])
     np.testing.assert_array_equal(coords[1], [0, 1])  # last axis varies fastest
     np.testing.assert_array_equal(coords[4], [1, 0])
+
+
+@pytest.mark.parametrize("lengths", [(3,), (2, 5), (4, 1, 3)])
+def test_tensor_grid_is_row_major(lengths):
+    # every grid of sites, points, offsets and k-vectors relies on this order
+    axes = [np.arange(n) * 10 + i for i, n in enumerate(lengths)]
+    grid = tensor_grid(axes)
+    assert grid.shape == (int(np.prod(lengths)), len(lengths))
+    np.testing.assert_array_equal(grid, np.array(list(product(*axes))))
+    assert grid.dtype == axes[0].dtype
+    floats = tensor_grid([a + 0.5 for a in axes])
+    assert floats.dtype == np.float64
+    np.testing.assert_array_equal(floats, grid + 0.5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r_cut", [1.0, 1.5, 2.0, 2.3, 3.0])
+def test_ball_matches_product_comprehension(d, r_cut):
+    m = int(np.floor(r_cut))
+    expect = [r for r in product(range(-m, m + 1), repeat=d)
+              if any(r) and np.linalg.norm(r) <= r_cut]
+    S = StencilSet.ball(d, r_cut)
+    assert S.directions.dtype.kind == "i"
+    assert sorted(map(tuple, S.directions.tolist())) == sorted(expect)
 
 
 def test_as_direction_validation():

@@ -176,7 +176,11 @@ def test_batched_stress_matches_point_loop(case):
 
 
 def test_batched_stress_shapes():
-    field = atomistic_stress(lj_square(), AffineDisplacement(np.zeros((2, 2))))
+    P = lj_square()
+    field = atomistic_stress(P, AffineDisplacement(np.zeros((2, 2))))
+    assert field.table.shape == (1, 1, P.S.n, 2)  # an affine map is a one-cell table
+    U = TrigField.from_terms(2, 2, [((1, 0), 0, "sin", 0.01)])
+    assert atomistic_stress(P, ScaledDisplacement(U, 0.125)).table.shape == (8, 8, P.S.n, 2)
     assert field.eval(np.array([0.3, 0.7])).shape == (2, 2)
     assert field.eval(np.zeros((3, 4, 2)) + 0.5).shape == (3, 4, 2, 2)
     assert field.div(np.zeros((3, 4, 2)) + 0.5).shape == (3, 4, 2)
