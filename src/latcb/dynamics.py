@@ -20,16 +20,17 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import TrigField
-from .lattice import DisplacementField, LatticeSpec
+from .lattice import DisplacementField, LatticeSpec, supercell_period
 from .potentials import (
     AdmissibilityError,
     HarmonicChain,
     Potential,
-    force_array,
+    gradient_array,
     total_energy,
 )
 from .stability import max_frequency
-from .static import SolverError, interp_gradient_gap, interp_value_gap, _hat_transfer, _map_members
+from .static import SolverError, interp_gradient_gap, interp_value_gap
+from .static import _hat_transfer, _map_members, _spectral_ddx
 from .stress import CBModel
 
 __all__ = [
@@ -169,7 +170,7 @@ def integrate_atomistic(
 
     def accel(vals, t):
         try:
-            return force_array(P, vals)
+            return -gradient_array(P, vals)
         except AdmissibilityError as exc:
             raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
 
@@ -221,14 +222,10 @@ def solve_cb_wave(
     X = (np.arange(Mg) / Mg)[:, None]
     U = data.U0.value(X)[:, 0].copy()
     V = data.U1.value(X)[:, 0].copy()
-    k = 2.0 * np.pi * np.fft.rfftfreq(Mg, d=1.0 / Mg)
     kappa = M.P.kappa
 
-    def ddx(f):
-        return np.fft.irfft(1j * k * np.fft.rfft(f), n=Mg)
-
     def grad_and_speed(Uv, t=0.0):
-        up = ddx(Uv)
+        up = _spectral_ddx(Uv)
         mods = M.moduli(up[:, None, None])[:, 0, 0, 0, 0]
         cmin = float(np.min(mods))
         if cmin <= 0.0:
@@ -247,10 +244,10 @@ def solve_cb_wave(
         # longer meaningful and everything downstream would be silent noise.
         up, _ = grad_and_speed(Uv, t)
         s = M.stress(up[:, None, None])[:, 0, 0]
-        return ddx(s)
+        return _spectral_ddx(s)
 
     def energy(Uv, Vv):
-        up = ddx(Uv)
+        up = _spectral_ddx(Uv)
         return float(np.mean(0.5 * Vv * Vv + M.energy_density(up[:, None, None])))
 
     _, c_max = grad_and_speed(U)
@@ -387,8 +384,8 @@ def instability_demo(
     the Cauchy-Born wave with zero data (identically zero: the continuum
     modulus is positive and blind to the lattice-scale instability).
     """
-    N = int(round(1.0 / eps))
-    if abs(N * eps - 1.0) > 1e-9 or N % 2:
+    N = supercell_period(eps)
+    if N % 2:
         raise ValueError("1/eps must be an even integer")
     T_end = 3.0 * abs(math.log(eps))
     lattice = LatticeSpec(d=1, A=np.eye(1), N=N)

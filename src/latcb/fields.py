@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import supercell_period
+
 __all__ = ["TrigField", "ScaledDisplacement"]
 
 _TWO_PI = 2.0 * np.pi
@@ -209,13 +211,11 @@ class ScaledDisplacement:
     eps: float
 
     def __post_init__(self):
-        N = 1.0 / self.eps
-        if abs(N - round(N)) > 1e-9:
-            raise ValueError("1/eps must be an integer supercell period")
+        supercell_period(self.eps)
 
     @property
     def N(self) -> int:
-        return int(round(1.0 / self.eps))
+        return supercell_period(self.eps)
 
     def value(self, x) -> np.ndarray:
         return self.U.value(np.asarray(x, float) * self.eps) / self.eps

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import TrigField
+from .lattice import supercell_period
 from .potentials import potential_from_config
 from .stability import (
     ZONE_GRID,
@@ -63,9 +64,12 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _even_reciprocal(v) -> bool:
-    n = round(1.0 / v) if 0 < v <= 0.25 else 0
-    return n >= 4 and n % 2 == 0 and abs(n * v - 1.0) <= 1e-9
+def _period(v) -> int:
+    """The supercell period of spacing ``v``, 0 if it has none."""
+    try:
+        return supercell_period(v)
+    except ValueError:
+        return 0
 
 
 # (key, experiments whose runner reads it, type, check, rule): a value that
@@ -81,12 +85,16 @@ _PARAM_RULES = (
     ("delta", ("static-converge",), float, lambda v: v > 0, "must be > 0"),
     ("quadrature", ("static-converge", "dynamic-converge"), int,
      lambda v: v >= 1, "must be an integer >= 1"),
-    ("eps", ("instability-demo",), float, _even_reciprocal,
+    ("eps", ("instability-demo",), float, lambda v: _period(v) >= 4 and _period(v) % 2 == 0,
      "must be 1/N for an even integer N >= 4"),
 )
 
-# field specs each experiment's runner passes to _initial_field
-_FIELD_SPECS = {"stress-consistency": ("displacement",), "dynamic-converge": ("U0", "U1")}
+# field specs each experiment's runner builds with _spec_field, with their defaults
+_FIELD_SPECS = {
+    "stress-consistency": {"displacement": {"grad_amplitude": 0.05, "mode": 1}},
+    "dynamic-converge": {"U0": {"grad_amplitude": 0.05, "mode": 1},
+                         "U1": {"amplitude": 0.0, "mode": 1}},
+}
 
 # (experiment, check name, tolerance key, report value, comparison, constraint
 # label): each row turns one declared tolerance into an acceptance check on the
@@ -224,12 +232,13 @@ class ExperimentConfig:
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise _field_error("params.force", f"cannot make a load: {exc}")
         for key in _FIELD_SPECS.get(self.experiment, ()):
-            if key not in self.params:
-                continue
             try:
-                _initial_field(self.params[key])
+                U = _spec_field(self, key)
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise _field_error(f"params.{key}", f"cannot make a field: {exc}")
+            if (U.d, U.n_components) != (P.d, P.d):
+                raise _field_error(f"params.{key}", f"the field has d = {U.d} and {U.n_components} "
+                                   f"component(s); the potential needs d = {P.d} and {P.d}")
         read = {row[2] for row in _CHECKS if row[0] == self.experiment}
         read |= {_WITHIN[k][0] for k in read & _WITHIN.keys() & self.tolerances.keys()}
         for key, v in self.tolerances.items():
@@ -263,8 +272,7 @@ class ExperimentConfig:
                 v = float(v)
             except (TypeError, ValueError):
                 v = math.nan
-            n = round(1.0 / v) if 0 < v <= 0.25 else 0
-            if abs(n * v - 1.0) > 1e-9 or n < 4:
+            if _period(v) < 4:
                 raise _field_error(
                     "geometry", f"spacings must be reciprocals of integers >= 4; got {v!r}"
                 )
@@ -458,11 +466,16 @@ def _initial_field(spec: dict) -> TrigField:
     return TrigField.from_terms(1, 1, [((mode,), 0, kind, amp)])
 
 
+def _spec_field(cfg: ExperimentConfig, key: str) -> TrigField:
+    """The field of ``params[key]``, or of its default spec in ``_FIELD_SPECS``."""
+    return _initial_field(cfg.params.get(key, _FIELD_SPECS[cfg.experiment][key]))
+
+
 def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
     """atomistic vs Cauchy-Born stress gap over a spacing sweep"""
     P = potential_from_config(cfg.potential)
     M = CBModel(P)
-    U = _initial_field(cfg.params.get("displacement", {"grad_amplitude": 0.05, "mode": 1}))
+    U = _spec_field(cfg, "displacement")
     n_per_cell = int(cfg.params.get("n_per_cell", 4))
     eps_list = cfg.eps_list()
     rows = []
@@ -517,9 +530,7 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
     """lattice dynamics vs Cauchy-Born wave convergence rate study"""
     P = potential_from_config(cfg.potential)
     params = cfg.params
-    U0 = _initial_field(params.get("U0", {"grad_amplitude": 0.05, "mode": 1}))
-    U1 = _initial_field(params.get("U1", {"amplitude": 0.0, "mode": 1}))
-    data = InitialData(U0, U1)
+    data = InitialData(_spec_field(cfg, "U0"), _spec_field(cfg, "U1"))
     sweep = dynamic_error_sweep(
         P,
         data,

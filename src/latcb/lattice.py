@@ -11,6 +11,7 @@ and stencil, which energy, forces and Hessian all go through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -18,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "tensor_grid",
+    "supercell_period",
     "LatticeSpec",
     "StencilSet",
     "DisplacementField",
@@ -35,6 +37,18 @@ def tensor_grid(axes) -> np.ndarray:
     Rows run in row-major (``ij``) order, the last axis fastest; the dtype is the axes'.
     """
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
+
+
+def supercell_period(eps: float) -> int:
+    """Supercell period ``N = 1/eps`` of the spacing ``eps``.
+
+    Raises ValueError unless ``|N eps - 1| <= 1e-9`` for an integer N >= 1.
+    """
+    inv = 1.0 / eps if eps > 0 else math.nan
+    N = round(inv) if math.isfinite(inv) else 0
+    if N < 1 or abs(N * eps - 1.0) > 1e-9:
+        raise ValueError(f"1/eps must be an integer number of lattice cells; got eps = {eps!r}")
+    return N
 
 
 @dataclass(frozen=True)

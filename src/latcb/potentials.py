@@ -47,7 +47,6 @@ __all__ = [
     "EAMPotential",
     "HarmonicChain",
     "total_energy",
-    "force_array",
     "gradient_array",
     "hessian_operator",
     "potential_from_config",
@@ -406,11 +405,6 @@ def gradient_array(P: Potential, values: np.ndarray) -> np.ndarray:
     g = all_stencils(values, P.S)
     P.check_admissible(g)
     return scatter_bonds(P.site_gradient(g), P.S)
-
-
-def force_array(P: Potential, values: np.ndarray) -> np.ndarray:
-    """Forces -dE/du as a raw value array."""
-    return -gradient_array(P, values)
 
 
 def hessian_operator(P: Potential, values: np.ndarray):

@@ -6,9 +6,10 @@ and transferred to sites by convolution with the hat basis, which preserves
 the discrete/continuum duality pairing.  For a trigonometric field that
 convolution is exact in closed form: mode ``m`` is multiplied by
 ``prod_a sinc(m_a eps)^2`` (``TrigField.hat_smoothed``) and the smoothed
-field is evaluated at the sites.  The Cauchy-Born equilibrium is
-solved once per load (it is scale-free); the atomistic equilibrium is
-solved per lattice spacing with a Newton-Krylov iteration preconditioned by
+field is evaluated at the sites.  Both equilibria minimize an energy with
+one damped Newton-Krylov loop (matrix-free CG preconditioned by a Fourier
+symbol): the Cauchy-Born one once per load (it is scale-free) on a spectral
+grid with the symbol ``C0 k^2``, the atomistic one per lattice spacing with
 the reference dynamical symbol.  The reported error is the scaled L2 norm
 of the gradient gap between the continuum solution and the smoothed
 interpolant of the atomistic one, the quantity that converges at second
@@ -21,13 +22,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fields import ScaledDisplacement, TrigField
 from .interpolation import quasi_grad, quasi_interp, smooth_nodal_interp
-from .lattice import DisplacementField, LatticeSpec, gauss_rule_01, tensor_grid
+from .lattice import DisplacementField, LatticeSpec, gauss_rule_01, supercell_period, tensor_grid
 from .potentials import (
     AdmissibilityError,
     Potential,
@@ -90,9 +92,7 @@ def _hat_transfer(U: TrigField, eps: float, c: float) -> DisplacementField:
     ``prod_a sinc(m_a eps)^2``, so the samples are ``c U.hat_smoothed(eps)``
     at ``eps xi``, exact up to roundoff.
     """
-    N = int(round(1.0 / eps))
-    if abs(N * eps - 1.0) > 1e-9:
-        raise ValueError("1/eps must be an integer number of lattice cells")
+    N = supercell_period(eps)
     lattice = LatticeSpec(d=U.d, A=np.eye(U.d), N=N)
     vals = c * U.hat_smoothed(eps).value(lattice.site_coords() * eps)
     return DisplacementField(lattice, vals.reshape((N,) * U.d + (U.n_components,)))
@@ -122,7 +122,6 @@ class StaticSolution:
     ``residual`` is the residual norm of ``field`` that ended the iteration.
     """
 
-    kind: str
     field: object
     residual: float
     iterations: int
@@ -130,7 +129,7 @@ class StaticSolution:
 
 
 # ---------------------------------------------------------------------------
-# damped-Newton acceptance (shared by both solvers)
+# damped Newton-Krylov (shared by both solvers)
 # ---------------------------------------------------------------------------
 
 def _line_search(x, delta, evaluate, base: float, slope: float, rnorm: float,
@@ -158,19 +157,72 @@ def _line_search(x, delta, evaluate, base: float, slope: float, rnorm: float,
     raise SolverError(f"line search failed in the {solver} solver")
 
 
+_NEWTON_MAX_ITER = 40  # Newton steps of both solvers
+_CG_RTOL = 1e-12  # relative tolerance of their inner CG solves
+
+
+def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str):
+    """Damped Newton-Krylov iteration from ``x`` until the residual norm is <= ``tol``.
+
+    The problem supplies four things.  ``evaluate(x)`` returns the merit,
+    the residual norm and the merit's gradient ``G``.  ``hessian(x)``
+    returns the action of the merit's Hessian; it raises AdmissibilityError
+    where that is undefined.  ``symbol`` is the Fourier symbol of a
+    constant-coefficient model of the Hessian, 1 at the gauge modes.
+    ``gauge(v)`` is the component of ``v`` in the gauge modes, which the
+    Hessian annihilates.
+
+    Each step solves ``(H + gauge) delta = -G`` matrix-free by conjugate
+    gradients, preconditioned by dividing by ``symbol``, projects the gauge
+    out of ``delta``, and backtracks along it with ``_line_search`` on the
+    merit, with slope ``<G, delta>``.  The start is projected too, so no
+    iterate has a gauge component.  Returns the final state, its residual
+    norm, the iteration count and the residual and CG-count histories.
+    """
+    shape, n = x.shape, x.size
+    x = x - gauge(x)
+    merit, rnorm, G = evaluate(x)
+    precond = LinearOperator((n, n), matvec=lambda v: np.real(np.fft.ifft(np.fft.fft(v) / symbol)))
+    res_hist, cg_iters = [], []
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        res_hist.append(rnorm)
+        if rnorm <= tol:
+            return x, rnorm, it, {"residual_history": res_hist, "cg_iterations": cg_iters}
+        try:
+            H = hessian(x)
+        except AdmissibilityError as exc:
+            raise SolverError(f"{solver} gradient left the admissible region (iter {it})") from exc
+
+        def matvec(v):
+            v = v.reshape(shape)
+            return (H(v) + gauge(v)).ravel()
+
+        ticks = []  # one entry per CG iteration
+        delta, info = cg(LinearOperator((n, n), matvec=matvec), -G.ravel(), rtol=_CG_RTOL,
+                         atol=0.0, maxiter=8 * n, M=precond, callback=ticks.append)
+        cg_iters.append(len(ticks))
+        if info != 0:
+            raise SolverError(f"inner CG failed (info={info}) at Newton iteration {it}")
+        delta = delta.reshape(shape)
+        delta = delta - gauge(delta)
+        slope = float(np.sum(G * delta))
+        floor = 64.0 * n * np.finfo(float).eps * (1.0 + abs(merit))
+        x, (merit, rnorm, G) = _line_search(x, delta, evaluate, merit, slope, rnorm, floor, solver)
+    raise SolverError(
+        f"{solver} Newton did not reach tol={tol:g} in {_NEWTON_MAX_ITER} iterations "
+        f"(last residual {res_hist[-1]:.3e})"
+    )
+
+
 # ---------------------------------------------------------------------------
-# Cauchy-Born solver (1D, spectral grid + dense Newton)
+# Cauchy-Born solver (1D spectral grid)
 # ---------------------------------------------------------------------------
 
-def _spectral_derivative_matrix(M: int) -> np.ndarray:
-    """Dense differentiation matrix of the trigonometric interpolant on M points."""
-    k = 2.0 * np.pi * np.fft.rfftfreq(M, d=1.0 / M)
-    eye = np.eye(M)
-    spec = np.fft.rfft(eye, axis=0)
-    return np.fft.irfft(1j * k[:, None] * spec, n=M, axis=0)
-
-
-_CB_MAX_ITER = 60  # Newton steps of the continuum solver
+def _spectral_ddx(f: np.ndarray) -> np.ndarray:
+    """Derivative of the trigonometric interpolant of the samples ``f[j]`` at X = j / len(f)."""
+    n = f.shape[0]
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    return np.fft.irfft(1j * k * np.fft.rfft(f), n=n)
 
 
 def solve_cb_static(
@@ -181,119 +233,58 @@ def solve_cb_static(
 ) -> StaticSolution:
     """Cauchy-Born equilibrium on the unit torus (one dimension).
 
-    Minimizes ``int W(U') - F U`` over zero-mean ``U`` on a trigonometric
-    collocation grid: damped Newton with an exact dense Jacobian, rank-one
-    gauge for the constant mode, and an Armijo line search on the energy.
-    The solution is returned as a trigonometric polynomial; the residual
-    ``-d/dX S(U') - F`` is measured in the grid L2 norm.
+    Minimizes the grid mean of ``W(U') - F U`` over zero-mean ``U`` on a
+    trigonometric collocation grid, ``U'`` the spectral derivative, with the
+    shared Newton-Krylov iteration: the Hessian action
+    ``-(C(U') v')' / n_grid`` is matrix-free and preconditioned by its
+    reference symbol ``C0 k^2 / n_grid``.  The start is the linearized
+    solution of ``C0 U'' = -F``.  The solution is returned as a
+    trigonometric polynomial; the residual ``-d/dX S(U') - F`` is measured
+    in the grid L2 norm.
     """
     if M.P.d != 1:
         raise NotImplementedError("the continuum solver is one-dimensional")
     Mg = n_grid
-    X = np.arange(Mg) / Mg
-    Fv = F.field.value(X[:, None])[:, 0]
-    D = _spectral_derivative_matrix(Mg)
-    kappa = M.P.kappa
-
-    def modulus_of(up):
-        return M.moduli(up[:, None, None])[:, 0, 0, 0, 0]
+    Fv = F.field.value((np.arange(Mg) / Mg)[:, None])[:, 0]
 
     def evaluate(U):
-        """Merit ``mean(W(U') - F U)``, residual norm and residual of a state."""
-        up = D @ U
-        R = -(D @ M.stress(up[:, None, None])[:, 0, 0]) - Fv
+        """Merit ``mean(W(U') - F U)``, residual norm and merit gradient of a state."""
+        up = _spectral_ddx(U)
+        R = -_spectral_ddx(M.stress(up[:, None, None])[:, 0, 0]) - Fv
         merit = float(np.mean(M.energy_density(up[:, None, None]) - Fv * U))
-        return merit, float(np.sqrt(np.mean(R * R))), R
+        return merit, float(np.sqrt(np.mean(R * R))), R / Mg
 
-    # linearized start: C0 U'' = -F in Fourier space
+    def hessian(U):
+        up = _spectral_ddx(U)
+        if float(np.max(np.abs(up))) >= M.P.kappa:
+            raise AdmissibilityError("the continuum gradient reached kappa")
+        mod = M.moduli(up[:, None, None])[:, 0, 0, 0, 0] / Mg
+        return lambda v: -_spectral_ddx(mod * _spectral_ddx(v))
+
+    # the spectral derivative annihilates the mean and, on even grids, the
+    # Nyquist mode (-1)^j: both are gauge modes
+    nyquist = (-1.0) ** np.arange(Mg) * (Mg % 2 == 0)
+
+    def gauge(v):
+        return np.mean(v) + nyquist * np.mean(nyquist * v)
+
     C0 = float(M.moduli(np.zeros((1, 1, 1)))[0, 0, 0, 0, 0])
-    k = 2.0 * np.pi * np.fft.rfftfreq(Mg, d=1.0 / Mg)
-    Fh = np.fft.rfft(Fv)
-    Uh = np.zeros_like(Fh)
-    Uh[1:] = Fh[1:] / (C0 * k[1:] ** 2)
-    U = np.fft.irfft(Uh, n=Mg)
-
-    res_hist = []
-    # the spectral derivative annihilates the mean and (for even grids) the
-    # Nyquist mode, so both are gauged out of the Newton system and stripped
-    # from the start and the steps; otherwise the linear solves leave junk
-    # in those modes
-    gauge = np.full((Mg, Mg), 1.0 / Mg)
+    symbol = C0 * (2.0 * np.pi * np.fft.fftfreq(Mg, d=1.0 / Mg)) ** 2 / Mg
+    symbol[0] = 1.0
     if Mg % 2 == 0:
-        alt = (-1.0) ** np.arange(Mg)
-        gauge = gauge + np.outer(alt, alt) / Mg
-
-    def strip_null(v):
-        vh = np.fft.rfft(v)
-        vh[0] = 0.0
-        if Mg % 2 == 0:
-            vh[-1] = 0.0
-        return np.fft.irfft(vh, n=Mg)
-
-    U = strip_null(U)
-    merit_U, rnorm, R = evaluate(U)
-    for it in range(1, _CB_MAX_ITER + 1):
-        res_hist.append(rnorm)
-        if rnorm <= tol:
-            break
-        up = D @ U
-        if float(np.max(np.abs(up))) >= kappa:
-            raise SolverError(f"continuum gradient left the admissible region (iter {it})")
-        J = -D @ (modulus_of(up)[:, None] * D) + gauge
-        try:
-            delta = np.linalg.solve(J, -R)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SolverError(f"Newton system singular at iteration {it}: {exc}")
-        delta = strip_null(delta)
-        slope = float(np.mean(R * delta))  # directional derivative of the merit
-        floor = 64.0 * np.finfo(float).eps * (1.0 + abs(merit_U))
-        U, (merit_U, rnorm, R) = _line_search(
-            U, delta, evaluate, merit_U, slope, rnorm, floor, "continuum"
-        )
-    else:
-        raise SolverError(
-            f"continuum Newton did not reach tol={tol:g} in {_CB_MAX_ITER} iterations "
-            f"(last residual {res_hist[-1]:.3e})"
-        )
-
-    up = D @ U
-    field = TrigField.from_grid_1d(U[:, None])
-    return StaticSolution(
-        kind="cb",
-        field=field,
-        residual=rnorm,
-        iterations=it,
-        diagnostics={
-            "residual_history": res_hist,
-            "grad_inf": float(np.max(np.abs(up))),
-            "n_grid": Mg,
-        },
-    )
+        symbol[Mg // 2] = 1.0
+    # linearized start -(C0 U')' = F: at U = 0 the merit's gradient is -F / Mg
+    U = np.real(np.fft.ifft(np.fft.fft(Fv / Mg) / symbol))
+    U, rnorm, it, diagnostics = _newton_krylov(U, evaluate, hessian, symbol, gauge, tol,
+                                               "continuum")
+    diagnostics.update(grad_inf=float(np.max(np.abs(_spectral_ddx(U)))), n_grid=Mg)
+    return StaticSolution(field=TrigField.from_grid_1d(U[:, None]), residual=rnorm,
+                          iterations=it, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
-# atomistic solver (Newton-Krylov with symbol preconditioner)
+# atomistic solver
 # ---------------------------------------------------------------------------
-
-def _symbol_preconditioner(P: Potential, N: int):
-    """FFT inverse of the reference dynamical symbol (gauge mode -> identity)."""
-    if P.d != 1:
-        raise NotImplementedError
-    k = 2.0 * np.pi * np.arange(N) / N
-    sym = np.real(dynamical_symbol(P, k[:, None])[:, 0, 0])
-    sym[0] = 1.0
-    sym = np.maximum(sym, 1e-8)
-
-    def apply(v_flat: np.ndarray) -> np.ndarray:
-        vh = np.fft.fft(v_flat)
-        return np.real(np.fft.ifft(vh / sym))
-
-    return apply
-
-
-_LATTICE_MAX_ITER = 40  # Newton steps of the lattice solver
-_CG_RTOL = 1e-12  # relative tolerance of its inner CG solves
-
 
 def solve_atomistic_static(
     P: Potential,
@@ -303,11 +294,11 @@ def solve_atomistic_static(
 ) -> StaticSolution:
     """Atomistic equilibrium under dead site loads (one dimension).
 
-    Newton-Krylov on zero-mean displacements: the Hessian action is
-    matrix-free, inner systems are solved by conjugate gradients with an
-    FFT preconditioner built from the reference symbol, and steps are
-    damped by an Armijo search on ``E(u) - <f, u>``.  Convergence is
-    declared on the sup norm of the assembled gradient.
+    Minimizes ``E(u) - <f, u>`` over zero-mean displacements with the
+    shared Newton-Krylov iteration: the Hessian action is matrix-free and
+    preconditioned by the reference dynamical symbol, and the translations
+    are the gauge.  Convergence is declared on the sup norm of the
+    assembled gradient.
     """
     lattice = f_a.lattice
     if lattice.d != 1:
@@ -316,9 +307,6 @@ def solve_atomistic_static(
     fv = f_a.values
     if abs(float(np.sum(fv))) > 1e-8 * max(1.0, float(np.max(np.abs(fv)))):
         raise ValueError("site loads must sum to zero for a periodic equilibrium")
-    u = (u0.values.copy() if u0 is not None else np.zeros_like(fv))
-    u -= np.mean(u)
-    precond = _symbol_preconditioner(P, N)
 
     def evaluate(vals):
         """Merit ``E(u) - <f, u>``, gradient sup norm and gradient of a state."""
@@ -326,52 +314,16 @@ def solve_atomistic_static(
         G = gradient_array(P, vals) - fv
         return merit, float(np.max(np.abs(G))), G
 
-    merit_u, gnorm, G = evaluate(u)
-    res_hist = []
-    cg_iters = []
-    for it in range(1, _LATTICE_MAX_ITER + 1):
-        res_hist.append(gnorm)
-        if gnorm <= tol:
-            break
-        H = hessian_operator(P, u)
-
-        def matvec(v_flat):
-            v = v_flat.reshape(fv.shape)
-            return (H(v) + np.mean(v_flat)).ravel()
-
-        count = {"n": 0}
-
-        def tick(_):
-            count["n"] += 1
-
-        A = LinearOperator((N, N), matvec=matvec)
-        Mpre = LinearOperator((N, N), matvec=precond)
-        delta_flat, info = cg(
-            A, -G.ravel(), rtol=_CG_RTOL, atol=0.0, maxiter=8 * N, M=Mpre, callback=tick
-        )
-        cg_iters.append(count["n"])
-        if info != 0:
-            raise SolverError(f"inner CG failed (info={info}) at Newton iteration {it}")
-        delta = delta_flat.reshape(fv.shape)
-        delta -= np.mean(delta)  # keeps the iterate zero-mean
-        slope = float(np.sum(G * delta))
-        floor = 64.0 * N * np.finfo(float).eps * (1.0 + abs(merit_u))
-        u, (merit_u, gnorm, G) = _line_search(
-            u, delta, evaluate, merit_u, slope, gnorm, floor, "lattice"
-        )
-    else:
-        raise SolverError(
-            f"lattice Newton did not reach tol={tol:g} in {_LATTICE_MAX_ITER} iterations "
-            f"(last gradient norm {res_hist[-1]:.3e})"
-        )
-
-    return StaticSolution(
-        kind="atomistic",
-        field=DisplacementField(lattice, u),
-        residual=gnorm,
-        iterations=it,
-        diagnostics={"residual_history": res_hist, "cg_iterations": cg_iters},
+    k = 2.0 * np.pi * np.arange(N) / N
+    symbol = np.real(dynamical_symbol(P, k[:, None])[:, 0, 0])
+    symbol[0] = 1.0  # the gauge mode: translations
+    symbol = np.maximum(symbol, 1e-8)
+    u = u0.values if u0 is not None else np.zeros_like(fv)
+    u, gnorm, it, diagnostics = _newton_krylov(
+        u, evaluate, partial(hessian_operator, P), symbol, np.mean, tol, "lattice"
     )
+    return StaticSolution(field=DisplacementField(lattice, u), residual=gnorm, iterations=it,
+                          diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -63,13 +63,13 @@ MODULE_API = {
         "smooth_nodal_interp", "chi_eval", "grad_chi_eval",
     ],
     "lattice": [
-        "tensor_grid", "LatticeSpec", "StencilSet", "DisplacementField", "as_direction",
+        "tensor_grid", "supercell_period", "LatticeSpec", "StencilSet", "DisplacementField", "as_direction",
         "all_stencils", "scatter_bonds", "stencil_sup_norm", "gauss_rule_01",
     ],
     "potentials": [
         "AdmissibilityError", "RadialProfile", "PowerLawProfile", "MorseProfile", "ExpProfile",
         "PolynomialEmbedding", "lennard_jones", "Potential", "PairPotential", "EAMPotential",
-        "HarmonicChain", "total_energy", "force_array", "gradient_array", "hessian_operator",
+        "HarmonicChain", "total_energy", "gradient_array", "hessian_operator",
         "potential_from_config",
     ],
     "stability": [

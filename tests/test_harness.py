@@ -381,6 +381,28 @@ def test_unmakeable_field_returns_two(tmp_path, capsys, obj, key):
     assert not (tmp_path / "out").exists()
 
 
+LJ_SQUARE_POT = {"variant": "pair", "d": 2, "r_cut": 2.0, "phi": {"kind": "lennard_jones"}}
+_TERMS_2D = {"terms": [[[1, 0], 0, "sin", 0.005]]}
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ({**_stress_cfg(), "potential": LJ_SQUARE_POT}, "displacement"),
+        ({**_stress_cfg(displacement=_TERMS_2D), "potential": LJ_SQUARE_POT}, "displacement"),
+        (_stress_cfg(displacement=_TERMS_2D), "displacement"),
+        (_dynamic_cfg(U1=_TERMS_2D), "U1"),
+    ],
+)
+def test_field_of_wrong_dimension_returns_two(tmp_path, capsys, obj, key):
+    # the built field must have the potential's dimension and components
+    path = _write_cfg(tmp_path, obj)
+    assert run(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"config error: config field 'params.{key}': the field has d = " in err
+    assert not (tmp_path / "out").exists()
+
+
 def _pinned(*checks):
     return [{"name": n, "passed": True, "constraint": c} for n, c in checks]
 

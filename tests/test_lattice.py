@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latcb.dynamics import instability_demo
+from latcb.fields import ScaledDisplacement, TrigField
 from latcb.lattice import (
     DisplacementField,
     LatticeSpec,
@@ -16,8 +18,10 @@ from latcb.lattice import (
     as_direction,
     gauss_rule_01,
     stencil_sup_norm,
+    supercell_period,
     tensor_grid,
 )
+from latcb.static import MacroForce, make_forces
 
 from conftest import random_displacement
 
@@ -35,6 +39,27 @@ def test_lattice_spec_validation():
         LatticeSpec(d=1, A=np.eye(1), N=3)
     with pytest.raises(ValueError):
         LatticeSpec(d=2, A=np.eye(3), N=8)
+
+
+def test_supercell_period():
+    assert supercell_period(1.0 / 8.0) == 8
+    assert supercell_period(1.0 / 3.0) == 3
+    for eps in (0.126, 0.3, 0.0, -0.125, 5e-324, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integer number of lattice cells"):
+            supercell_period(eps)
+
+
+def test_library_spacing_checks_share_one_rule():
+    # the load transfer, the scaled view and the instability demo all take
+    # their period from supercell_period: 1/8 is one, 0.126 is none
+    U = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.01)])
+    callers = [lambda eps: make_forces(MacroForce(U), eps), lambda eps: ScaledDisplacement(U, eps),
+               instability_demo]
+    for call in callers:
+        call(1.0 / 8.0)
+        with pytest.raises(ValueError, match="integer number of lattice cells"):
+            call(0.126)
+    assert make_forces(MacroForce(U), 1.0 / 8.0).lattice.N == ScaledDisplacement(U, 0.125).N == 8
 
 
 def test_site_coords_row_major():

@@ -28,6 +28,7 @@ from latcb.static import (
     MacroForce,
     SolverError,
     _line_search,
+    _newton_krylov,
     interp_gradient_gap,
     interp_value_gap,
     make_forces,
@@ -37,7 +38,8 @@ from latcb.static import (
 )
 from latcb.stress import CBModel
 
-from conftest import lj_chain, lj_square, single_mode_load
+from conftest import eam_chain, lj_chain, lj_square, morse_chain, single_mode_load
+from dense_cb_static import solve_cb_static as dense_solve_cb_static
 from hat_quadrature import zeta_convolve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -163,6 +165,20 @@ def test_cb_solver_lj_linear_response():
         c / (LJ_GAMMA * km**2), rel=1e-8
     )
     assert sol.diagnostics["grad_inf"] < M.P.kappa
+
+
+@pytest.mark.parametrize("chain", [lj_chain, morse_chain, eam_chain])
+@pytest.mark.parametrize("delta", [0.01, 1.0, 20.0])
+def test_cb_solver_matches_dense_oracle(chain, delta):
+    # the matrix-free Newton-Krylov solve against the dense spectral Newton
+    # solve it replaced: the same steps, and the same equilibrium to roundoff
+    M, F, tol = CBModel(chain()), single_mode_load(delta), 1e-10
+    sol, ref = solve_cb_static(M, F, tol=tol), dense_solve_cb_static(M, F, tol=tol)
+    assert sol.iterations == ref.iterations
+    assert sol.residual <= tol and ref.residual <= tol
+    X = (np.arange(256) / 256)[:, None]
+    U, U_ref = sol.field.value(X), ref.field.value(X)
+    assert np.max(np.abs(U - U_ref)) <= 1e-9 * np.max(np.abs(U_ref))
 
 
 def test_cb_solver_is_one_dimensional():
@@ -301,6 +317,46 @@ def test_line_search_gives_up_after_forty_halvings():
         _line_search(0.0, 1.0, trials, base=0.0, slope=-1.0, rnorm=1.0,
                      floor=0.0, solver="lattice")
     assert trials.seen == [0.5**j for j in range(40)]
+
+
+# ---------------------------------------------------------------------------
+# Newton-Krylov loop (shared by both solvers)
+# ---------------------------------------------------------------------------
+
+def _identity_problem():
+    """Scripted problem on four unknowns: identity Hessian, no gauge.
+
+    ``evaluate`` reports a merit that falls by 1 at every call and a
+    residual that stays at 1, with the gradient of ``|x|^2 / 2``.
+    """
+    merits = iter(-np.arange(100.0))
+
+    def evaluate(x):
+        return next(merits), 1.0, x.copy()
+
+    return dict(evaluate=evaluate, hessian=lambda x: lambda v: v, symbol=np.ones(4),
+                gauge=lambda v: 0.0)
+
+
+@pytest.mark.parametrize("solver", ["continuum", "lattice"])
+def test_newton_krylov_iteration_cap(solver):
+    # every step lowers the merit, so the line search accepts it, but the
+    # residual stays at 1: the loop stops at its cap with the last residual
+    problem = _identity_problem()
+    with pytest.raises(SolverError, match=rf"^{solver} Newton did not reach tol=1e-10 in "
+                       rf"40 iterations \(last residual 1\.000e\+00\)$"):
+        _newton_krylov(np.ones(4), tol=1e-10, solver=solver, **problem)
+
+
+def test_newton_krylov_inner_cg_failure():
+    # a zero Hessian and no gauge leave CG without a descent: it exhausts
+    # its 8n iterations and the loop reports where
+    problem = _identity_problem()
+    problem["hessian"] = lambda x: np.zeros_like
+    with np.errstate(all="ignore"), pytest.raises(
+        SolverError, match=r"^inner CG failed \(info=32\) at Newton iteration 1$"
+    ):
+        _newton_krylov(np.ones(4), tol=1e-10, solver="lattice", **problem)
 
 
 # ---------------------------------------------------------------------------
