@@ -219,9 +219,8 @@ def solve_cb_wave(
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
     Mg = n_grid
-    X = (np.arange(Mg) / Mg)[:, None]
-    U = data.U0.value(X)[:, 0].copy()
-    V = data.U1.value(X)[:, 0].copy()
+    U = data.U0.sample(Mg)[:, 0]
+    V = data.U1.sample(Mg)[:, 0]
     kappa = M.P.kappa
 
     def grad_and_speed(Uv, t=0.0):

@@ -111,17 +111,8 @@ class TrigField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, X, deriv: tuple | None = None) -> np.ndarray:
-        """Evaluate a mixed partial derivative at points of shape (..., d).
-
-        ``deriv`` gives the derivative order per axis (default: none).
-        Returns an array of shape (..., n_components).
-        """
-        X = np.asarray(X, dtype=float)
-        squeeze = X.ndim == 1
-        pts = np.atleast_2d(X)
-        phase = pts @ self.modes.T  # (..., K)
-        E = np.exp(_TWO_PI * 1j * phase)
+    def _deriv_amps(self, deriv: tuple | None) -> np.ndarray:
+        """Amplitudes of the mixed partial ``deriv`` (order per axis), shape (K, m)."""
         coeff = self.amps
         if deriv is not None:
             fac = np.ones(self.modes.shape[0], dtype=complex)
@@ -129,8 +120,39 @@ class TrigField:
                 if order:
                     fac = fac * (_TWO_PI * 1j * self.modes[:, axis]) ** order
             coeff = coeff * fac[:, None]
-        out = np.real(E @ coeff)
+        return coeff
+
+    def eval(self, X, deriv: tuple | None = None) -> np.ndarray:
+        """Evaluate a mixed partial derivative at points of shape (..., d).
+
+        ``deriv`` gives the derivative order per axis (default: none).
+        Returns an array of shape (..., n_components).  On the grids of
+        ``sample`` that method is exact and far cheaper.
+        """
+        X = np.asarray(X, dtype=float)
+        squeeze = X.ndim == 1
+        pts = np.atleast_2d(X)
+        phase = pts @ self.modes.T  # (..., K)
+        E = np.exp(_TWO_PI * 1j * phase)
+        out = np.real(E @ self._deriv_amps(deriv))
         return out[0] if squeeze else out.reshape(X.shape[:-1] + (self.n_components,))
+
+    def sample(self, N: int, shift=0.0, deriv: tuple | None = None) -> np.ndarray:
+        """The field or a mixed partial on the grid ``X = (j + shift) / N``.
+
+        ``j`` runs over ``{0, ..., N-1}^d`` and ``shift`` is a scalar or a
+        d-vector.  Returns shape (N,)*d + (n_components,).  Since
+        ``exp(2 pi i m . j / N)`` depends on ``m`` only mod N, the modes
+        fold onto an N^d spectrum, each times its shift phase
+        ``exp(2 pi i m . shift / N)``, and one inverse FFT sums them: exact
+        to roundoff for any modes, those at or above N/2 included.
+        """
+        shift = np.broadcast_to(np.asarray(shift, dtype=float), (self.d,))
+        coeff = self._deriv_amps(deriv) * np.exp(_TWO_PI * 1j * (self.modes @ shift) / N)[:, None]
+        axes = tuple(range(self.d))
+        spec = np.zeros((N,) * self.d + (self.n_components,), dtype=complex)
+        np.add.at(spec, tuple(np.mod(self.modes, N).T), coeff)
+        return np.real(np.fft.ifftn(spec, axes=axes)) * float(N) ** self.d
 
     def value(self, X) -> np.ndarray:
         return self.eval(X)

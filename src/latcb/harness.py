@@ -89,6 +89,9 @@ _PARAM_RULES = (
      "must be 1/N for an even integer N >= 4"),
 )
 
+# continuum grid of each converge experiment when params.n_grid is absent
+_N_GRID = {"static-converge": 256, "dynamic-converge": 128}
+
 # field specs each experiment's runner builds with _spec_field, with their defaults
 _FIELD_SPECS = {
     "stress-consistency": {"displacement": {"grad_amplitude": 0.05, "mode": 1}},
@@ -226,19 +229,29 @@ class ExperimentConfig:
             v = self.params[key]
             if not _is_number(v) or (kind is int and v != int(v)) or not ok(v):
                 raise _field_error(f"params.{key}", f"{rule}; got {v!r}")
+        fields = {}
         if self.experiment == "static-converge":
             try:
-                _macro_force(self)
+                fields["force"] = _macro_force(self).field
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise _field_error("params.force", f"cannot make a load: {exc}")
         for key in _FIELD_SPECS.get(self.experiment, ()):
             try:
-                U = _spec_field(self, key)
+                U = fields[key] = _spec_field(self, key)
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise _field_error(f"params.{key}", f"cannot make a field: {exc}")
             if (U.d, U.n_components) != (P.d, P.d):
                 raise _field_error(f"params.{key}", f"the field has d = {U.d} and {U.n_components} "
                                    f"component(s); the potential needs d = {P.d} and {P.d}")
+        if self.experiment in _N_GRID:
+            # a mode at or above n_grid/2 aliases on the continuum grid: the
+            # reference would be sampled as another, lower mode
+            n_grid = int(self.params.get("n_grid", _N_GRID[self.experiment]))
+            for key, U in fields.items():
+                top = int(np.max(np.abs(U.modes)))
+                if 2 * top >= n_grid:
+                    raise _field_error(f"params.{key}", f"mode {top} aliases on the continuum grid "
+                                       f"of n_grid = {n_grid}; modes need |m| < {n_grid // 2}")
         read = {row[2] for row in _CHECKS if row[0] == self.experiment}
         read |= {_WITHIN[k][0] for k in read & _WITHIN.keys() & self.tolerances.keys()}
         for key, v in self.tolerances.items():
@@ -509,7 +522,7 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
         P,
         F,
         cfg.eps_list(),
-        n_grid=int(cfg.params.get("n_grid", 256)),
+        n_grid=int(cfg.params.get("n_grid", _N_GRID[cfg.experiment])),
         tol=tol,
         q=int(cfg.params.get("quadrature", 6)),
         workers=workers,
@@ -537,7 +550,7 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
         T=float(params.get("T", 0.5)),
         eps_list=cfg.eps_list(),
         n_snap=int(params.get("n_snap", 17)),
-        n_grid=int(params.get("n_grid", 128)),
+        n_grid=int(params.get("n_grid", _N_GRID[cfg.experiment])),
         cfl=float(params.get("cfl", 0.2)),
         q=int(params.get("quadrature", 6)),
         workers=workers,

@@ -156,6 +156,16 @@ class StencilSet:
         """Euclidean lengths |rho| of all directions, shape (n,)."""
         return np.linalg.norm(self.directions, axis=1)
 
+    @cached_property
+    def inv_sq_norms(self) -> np.ndarray:
+        """Inverse squared lengths 1 / |rho|^2 of all directions, shape (n,)."""
+        return 1.0 / np.sum(self.directions * self.directions, axis=1)
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        """Slots of the positive half stencil (see ``_positive_half``)."""
+        return _positive_half(self.directions)
+
     def index_of(self, rho) -> int:
         """Slot of direction ``rho`` in the stencil ordering."""
         r = as_direction(rho, self.d)
@@ -201,15 +211,26 @@ class DisplacementField:
 # difference stencils
 # ---------------------------------------------------------------------------
 
+def _positive_half(dirs: np.ndarray) -> np.ndarray:
+    """Slots whose direction has a positive first nonzero entry.
+
+    The stencil is closed under negation, so these visit every bond
+    ``{xi, xi + rho}`` once, as ``rho``; ``-rho`` lies in the other half.
+    """
+    first = dirs[np.arange(dirs.shape[0]), np.argmax(dirs != 0, axis=1)]
+    return np.flatnonzero(first > 0)
+
+
 @lru_cache(maxsize=64)
-def _plan(shape: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _plan(shape: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat neighbour tables of the periodic cell ``shape`` for one stencil.
 
     ``gather[xi, i]`` is the row-major index of site ``xi + rho_i``;
     ``scatter[i, xi] = gather[xi, j] * n + i`` with ``rho_j = -rho_i``
     addresses slot ``i`` of site ``xi - rho_i`` in a flattened
-    (sites * n, d) bond array.  Keyed on the raw direction bytes:
-    ``StencilSet`` compares on ``r_cut`` alone.
+    (sites * n, d) bond array; ``half[k, xi]`` is ``gather[xi, i]`` for the
+    k-th slot ``i`` of the positive half stencil, slot-major.  Keyed on the
+    raw direction bytes: ``StencilSet`` compares on ``r_cut`` alone.
     """
     d = len(shape)
     dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
@@ -218,12 +239,14 @@ def _plan(shape: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     gather = np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), shape)
     neg = [int(np.flatnonzero((dirs == -r).all(axis=1))[0]) for r in dirs]
     scatter = gather[:, neg].T * len(dirs) + np.arange(len(dirs))[:, None]
-    gather.flags.writeable = scatter.flags.writeable = False
-    return gather, scatter
+    half = np.ascontiguousarray(gather[:, _positive_half(dirs)].T)
+    for table in (gather, scatter, half):
+        table.flags.writeable = False
+    return gather, scatter, half
 
 
-def neighbour_plan(shape, S: StencilSet) -> tuple[np.ndarray, np.ndarray]:
-    """Cached ``(gather, scatter)`` tables for cell ``shape`` and stencil ``S``."""
+def neighbour_plan(shape, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached ``(gather, scatter, half)`` tables for cell ``shape`` and stencil ``S``."""
     return _plan(tuple(shape), S.directions.tobytes())
 
 
@@ -242,7 +265,7 @@ def all_stencils(values: np.ndarray, S: StencilSet) -> np.ndarray:
         ``out[xi, i] = u(xi + rho_i) - u(xi)``.
     """
     cell, d = values.shape[:-1], values.shape[-1]
-    gather, _ = neighbour_plan(cell, S)
+    gather, _, _ = neighbour_plan(cell, S)
     flat = values.reshape(-1, d)
     return (np.take(flat, gather, axis=0) - flat[:, None, :]).reshape(cell + (S.n, d))
 
@@ -256,7 +279,7 @@ def scatter_bonds(Vr: np.ndarray, S: StencilSet) -> np.ndarray:
     which would change the last bits of the result.
     """
     cell, d = Vr.shape[:-2], Vr.shape[-1]
-    _, scatter = neighbour_plan(cell, S)
+    _, scatter, _ = neighbour_plan(cell, S)
     terms = np.take(Vr.reshape(-1, d), scatter, axis=0)
     terms -= Vr.reshape(-1, S.n, d).swapaxes(0, 1)
     return terms.sum(axis=0).reshape(cell + (d,))
@@ -266,10 +289,11 @@ def stencil_sup_norm(g: np.ndarray, S: StencilSet) -> float:
     """Scaled stencil sup norm max_rho |g_rho| / |rho| over a stencil batch.
 
     ``g`` has shape (..., n, d); the norm is taken over all leading axes.
+    It is formed as admissibility checks form it, as the square root of
+    the largest ``|g_rho|^2 / |rho|^2``.
     """
     g = np.asarray(g, dtype=float)
-    mags = np.sqrt(np.sum(g * g, axis=-1))
-    return float(np.max(mags / S.norms))
+    return math.sqrt(float(np.max(np.sum(g * g, axis=-1) * S.inv_sq_norms)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .lattice import (
     DisplacementField,
     StencilSet,
     all_stencils,
+    neighbour_plan,
     scatter_bonds,
-    stencil_sup_norm,
 )
 
 __all__ = [
@@ -76,6 +77,11 @@ class RadialProfile:
     def deriv(self, r, order: int):  # pragma: no cover - interface
         raise NotImplementedError
 
+    def deriv1_over_r(self, r2):
+        """phi'(r) / r as a function of ``r2 = r * r`` (the pair force per unit bond)."""
+        r = np.sqrt(r2)
+        return self.deriv(r, 1) / r
+
 
 @dataclass(frozen=True)
 class PowerLawProfile(RadialProfile):
@@ -94,6 +100,41 @@ class PowerLawProfile(RadialProfile):
                 fac *= p - k
             out = out + fac * r ** (p - order)
         return out
+
+    @cached_property
+    def _laurent(self):
+        """``phi'(r)/r = sum_j a_j r2^(-k_j)`` as (k_j, a_j), highest k first;
+        None unless every power is an even integer."""
+        if not (self.powers and all(p == int(p) and int(p) % 2 == 0 for p in self.powers)):
+            return None
+        return sorted(((1 - int(p) // 2, c * p) for p, c in zip(self.powers, self.coeffs)),
+                      reverse=True)
+
+    def deriv1_over_r(self, r2):
+        """sum_i c_i p_i r^(p_i - 2); by Horner's rule in ``1 / r2`` when every
+        power is an even integer: products only, no float powers."""
+        terms = self._laurent
+        if terms is None:
+            return super().deriv1_over_r(r2)
+        r2 = np.asarray(r2, dtype=float)
+        inv = 1.0 / r2
+        acc = terms[0][1]
+        for (k_hi, _), (k, a) in zip(terms, terms[1:]):
+            acc = acc * _int_power(inv, k_hi - k) + a
+        k = terms[-1][0]
+        return acc * _int_power(inv if k >= 0 else r2, abs(k))
+
+
+def _int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """``x ** k`` for an integer ``k >= 0`` by repeated squaring (products only)."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return np.ones_like(x) if out is None else out
 
 
 def lennard_jones(well_depth: float = 1.0, r0: float = 1.0) -> PowerLawProfile:
@@ -206,7 +247,19 @@ class Potential:
 
         Non-finite stencils are rejected for every kappa, infinite included.
         """
-        nrm = stencil_sup_norm(g, self.S)
+        sq = np.sum(g * g, axis=-1).reshape(-1, self.S.n)
+        self._require_admissible(sq.max(axis=0), self.S.inv_sq_norms, context)
+
+    def _require_admissible(self, sq_max: np.ndarray, inv_sq: np.ndarray,
+                            context: str = "") -> None:
+        """The admissibility rule, from the largest squared difference per slot.
+
+        ``inv_sq`` holds ``1 / |rho|^2`` of the same slots; the scaled norm
+        is the square root of the largest ``sq_max * inv_sq``.  Maxima
+        propagate NaN, so a non-finite site makes the norm NaN and the state
+        is rejected.
+        """
+        nrm = math.sqrt(float((sq_max * inv_sq).max()))
         if not math.isfinite(nrm):
             problem = f"non-finite stencil norm {nrm}"
         elif not nrm <= self.kappa:
@@ -254,6 +307,9 @@ class PairPotential(Potential):
             if self.mu * self.bond_len.min() <= self.phi.r_min:
                 raise ValueError("admissible bonds can leave the profile domain")
         self._phi_ref = self.phi.deriv(self.bond_len, 0)
+        # positive half stencil: reference bonds component-major (d, h, 1), 1/|rho|^2
+        self._half_ref = self.bond_ref[self.S.half].T[:, :, None].copy()
+        self._half_inv_sq = self.S.inv_sq_norms[self.S.half]
 
     def site_energy(self, g):
         _, r, _ = self._bond_geometry(g)
@@ -401,10 +457,46 @@ def gradient_array(P: Potential, values: np.ndarray) -> np.ndarray:
 
     Site gradients are scattered by the difference structure:
     dE/du(eta) = sum_rho (V_rho(Du(eta - rho)) - V_rho(Du(eta))).
+    A pair potential visits each bond once instead (``_pair_gradient``).
     """
+    if isinstance(P, PairPotential):
+        return _pair_gradient(P, values)
     g = all_stencils(values, P.S)
     P.check_admissible(g)
     return scatter_bonds(P.site_gradient(g), P.S)
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the leading (component) axis."""
+    out = x[0] * x[0]
+    for xc in x[1:]:
+        out += xc * xc
+    return out
+
+
+def _pair_gradient(P: PairPotential, values: np.ndarray) -> np.ndarray:
+    """Pair-potential gradient over the positive half stencil, one visit per bond.
+
+    The bond ``b = A rho + u(xi + rho) - u(xi)`` carries the force
+    ``f = phi'(|b|) b / |b|``, which adds to ``dE/du(xi + rho)`` and
+    subtracts from ``dE/du(xi)``; the slot ``-rho`` of site ``xi + rho``
+    is the same bond.  Since ``g_{-rho}(xi) = -g_rho(xi - rho)`` exactly,
+    the half stencil's ``|g|^2`` decide admissibility as the full one's do.
+    Arrays are component-major, (d, h, sites), so every operation runs
+    over contiguous site rows.
+    """
+    cell, d = values.shape[:-1], values.shape[-1]
+    _, _, half = neighbour_plan(cell, P.S)  # (h, sites)
+    ut = values.reshape(-1, d).T
+    g = ut.take(half, axis=1) - ut[:, None, :]
+    P._require_admissible(_sq_norm(g).max(axis=1), P._half_inv_sq)
+    b = g + P._half_ref
+    f = P.phi.deriv1_over_r(_sq_norm(b)) * b
+    n_sites, idx = ut.shape[1], half.ravel()
+    out = np.empty((n_sites, d))
+    for c, fc in enumerate(f):
+        out[:, c] = np.bincount(idx, fc.ravel(), n_sites) - np.add.reduce(fc, axis=0)
+    return out.reshape(values.shape)
 
 
 def hessian_operator(P: Potential, values: np.ndarray):

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .fields import ScaledDisplacement, TrigField
+from .fields import TrigField
 from .interpolation import quasi_grad, quasi_interp, smooth_nodal_interp
 from .lattice import DisplacementField, LatticeSpec, gauss_rule_01, supercell_period, tensor_grid
 from .potentials import (
@@ -90,12 +90,10 @@ def _hat_transfer(U: TrigField, eps: float, c: float) -> DisplacementField:
 
     In micro coordinates the hat kernel multiplies mode ``m`` of ``U`` by
     ``prod_a sinc(m_a eps)^2``, so the samples are ``c U.hat_smoothed(eps)``
-    at ``eps xi``, exact up to roundoff.
+    on the grid ``eps xi`` (``TrigField.sample``), exact up to roundoff.
     """
     N = supercell_period(eps)
-    lattice = LatticeSpec(d=U.d, A=np.eye(U.d), N=N)
-    vals = c * U.hat_smoothed(eps).value(lattice.site_coords() * eps)
-    return DisplacementField(lattice, vals.reshape((N,) * U.d + (U.n_components,)))
+    return DisplacementField(LatticeSpec(d=U.d, A=np.eye(U.d), N=N), c * U.hat_smoothed(eps).sample(N))
 
 
 def make_forces(F: MacroForce, eps: float) -> DisplacementField:
@@ -245,7 +243,7 @@ def solve_cb_static(
     if M.P.d != 1:
         raise NotImplementedError("the continuum solver is one-dimensional")
     Mg = n_grid
-    Fv = F.field.value((np.arange(Mg) / Mg)[:, None])[:, 0]
+    Fv = F.field.sample(Mg)[:, 0]
 
     def evaluate(U):
         """Merit ``mean(W(U') - F U)``, residual norm and merit gradient of a state."""
@@ -334,17 +332,21 @@ def _interp_gap(u_a: DisplacementField, eps: float, q: int, exact, interp) -> fl
     """Scaled L2 gap eps^{d/2} || exact - interp(I u_a) ||_{L2(micro torus)}.
 
     ``I`` is the smoothed interpolant: the C^2 quasi-interpolant of the
-    deconvolved lattice values, which matches ``u_a`` at every site.
-    ``exact(x)`` and ``interp(w, x)`` evaluate at the points of a q-point
-    Gauss rule per lattice cell, which integrates the spline factors
-    exactly.
+    deconvolved lattice values, which matches ``u_a`` at every site.  Both
+    sides are evaluated at the points of a q-point Gauss rule per lattice
+    cell, which integrates the spline factors exactly: ``interp(w, x)`` at
+    all points at once, and ``exact(o)`` once per Gauss offset ``o``, at
+    the points ``xi + o`` of every cell ``xi``, as an array of shape
+    (N,)*d + (...) (a ``TrigField.sample`` grid).
     """
     N, d = u_a.lattice.N, u_a.lattice.d
     x1, w1 = gauss_rule_01(q)
+    offsets = tensor_grid([x1] * d)
     cells = tensor_grid([np.arange(N, dtype=float)] * d)
-    pts = (cells[:, None, :] + tensor_grid([x1] * d)).reshape(-1, d)
+    pts = (cells[:, None, :] + offsets).reshape(-1, d)
     wts = np.tile(np.prod(tensor_grid([w1] * d), axis=1), cells.shape[0])
-    diff = (exact(pts) - interp(smooth_nodal_interp(u_a), pts)).reshape(pts.shape[0], -1)
+    ex = np.stack([exact(o).reshape(cells.shape[0], -1) for o in offsets], axis=1)
+    diff = ex.reshape(pts.shape[0], -1) - interp(smooth_nodal_interp(u_a), pts).reshape(pts.shape[0], -1)
     val = float(np.sum(wts * np.sum(diff * diff, axis=-1)))
     return eps ** (d / 2.0) * math.sqrt(val)
 
@@ -354,7 +356,10 @@ def interp_gradient_gap(U: TrigField, u_a: DisplacementField, eps: float, q: int
 
     Equals the macroscopic norm || grad U - (grad I u_a)(. / eps) ||_{L2(unit torus)}.
     """
-    return _interp_gap(u_a, eps, q, ScaledDisplacement(U, eps).grad, quasi_grad)
+    N, axes = u_a.lattice.N, [tuple(a) for a in np.eye(U.d, dtype=int)]
+    return _interp_gap(
+        u_a, eps, q, lambda o: np.stack([U.sample(N, o, deriv=a) for a in axes], -1), quasi_grad
+    )
 
 
 def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 6) -> float:
@@ -362,7 +367,8 @@ def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 
 
     ``v_c(x) = V(eps x)`` (order-one fields such as velocities).
     """
-    return _interp_gap(v_a, eps, q, lambda x: V.value(x * eps), quasi_interp)
+    N = v_a.lattice.N
+    return _interp_gap(v_a, eps, q, lambda o: V.sample(N, o), quasi_interp)
 
 
 # ---------------------------------------------------------------------------

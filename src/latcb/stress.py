@@ -92,8 +92,7 @@ def _bond_gradient_table(P: Potential, u) -> np.ndarray:
     else:
         if isinstance(u, ScaledDisplacement):
             lattice = LatticeSpec(d=u.U.d, A=np.eye(u.U.d), N=u.N)
-            vals = u.value(lattice.site_coords())
-            u = DisplacementField(lattice, vals.reshape((u.N,) * u.U.d + (u.U.n_components,)))
+            u = DisplacementField(lattice, u.U.sample(u.N) / u.eps)
         if not isinstance(u, DisplacementField):
             raise TypeError(f"unsupported displacement provider: {type(u)!r}")
         g = all_stencils(u.values, P.S)

@@ -381,6 +381,43 @@ def test_unmakeable_field_returns_two(tmp_path, capsys, obj, key):
     assert not (tmp_path / "out").exists()
 
 
+def _mode(m):
+    return {"grad_amplitude": 0.005, "mode": m, "kind": "sin"}
+
+
+@pytest.mark.parametrize(
+    "obj, key, top, n_grid",
+    [
+        # sin(2 pi 8 j / 16) vanishes at every grid point: U0 would be sampled as zero
+        (_dynamic_cfg(n_grid=16, U0=_mode(8)), "U0", 8, 16),
+        (_dynamic_cfg(U1={"amplitude": 0.001, "mode": 64}), "U1", 64, 128),
+        (_static_cfg(n_grid=16, force={"mode": 8, "kind": "sin"}), "force", 8, 16),
+        ({**_static_cfg(), "params": {"force": {"mode": -128}}}, "force", 128, 256),
+    ],
+)
+def test_aliased_mode_returns_two(tmp_path, capsys, obj, key, top, n_grid):
+    path = _write_cfg(tmp_path, obj)
+    argv = [obj["experiment"], "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: config field 'params.{key}': mode {top} aliases on the continuum "
+            f"grid of n_grid = {n_grid}") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _dynamic_cfg(n_grid=16, U0=_mode(7), U1={"amplitude": 0.001, "mode": 7}),
+        _dynamic_cfg(U0=_mode(63)),
+        _static_cfg(n_grid=16, force={"mode": 7, "kind": "sin"}),
+        {**_static_cfg(), "params": {"force": {"mode": 127}}},
+    ],
+)
+def test_highest_unaliased_mode_is_accepted(obj):
+    ExperimentConfig.from_dict(obj)
+
+
 LJ_SQUARE_POT = {"variant": "pair", "d": 2, "r_cut": 2.0, "phi": {"kind": "lennard_jones"}}
 _TERMS_2D = {"terms": [[[1, 0], 0, "sin", 0.005]]}
 

@@ -1,24 +1,32 @@
-"""Gather-table stencil kernels against the ``np.roll`` reference, bit for bit.
+"""Gather-table stencil kernels against the ``np.roll`` reference.
 
 ``all_stencils``, ``gradient_array`` and the Hessian apply share one cached
-neighbour plan per (cell shape, stencil directions).  Every comparison here
-is ``np.array_equal``: the plan must reproduce the reference's floating-point
-operations in the same order, so artifacts stay byte-identical.
+neighbour plan per (cell shape, stencil directions).  The generic kernels
+(stencils, scatter, EAM and harmonic gradients, every Hessian apply) are
+compared with ``np.array_equal``: the plan must reproduce the reference's
+floating-point operations in the same order.  The pair-potential gradient
+visits each bond once on the positive half stencil, so it sums in another
+order; it is compared to a relative 1e-13 of the largest entry, against the
+roll reference and against the generic ``site_gradient`` + ``scatter_bonds``
+path, which stays the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcb.lattice import StencilSet, all_stencils, scatter_bonds
 from latcb.potentials import (
+    AdmissibilityError,
     EAMPotential,
     ExpProfile,
     HarmonicChain,
     MorseProfile,
     PairPotential,
     PolynomialEmbedding,
+    PowerLawProfile,
     gradient_array,
     hessian_operator,
     lennard_jones,
@@ -89,8 +97,67 @@ def test_gradient_and_hessian_match_roll(case, kind):
     P = _potential(kind, S)
     u = _state(rng, N, S.d)
     v = rng.standard_normal(u.shape)
-    assert np.array_equal(gradient_array(P, u), roll_gradient(P, u))
+    grad, ref = gradient_array(P, u), roll_gradient(P, u)
+    if kind == "pair":
+        assert np.max(np.abs(grad - ref)) <= _PAIR_RTOL * np.max(np.abs(ref))
+    else:
+        assert np.array_equal(grad, ref)
     assert np.array_equal(hessian_operator(P, u)(v), roll_hessian_operator(P, u)(v))
+
+
+# the half-stencil pair kernel sums each site's bond forces in another order
+_PAIR_RTOL = 1e-13
+
+_TRIANGULAR = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
+
+_PROFILES = {
+    "lj": lennard_jones(),
+    "morse": MorseProfile(),
+    # an odd power: deriv1_over_r falls back to deriv(r, 1) / r
+    "odd_power": PowerLawProfile(powers=(-9, -6), coeffs=(2.0, -3.0)),
+}
+
+
+def _generic_gradient(P, u):
+    """The generic kernel, kept as the oracle of the pair kernel."""
+    g = all_stencils(u, P.S)
+    P.check_admissible(g)
+    return scatter_bonds(P.site_gradient(g), P.S)
+
+
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
+@pytest.mark.parametrize("d, A, r_cut", [
+    (1, np.eye(1), 3.0),
+    (2, np.eye(2), 2.0),
+    (2, _TRIANGULAR, 1.5),
+    (3, np.eye(3), 1.5),
+])
+def test_pair_kernel_matches_generic_path(rng, profile, d, A, r_cut):
+    S = StencilSet.ball(d, r_cut)
+    P = PairPotential(d=d, A=A, S=S, kappa=0.25, phi=_PROFILES[profile])
+    N = {1: 64, 2: 12, 3: 6}[d]
+    u = rng.uniform(-0.04, 0.04, (N,) * d + (d,))
+    grad, ref = gradient_array(P, u), _generic_gradient(P, u)
+    assert grad.shape == ref.shape == u.shape
+    assert np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(grad - ref)) <= _PAIR_RTOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", ["nan", "above_kappa"])
+def test_pair_kernel_admissibility_matches_generic(rng, d, bad):
+    """The half-stencil check rejects what the full-stencil check rejects, in the same words."""
+    P = PairPotential(d=d, A=np.eye(d), S=StencilSet.ball(d, 2.0), kappa=0.25, phi=lennard_jones())
+    N = 8
+    u = rng.uniform(-0.01, 0.01, (N,) * d + (d,))
+    site = (3,) * d + (0,)
+    u[site] = np.nan if bad == "nan" else 0.4
+    with pytest.raises(AdmissibilityError) as generic:
+        P.check_admissible(all_stencils(u, P.S))
+    with pytest.raises(AdmissibilityError) as pair:
+        gradient_array(P, u)
+    assert str(pair.value) == str(generic.value)
+    assert ("non-finite" if bad == "nan" else "exceeds kappa") in str(pair.value)
 
 
 @settings(max_examples=30, deadline=None)

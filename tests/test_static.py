@@ -41,6 +41,7 @@ from latcb.stress import CBModel
 from conftest import eam_chain, lj_chain, lj_square, morse_chain, single_mode_load
 from dense_cb_static import solve_cb_static as dense_solve_cb_static
 from hat_quadrature import zeta_convolve
+from point_gap import point_gradient_gap, point_value_gap
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -397,6 +398,27 @@ def test_interp_gap_scales_linearly():
     zero = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.0)])
     zf = DisplacementField(ua.lattice, np.zeros_like(ua.values))
     assert interp_gradient_gap(zero, zf, eps) == 0.0
+
+
+@pytest.mark.parametrize("d, N_list", [(1, [8, 16, 64, 256]), (2, [8, 16])])
+def test_gap_metrics_match_point_oracle(rng, d, N_list):
+    """One sampled grid per Gauss offset gives the point-by-point gaps."""
+    terms = _TRANSFER_TERMS[d]
+    U = TrigField.from_terms(d, d, terms)
+    V = U.scale(-0.8)
+    for N in N_list:
+        eps = 1.0 / N
+        lattice = LatticeSpec(d=d, A=np.eye(d), N=N)
+        # the exact transfer plus a lattice-scale perturbation, so the gaps are not tiny
+        ua = DisplacementField(lattice, static._hat_transfer(U, eps, 1.0 / eps).values
+                               + 1e-3 * rng.standard_normal((N,) * d + (d,)))
+        va = DisplacementField(lattice, static._hat_transfer(V, eps, 1.0).values)
+        for q in (2, 6):
+            got, ref = interp_gradient_gap(U, ua, eps, q=q), point_gradient_gap(U, ua, eps, q=q)
+            assert got == pytest.approx(ref, rel=1e-10), (N, q)
+            got, ref = interp_value_gap(V, va, eps, q=q), point_value_gap(V, va, eps, q=q)
+            assert ref > 0.0
+            assert got == pytest.approx(ref, rel=1e-10), (N, q)
 
 
 # ---------------------------------------------------------------------------
