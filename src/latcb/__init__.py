@@ -25,11 +25,9 @@ from .potentials import (
 )
 from .interpolation import (
     zeta_eval,
-    quasi_interp,
-    quasi_grad,
+    interp_sample,
     chi_eval,
     grad_chi_eval,
-    smooth_nodal_interp,
 )
 from .stress import (
     CBModel,
@@ -76,11 +74,9 @@ __all__ = [
     "AdmissibilityError",
     "total_energy",
     "zeta_eval",
-    "quasi_interp",
-    "quasi_grad",
+    "interp_sample",
     "chi_eval",
     "grad_chi_eval",
-    "smooth_nodal_interp",
     "CBModel",
     "StressField",
     "atomistic_stress",

@@ -221,19 +221,20 @@ def solve_cb_wave(
     Mg = n_grid
     U = data.U0.sample(Mg)[:, 0]
     V = data.U1.sample(Mg)[:, 0]
-    kappa = M.P.kappa
 
     def grad_and_speed(Uv, t=0.0):
         up = _spectral_ddx(Uv)
-        mods = M.moduli(up[:, None, None])[:, 0, 0, 0, 0]
-        cmin = float(np.min(mods))
-        if cmin <= 0.0:
-            raise SolverError(
-                f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t:.6g}"
-            )
-        if float(np.max(np.abs(up))) >= kappa:
+        try:
+            M.P.check_admissible(M.homogeneous_stencil(up[:, None, None]), "continuum gradient")
+        except AdmissibilityError as exc:
             raise SolverError(
                 f"continuum gradient left the admissible region at T={t:.6g}"
+            ) from exc
+        mods = M.moduli(up[:, None, None])[:, 0, 0, 0, 0]
+        cmin = float(np.min(mods))
+        if not cmin > 0.0:
+            raise SolverError(
+                f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t:.6g}"
             )
         return up, float(np.sqrt(np.max(mods)))
 

@@ -1,4 +1,4 @@
-"""Band-limited periodic fields on the unit torus and their scaled views.
+"""Band-limited periodic fields on the unit torus.
 
 Continuum data (macroscopic displacements, forces, wave snapshots) are
 represented as finite trigonometric sums
@@ -8,8 +8,6 @@ represented as finite trigonometric sums
 which gives exact derivatives of any order, exact Sobolev norms and exact
 convolutions with the hat kernel (the transfer to lattice sites), so the
 convergence experiments are not polluted by an extra discretization layer.
-``ScaledDisplacement`` exposes the microscopic view
-``u(x) = eps^-1 U(eps x)`` consumed by the lattice-side machinery.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import supercell_period
-
-__all__ = ["TrigField", "ScaledDisplacement"]
+__all__ = ["TrigField"]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -154,31 +150,6 @@ class TrigField:
         np.add.at(spec, tuple(np.mod(self.modes, N).T), coeff)
         return np.real(np.fft.ifftn(spec, axes=axes)) * float(N) ** self.d
 
-    def value(self, X) -> np.ndarray:
-        return self.eval(X)
-
-    def grad(self, X) -> np.ndarray:
-        """Gradient, shape (..., m, d)."""
-        X = np.asarray(X, dtype=float)
-        cols = []
-        for axis in range(self.d):
-            order = tuple(1 if a == axis else 0 for a in range(self.d))
-            cols.append(self.eval(X, deriv=order))
-        return np.stack(cols, axis=-1)
-
-    def hess(self, X) -> np.ndarray:
-        """Second derivatives, shape (..., m, d, d)."""
-        X = np.asarray(X, dtype=float)
-        m = self.n_components
-        out = np.empty(np.shape(X)[:-1] + (m, self.d, self.d))
-        for a in range(self.d):
-            for b in range(a, self.d):
-                order = tuple((1 if c == a else 0) + (1 if c == b else 0) for c in range(self.d))
-                val = self.eval(X, deriv=order)
-                out[..., :, a, b] = val
-                out[..., :, b, a] = val
-        return out
-
     # -- norms --------------------------------------------------------------
 
     def sobolev_norm(self, s: float) -> float:
@@ -218,35 +189,3 @@ class TrigField:
         """
         mult = np.prod(np.sinc(self.modes * h) ** 2, axis=1)
         return TrigField(self.d, self.modes.copy(), self.amps * mult[:, None])
-
-
-@dataclass
-class ScaledDisplacement:
-    """Microscopic view u(x) = eps^-1 U(eps x) of a macroscopic field.
-
-    The view is periodic over the micro supercell of period 1/eps and
-    provides values and derivatives in micro coordinates:
-    grad u(x) = (grad U)(eps x), hess u(x) = eps (hess U)(eps x).
-    """
-
-    U: TrigField
-    eps: float
-
-    def __post_init__(self):
-        supercell_period(self.eps)
-
-    @property
-    def N(self) -> int:
-        return supercell_period(self.eps)
-
-    def value(self, x) -> np.ndarray:
-        return self.U.value(np.asarray(x, float) * self.eps) / self.eps
-
-    def __call__(self, x) -> np.ndarray:
-        return self.value(x)
-
-    def grad(self, x) -> np.ndarray:
-        return self.U.grad(np.asarray(x, float) * self.eps)
-
-    def hess(self, x) -> np.ndarray:
-        return self.U.hess(np.asarray(x, float) * self.eps) * self.eps

@@ -72,21 +72,37 @@ def _period(v) -> int:
         return 0
 
 
+# spacing of the instability demo when params.eps is absent
+_DEMO_EPS = 1.0 / 64.0
+
 # (key, experiments whose runner reads it, type, check, rule): a value that
-# fails here would crash the solver, so it is a configuration error (exit 2)
+# fails here would crash the solver, so it is a configuration error (exit 2);
+# the check sees the value and the params block, a list value must hold
+# finite numbers
 _PARAM_RULES = (
-    ("cfl", ("dynamic-converge", "instability-demo"), float, lambda v: v > 0, "must be > 0"),
-    ("T", ("dynamic-converge",), float, lambda v: v > 0, "must be > 0"),
-    ("n_snap", ("dynamic-converge",), int, lambda v: v >= 2, "must be an integer >= 2"),
+    ("cfl", ("dynamic-converge", "instability-demo"), float, lambda v, p: v > 0, "must be > 0"),
+    ("T", ("dynamic-converge",), float, lambda v, p: v > 0, "must be > 0"),
+    ("n_snap", ("dynamic-converge",), int, lambda v, p: v >= 2, "must be an integer >= 2"),
     ("n_grid", ("static-converge", "dynamic-converge"), int,
-     lambda v: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
-    ("n_grid", ("stability",), int, lambda v: v >= 8, "must be an integer >= 8"),
-    ("solver_tol", ("static-converge",), float, lambda v: v > 0, "must be > 0"),
-    ("delta", ("static-converge",), float, lambda v: v > 0, "must be > 0"),
+     lambda v, p: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
+    ("n_grid", ("stability",), int, lambda v, p: v >= 8, "must be an integer >= 8"),
+    ("eigenprobe_N", ("stability",), int, lambda v, p: v >= 4 and v % 2 == 0,
+     "must be an even integer >= 4"),
+    ("n_k", ("dispersion",), int, lambda v, p: v >= 1, "must be an integer >= 1"),
+    ("n_per_cell", ("stress-consistency",), int, lambda v, p: v >= 1, "must be an integer >= 1"),
+    ("solver_tol", ("static-converge",), float, lambda v, p: v > 0, "must be > 0"),
+    ("delta", ("static-converge",), float, lambda v, p: v > 0, "must be > 0"),
     ("quadrature", ("static-converge", "dynamic-converge"), int,
-     lambda v: v >= 1, "must be an integer >= 1"),
-    ("eps", ("instability-demo",), float, lambda v: _period(v) >= 4 and _period(v) % 2 == 0,
+     lambda v, p: v >= 1, "must be an integer >= 1"),
+    ("eps", ("instability-demo",), float, lambda v, p: _period(v) >= 4 and _period(v) % 2 == 0,
      "must be 1/N for an even integer N >= 4"),
+    ("window_start", ("instability-demo",), float,
+     lambda v, p: 0 <= v < 3.0 * abs(math.log(p.get("eps", _DEMO_EPS))),
+     "must be >= 0 and below the window end 3 |log eps|"),
+    ("a_unstable", ("instability-demo",), list, lambda v, p: len(v) == 2,
+     "must be two finite numbers [a1, a2]"),
+    ("a_stable", ("instability-demo",), list, lambda v, p: len(v) == 2,
+     "must be two finite numbers [a1, a2]"),
 )
 
 # continuum grid of each converge experiment when params.n_grid is absent
@@ -227,7 +243,9 @@ class ExperimentConfig:
             if self.experiment not in experiments or key not in self.params:
                 continue
             v = self.params[key]
-            if not _is_number(v) or (kind is int and v != int(v)) or not ok(v):
+            typed = (isinstance(v, list) and all(map(_is_number, v)) if kind is list
+                     else _is_number(v) and (kind is not int or v == int(v)))
+            if not typed or not ok(v, self.params):
                 raise _field_error(f"params.{key}", f"{rule}; got {v!r}")
         fields = {}
         if self.experiment == "static-converge":
@@ -568,7 +586,7 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
 def _run_instability_demo(cfg: ExperimentConfig, workers: int):
     """exponential growth of the unstable chain vs its stable continuum"""
     params = cfg.params
-    eps = float(params.get("eps", 1.0 / 64.0))
+    eps = float(params.get("eps", _DEMO_EPS))
     rep = instability_demo(
         eps,
         a_unstable=tuple(params.get("a_unstable", (-1.0, 0.5))),

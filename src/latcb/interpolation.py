@@ -4,9 +4,11 @@ Three ingredients:
 
 * the tensor-product hat basis ``zeta``, whose lattice combinations are the
   periodic multilinear (P1/Q1) interpolants,
-* the quasi-interpolant obtained by convolving the interpolant with ``zeta``
-  once more, which is C^2 (a tensor cubic B-spline filter) and is inverted
-  exactly on the lattice by a periodic deconvolution,
+* the smoothed interpolant: the interpolant of the deconvolved lattice
+  values convolved with ``zeta`` once more, a C^2 tensor cubic B-spline
+  quasi-interpolant that matches the lattice values at every site;
+  ``interp_sample`` evaluates it, or a first partial, on a whole shifted
+  grid with one FFT pair, as ``TrigField.sample`` does for continuum fields,
 * bond localization kernels ``chi_{xi,rho}(x) = int_0^1 zeta(xi + t rho - x) dt``
   that smear a bond over its line segment and underpin the atomistic stress.
 
@@ -16,19 +18,19 @@ are applied to, so kernel identities hold to machine precision.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
-from .lattice import DisplacementField, as_direction, gauss_rule_01, tensor_grid
+from .lattice import DisplacementField, as_direction, gauss_rule_01
 
 __all__ = [
     "zeta_eval",
     "hat",
     "b3",
     "b3_prime",
-    "quasi_interp",
-    "quasi_grad",
-    "b3_filter",
-    "smooth_nodal_interp",
+    "interp_sample",
     "chi_eval",
     "grad_chi_eval",
 ]
@@ -82,89 +84,50 @@ def zeta_eval(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quasi-interpolation (B-spline filter) and deconvolution
+# smoothed interpolant on shifted grids
 # ---------------------------------------------------------------------------
 
-_B3_OFFSETS = np.array([-1, 0, 1, 2])
+@lru_cache(maxsize=256)
+def _sample_symbol(N: int, n_modes: int, s: float, order: int) -> np.ndarray:
+    """Modes 0..n_modes-1 of one axis's multiplier in ``interp_sample`` (read-only).
 
-
-def _b3_window(u: DisplacementField, x: np.ndarray):
-    """The 4^d sites ``xi`` whose B-spline reaches each point of ``x`` (..., d).
-
-    Returns ``(x - xi, u(xi))``, shapes (..., 4^d, d) and (..., 4^d, d).
+    The sites ``j = floor(s) + (-1, 0, 1, 2)`` reach the offset ``s`` with
+    the taps ``b3(s - j)`` (``b3_prime`` for a first partial); the 4-tap
+    symbol over the symbol ``2/3 + cos(k)/3`` of the filter [1/6, 2/3, 1/6].
+    Cached: the gap metrics ask for the same few offsets on every snapshot.
     """
-    xi = np.floor(x).astype(int)[..., None, :] + tensor_grid([_B3_OFFSETS] * u.lattice.d)
-    return x[..., None, :] - xi, u.site_values(xi)
-
-
-def quasi_interp(u: DisplacementField, x) -> np.ndarray:
-    """C^2 quasi-interpolant: the multilinear interpolant convolved with zeta.
-
-    Equals ``sum_xi u(xi) prod_alpha b3(x_alpha - xi_alpha)`` and reproduces
-    affine functions; pointwise it is a local average, e.g. a unit impulse
-    at the origin yields the value 2/3 there.
-    """
-    args, vals = _b3_window(u, np.asarray(x, dtype=float))
-    w = np.prod(b3(args), axis=-1)  # (..., 4^d)
-    return np.sum(w[..., None] * vals, axis=-2)
-
-
-def quasi_grad(u: DisplacementField, x) -> np.ndarray:
-    """Gradient of the quasi-interpolant, shape (..., d, d), C^1 in x."""
-    x = np.asarray(x, dtype=float)
-    d = u.lattice.d
-    args, vals = _b3_window(u, x)
-    B = b3(args)
-    Bp = b3_prime(args)
-    out = np.zeros(x.shape[:-1] + (d, d))
-    for alpha in range(d):
-        others = [b for b in range(d) if b != alpha]
-        w = Bp[..., alpha] * (np.prod(B[..., others], axis=-1) if others else 1.0)
-        out[..., :, alpha] = np.sum(w[..., None] * vals, axis=-2)
+    j = math.floor(s) + np.arange(-1, 3)
+    taps = (b3_prime if order else b3)(s - j)
+    k = 2.0 * np.pi * np.arange(n_modes) / N
+    out = np.exp(1j * k[:, None] * j) @ taps / (2.0 / 3.0 + np.cos(k) / 3.0)
+    out.flags.writeable = False
     return out
 
 
-def b3_filter(values: np.ndarray) -> np.ndarray:
-    """Periodic B-spline filter [1/6, 2/3, 1/6] applied along every lattice axis.
+def interp_sample(u: DisplacementField, shift=0.0, deriv: tuple | None = None) -> np.ndarray:
+    """The smoothed interpolant of ``u``, or one first partial, on the grid ``xi + shift``.
 
-    This is the lattice restriction of the quasi-interpolant:
-    ``quasi_interp(u, xi) = b3_filter(u.values)[xi]`` at every site ``xi``.
+    The smoothed interpolant ``I u(x) = sum_xi w(xi) prod_a b3(x_a - xi_a)``
+    is the C^2 cubic B-spline quasi-interpolant of the values ``w`` whose
+    B-spline filter [1/6, 2/3, 1/6] per axis gives back ``u``, so it matches
+    ``u`` at every site.  ``shift`` (a scalar or a d-vector) and ``deriv``
+    (None, or the order per axis with at most one 1) follow
+    ``TrigField.sample``; the result has shape (N,)*d + (d,).  The grid is
+    a circular correlation of ``w`` with 4 B-spline taps per axis: one real
+    FFT of ``u``, a multiplier per axis and one inverse FFT.
     """
-    d = values.ndim - 1
-    out = values
-    for axis in range(d):
-        out = (2.0 / 3.0) * out + (1.0 / 6.0) * (
-            np.roll(out, 1, axis=axis) + np.roll(out, -1, axis=axis)
-        )
-    return out
-
-
-def _b3_symbol(N: int) -> np.ndarray:
-    """Fourier symbol of the B-spline filter on Z_N: 2/3 + (1/3) cos(2 pi m / N)."""
-    k = 2.0 * np.pi * np.arange(N) / N
-    return 2.0 / 3.0 + np.cos(k) / 3.0
-
-
-def smooth_nodal_interp(u: DisplacementField) -> DisplacementField:
-    """Preimage of ``u`` under the lattice B-spline filter.
-
-    Returns the periodic lattice function ``w`` with
-    ``b3_filter(w.values) = u.values``; the filter symbol
-    ``prod_alpha (2/3 + cos(k_alpha)/3)`` is strictly positive, so the
-    deconvolution is well posed with a modest condition number (<= 3 per
-    axis).  ``quasi_interp(w, .)`` is then a C^2 field that matches ``u``
-    at every lattice site.
-    """
-    d = u.lattice.d
-    N = u.lattice.N
-    spec = np.fft.fftn(u.values, axes=tuple(range(d)))
-    sym = _b3_symbol(N)
-    for axis in range(d):
-        shape = [1] * (d + 1)
-        shape[axis] = N
-        spec = spec / sym.reshape(shape)
-    vals = np.real(np.fft.ifftn(spec, axes=tuple(range(d))))
-    return DisplacementField(u.lattice, vals)
+    d, N = u.lattice.d, u.lattice.N
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
+    orders = (0,) * d if deriv is None else tuple(deriv)
+    if len(orders) != d or any(o not in (0, 1) for o in orders) or sum(orders) > 1:
+        raise ValueError(f"deriv must give d = {d} orders with at most one 1, got {deriv!r}")
+    axes = tuple(range(d))
+    spec = np.fft.rfftn(u.values, axes=axes)
+    for axis, (s, order) in enumerate(zip(shift, orders)):
+        mult = _sample_symbol(N, spec.shape[axis], float(s), order)
+        # shape (n_modes, 1, ..., 1) broadcasts along ``axis`` of the spectrum
+        spec = spec * mult.reshape((-1,) + (1,) * (d - axis))
+    return np.fft.irfftn(spec, s=(N,) * d, axes=axes)
 
 
 # ---------------------------------------------------------------------------

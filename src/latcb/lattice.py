@@ -26,7 +26,6 @@ __all__ = [
     "as_direction",
     "all_stencils",
     "scatter_bonds",
-    "stencil_sup_norm",
     "gauss_rule_01",
 ]
 
@@ -197,12 +196,6 @@ class DisplacementField:
     def zeros(cls, lattice: LatticeSpec) -> "DisplacementField":
         return cls(lattice, np.zeros((lattice.N,) * lattice.d + (lattice.d,)))
 
-    def site_values(self, xi: np.ndarray) -> np.ndarray:
-        """Periodic lookup u(xi) for an integer site batch of shape (..., d)."""
-        xi = np.asarray(xi, dtype=int)
-        idx = np.mod(xi, self.lattice.N)
-        return self.values[tuple(np.moveaxis(idx, -1, 0))]
-
     def copy(self) -> "DisplacementField":
         return DisplacementField(self.lattice, self.values.copy())
 
@@ -283,17 +276,6 @@ def scatter_bonds(Vr: np.ndarray, S: StencilSet) -> np.ndarray:
     terms = np.take(Vr.reshape(-1, d), scatter, axis=0)
     terms -= Vr.reshape(-1, S.n, d).swapaxes(0, 1)
     return terms.sum(axis=0).reshape(cell + (d,))
-
-
-def stencil_sup_norm(g: np.ndarray, S: StencilSet) -> float:
-    """Scaled stencil sup norm max_rho |g_rho| / |rho| over a stencil batch.
-
-    ``g`` has shape (..., n, d); the norm is taken over all leading axes.
-    It is formed as admissibility checks form it, as the square root of
-    the largest ``|g_rho|^2 / |rho|^2``.
-    """
-    g = np.asarray(g, dtype=float)
-    return math.sqrt(float(np.max(np.sum(g * g, axis=-1) * S.inv_sq_norms)))
 
 
 # ---------------------------------------------------------------------------

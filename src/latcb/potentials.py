@@ -247,19 +247,19 @@ class Potential:
 
         Non-finite stencils are rejected for every kappa, infinite included.
         """
-        sq = np.sum(g * g, axis=-1).reshape(-1, self.S.n)
-        self._require_admissible(sq.max(axis=0), self.S.inv_sq_norms, context)
+        self._require_admissible(np.sum(g * g, axis=-1), self.S.inv_sq_norms, context)
 
-    def _require_admissible(self, sq_max: np.ndarray, inv_sq: np.ndarray,
+    def _require_admissible(self, sq: np.ndarray, inv_sq: np.ndarray,
                             context: str = "") -> None:
-        """The admissibility rule, from the largest squared difference per slot.
+        """The admissibility rule, from squared differences per slot.
 
-        ``inv_sq`` holds ``1 / |rho|^2`` of the same slots; the scaled norm
-        is the square root of the largest ``sq_max * inv_sq``.  Maxima
-        propagate NaN, so a non-finite site makes the norm NaN and the state
-        is rejected.
+        ``sq`` holds squared differences ``|g_rho|^2`` along its last axis,
+        per site or already maximised over the sites; ``inv_sq`` holds
+        ``1 / |rho|^2`` of the same slots.  The scaled norm is the square
+        root of the largest ``sq * inv_sq``.  Maxima propagate NaN, so a
+        non-finite site makes the norm NaN and the state is rejected.
         """
-        nrm = math.sqrt(float((sq_max * inv_sq).max()))
+        nrm = math.sqrt(float((sq * inv_sq).max()))
         if not math.isfinite(nrm):
             problem = f"non-finite stencil norm {nrm}"
         elif not nrm <= self.kappa:

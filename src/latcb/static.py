@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fields import TrigField
-from .interpolation import quasi_grad, quasi_interp, smooth_nodal_interp
+from .interpolation import interp_sample
 from .lattice import DisplacementField, LatticeSpec, gauss_rule_01, supercell_period, tensor_grid
 from .potentials import (
     AdmissibilityError,
@@ -245,18 +245,21 @@ def solve_cb_static(
     Mg = n_grid
     Fv = F.field.sample(Mg)[:, 0]
 
+    def admissible_grad(U):
+        """``U'`` of a state, which must pass the lattice's admissibility rule."""
+        up = _spectral_ddx(U)
+        M.P.check_admissible(M.homogeneous_stencil(up[:, None, None]), "continuum gradient")
+        return up
+
     def evaluate(U):
         """Merit ``mean(W(U') - F U)``, residual norm and merit gradient of a state."""
-        up = _spectral_ddx(U)
+        up = admissible_grad(U)
         R = -_spectral_ddx(M.stress(up[:, None, None])[:, 0, 0]) - Fv
         merit = float(np.mean(M.energy_density(up[:, None, None]) - Fv * U))
         return merit, float(np.sqrt(np.mean(R * R))), R / Mg
 
     def hessian(U):
-        up = _spectral_ddx(U)
-        if float(np.max(np.abs(up))) >= M.P.kappa:
-            raise AdmissibilityError("the continuum gradient reached kappa")
-        mod = M.moduli(up[:, None, None])[:, 0, 0, 0, 0] / Mg
+        mod = M.moduli(admissible_grad(U)[:, None, None])[:, 0, 0, 0, 0] / Mg
         return lambda v: -_spectral_ddx(mod * _spectral_ddx(v))
 
     # the spectral derivative annihilates the mean and, on even grids, the
@@ -329,25 +332,20 @@ def solve_atomistic_static(
 # ---------------------------------------------------------------------------
 
 def _interp_gap(u_a: DisplacementField, eps: float, q: int, exact, interp) -> float:
-    """Scaled L2 gap eps^{d/2} || exact - interp(I u_a) ||_{L2(micro torus)}.
+    """Scaled L2 gap eps^{d/2} || u_c - I u_a ||_{L2(micro torus)} of a field or its gradient.
 
-    ``I`` is the smoothed interpolant: the C^2 quasi-interpolant of the
-    deconvolved lattice values, which matches ``u_a`` at every site.  Both
-    sides are evaluated at the points of a q-point Gauss rule per lattice
-    cell, which integrates the spline factors exactly: ``interp(w, x)`` at
-    all points at once, and ``exact(o)`` once per Gauss offset ``o``, at
-    the points ``xi + o`` of every cell ``xi``, as an array of shape
-    (N,)*d + (...) (a ``TrigField.sample`` grid).
+    ``I`` is the smoothed interpolant (``interp_sample``), which matches
+    ``u_a`` at every site.  The integral is a q-point Gauss rule per lattice
+    cell, which integrates the spline factors exactly: ``exact(o)`` and
+    ``interp(o)`` sample both sides at the points ``xi + o`` of every cell
+    ``xi`` for one Gauss offset ``o``, as arrays of the same shape.
     """
-    N, d = u_a.lattice.N, u_a.lattice.d
+    d = u_a.lattice.d
     x1, w1 = gauss_rule_01(q)
-    offsets = tensor_grid([x1] * d)
-    cells = tensor_grid([np.arange(N, dtype=float)] * d)
-    pts = (cells[:, None, :] + offsets).reshape(-1, d)
-    wts = np.tile(np.prod(tensor_grid([w1] * d), axis=1), cells.shape[0])
-    ex = np.stack([exact(o).reshape(cells.shape[0], -1) for o in offsets], axis=1)
-    diff = ex.reshape(pts.shape[0], -1) - interp(smooth_nodal_interp(u_a), pts).reshape(pts.shape[0], -1)
-    val = float(np.sum(wts * np.sum(diff * diff, axis=-1)))
+    val = 0.0
+    for o, w in zip(tensor_grid([x1] * d), np.prod(tensor_grid([w1] * d), axis=1)):
+        diff = exact(o) - interp(o)
+        val += w * float(np.sum(diff * diff))
     return eps ** (d / 2.0) * math.sqrt(val)
 
 
@@ -357,9 +355,9 @@ def interp_gradient_gap(U: TrigField, u_a: DisplacementField, eps: float, q: int
     Equals the macroscopic norm || grad U - (grad I u_a)(. / eps) ||_{L2(unit torus)}.
     """
     N, axes = u_a.lattice.N, [tuple(a) for a in np.eye(U.d, dtype=int)]
-    return _interp_gap(
-        u_a, eps, q, lambda o: np.stack([U.sample(N, o, deriv=a) for a in axes], -1), quasi_grad
-    )
+    return _interp_gap(u_a, eps, q,
+                       lambda o: np.stack([U.sample(N, o, deriv=a) for a in axes], -1),
+                       lambda o: np.stack([interp_sample(u_a, o, deriv=a) for a in axes], -1))
 
 
 def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 6) -> float:
@@ -367,8 +365,8 @@ def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 
 
     ``v_c(x) = V(eps x)`` (order-one fields such as velocities).
     """
-    N = v_a.lattice.N
-    return _interp_gap(v_a, eps, q, lambda o: V.sample(N, o), quasi_interp)
+    return _interp_gap(v_a, eps, q, lambda o: V.sample(v_a.lattice.N, o),
+                       lambda o: interp_sample(v_a, o))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScaledDisplacement, TrigField
+from .fields import TrigField
 from .interpolation import chi_eval, grad_chi_eval
-from .lattice import DisplacementField, LatticeSpec, all_stencils, tensor_grid
+from .lattice import DisplacementField, LatticeSpec, all_stencils, supercell_period, tensor_grid
 from .potentials import Potential
 
 __all__ = [
@@ -84,18 +84,14 @@ def _bond_gradient_table(P: Potential, u) -> np.ndarray:
     """Per-site bond gradients V_rho(Du(xi)), shape (N,)*d + (n, d).
 
     The table is periodic in the site.  An affine map has the same stencil
-    at every site, so its table is a single cell (N = 1); a smooth
-    ``ScaledDisplacement`` is sampled at the sites of its supercell.
+    at every site, so its table is a single cell (N = 1).
     """
     if isinstance(u, AffineDisplacement):
         g = CBModel(P).homogeneous_stencil(u.F)[(None,) * P.d]
-    else:
-        if isinstance(u, ScaledDisplacement):
-            lattice = LatticeSpec(d=u.U.d, A=np.eye(u.U.d), N=u.N)
-            u = DisplacementField(lattice, u.U.sample(u.N) / u.eps)
-        if not isinstance(u, DisplacementField):
-            raise TypeError(f"unsupported displacement provider: {type(u)!r}")
+    elif isinstance(u, DisplacementField):
         g = all_stencils(u.values, P.S)
+    else:
+        raise TypeError(f"unsupported displacement provider: {type(u)!r}")
     P.check_admissible(g)
     return P.site_gradient(g)
 
@@ -175,33 +171,29 @@ class StressField:
 def atomistic_stress(P: Potential, u) -> StressField:
     """Localized atomistic stress field of a displacement.
 
-    ``u`` may be a periodic ``DisplacementField``, a free-space
-    ``AffineDisplacement``, or a smooth ``ScaledDisplacement`` (restricted
-    to the lattice).  The returned field evaluates
+    ``u`` may be a periodic ``DisplacementField`` or a free-space
+    ``AffineDisplacement``.  The returned field evaluates
 
         S(x) = sum_xi sum_rho V_rho(Du(xi)) (x) rho  chi_{xi, rho}(x).
     """
     return StressField(P=P, table=_bond_gradient_table(P, u))
 
 
-def div_cb_stress(M: CBModel, u, x) -> np.ndarray:
-    """Pointwise divergence of the Cauchy-Born stress of a smooth field.
+def div_cb_stress(M: CBModel, F: np.ndarray, H2: np.ndarray) -> np.ndarray:
+    """Divergence of the Cauchy-Born stress of a smooth field from its derivatives.
 
-    ``u`` must provide ``grad`` (d, d) and ``hess`` (d, d, d) evaluations;
-    div S(x)_i = sum_{rho sigma} (V_{rho sigma})_{ij} rho . (hess u_j) . sigma.
+    The arrays ``F`` (..., d, d) hold the gradients ``F[i, alpha] = d_alpha u_i``
+    and ``H2`` (..., d, d, d) the second derivatives ``H2[j, p, q] = d_p d_q u_j``;
+    div S_i = sum_{rho sigma} (V_{rho sigma})_{ij} rho . (hess u_j) . sigma.
+    Returns shape (..., d).
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(-1, x.shape[-1])
-    F = u.grad(pts)  # (K, d, d)
-    H2 = u.hess(pts)  # (K, d, d, d)
-    g = M.homogeneous_stencil(F)
+    d = M.P.d
+    g = M.homogeneous_stencil(F.reshape(-1, d, d))
     M.P.check_admissible(g)
     blocks = M.P.site_hessian(g)  # (K, n, d, n, d)
     dirs = M.P.S.directions.astype(float)
-    t = np.einsum("ap,kjpq,bq->kabj", dirs, H2, dirs)
-    out = np.einsum("kaibj,kabj->ki", blocks, t)
-    return out[0] if single else out.reshape(x.shape[:-1] + (x.shape[-1],))
+    t = np.einsum("ap,kjpq,bq->kabj", dirs, H2.reshape(-1, d, d, d), dirs)
+    return np.einsum("kaibj,kabj->ki", blocks, t).reshape(F.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +209,35 @@ def stress_consistency_field(
 ) -> dict:
     """Pointwise gap between atomistic and Cauchy-Born stress fields.
 
-    The macroscopic displacement ``U`` is viewed at scale ``eps`` and
-    restricted to the lattice; both stress fields are compared on a
-    staggered grid with ``n_per_cell`` points per lattice cell and axis.
-    The divergence gap is reported in macroscopic scaling (divided by
-    ``eps``), matching the second-order consistency claim; the raw
-    microscopic divergence gap is one order smaller.
+    The macroscopic displacement ``U`` is viewed at scale ``eps``,
+    ``u(x) = U(eps x) / eps``, and restricted to the lattice; both stress
+    fields are compared on a staggered grid with ``n_per_cell`` points per
+    lattice cell and axis, where ``grad u = (grad U)(eps x)`` and
+    ``hess u = eps (hess U)(eps x)`` are ``TrigField.sample`` grids.  The
+    divergence gap is reported in macroscopic scaling (divided by ``eps``),
+    matching the second-order consistency claim; the raw microscopic
+    divergence gap is one order smaller.
 
     Returns a dict with ``err_stress`` = max |S^a - S^c| and
     ``err_div`` = max |div S^a - div S^c| / eps over the grid.
     """
-    su = ScaledDisplacement(U, eps)
+    d, N = U.d, supercell_period(eps)
+    n = N * n_per_cell
     offsets = (np.arange(n_per_cell) + 0.5) / n_per_cell
-    pts = tensor_grid([np.add.outer(np.arange(su.N, dtype=float), offsets).ravel()] * U.d)
+    pts = tensor_grid([np.add.outer(np.arange(N, dtype=float), offsets).ravel()] * d)
+    E = np.eye(d, dtype=int)
+    F = np.stack([U.sample(n, 0.5, deriv=tuple(e)) for e in E], -1).reshape(-1, d, d)
+    H2 = eps * np.stack([np.stack([U.sample(n, 0.5, deriv=tuple(a + b)) for b in E], -1)
+                         for a in E], -2).reshape(-1, d, d, d)
 
-    field = atomistic_stress(P, su)
+    u = DisplacementField(LatticeSpec(d=d, A=np.eye(d), N=N), U.sample(N) / eps)
+    field = atomistic_stress(P, u)
     Sa = field.eval(pts)
-    Sc = M.stress(su.grad(pts))
+    Sc = M.stress(F)
     err_stress = float(np.max(np.abs(Sa - Sc)))
 
     diva = field.div(pts)
-    divc = div_cb_stress(M, su, pts)
+    divc = div_cb_stress(M, F, H2)
     err_div = float(np.max(np.abs(diva - divc))) / eps
 
     return {

@@ -45,7 +45,7 @@ def solve_cb_static(
         raise NotImplementedError("the continuum solver is one-dimensional")
     Mg = n_grid
     X = np.arange(Mg) / Mg
-    Fv = F.field.value(X[:, None])[:, 0]
+    Fv = F.field.eval(X[:, None])[:, 0]
     D = _spectral_derivative_matrix(Mg)
     kappa = M.P.kappa
 

@@ -35,6 +35,7 @@ from latcb.potentials import HarmonicChain
 
 from conftest import lj_chain, lj_square, random_displacement, single_mode_load
 from hat_quadrature import zeta_convolve
+from point_gap import trig_grad
 from test_interpolation import _kernel_identity_violations, _trig_test_field
 from test_potentials import _variants
 from test_stress import _trig_velocity, weak_form_mismatch
@@ -70,10 +71,10 @@ def test_c02_localization_formula():
             xi = rng.integers(0, 8, size=d).astype(float)
 
             def v_fn(x):
-                return Vf.value(np.asarray(x) / L)
+                return Vf.eval(np.asarray(x) / L)
 
             def dv_fn(x):
-                return (Vf.grad(np.asarray(x) / L) @ rho) / L
+                return (trig_grad(Vf, np.asarray(x) / L) @ rho) / L
 
             pts = xi[None, :] + tg[:, None] * rho
             inner = zeta_convolve(dv_fn, pts, n_components=1, q=10)

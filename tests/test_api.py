@@ -32,8 +32,7 @@ PACKAGE_API = [
     "LatticeSpec", "StencilSet", "DisplacementField",
     "Potential", "PairPotential", "EAMPotential", "HarmonicChain", "AdmissibilityError",
     "total_energy",
-    "zeta_eval", "quasi_interp", "quasi_grad", "chi_eval", "grad_chi_eval",
-    "smooth_nodal_interp",
+    "zeta_eval", "interp_sample", "chi_eval", "grad_chi_eval",
     "CBModel", "StressField", "atomistic_stress", "div_cb_stress", "stress_consistency_field",
     "DispersionSpectrum", "dynamical_symbol", "dispersion_spectrum", "stability_constant",
     "legendre_hadamard_min", "instability_eigenprobe",
@@ -56,15 +55,14 @@ MODULE_API = {
         "InitialData", "Trajectory", "CBWaveTrajectory", "make_initial_data",
         "integrate_atomistic", "solve_cb_wave", "dynamic_error_sweep", "instability_demo",
     ],
-    "fields": ["TrigField", "ScaledDisplacement"],
+    "fields": ["TrigField"],
     "harness": ["EXPERIMENTS", "ConfigError", "ExperimentConfig", "RateReport", "fit_rate", "run"],
     "interpolation": [
-        "zeta_eval", "hat", "b3", "b3_prime", "quasi_interp", "quasi_grad", "b3_filter",
-        "smooth_nodal_interp", "chi_eval", "grad_chi_eval",
+        "zeta_eval", "hat", "b3", "b3_prime", "interp_sample", "chi_eval", "grad_chi_eval",
     ],
     "lattice": [
         "tensor_grid", "supercell_period", "LatticeSpec", "StencilSet", "DisplacementField", "as_direction",
-        "all_stencils", "scatter_bonds", "stencil_sup_norm", "gauss_rule_01",
+        "all_stencils", "scatter_bonds", "gauss_rule_01",
     ],
     "potentials": [
         "AdmissibilityError", "RadialProfile", "PowerLawProfile", "MorseProfile", "ExpProfile",

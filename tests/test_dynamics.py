@@ -28,6 +28,7 @@ from latcb.stress import CBModel
 
 from conftest import lj_chain
 from hat_quadrature import zeta_convolve
+from point_gap import trig_grad
 
 AMP = 0.05 / (2.0 * np.pi)  # unit-torus sin amplitude with gradient sup 0.05
 
@@ -54,17 +55,17 @@ def _zero_field():
 def test_make_initial_data_scaling():
     data = InitialData(_sin_field(), TrigField.from_terms(1, 1, [((1,), 0, "cos", 0.03)]))
     X = (np.arange(512) / 512)[:, None]
-    assert np.max(np.abs(data.U0.grad(X))) == pytest.approx(0.05, rel=1e-6)
+    assert np.max(np.abs(trig_grad(data.U0, X))) == pytest.approx(0.05, rel=1e-6)
     eps = 1.0 / 8.0
     u0, v0 = make_initial_data(data, eps)
     assert u0.values.shape == (8, 1) and v0.values.shape == (8, 1)
     lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
     sites = lattice.site_coords().astype(float)
     # velocities are order one: smeared samples of U1(eps x), no eps factor
-    expect_v = zeta_convolve(lambda x: data.U1.value(np.asarray(x) * eps), sites,
+    expect_v = zeta_convolve(lambda x: data.U1.eval(np.asarray(x) * eps), sites,
                              n_components=1)
     np.testing.assert_allclose(v0.values, expect_v.reshape(8, 1), atol=1e-14)
-    expect_u = zeta_convolve(lambda x: data.U0.value(np.asarray(x) * eps) / eps, sites,
+    expect_u = zeta_convolve(lambda x: data.U0.eval(np.asarray(x) * eps) / eps, sites,
                              n_components=1)
     np.testing.assert_allclose(u0.values, expect_u.reshape(8, 1), atol=1e-12)
 
@@ -188,9 +189,9 @@ def test_cb_wave_dalembert_standing_wave():
     X = (np.arange(64) / 64.0)[:, None]
     for t, Uj, Vj in zip(cb.times, cb.U, cb.V):
         expect = AMP * np.sin(2.0 * np.pi * X[:, 0]) * np.cos(2.0 * np.pi * t)
-        np.testing.assert_allclose(Uj.value(X)[:, 0], expect, atol=1e-6)
+        np.testing.assert_allclose(Uj.eval(X)[:, 0], expect, atol=1e-6)
         expect_v = -AMP * 2.0 * np.pi * np.sin(2.0 * np.pi * X[:, 0]) * np.sin(2.0 * np.pi * t)
-        np.testing.assert_allclose(Vj.value(X)[:, 0], expect_v, atol=5e-6)
+        np.testing.assert_allclose(Vj.eval(X)[:, 0], expect_v, atol=5e-6)
     assert np.max(np.abs(cb.energies - cb.energies[0])) < 1e-7
 
 
@@ -212,6 +213,15 @@ def test_cb_wave_aborts():
     mid = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.07 / (2.0 * np.pi))])
     with pytest.raises(SolverError, match=r"admissible region at T="):
         solve_cb_wave(M2, InitialData(mid, _zero_field()), [0.5])
+
+
+def test_cb_wave_rejects_nan_state():
+    # NaN fails every comparison, so the lattice's rule, not a hand-coded
+    # bound, has to reject it before the wave speed or the step is formed
+    nan = TrigField.from_terms(1, 1, [((1,), 0, "sin", float("nan"))])
+    with pytest.raises(SolverError, match=r"admissible region at T=0$") as info:
+        solve_cb_wave(CBModel(lj_chain()), InitialData(nan, _zero_field()), [0.5], n_grid=16)
+    assert "non-finite" in str(info.value.__cause__)
 
 
 # ---------------------------------------------------------------------------

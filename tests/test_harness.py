@@ -25,6 +25,8 @@ from latcb.harness import (
     run,
 )
 
+from point_gap import trig_grad
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CHAIN_POT = {"variant": "harmonic_chain", "a1": 2.0, "a2": -0.25}
@@ -113,11 +115,11 @@ def test_initial_field_amplitude_conventions():
     f = _initial_field({"grad_amplitude": 0.05, "mode": 2})
     # gradient sup of a sin(2 pi m X) is 2 pi m a
     X = (np.arange(512) / 512.0)[:, None]
-    assert float(np.max(np.abs(f.grad(X)))) == pytest.approx(0.05, rel=1e-6)
+    assert float(np.max(np.abs(trig_grad(f, X)))) == pytest.approx(0.05, rel=1e-6)
     g = _initial_field({"amplitude": 0.3, "mode": 1, "kind": "cos"})
-    assert g.value(np.array([[0.0]]))[0, 0] == pytest.approx(0.3, rel=1e-14)
+    assert g.eval(np.array([[0.0]]))[0, 0] == pytest.approx(0.3, rel=1e-14)
     h = _initial_field({"terms": [[[1], 0, "sin", 0.1], [[2], 0, "cos", 0.05]]})
-    assert h.value(np.array([[0.25]]))[0, 0] == pytest.approx(0.1 - 0.05, rel=1e-12)
+    assert h.eval(np.array([[0.25]]))[0, 0] == pytest.approx(0.1 - 0.05, rel=1e-12)
     with pytest.raises(ValueError, match="nonzero mode"):
         _initial_field({"grad_amplitude": 0.05, "mode": 0})
 
@@ -311,6 +313,37 @@ def test_run_bad_numeric_params_return_two(tmp_path, capsys, obj):
     path = _write_cfg(tmp_path, obj)
     assert run(path, out_dir=tmp_path / "out") == 2
     assert "config error: config field 'params." in capsys.readouterr().err
+
+
+def _runner_cfg(experiment, **params):
+    pot = {"stability": CHAIN_POT, "dispersion": LJ_POT, "stress-consistency": LJ_POT}
+    geometry = {"eps_list": [0.125, 0.0625, 0.03125]} if experiment == "stress-consistency" else {}
+    return {"experiment": experiment, "potential": pot.get(experiment, {}), "geometry": geometry,
+            "params": params}
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        (_runner_cfg("stress-consistency", n_per_cell=0), "n_per_cell"),
+        (_runner_cfg("stress-consistency", n_per_cell=2.5), "n_per_cell"),
+        (_runner_cfg("dispersion", n_k=0), "n_k"),
+        (_runner_cfg("dispersion", n_k="many"), "n_k"),
+        (_runner_cfg("stability", eigenprobe_N=3), "eigenprobe_N"),
+        (_runner_cfg("stability", eigenprobe_N=2), "eigenprobe_N"),
+        (_demo_cfg(window_start=-0.5), "window_start"),
+        (_demo_cfg(window_start=13.0), "window_start"),  # 3 |log(1/64)| = 12.48
+        (_demo_cfg(eps=0.125, window_start=6.5), "window_start"),  # 3 |log(1/8)| = 6.24
+        (_demo_cfg(a_stable="x"), "a_stable"),
+        (_demo_cfg(a_stable=[2.0]), "a_stable"),
+        (_demo_cfg(a_unstable=[-1.0, float("nan")]), "a_unstable"),
+        (_demo_cfg(a_unstable=[-1.0, 0.5, 0.0]), "a_unstable"),
+    ],
+)
+def test_run_bad_runner_params_name_the_field(tmp_path, capsys, obj, key):
+    path = _write_cfg(tmp_path, obj)
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert f"config error: config field 'params.{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

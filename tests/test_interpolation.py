@@ -1,5 +1,5 @@
-"""Interpolation layer: hat/B-spline profiles, quasi-interpolation,
-deconvolution, and the bond localization kernels.
+"""Interpolation layer: hat/B-spline profiles, the smoothed interpolant on
+shifted grids against its point-wise oracle, and the bond localization kernels.
 
 The kernel tests pit the package evaluators against independent oracles:
 adaptive quadrature (scipy) for the defining integrals, finite differences
@@ -16,20 +16,18 @@ from scipy import integrate
 from latcb.fields import TrigField
 from latcb.interpolation import (
     b3,
-    b3_filter,
     b3_prime,
     chi_eval,
     grad_chi_eval,
     hat,
-    quasi_grad,
-    quasi_interp,
-    smooth_nodal_interp,
+    interp_sample,
     zeta_eval,
 )
-from latcb.lattice import DisplacementField, LatticeSpec, gauss_rule_01
+from latcb.lattice import DisplacementField, LatticeSpec, gauss_rule_01, tensor_grid
 
 from conftest import random_displacement
 from hat_quadrature import zeta_convolve
+from point_gap import b3_filter, quasi_grad, quasi_interp, smooth_nodal_interp, trig_grad
 from stress_loop import chi_window
 
 
@@ -98,7 +96,7 @@ def test_zeta_affine_reproduction(rng):
 
 
 # ---------------------------------------------------------------------------
-# quasi-interpolation
+# quasi-interpolation (the point-wise oracle of tests/point_gap.py)
 # ---------------------------------------------------------------------------
 
 def test_quasi_interp_impulse_profile():
@@ -170,6 +168,44 @@ def test_smooth_nodal_interp_inverts_filter(rng):
         assert np.allclose(
             quasi_interp(w, sites), u.values.reshape(-1, d), atol=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# smoothed interpolant on shifted grids
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, N", [(1, 7), (1, 16), (2, 5), (2, 8), (3, 5), (3, 4)])
+def test_interp_sample_matches_point_oracle(rng, d, N):
+    """Value and every first partial on shifted grids, against the window gather."""
+    lattice = LatticeSpec(d=d, A=np.eye(d), N=N)
+    u = random_displacement(lattice, rng, scale=1.0)
+    w = smooth_nodal_interp(u)
+    sites = tensor_grid([np.arange(N, dtype=float)] * d)
+    for shift in (0.0, 0.5, 0.2113, rng.uniform(-1.5, 2.5, size=d)):
+        pts = sites + np.broadcast_to(shift, (d,))
+        ref = quasi_interp(w, pts).reshape((N,) * d + (d,))
+        got = interp_sample(u, shift)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), shift
+        ref = quasi_grad(w, pts).reshape((N,) * d + (d, d))
+        for a, deriv in enumerate(np.eye(d, dtype=int)):
+            got = interp_sample(u, shift, deriv=tuple(deriv))
+            assert np.max(np.abs(got - ref[..., a])) <= 1e-12 * np.max(np.abs(ref)), (shift, a)
+
+
+def test_interp_sample_matches_sites(rng):
+    for d, N in ((1, 9), (2, 6), (3, 4)):
+        u = random_displacement(LatticeSpec(d=d, A=np.eye(d), N=N), rng, scale=1.0)
+        assert np.max(np.abs(interp_sample(u, 0.0) - u.values)) <= 1e-14
+        # a whole-site shift is a relabelling of the sites
+        np.testing.assert_allclose(interp_sample(u, 1.0), np.roll(u.values, -1, axis=tuple(range(d))),
+                                   rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("deriv", [(2,), (1, 1), (1,), (0, -1)])
+def test_interp_sample_rejects_other_derivatives(rng, deriv):
+    u = random_displacement(LatticeSpec(d=2, A=np.eye(2), N=4), rng, scale=1.0)
+    with pytest.raises(ValueError, match="at most one 1"):
+        interp_sample(u, 0.5, deriv=deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +344,13 @@ def test_localization_identity_smooth_fields(rng):
         Vf = _trig_test_field(rng, d, d)
 
         def v_fn(x):
-            return Vf.value(np.asarray(x) / L)
+            return Vf.eval(np.asarray(x) / L)
 
         for _ in range(6):
             rho = _random_direction(rng, d)
 
             def dv_fn(x, rho=rho):
-                return (Vf.grad(np.asarray(x) / L) @ rho.astype(float)) / L
+                return (trig_grad(Vf, np.asarray(x) / L) @ rho.astype(float)) / L
 
             xi = rng.integers(0, 8, size=d).astype(float)
             line = xi + tg[:, None] * rho  # Gauss nodes along the bond
@@ -376,7 +412,7 @@ def test_zeta_convolve_matches_adaptive_quadrature(rng):
     Vf = _trig_test_field(rng, 1, 1)
 
     def f1(x):
-        return Vf.value(np.asarray(x).reshape(-1, 1) / L)
+        return Vf.eval(np.asarray(x).reshape(-1, 1) / L)
 
     z = 1.3
     ref, _ = integrate.quad(
@@ -393,7 +429,7 @@ def test_zeta_convolve_matches_adaptive_quadrature(rng):
     Wf = _trig_test_field(rng, 2, 1, n_modes=2)
 
     def f2(x):
-        return Wf.value(np.asarray(x) / L)
+        return Wf.eval(np.asarray(x) / L)
 
     z2 = np.array([0.7, -0.4])
     ref2, _ = integrate.dblquad(

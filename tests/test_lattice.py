@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcb.dynamics import instability_demo
-from latcb.fields import ScaledDisplacement, TrigField
+from latcb.fields import TrigField
 from latcb.lattice import (
     DisplacementField,
     LatticeSpec,
@@ -17,13 +17,14 @@ from latcb.lattice import (
     all_stencils,
     as_direction,
     gauss_rule_01,
-    stencil_sup_norm,
     supercell_period,
     tensor_grid,
 )
 from latcb.static import MacroForce, make_forces
+from latcb.stress import CBModel, stress_consistency_field
 
-from conftest import random_displacement
+from conftest import lj_chain, random_displacement
+from point_gap import site_values
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +51,18 @@ def test_supercell_period():
 
 
 def test_library_spacing_checks_share_one_rule():
-    # the load transfer, the scaled view and the instability demo all take
-    # their period from supercell_period: 1/8 is one, 0.126 is none
+    # the load transfer, the stress-consistency grid and the instability demo
+    # all take their period from supercell_period: 1/8 is one, 0.126 is none
     U = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.01)])
-    callers = [lambda eps: make_forces(MacroForce(U), eps), lambda eps: ScaledDisplacement(U, eps),
-               instability_demo]
+    P = lj_chain()
+    callers = [lambda eps: make_forces(MacroForce(U), eps),
+               lambda eps: stress_consistency_field(P, CBModel(P), U, eps), instability_demo]
     for call in callers:
         call(1.0 / 8.0)
         with pytest.raises(ValueError, match="integer number of lattice cells"):
             call(0.126)
-    assert make_forces(MacroForce(U), 1.0 / 8.0).lattice.N == ScaledDisplacement(U, 0.125).N == 8
+    assert make_forces(MacroForce(U), 1.0 / 8.0).lattice.N == 8
+    assert stress_consistency_field(P, CBModel(P), U, 0.125)["n_points"] == 8 * 4
 
 
 def test_site_coords_row_major():
@@ -165,7 +168,7 @@ def test_displacement_field_shape_and_wrap(rng):
     with pytest.raises(ValueError):
         DisplacementField(lattice, np.zeros((5, 5)))
     u = random_displacement(lattice, rng)
-    np.testing.assert_allclose(u.site_values([7, -3]), u.values[2, 2])
+    np.testing.assert_allclose(site_values(u, [7, -3]), u.values[2, 2])
     v = u.copy()
     v.values[0, 0, 0] += 1.0
     assert u.values[0, 0, 0] != v.values[0, 0, 0]
@@ -188,26 +191,15 @@ def test_all_stencils_matches_direct_lookup(rng):
         u = random_displacement(lattice, rng)
         g = all_stencils(u.values, S)
         sites = lattice.site_coords()
-        direct = u.site_values(sites[:, None] + S.directions) - u.site_values(sites)[:, None]
+        direct = site_values(u, sites[:, None] + S.directions) - site_values(u, sites)[:, None]
         np.testing.assert_allclose(
             g.reshape(-1, S.n, d), direct, atol=1e-15
         )
         # and one fully hand-rolled entry
         xi = sites[3]
         for i, rho in enumerate(S.directions):
-            expect = u.site_values(xi + rho) - u.site_values(xi)
+            expect = site_values(u, xi + rho) - site_values(u, xi)
             np.testing.assert_allclose(direct[3, i], expect, atol=1e-15)
-
-
-def test_stencil_sup_norm_scaling():
-    S = StencilSet.ball(1, 2.0)
-    # |g_rho| = c |rho| for every slot gives exactly c
-    c = 0.17
-    g = c * np.abs(S.directions).astype(float)
-    assert stencil_sup_norm(g, S) == pytest.approx(c, abs=1e-15)
-    g2 = np.zeros((S.n, 1))
-    g2[S.index_of([2])] = 0.5
-    assert stencil_sup_norm(g2, S) == pytest.approx(0.25, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,18 @@ def test_admissibility_checks():
     Q.check_admissible(10.0 * np.ones((Q.S.n, 1)))
 
 
+def test_admissibility_scales_by_bond_length():
+    # the rule bounds |g_rho| / |rho|: a difference of 0.5 on the bond of
+    # length 2 has norm 0.25, kappa itself, and the boundary is admissible
+    P = lj_chain(r_cut=2.0, kappa=0.25)
+    g = np.zeros((P.S.n, 1))
+    g[P.S.index_of([2]), 0] = 0.5
+    P.check_admissible(g)
+    g[P.S.index_of([2]), 0] = 0.51
+    with pytest.raises(AdmissibilityError, match="stencil norm 0.255 exceeds kappa=0.25"):
+        P.check_admissible(g)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_stencils_rejected(bad):
     # an infinite kappa (quadratic chain) admits every finite stencil, not these

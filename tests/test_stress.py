@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcb.fields import ScaledDisplacement, TrigField
-from latcb.lattice import LatticeSpec, all_stencils, gauss_rule_01
+from latcb.fields import TrigField
+from latcb.lattice import DisplacementField, LatticeSpec, all_stencils, gauss_rule_01, tensor_grid
 from latcb.potentials import HarmonicChain, gradient_array, lennard_jones
 from latcb.stress import (
     AffineDisplacement,
@@ -24,7 +24,13 @@ from latcb.stress import (
 
 from conftest import eam_square, lj_chain, lj_square, random_displacement
 from hat_quadrature import zeta_convolve
+from point_gap import trig_grad, trig_hess
 from stress_loop import loop_div, loop_eval
+
+
+def _restricted(U: TrigField, N: int) -> DisplacementField:
+    """The sites' values u(xi) = N U(xi / N) of U viewed at the spacing 1/N."""
+    return DisplacementField(LatticeSpec(d=U.d, A=np.eye(U.d), N=N), U.sample(N) * N)
 
 
 def _random_F(rng, d, scale):
@@ -146,7 +152,7 @@ def stress_cases(draw):
     else:
         mode = tuple(int(m) for m in rng.integers(-2, 3, size=d))
         terms = [((1,) * d, 0, "cos", 0.01), (mode if any(mode) else (2,) * d, d - 1, "sin", 0.01)]
-        u = ScaledDisplacement(TrigField.from_terms(d, d, terms), 1.0 / 8.0)
+        u = _restricted(TrigField.from_terms(d, d, terms), 8)
     n = draw(st.integers(1, 24))
     pts = rng.uniform(-9.0, 17.0, size=(n, d))
     # snap some coordinates onto cell boundaries (integers)
@@ -180,7 +186,7 @@ def test_batched_stress_shapes():
     field = atomistic_stress(P, AffineDisplacement(np.zeros((2, 2))))
     assert field.table.shape == (1, 1, P.S.n, 2)  # an affine map is a one-cell table
     U = TrigField.from_terms(2, 2, [((1, 0), 0, "sin", 0.01)])
-    assert atomistic_stress(P, ScaledDisplacement(U, 0.125)).table.shape == (8, 8, P.S.n, 2)
+    assert atomistic_stress(P, _restricted(U, 8)).table.shape == (8, 8, P.S.n, 2)
     assert field.eval(np.array([0.3, 0.7])).shape == (2, 2)
     assert field.eval(np.zeros((3, 4, 2)) + 0.5).shape == (3, 4, 2, 2)
     assert field.div(np.zeros((3, 4, 2)) + 0.5).shape == (3, 4, 2)
@@ -215,7 +221,7 @@ def weak_form_mismatch(P, u, Vf, q_t=12, q_conv=8):
     N, d = lattice.N, lattice.d
 
     def v_fn(x):
-        return Vf.value(np.asarray(x) / N)
+        return Vf.eval(np.asarray(x) / N)
 
     sites = lattice.site_coords().astype(float)
     Phi = P.site_gradient(all_stencils(u.values, P.S)).reshape(-1, P.S.n, d)
@@ -225,7 +231,7 @@ def weak_form_mismatch(P, u, Vf, q_t=12, q_conv=8):
         rho_f = rho.astype(float)
 
         def dv_fn(x, rho_f=rho_f):
-            return (Vf.grad(np.asarray(x) / N) @ rho_f) / N
+            return (trig_grad(Vf, np.asarray(x) / N) @ rho_f) / N
 
         line = sites[:, None, :] + tg[None, :, None] * rho_f
         inner = zeta_convolve(dv_fn, line.reshape(-1, d), n_components=d, q=q_conv)
@@ -261,10 +267,10 @@ def test_weak_form_direct_grid_quadrature(rng):
     xg, xw = gauss_rule_01(10)
     pts = (np.arange(N)[:, None] + xg[None, :]).reshape(-1, 1)
     Sa = field.eval(pts)[:, 0, 0]
-    dv = Vf.grad(pts / N)[:, 0, 0] / N
+    dv = trig_grad(Vf, pts / N)[:, 0, 0] / N
     lhs = float(np.sum(np.tile(xw, N) * Sa * dv))
     sites = lattice.site_coords().astype(float)
-    smeared = zeta_convolve(lambda x: Vf.value(np.asarray(x) / N), sites, n_components=1)
+    smeared = zeta_convolve(lambda x: Vf.eval(np.asarray(x) / N), sites, n_components=1)
     rhs = float(np.sum(gradient_array(P, u.values).reshape(-1, 1) * smeared))
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
 
@@ -302,15 +308,15 @@ def test_div_cb_matches_fd_of_stress(rng):
                 mode = (1,) * d
             terms.append((mode, int(rng.integers(0, d)), "sin", 0.003))
         U = TrigField.from_terms(d, d, terms)
-        su = ScaledDisplacement(U, 1.0 / 8.0)
+        eps = 1.0 / 8.0
         pts = rng.uniform(0.0, 8.0, size=(5, d))
-        div = div_cb_stress(M, su, pts)
+        div = div_cb_stress(M, trig_grad(U, eps * pts), eps * trig_hess(U, eps * pts))
         fd = np.zeros_like(div)
         for a in range(d):
             e = np.zeros(d)
             e[a] = h
-            Sp = M.stress(su.grad(pts + e))
-            Sm = M.stress(su.grad(pts - e))
+            Sp = M.stress(trig_grad(U, eps * (pts + e)))
+            Sm = M.stress(trig_grad(U, eps * (pts - e)))
             fd += (Sp[..., a] - Sm[..., a]) / (2 * h)
         assert np.max(np.abs(div - fd)) < 1e-5
 
@@ -330,3 +336,21 @@ def test_stress_consistency_field_decay(rng):
     assert r8["err_div"] / r16["err_div"] > 3.0
     assert r8["n_points"] == 8 * 4
 
+
+@pytest.mark.parametrize("P, terms", [
+    (lj_chain(), [((1,), 0, "sin", 0.008)]),
+    (lj_square(), [((1, 0), 0, "sin", 0.004), ((1, 2), 1, "cos", 0.003)]),
+])
+def test_stress_consistency_grid_matches_point_evaluation(P, terms):
+    """The staggered sample grid gives the gaps of point-wise ``TrigField.eval``."""
+    M, U, eps, n_per_cell = CBModel(P), TrigField.from_terms(P.d, P.d, terms), 1.0 / 8.0, 2
+    rep = stress_consistency_field(P, M, U, eps, n_per_cell=n_per_cell)
+    axis = (np.arange(8 * n_per_cell) + 0.5) / n_per_cell
+    pts = tensor_grid([axis] * P.d)
+    field = atomistic_stress(P, _restricted(U, 8))
+    F, H2 = trig_grad(U, eps * pts), eps * trig_hess(U, eps * pts)
+    err_stress = np.max(np.abs(field.eval(pts) - M.stress(F)))
+    err_div = np.max(np.abs(field.div(pts) - div_cb_stress(M, F, H2))) / eps
+    assert rep["n_points"] == pts.shape[0]
+    assert rep["err_stress"] == pytest.approx(err_stress, rel=1e-12)
+    assert rep["err_div"] == pytest.approx(err_div, rel=1e-12)
