@@ -16,7 +16,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=EXPERIMENTS[name].__doc__)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep jobs")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel sweep jobs; only static-converge and dynamic-converge use it")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 

@@ -72,48 +72,54 @@ def _period(v) -> int:
         return 0
 
 
-# spacing of the instability demo when params.eps is absent
-_DEMO_EPS = 1.0 / 64.0
-
-# (key, experiments whose runner reads it, type, check, rule): a value that
-# fails here would crash the solver, so it is a configuration error (exit 2);
-# the check sees the value and the params block, a list value must hold
-# finite numbers
-_PARAM_RULES = (
-    ("cfl", ("dynamic-converge", "instability-demo"), float, lambda v, p: v > 0, "must be > 0"),
-    ("T", ("dynamic-converge",), float, lambda v, p: v > 0, "must be > 0"),
-    ("n_snap", ("dynamic-converge",), int, lambda v, p: v >= 2, "must be an integer >= 2"),
-    ("n_grid", ("static-converge", "dynamic-converge"), int,
-     lambda v, p: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
-    ("n_grid", ("stability",), int, lambda v, p: v >= 8, "must be an integer >= 8"),
-    ("eigenprobe_N", ("stability",), int, lambda v, p: v >= 4 and v % 2 == 0,
+# (key, experiments whose runner reads it, default, type, check, rule): the one
+# owner of every numeric param.  _validate resolves the rows of the config's
+# experiment into ``cfg.values``: a dict default is keyed by the potential's
+# dimension, and a None default marks an optional param that stays None when
+# absent.  A value that fails its type (a list must hold finite numbers) or its
+# check would crash the solver, so it is a configuration error (exit 2); the
+# check sees the value and the values resolved by the rows above it.
+_PARAMS = (
+    ("n_grid", ("stability",), ZONE_GRID, int, lambda v, r: v >= 8, "must be an integer >= 8"),
+    ("eigenprobe_N", ("stability",), None, int, lambda v, r: v >= 4 and v % 2 == 0,
      "must be an even integer >= 4"),
-    ("n_k", ("dispersion",), int, lambda v, p: v >= 1, "must be an integer >= 1"),
-    ("n_per_cell", ("stress-consistency",), int, lambda v, p: v >= 1, "must be an integer >= 1"),
-    ("solver_tol", ("static-converge",), float, lambda v, p: v > 0, "must be > 0"),
-    ("delta", ("static-converge",), float, lambda v, p: v > 0, "must be > 0"),
-    ("quadrature", ("static-converge", "dynamic-converge"), int,
-     lambda v, p: v >= 1, "must be an integer >= 1"),
-    ("eps", ("instability-demo",), float, lambda v, p: _period(v) >= 4 and _period(v) % 2 == 0,
+    ("n_k", ("dispersion",), {1: 256, 2: 48, 3: 12}, int, lambda v, r: v >= 1,
+     "must be an integer >= 1"),
+    ("n_per_cell", ("stress-consistency",), 4, int, lambda v, r: v >= 1,
+     "must be an integer >= 1"),
+    ("n_grid", ("static-converge",), 256, int, lambda v, r: v >= 8 and v % 2 == 0,
+     "must be an even integer >= 8"),
+    ("n_grid", ("dynamic-converge",), 128, int, lambda v, r: v >= 8 and v % 2 == 0,
+     "must be an even integer >= 8"),
+    ("solver_tol", ("static-converge",), 1e-10, float, lambda v, r: v > 0, "must be > 0"),
+    ("delta", ("static-converge",), 0.01, float, lambda v, r: v > 0, "must be > 0"),
+    ("quadrature", ("static-converge", "dynamic-converge"), 6, int, lambda v, r: v >= 1,
+     "must be an integer >= 1"),
+    ("T", ("dynamic-converge",), 0.5, float, lambda v, r: v > 0, "must be > 0"),
+    ("n_snap", ("dynamic-converge",), 17, int, lambda v, r: v >= 2, "must be an integer >= 2"),
+    ("cfl", ("dynamic-converge", "instability-demo"), 0.2, float, lambda v, r: v > 0,
+     "must be > 0"),
+    ("eps", ("instability-demo",), 1.0 / 64.0, float,
+     lambda v, r: _period(v) >= 4 and _period(v) % 2 == 0,
      "must be 1/N for an even integer N >= 4"),
-    ("window_start", ("instability-demo",), float,
-     lambda v, p: 0 <= v < 3.0 * abs(math.log(p.get("eps", _DEMO_EPS))),
+    ("window_start", ("instability-demo",), 1.0, float,
+     lambda v, r: 0 <= v < 3.0 * abs(math.log(r["eps"])),
      "must be >= 0 and below the window end 3 |log eps|"),
-    ("a_unstable", ("instability-demo",), list, lambda v, p: len(v) == 2,
+    ("a_unstable", ("instability-demo",), (-1.0, 0.5), tuple, lambda v, r: len(v) == 2,
      "must be two finite numbers [a1, a2]"),
-    ("a_stable", ("instability-demo",), list, lambda v, p: len(v) == 2,
+    ("a_stable", ("instability-demo",), (2.0, -0.25), tuple, lambda v, r: len(v) == 2,
      "must be two finite numbers [a1, a2]"),
 )
 
-# continuum grid of each converge experiment when params.n_grid is absent
-_N_GRID = {"static-converge": 256, "dynamic-converge": 128}
-
-# field specs each experiment's runner builds with _spec_field, with their defaults
+# field specs each experiment's runner reads, with their defaults
 _FIELD_SPECS = {
     "stress-consistency": {"displacement": {"grad_amplitude": 0.05, "mode": 1}},
     "dynamic-converge": {"U0": {"grad_amplitude": 0.05, "mode": 1},
                          "U1": {"amplitude": 0.0, "mode": 1}},
 }
+
+# what building a potential, load or field from a malformed block raises
+_BUILD_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 # (experiment, check name, tolerance key, report value, comparison, constraint
 # label): each row turns one declared tolerance into an acceptance check on the
@@ -165,8 +171,13 @@ class ExperimentConfig:
     """Validated experiment description.
 
     ``raw`` keeps the parsed JSON object verbatim; its canonical
-    serialization is hashed into every output artifact.
+    serialization is hashed into every output artifact.  The runners read
+    only what ``_validate`` builds to check the blocks: the potential ``P``,
+    the ``_PARAMS`` ``values``, the ``fields`` (the load's under "force"),
+    the static ``load`` and the ``spacings``, coarsest first.
     """
+
+    P = load = spacings = None
 
     experiment: str
     name: str
@@ -190,8 +201,8 @@ class ExperimentConfig:
             if key in obj and not isinstance(obj[key], dict):
                 raise _field_error(key, "must be a JSON object")
         name = obj.get("name", experiment.replace("-", "_"))
-        if not isinstance(name, str) or not name:
-            raise _field_error("name", "must be a nonempty string")
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise _field_error("name", f"must be a plain file name; got {name!r}")
         seed = obj.get("seed", 0)
         if not isinstance(seed, int) or seed < 0:
             raise _field_error("seed", "must be a nonnegative integer")
@@ -228,48 +239,55 @@ class ExperimentConfig:
             if "variant" not in self.potential:
                 raise _field_error("potential.variant", "required")
             try:
-                P = potential_from_config(self.potential)
-            except (KeyError, ValueError, TypeError) as exc:
+                P = self.P = potential_from_config(self.potential)
+            except _BUILD_ERRORS as exc:
                 raise _field_error("potential", f"not resolvable: {exc}")
-            if "d" in self.geometry and int(self.geometry["d"]) != P.d:
+            d = self.geometry.get("d", P.d)
+            if not (_is_number(d) and d == int(d)):
+                raise _field_error("geometry.d", f"must be an integer; got {d!r}")
+            if d != P.d:
                 raise _field_error("geometry.d", "does not match the potential dimension")
             if self.experiment in ("static-converge", "dynamic-converge") and P.d != 1:
                 raise _field_error(
                     "geometry.d", f"the {self.experiment} sweep is one-dimensional; got d = {P.d}"
                 )
         if self.experiment in ("stress-consistency", "static-converge", "dynamic-converge"):
-            self.eps_list()  # validates presence and shape
-        for key, experiments, kind, ok, rule in _PARAM_RULES:
-            if self.experiment not in experiments or key not in self.params:
+            self.spacings = self.eps_list()
+        values = self.values = {}
+        for key, experiments, default, kind, ok, rule in _PARAMS:
+            if self.experiment not in experiments:
                 continue
-            v = self.params[key]
-            typed = (isinstance(v, list) and all(map(_is_number, v)) if kind is list
+            v = self.params.get(key, default[self.P.d] if isinstance(default, dict) else default)
+            if v is None and default is None:
+                values[key] = None
+                continue
+            typed = (isinstance(v, (list, tuple)) and all(map(_is_number, v)) if kind is tuple
                      else _is_number(v) and (kind is not int or v == int(v)))
-            if not typed or not ok(v, self.params):
+            if not typed or not ok(v, values):
                 raise _field_error(f"params.{key}", f"{rule}; got {v!r}")
-        fields = {}
+            values[key] = kind(v)
+        fields = self.fields = {}
         if self.experiment == "static-converge":
             try:
-                fields["force"] = _macro_force(self).field
-            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                self.load = _macro_force(self.params.get("force", {}), values["delta"])
+            except _BUILD_ERRORS as exc:
                 raise _field_error("params.force", f"cannot make a load: {exc}")
-        for key in _FIELD_SPECS.get(self.experiment, ()):
+            fields["force"] = self.load.field
+        for key, default in _FIELD_SPECS.get(self.experiment, {}).items():
             try:
-                U = fields[key] = _spec_field(self, key)
-            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                fields[key] = _initial_field(self.params.get(key, default))
+            except _BUILD_ERRORS as exc:
                 raise _field_error(f"params.{key}", f"cannot make a field: {exc}")
+        for key, U in fields.items():
             if (U.d, U.n_components) != (P.d, P.d):
                 raise _field_error(f"params.{key}", f"the field has d = {U.d} and {U.n_components} "
                                    f"component(s); the potential needs d = {P.d} and {P.d}")
-        if self.experiment in _N_GRID:
             # a mode at or above n_grid/2 aliases on the continuum grid: the
             # reference would be sampled as another, lower mode
-            n_grid = int(self.params.get("n_grid", _N_GRID[self.experiment]))
-            for key, U in fields.items():
-                top = int(np.max(np.abs(U.modes)))
-                if 2 * top >= n_grid:
-                    raise _field_error(f"params.{key}", f"mode {top} aliases on the continuum grid "
-                                       f"of n_grid = {n_grid}; modes need |m| < {n_grid // 2}")
+            n_grid, top = values.get("n_grid"), int(np.max(np.abs(U.modes)))
+            if n_grid is not None and 2 * top >= n_grid:
+                raise _field_error(f"params.{key}", f"mode {top} aliases on the continuum grid "
+                                   f"of n_grid = {n_grid}; modes need |m| < {n_grid // 2}")
         read = {row[2] for row in _CHECKS if row[0] == self.experiment}
         read |= {_WITHIN[k][0] for k in read & _WITHIN.keys() & self.tolerances.keys()}
         for key, v in self.tolerances.items():
@@ -442,26 +460,21 @@ def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
 
 def _run_stability(cfg: ExperimentConfig, workers: int):
     """lattice stability constant, max frequency, Legendre-Hadamard minimum"""
-    P = potential_from_config(cfg.potential)
-    n_grid = int(cfg.params.get("n_grid", ZONE_GRID[P.d]))
+    P, probe_N = cfg.P, cfg.values["eigenprobe_N"]
     report = {
-        "gamma": stability_constant(P, n_grid=n_grid),
+        "gamma": stability_constant(P, n_grid=cfg.values["n_grid"]),
         "omega_max": max_frequency(P),
         "lh_min": legendre_hadamard_min(CBModel(P)),
     }
-    if "eigenprobe_N" in cfg.params:
-        quotient, _ = instability_eigenprobe(P, int(cfg.params["eigenprobe_N"]))
-        report["alternating_quotient"] = quotient
+    if probe_N is not None:
+        report["alternating_quotient"], _ = instability_eigenprobe(P, probe_N)
     return report, [("", ("quantity", "value"), list(report.items()))]
 
 
 def _run_dispersion(cfg: ExperimentConfig, workers: int):
     """dynamical-symbol eigenvalues over a Brillouin-zone sample"""
-    P = potential_from_config(cfg.potential)
-    d = P.d
-    default_nk = {1: 256, 2: 48, 3: 12}[d]
-    n_k = int(cfg.params.get("n_k", default_nk))
-    spec = dispersion_spectrum(P, zone_grid(d, n_k))
+    d, n_k = cfg.P.d, cfg.values["n_k"]
+    spec = dispersion_spectrum(cfg.P, zone_grid(d, n_k))
     n_eig = spec.eigs.shape[1]
     columns = (
         tuple(f"k{i + 1}" for i in range(d))
@@ -497,56 +510,37 @@ def _initial_field(spec: dict) -> TrigField:
     return TrigField.from_terms(1, 1, [((mode,), 0, kind, amp)])
 
 
-def _spec_field(cfg: ExperimentConfig, key: str) -> TrigField:
-    """The field of ``params[key]``, or of its default spec in ``_FIELD_SPECS``."""
-    return _initial_field(cfg.params.get(key, _FIELD_SPECS[cfg.experiment][key]))
-
-
 def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
     """atomistic vs Cauchy-Born stress gap over a spacing sweep"""
-    P = potential_from_config(cfg.potential)
-    M = CBModel(P)
-    U = _spec_field(cfg, "displacement")
-    n_per_cell = int(cfg.params.get("n_per_cell", 4))
-    eps_list = cfg.eps_list()
+    M, U = CBModel(cfg.P), cfg.fields["displacement"]
     rows = []
-    for eps in eps_list:
-        rep = stress_consistency_field(P, M, U, eps, n_per_cell=n_per_cell)
+    for eps in cfg.spacings:
+        rep = stress_consistency_field(M, U, eps, n_per_cell=cfg.values["n_per_cell"])
         rows.append((eps, rep["err_stress"], rep["err_div"]))
     band = cfg.tolerances.get("slope_band")
-    rr_stress = fit_rate(eps_list, [r[1] for r in rows], band=band)
-    rr_div = fit_rate(eps_list, [r[2] for r in rows], band=band)
+    rr_stress = fit_rate(cfg.spacings, [r[1] for r in rows], band=band)
+    rr_div = fit_rate(cfg.spacings, [r[2] for r in rows], band=band)
     report = {"stress_rate": asdict(rr_stress), "divergence_rate": asdict(rr_div)}
     return report, [("", ("eps", "err_stress", "err_div"), rows)]
 
 
-def _macro_force(cfg: ExperimentConfig) -> MacroForce:
-    """The load shaped by ``params.force`` and scaled to size ``params.delta``."""
-    params = cfg.params
+def _macro_force(shape: dict, delta: float) -> MacroForce:
+    """The load shaped by the ``params.force`` block and scaled to size ``delta``."""
     # the size comes from delta alone: any amplitude in the spec is replaced
-    shape = {k: v for k, v in params.get("force", {}).items() if k != "grad_amplitude"}
+    shape = {k: v for k, v in shape.items() if k != "grad_amplitude"}
     F = MacroForce(_initial_field({**shape, "amplitude": 1.0}))
     if not F.delta > 0.0:
         raise ValueError("the force shape has zero size")
-    return F.scaled(float(params.get("delta", 0.01)) / F.delta)
+    return F.scaled(delta / F.delta)
 
 
 def _run_static_converge(cfg: ExperimentConfig, workers: int):
     """static equilibrium convergence rate study"""
-    P = potential_from_config(cfg.potential)
-    F = _macro_force(cfg)
-    tol = float(cfg.params.get("solver_tol", 1e-10))
-    sweep = static_converge_sweep(
-        P,
-        F,
-        cfg.eps_list(),
-        n_grid=int(cfg.params.get("n_grid", _N_GRID[cfg.experiment])),
-        tol=tol,
-        q=int(cfg.params.get("quadrature", 6)),
-        workers=workers,
-    )
+    v = cfg.values
+    sweep = static_converge_sweep(cfg.P, cfg.load, cfg.spacings, n_grid=v["n_grid"],
+                                  tol=v["solver_tol"], q=v["quadrature"], workers=workers)
     band = cfg.tolerances.get("slope_band")
-    rr = fit_rate(sweep["eps"], sweep["errors"], band=band, noise_floor=tol)
+    rr = fit_rate(sweep["eps"], sweep["errors"], band=band, noise_floor=v["solver_tol"])
     columns = ("eps", "error", "residual", "newton_iterations", "error_half_delta", "half_ratio")
     rows = [
         (det["eps"], det["error"], det["residual"], det["newton_iterations"], half, ratio)
@@ -559,19 +553,10 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
 
 def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
     """lattice dynamics vs Cauchy-Born wave convergence rate study"""
-    P = potential_from_config(cfg.potential)
-    params = cfg.params
-    data = InitialData(_spec_field(cfg, "U0"), _spec_field(cfg, "U1"))
+    v = cfg.values
     sweep = dynamic_error_sweep(
-        P,
-        data,
-        T=float(params.get("T", 0.5)),
-        eps_list=cfg.eps_list(),
-        n_snap=int(params.get("n_snap", 17)),
-        n_grid=int(params.get("n_grid", _N_GRID[cfg.experiment])),
-        cfl=float(params.get("cfl", 0.2)),
-        q=int(params.get("quadrature", 6)),
-        workers=workers,
+        cfg.P, InitialData(cfg.fields["U0"], cfg.fields["U1"]), T=v["T"], eps_list=cfg.spacings,
+        n_snap=v["n_snap"], n_grid=v["n_grid"], cfl=v["cfl"], q=v["quadrature"], workers=workers,
     )
     band = cfg.tolerances.get("slope_band")
     rr = fit_rate(sweep["eps"], sweep["errors"], band=band)
@@ -585,15 +570,9 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
 
 def _run_instability_demo(cfg: ExperimentConfig, workers: int):
     """exponential growth of the unstable chain vs its stable continuum"""
-    params = cfg.params
-    eps = float(params.get("eps", _DEMO_EPS))
-    rep = instability_demo(
-        eps,
-        a_unstable=tuple(params.get("a_unstable", (-1.0, 0.5))),
-        a_stable=tuple(params.get("a_stable", (2.0, -0.25))),
-        cfl=float(params.get("cfl", 0.2)),
-        window_start=float(params.get("window_start", 1.0)),
-    )
+    # the demo's params are exactly its keyword arguments
+    rep = instability_demo(**cfg.values)
+    eps = cfg.values["eps"]
     rows = [
         (t, n, 0.5 * eps**2 * math.exp(t))
         for t, n in zip(rep["times"], rep["velocity_norms"])

@@ -82,10 +82,6 @@ class LatticeSpec:
             raise ValueError(f"supercell period N must be >= 4, got {self.N}")
         object.__setattr__(self, "A", A)
 
-    def site_coords(self) -> np.ndarray:
-        """All supercell sites as an (N^d, d) integer array, row-major order."""
-        return tensor_grid([np.arange(self.N)] * self.d)
-
 
 def as_direction(rho, d: int) -> np.ndarray:
     """Validate an interaction direction: a nonzero integer d-vector."""
@@ -164,14 +160,6 @@ class StencilSet:
     def half(self) -> np.ndarray:
         """Slots of the positive half stencil (see ``_positive_half``)."""
         return _positive_half(self.directions)
-
-    def index_of(self, rho) -> int:
-        """Slot of direction ``rho`` in the stencil ordering."""
-        r = as_direction(rho, self.d)
-        hit = np.nonzero((self.directions == r).all(axis=1))[0]
-        if hit.size == 0:
-            raise KeyError(f"direction {tuple(r)} not in stencil (r_cut={self.r_cut})")
-        return int(hit[0])
 
 
 @dataclass

@@ -91,6 +91,11 @@ class PowerLawProfile(RadialProfile):
     coeffs: tuple
     r_min: float = 1e-8
 
+    def __post_init__(self):
+        if not 0 < len(self.powers) == len(self.coeffs):
+            raise ValueError(f"powers and coeffs must be nonempty and of equal length; "
+                             f"got {len(self.powers)} and {len(self.coeffs)}")
+
     def deriv(self, r, order: int):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
@@ -105,7 +110,7 @@ class PowerLawProfile(RadialProfile):
     def _laurent(self):
         """``phi'(r)/r = sum_j a_j r2^(-k_j)`` as (k_j, a_j), highest k first;
         None unless every power is an even integer."""
-        if not (self.powers and all(p == int(p) and int(p) % 2 == 0 for p in self.powers)):
+        if not all(p == int(p) and int(p) % 2 == 0 for p in self.powers):
             return None
         return sorted(((1 - int(p) // 2, c * p) for p, c in zip(self.powers, self.coeffs)),
                       reverse=True)

@@ -201,13 +201,12 @@ def div_cb_stress(M: CBModel, F: np.ndarray, H2: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def stress_consistency_field(
-    P: Potential,
     M: CBModel,
     U: TrigField,
     eps: float,
     n_per_cell: int = 4,
 ) -> dict:
-    """Pointwise gap between atomistic and Cauchy-Born stress fields.
+    """Pointwise gap between the atomistic stress of ``M.P`` and ``M``'s Cauchy-Born stress.
 
     The macroscopic displacement ``U`` is viewed at scale ``eps``,
     ``u(x) = U(eps x) / eps``, and restricted to the lattice; both stress
@@ -231,7 +230,7 @@ def stress_consistency_field(
                          for a in E], -2).reshape(-1, d, d, d)
 
     u = DisplacementField(LatticeSpec(d=d, A=np.eye(d), N=N), U.sample(N) / eps)
-    field = atomistic_stress(P, u)
+    field = atomistic_stress(M.P, u)
     Sa = field.eval(pts)
     Sc = M.stress(F)
     err_stress = float(np.max(np.abs(Sa - Sc)))

@@ -19,7 +19,7 @@ from latcb.potentials import (
     lennard_jones,
 )
 from latcb.fields import TrigField
-from latcb.lattice import DisplacementField, LatticeSpec, StencilSet
+from latcb.lattice import DisplacementField, LatticeSpec, StencilSet, as_direction, tensor_grid
 from latcb.static import MacroForce
 
 
@@ -75,6 +75,20 @@ def single_mode_load(delta: float, mode: int = 1, kind: str = "sin") -> MacroFor
     """
     F = MacroForce(TrigField.from_terms(1, 1, [((mode,), 0, kind, 1.0)]))
     return F.scaled(delta / F.delta)
+
+
+def site_coords(lattice: LatticeSpec) -> np.ndarray:
+    """All supercell sites as an (N^d, d) integer array, row-major order."""
+    return tensor_grid([np.arange(lattice.N)] * lattice.d)
+
+
+def index_of(S: StencilSet, rho) -> int:
+    """Slot of direction ``rho`` in the stencil ordering."""
+    r = as_direction(rho, S.d)
+    hit = np.nonzero((S.directions == r).all(axis=1))[0]
+    if hit.size == 0:
+        raise KeyError(f"direction {tuple(r)} not in stencil (r_cut={S.r_cut})")
+    return int(hit[0])
 
 
 def random_displacement(

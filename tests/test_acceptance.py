@@ -169,13 +169,12 @@ def test_c06_stability_constants():
 
 
 def test_c07_stress_consistency_rates():
-    P = lj_chain()
-    M = CBModel(P)
+    M = CBModel(lj_chain())
     U = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.05 / (2.0 * np.pi))])
     eps_list = [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128]
     e_stress, e_div = [], []
     for eps in eps_list:
-        rep = stress_consistency_field(P, M, U, eps, n_per_cell=4)
+        rep = stress_consistency_field(M, U, eps, n_per_cell=4)
         e_stress.append(rep["err_stress"])
         e_div.append(rep["err_div"])
     s1 = fit_rate(eps_list, e_stress).slope

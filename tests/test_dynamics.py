@@ -26,7 +26,7 @@ from latcb.stability import dynamical_symbol
 from latcb.static import SolverError
 from latcb.stress import CBModel
 
-from conftest import lj_chain
+from conftest import lj_chain, site_coords
 from hat_quadrature import zeta_convolve
 from point_gap import trig_grad
 
@@ -60,7 +60,7 @@ def test_make_initial_data_scaling():
     u0, v0 = make_initial_data(data, eps)
     assert u0.values.shape == (8, 1) and v0.values.shape == (8, 1)
     lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
-    sites = lattice.site_coords().astype(float)
+    sites = site_coords(lattice).astype(float)
     # velocities are order one: smeared samples of U1(eps x), no eps factor
     expect_v = zeta_convolve(lambda x: data.U1.eval(np.asarray(x) * eps), sites,
                              n_components=1)

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,10 @@ from hypothesis import strategies as st
 import latcb
 from latcb.cli import main
 from latcb.harness import (
+    _CHECKS,
+    _FIELD_SPECS,
+    _PARAMS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     _initial_field,
@@ -64,6 +67,38 @@ def test_config_validation_errors():
         )
     with pytest.raises(ConfigError, match="geometry.d"):
         ExperimentConfig.from_dict(_stability_cfg(geometry={"d": 2}))
+
+
+@pytest.mark.parametrize("d", ["x", None, 1.5, True])
+def test_geometry_d_must_be_an_integer(tmp_path, capsys, d):
+    path = _write_cfg(tmp_path, _stability_cfg(geometry={"d": d}))
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert "config error: config field 'geometry.d': must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["../esc/x", "sub/x", "..", ".", "a\\b", ""])
+def test_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    path = _write_cfg(tmp_path, _stability_cfg(name=name))
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert "config error: config field 'name'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_dotted_name_is_legal():
+    assert ExperimentConfig.from_dict(_stability_cfg(name="statics_lj_delta0.01")).name == (
+        "statics_lj_delta0.01")
+
+
+@pytest.mark.parametrize("powers, coeffs", [([-12, -6], [1.0]), ([-12], [1.0, -2.0]), ([], [])])
+def test_power_law_length_mismatch_returns_two(tmp_path, capsys, powers, coeffs):
+    pot = {"variant": "pair", "d": 1, "r_cut": 3.0,
+           "phi": {"kind": "power_law", "powers": powers, "coeffs": coeffs}}
+    path = _write_cfg(tmp_path, {"experiment": "stability", "potential": pot})
+    assert run(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error: config field 'potential': not resolvable" in err
+    assert "powers and coeffs must be nonempty and of equal length" in err
 
 
 def test_config_defaults():
@@ -377,7 +412,7 @@ def test_run_bad_tolerances_return_two(tmp_path, capsys, obj, key):
 )
 def test_unloadable_force_returns_two(tmp_path, capsys, force):
     with pytest.raises(ValueError, match="zero size"):
-        _macro_force(SimpleNamespace(params={"force": force}))
+        _macro_force(force, 0.01)
     path = _write_cfg(tmp_path, _static_cfg(force=force))
     assert run(path, out_dir=tmp_path / "out") == 2
     assert "config error: config field 'params.force'" in capsys.readouterr().err
@@ -462,6 +497,7 @@ _TERMS_2D = {"terms": [[[1, 0], 0, "sin", 0.005]]}
         ({**_stress_cfg(displacement=_TERMS_2D), "potential": LJ_SQUARE_POT}, "displacement"),
         (_stress_cfg(displacement=_TERMS_2D), "displacement"),
         (_dynamic_cfg(U1=_TERMS_2D), "U1"),
+        (_static_cfg(force=_TERMS_2D), "force"),
     ],
 )
 def test_field_of_wrong_dimension_returns_two(tmp_path, capsys, obj, key):
@@ -558,6 +594,60 @@ def test_shipped_configs_validate():
     assert len(paths) == 9
     for path in paths:
         ExperimentConfig.from_file(path)
+
+
+def test_table_rows_name_experiments():
+    # a row with a typo'd experiment would silently never apply
+    for row in _PARAMS:
+        assert row[1] and set(row[1]) <= EXPERIMENTS.keys(), row
+    for row in _CHECKS:
+        assert row[0] in EXPERIMENTS, row
+    assert _FIELD_SPECS.keys() <= EXPERIMENTS.keys()
+
+
+def test_param_defaults_pass_their_checks():
+    for experiment in EXPERIMENTS:
+        resolved = {}
+        for key, experiments, default, kind, ok, rule in _PARAMS:
+            if experiment not in experiments or default is None:
+                continue
+            for v in default.values() if isinstance(default, dict) else [default]:
+                assert isinstance(v, kind) and ok(v, resolved), (experiment, key, v, rule)
+            resolved[key] = v
+
+
+_DEFAULTS_CASES = {
+    "stability": {"potential": CHAIN_POT},
+    "dispersion": {"potential": LJ_POT},
+    "stress-consistency": {"potential": LJ_POT,
+                           "geometry": {"eps_list": [0.125, 0.0625, 0.03125]}},
+    "static-converge": {"potential": LJ_POT, "geometry": {"eps_list": [0.125, 0.0625, 0.03125]}},
+    # at the default U0 the continuum loses hyperbolicity before the default T
+    "dynamic-converge": {"potential": LJ_POT,
+                         "geometry": {"eps_list": [0.0625, 0.03125, 0.015625]},
+                         "params": {"U0": {"grad_amplitude": 0.005, "mode": 1}}},
+    "instability-demo": {},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_spelled_out_defaults_are_byte_identical(tmp_path, experiment):
+    # every _PARAMS default written into the config changes nothing but the config hash
+    base = {"experiment": experiment, "name": "defaults", "params": {},
+            **_DEFAULTS_CASES[experiment]}
+    params = dict(base["params"])
+    for key, experiments, default, kind, ok, rule in _PARAMS:
+        if experiment in experiments:
+            v = default[1] if isinstance(default, dict) else default
+            params[key] = list(v) if isinstance(v, tuple) else v
+    outputs = []
+    for sub, obj in (("bare", base), ("spelled", {**base, "params": params})):
+        path = _write_cfg(tmp_path, obj, name=f"{sub}.json")
+        assert run(path, out_dir=tmp_path / sub) == 0
+        sha = ExperimentConfig.from_file(path).config_hash
+        outputs.append([(tmp_path / sub / f).read_text().replace(sha, "<sha>")
+                        for f in ("defaults.csv", "defaults.report.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_workers_below_one_exit_two(tmp_path, capsys):

@@ -25,7 +25,7 @@ from latcb.interpolation import (
 )
 from latcb.lattice import DisplacementField, LatticeSpec, gauss_rule_01, tensor_grid
 
-from conftest import random_displacement
+from conftest import random_displacement, site_coords
 from hat_quadrature import zeta_convolve
 from point_gap import b3_filter, quasi_grad, quasi_interp, smooth_nodal_interp, trig_grad
 from stress_loop import chi_window
@@ -114,7 +114,7 @@ def test_quasi_interp_impulse_profile():
 def test_quasi_interp_reproduces_affine_in_cell(rng):
     lattice = LatticeSpec(d=2, A=np.eye(2), N=7)
     F = rng.standard_normal((2, 2))
-    u = DisplacementField(lattice, (lattice.site_coords() @ F.T).reshape(7, 7, 2))
+    u = DisplacementField(lattice, (site_coords(lattice) @ F.T).reshape(7, 7, 2))
     # stay far enough from the wrap seam: the B-spline window is 4 wide
     pts = rng.uniform(2.0, 4.0, size=(20, 2))
     assert np.allclose(quasi_interp(u, pts), pts @ F.T, atol=1e-12)
@@ -152,7 +152,7 @@ def test_b3_filter_equals_quasi_interp_at_sites(rng):
     for d in (1, 2):
         lattice = LatticeSpec(d=d, A=np.eye(d), N=6)
         u = random_displacement(lattice, rng, scale=1.0)
-        sites = lattice.site_coords().astype(float)
+        sites = site_coords(lattice).astype(float)
         filt = b3_filter(u.values).reshape(-1, d)
         assert np.allclose(quasi_interp(u, sites), filt, atol=1e-13)
 
@@ -164,7 +164,7 @@ def test_smooth_nodal_interp_inverts_filter(rng):
         w = smooth_nodal_interp(u)
         # the quasi-interpolant of the deconvolved field matches u at sites
         assert np.allclose(b3_filter(w.values), u.values, atol=1e-12)
-        sites = lattice.site_coords().astype(float)
+        sites = site_coords(lattice).astype(float)
         assert np.allclose(
             quasi_interp(w, sites), u.values.reshape(-1, d), atol=1e-12
         )

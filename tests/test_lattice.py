@@ -23,7 +23,7 @@ from latcb.lattice import (
 from latcb.static import MacroForce, make_forces
 from latcb.stress import CBModel, stress_consistency_field
 
-from conftest import lj_chain, random_displacement
+from conftest import index_of, lj_chain, random_displacement, site_coords
 from point_gap import site_values
 
 
@@ -56,18 +56,18 @@ def test_library_spacing_checks_share_one_rule():
     U = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.01)])
     P = lj_chain()
     callers = [lambda eps: make_forces(MacroForce(U), eps),
-               lambda eps: stress_consistency_field(P, CBModel(P), U, eps), instability_demo]
+               lambda eps: stress_consistency_field(CBModel(P), U, eps), instability_demo]
     for call in callers:
         call(1.0 / 8.0)
         with pytest.raises(ValueError, match="integer number of lattice cells"):
             call(0.126)
     assert make_forces(MacroForce(U), 1.0 / 8.0).lattice.N == 8
-    assert stress_consistency_field(P, CBModel(P), U, 0.125)["n_points"] == 8 * 4
+    assert stress_consistency_field(CBModel(P), U, 0.125)["n_points"] == 8 * 4
 
 
 def test_site_coords_row_major():
     lattice = LatticeSpec(d=2, A=np.eye(2), N=4)
-    coords = lattice.site_coords()
+    coords = site_coords(lattice)
     assert coords.shape == (16, 2)
     np.testing.assert_array_equal(coords[0], [0, 0])
     np.testing.assert_array_equal(coords[1], [0, 1])  # last axis varies fastest
@@ -139,11 +139,11 @@ def test_stencil_validation_errors():
 def test_stencil_index_and_negation_perm():
     S = StencilSet.ball(2, 1.5)
     for i, rho in enumerate(S.directions):
-        assert S.index_of(rho) == i
-    perm = [S.index_of(-rho) for rho in S.directions]
+        assert index_of(S, rho) == i
+    perm = [index_of(S, -rho) for rho in S.directions]
     np.testing.assert_array_equal(S.directions[perm], -S.directions)
     with pytest.raises(KeyError):
-        S.index_of([5, 0])
+        index_of(S, [5, 0])
 
 
 @given(st.integers(1, 2), st.floats(1.0, 3.5))
@@ -176,10 +176,10 @@ def test_displacement_field_shape_and_wrap(rng):
 
 def test_finite_difference_examples():
     lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
-    u = DisplacementField(lattice, np.sin(2.0 * np.pi * lattice.site_coords() / 8.0))
+    u = DisplacementField(lattice, np.sin(2.0 * np.pi * site_coords(lattice) / 8.0))
     S = StencilSet.ball(1, 3.0)
     # sin(pi/2) - sin(0) = 1 for the two-site difference at the origin
-    assert all_stencils(u.values, S)[0, S.index_of([2]), 0] == pytest.approx(1.0, abs=1e-14)
+    assert all_stencils(u.values, S)[0, index_of(S, [2]), 0] == pytest.approx(1.0, abs=1e-14)
     const = DisplacementField(lattice, np.full((8, 1), 0.37))
     assert np.max(np.abs(all_stencils(const.values, S))) == 0.0
 
@@ -190,7 +190,7 @@ def test_all_stencils_matches_direct_lookup(rng):
         S = StencilSet.ball(d, 2.0)
         u = random_displacement(lattice, rng)
         g = all_stencils(u.values, S)
-        sites = lattice.site_coords()
+        sites = site_coords(lattice)
         direct = site_values(u, sites[:, None] + S.directions) - site_values(u, sites)[:, None]
         np.testing.assert_allclose(
             g.reshape(-1, S.n, d), direct, atol=1e-15

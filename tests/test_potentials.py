@@ -30,7 +30,15 @@ from latcb.potentials import (
     total_energy,
 )
 
-from conftest import eam_chain, eam_square, lj_chain, lj_square, morse_chain, random_displacement
+from conftest import (
+    eam_chain,
+    eam_square,
+    index_of,
+    lj_chain,
+    lj_square,
+    morse_chain,
+    random_displacement,
+)
 
 
 def _variants():
@@ -130,7 +138,7 @@ def test_point_symmetry(rng):
     for name, P in _variants():
         g = 0.04 * rng.standard_normal((P.S.n, P.d))
         P.check_admissible(g)
-        flipped = -g[[P.S.index_of(-rho) for rho in P.S.directions]]
+        flipped = -g[[index_of(P.S, -rho) for rho in P.S.directions]]
         assert float(P.site_energy(flipped)) == pytest.approx(
             float(P.site_energy(g)), rel=1e-12, abs=1e-15
         ), name
@@ -176,7 +184,7 @@ def test_site_hessian_matches_fd(rng):
 def test_admissibility_checks():
     P = lj_chain()
     g_bad = np.zeros((P.S.n, 1))
-    g_bad[P.S.index_of([1]), 0] = 0.3  # scaled stencil norm 0.3 > kappa
+    g_bad[index_of(P.S, [1]), 0] = 0.3  # scaled stencil norm 0.3 > kappa
     with pytest.raises(AdmissibilityError):
         P.check_admissible(g_bad)
     # quadratic chains are globally defined
@@ -190,9 +198,9 @@ def test_admissibility_scales_by_bond_length():
     # length 2 has norm 0.25, kappa itself, and the boundary is admissible
     P = lj_chain(r_cut=2.0, kappa=0.25)
     g = np.zeros((P.S.n, 1))
-    g[P.S.index_of([2]), 0] = 0.5
+    g[index_of(P.S, [2]), 0] = 0.5
     P.check_admissible(g)
-    g[P.S.index_of([2]), 0] = 0.51
+    g[index_of(P.S, [2]), 0] = 0.51
     with pytest.raises(AdmissibilityError, match="stencil norm 0.255 exceeds kappa=0.25"):
         P.check_admissible(g)
 

@@ -15,14 +15,9 @@ import pytest
 from latcb import static
 from latcb.dynamics import InitialData, make_initial_data
 from latcb.fields import TrigField
-from latcb.harness import ExperimentConfig, _macro_force
+from latcb.harness import ExperimentConfig
 from latcb.lattice import DisplacementField, LatticeSpec
-from latcb.potentials import (
-    AdmissibilityError,
-    HarmonicChain,
-    gradient_array,
-    potential_from_config,
-)
+from latcb.potentials import AdmissibilityError, HarmonicChain, gradient_array
 from latcb.stability import dynamical_symbol
 from latcb.static import (
     MacroForce,
@@ -38,7 +33,7 @@ from latcb.static import (
 )
 from latcb.stress import CBModel
 
-from conftest import eam_chain, lj_chain, lj_square, morse_chain, single_mode_load
+from conftest import eam_chain, lj_chain, lj_square, morse_chain, single_mode_load, site_coords
 from dense_cb_static import solve_cb_static as dense_solve_cb_static
 from hat_quadrature import zeta_convolve
 from point_gap import point_gradient_gap, point_value_gap
@@ -58,7 +53,7 @@ SWEEP_ERRORS = [1.749167818544e-08, 3.333964929409e-09, 7.741910228724e-10]
 def _quasi_sample(U: TrigField, eps: float) -> DisplacementField:
     N = int(round(1.0 / eps))
     lattice = LatticeSpec(d=1, A=np.eye(1), N=N)
-    sites = lattice.site_coords().astype(float)
+    sites = site_coords(lattice).astype(float)
     vals = zeta_convolve(lambda x: U.eval(np.asarray(x) * eps) / eps, sites, n_components=1)
     return DisplacementField(lattice, vals.reshape(N, 1))
 
@@ -120,7 +115,7 @@ def test_hat_transfer_matches_quadrature_oracle(d, eps_list):
     U1 = F.field.scale(-1.5)
     for eps in eps_list:
         N = int(round(1.0 / eps))
-        sites = LatticeSpec(d=d, A=np.eye(d), N=N).site_coords().astype(float)
+        sites = site_coords(LatticeSpec(d=d, A=np.eye(d), N=N)).astype(float)
         u0, v0 = make_initial_data(InitialData(U0, U1), eps)
         # u0 is also the static sweep's start, _hat_transfer(U0, eps, 1 / eps)
         pairs = [
@@ -254,8 +249,7 @@ def test_static_solvers_evaluate_each_state_once(monkeypatch):
     # Newton step of both solves is accepted at t = 1, so the states are the
     # start plus one trial per step: as many as the iterations
     cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
-    P = potential_from_config(cfg.potential)
-    F = _macro_force(cfg)
+    P, F = cfg.P, cfg.load
     calls = {"energy_density": 0, "stress": 0, "total_energy": 0, "gradient_array": 0}
 
     def counted(fn, key):
@@ -400,7 +394,7 @@ def test_interp_value_gap_frozen_second_order():
     for N, anchor in VALUE_GAP_UNIT_SIN.items():
         eps = 1.0 / N
         lattice = LatticeSpec(d=1, A=np.eye(1), N=N)
-        sites = lattice.site_coords().astype(float)
+        sites = site_coords(lattice).astype(float)
         vals = zeta_convolve(lambda x: V.eval(np.asarray(x) * eps), sites, n_components=1)
         va = DisplacementField(lattice, vals.reshape(N, 1))
         assert interp_value_gap(V, va, eps) == pytest.approx(anchor, rel=1e-8)

@@ -22,7 +22,7 @@ from latcb.stress import (
     stress_consistency_field,
 )
 
-from conftest import eam_square, lj_chain, lj_square, random_displacement
+from conftest import eam_square, lj_chain, lj_square, random_displacement, site_coords
 from hat_quadrature import zeta_convolve
 from point_gap import trig_grad, trig_hess
 from stress_loop import loop_div, loop_eval
@@ -223,7 +223,7 @@ def weak_form_mismatch(P, u, Vf, q_t=12, q_conv=8):
     def v_fn(x):
         return Vf.eval(np.asarray(x) / N)
 
-    sites = lattice.site_coords().astype(float)
+    sites = site_coords(lattice).astype(float)
     Phi = P.site_gradient(all_stencils(u.values, P.S)).reshape(-1, P.S.n, d)
     tg, tw = gauss_rule_01(q_t)
     lhs = 0.0
@@ -269,7 +269,7 @@ def test_weak_form_direct_grid_quadrature(rng):
     Sa = field.eval(pts)[:, 0, 0]
     dv = trig_grad(Vf, pts / N)[:, 0, 0] / N
     lhs = float(np.sum(np.tile(xw, N) * Sa * dv))
-    sites = lattice.site_coords().astype(float)
+    sites = site_coords(lattice).astype(float)
     smeared = zeta_convolve(lambda x: Vf.eval(np.asarray(x) / N), sites, n_components=1)
     rhs = float(np.sum(gradient_array(P, u.values).reshape(-1, 1) * smeared))
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
@@ -326,11 +326,10 @@ def test_div_cb_matches_fd_of_stress(rng):
 # ---------------------------------------------------------------------------
 
 def test_stress_consistency_field_decay(rng):
-    P = lj_chain()
-    M = CBModel(P)
+    M = CBModel(lj_chain())
     U = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.05 / (2.0 * np.pi))])
-    r8 = stress_consistency_field(P, M, U, 1.0 / 8.0)
-    r16 = stress_consistency_field(P, M, U, 1.0 / 16.0)
+    r8 = stress_consistency_field(M, U, 1.0 / 8.0)
+    r16 = stress_consistency_field(M, U, 1.0 / 16.0)
     assert r8["err_stress"] > 0.0 and r16["err_stress"] > 0.0
     assert r8["err_stress"] / r16["err_stress"] > 3.0  # second-order decay
     assert r8["err_div"] / r16["err_div"] > 3.0
@@ -344,7 +343,7 @@ def test_stress_consistency_field_decay(rng):
 def test_stress_consistency_grid_matches_point_evaluation(P, terms):
     """The staggered sample grid gives the gaps of point-wise ``TrigField.eval``."""
     M, U, eps, n_per_cell = CBModel(P), TrigField.from_terms(P.d, P.d, terms), 1.0 / 8.0, 2
-    rep = stress_consistency_field(P, M, U, eps, n_per_cell=n_per_cell)
+    rep = stress_consistency_field(M, U, eps, n_per_cell=n_per_cell)
     axis = (np.arange(8 * n_per_cell) + 0.5) / n_per_cell
     pts = tensor_grid([axis] * P.d)
     field = atomistic_stress(P, _restricted(U, 8))
