@@ -15,7 +15,7 @@ perturbation that the (stable) continuum model cannot see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .stress import CBModel
 __all__ = [
     "InitialData",
     "Trajectory",
-    "CBWaveTrajectory",
     "make_initial_data",
     "integrate_atomistic",
     "solve_cb_wave",
@@ -63,33 +62,18 @@ class InitialData:
 
 @dataclass
 class Trajectory:
-    """Atomistic snapshot record."""
+    """Snapshot record of either integrator: lattice values or continuum grids.
 
-    lattice: LatticeSpec
+    ``u`` and ``v`` stack the state and velocity at each snapshot, shape
+    ``(n_snap,) + state shape``; ``energies`` holds the total energy there
+    and ``dt`` the target step.
+    """
+
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
     energies: np.ndarray
     dt: float
-    diagnostics: dict = dc_field(default_factory=dict)
-
-    def displacement(self, j: int) -> DisplacementField:
-        return DisplacementField(self.lattice, self.u[j])
-
-    def velocity(self, j: int) -> DisplacementField:
-        return DisplacementField(self.lattice, self.v[j])
-
-
-@dataclass
-class CBWaveTrajectory:
-    """Continuum snapshot record (trigonometric interpolants per snapshot)."""
-
-    times: np.ndarray
-    U: list
-    V: list
-    energies: np.ndarray
-    dt: float
-    diagnostics: dict = dc_field(default_factory=dict)
 
 
 def make_initial_data(
@@ -110,13 +94,15 @@ def make_initial_data(
 # time stepping (shared by the lattice and the continuum)
 # ---------------------------------------------------------------------------
 
-def _verlet(x, v, accel, snap_times, dt_target: float, record) -> None:
-    """Velocity Verlet from t = 0, calling ``record(t, x, v)`` at every snapshot.
+def _verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
+    """Velocity Verlet from t = 0, recording a snapshot at every snapshot time.
 
-    ``accel(x, t)`` returns the acceleration.  Snapshot times must be
-    nonnegative and strictly increasing; each snapshot interval is split
-    into equal steps no longer than ``dt_target`` so snapshots land
-    exactly, and a snapshot at the current time records without stepping.
+    ``accel(x, t)`` returns the acceleration and ``energy(x, v)`` the total
+    energy stored with each snapshot.  Snapshot times must be nonnegative
+    and strictly increasing; each snapshot interval is split into equal
+    steps no longer than ``dt_target`` so snapshots land exactly, and a
+    snapshot at the current time records without stepping.  A non-finite
+    snapshot raises ``SolverError`` with its time.
     """
     snap_times = np.asarray(snap_times, dtype=float)
     if (
@@ -128,6 +114,7 @@ def _verlet(x, v, accel, snap_times, dt_target: float, record) -> None:
         raise ValueError("snapshot times must be >= 0 and strictly increasing")
     t = 0.0
     a = accel(x, t)
+    times, xs, vs, energies = [], [], [], []
     for t_snap in snap_times:
         span = t_snap - t
         if span > 1e-14:
@@ -140,7 +127,14 @@ def _verlet(x, v, accel, snap_times, dt_target: float, record) -> None:
                 a = accel(x, t)
                 v = v_half + 0.5 * dt * a
             t = t_snap  # guard accumulated roundoff
-        record(t, x, v)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise SolverError(f"non-finite state at the snapshot t={t:.6g}")
+        times.append(t)
+        xs.append(x)
+        vs.append(v)
+        energies.append(energy(x, v))
+    return Trajectory(np.array(times), np.stack(xs), np.stack(vs), np.array(energies),
+                      float(dt_target))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +156,8 @@ def integrate_atomistic(
     exactly.  Admissibility of the stencil field is checked on every step
     and a violation aborts with the simulation time in the message.
     Snapshot energies (potential + kinetic) are recorded; for a symplectic
-    integrator their drift is O(dt^2).
+    integrator their drift is O(dt^2).  Snapshots hold the site values,
+    shape ``(n_snap,) + u0.values.shape``.
     """
     lattice = u0.lattice
     if dt_target is None:
@@ -174,26 +169,10 @@ def integrate_atomistic(
         except AdmissibilityError as exc:
             raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
 
-    times, us, vs, energies = [], [], [], []
+    def energy(u, v):
+        return total_energy(P, DisplacementField(lattice, u)) + 0.5 * float(np.sum(v * v))
 
-    def record(t, u, v):
-        times.append(t)
-        us.append(u)
-        vs.append(v)
-        energies.append(
-            total_energy(P, DisplacementField(lattice, u)) + 0.5 * float(np.sum(v * v))
-        )
-
-    _verlet(u0.values, v0.values, accel, snap_times, dt_target, record)
-    return Trajectory(
-        lattice=lattice,
-        times=np.array(times),
-        u=np.stack(us),
-        v=np.stack(vs),
-        energies=np.array(energies),
-        dt=float(dt_target),
-        diagnostics={"cfl": cfl},
-    )
+    return _verlet(u0.values, v0.values, accel, energy, snap_times, dt_target)
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +185,20 @@ def solve_cb_wave(
     snap_times,
     n_grid: int = 128,
     cfl: float = 0.2,
-) -> CBWaveTrajectory:
+) -> Trajectory:
     """Nonlinear Cauchy-Born wave equation on the unit torus (1D).
 
     Pseudo-spectral in space (derivatives via FFT on ``n_grid`` points),
     velocity Verlet in time with step ``cfl * dx / max wave speed``; the
     wave speed is monitored on the fly and the deformation gradient must
     stay inside the admissible region with positive moduli (loss of
-    hyperbolicity aborts).  Snapshots are returned as trigonometric
-    interpolants of displacement and velocity.
+    hyperbolicity aborts).  Snapshots hold displacement and velocity on
+    the grid ``X_i = i / n_grid``, shape ``(n_snap, n_grid)``.
     """
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
-    Mg = n_grid
-    U = data.U0.sample(Mg)[:, 0]
-    V = data.U1.sample(Mg)[:, 0]
+    U = data.U0.sample(n_grid)[:, 0]
+    V = data.U1.sample(n_grid)[:, 0]
 
     def grad_and_speed(Uv, t=0.0):
         up = _spectral_ddx(Uv)
@@ -251,32 +229,17 @@ def solve_cb_wave(
         return float(np.mean(0.5 * Vv * Vv + M.energy_density(up[:, None, None])))
 
     _, c_max = grad_and_speed(U)
-    dt_target = cfl / (Mg * c_max)
-
-    times, Us, Vs, energies = [], [], [], []
-
-    def record(t, Uv, Vv):
-        if not np.all(np.isfinite(Uv)):
-            raise SolverError(f"spectral blow-up in the wave solver at t={t:.6g}")
-        times.append(t)
-        Us.append(TrigField.from_grid_1d(Uv[:, None]))
-        Vs.append(TrigField.from_grid_1d(Vv[:, None]))
-        energies.append(energy(Uv, Vv))
-
-    _verlet(U, V, accel, snap_times, dt_target, record)
-    return CBWaveTrajectory(
-        times=np.array(times),
-        U=Us,
-        V=Vs,
-        energies=np.array(energies),
-        dt=float(dt_target),
-        diagnostics={"n_grid": Mg, "initial_speed": c_max},
-    )
+    return _verlet(U, V, accel, energy, snap_times, cfl / (n_grid * c_max))
 
 
 # ---------------------------------------------------------------------------
 # convergence sweep
 # ---------------------------------------------------------------------------
+
+def _interpolants(cb: Trajectory) -> tuple[list, list]:
+    """Trigonometric interpolants of the continuum snapshots, (U, V)."""
+    return tuple([TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v))
+
 
 def _dynamic_member(payload) -> dict:
     """One spacing member of the dynamic sweep (picklable for process pools)."""
@@ -285,10 +248,9 @@ def _dynamic_member(payload) -> dict:
     micro_times = cb_times / eps
     traj = integrate_atomistic(P, u0, v0, micro_times, cfl=cfl)
     errors = []
-    for j, (Uj, Vj) in enumerate(zip(cb_U, cb_V)):
-        ua, va = traj.displacement(j), traj.velocity(j)
-        e_grad = interp_gradient_gap(Uj, ua, eps, q=q)
-        e_vel = interp_value_gap(Vj, va, eps, q=q)
+    for Uj, Vj, uj, vj in zip(cb_U, cb_V, traj.u, traj.v):
+        e_grad = interp_gradient_gap(Uj, DisplacementField(u0.lattice, uj), eps, q=q)
+        e_vel = interp_value_gap(Vj, DisplacementField(u0.lattice, vj), eps, q=q)
         errors.append(e_grad + e_vel)
     return {
         "eps": float(eps),
@@ -321,7 +283,8 @@ def dynamic_error_sweep(
     M = CBModel(P)
     cb_times = np.linspace(0.0, T, n_snap)
     cb = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=cfl)
-    payloads = [(P, data, cb_times, cb.U, cb.V, eps, cfl, q) for eps in eps_list]
+    cb_U, cb_V = _interpolants(cb)
+    payloads = [(P, data, cb_times, cb_U, cb_V, eps, cfl, q) for eps in eps_list]
     members = _map_members(_dynamic_member, payloads, workers)
 
     # Both integrators are re-run at half step: the continuum solve is shared
@@ -329,7 +292,7 @@ def dynamic_error_sweep(
     # atomistic-only control would miss entirely.
     finest = min(eps_list)
     cb_half = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=0.5 * cfl)
-    control = _dynamic_member((P, data, cb_times, cb_half.U, cb_half.V, finest, 0.5 * cfl, q))
+    control = _dynamic_member((P, data, cb_times, *_interpolants(cb_half), finest, 0.5 * cfl, q))
     base = members[list(eps_list).index(finest)]["error"]
     return {
         "eps": [float(e) for e in eps_list],
@@ -416,9 +379,7 @@ def instability_demo(
     cb = solve_cb_wave(
         M, InitialData(zero_field, zero_field), np.linspace(0.0, T_end, 5), n_grid=32
     )
-    cb_max = max(
-        float(np.max(np.abs(f.amps))) if f.amps.size else 0.0 for f in cb.U
-    )
+    cb_max = float(np.max(np.abs(cb.u)))
 
     return {
         "eps": float(eps),

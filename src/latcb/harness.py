@@ -118,6 +118,12 @@ _FIELD_SPECS = {
                          "U1": {"amplitude": 0.0, "mode": 1}},
 }
 
+# the other params keys each experiment reads: the static load's shape, and two
+# retired switches (no-ops) that shipped configs still carry and hash into
+# their artifacts.  Any key not read here, in _PARAMS or in _FIELD_SPECS exits 2.
+_OTHER_PARAMS = {"static-converge": {"force", "delta_halving"},
+                 "dynamic-converge": {"half_dt_check"}}
+
 # what building a potential, load or field from a malformed block raises
 _BUILD_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
@@ -193,7 +199,7 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
         experiment = obj.get("experiment")
-        if experiment not in EXPERIMENTS:
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise _field_error(
                 "experiment", f"must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
             )
@@ -204,7 +210,7 @@ class ExperimentConfig:
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
             raise _field_error("name", f"must be a plain file name; got {name!r}")
         seed = obj.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise _field_error("seed", "must be a nonnegative integer")
         cfg = cls(
             experiment=experiment,
@@ -253,6 +259,12 @@ class ExperimentConfig:
                 )
         if self.experiment in ("stress-consistency", "static-converge", "dynamic-converge"):
             self.spacings = self.eps_list()
+        read = {row[0] for row in _PARAMS if self.experiment in row[1]}
+        read |= _FIELD_SPECS.get(self.experiment, {}).keys()
+        read |= _OTHER_PARAMS.get(self.experiment, set())
+        for key in self.params:
+            if key not in read:
+                raise _field_error(f"params.{key}", f"not read by the {self.experiment} experiment")
         values = self.values = {}
         for key, experiments, default, kind, ok, rule in _PARAMS:
             if self.experiment not in experiments:

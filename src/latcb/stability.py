@@ -19,7 +19,6 @@ these objects have closed forms that the tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy import optimize
@@ -133,26 +132,15 @@ def _min_ratio(P: Potential, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_directions(d: int) -> np.ndarray:
-    """Unit directions probing the k -> 0 limit (axes, diagonals, fans)."""
-    if d == 1:
-        return np.array([[1.0]])
-    if d == 2:
-        return np.array([[np.cos(ang), np.sin(ang)] for ang in np.linspace(0.0, np.pi, 33)[:-1]])
-    box = tensor_grid([np.array([-1.0, 0.0, 1.0])] * d)
-    box = box[box.any(axis=1)]
-    return box / np.linalg.norm(box, axis=1, keepdims=True)
-
-
 def stability_constant(P: Potential, n_grid: int = 256) -> float:
     """Stability constant: inf over k != 0 of lambda_min(H(k)) / g(k).
 
     Sampling uses ``n_grid`` points per axis with a golden-ratio offset
     (no symmetry point of the zone is hit exactly), followed by a local
-    smooth refinement around the grid minimizer and a logarithmic probe of
-    the k -> 0 limit along a direction fan, where the ratio tends to the
-    Legendre-Hadamard quotient.  Accuracy is well below 1e-6 for the
-    closed-form chain examples.
+    smooth refinement around the grid minimizer.  As k -> 0 along a unit
+    direction b the ratio tends to the smallest eigenvalue of the acoustic
+    tensor A(b), so the Legendre-Hadamard minimum is the exact k -> 0
+    value.  Accuracy is well below 1e-6 for the closed-form chain examples.
     """
     d = P.d
     h = 2.0 * np.pi / n_grid
@@ -181,12 +169,8 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
         )
         best = min(best, float(res.fun))
 
-    # k -> 0 probe: the ratio extends continuously with the LH limit
-    dirs = _tail_directions(d)
-    for t in np.logspace(-1, -6, 11):
-        tail = _min_ratio(P, dirs * (2.0 * np.pi * t))
-        best = min(best, float(np.min(tail)))
-    return best
+    # the k -> 0 limit of the ratio
+    return min(best, legendre_hadamard_min(CBModel(P)))
 
 
 def max_frequency(P: Potential, n_grid: int | None = None) -> float:
@@ -212,45 +196,39 @@ def max_frequency(P: Potential, n_grid: int | None = None) -> float:
 # Legendre-Hadamard constant of the continuum model
 # ---------------------------------------------------------------------------
 
-def _lh_value(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.einsum("ipjq,i,p,j,q->", C, a, b, a, b))
+def _acoustic_min(C: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of A(b)_ij = C_ipjq b_p b_q at the unit vectors b of
+    the angle rows ``ang`` (one angle in 2D, polar and azimuth in 3D)."""
+    if ang.shape[1] == 1:
+        b = np.stack([np.cos(ang[:, 0]), np.sin(ang[:, 0])], axis=1)
+    else:
+        t, p = ang[:, 0], ang[:, 1]
+        b = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=1)
+    return np.linalg.eigvalsh(np.einsum("ipjq,Kp,Kq->Kij", C, b, b))[:, 0]
 
 
 def legendre_hadamard_min(M: CBModel) -> float:
     """Minimum of (a x b) : C(0) : (a x b) over unit vectors a, b.
 
     C(0) are the moduli at the reference state; in one dimension this is
-    just the scalar modulus.  In higher dimensions the rank-one cone is
-    scanned with an angular grid and polished with a local search.
+    just the scalar modulus.  For fixed b the minimum over a is the
+    smallest eigenvalue of the acoustic tensor A(b)_ij = C_ipjq b_p b_q,
+    so only b is searched: an angular grid over the half sphere (b and -b
+    give the same tensor), polished with a local search.
     """
     d = M.P.d
     C = M.moduli(np.zeros((d, d)))
     if d == 1:
         return float(C[0, 0, 0, 0])
-
-    def unit(ang):
-        if d == 2:
-            return np.array([np.cos(ang[0]), np.sin(ang[0])])
-        t, p = ang
-        return np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
-
-    n_ang = 1 if d == 2 else 2
-    grid = np.linspace(0.0, np.pi, 48 if d == 2 else 12)
-    best, best_ang = np.inf, None
-    for ang_a in product(grid, repeat=n_ang):
-        a = unit(ang_a)
-        for ang_b in product(grid, repeat=n_ang):
-            v = _lh_value(C, a, unit(ang_b))
-            if v < best:
-                best, best_ang = v, np.array(list(ang_a) + list(ang_b))
-
+    ang = tensor_grid([np.linspace(0.0, np.pi, 48 if d == 2 else 24)] * (d - 1))
+    vals = _acoustic_min(C, ang)
     res = optimize.minimize(
-        lambda t: _lh_value(C, unit(t[:n_ang]), unit(t[n_ang:])),
-        best_ang,
+        lambda t: float(_acoustic_min(C, t[None, :])[0]),
+        ang[int(np.argmin(vals))],
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-13},
     )
-    return min(float(best), float(res.fun))
+    return min(float(np.min(vals)), float(res.fun))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_package_all_is_pinned():
 MODULE_API = {
     "cli": [],
     "dynamics": [
-        "InitialData", "Trajectory", "CBWaveTrajectory", "make_initial_data",
+        "InitialData", "Trajectory", "make_initial_data",
         "integrate_atomistic", "solve_cb_wave", "dynamic_error_sweep", "instability_demo",
     ],
     "fields": ["TrigField"],

@@ -77,6 +77,16 @@ def test_geometry_d_must_be_an_integer(tmp_path, capsys, d):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("over, key", [({"experiment": ["stability"]}, "experiment"),
+                                       ({"seed": True}, "seed")])
+def test_config_root_types_return_two(tmp_path, capsys, over, key):
+    # a list experiment is unhashable and a bool seed is an int to Python
+    path = _write_cfg(tmp_path, _stability_cfg(**over))
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert f"config error: config field {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["../esc/x", "sub/x", "..", ".", "a\\b", ""])
 def test_name_must_be_a_plain_file_name(tmp_path, capsys, name):
     path = _write_cfg(tmp_path, _stability_cfg(name=name))
@@ -348,6 +358,29 @@ def test_run_bad_numeric_params_return_two(tmp_path, capsys, obj):
     path = _write_cfg(tmp_path, obj)
     assert run(path, out_dir=tmp_path / "out") == 2
     assert "config error: config field 'params." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        (_stability_cfg(params={"eigenprobe_n": 16}), "eigenprobe_n"),
+        (_static_cfg(half_dt_check=True), "half_dt_check"),
+        (_dynamic_cfg(delta_halving=True), "delta_halving"),
+        (_dynamic_cfg(force={"mode": 1}), "force"),
+        (_demo_cfg(n_grid=32), "n_grid"),
+    ],
+)
+def test_unread_params_return_two(tmp_path, capsys, obj, key):
+    path = _write_cfg(tmp_path, obj)
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert (f"config error: config field 'params.{key}': not read by the {obj['experiment']} "
+            "experiment") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj", [_static_cfg(delta_halving=True), _dynamic_cfg(half_dt_check=True)])
+def test_retired_params_are_accepted(obj):
+    # no-op switches that the shipped configs carry, each for its own experiment
+    assert ExperimentConfig.from_dict(obj).params == obj["params"]
 
 
 def _runner_cfg(experiment, **params):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from latcb.potentials import HarmonicChain, lennard_jones
+from latcb.lattice import StencilSet
+from latcb.potentials import HarmonicChain, PairPotential, lennard_jones
 from latcb.stability import (
     difference_symbol,
     dispersion_spectrum,
@@ -25,6 +26,7 @@ from latcb.stability import (
 from latcb.stress import CBModel
 
 from conftest import eam_square, lj_chain, lj_square
+from lh_scan import lh_scan
 
 GOLDEN_FRAC = 0.6180339887498949
 
@@ -178,6 +180,31 @@ def test_legendre_hadamard_2d_bounds():
     assert lh <= float(C[0, 0, 0, 0]) + 1e-10
     assert float(C[0, 0, 0, 0]) > 0.0
     assert stability_constant(lj_square(), n_grid=96) <= lh + 1e-9
+
+
+def _lj_cubic():
+    """A 3D simple-cubic Lennard-Jones crystal (face and edge neighbours)."""
+    return PairPotential(
+        d=3, A=np.eye(3), S=StencilSet.ball(3, 1.5), kappa=0.25, phi=lennard_jones()
+    )
+
+
+@pytest.mark.parametrize("make", [lj_square, eam_square, _lj_cubic],
+                         ids=["lj_square", "eam_square", "lj_cubic"])
+def test_legendre_hadamard_matches_joint_scan(make):
+    # the smallest acoustic-tensor eigenvalue searched over b alone reaches
+    # the minimum of the joint (a, b) scan
+    M = CBModel(make())
+    d = M.P.d
+    assert legendre_hadamard_min(M) == pytest.approx(
+        lh_scan(M.moduli(np.zeros((d, d)))), rel=1e-12
+    )
+
+
+def test_stability_constant_long_wave_limit_is_the_lh_minimum():
+    # both chains are stable with the infimum at k -> 0, so it is the modulus
+    for P in (lj_chain(), HarmonicChain.build(a1=2.0, a2=-0.25)):
+        assert stability_constant(P) == legendre_hadamard_min(CBModel(P))
 
 
 def test_eam_square_infimum_is_long_wave():
