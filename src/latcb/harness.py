@@ -241,23 +241,36 @@ class ExperimentConfig:
         return cls.from_dict(obj)
 
     def _validate(self):
-        if self.experiment != "instability-demo":
+        if self.experiment == "instability-demo":
+            # the demo builds its own harmonic chains
+            if self.potential:
+                raise _field_error("potential", "not read by the instability-demo experiment")
+            dim = 1
+        else:
             if "variant" not in self.potential:
                 raise _field_error("potential.variant", "required")
             try:
                 P = self.P = potential_from_config(self.potential)
             except _BUILD_ERRORS as exc:
                 raise _field_error("potential", f"not resolvable: {exc}")
-            d = self.geometry.get("d", P.d)
-            if not (_is_number(d) and d == int(d)):
-                raise _field_error("geometry.d", f"must be an integer; got {d!r}")
-            if d != P.d:
-                raise _field_error("geometry.d", "does not match the potential dimension")
-            if self.experiment in ("static-converge", "dynamic-converge") and P.d != 1:
-                raise _field_error(
-                    "geometry.d", f"the {self.experiment} sweep is one-dimensional; got d = {P.d}"
-                )
-        if self.experiment in ("stress-consistency", "static-converge", "dynamic-converge"):
+            dim = P.d
+        sweep = self.experiment in ("stress-consistency", "static-converge", "dynamic-converge")
+        geometry_keys = {"d", "eps_list", "N_list"} if sweep else {"d"}
+        for key in self.geometry:
+            if key not in geometry_keys:
+                raise _field_error(f"geometry.{key}",
+                                   f"not read by the {self.experiment} experiment")
+        d = self.geometry.get("d", dim)
+        if not (_is_number(d) and d == int(d)):
+            raise _field_error("geometry.d", f"must be an integer; got {d!r}")
+        if d != dim:
+            raise _field_error("geometry.d", "does not match the potential dimension"
+                               if self.P is not None else "the instability demo is one-dimensional")
+        if self.experiment in ("static-converge", "dynamic-converge") and dim != 1:
+            raise _field_error(
+                "geometry.d", f"the {self.experiment} sweep is one-dimensional; got d = {dim}"
+            )
+        if sweep:
             self.spacings = self.eps_list()
         read = {row[0] for row in _PARAMS if self.experiment in row[1]}
         read |= _FIELD_SPECS.get(self.experiment, {}).keys()
@@ -314,6 +327,8 @@ class ExperimentConfig:
     def eps_list(self) -> list[float]:
         """Spacing sweep from the geometry block (eps_list or N_list)."""
         geo = self.geometry
+        if "eps_list" in geo and "N_list" in geo:
+            raise _field_error("geometry.N_list", "not read beside eps_list; give one of them")
         if "eps_list" in geo:
             vals = geo["eps_list"]
         elif "N_list" in geo:
@@ -434,7 +449,7 @@ def write_csv(path: Path, comments, columns, rows):
     lines = [f"# {c}" for c in comments]
     lines.append("# columns: " + ",".join(columns))
     for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
+        lines.append(",".join(map(_format_value, row)))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
@@ -494,7 +509,7 @@ def _run_dispersion(cfg: ExperimentConfig, workers: int):
         + ("normalizer",)
         + tuple(f"ratio{i + 1}" for i in range(n_eig))
     )
-    rows = [tuple(row) for row in spec.to_rows()]
+    rows = spec.to_rows().tolist()
     finite = spec.ratios[np.isfinite(spec.ratios)]
     min_ratio = float(np.min(finite))
     max_omega = float(np.sqrt(np.max(np.abs(spec.eigs))))

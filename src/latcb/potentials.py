@@ -527,8 +527,34 @@ def hessian_operator(P: Potential, values: np.ndarray):
 # configuration
 # ---------------------------------------------------------------------------
 
-def _profile_from_config(cfg: dict) -> RadialProfile:
+# the keys each profile kind, potential variant and embedding block reads: any
+# other key would fall back to a default without a word, so it is an error
+_PROFILE_KEYS = {
+    "lennard_jones": {"kind", "well_depth", "r0"},
+    "morse": {"kind", "well_depth", "stiffness", "r0"},
+    "exp": {"kind", "amplitude", "beta", "r0"},
+    "power_law": {"kind", "powers", "coeffs"},
+}
+_VARIANT_KEYS = {
+    "harmonic_chain": {"variant", "a1", "a2", "kappa"},
+    "pair": {"variant", "d", "A", "r_cut", "kappa", "phi"},
+    "eam": {"variant", "d", "A", "r_cut", "kappa", "phi", "psi", "embed"},
+}
+_EMBED_KEYS = {"coeffs"}
+
+
+def _check_keys(cfg: dict, known: set, where: str, owner: str):
+    for key in cfg:
+        if key not in known:
+            raise ValueError(f"key {f'{where}{key}'!r} is not read by the {owner} "
+                             f"(it reads {', '.join(sorted(known))})")
+
+
+def _profile_from_config(cfg: dict, where: str) -> RadialProfile:
     kind = cfg.get("kind")
+    if kind not in _PROFILE_KEYS:
+        raise ValueError(f"unknown radial profile kind: {kind!r}")
+    _check_keys(cfg, _PROFILE_KEYS[kind], where, f"{kind} profile")
     if kind == "lennard_jones":
         return lennard_jones(cfg.get("well_depth", 1.0), cfg.get("r0", 1.0))
     if kind == "morse":
@@ -543,39 +569,48 @@ def _profile_from_config(cfg: dict) -> RadialProfile:
             beta=cfg.get("beta", 3.0),
             r0=cfg.get("r0", 1.0),
         )
-    if kind == "power_law":
-        return PowerLawProfile(powers=tuple(cfg["powers"]), coeffs=tuple(cfg["coeffs"]))
-    raise ValueError(f"unknown radial profile kind: {kind!r}")
+    return PowerLawProfile(powers=tuple(cfg["powers"]), coeffs=tuple(cfg["coeffs"]))
 
 
 def potential_from_config(cfg: dict) -> Potential:
     """Build a potential from a plain configuration dictionary.
 
-    Required keys: ``variant``; pair/eam additionally need ``d``, ``r_cut``
-    and profile blocks, the harmonic chain needs ``a1``/``a2``.  ``kappa``
-    defaults to 0.25 scaled by 1/||A^-1|| (a safely admissible radius).
+    Required keys: ``variant``; pair/eam also need ``r_cut``, the harmonic
+    chain needs ``a1``.  Defaults: ``d`` 1, ``A`` the identity, ``phi``
+    Lennard-Jones (pair) or Morse (eam), ``psi`` exp, ``embed`` the
+    coefficients (0, 1), ``a2`` 0; ``kappa`` is infinite for the harmonic
+    chain and otherwise 0.25 scaled by 1/||A^-1|| (a safely admissible
+    radius).  A key the variant, profile or embedding does not read raises
+    ``ValueError`` naming it.
     """
     variant = cfg.get("variant")
+    if variant not in _VARIANT_KEYS:
+        raise ValueError(f"unknown potential variant: {variant!r}")
+    _check_keys(cfg, _VARIANT_KEYS[variant], "", f"{variant} potential")
     if variant == "harmonic_chain":
         return HarmonicChain.build(
             a1=float(cfg["a1"]),
             a2=float(cfg.get("a2", 0.0)),
             kappa=float(cfg.get("kappa", math.inf)),
         )
+    if "r_cut" not in cfg:
+        raise ValueError(f"the {variant} potential needs r_cut")
     d = int(cfg.get("d", 1))
     A = np.asarray(cfg.get("A", np.eye(d)), dtype=float)
-    S = StencilSet.ball(d, float(cfg.get("r_cut", 1.0)))
+    S = StencilSet.ball(d, float(cfg["r_cut"]))
     kappa = cfg.get("kappa")
     if kappa is None:
         kappa = 0.25 / np.linalg.norm(np.linalg.inv(A), 2)
     if variant == "pair":
         return PairPotential(d=d, A=A, S=S, kappa=float(kappa),
-                             phi=_profile_from_config(cfg.get("phi", {"kind": "lennard_jones"})))
-    if variant == "eam":
-        return EAMPotential(
-            d=d, A=A, S=S, kappa=float(kappa),
-            phi=_profile_from_config(cfg.get("phi", {"kind": "morse"})),
-            psi=_profile_from_config(cfg.get("psi", {"kind": "exp"})),
-            embed=PolynomialEmbedding(tuple(cfg.get("embed", {}).get("coeffs", (0.0, 1.0)))),
-        )
-    raise ValueError(f"unknown potential variant: {variant!r}")
+                             phi=_profile_from_config(cfg.get("phi", {"kind": "lennard_jones"}),
+                                                      "phi."))
+    embed = cfg.get("embed", {})
+    coeffs = tuple(embed.get("coeffs", (0.0, 1.0)))
+    _check_keys(embed, _EMBED_KEYS, "embed.", "polynomial embedding")
+    return EAMPotential(
+        d=d, A=A, S=S, kappa=float(kappa),
+        phi=_profile_from_config(cfg.get("phi", {"kind": "morse"}), "phi."),
+        psi=_profile_from_config(cfg.get("psi", {"kind": "exp"}), "psi."),
+        embed=PolynomialEmbedding(coeffs),
+    )

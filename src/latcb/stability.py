@@ -58,10 +58,34 @@ def zone_grid(d: int, n: int, offset: float = _GOLDEN_FRAC) -> np.ndarray:
     return tensor_grid([axis] * d)
 
 
+# wave vectors per block of the symbol product: the complex intermediate
+# (block, n d n d) stays near 1.5 MB on the 2D stencils
+_K_BLOCK = 2048
+
+
 def _symbol_blocks(P: Potential) -> np.ndarray:
     """Hessian blocks V_{rho sigma}(0), shape (n, d, n, d)."""
     g0 = np.zeros((P.S.n, P.d))
     return P.site_hessian(g0)
+
+
+def _symbol(P: Potential, blocks: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """H(k) at the rows of ``pts`` (K, d) from the blocks V(0); shape (K, d, d).
+
+    Per block of wave vectors, one matrix product contracts ``rho`` and a
+    two-operand einsum contracts ``sigma``.
+    """
+    n, d = blocks.shape[:2]
+    flat = blocks.reshape(n, d * n * d).astype(complex)
+    dirs = P.S.directions.T.astype(float)
+    out = np.empty((pts.shape[0], d, d), dtype=complex)
+    for lo in range(0, pts.shape[0], _K_BLOCK):
+        theta = 0.5 * (pts[lo:lo + _K_BLOCK] @ dirs)  # (K, n)
+        # factor_ab = 4 sin(theta_a) sin(theta_b) e^{i (theta_a - theta_b)}
+        fa = 2.0 * np.sin(theta) * np.exp(1j * theta)
+        left = (fa @ flat).reshape(-1, d, n, d)
+        out[lo:lo + _K_BLOCK] = np.einsum("Kibj,Kb->Kij", left, np.conj(fa))
+    return out
 
 
 def dynamical_symbol(P: Potential, k) -> np.ndarray:
@@ -72,16 +96,8 @@ def dynamical_symbol(P: Potential, k) -> np.ndarray:
     H(0) = 0, H(-k) = conj(H(k)).
     """
     k = np.asarray(k, dtype=float)
-    single = k.ndim == 1
-    pts = k.reshape(-1, k.shape[-1])
-    blocks = _symbol_blocks(P)
-    theta = 0.5 * (pts @ P.S.directions.T.astype(float))  # (K, n)
-    s = np.sin(theta)
-    phase = np.exp(1j * theta)
-    # factor_ab = 4 sin(theta_a) sin(theta_b) e^{i (theta_a - theta_b)}
-    fa = 2.0 * s * phase  # (K, n)
-    out = np.einsum("Ka,aibj,Kb->Kij", fa, blocks.astype(complex), np.conj(fa))
-    return out[0] if single else out.reshape(k.shape[:-1] + out.shape[-2:])
+    H = _symbol(P, _symbol_blocks(P), k.reshape(-1, k.shape[-1]))
+    return H[0] if k.ndim == 1 else H.reshape(k.shape[:-1] + H.shape[-2:])
 
 
 def difference_symbol(k) -> np.ndarray:
@@ -120,10 +136,9 @@ def dispersion_spectrum(P: Potential, k_grid) -> DispersionSpectrum:
     return DispersionSpectrum(k=k, eigs=eigs, normalizer=g, ratios=ratios)
 
 
-def _min_ratio(P: Potential, k: np.ndarray) -> np.ndarray:
-    """Smallest symbol eigenvalue over the normalizer, +inf where k ~ 0."""
-    k = np.atleast_2d(k)
-    H = dynamical_symbol(P, k)
+def _min_ratio(P: Potential, blocks: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Smallest symbol eigenvalue over the normalizer at the rows of ``k``, +inf at k ~ 0."""
+    H = _symbol(P, blocks, k)
     lam = np.linalg.eigvalsh(H)[..., 0]
     g = difference_symbol(k)
     out = np.full(lam.shape, np.inf)
@@ -144,8 +159,9 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
     """
     d = P.d
     h = 2.0 * np.pi / n_grid
+    blocks = _symbol_blocks(P)
     pts = zone_grid(d, n_grid)
-    vals = _min_ratio(P, pts)
+    vals = _min_ratio(P, blocks, pts)
     best_idx = int(np.argmin(vals))
     best_k = pts[best_idx]
     best = float(vals[best_idx])
@@ -154,7 +170,7 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
     if d == 1:
         lo, hi = best_k[0] - h, best_k[0] + h
         res = optimize.minimize_scalar(
-            lambda t: float(_min_ratio(P, np.array([[t]]))[0]),
+            lambda t: float(_min_ratio(P, blocks, np.array([[t]]))[0]),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-12},
@@ -162,7 +178,7 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
         best = min(best, float(res.fun))
     else:
         res = optimize.minimize(
-            lambda t: float(_min_ratio(P, t[None, :])[0]),
+            lambda t: float(_min_ratio(P, blocks, t[None, :])[0]),
             best_k,
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12},

@@ -22,7 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -216,11 +216,18 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
 # Cauchy-Born solver (1D spectral grid)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _ddx_symbol(n: int) -> np.ndarray:
+    """The multiplier ``i k`` of d/dX on the rfft modes of ``n`` samples (read-only)."""
+    ik = 1j * (2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n))
+    ik.flags.writeable = False
+    return ik
+
+
 def _spectral_ddx(f: np.ndarray) -> np.ndarray:
     """Derivative of the trigonometric interpolant of the samples ``f[j]`` at X = j / len(f)."""
     n = f.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
-    return np.fft.irfft(1j * k * np.fft.rfft(f), n=n)
+    return np.fft.irfft(_ddx_symbol(n) * np.fft.rfft(f), n=n)
 
 
 def solve_cb_static(

@@ -726,6 +726,33 @@ def test_cli_subprocess_bad_config(tmp_path):
     assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("over, field", [
+    ({"potential": {"variant": "pair", "d": 1, "rcut": 3.0}}, "potential"),
+    ({"potential": {**LJ_POT, "phi": {"kind": "lennard_jones", "well": 2.0}}}, "potential"),
+    ({"geometry": {"d": 1, "eps_list": [0.125, 0.0625, 0.03125]}}, "geometry.eps_list"),
+])
+def test_cli_unread_potential_or_geometry_key_exits_two(tmp_path, over, field):
+    # a misspelt "rcut" used to run with r_cut 1.0 and report gamma 72 for 70.61
+    proc = _cli("stability", "--config", str(_write_cfg(tmp_path, _stability_cfg(**over))),
+                "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert f"config error: config field {field!r}" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_geometry_keys_outside_the_sweep_exit_two():
+    with pytest.raises(ConfigError, match="geometry.N_list"):
+        ExperimentConfig.from_dict(
+            {"experiment": "stress-consistency", "potential": LJ_POT,
+             "geometry": {"eps_list": [0.125, 0.0625, 0.03125], "N_list": [8, 16, 32]}})
+    with pytest.raises(ConfigError, match="geometry.N"):
+        ExperimentConfig.from_dict({"experiment": "instability-demo", "geometry": {"N": 64}})
+    with pytest.raises(ConfigError, match="geometry.d"):
+        ExperimentConfig.from_dict({"experiment": "instability-demo", "geometry": {"d": 2}})
+    with pytest.raises(ConfigError, match="'potential': not read"):
+        ExperimentConfig.from_dict({"experiment": "instability-demo", "potential": LJ_POT})
+
+
 def test_cli_subprocess_runs_instability(tmp_path):
     cfg = {
         "experiment": "instability-demo",

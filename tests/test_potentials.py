@@ -338,6 +338,27 @@ def test_potential_from_config_variants():
     assert isinstance(E, EAMPotential)
     with pytest.raises(ValueError):
         potential_from_config({"variant": "nope"})
-    with pytest.raises(ValueError):
-        potential_from_config({"variant": "pair", "phi": {"kind": "unknown"}})
+    with pytest.raises(ValueError, match="unknown radial profile kind"):
+        potential_from_config({"variant": "pair", "r_cut": 1.0, "phi": {"kind": "unknown"}})
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"variant": "pair", "d": 1, "rcut": 3.0}, "'rcut'"),
+    ({"variant": "pair", "d": 1, "r_cut": 3.0, "phi": {"kind": "lennard_jones", "rO": 1.1}},
+     "'phi.rO'"),
+    ({"variant": "eam", "d": 1, "r_cut": 2.0, "psi": {"kind": "exp", "beat": 2.0}},
+     "'psi.beat'"),
+    ({"variant": "eam", "d": 1, "r_cut": 2.0, "embed": {"coefs": [0.0, 1.0]}}, "'embed.coefs'"),
+    ({"variant": "harmonic_chain", "a1": 1.0, "r_cut": 2.0}, "'r_cut'"),
+])
+def test_potential_from_config_rejects_unread_keys(cfg, key):
+    # a misspelt key would otherwise fall back to its default without a word
+    with pytest.raises(ValueError, match=f"key {key} is not read"):
+        potential_from_config(cfg)
+
+
+def test_potential_from_config_requires_r_cut():
+    for variant in ("pair", "eam"):
+        with pytest.raises(ValueError, match="needs r_cut"):
+            potential_from_config({"variant": variant, "d": 1})
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from latcb import stability
 from latcb.lattice import StencilSet
 from latcb.potentials import HarmonicChain, PairPotential, lennard_jones
 from latcb.stability import (
@@ -25,8 +26,9 @@ from latcb.stability import (
 )
 from latcb.stress import CBModel
 
-from conftest import eam_square, lj_chain, lj_square
+from conftest import eam_chain, eam_square, lj_chain, lj_square
 from lh_scan import lh_scan
+from symbol_einsum import einsum_symbol
 
 GOLDEN_FRAC = 0.6180339887498949
 
@@ -52,6 +54,57 @@ def test_symbol_structure(rng):
         assert H.shape == (7, d, d)
         assert np.allclose(H, np.conj(np.transpose(H, (0, 2, 1))), atol=1e-12)
         assert np.allclose(dynamical_symbol(P, -k), np.conj(H), atol=1e-12)
+
+
+# (factory, bit-identical to the einsum oracle): pair and harmonic Hessian
+# blocks are diagonal in (rho, sigma), so each sum has one nonzero term and
+# the order of summation cannot change a bit; EAM blocks are dense
+_ORACLE_CASES = {
+    "lj_chain": (lj_chain, True),
+    "lj_square": (lj_square, True),
+    "chain_stable": (lambda: HarmonicChain.build(a1=2.0, a2=-0.25), True),
+    "chain_unstable": (lambda: HarmonicChain.build(a1=-1.0, a2=0.5), True),
+    "eam_chain": (eam_chain, False),
+    "eam_square": (eam_square, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_symbol_matches_einsum_oracle(rng, name):
+    make, exact = _ORACLE_CASES[name]
+    P = make()
+    d, B = P.d, stability._K_BLOCK
+    batches = [rng.uniform(-np.pi, np.pi, size=(K, d)) for K in (1, B, B + 1)]
+    batches += [rng.uniform(-np.pi, np.pi, size=(3, 5, d)), rng.uniform(-np.pi, np.pi, size=d),
+                zone_grid(d, 512 if d == 1 else 64)]
+    for k in batches:
+        H, ref = dynamical_symbol(P, k), einsum_symbol(P, k)
+        assert H.shape == ref.shape == k.shape[:-1] + (d, d)
+        if exact:
+            assert H.tobytes() == ref.tobytes()
+        else:
+            assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("make", [lj_chain, lj_square], ids=["1d", "2d"])
+def test_stability_constant_builds_the_symbol_blocks_once(monkeypatch, make):
+    P = make()
+    calls = []
+    site_hessian = type(P).site_hessian
+
+    def counted(self, g):
+        calls.append(g.shape)
+        return site_hessian(self, g)
+
+    monkeypatch.setattr(type(P), "site_hessian", counted)
+    legendre_hadamard_min(CBModel(P))
+    lh_calls = len(calls)
+    calls.clear()
+    stability_constant(P, n_grid=64)
+    # the grid sample and every refinement step share one reference build;
+    # the rest come from the k -> 0 limit through CBModel.moduli
+    assert calls[0] == (P.S.n, P.d)
+    assert len(calls) == 1 + lh_calls
 
 
 def test_chain_symbol_closed_form(rng):
