@@ -152,8 +152,7 @@ _CHECKS = (
      "max norm"),
     ("instability-demo", "smooth_probe_bounded", "stable_factor", "smooth_max_norm", "<=",
      "max norm"),
-    ("instability-demo", "cb_stays_zero", "cb_zero_tol", "cb_max_amplitude", "<=",
-     "max amplitude"),
+    ("instability-demo", "cb_modulus_positive", "cb_modulus_min", "cb_modulus", ">", "modulus"),
 )
 
 # absolute tolerance key and its default for each "within" target
@@ -162,6 +161,7 @@ _WITHIN = {"gamma_value": ("gamma_abs_tol", 1e-6),
 
 # comparison -> (test of the observed value against the bound, constraint text)
 _COMPARE = {
+    ">": (operator.gt, "{label} > {0}"),
     ">=": (operator.ge, "{label} >= {0}"),
     "<=": (operator.le, "{label} <= {0}"),
     "<": (operator.lt, "{label} < {0}"),
@@ -255,7 +255,7 @@ class ExperimentConfig:
                 raise _field_error("potential", f"not resolvable: {exc}")
             dim = P.d
         sweep = self.experiment in ("stress-consistency", "static-converge", "dynamic-converge")
-        geometry_keys = {"d", "eps_list", "N_list"} if sweep else {"d"}
+        geometry_keys = {"d", "eps_list"} if sweep else {"d"}
         for key in self.geometry:
             if key not in geometry_keys:
                 raise _field_error(f"geometry.{key}",
@@ -325,21 +325,10 @@ class ExperimentConfig:
                 raise _field_error(f"tolerances.{key}", f"must be {rule}; got {v!r}")
 
     def eps_list(self) -> list[float]:
-        """Spacing sweep from the geometry block (eps_list or N_list)."""
-        geo = self.geometry
-        if "eps_list" in geo and "N_list" in geo:
-            raise _field_error("geometry.N_list", "not read beside eps_list; give one of them")
-        if "eps_list" in geo:
-            vals = geo["eps_list"]
-        elif "N_list" in geo:
-            if not isinstance(geo["N_list"], list):
-                raise _field_error("geometry.N_list", "must be a list of integers")
-            vals = [
-                1.0 / n if isinstance(n, (int, float)) and n else math.nan
-                for n in geo["N_list"]
-            ]
-        else:
-            raise _field_error("geometry", "needs eps_list or N_list")
+        """Spacing sweep from ``geometry.eps_list``."""
+        if "eps_list" not in self.geometry:
+            raise _field_error("geometry", "needs eps_list")
+        vals = self.geometry["eps_list"]
         if not isinstance(vals, list) or len(vals) < 3:
             raise _field_error("geometry", "the spacing sweep needs at least 3 values")
         out = []
@@ -376,19 +365,17 @@ class RateReport:
     slope: float
     intercept: float
     fit_residual: float
-    band: list | None = None
-    passed: bool | None = None
     dropped: list = dc_field(default_factory=list)
 
 
-def fit_rate(eps_list, errors, band=None, noise_floor=None) -> RateReport:
+def fit_rate(eps_list, errors, noise_floor=None) -> RateReport:
     """Least-squares slope of log error against log spacing.
 
     Requires at least three positive pairs.  When ``noise_floor`` is given
     (the solver tolerance), the coarsest spacing is excluded if its error
     sits within 10x that floor — such a point measures solver noise, not
-    the model error — provided at least three points remain.  ``band``
-    declares the acceptance interval for the slope.
+    the model error — provided at least three points remain.  The slope's
+    acceptance band is a ``_CHECKS`` row, not part of the fit.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     err = np.asarray(list(errors), dtype=float)
@@ -409,18 +396,12 @@ def fit_rate(eps_list, errors, band=None, noise_floor=None) -> RateReport:
     if not math.isfinite(slope):
         raise ValueError("rate fit produced a non-finite slope")
     resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    passed = None
-    if band is not None:
-        lo, hi = float(band[0]), float(band[1])
-        passed = bool(lo <= slope <= hi)
     return RateReport(
         eps=[float(e) for e in eps],
         errors=[float(e) for e in err],
         slope=slope,
         intercept=intercept,
         fit_residual=resid,
-        band=None if band is None else [float(band[0]), float(band[1])],
-        passed=passed,
         dropped=dropped,
     )
 
@@ -544,9 +525,8 @@ def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
     for eps in cfg.spacings:
         rep = stress_consistency_field(M, U, eps, n_per_cell=cfg.values["n_per_cell"])
         rows.append((eps, rep["err_stress"], rep["err_div"]))
-    band = cfg.tolerances.get("slope_band")
-    rr_stress = fit_rate(cfg.spacings, [r[1] for r in rows], band=band)
-    rr_div = fit_rate(cfg.spacings, [r[2] for r in rows], band=band)
+    rr_stress = fit_rate(cfg.spacings, [r[1] for r in rows])
+    rr_div = fit_rate(cfg.spacings, [r[2] for r in rows])
     report = {"stress_rate": asdict(rr_stress), "divergence_rate": asdict(rr_div)}
     return report, [("", ("eps", "err_stress", "err_div"), rows)]
 
@@ -566,8 +546,7 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
     v = cfg.values
     sweep = static_converge_sweep(cfg.P, cfg.load, cfg.spacings, n_grid=v["n_grid"],
                                   tol=v["solver_tol"], q=v["quadrature"], workers=workers)
-    band = cfg.tolerances.get("slope_band")
-    rr = fit_rate(sweep["eps"], sweep["errors"], band=band, noise_floor=v["solver_tol"])
+    rr = fit_rate(sweep["eps"], sweep["errors"], noise_floor=v["solver_tol"])
     columns = ("eps", "error", "residual", "newton_iterations", "error_half_delta", "half_ratio")
     rows = [
         (det["eps"], det["error"], det["residual"], det["newton_iterations"], half, ratio)
@@ -585,8 +564,7 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
         cfg.P, InitialData(cfg.fields["U0"], cfg.fields["U1"]), T=v["T"], eps_list=cfg.spacings,
         n_snap=v["n_snap"], n_grid=v["n_grid"], cfl=v["cfl"], q=v["quadrature"], workers=workers,
     )
-    band = cfg.tolerances.get("slope_band")
-    rr = fit_rate(sweep["eps"], sweep["errors"], band=band)
+    rr = fit_rate(sweep["eps"], sweep["errors"])
     rows = [
         (det["eps"], det["error"], det["energy_drift"])
         for det in sweep["details"]

@@ -46,9 +46,15 @@ class CBModel:
     P: Potential
 
     def homogeneous_stencil(self, F: np.ndarray) -> np.ndarray:
-        """Stencil (F rho)_rho of an affine map, batched over F (..., d, d)."""
-        F = np.asarray(F, dtype=float)
-        return np.einsum("...ij,nj->...ni", F, self.P.S.directions.astype(float))
+        """Stencil (F rho)_rho of an affine map, batched over F (..., d, d).
+
+        The one admissibility check of Cauchy-Born gradients: a gradient
+        outside the lattice's admissible region, or a non-finite one, raises
+        AdmissibilityError, so every method below rejects it too.
+        """
+        g = self.P.S.directions @ np.swapaxes(np.asarray(F, dtype=float), -1, -2)
+        self.P.check_admissible(g, "Cauchy-Born gradient")
+        return g
 
     def energy_density(self, F) -> np.ndarray:
         """W(F) = V((F rho)_rho); W(0) = 0 in the reference state."""
@@ -90,9 +96,9 @@ def _bond_gradient_table(P: Potential, u) -> np.ndarray:
         g = CBModel(P).homogeneous_stencil(u.F)[(None,) * P.d]
     elif isinstance(u, DisplacementField):
         g = all_stencils(u.values, P.S)
+        P.check_admissible(g)
     else:
         raise TypeError(f"unsupported displacement provider: {type(u)!r}")
-    P.check_admissible(g)
     return P.site_gradient(g)
 
 
@@ -184,16 +190,12 @@ def div_cb_stress(M: CBModel, F: np.ndarray, H2: np.ndarray) -> np.ndarray:
 
     The arrays ``F`` (..., d, d) hold the gradients ``F[i, alpha] = d_alpha u_i``
     and ``H2`` (..., d, d, d) the second derivatives ``H2[j, p, q] = d_p d_q u_j``;
-    div S_i = sum_{rho sigma} (V_{rho sigma})_{ij} rho . (hess u_j) . sigma.
+    div S_i = sum_{j p q} C_{i p j q}(F) d_p d_q u_j with the moduli of ``M``.
     Returns shape (..., d).
     """
     d = M.P.d
-    g = M.homogeneous_stencil(F.reshape(-1, d, d))
-    M.P.check_admissible(g)
-    blocks = M.P.site_hessian(g)  # (K, n, d, n, d)
-    dirs = M.P.S.directions.astype(float)
-    t = np.einsum("ap,kjpq,bq->kabj", dirs, H2.reshape(-1, d, d, d), dirs)
-    return np.einsum("kaibj,kabj->ki", blocks, t).reshape(F.shape[:-1])
+    C = M.moduli(F.reshape(-1, d, d))
+    return np.einsum("kipjq,kjpq->ki", C, H2.reshape(-1, d, d, d)).reshape(F.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,26 @@ def test_sweep_energy_drift_is_measured_from_t0():
         assert m["energy_drift"] == pytest.approx(abs(traj.energies[-1] - e0), rel=1e-12)
 
 
+def test_sweep_maps_control_and_members_in_one_call(monkeypatch):
+    # the half-dt control goes first, as the longest job; the job order does
+    # not change a bit of the result
+    import latcb.dynamics as dyn
+
+    calls = []
+
+    def reversed_map(fn, payloads, workers):
+        calls.append(payloads)
+        return [fn(p) for p in payloads[::-1]][::-1]
+
+    args = (_chain(), InitialData(_sin_field(), _zero_field()))
+    kw = dict(T=1.0 / 16.0, eps_list=[1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0], n_snap=3, n_grid=32)
+    ref = dynamic_error_sweep(*args, **kw)
+    monkeypatch.setattr(dyn, "_map_members", reversed_map)
+    assert dynamic_error_sweep(*args, **kw) == ref
+    (payloads,) = calls
+    assert [p[5:7] for p in payloads] == [(1.0 / 32.0, 0.1)] + [(e, 0.2) for e in kw["eps_list"]]
+
+
 # ---------------------------------------------------------------------------
 # instability demonstration
 # ---------------------------------------------------------------------------
@@ -291,7 +311,8 @@ def test_instability_demo_quick():
     assert demo["stable_max_norm"] <= demo["stable_bound"] == 2.0 * eps2
     assert demo["stable_max_norm"] == pytest.approx(eps2, rel=1e-10)
     assert demo["smooth_max_norm"] <= 2.0 * eps2
-    assert demo["cb_max_amplitude"] == 0.0
+    # the continuum of the unstable chain is stable: modulus a1 + 4 a2 = 1
+    assert demo["cb_modulus"] == 1.0
     assert len(demo["times"]) == len(demo["velocity_norms"])
 
 

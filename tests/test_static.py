@@ -450,3 +450,21 @@ def test_static_sweep_short_lj():
     for m in out["details"]["full"]["members"]:
         assert m["residual"] <= 1e-10
     assert out["delta"] == pytest.approx(0.01, rel=1e-12)
+
+
+def test_static_sweep_maps_both_loads_in_one_call(monkeypatch):
+    import latcb.static as static
+
+    calls = []
+
+    def reversed_map(fn, payloads, workers):
+        calls.append(payloads)
+        return [fn(p) for p in payloads[::-1]][::-1]
+
+    F, eps_list = single_mode_load(0.01), [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
+    ref = static_converge_sweep(lj_chain(), F, eps_list)
+    monkeypatch.setattr(static, "_map_members", reversed_map)
+    assert static_converge_sweep(lj_chain(), F, eps_list) == ref
+    (payloads,) = calls
+    assert [p[3] for p in payloads] == eps_list + eps_list
+    assert [p[2].delta for p in payloads] == pytest.approx([0.01] * 3 + [0.005] * 3, rel=1e-12)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from latcb.fields import TrigField
 from latcb.lattice import DisplacementField, LatticeSpec, all_stencils, gauss_rule_01, tensor_grid
-from latcb.potentials import HarmonicChain, gradient_array, lennard_jones
+from latcb.potentials import AdmissibilityError, HarmonicChain, gradient_array, lennard_jones
 from latcb.stress import (
     AffineDisplacement,
     CBModel,
@@ -97,6 +97,36 @@ def test_cb_moduli_matches_fd_of_stress(rng):
                 Fm[j, b] -= h
                 fd = (M.stress(Fp) - M.stress(Fm)) / (2 * h)
                 assert np.max(np.abs(C[:, :, j, b] - fd)) < 1e-4
+
+
+def _bad_F(P, bad):
+    """A gradient whose stencil leaves the admissible region, or a NaN one."""
+    F = np.zeros((3, P.d, P.d))
+    F[1] = np.nan if bad == "nan" else 2.0 * P.kappa * np.eye(P.d)
+    return F
+
+
+@pytest.mark.parametrize("bad", ["beyond", "nan"])
+@pytest.mark.parametrize("make", [lj_chain, lj_square])
+def test_cb_model_rejects_inadmissible_gradients(make, bad):
+    """Every CBModel method, and the divergence built on it, checks its gradients."""
+    P = make()
+    M, F = CBModel(P), _bad_F(P, bad)
+    H2 = np.zeros(F.shape + (P.d,))
+    text = "non-finite" if bad == "nan" else "exceeds kappa"
+    for call in (M.energy_density, M.stress, M.moduli, lambda F: div_cb_stress(M, F, H2)):
+        with pytest.raises(AdmissibilityError, match=f"{text}.*Cauchy-Born gradient"):
+            call(F)
+
+
+@pytest.mark.parametrize("bad", ["beyond", "nan"])
+@pytest.mark.parametrize("make", [lj_chain, lj_square])
+def test_stress_consistency_rejects_inadmissible_fields(make, bad):
+    P = make()
+    amp = np.nan if bad == "nan" else 2.0 * P.kappa / (2.0 * np.pi)
+    U = TrigField.from_terms(P.d, P.d, [((1,) * P.d, 0, "sin", amp)])
+    with pytest.raises(AdmissibilityError):
+        stress_consistency_field(CBModel(P), U, 1.0 / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +354,31 @@ def test_div_cb_matches_fd_of_stress(rng):
 # ---------------------------------------------------------------------------
 # consistency experiment plumbing
 # ---------------------------------------------------------------------------
+
+def _div_cb_slots(M, F, H2):
+    """Divergence of the Cauchy-Born stress contracted slot by slot.
+
+    The former ``div_cb_stress``: site Hessian blocks ``(V_{rho sigma})_{ij}``
+    against ``rho . (hess u_j) . sigma`` for every pair of stencil slots.
+    """
+    d = M.P.d
+    blocks = M.P.site_hessian(M.homogeneous_stencil(F.reshape(-1, d, d)))
+    dirs = M.P.S.directions.astype(float)
+    t = np.einsum("ap,kjpq,bq->kabj", dirs, H2.reshape(-1, d, d, d), dirs)
+    return np.einsum("kaibj,kabj->ki", blocks, t).reshape(F.shape[:-1])
+
+
+@pytest.mark.parametrize("name", sorted(_POTENTIALS))
+def test_div_cb_stress_matches_slot_contraction(rng, name):
+    P = _POTENTIALS[name]()
+    M, d = CBModel(P), P.d
+    F = np.stack([_random_F(rng, d, 0.2) for _ in range(12)]).reshape(3, 4, d, d)
+    H2 = rng.standard_normal((3, 4, d, d, d))
+    H2 = 0.5 * (H2 + np.swapaxes(H2, -1, -2))  # second derivatives are symmetric
+    div, ref = div_cb_stress(M, F, H2), _div_cb_slots(M, F, H2)
+    assert div.shape == (3, 4, d)
+    assert np.max(np.abs(div - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 def test_stress_consistency_field_decay(rng):
     M = CBModel(lj_chain())
