@@ -189,18 +189,21 @@ def solve_cb_wave(
     """Nonlinear Cauchy-Born wave equation on the unit torus (1D).
 
     Pseudo-spectral in space (derivatives via FFT on ``n_grid`` points),
-    velocity Verlet in time with step ``cfl * dx / max wave speed``; the
-    wave speed is monitored on the fly and the deformation gradient must
-    stay inside the admissible region with positive moduli (loss of
-    hyperbolicity aborts).  Snapshots hold displacement and velocity on
-    the grid ``X_i = i / n_grid``, shape ``(n_snap, n_grid)``.
+    velocity Verlet in time.  The step is ``cfl * dx / c_max``, with the
+    largest wave speed ``c_max = sqrt(max C(U_X))`` of the initial data,
+    fixed for the whole run.  Every acceleration checks the gradient: it
+    must stay in the admissible region, and the smallest modulus must stay
+    positive (loss of hyperbolicity); either failure aborts with
+    ``SolverError`` and the time.  Snapshots hold displacement and velocity
+    on the grid ``X_i = i / n_grid``, shape ``(n_snap, n_grid)``.
     """
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
     U = data.U0.sample(n_grid)[:, 0]
     V = data.U1.sample(n_grid)[:, 0]
 
-    def grad_and_speed(Uv, t=0.0):
+    def checked_moduli(Uv, t=0.0):
+        """The gradient U_X and its moduli, once both checks pass."""
         up = _spectral_ddx(Uv)
         try:
             mods = M.moduli(up[:, None, None])[:, 0, 0, 0, 0]
@@ -208,18 +211,17 @@ def solve_cb_wave(
             raise SolverError(
                 f"continuum gradient left the admissible region at T={t:.6g}"
             ) from exc
-        cmin = float(np.min(mods))
-        if not cmin > 0.0:
+        if not float(np.min(mods)) > 0.0:
             raise SolverError(
                 f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t:.6g}"
             )
-        return up, float(np.sqrt(np.max(mods)))
+        return up, mods
 
     def accel(Uv, t):
         # Regularity is monitored every step, not just at snapshots: once the
         # gradient leaves the admissible region the quasilinear problem is no
         # longer meaningful and everything downstream would be silent noise.
-        up, _ = grad_and_speed(Uv, t)
+        up, _ = checked_moduli(Uv, t)
         s = M.stress(up[:, None, None])[:, 0, 0]
         return _spectral_ddx(s)
 
@@ -227,7 +229,7 @@ def solve_cb_wave(
         up = _spectral_ddx(Uv)
         return float(np.mean(0.5 * Vv * Vv + M.energy_density(up[:, None, None])))
 
-    _, c_max = grad_and_speed(U)
+    c_max = float(np.sqrt(np.max(checked_moduli(U)[1])))
     return _verlet(U, V, accel, energy, snap_times, cfl / (n_grid * c_max))
 
 

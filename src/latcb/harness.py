@@ -27,11 +27,11 @@ from .lattice import supercell_period
 from .potentials import potential_from_config
 from .stability import (
     ZONE_GRID,
+    _zone_min,
     dispersion_spectrum,
     instability_eigenprobe,
     legendre_hadamard_min,
     max_frequency,
-    stability_constant,
     zone_grid,
 )
 from .static import MacroForce, static_converge_sweep
@@ -469,10 +469,12 @@ def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
 def _run_stability(cfg: ExperimentConfig, workers: int):
     """lattice stability constant, max frequency, Legendre-Hadamard minimum"""
     P, probe_N = cfg.P, cfg.values["eigenprobe_N"]
+    # stability_constant's value, with the k -> 0 limit computed once for both
+    lh_min = legendre_hadamard_min(CBModel(P))
     report = {
-        "gamma": stability_constant(P, n_grid=cfg.values["n_grid"]),
+        "gamma": min(_zone_min(P, cfg.values["n_grid"]), lh_min),
         "omega_max": max_frequency(P),
-        "lh_min": legendre_hadamard_min(CBModel(P)),
+        "lh_min": lh_min,
     }
     if probe_N is not None:
         report["alternating_quotient"], _ = instability_eigenprobe(P, probe_N)

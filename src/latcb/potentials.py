@@ -70,17 +70,15 @@ class RadialProfile:
     """
 
     r_min: float = 0.0
+    # Horner plan of the pair-bond terms in 1 / r^2 (see PowerLawProfile);
+    # None: PairPotential._bond takes them from ``deriv``
+    _horner_plan = None
 
     def __call__(self, r):
         return self.deriv(r, 0)
 
     def deriv(self, r, order: int):  # pragma: no cover - interface
         raise NotImplementedError
-
-    def deriv1_over_r(self, r2):
-        """phi'(r) / r as a function of ``r2 = r * r`` (the pair force per unit bond)."""
-        r = np.sqrt(r2)
-        return self.deriv(r, 1) / r
 
 
 @dataclass(frozen=True)
@@ -107,39 +105,68 @@ class PowerLawProfile(RadialProfile):
         return out
 
     @cached_property
-    def _laurent(self):
-        """``phi'(r)/r = sum_j a_j r2^(-k_j)`` as (k_j, a_j), highest k first;
-        None unless every power is an even integer."""
+    def _horner_plan(self):
+        """Horner plan of ``phi'(r)/r`` and ``phi''(r)`` in ``x = 1 / r^2``;
+        None unless every power is an even integer.
+
+        Both are sums ``sum_j a_j x^k_j`` over ``k_j = 1 - p_j / 2``, with
+        ``a_j = c_j p_j`` and ``c_j p_j (p_j - 1)``.  With the terms sorted by
+        k, highest first, Horner's rule multiplies by ``x^(k_j - k_{j+1})``
+        between terms and by ``x^k`` of the last k at the end (``(r^2)^-k``
+        if it is negative).  The plan holds the products that form these
+        powers (see ``_power``), whether one of them is the zeroth power (the
+        ones register), and per quantity its Horner steps (coefficient,
+        register of the power).
+        """
         if not all(p == int(p) and int(p) % 2 == 0 for p in self.powers):
             return None
-        return sorted(((1 - int(p) // 2, c * p) for p, c in zip(self.powers, self.coeffs)),
-                      reverse=True)
-
-    def deriv1_over_r(self, r2):
-        """sum_i c_i p_i r^(p_i - 2); by Horner's rule in ``1 / r2`` when every
-        power is an even integer: products only, no float powers."""
-        terms = self._laurent
-        if terms is None:
-            return super().deriv1_over_r(r2)
-        r2 = np.asarray(r2, dtype=float)
-        inv = 1.0 / r2
-        acc = terms[0][1]
-        for (k_hi, _), (k, a) in zip(terms, terms[1:]):
-            acc = acc * _int_power(inv, k_hi - k) + a
-        k = terms[-1][0]
-        return acc * _int_power(inv if k >= 0 else r2, abs(k))
+        terms = sorted(((1 - int(p) // 2, c * p, c * p * (p - 1))
+                        for p, c in zip(self.powers, self.coeffs)), reverse=True)
+        ks, force, stiffness = zip(*terms)
+        exps = [(_INV, hi - lo) for hi, lo in zip(ks, ks[1:])]
+        exps.append((_INV, ks[-1]) if ks[-1] >= 0 else (_R2, -ks[-1]))
+        products = []
+        powers = [_power(products, x, k) for x, k in exps]
+        # numpy scalars: in-place updates skip the conversion of a Python float
+        force, stiffness = (tuple(zip(map(np.float64, a), powers)) for a in (force, stiffness))
+        return products, _ONES in powers, force, stiffness
 
 
-def _int_power(x: np.ndarray, k: int) -> np.ndarray:
-    """``x ** k`` for an integer ``k >= 0`` by repeated squaring (products only)."""
+# registers of a Horner plan: 1 / r^2, r^2, ones, then one per listed product
+_INV, _R2, _ONES = 0, 1, 2
+
+
+def _power(products: list, x: int, k: int) -> int:
+    """Register of ``x ** k`` for an integer ``k >= 0`` by repeated squaring
+    (products only): the product of the squares of k's set bits, lowest first.
+
+    A product ``regs[i] * regs[j]`` is listed once in ``products`` as the
+    pair (i, j) and lands in register ``3 + `` its position.
+    """
+    def times(i, j):
+        if (i, j) not in products:
+            products.append((i, j))
+        return 3 + products.index((i, j))
+
     out = None
     while k:
         if k & 1:
-            out = x if out is None else out * x
+            out = x if out is None else times(out, x)
         k >>= 1
         if k:
-            x = x * x
-    return np.ones_like(x) if out is None else out
+            x = times(x, x)
+    return _ONES if out is None else out
+
+
+def _horner(steps: tuple, regs: list) -> np.ndarray:
+    """``(..((a_0 x_0 + a_1) x_1 + a_2) ..) x_m`` over the steps ``(a_j, p_j)``
+    with ``x_j = regs[p_j]``, into a new array updated in place."""
+    a, p = steps[0]
+    acc = a * regs[p]
+    for a, p in steps[1:]:
+        acc += a
+        acc *= regs[p]
+    return acc
 
 
 def lennard_jones(well_depth: float = 1.0, r0: float = 1.0) -> PowerLawProfile:
@@ -316,6 +343,26 @@ class PairPotential(Potential):
         self._half_ref = self.bond_ref[self.S.half].T[:, :, None].copy()
         self._half_inv_sq = self.S.inv_sq_norms[self.S.half]
 
+    def _bond(self, r2: np.ndarray, stiffness: bool = False):
+        """Bond force per unit length ``phi'(r)/r`` at squared bond lengths ``r2``;
+        with ``stiffness``, the pair ``(phi'(r)/r, phi''(r))``.
+
+        The one pair-bond routine of the lattice kernel and the Cauchy-Born
+        model.  Even integer power laws go by Horner's rule in ``1 / r2``
+        (products only); other profiles through ``deriv`` at ``r = sqrt(r2)``.
+        """
+        plan = self.phi._horner_plan
+        if plan is None:
+            r = np.sqrt(r2)
+            f = self.phi.deriv(r, 1) / r
+            return (f, self.phi.deriv(r, 2)) if stiffness else f
+        products, ones, force, stiff = plan
+        regs = [1.0 / r2, r2, np.ones_like(r2) if ones else None]
+        for i, j in products:
+            regs.append(regs[i] * regs[j])
+        f = _horner(force, regs)
+        return (f, _horner(stiff, regs)) if stiffness else f
+
     def site_energy(self, g):
         _, r, _ = self._bond_geometry(g)
         return 0.5 * np.sum(self.phi.deriv(r, 0) - self._phi_ref, axis=-1)
@@ -488,15 +535,17 @@ def _pair_gradient(P: PairPotential, values: np.ndarray) -> np.ndarray:
     is the same bond.  Since ``g_{-rho}(xi) = -g_rho(xi - rho)`` exactly,
     the half stencil's ``|g|^2`` decide admissibility as the full one's do.
     Arrays are component-major, (d, h, sites), so every operation runs
-    over contiguous site rows.
+    over contiguous site rows; one array turns from the differences ``g``
+    into the bonds ``b`` and then the forces ``f`` in place.
     """
     cell, d = values.shape[:-1], values.shape[-1]
-    _, _, half = neighbour_plan(cell, P.S)  # (h, sites)
+    half = neighbour_plan(cell, P.S)[2]  # (h, sites)
     ut = values.reshape(-1, d).T
-    g = ut.take(half, axis=1) - ut[:, None, :]
-    P._require_admissible(_sq_norm(g).max(axis=1), P._half_inv_sq)
-    b = g + P._half_ref
-    f = P.phi.deriv1_over_r(_sq_norm(b)) * b
+    f = ut.take(half, axis=1)
+    f -= ut[:, None, :]
+    P._require_admissible(_sq_norm(f).max(axis=1), P._half_inv_sq)
+    f += P._half_ref
+    f *= P._bond(_sq_norm(f))
     n_sites, idx = ut.shape[1], half.ravel()
     out = np.empty((n_sites, d))
     for c, fc in enumerate(f):

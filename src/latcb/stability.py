@@ -157,6 +157,12 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
     tensor A(b), so the Legendre-Hadamard minimum is the exact k -> 0
     value.  Accuracy is well below 1e-6 for the closed-form chain examples.
     """
+    return min(_zone_min(P, n_grid), legendre_hadamard_min(CBModel(P)))
+
+
+def _zone_min(P: Potential, n_grid: int) -> float:
+    """The stability constant's minimum over k != 0 of the zone: the grid
+    minimum, polished by a local search around its minimizer."""
     d = P.d
     h = 2.0 * np.pi / n_grid
     blocks = _symbol_blocks(P)
@@ -166,7 +172,6 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
     best_k = pts[best_idx]
     best = float(vals[best_idx])
 
-    # local refinement around the grid minimizer
     if d == 1:
         lo, hi = best_k[0] - h, best_k[0] + h
         res = optimize.minimize_scalar(
@@ -175,7 +180,6 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
             method="bounded",
             options={"xatol": 1e-12},
         )
-        best = min(best, float(res.fun))
     else:
         res = optimize.minimize(
             lambda t: float(_min_ratio(P, blocks, t[None, :])[0]),
@@ -183,10 +187,7 @@ def stability_constant(P: Potential, n_grid: int = 256) -> float:
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12},
         )
-        best = min(best, float(res.fun))
-
-    # the k -> 0 limit of the ratio
-    return min(best, legendre_hadamard_min(CBModel(P)))
+    return min(best, float(res.fun))
 
 
 def max_frequency(P: Potential, n_grid: int | None = None) -> float:

@@ -17,13 +17,14 @@ which the consistency experiment measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fields import TrigField
 from .interpolation import chi_eval, grad_chi_eval
 from .lattice import DisplacementField, LatticeSpec, all_stencils, supercell_period, tensor_grid
-from .potentials import Potential
+from .potentials import PairPotential, Potential, _sq_norm
 
 __all__ = [
     "CBModel",
@@ -41,35 +42,97 @@ __all__ = [
 
 @dataclass
 class CBModel:
-    """Continuum model induced by a site potential via the Cauchy-Born rule."""
+    """Continuum model induced by a site potential via the Cauchy-Born rule.
+
+    A pair potential takes the positive half stencil: each bond ``{rho, -rho}``
+    once, through the potential's one bond routine ``PairPotential._bond``.
+    Other variants contract their site derivatives over the full stencil.
+    """
 
     P: Potential
 
     def homogeneous_stencil(self, F: np.ndarray) -> np.ndarray:
         """Stencil (F rho)_rho of an affine map, batched over F (..., d, d).
 
-        The one admissibility check of Cauchy-Born gradients: a gradient
-        outside the lattice's admissible region, or a non-finite one, raises
-        AdmissibilityError, so every method below rejects it too.
+        The admissibility check of Cauchy-Born gradients: a gradient outside
+        the lattice's admissible region, or a non-finite one, raises
+        AdmissibilityError, so every method below rejects it too (the pair
+        path makes the same check on the half slots, ``_half_bonds``).
         """
         g = self.P.S.directions @ np.swapaxes(np.asarray(F, dtype=float), -1, -2)
         self.P.check_admissible(g, "Cauchy-Born gradient")
         return g
 
+    @cached_property
+    def _half(self):
+        """A pair potential's positive half stencil: float directions (h, d)
+        and their products ``rho_alpha rho_beta`` (h, d * d); None for other
+        variants."""
+        if not isinstance(self.P, PairPotential):
+            return None
+        rho = self.P.S.directions[self.P.S.half].astype(float)
+        return rho, (rho[:, :, None] * rho[:, None, :]).reshape(rho.shape[0], -1)
+
+    def _half_bonds(self, F):
+        """Deformed bonds ``b = A rho + F rho`` on the positive half stencil
+        and their squared lengths, component-major over the flattened batch
+        of F: (B, d, h) and (B, h).
+
+        ``homogeneous_stencil``'s check on the half slots: ``F (-rho)`` is
+        ``-F rho``, so it rejects the same gradients in the same words.
+        """
+        rho = self._half[0]
+        F = np.asarray(F, dtype=float)
+        d = F.shape[-1]
+        b = (F.reshape(-1, d) @ rho.T).reshape(-1, d, rho.shape[0])
+        self.P._require_admissible(_sq_norm(b.swapaxes(0, 1)), self.P._half_inv_sq,
+                                   "Cauchy-Born gradient")
+        b += self.P._half_ref[:, :, 0]
+        return b, _sq_norm(b.swapaxes(0, 1))
+
     def energy_density(self, F) -> np.ndarray:
-        """W(F) = V((F rho)_rho); W(0) = 0 in the reference state."""
-        return self.P.site_energy(self.homogeneous_stencil(F))
+        """W(F) = V((F rho)_rho); W(0) = 0 in the reference state.
+
+        Pair: ``W = sum_half (phi(|A rho + F rho|) - phi(|A rho|))``.
+        """
+        if self._half is None:
+            return self.P.site_energy(self.homogeneous_stencil(F))
+        _, r2 = self._half_bonds(F)
+        W = np.sum(self.P.phi.deriv(np.sqrt(r2), 0) - self.P._phi_ref[self.P.S.half], axis=-1)
+        return W.reshape(np.shape(F)[:-2])
 
     def stress(self, F) -> np.ndarray:
-        """First Piola-Kirchhoff stress S(F)_{i alpha} = sum_rho V_rho,i rho_alpha."""
-        Vr = self.P.site_gradient(self.homogeneous_stencil(F))
-        return np.einsum("...ni,na->...ia", Vr, self.P.S.directions.astype(float))
+        """First Piola-Kirchhoff stress S(F)_{i alpha} = sum_rho V_rho,i rho_alpha.
+
+        Pair: ``S = sum_half (phi'(r)/r) b (x) rho``.
+        """
+        if self._half is None:
+            Vr = self.P.site_gradient(self.homogeneous_stencil(F))
+            return np.einsum("...ni,na->...ia", Vr, self.P.S.directions.astype(float))
+        rho = self._half[0]
+        b, r2 = self._half_bonds(F)
+        b *= self.P._bond(r2)[:, None, :]
+        return (b.reshape(-1, rho.shape[0]) @ rho).reshape(np.shape(F))
 
     def moduli(self, F) -> np.ndarray:
-        """Elasticity tensor C_{i alpha j beta}(F) = sum_{rho sigma} (V_{rho sigma})_{ij} rho_alpha sigma_beta."""
-        H = self.P.site_hessian(self.homogeneous_stencil(F))
-        dirs = self.P.S.directions.astype(float)
-        return np.einsum("...aibj,ap,bq->...ipjq", H, dirs, dirs)
+        """Elasticity tensor C_{i alpha j beta}(F) = sum_{rho sigma} (V_{rho sigma})_{ij} rho_alpha sigma_beta.
+
+        Pair: ``C = sum_half [phi''(r) u (x) u + phi'(r)/r (I - u (x) u)] (x) rho (x) rho``
+        with the unit bonds ``u = b / r``.
+        """
+        if self._half is None:
+            H = self.P.site_hessian(self.homogeneous_stencil(F))
+            dirs = self.P.S.directions.astype(float)
+            return np.einsum("...aibj,ap,bq->...ipjq", H, dirs, dirs)
+        d = self.P.d
+        rho_rho = self._half[1]
+        u, r2 = self._half_bonds(F)
+        f, stiff = self.P._bond(r2, stiffness=True)
+        u /= np.sqrt(r2)[:, None, :]
+        uu = u[:, :, None, :] * u[:, None, :, :]  # (B, i, j, h)
+        K = stiff[:, None, None, :] * uu + f[:, None, None, :] * (np.eye(d)[:, :, None] - uu)
+        C = (K.reshape(-1, rho_rho.shape[0]) @ rho_rho).reshape(-1, d, d, d, d)
+        return C.transpose(0, 1, 3, 2, 4).reshape(np.shape(F)[:-2] + (d,) * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from latcb.potentials import (
     MorseProfile,
     PairPotential,
     PolynomialEmbedding,
+    PowerLawProfile,
     lennard_jones,
 )
 from latcb.fields import TrigField
@@ -35,6 +36,32 @@ def lj_square(r_cut: float = 2.0, kappa: float = 0.25) -> PairPotential:
     return PairPotential(
         d=2, A=np.eye(2), S=StencilSet.ball(2, r_cut), kappa=kappa, phi=lennard_jones()
     )
+
+
+TRIANGULAR = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
+
+
+def lj_triangular(r_cut: float = 1.5, kappa: float = 0.25) -> PairPotential:
+    """The triangular Lennard-Jones crystal on the index ball (a sheared A)."""
+    return PairPotential(
+        d=2, A=TRIANGULAR, S=StencilSet.ball(2, r_cut), kappa=kappa, phi=lennard_jones()
+    )
+
+
+# pair profiles and lattices (d, A, r_cut) on which the pair kernels of the
+# lattice and of the Cauchy-Born model are checked against the generic path
+PAIR_PROFILES = {
+    "lj": lennard_jones(),
+    "morse": MorseProfile(),
+    # an odd power: no Horner plan, the bond terms come from deriv
+    "odd_power": PowerLawProfile(powers=(-9, -6), coeffs=(2.0, -3.0)),
+}
+PAIR_LATTICES = [
+    (1, np.eye(1), 3.0),
+    (2, np.eye(2), 2.0),
+    (2, TRIANGULAR, 1.5),
+    (3, np.eye(3), 1.5),
+]
 
 
 def morse_chain(kappa: float = 0.25) -> PairPotential:

@@ -28,6 +28,7 @@ from latcb.static import SolverError
 from latcb.stress import CBModel
 
 from conftest import lj_chain, site_coords
+from generic_cb import GenericCBModel
 from hat_quadrature import zeta_convolve
 from point_gap import trig_grad
 
@@ -227,6 +228,30 @@ def test_cb_wave_aborts():
     mid = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.07 / (2.0 * np.pi))])
     with pytest.raises(SolverError, match=r"admissible region at T="):
         solve_cb_wave(M2, InitialData(mid, _zero_field()), [0.5])
+
+
+def test_cb_wave_matches_generic_oracle():
+    """The half-stencil pair path and the generic contraction give one wave:
+    the companion's data (gradient 0.005, cfl 0.05) over a short horizon."""
+    data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
+    snap = np.linspace(0.0, 0.02, 5)
+    got, ref = (solve_cb_wave(make(lj_chain()), data, snap, cfl=0.05)
+                for make in (CBModel, GenericCBModel))
+    assert got.dt == pytest.approx(ref.dt, rel=1e-14)
+    assert np.array_equal(got.times, ref.times)
+    for a, b in ((got.u, ref.u), (got.v, ref.v), (got.energies, ref.energies)):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_cb_wave_loses_hyperbolicity_like_generic_oracle():
+    # gradient 0.09 steepens past the threshold in about 200 steps on 32 points
+    steep = InitialData(_sin_field(0.09 / (2.0 * np.pi)), _zero_field())
+    messages = []
+    for make in (CBModel, GenericCBModel):
+        with pytest.raises(SolverError, match=r"hyperbolicity .* at T=0\.06") as info:
+            solve_cb_wave(make(lj_chain()), steep, [0.5], n_grid=32)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_cb_wave_rejects_nan_state():

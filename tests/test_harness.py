@@ -28,12 +28,16 @@ from latcb.harness import (
     run,
 )
 
+from latcb.stability import legendre_hadamard_min, stability_constant
+from latcb.stress import CBModel
+
 from point_gap import trig_grad
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CHAIN_POT = {"variant": "harmonic_chain", "a1": 2.0, "a2": -0.25}
 LJ_POT = {"variant": "pair", "d": 1, "r_cut": 3.0, "phi": {"kind": "lennard_jones"}}
+LJ_SQUARE_POT = {"variant": "pair", "d": 2, "r_cut": 2.0, "phi": {"kind": "lennard_jones"}}
 
 
 def _stability_cfg(**over):
@@ -243,6 +247,28 @@ def test_run_stability_end_to_end(tmp_path, capsys):
     assert any(line.startswith("gamma,") for line in lines)
     out = capsys.readouterr().out
     assert "PASS chain:gamma_value" in out
+
+
+@pytest.mark.parametrize("pot", [CHAIN_POT, LJ_POT, LJ_SQUARE_POT])
+def test_stability_run_takes_the_lh_minimum_once(tmp_path, monkeypatch, pot):
+    """gamma is stability_constant's value, its k -> 0 limit the reported lh_min."""
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return legendre_hadamard_min(M)
+
+    # both bindings: the runner's own and the one stability_constant calls
+    monkeypatch.setattr(latcb.harness, "legendre_hadamard_min", counted)
+    monkeypatch.setattr(latcb.stability, "legendre_hadamard_min", counted)
+    obj = _stability_cfg(name="once", potential=pot, params={}, tolerances={"gamma_min": -1e9})
+    assert run(_write_cfg(tmp_path, obj), out_dir=tmp_path / "out") == 0
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "out" / "once.report.json").read_text())
+    monkeypatch.undo()
+    cfg = ExperimentConfig.from_dict(obj)
+    assert report["gamma"] == stability_constant(cfg.P, n_grid=cfg.values["n_grid"])
+    assert report["lh_min"] == legendre_hadamard_min(CBModel(cfg.P))
 
 
 def test_run_outputs_are_byte_identical(tmp_path):

@@ -8,7 +8,8 @@ floating-point operations in the same order.  The pair-potential gradient
 visits each bond once on the positive half stencil, so it sums in another
 order; it is compared to a relative 1e-13 of the largest entry, against the
 roll reference and against the generic ``site_gradient`` + ``scatter_bonds``
-path, which stays the oracle.
+path, which stays the oracle.  Its in-place evaluation is compared bit for
+bit with the out-of-place reference in ``pair_reference.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from latcb.potentials import (
     lennard_jones,
 )
 
+from conftest import PAIR_LATTICES, PAIR_PROFILES
+from pair_reference import reference_pair_gradient
 from roll_kernels import roll_gradient, roll_hessian_operator, roll_scatter, roll_stencils
 
 # widest extra direction per dimension: 1D stencils reach 8+ slots, where a
@@ -108,14 +111,39 @@ def test_gradient_and_hessian_match_roll(case, kind):
 # the half-stencil pair kernel sums each site's bond forces in another order
 _PAIR_RTOL = 1e-13
 
-_TRIANGULAR = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
-
-_PROFILES = {
-    "lj": lennard_jones(),
-    "morse": MorseProfile(),
-    # an odd power: deriv1_over_r falls back to deriv(r, 1) / r
-    "odd_power": PowerLawProfile(powers=(-9, -6), coeffs=(2.0, -3.0)),
+# even power laws beyond Lennard-Jones, for every branch of the Horner plan:
+# a constant bond force term (power 2), a last power above 2 (powers of r^2)
+# and a repeated power
+_EVEN_POWER_LAWS = {
+    "lj_plus_r2": PowerLawProfile(powers=(-12, -6, 2), coeffs=(1.0, -2.0, 0.3)),
+    "r4": PowerLawProfile(powers=(-8, 4), coeffs=(1.0, 0.1)),
+    "repeated": PowerLawProfile(powers=(-12, -12, -6), coeffs=(0.5, 0.5, -2.0)),
+    "harmonic_bond": PowerLawProfile(powers=(2,), coeffs=(1.5,)),
 }
+_ALL_PROFILES = {**PAIR_PROFILES, **_EVEN_POWER_LAWS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.sampled_from(sorted(_ALL_PROFILES)))
+def test_pair_kernel_matches_reference_bit_for_bit(case, profile):
+    """The in-place kernel keeps the reference's arithmetic, operation for operation."""
+    S, N, rng = case
+    P = PairPotential(d=S.d, A=np.eye(S.d), S=S, kappa=0.25, phi=_ALL_PROFILES[profile])
+    u = _state(rng, N, S.d)
+    assert np.array_equal(gradient_array(P, u), reference_pair_gradient(P, u))
+
+
+@pytest.mark.parametrize("profile", sorted(_ALL_PROFILES))
+def test_bond_terms_match_profile_derivatives(profile):
+    """``_bond`` gives phi'(r)/r and phi''(r): Horner's rule agrees with the float powers."""
+    phi = _ALL_PROFILES[profile]
+    P = PairPotential(d=1, A=np.eye(1), S=StencilSet.ball(1, 2.0), kappa=0.25, phi=phi)
+    r = np.linspace(0.75, 2.5, 36).reshape(4, 9)
+    f, stiff = P._bond(r * r, stiffness=True)
+    assert np.array_equal(P._bond(r * r), f)
+    assert f.shape == stiff.shape == r.shape
+    np.testing.assert_allclose(f, phi.deriv(r, 1) / r, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(stiff, phi.deriv(r, 2), rtol=1e-13, atol=1e-13)
 
 
 def _generic_gradient(P, u):
@@ -125,16 +153,11 @@ def _generic_gradient(P, u):
     return scatter_bonds(P.site_gradient(g), P.S)
 
 
-@pytest.mark.parametrize("profile", sorted(_PROFILES))
-@pytest.mark.parametrize("d, A, r_cut", [
-    (1, np.eye(1), 3.0),
-    (2, np.eye(2), 2.0),
-    (2, _TRIANGULAR, 1.5),
-    (3, np.eye(3), 1.5),
-])
+@pytest.mark.parametrize("profile", sorted(PAIR_PROFILES))
+@pytest.mark.parametrize("d, A, r_cut", PAIR_LATTICES)
 def test_pair_kernel_matches_generic_path(rng, profile, d, A, r_cut):
     S = StencilSet.ball(d, r_cut)
-    P = PairPotential(d=d, A=A, S=S, kappa=0.25, phi=_PROFILES[profile])
+    P = PairPotential(d=d, A=A, S=S, kappa=0.25, phi=PAIR_PROFILES[profile])
     N = {1: 64, 2: 12, 3: 6}[d]
     u = rng.uniform(-0.04, 0.04, (N,) * d + (d,))
     grad, ref = gradient_array(P, u), _generic_gradient(P, u)

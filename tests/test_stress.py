@@ -12,8 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcb.fields import TrigField
-from latcb.lattice import DisplacementField, LatticeSpec, all_stencils, gauss_rule_01, tensor_grid
-from latcb.potentials import AdmissibilityError, HarmonicChain, gradient_array, lennard_jones
+from latcb.lattice import (
+    DisplacementField,
+    LatticeSpec,
+    StencilSet,
+    all_stencils,
+    gauss_rule_01,
+    tensor_grid,
+)
+from latcb.potentials import (
+    AdmissibilityError,
+    HarmonicChain,
+    PairPotential,
+    gradient_array,
+    lennard_jones,
+)
 from latcb.stress import (
     AffineDisplacement,
     CBModel,
@@ -22,7 +35,17 @@ from latcb.stress import (
     stress_consistency_field,
 )
 
-from conftest import eam_square, lj_chain, lj_square, random_displacement, site_coords
+from conftest import (
+    PAIR_LATTICES,
+    PAIR_PROFILES,
+    eam_square,
+    lj_chain,
+    lj_square,
+    lj_triangular,
+    random_displacement,
+    site_coords,
+)
+from generic_cb import GenericCBModel
 from hat_quadrature import zeta_convolve
 from point_gap import trig_grad, trig_hess
 from stress_loop import loop_div, loop_eval
@@ -99,6 +122,35 @@ def test_cb_moduli_matches_fd_of_stress(rng):
                 assert np.max(np.abs(C[:, :, j, b] - fd)) < 1e-4
 
 
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("profile", sorted(PAIR_PROFILES))
+@pytest.mark.parametrize("d, A, r_cut", PAIR_LATTICES)
+def test_pair_cb_path_matches_generic_contraction(rng, profile, d, A, r_cut, batch, monkeypatch):
+    """Half-stencil energy, stress and moduli against the full-stencil site derivatives."""
+    P = PairPotential(d=d, A=A, S=StencilSet.ball(d, r_cut), kappa=0.25,
+                      phi=PAIR_PROFILES[profile])
+    F = rng.standard_normal(batch + (d, d))
+    # spectral norms spread over (0, 0.8 kappa]: |F rho| / |rho| <= ||F|| stays admissible
+    scale = 0.8 * P.kappa * rng.uniform(0.05, 1.0, batch) / np.linalg.norm(F, 2, axis=(-2, -1))
+    F *= np.asarray(scale)[..., None, None]
+    M, oracle = CBModel(P), GenericCBModel(P)
+    assert M._half is not None and oracle._half is None
+
+    def no_site_derivatives(g):
+        raise AssertionError("the pair path evaluated site derivatives")
+
+    for name in ("energy_density", "stress", "moduli"):
+        ref = getattr(oracle, name)(F)
+        with monkeypatch.context() as m:
+            for method in ("site_energy", "site_gradient", "site_hessian"):
+                m.setattr(P, method, no_site_derivatives)
+            got = getattr(M, name)(F)
+        assert got.shape == ref.shape == batch + {"energy_density": (), "stress": (d, d),
+                                                   "moduli": (d, d, d, d)}[name]
+        assert np.max(np.abs(ref)) > 0.0
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
 def _bad_F(P, bad):
     """A gradient whose stencil leaves the admissible region, or a NaN one."""
     F = np.zeros((3, P.d, P.d))
@@ -107,16 +159,20 @@ def _bad_F(P, bad):
 
 
 @pytest.mark.parametrize("bad", ["beyond", "nan"])
-@pytest.mark.parametrize("make", [lj_chain, lj_square])
+@pytest.mark.parametrize("make", [lj_chain, lj_square, lj_triangular])
 def test_cb_model_rejects_inadmissible_gradients(make, bad):
-    """Every CBModel method, and the divergence built on it, checks its gradients."""
+    """Every CBModel method, and the divergence built on it, checks its gradients;
+    the pair path's half-stencil check words its rejection as the generic one does."""
     P = make()
     M, F = CBModel(P), _bad_F(P, bad)
     H2 = np.zeros(F.shape + (P.d,))
     text = "non-finite" if bad == "nan" else "exceeds kappa"
+    with pytest.raises(AdmissibilityError) as generic:
+        GenericCBModel(P).stress(F)
     for call in (M.energy_density, M.stress, M.moduli, lambda F: div_cb_stress(M, F, H2)):
-        with pytest.raises(AdmissibilityError, match=f"{text}.*Cauchy-Born gradient"):
+        with pytest.raises(AdmissibilityError, match=f"{text}.*Cauchy-Born gradient") as info:
             call(F)
+        assert str(info.value) == str(generic.value)
 
 
 @pytest.mark.parametrize("bad", ["beyond", "nan"])
