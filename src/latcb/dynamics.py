@@ -146,22 +146,19 @@ def integrate_atomistic(
     u0: DisplacementField,
     v0: DisplacementField,
     snap_times,
-    dt_target: float | None = None,
     cfl: float = 0.2,
 ) -> Trajectory:
     """Velocity-Verlet integration with snapshots at prescribed times.
 
-    The step size is ``cfl / max phonon frequency`` unless ``dt_target``
-    is given; each snapshot interval is subdivided evenly so snapshots land
-    exactly.  Admissibility of the stencil field is checked on every step
-    and a violation aborts with the simulation time in the message.
-    Snapshot energies (potential + kinetic) are recorded; for a symplectic
-    integrator their drift is O(dt^2).  Snapshots hold the site values,
-    shape ``(n_snap,) + u0.values.shape``.
+    The step size is ``cfl / max phonon frequency``; each snapshot interval
+    is subdivided evenly so snapshots land exactly.  Admissibility of the
+    stencil field is checked on every step and a violation aborts with the
+    simulation time in the message.  Snapshot energies (potential +
+    kinetic) are recorded; for a symplectic integrator their drift is
+    O(dt^2).  Snapshots hold the site values, shape
+    ``(n_snap,) + u0.values.shape``.
     """
     lattice = u0.lattice
-    if dt_target is None:
-        dt_target = cfl / max_frequency(P)
 
     def accel(vals, t):
         try:
@@ -172,7 +169,7 @@ def integrate_atomistic(
     def energy(u, v):
         return total_energy(P, DisplacementField(lattice, u)) + 0.5 * float(np.sum(v * v))
 
-    return _verlet(u0.values, v0.values, accel, energy, snap_times, dt_target)
+    return _verlet(u0.values, v0.values, accel, energy, snap_times, cfl / max_frequency(P))
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +361,9 @@ def instability_demo(
 
     def run(P, probe_kind):
         v0 = DisplacementField(lattice, eps**2 * _probe_field(lattice, probe_kind))
-        dt = cfl / max_frequency(P)
         n_snap = max(64, int(math.ceil(T_end / 0.1)))
         snap = np.linspace(0.0, T_end, n_snap + 1)
-        traj = integrate_atomistic(P, zero, v0, snap, dt_target=dt)
+        traj = integrate_atomistic(P, zero, v0, snap, cfl=cfl)
         norms = np.array([_l2(traj.v[j]) for j in range(len(traj.times))])
         return traj.times, norms
 

@@ -26,26 +26,17 @@ def _canonical(modes: np.ndarray, amps: np.ndarray):
 
     With the Re convention, a term at ``-m`` equals a term at ``m`` with
     conjugated amplitude; canonicalizing makes norms and evaluations
-    unambiguous.
+    unambiguous.  Modes whose first nonzero entry is negative flip, and
+    duplicates add in input order onto a ``-0.0`` start, which keeps the
+    signed zeros of a lone term; the modes come out sorted.
     """
-    folded: dict[tuple, np.ndarray] = {}
-    for m, a in zip(modes, amps):
-        m = tuple(int(v) for v in m)
-        a = np.asarray(a, dtype=complex)
-        nz = next((v for v in m if v != 0), 0)
-        if nz < 0:
-            m = tuple(-v for v in m)
-            a = np.conj(a)
-        if m in folded:
-            folded[m] = folded[m] + a
-        else:
-            folded[m] = a
-    m_list = sorted(folded)
-    M = np.array(m_list, dtype=int).reshape(len(m_list), -1)
-    A = np.array([folded[m] for m in m_list], dtype=complex)
+    first = modes[np.arange(modes.shape[0]), np.argmax(modes != 0, axis=1)]
+    flip = (first < 0)[:, None]
+    M, inv = np.unique(np.where(flip, -modes, modes), axis=0, return_inverse=True)
+    A = np.full((M.shape[0], amps.shape[1]), complex(-0.0, -0.0))
+    np.add.at(A, inv, np.where(flip, np.conj(amps), amps))
     zero = ~M.any(axis=1)
-    if zero.any():
-        A[zero] = A[zero].real  # the constant term must be real
+    A[zero] = A[zero].real  # the constant term must be real
     return M, A
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .lattice import DisplacementField, LatticeSpec, tensor_grid
 from .potentials import Potential, hessian_operator
@@ -43,7 +42,7 @@ __all__ = [
 _GOLDEN_FRAC = 0.6180339887498949  # fractional grid offset avoiding symmetry points
 
 # default k-points per axis, per dimension, of the max_frequency sample
-# (also the stability runner's default stability_constant grid)
+# (also the default grid of stability_constant and the stability runner)
 ZONE_GRID = {1: 512, 2: 128, 3: 32}
 
 
@@ -147,47 +146,48 @@ def _min_ratio(P: Potential, blocks: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def stability_constant(P: Potential, n_grid: int = 256) -> float:
+def stability_constant(P: Potential, n_grid: int | None = None) -> float:
     """Stability constant: inf over k != 0 of lambda_min(H(k)) / g(k).
 
     Sampling uses ``n_grid`` points per axis with a golden-ratio offset
-    (no symmetry point of the zone is hit exactly), followed by a local
-    smooth refinement around the grid minimizer.  As k -> 0 along a unit
-    direction b the ratio tends to the smallest eigenvalue of the acoustic
-    tensor A(b), so the Legendre-Hadamard minimum is the exact k -> 0
-    value.  Accuracy is well below 1e-6 for the closed-form chain examples.
+    (no symmetry point of the zone is hit exactly; ``None`` takes
+    ``ZONE_GRID[d]``), followed by a compass search around the grid
+    minimizer.  As k -> 0 along a unit direction b the ratio tends to the
+    smallest eigenvalue of the acoustic tensor A(b), so the
+    Legendre-Hadamard minimum is the exact k -> 0 value.  Accuracy is well
+    below 1e-6 for the closed-form chain examples.
     """
+    n_grid = ZONE_GRID[P.d] if n_grid is None else n_grid
     return min(_zone_min(P, n_grid), legendre_hadamard_min(CBModel(P)))
+
+
+def _polished_min(fn, grid: np.ndarray, h: float) -> float:
+    """Smallest value of ``fn`` (rows of points -> values) over ``grid``,
+    polished by a compass search from the grid minimizer: try the 3^d - 1
+    points ``x + h s`` (s in {-1, 0, 1}^d, s != 0) in one call, the diagonals
+    following oblique valleys; move to the best while it improves, else
+    halve ``h``, down to ``h < 1e-10``.  Never above the grid minimum."""
+    vals = fn(grid)
+    i = int(np.argmin(vals))
+    x, f = grid[i], float(vals[i])
+    steps = tensor_grid([[-1.0, 0.0, 1.0]] * x.size)
+    steps = steps[steps.any(axis=1)]
+    while h >= 1e-10:
+        vals = fn(x + h * steps)
+        i = int(np.argmin(vals))
+        if vals[i] < f:
+            x, f = x + h * steps[i], float(vals[i])
+        else:
+            h *= 0.5
+    return f
 
 
 def _zone_min(P: Potential, n_grid: int) -> float:
     """The stability constant's minimum over k != 0 of the zone: the grid
-    minimum, polished by a local search around its minimizer."""
-    d = P.d
-    h = 2.0 * np.pi / n_grid
+    minimum, polished by a compass search from its minimizer, grid spacing first."""
     blocks = _symbol_blocks(P)
-    pts = zone_grid(d, n_grid)
-    vals = _min_ratio(P, blocks, pts)
-    best_idx = int(np.argmin(vals))
-    best_k = pts[best_idx]
-    best = float(vals[best_idx])
-
-    if d == 1:
-        lo, hi = best_k[0] - h, best_k[0] + h
-        res = optimize.minimize_scalar(
-            lambda t: float(_min_ratio(P, blocks, np.array([[t]]))[0]),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-    else:
-        res = optimize.minimize(
-            lambda t: float(_min_ratio(P, blocks, t[None, :])[0]),
-            best_k,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12},
-        )
-    return min(best, float(res.fun))
+    return _polished_min(lambda k: _min_ratio(P, blocks, k), zone_grid(P.d, n_grid),
+                         2.0 * np.pi / n_grid)
 
 
 def max_frequency(P: Potential, n_grid: int | None = None) -> float:
@@ -231,21 +231,16 @@ def legendre_hadamard_min(M: CBModel) -> float:
     just the scalar modulus.  For fixed b the minimum over a is the
     smallest eigenvalue of the acoustic tensor A(b)_ij = C_ipjq b_p b_q,
     so only b is searched: an angular grid over the half sphere (b and -b
-    give the same tensor), polished with a local search.
+    give the same tensor), polished by a compass search from its minimizer,
+    grid spacing first.
     """
     d = M.P.d
     C = M.moduli(np.zeros((d, d)))
     if d == 1:
         return float(C[0, 0, 0, 0])
-    ang = tensor_grid([np.linspace(0.0, np.pi, 48 if d == 2 else 24)] * (d - 1))
-    vals = _acoustic_min(C, ang)
-    res = optimize.minimize(
-        lambda t: float(_acoustic_min(C, t[None, :])[0]),
-        ang[int(np.argmin(vals))],
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13},
-    )
-    return min(float(np.min(vals)), float(res.fun))
+    n = 48 if d == 2 else 24
+    ang = tensor_grid([np.linspace(0.0, np.pi, n)] * (d - 1))
+    return _polished_min(lambda t: _acoustic_min(C, t), ang, np.pi / (n - 1))
 
 
 # ---------------------------------------------------------------------------

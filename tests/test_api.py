@@ -1,9 +1,14 @@
-"""The public API: every exported name resolves, and the package exports a fixed list."""
+"""The public API: every exported name resolves, the package exports a fixed
+list, and importing it leaves the heavy optional scipy modules unloaded."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +100,14 @@ def test_module_api_covers_every_module():
 def test_module_all_is_pinned(name):
     module = importlib.import_module(f"latcb.{name}")
     assert getattr(module, "__all__", []) == MODULE_API[name]
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the stability searches are numpy only, so scipy.optimize stays unimported
+    src = str(Path(latcb.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import latcb, sys; sys.exit('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0

@@ -23,7 +23,7 @@ from latcb.dynamics import (
 from latcb.fields import TrigField
 from latcb.lattice import DisplacementField, LatticeSpec
 from latcb.potentials import HarmonicChain, total_energy
-from latcb.stability import dynamical_symbol
+from latcb.stability import dynamical_symbol, max_frequency
 from latcb.static import SolverError
 from latcb.stress import CBModel
 
@@ -92,7 +92,7 @@ def test_plane_wave_oscillates_at_symbol_frequency():
     omega = float(np.sqrt(np.real(dynamical_symbol(P, np.array([k]))[0, 0])))
     snap = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     traj = integrate_atomistic(P, u0, DisplacementField.zeros(lattice), snap,
-                               dt_target=1e-3)
+                               cfl=1e-3 * max_frequency(P))
     for t, uj, vj in zip(traj.times[1:], traj.u[1:], traj.v[1:]):
         np.testing.assert_allclose(uj, A * np.cos(omega * t) * mode, atol=5e-8)
         np.testing.assert_allclose(vj, -A * omega * np.sin(omega * t) * mode, atol=1e-7)
@@ -112,7 +112,8 @@ def test_verlet_is_second_order_against_fft_oracle(rng):
     errs = {}
     for dt in (1.0 / 100.0, 1.0 / 200.0):
         traj = integrate_atomistic(P, DisplacementField(lattice, u0),
-                                   DisplacementField.zeros(lattice), [T], dt_target=dt)
+                                   DisplacementField.zeros(lattice), [T],
+                                   cfl=dt * max_frequency(P))
         errs[dt] = float(np.max(np.abs(traj.u[-1][:, 0] - u_exact)))
     assert errs[1.0 / 100.0] / errs[1.0 / 200.0] == pytest.approx(4.0, rel=0.1)
 
@@ -127,7 +128,8 @@ def test_energy_drift_is_second_order(rng):
     drift = {}
     for dt in (1.0 / 100.0, 1.0 / 200.0):
         traj = integrate_atomistic(P, DisplacementField(lattice, u0),
-                                   DisplacementField.zeros(lattice), snap, dt_target=dt)
+                                   DisplacementField.zeros(lattice), snap,
+                                   cfl=dt * max_frequency(P))
         drift[dt] = float(np.max(np.abs(traj.energies - traj.energies[0])))
     assert drift[1.0 / 100.0] / drift[1.0 / 200.0] == pytest.approx(4.0, rel=0.15)
 
@@ -139,10 +141,11 @@ def test_verlet_time_reversibility(rng):
     u0 = rng.normal(0.0, 0.01, (N, 1))
     v0 = rng.normal(0.0, 0.01, (N, 1))
     fwd = integrate_atomistic(P, DisplacementField(lattice, u0),
-                              DisplacementField(lattice, v0), [1.0], dt_target=0.01)
+                              DisplacementField(lattice, v0), [1.0],
+                              cfl=0.01 * max_frequency(P))
     back = integrate_atomistic(P, DisplacementField(lattice, fwd.u[-1]),
                                DisplacementField(lattice, -fwd.v[-1]), [1.0],
-                               dt_target=0.01)
+                               cfl=0.01 * max_frequency(P))
     np.testing.assert_allclose(back.u[-1], u0, atol=1e-10)
     np.testing.assert_allclose(-back.v[-1], v0, atol=1e-10)
 
@@ -164,8 +167,9 @@ BAD_SNAPSHOT_TIMES = [[-1.0, -0.5], [-0.5, 0.5], [0.5, 0.5]]
 def test_integrator_rejects_bad_snapshot_times(snap):
     lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
     zero = DisplacementField.zeros(lattice)
+    P = _chain()
     with pytest.raises(ValueError, match="snapshot times"):
-        integrate_atomistic(_chain(), zero, zero, snap, dt_target=0.01)
+        integrate_atomistic(P, zero, zero, snap, cfl=0.01 * max_frequency(P))
 
 
 def test_integrator_rejects_nan_site(rng):

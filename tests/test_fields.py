@@ -1,12 +1,15 @@
-"""``TrigField.sample`` against point-wise ``TrigField.eval`` on its grids."""
+"""``TrigField.sample`` against point-wise ``TrigField.eval`` on its grids,
+and the numpy mode folding against the dict-loop oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from latcb.fields import TrigField
+from latcb.fields import TrigField, _canonical
 from latcb.lattice import tensor_grid
+
+from canonical_loop import canonical_loop
 
 
 def _random_field(rng, d: int, n_components: int, top: int) -> TrigField:
@@ -44,3 +47,25 @@ def test_sample_of_a_mode_at_half_the_grid_vanishes():
     U = TrigField.from_terms(1, 1, [((8,), 0, "sin", 1.0)])
     assert np.max(np.abs(U.sample(16))) <= 1e-13
     assert np.max(np.abs(U.sample(16, shift=0.5))) == pytest.approx(1.0, rel=1e-13)
+
+
+def _signed_parts(rng, shape):
+    """Parts drawn from signed zeros, small exact values and normals."""
+    pool = np.array([0.0, -0.0, 1.5, -2.25])
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.standard_normal(shape))
+
+
+def test_canonical_matches_dict_loop_bit_for_bit(rng):
+    # few distinct modes, so duplicates, +-m pairs and the zero mode are common;
+    # lone terms keep a -0.0 part, which a zeros accumulator would make +0.0
+    for _ in range(500):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        K = int(rng.integers(1, 30))
+        modes = rng.integers(-2, 3, (K, d))
+        amps = np.empty((K, m), dtype=complex)
+        amps.real, amps.imag = _signed_parts(rng, (K, m)), _signed_parts(rng, (K, m))
+        M, A = _canonical(modes, amps)
+        ref_M, ref_A = canonical_loop(modes, amps)
+        assert M.dtype == ref_M.dtype and M.tobytes() == ref_M.tobytes()
+        assert A.shape == ref_A.shape and A.tobytes() == ref_A.tobytes()
+

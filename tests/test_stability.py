@@ -15,6 +15,7 @@ from latcb import stability
 from latcb.lattice import StencilSet
 from latcb.potentials import HarmonicChain, PairPotential, lennard_jones
 from latcb.stability import (
+    ZONE_GRID,
     difference_symbol,
     dispersion_spectrum,
     dynamical_symbol,
@@ -26,8 +27,9 @@ from latcb.stability import (
 )
 from latcb.stress import CBModel
 
-from conftest import eam_chain, eam_square, lj_chain, lj_square
+from conftest import eam_chain, eam_square, lj_chain, lj_square, lj_triangular
 from lh_scan import lh_scan
+from scipy_polish import scipy_lh_min, scipy_stability_constant
 from symbol_einsum import einsum_symbol
 
 GOLDEN_FRAC = 0.6180339887498949
@@ -136,8 +138,9 @@ def test_chain_stability_constants():
     assert stability_constant(HarmonicChain.build(a1=2.0, a2=-0.25)) == pytest.approx(
         1.0, abs=1e-6
     )
+    # the search lands on the zone boundary k = pi
     assert stability_constant(HarmonicChain.build(a1=-1.0, a2=0.5)) == pytest.approx(
-        -1.0, abs=1e-6
+        -1.0, abs=1e-12
     )
 
 
@@ -252,6 +255,35 @@ def test_legendre_hadamard_matches_joint_scan(make):
     assert legendre_hadamard_min(M) == pytest.approx(
         lh_scan(M.moduli(np.zeros((d, d)))), rel=1e-12
     )
+
+
+# (factory, n_grid) of the compass-search checks; 3D at a small grid
+_POLISH_CASES = {
+    "chain_stable": (lambda: HarmonicChain.build(a1=2.0, a2=-0.25), 512),
+    "chain_unstable": (lambda: HarmonicChain.build(a1=-1.0, a2=0.5), 512),
+    "lj_chain": (lj_chain, 512),
+    "lj_square": (lj_square, 128),
+    "eam_square": (eam_square, 128),
+    "lj_triangular": (lj_triangular, 128),
+    "lj_cubic": (_lj_cubic, 12),
+}
+
+
+@pytest.mark.parametrize("name", list(_POLISH_CASES))
+def test_compass_search_matches_scipy_polish(name):
+    # the one numpy search reaches the minima of the Brent and Nelder-Mead polishes
+    make, n_grid = _POLISH_CASES[name]
+    P = make()
+    assert stability_constant(P, n_grid) == pytest.approx(
+        scipy_stability_constant(P, n_grid), rel=1e-12)
+    M = CBModel(P)
+    assert legendre_hadamard_min(M) == pytest.approx(scipy_lh_min(M), rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [lj_chain, lj_square, _lj_cubic], ids=["1d", "2d", "3d"])
+def test_stability_constant_default_grid_is_the_zone_grid(make):
+    P = make()
+    assert stability_constant(P) == stability_constant(P, n_grid=ZONE_GRID[P.d])
 
 
 def test_stability_constant_long_wave_limit_is_the_lh_minimum():
