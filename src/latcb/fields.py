@@ -176,7 +176,11 @@ class TrigField:
 
         The kernel's Fourier coefficient at mode ``m`` is
         ``prod_a sinc(m_a h)^2``, so the convolution is exact: the same
-        modes with their amplitudes multiplied by it.
+        modes with their amplitudes multiplied by it.  The result skips the
+        fold of ``__post_init__``: on canonical modes times a factor >= 0 it
+        would change no bit.
         """
         mult = np.prod(np.sinc(self.modes * h) ** 2, axis=1)
-        return TrigField(self.d, self.modes.copy(), self.amps * mult[:, None])
+        out = object.__new__(TrigField)
+        out.d, out.modes, out.amps = self.d, self.modes.copy(), self.amps * mult[:, None]
+        return out

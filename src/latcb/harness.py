@@ -462,9 +462,8 @@ def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
-# each runner returns (report_fields, tables); `run` adds the "checks" list
-# from _CHECKS, and tables are (suffix, columns, rows) with suffix "" for the
-# main `<name>.csv`.
+# each runner returns (report_fields, columns, rows): `run` adds the "checks"
+# list from _CHECKS to the report and writes the table as `<name>.csv`.
 
 def _run_stability(cfg: ExperimentConfig, workers: int):
     """lattice stability constant, max frequency, Legendre-Hadamard minimum"""
@@ -478,7 +477,7 @@ def _run_stability(cfg: ExperimentConfig, workers: int):
     }
     if probe_N is not None:
         report["alternating_quotient"], _ = instability_eigenprobe(P, probe_N)
-    return report, [("", ("quantity", "value"), list(report.items()))]
+    return report, ("quantity", "value"), list(report.items())
 
 
 def _run_dispersion(cfg: ExperimentConfig, workers: int):
@@ -497,7 +496,7 @@ def _run_dispersion(cfg: ExperimentConfig, workers: int):
     min_ratio = float(np.min(finite))
     max_omega = float(np.sqrt(np.max(np.abs(spec.eigs))))
     report = {"min_ratio": min_ratio, "max_omega_sampled": max_omega, "n_k": n_k}
-    return report, [("", columns, rows)]
+    return report, columns, rows
 
 
 def _initial_field(spec: dict) -> TrigField:
@@ -530,7 +529,7 @@ def _run_stress_consistency(cfg: ExperimentConfig, workers: int):
     rr_stress = fit_rate(cfg.spacings, [r[1] for r in rows])
     rr_div = fit_rate(cfg.spacings, [r[2] for r in rows])
     report = {"stress_rate": asdict(rr_stress), "divergence_rate": asdict(rr_div)}
-    return report, [("", ("eps", "err_stress", "err_div"), rows)]
+    return report, ("eps", "err_stress", "err_div"), rows
 
 
 def _macro_force(shape: dict, delta: float) -> MacroForce:
@@ -556,7 +555,7 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
                                     sweep["half_ratios"])
     ]
     report = {"rate": asdict(rr), "delta": sweep["delta"], "half_ratios": sweep["half_ratios"]}
-    return report, [("", columns, rows)]
+    return report, columns, rows
 
 
 def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
@@ -572,7 +571,7 @@ def _run_dynamic_converge(cfg: ExperimentConfig, workers: int):
         for det in sweep["details"]
     ]
     report = {"rate": asdict(rr), "T": sweep["T"], "half_dt": sweep["half_dt"]}
-    return report, [("", ("eps", "error", "energy_drift"), rows)]
+    return report, ("eps", "error", "energy_drift"), rows
 
 
 def _run_instability_demo(cfg: ExperimentConfig, workers: int):
@@ -585,7 +584,7 @@ def _run_instability_demo(cfg: ExperimentConfig, workers: int):
         for t, n in zip(rep["times"], rep["velocity_norms"])
     ]
     report = {k: v for k, v in rep.items() if k not in ("times", "velocity_norms")}
-    return report, [("", ("t", "velocity_norm", "growth_bound"), rows)]
+    return report, ("t", "velocity_norm", "growth_bound"), rows
 
 
 # experiment name -> runner; each runner's docstring is its CLI help line
@@ -632,11 +631,14 @@ def run(
         print(f"config error: workers must be >= 1, got {workers}", file=sys.stderr)
         return 2
     if seed is not None:
+        if seed < 0:  # the same rule as the config's seed
+            print(f"config error: seed must be a nonnegative integer, got {seed}", file=sys.stderr)
+            return 2
         cfg.seed = seed
     out = Path(out_dir) if out_dir is not None else Path(".")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        report_fields, tables = EXPERIMENTS[cfg.experiment](cfg, workers)
+        report_fields, columns, rows = EXPERIMENTS[cfg.experiment](cfg, workers)
         report_fields["checks"] = _evaluate_checks(cfg, report_fields)
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -648,8 +650,7 @@ def run(
         f"config sha256: {cfg.config_hash}",
         f"seed: {cfg.seed}",
     ]
-    for suffix, columns, rows in tables:
-        write_csv(out / f"{cfg.name}{suffix}.csv", comments, columns, rows)
+    write_csv(out / f"{cfg.name}.csv", comments, columns, rows)
     report = {
         "experiment": cfg.experiment,
         "name": cfg.name,

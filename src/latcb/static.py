@@ -7,13 +7,13 @@ the discrete/continuum duality pairing.  For a trigonometric field that
 convolution is exact in closed form: mode ``m`` is multiplied by
 ``prod_a sinc(m_a eps)^2`` (``TrigField.hat_smoothed``) and the smoothed
 field is evaluated at the sites.  Both equilibria minimize an energy with
-one damped Newton-Krylov loop (matrix-free CG preconditioned by a Fourier
-symbol): the Cauchy-Born one once per load (it is scale-free) on a spectral
-grid with the symbol ``C0 k^2``, the atomistic one per lattice spacing with
-the reference dynamical symbol.  The reported error is the scaled L2 norm
-of the gradient gap between the continuum solution and the smoothed
-interpolant of the atomistic one, the quantity that converges at second
-order in the spacing for stable potentials and small loads.
+one damped Newton-Krylov loop (matrix-free numpy CG, preconditioned by a
+Fourier symbol): the Cauchy-Born one once per load (it is scale-free) on a
+spectral grid with the symbol ``C0 k^2``, the atomistic one per lattice
+spacing with the reference dynamical symbol.  The reported error is the
+scaled L2 norm of the gradient gap between the continuum solution and the
+smoothed interpolant of the atomistic one, the quantity that converges at
+second order in the spacing for stable potentials and small loads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .fields import TrigField
 from .interpolation import interp_sample
@@ -171,8 +170,9 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
     Hessian annihilates.
 
     Each step solves ``(H + gauge) delta = -G`` matrix-free by conjugate
-    gradients, preconditioned by dividing by ``symbol``, projects the gauge
-    out of ``delta``, and backtracks along it with ``_line_search`` on the
+    gradients from zero, preconditioned by dividing by ``symbol``, until
+    ``|r| < _CG_RTOL |G|`` (at most ``8 n`` steps), projects the gauge out
+    of ``delta``, and backtracks along it with ``_line_search`` on the
     merit, with slope ``<G, delta>``.  The start is projected too, so no
     iterate has a gauge component.  Returns the final state, its residual
     norm, the iteration count and the residual and CG-count histories.
@@ -180,7 +180,6 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
     shape, n = x.shape, x.size
     x = x - gauge(x)
     merit, rnorm, G = evaluate(x)
-    precond = LinearOperator((n, n), matvec=lambda v: np.real(np.fft.ifft(np.fft.fft(v) / symbol)))
     res_hist, cg_iters = [], []
     for it in range(1, _NEWTON_MAX_ITER + 1):
         res_hist.append(rnorm)
@@ -190,17 +189,23 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
             H = hessian(x)
         except AdmissibilityError as exc:
             raise SolverError(f"{solver} gradient left the admissible region (iter {it})") from exc
-
-        def matvec(v):
-            v = v.reshape(shape)
-            return (H(v) + gauge(v)).ravel()
-
-        ticks = []  # one entry per CG iteration
-        delta, info = cg(LinearOperator((n, n), matvec=matvec), -G.ravel(), rtol=_CG_RTOL,
-                         atol=0.0, maxiter=8 * n, M=precond, callback=ticks.append)
-        cg_iters.append(len(ticks))
-        if info != 0:
-            raise SolverError(f"inner CG failed (info={info}) at Newton iteration {it}")
+        b = -G.ravel()
+        bnorm = np.linalg.norm(b)
+        delta, r, k = (np.zeros(n) if bnorm else b), b.copy(), 0
+        while bnorm and not np.linalg.norm(r) < _CG_RTOL * bnorm:
+            z = np.real(np.fft.ifft(np.fft.fft(r) / symbol))
+            rz = np.dot(r, z)
+            # a contiguous copy: np.dot may sum the strided view z in another order
+            p = z.copy() if k == 0 else p * (rz / rz_prev) + z
+            v = p.reshape(shape)
+            q = (H(v) + gauge(v)).ravel()
+            alpha = rz / np.dot(p, q)
+            delta += alpha * p
+            r -= alpha * q
+            rz_prev, k = rz, k + 1
+            if k == 8 * n:
+                raise SolverError(f"inner CG failed (info={k}) at Newton iteration {it}")
+        cg_iters.append(k)
         delta = delta.reshape(shape)
         delta = delta - gauge(delta)
         slope = float(np.sum(G * delta))

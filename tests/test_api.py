@@ -1,5 +1,5 @@
 """The public API: every exported name resolves, the package exports a fixed
-list, and importing it leaves the heavy optional scipy modules unloaded."""
+list, and importing it loads no scipy module."""
 
 from __future__ import annotations
 
@@ -103,11 +103,13 @@ def test_module_all_is_pinned(name):
 
 
 def test_import_leaves_scipy_optimize_out():
-    # the stability searches are numpy only, so scipy.optimize stays unimported
+    # latcb runs on numpy alone: importing the package and its CLI loads no
+    # scipy module at all, scipy.optimize and scipy.sparse.linalg included
     src = str(Path(latcb.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import latcb, sys; sys.exit('scipy.optimize' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
+    code = ("import latcb, latcb.cli, sys; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

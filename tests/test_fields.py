@@ -1,11 +1,13 @@
 """``TrigField.sample`` against point-wise ``TrigField.eval`` on its grids,
-and the numpy mode folding against the dict-loop oracle."""
+the numpy mode folding against the dict-loop oracle, and hat smoothing
+against the folded construction."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from latcb import fields
 from latcb.fields import TrigField, _canonical
 from latcb.lattice import tensor_grid
 
@@ -69,3 +71,26 @@ def test_canonical_matches_dict_loop_bit_for_bit(rng):
         assert M.dtype == ref_M.dtype and M.tobytes() == ref_M.tobytes()
         assert A.shape == ref_A.shape and A.tobytes() == ref_A.tobytes()
 
+
+
+def test_hat_smoothed_skips_the_fold_bit_for_bit(rng, monkeypatch):
+    # canonical modes times a multiplier >= 0 (1 at m = 0) fold onto
+    # themselves, so smoothing gives the folded construction's bits unfolded
+    cases = []
+    for _ in range(300):
+        d, m, K = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 30))
+        amps = np.empty((K, m), dtype=complex)
+        amps.real, amps.imag = _signed_parts(rng, (K, m)), _signed_parts(rng, (K, m))
+        U = TrigField(d, rng.integers(-3, 4, (K, d)), amps)
+        h = float(rng.choice([1.0 / 8.0, 1.0 / 64.0, 0.37, 0.5, 1.0]))
+        mult = np.prod(np.sinc(U.modes * h) ** 2, axis=1)
+        cases.append((U, h, TrigField(d, U.modes.copy(), U.amps * mult[:, None])))
+    folds = []
+    monkeypatch.setattr(fields, "_canonical", lambda *args: folds.append(args) or _canonical(*args))
+    for U, h, ref in cases:
+        got = U.hat_smoothed(h)
+        assert got.d == ref.d
+        assert got.modes.dtype == ref.modes.dtype and got.modes.tobytes() == ref.modes.tobytes()
+        assert got.amps.shape == ref.amps.shape and got.amps.tobytes() == ref.amps.tobytes()
+        assert got.modes is not U.modes
+    assert folds == []

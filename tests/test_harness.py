@@ -727,6 +727,17 @@ def test_workers_below_one_exit_two(tmp_path, capsys):
     assert not (tmp_path / "static3.csv").exists()
 
 
+def test_negative_seed_override_exits_two(tmp_path, capsys):
+    # a --seed override obeys the config's rule: a nonnegative integer
+    args = ["stability", "--config", str(CONFIGS / "stability_chain_stable.json"),
+            "--out", str(tmp_path)]
+    assert main([*args, "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed must be a nonnegative integer, got -3\n")
+    assert list(tmp_path.iterdir()) == []
+    assert main([*args, "--seed", "0"]) == 0
+
+
 @pytest.mark.parametrize(
     "obj",
     [

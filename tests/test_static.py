@@ -17,7 +17,7 @@ from latcb.dynamics import InitialData, make_initial_data
 from latcb.fields import TrigField
 from latcb.harness import ExperimentConfig
 from latcb.lattice import DisplacementField, LatticeSpec
-from latcb.potentials import AdmissibilityError, HarmonicChain, gradient_array
+from latcb.potentials import AdmissibilityError, HarmonicChain, gradient_array, hessian_operator
 from latcb.stability import dynamical_symbol
 from latcb.static import (
     MacroForce,
@@ -37,6 +37,7 @@ from conftest import eam_chain, lj_chain, lj_square, morse_chain, single_mode_lo
 from dense_cb_static import solve_cb_static as dense_solve_cb_static
 from hat_quadrature import zeta_convolve
 from point_gap import point_gradient_gap, point_value_gap
+from scipy_cg import scipy_newton_krylov
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -371,6 +372,59 @@ def test_newton_krylov_inner_cg_failure():
         SolverError, match=r"^inner CG failed \(info=32\) at Newton iteration 1$"
     ):
         _newton_krylov(np.ones(4), tol=1e-10, solver="lattice", **problem)
+
+
+def _solve_with_both_cgs(monkeypatch, solve):
+    """``solve()`` with the numpy inner CG, then with scipy's ``cg`` swapped in."""
+    sol = solve()
+    with monkeypatch.context() as m:
+        m.setattr(static, "_newton_krylov", scipy_newton_krylov)
+        ref = solve()
+    assert sol.residual == ref.residual and sol.iterations == ref.iterations
+    assert sol.diagnostics == ref.diagnostics  # residual and CG-count histories
+    assert sum(sol.diagnostics["cg_iterations"]) > 0
+    return sol, ref
+
+
+@pytest.mark.parametrize("chain", [lj_chain, morse_chain, eam_chain])
+@pytest.mark.parametrize("delta", [0.01, 1.0])
+def test_atomistic_solver_matches_scipy_cg_bit_for_bit(monkeypatch, chain, delta):
+    P, f_a = chain(), make_forces(single_mode_load(delta), 1.0 / 32.0)
+    sol, ref = _solve_with_both_cgs(monkeypatch, lambda: solve_atomistic_static(P, f_a))
+    assert sol.field.values.tobytes() == ref.field.values.tobytes()
+
+
+def test_static_member_matches_scipy_cg_bit_for_bit(monkeypatch):
+    # the eps = 1/16 member of the shipped LJ-chain sweep, from its continuum start
+    cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
+    U_c = solve_cb_static(CBModel(cfg.P), cfg.load).field
+    f_a, u0 = make_forces(cfg.load, 1.0 / 16.0), static._hat_transfer(U_c, 1.0 / 16.0, 16.0)
+    sol, ref = _solve_with_both_cgs(monkeypatch,
+                                    lambda: solve_atomistic_static(cfg.P, f_a, u0=u0))
+    assert sol.field.values.tobytes() == ref.field.values.tobytes()
+
+
+@pytest.mark.parametrize("chain", [lj_chain, morse_chain, eam_chain])
+@pytest.mark.parametrize("delta", [0.01, 1.0, 20.0])
+def test_cb_solver_matches_scipy_cg_bit_for_bit(monkeypatch, chain, delta):
+    M, F = CBModel(chain()), single_mode_load(delta)
+    sol, ref = _solve_with_both_cgs(monkeypatch, lambda: solve_cb_static(M, F, n_grid=256))
+    assert sol.field.modes.tobytes() == ref.field.modes.tobytes()
+    assert sol.field.amps.tobytes() == ref.field.amps.tobytes()
+
+
+@pytest.mark.parametrize("chain", [lj_chain, morse_chain, eam_chain])
+def test_lattice_solve_applies_the_hessian_once_per_cg_iteration(monkeypatch, chain):
+    applies = []
+
+    def counted(P, values):
+        H = hessian_operator(P, values)
+        return lambda v: applies.append(1) or H(v)
+
+    monkeypatch.setattr(static, "hessian_operator", counted)
+    sol = solve_atomistic_static(chain(), make_forces(single_mode_load(1.0), 1.0 / 32.0))
+    assert sol.iterations > 2
+    assert len(applies) == sum(sol.diagnostics["cg_iterations"])
 
 
 # ---------------------------------------------------------------------------
