@@ -102,7 +102,8 @@ def _verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
     and strictly increasing; each snapshot interval is split into equal
     steps no longer than ``dt_target`` so snapshots land exactly, and a
     snapshot at the current time records without stepping.  A non-finite
-    snapshot raises ``SolverError`` with its time.
+    snapshot raises ``SolverError`` with its time.  The state is a copy of
+    ``x`` and ``v`` updated in place, and each snapshot copies it.
     """
     snap_times = np.asarray(snap_times, dtype=float)
     if (
@@ -112,7 +113,7 @@ def _verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
         or np.any(np.diff(snap_times) <= 0)
     ):
         raise ValueError("snapshot times must be >= 0 and strictly increasing")
-    t = 0.0
+    t, x, v = 0.0, x.copy(), v.copy()
     a = accel(x, t)
     times, xs, vs, energies = [], [], [], []
     for t_snap in snap_times:
@@ -121,17 +122,17 @@ def _verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
             n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
             dt = span / n_steps
             for _ in range(n_steps):
-                v_half = v + 0.5 * dt * a
-                x = x + dt * v_half
+                v += 0.5 * dt * a
+                x += dt * v
                 t += dt
                 a = accel(x, t)
-                v = v_half + 0.5 * dt * a
+                v += 0.5 * dt * a
             t = t_snap  # guard accumulated roundoff
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
             raise SolverError(f"non-finite state at the snapshot t={t:.6g}")
         times.append(t)
-        xs.append(x)
-        vs.append(v)
+        xs.append(x.copy())
+        vs.append(v.copy())
         energies.append(energy(x, v))
     return Trajectory(np.array(times), np.stack(xs), np.stack(vs), np.array(energies),
                       float(dt_target))
@@ -158,16 +159,15 @@ def integrate_atomistic(
     O(dt^2).  Snapshots hold the site values, shape
     ``(n_snap,) + u0.values.shape``.
     """
-    lattice = u0.lattice
-
     def accel(vals, t):
         try:
-            return -gradient_array(P, vals)
+            a = gradient_array(P, vals)
         except AdmissibilityError as exc:
             raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
+        return np.negative(a, out=a)
 
     def energy(u, v):
-        return total_energy(P, DisplacementField(lattice, u)) + 0.5 * float(np.sum(v * v))
+        return total_energy(P, u) + 0.5 * float(np.sum(v * v))
 
     return _verlet(u0.values, v0.values, accel, energy, snap_times, cfl / max_frequency(P))
 

@@ -417,13 +417,8 @@ def _atomic_write(path: Path, text: str):
 
 
 def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    """A CSV cell: a float by its shortest round-trip repr, anything else by str."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
 def write_csv(path: Path, comments, columns, rows):

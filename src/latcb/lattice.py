@@ -59,8 +59,9 @@ class LatticeSpec:
     d : int
         Space dimension, 1 <= d <= 3.
     A : (d, d) array
-        Nondegenerate deformation matrix of the reference lattice; bonds in
-        direction ``rho`` have reference length ``|A rho|``.
+        Nondegenerate lattice matrix, checked here and read nowhere else:
+        the reference bond lengths ``|A rho|`` come from the potential's
+        own ``A``.
     N : int
         Supercell period per axis (N >= 4 so that second-neighbour stencils
         do not wrap onto themselves).

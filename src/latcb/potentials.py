@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import (
-    DisplacementField,
     StencilSet,
     all_stencils,
     neighbour_plan,
@@ -87,7 +86,7 @@ class PowerLawProfile(RadialProfile):
 
     powers: tuple
     coeffs: tuple
-    r_min: float = 1e-8
+    r_min = 1e-8
 
     def __post_init__(self):
         if not 0 < len(self.powers) == len(self.coeffs):
@@ -188,7 +187,6 @@ class MorseProfile(RadialProfile):
     well_depth: float = 1.0
     stiffness: float = 3.0
     r0: float = 1.0
-    r_min: float = 0.0
 
     def deriv(self, r, order: int):
         r = np.asarray(r, dtype=float)
@@ -207,7 +205,6 @@ class ExpProfile(RadialProfile):
     amplitude: float = 1.0
     beta: float = 3.0
     r0: float = 1.0
-    r_min: float = 0.0
 
     def deriv(self, r, order: int):
         r = np.asarray(r, dtype=float)
@@ -497,9 +494,9 @@ class HarmonicChain(Potential):
 # assembled lattice operators
 # ---------------------------------------------------------------------------
 
-def total_energy(P: Potential, u: DisplacementField) -> float:
-    """Supercell energy E(u) = sum_xi V(Du(xi))."""
-    g = all_stencils(u.values, P.S)
+def total_energy(P: Potential, values: np.ndarray) -> float:
+    """Supercell energy E(u) = sum_xi V(Du(xi)) of the value array of u."""
+    g = all_stencils(values, P.S)
     P.check_admissible(g)
     return float(np.sum(P.site_energy(g)))
 
@@ -576,13 +573,19 @@ def hessian_operator(P: Potential, values: np.ndarray):
 # configuration
 # ---------------------------------------------------------------------------
 
-# the keys each profile kind, potential variant and embedding block reads: any
-# other key would fall back to a default without a word, so it is an error
-_PROFILE_KEYS = {
-    "lennard_jones": {"kind", "well_depth", "r0"},
-    "morse": {"kind", "well_depth", "stiffness", "r0"},
-    "exp": {"kind", "amplitude", "beta", "r0"},
-    "power_law": {"kind", "powers", "coeffs"},
+def _power_law(*, powers, coeffs) -> PowerLawProfile:
+    """A power-law profile from its config lists."""
+    return PowerLawProfile(powers=tuple(powers), coeffs=tuple(coeffs))
+
+
+# the keys each profile kind (with its constructor, which owns the defaults),
+# potential variant and embedding block reads: any other key would fall back
+# to a default without a word, so it is an error
+_PROFILES = {
+    "lennard_jones": (lennard_jones, {"kind", "well_depth", "r0"}),
+    "morse": (MorseProfile, {"kind", "well_depth", "stiffness", "r0"}),
+    "exp": (ExpProfile, {"kind", "amplitude", "beta", "r0"}),
+    "power_law": (_power_law, {"kind", "powers", "coeffs"}),
 }
 _VARIANT_KEYS = {
     "harmonic_chain": {"variant", "a1", "a2", "kappa"},
@@ -601,24 +604,11 @@ def _check_keys(cfg: dict, known: set, where: str, owner: str):
 
 def _profile_from_config(cfg: dict, where: str) -> RadialProfile:
     kind = cfg.get("kind")
-    if kind not in _PROFILE_KEYS:
+    if kind not in _PROFILES:
         raise ValueError(f"unknown radial profile kind: {kind!r}")
-    _check_keys(cfg, _PROFILE_KEYS[kind], where, f"{kind} profile")
-    if kind == "lennard_jones":
-        return lennard_jones(cfg.get("well_depth", 1.0), cfg.get("r0", 1.0))
-    if kind == "morse":
-        return MorseProfile(
-            well_depth=cfg.get("well_depth", 1.0),
-            stiffness=cfg.get("stiffness", 3.0),
-            r0=cfg.get("r0", 1.0),
-        )
-    if kind == "exp":
-        return ExpProfile(
-            amplitude=cfg.get("amplitude", 1.0),
-            beta=cfg.get("beta", 3.0),
-            r0=cfg.get("r0", 1.0),
-        )
-    return PowerLawProfile(powers=tuple(cfg["powers"]), coeffs=tuple(cfg["coeffs"]))
+    make, keys = _PROFILES[kind]
+    _check_keys(cfg, keys, where, f"{kind} profile")
+    return make(**{k: v for k, v in cfg.items() if k != "kind"})
 
 
 def potential_from_config(cfg: dict) -> Potential:

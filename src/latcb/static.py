@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 
@@ -174,12 +173,16 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
     ``|r| < _CG_RTOL |G|`` (at most ``8 n`` steps), projects the gauge out
     of ``delta``, and backtracks along it with ``_line_search`` on the
     merit, with slope ``<G, delta>``.  The start is projected too, so no
-    iterate has a gauge component.  Returns the final state, its residual
-    norm, the iteration count and the residual and CG-count histories.
+    iterate has a gauge component; an inadmissible start raises
+    SolverError.  Returns the final state, its residual norm, the
+    iteration count and the residual and CG-count histories.
     """
     shape, n = x.shape, x.size
     x = x - gauge(x)
-    merit, rnorm, G = evaluate(x)
+    try:
+        merit, rnorm, G = evaluate(x)
+    except AdmissibilityError as exc:
+        raise SolverError(f"{solver} start left the admissible region: {exc}") from exc
     res_hist, cg_iters = [], []
     for it in range(1, _NEWTON_MAX_ITER + 1):
         res_hist.append(rnorm)
@@ -317,7 +320,7 @@ def solve_atomistic_static(
 
     def evaluate(vals):
         """Merit ``E(u) - <f, u>``, gradient sup norm and gradient of a state."""
-        merit = total_energy(P, DisplacementField(lattice, vals)) - float(np.sum(fv * vals))
+        merit = total_energy(P, vals) - float(np.sum(fv * vals))
         G = gradient_array(P, vals) - fv
         return merit, float(np.max(np.abs(G))), G
 
@@ -386,6 +389,8 @@ def _map_members(fn, payloads: list, workers: int) -> list:
     """
     n_proc = min(workers, os.cpu_count() or 1, len(payloads))
     if n_proc > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]

@@ -159,7 +159,7 @@ def _bond_gradient_table(P: Potential, u) -> np.ndarray:
         g = CBModel(P).homogeneous_stencil(u.F)[(None,) * P.d]
     elif isinstance(u, DisplacementField):
         g = all_stencils(u.values, P.S)
-        P.check_admissible(g)
+        P.check_admissible(g, f"lattice displacement of period N={u.lattice.N}")
     else:
         raise TypeError(f"unsupported displacement provider: {type(u)!r}")
     return P.site_gradient(g)

@@ -104,11 +104,13 @@ def test_module_all_is_pinned(name):
 
 def test_import_leaves_scipy_optimize_out():
     # latcb runs on numpy alone: importing the package and its CLI loads no
-    # scipy module at all, scipy.optimize and scipy.sparse.linalg included
+    # scipy module at all, scipy.optimize and scipy.sparse.linalg included;
+    # nor the process pool, which only a sweep with workers > 1 imports
     src = str(Path(latcb.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import latcb, latcb.cli, sys; "
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
+            " or m == 'concurrent.futures.process'))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from latcb import dynamics
 from latcb.dynamics import (
     InitialData,
     _verlet,
@@ -31,6 +32,7 @@ from conftest import lj_chain, site_coords
 from generic_cb import GenericCBModel
 from hat_quadrature import zeta_convolve
 from point_gap import trig_grad
+from verlet_reference import reference_verlet
 
 AMP = 0.05 / (2.0 * np.pi)  # unit-torus sin amplitude with gradient sup 0.05
 
@@ -192,6 +194,45 @@ def test_verlet_rejects_non_finite_snapshot(shape):
         _verlet(np.zeros(shape), np.ones(shape), accel, lambda x, v: 0.0, [0.25, 1.0], 0.1)
 
 
+@pytest.mark.parametrize("run", ["lj_companion", "unstable_chain", "cb_wave"])
+def test_in_place_verlet_matches_the_reference_bit_for_bit(monkeypatch, run):
+    if run == "cb_wave":
+        data = InitialData(_sin_field(), TrigField.from_terms(1, 1, [((1,), 0, "cos", 0.03)]))
+        inputs = ()
+
+        def go():
+            return solve_cb_wave(CBModel(lj_chain()), data, [0.0, 0.05, 0.1], n_grid=64)
+    else:
+        if run == "lj_companion":
+            # the c09 companion's data (gradient 0.005, cfl 0.05) at eps = 1/32
+            P = lj_chain()
+            data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
+            u0, v0 = make_initial_data(data, 1.0 / 32.0)
+            snap, cfl = np.linspace(0.0, 4.0, 5), 0.05
+        else:
+            # the instability demo's unstable chain under its alternating kick
+            P = HarmonicChain.build(a1=-1.0, a2=0.5)
+            lattice = LatticeSpec(d=1, A=np.eye(1), N=16)
+            u0 = DisplacementField.zeros(lattice)
+            v0 = DisplacementField(lattice, (-1.0) ** np.arange(16).reshape(16, 1) / 1024.0)
+            snap, cfl = np.linspace(0.0, 3.0, 7), 0.2
+        inputs = (u0.values, v0.values)
+
+        def go():
+            return integrate_atomistic(P, u0, v0, snap, cfl=cfl)
+    before = [a.copy() for a in inputs]
+    new = go()
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()  # the caller's state is not stepped
+    # a snapshot that aliased the stepped state would repeat the final one
+    assert len({x.tobytes() for x in new.u}) == len(new.u)
+    assert len({x.tobytes() for x in new.v}) == len(new.v)
+    monkeypatch.setattr(dynamics, "_verlet", reference_verlet)
+    ref = go()
+    for name in ("times", "u", "v", "energies"):
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # continuum wave solver
 # ---------------------------------------------------------------------------
@@ -300,7 +341,7 @@ def test_sweep_energy_drift_is_measured_from_t0():
     sweep = dynamic_error_sweep(P, data, T=T, eps_list=eps_list, n_snap=2)
     for eps, m in zip(eps_list, sweep["details"]):
         u0, v0 = make_initial_data(data, eps)
-        e0 = total_energy(P, u0) + 0.5 * float(np.sum(v0.values * v0.values))
+        e0 = total_energy(P, u0.values) + 0.5 * float(np.sum(v0.values * v0.values))
         traj = integrate_atomistic(P, u0, v0, [T / eps])
         assert m["energy_drift"] > 0.0
         assert m["energy_drift"] == pytest.approx(abs(traj.energies[-1] - e0), rel=1e-12)

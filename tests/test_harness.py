@@ -26,6 +26,7 @@ from latcb.harness import (
     _macro_force,
     fit_rate,
     run,
+    write_csv,
 )
 
 from latcb.stability import legendre_hadamard_min, stability_constant
@@ -271,6 +272,15 @@ def test_stability_run_takes_the_lh_minimum_once(tmp_path, monkeypatch, pot):
     assert report["lh_min"] == legendre_hadamard_min(CBModel(cfg.P))
 
 
+def test_csv_cells_format_by_one_rule(tmp_path):
+    # floats by their shortest round-trip repr, every other cell by str
+    cells = [True, np.bool_(False), 3, np.int64(4), 0.1, np.float32(0.1), np.float64(5e-324),
+             "gamma", None]
+    write_csv(tmp_path / "cells.csv", [], [f"c{i}" for i in range(len(cells))], [cells])
+    line = (tmp_path / "cells.csv").read_text().splitlines()[-1]
+    assert line == "True,False,3,4,0.1,0.10000000149011612,5e-324,gamma,None"
+
+
 def test_run_outputs_are_byte_identical(tmp_path):
     path = _write_cfg(tmp_path, _stability_cfg(name="det"))
     for sub in ("a", "b"):
@@ -313,6 +323,21 @@ def test_run_runtime_errors_return_three(tmp_path, capsys):
     path = _write_cfg(tmp_path, obj)
     assert run(path, out_dir=tmp_path) == 3
     assert "runtime error: AdmissibilityError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, edit, message", [
+    ("static_converge_lj", lambda obj: obj["params"].update(delta=1000.0),
+     "SolverError: continuum start left the admissible region: stencil norm 0.49479 "
+     "exceeds kappa=0.25 (Cauchy-Born gradient)"),
+    ("stress_consistency_lj", lambda obj: obj["params"]["displacement"].update(grad_amplitude=0.5),
+     "AdmissibilityError: stencil norm 0.450158 exceeds kappa=0.25 "
+     "(lattice displacement of period N=8)"),
+])
+def test_inadmissible_states_exit_three_with_a_location(tmp_path, capsys, config, edit, message):
+    obj = json.loads((CONFIGS / f"{config}.json").read_text())
+    edit(obj)
+    assert run(_write_cfg(tmp_path, obj), out_dir=tmp_path / "out", workers=1) == 3
+    assert capsys.readouterr().err.strip() == f"runtime error: {message}"
 
 
 @pytest.mark.parametrize("experiment", ["static-converge", "dynamic-converge"])

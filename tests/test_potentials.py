@@ -8,6 +8,7 @@ differences of the level below it, for every potential variant.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,7 +227,7 @@ def test_total_energy_rejects_inadmissible(rng):
     lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
     u = random_displacement(lattice, rng, scale=1.0)
     with pytest.raises(AdmissibilityError):
-        total_energy(P, u)
+        total_energy(P, u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +247,8 @@ def test_gradient_array_matches_fd_of_energy(rng):
             vp, vm = flat.copy(), flat.copy()
             vp[j] += h
             vm[j] -= h
-            ep = total_energy(P, DisplacementField(lattice, vp.reshape(u.values.shape)))
-            em = total_energy(P, DisplacementField(lattice, vm.reshape(u.values.shape)))
+            ep = total_energy(P, vp.reshape(u.values.shape))
+            em = total_energy(P, vm.reshape(u.values.shape))
             fd = (ep - em) / (2 * h)
             assert G.ravel()[j] == pytest.approx(fd, rel=1e-6, abs=1e-8), (name, j)
 
@@ -299,7 +300,8 @@ def test_harmonic_chain_quadratic_identities(rng):
     lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
     u = random_displacement(lattice, rng, scale=0.5)
     Hu = hessian_operator(P, np.zeros_like(u.values))(u.values)
-    assert total_energy(P, u) == pytest.approx(0.5 * float(np.sum(Hu * u.values)), rel=1e-12)
+    energy = total_energy(P, u.values)
+    assert energy == pytest.approx(0.5 * float(np.sum(Hu * u.values)), rel=1e-12)
     np.testing.assert_allclose(gradient_array(P, u.values), Hu, atol=1e-12)
 
 
@@ -355,6 +357,42 @@ def test_potential_from_config_rejects_unread_keys(cfg, key):
     # a misspelt key would otherwise fall back to its default without a word
     with pytest.raises(ValueError, match=f"key {key} is not read"):
         potential_from_config(cfg)
+
+
+def _profile(block: dict):
+    """The radial profile a config block builds (as the phi of an EAM chain)."""
+    return potential_from_config({"variant": "eam", "d": 1, "r_cut": 2.0, "phi": block}).phi
+
+
+@pytest.mark.parametrize("kind, make, explicit", [
+    ("lennard_jones", lennard_jones, {"well_depth": 2.0, "r0": 1.1}),
+    ("morse", MorseProfile, {"well_depth": 0.5, "stiffness": 4.0, "r0": 1.2}),
+    ("exp", ExpProfile, {"amplitude": 2.0, "beta": 2.5, "r0": 0.9}),
+])
+def test_profile_defaults_are_the_constructors(kind, make, explicit):
+    # a block without parameters is the constructor called without arguments
+    assert _profile({"kind": kind}) == make()
+    assert _profile({"kind": kind, **explicit}) == make(**explicit) != make()
+
+
+def test_power_law_profile_lists_become_tuples():
+    phi = _profile({"kind": "power_law", "powers": [-12, -6], "coeffs": [1.0, -2.0]})
+    assert phi == PowerLawProfile(powers=(-12, -6), coeffs=(1.0, -2.0))
+    assert type(phi.powers) is tuple and type(phi.coeffs) is tuple
+    with pytest.raises(TypeError, match="'coeffs'"):
+        _profile({"kind": "power_law", "powers": [-12, -6]})
+
+
+@pytest.mark.parametrize("kind", ["lennard_jones", "morse", "exp", "power_law"])
+def test_profile_block_rejects_r_min(kind):
+    with pytest.raises(ValueError, match="key 'phi.r_min' is not read"):
+        _profile({"kind": kind, "r_min": 0.5})
+
+
+def test_profile_r_min_is_a_class_constant():
+    for cls, r_min in ((PowerLawProfile, 1e-8), (MorseProfile, 0.0), (ExpProfile, 0.0)):
+        assert cls.r_min == r_min
+        assert "r_min" not in {f.name for f in dataclasses.fields(cls)}
 
 
 def test_potential_from_config_requires_r_cut():

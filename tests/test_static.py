@@ -179,8 +179,26 @@ def test_cb_solver_matches_dense_oracle(chain, delta):
 
 def test_cb_solver_rejects_nan_state():
     nan = MacroForce(TrigField.from_terms(1, 1, [((1,), 0, "sin", float("nan"))]))
-    with pytest.raises(AdmissibilityError, match="non-finite stencil norm nan"):
+    with pytest.raises(SolverError, match="continuum start left the admissible region: "
+                                          "non-finite stencil norm nan"):
         solve_cb_static(CBModel(lj_chain()), nan, n_grid=16)
+
+
+def test_cb_solver_rejects_an_inadmissible_start():
+    # the linearized start of a load of size 1000 has max |U'| far beyond kappa
+    with pytest.raises(SolverError, match=r"continuum start left the admissible region: "
+                                          r"stencil norm \S+ exceeds kappa=0.25 "
+                                          r"\(Cauchy-Born gradient\)"):
+        solve_cb_static(CBModel(lj_chain()), single_mode_load(1000.0), n_grid=64)
+
+
+def test_lattice_solver_rejects_an_inadmissible_start():
+    # the alternating start has nearest-neighbour differences of 1 > kappa
+    lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
+    u0 = DisplacementField(lattice, 0.5 * (-1.0) ** np.arange(8).reshape(8, 1))
+    with pytest.raises(SolverError, match="lattice start left the admissible region: "
+                                          "stencil norm 1 exceeds kappa=0.25"):
+        solve_atomistic_static(lj_chain(), DisplacementField.zeros(lattice), u0=u0)
 
 
 def test_cb_solver_never_accepts_an_inadmissible_trial(monkeypatch):

@@ -181,7 +181,7 @@ def test_stress_consistency_rejects_inadmissible_fields(make, bad):
     P = make()
     amp = np.nan if bad == "nan" else 2.0 * P.kappa / (2.0 * np.pi)
     U = TrigField.from_terms(P.d, P.d, [((1,) * P.d, 0, "sin", amp)])
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError, match=r"\(lattice displacement of period N=8\)$"):
         stress_consistency_field(CBModel(P), U, 1.0 / 8.0)
 
 
