@@ -128,17 +128,32 @@ class TrigField:
         """The field or a mixed partial on the grid ``X = (j + shift) / N``.
 
         ``j`` runs over ``{0, ..., N-1}^d`` and ``shift`` is a scalar or a
-        d-vector.  Returns shape (N,)*d + (n_components,).  Since
-        ``exp(2 pi i m . j / N)`` depends on ``m`` only mod N, the modes
-        fold onto an N^d spectrum, each times its shift phase
-        ``exp(2 pi i m . shift / N)``, and one inverse FFT sums them: exact
-        to roundoff for any modes, those at or above N/2 included.
+        d-vector.  Returns shape (N,)*d + (n_components,): the one-row case
+        of ``sample_shifts``.
         """
         shift = np.broadcast_to(np.asarray(shift, dtype=float), (self.d,))
-        coeff = self._deriv_amps(deriv) * np.exp(_TWO_PI * 1j * (self.modes @ shift) / N)[:, None]
-        axes = tuple(range(self.d))
-        spec = np.zeros((N,) * self.d + (self.n_components,), dtype=complex)
-        np.add.at(spec, tuple(np.mod(self.modes, N).T), coeff)
+        return self.sample_shifts(N, shift[None], deriv)[0]
+
+    def sample_shifts(self, N: int, shifts, deriv: tuple | None = None) -> np.ndarray:
+        """``sample`` on the grids ``X = (j + shifts[q]) / N`` of a (Q, d) batch of shifts.
+
+        Returns shape (Q,) + (N,)*d + (n_components,).  Since
+        ``exp(2 pi i m . j / N)`` depends on ``m`` only mod N, the modes
+        fold onto one N^d spectrum per shift, each times its shift phase
+        ``exp(2 pi i m . shifts[q] / N)``, and one batched inverse FFT sums
+        them: exact to roundoff for any modes, those at or above N/2
+        included.  Each row has the bits of a one-shift call.
+        """
+        shifts = np.asarray(shifts, dtype=float)
+        if shifts.ndim != 2 or shifts.shape[0] < 1 or shifts.shape[1] != self.d:
+            raise ValueError(f"shifts must have shape (Q, {self.d}) with Q >= 1, got {shifts.shape}")
+        # one matrix-vector product per shift: a batched product may add up
+        # m . s in another order, and a shift's memory layout picks the order
+        phase = np.array([self.modes @ s for s in shifts])
+        coeff = self._deriv_amps(deriv) * np.exp(_TWO_PI * 1j * phase / N)[:, :, None]
+        spec = np.zeros((len(shifts),) + (N,) * self.d + (self.n_components,), dtype=complex)
+        np.add.at(spec, (slice(None),) + tuple(np.mod(self.modes, N).T), coeff)
+        axes = tuple(range(1, self.d + 1))
         return np.real(np.fft.ifftn(spec, axes=axes)) * float(N) ** self.d
 
     # -- norms --------------------------------------------------------------

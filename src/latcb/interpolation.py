@@ -7,8 +7,9 @@ Three ingredients:
 * the smoothed interpolant: the interpolant of the deconvolved lattice
   values convolved with ``zeta`` once more, a C^2 tensor cubic B-spline
   quasi-interpolant that matches the lattice values at every site;
-  ``interp_sample`` evaluates it, or a first partial, on a whole shifted
-  grid with one FFT pair, as ``TrigField.sample`` does for continuum fields,
+  ``interp_sample_shifts`` evaluates it, or a first partial, on a batch of
+  shifted grids with one FFT pair, as ``TrigField.sample_shifts`` does for
+  continuum fields,
 * bond localization kernels ``chi_{xi,rho}(x) = int_0^1 zeta(xi + t rho - x) dt``
   that smear a bond over its line segment and underpin the atomistic stress.
 
@@ -31,6 +32,7 @@ __all__ = [
     "b3",
     "b3_prime",
     "interp_sample",
+    "interp_sample_shifts",
     "chi_eval",
     "grad_chi_eval",
 ]
@@ -112,22 +114,36 @@ def interp_sample(u: DisplacementField, shift=0.0, deriv: tuple | None = None) -
     B-spline filter [1/6, 2/3, 1/6] per axis gives back ``u``, so it matches
     ``u`` at every site.  ``shift`` (a scalar or a d-vector) and ``deriv``
     (None, or the order per axis with at most one 1) follow
-    ``TrigField.sample``; the result has shape (N,)*d + (d,).  The grid is
-    a circular correlation of ``w`` with 4 B-spline taps per axis: one real
-    FFT of ``u``, a multiplier per axis and one inverse FFT.
+    ``TrigField.sample``; the result has shape (N,)*d + (d,): the one-row
+    case of ``interp_sample_shifts``.
+    """
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), (u.lattice.d,))
+    return interp_sample_shifts(u, shift[None], deriv)[0]
+
+
+def interp_sample_shifts(u: DisplacementField, shifts, deriv: tuple | None = None) -> np.ndarray:
+    """``interp_sample`` on the grids ``xi + shifts[q]`` of a (Q, d) batch of shifts.
+
+    Returns shape (Q,) + (N,)*d + (d,).  Each grid is a circular
+    correlation of ``w`` with 4 B-spline taps per axis: one real FFT of
+    ``u``, a stack of per-axis multipliers, one per shift, and one batched
+    inverse FFT.  Each row has the bits of a one-shift call.
     """
     d, N = u.lattice.d, u.lattice.N
-    shift = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts.ndim != 2 or shifts.shape[0] < 1 or shifts.shape[1] != d:
+        raise ValueError(f"shifts must have shape (Q, {d}) with Q >= 1, got {shifts.shape}")
     orders = (0,) * d if deriv is None else tuple(deriv)
     if len(orders) != d or any(o not in (0, 1) for o in orders) or sum(orders) > 1:
         raise ValueError(f"deriv must give d = {d} orders with at most one 1, got {deriv!r}")
-    axes = tuple(range(d))
-    spec = np.fft.rfftn(u.values, axes=axes)
-    for axis, (s, order) in enumerate(zip(shift, orders)):
-        mult = _sample_symbol(N, spec.shape[axis], float(s), order)
-        # shape (n_modes, 1, ..., 1) broadcasts along ``axis`` of the spectrum
-        spec = spec * mult.reshape((-1,) + (1,) * (d - axis))
-    return np.fft.irfftn(spec, s=(N,) * d, axes=axes)
+    spec = np.fft.rfftn(u.values, axes=tuple(range(d)))
+    out = spec[None]
+    for axis, order in enumerate(orders):
+        mult = np.array([_sample_symbol(N, spec.shape[axis], float(s), order)
+                         for s in shifts[:, axis]])
+        # shape (Q, 1, ..., n_modes, 1, ..., 1) broadcasts along ``axis`` of each spectrum
+        out = out * mult.reshape((len(shifts),) + (1,) * axis + (-1,) + (1,) * (d - axis))
+    return np.fft.irfftn(out, s=(N,) * d, axes=tuple(range(1, d + 1)))
 
 
 # ---------------------------------------------------------------------------

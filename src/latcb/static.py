@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .fields import TrigField
-from .interpolation import interp_sample
+from .interpolation import interp_sample_shifts
 from .lattice import DisplacementField, LatticeSpec, gauss_rule_01, supercell_period, tensor_grid
 from .potentials import (
     AdmissibilityError,
@@ -340,21 +340,43 @@ def solve_atomistic_static(
 # error metric
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _gauss_offsets(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q^d Gauss points of the unit cell, (q^d, d), and their weights (read-only)."""
+    x1, w1 = gauss_rule_01(q)
+    offsets, weights = tensor_grid([x1] * d), np.prod(tensor_grid([w1] * d), axis=1)
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
+
+
+def _check_gap_inputs(name: str, U: TrigField, u_a: DisplacementField, eps: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``U`` and ``u_a`` describe one torus at ``eps``."""
+    d, N, period = u_a.lattice.d, u_a.lattice.N, supercell_period(eps)
+    if period != N:
+        raise ValueError(f"{name}: eps = {eps!r} has period {period}, but the lattice has N = {N}")
+    if U.d != d or U.n_components != d:
+        raise ValueError(f"{name}: the field has d = {U.d} and {U.n_components} components, "
+                         f"but the lattice needs d = {d} and {d}")
+
+
 def _interp_gap(u_a: DisplacementField, eps: float, q: int, exact, interp) -> float:
     """Scaled L2 gap eps^{d/2} || u_c - I u_a ||_{L2(micro torus)} of a field or its gradient.
 
-    ``I`` is the smoothed interpolant (``interp_sample``), which matches
-    ``u_a`` at every site.  The integral is a q-point Gauss rule per lattice
-    cell, which integrates the spline factors exactly: ``exact(o)`` and
-    ``interp(o)`` sample both sides at the points ``xi + o`` of every cell
-    ``xi`` for one Gauss offset ``o``, as arrays of the same shape.
+    ``I`` is the smoothed interpolant (``interp_sample_shifts``), which
+    matches ``u_a`` at every site.  The integral is a q-point Gauss rule per
+    lattice cell, which integrates the spline factors exactly: ``exact(S)``
+    and ``interp(S)`` sample both sides at the points ``xi + S[o]`` of every
+    cell ``xi`` for all q^d Gauss offsets ``S`` at once, as arrays of the
+    same shape with one row per offset.  Each row is summed on its own and
+    the weighted row sums add up in offset order.
     """
     d = u_a.lattice.d
-    x1, w1 = gauss_rule_01(q)
+    offsets, weights = _gauss_offsets(q, d)
+    diff = exact(offsets) - interp(offsets)
+    sums = np.sum((diff * diff).reshape(len(offsets), -1), axis=1)
     val = 0.0
-    for o, w in zip(tensor_grid([x1] * d), np.prod(tensor_grid([w1] * d), axis=1)):
-        diff = exact(o) - interp(o)
-        val += w * float(np.sum(diff * diff))
+    for w, s in zip(weights, sums):
+        val += w * float(s)
     return eps ** (d / 2.0) * math.sqrt(val)
 
 
@@ -362,20 +384,25 @@ def interp_gradient_gap(U: TrigField, u_a: DisplacementField, eps: float, q: int
     """Scaled L2 gap eps^{d/2} || grad u_c - grad I u_a ||_{L2(micro torus)}.
 
     Equals the macroscopic norm || grad U - (grad I u_a)(. / eps) ||_{L2(unit torus)}.
+    Raises ValueError unless ``eps`` is the lattice's spacing and ``U`` has
+    the lattice's dimension and d components.
     """
+    _check_gap_inputs("interp_gradient_gap", U, u_a, eps)
     N, axes = u_a.lattice.N, [tuple(a) for a in np.eye(U.d, dtype=int)]
     return _interp_gap(u_a, eps, q,
-                       lambda o: np.stack([U.sample(N, o, deriv=a) for a in axes], -1),
-                       lambda o: np.stack([interp_sample(u_a, o, deriv=a) for a in axes], -1))
+                       lambda S: np.stack([U.sample_shifts(N, S, deriv=a) for a in axes], -1),
+                       lambda S: np.stack([interp_sample_shifts(u_a, S, deriv=a) for a in axes], -1))
 
 
 def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 6) -> float:
     """Scaled L2 gap eps^{d/2} || v_c - I v_a ||_{L2(micro torus)}.
 
-    ``v_c(x) = V(eps x)`` (order-one fields such as velocities).
+    ``v_c(x) = V(eps x)`` (order-one fields such as velocities).  Raises
+    ValueError as ``interp_gradient_gap`` does.
     """
-    return _interp_gap(v_a, eps, q, lambda o: V.sample(v_a.lattice.N, o),
-                       lambda o: interp_sample(v_a, o))
+    _check_gap_inputs("interp_value_gap", V, v_a, eps)
+    return _interp_gap(v_a, eps, q, lambda S: V.sample_shifts(v_a.lattice.N, S),
+                       lambda S: interp_sample_shifts(v_a, S))
 
 
 # ---------------------------------------------------------------------------

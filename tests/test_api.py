@@ -63,7 +63,8 @@ MODULE_API = {
     "fields": ["TrigField"],
     "harness": ["EXPERIMENTS", "ConfigError", "ExperimentConfig", "RateReport", "fit_rate", "run"],
     "interpolation": [
-        "zeta_eval", "hat", "b3", "b3_prime", "interp_sample", "chi_eval", "grad_chi_eval",
+        "zeta_eval", "hat", "b3", "b3_prime", "interp_sample", "interp_sample_shifts", "chi_eval",
+        "grad_chi_eval",
     ],
     "lattice": [
         "tensor_grid", "supercell_period", "LatticeSpec", "StencilSet", "DisplacementField", "as_direction",

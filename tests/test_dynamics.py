@@ -31,6 +31,7 @@ from latcb.stress import CBModel
 from conftest import lj_chain, site_coords
 from generic_cb import GenericCBModel
 from hat_quadrature import zeta_convolve
+import offset_gap
 from point_gap import trig_grad
 from verlet_reference import reference_verlet
 
@@ -231,6 +232,23 @@ def test_in_place_verlet_matches_the_reference_bit_for_bit(monkeypatch, run):
     ref = go()
     for name in ("times", "u", "v", "energies"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_dynamic_member_gaps_match_offset_oracle_bit_for_bit(monkeypatch):
+    # the c09 companion's data (gradient 0.005, cfl 0.05) at eps = 1/32 over a short
+    # horizon, with the per-offset gradient and value gaps swapped in
+    P = lj_chain()
+    data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
+    cb_times = np.linspace(0.0, 0.125, 5)
+    cb_U, cb_V = dynamics._interpolants(solve_cb_wave(CBModel(P), data, cb_times, n_grid=128,
+                                                      cfl=0.05))
+    payload = (P, data, cb_times, cb_U, cb_V, 1.0 / 32.0, 0.05, 6)
+    got = dynamics._dynamic_member(payload)
+    monkeypatch.setattr(dynamics, "interp_gradient_gap", offset_gap.interp_gradient_gap)
+    monkeypatch.setattr(dynamics, "interp_value_gap", offset_gap.interp_value_gap)
+    ref = dynamics._dynamic_member(payload)
+    assert min(got["per_snapshot"][1:]) > 0.0
+    assert repr(got) == repr(ref)
 
 
 # ---------------------------------------------------------------------------

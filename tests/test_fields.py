@@ -1,8 +1,11 @@
 """``TrigField.sample`` against point-wise ``TrigField.eval`` on its grids,
-the numpy mode folding against the dict-loop oracle, and hat smoothing
+the rows of ``TrigField.sample_shifts`` against one-shift samples, the numpy
+mode folding against the dict-loop oracle, and hat smoothing
 against the folded construction."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from latcb.fields import TrigField, _canonical
 from latcb.lattice import tensor_grid
 
 from canonical_loop import canonical_loop
+from offset_gap import trig_sample
 
 
 def _random_field(rng, d: int, n_components: int, top: int) -> TrigField:
@@ -49,6 +53,29 @@ def test_sample_of_a_mode_at_half_the_grid_vanishes():
     U = TrigField.from_terms(1, 1, [((8,), 0, "sin", 1.0)])
     assert np.max(np.abs(U.sample(16))) <= 1e-13
     assert np.max(np.abs(U.sample(16, shift=0.5))) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, N", [(1, 16), (1, 7), (2, 8), (3, 5)])
+def test_sample_shifts_rows_are_one_shift_samples_bit_for_bit(rng, d, N):
+    # modes reach 3N/2, so the fold merges aliased modes in every row
+    U = _random_field(rng, d, 3, 3 * N // 2)
+    S = np.concatenate([np.zeros((1, d)), rng.uniform(-1.5, 2.5, (5, d))])
+    for deriv in _derivs(d):
+        batch = U.sample_shifts(N, S, deriv=deriv)
+        assert batch.shape == (len(S),) + (N,) * d + (3,)
+        for row, s in zip(batch, S):
+            assert row.tobytes() == U.sample(N, s, deriv=deriv).tobytes(), (s, deriv)
+            # the per-shift fold and inverse FFT that the batch replaced
+            assert row.tobytes() == trig_sample(U, N, s, deriv=deriv).tobytes(), (s, deriv)
+    # a scalar shift keeps the bits of the per-shift code too
+    assert U.sample(N, 0.37).tobytes() == trig_sample(U, N, 0.37).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 1), (3, 3), (0, 2), (1, 2, 1)])
+def test_sample_shifts_rejects_other_shapes(rng, shape):
+    U = _random_field(rng, 2, 1, 3)
+    with pytest.raises(ValueError, match=rf"shifts must have shape \(Q, 2\).*got {re.escape(str(shape))}"):
+        U.sample_shifts(8, np.zeros(shape))
 
 
 def _signed_parts(rng, shape):

@@ -1,5 +1,6 @@
 """Interpolation layer: hat/B-spline profiles, the smoothed interpolant on
-shifted grids against its point-wise oracle, and the bond localization kernels.
+shifted grids against its point-wise oracle and its batched rows against
+one-shift grids, and the bond localization kernels.
 
 The kernel tests pit the package evaluators against independent oracles:
 adaptive quadrature (scipy) for the defining integrals, finite differences
@@ -7,6 +8,8 @@ for derivatives, and closed-form lattice sums for the moment identities.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -21,12 +24,14 @@ from latcb.interpolation import (
     grad_chi_eval,
     hat,
     interp_sample,
+    interp_sample_shifts,
     zeta_eval,
 )
 from latcb.lattice import DisplacementField, LatticeSpec, gauss_rule_01, tensor_grid
 
 from conftest import random_displacement, site_coords
 from hat_quadrature import zeta_convolve
+from offset_gap import interp_sample_at
 from point_gap import b3_filter, quasi_grad, quasi_interp, smooth_nodal_interp, trig_grad
 from stress_loop import chi_window
 
@@ -206,6 +211,27 @@ def test_interp_sample_rejects_other_derivatives(rng, deriv):
     u = random_displacement(LatticeSpec(d=2, A=np.eye(2), N=4), rng, scale=1.0)
     with pytest.raises(ValueError, match="at most one 1"):
         interp_sample(u, 0.5, deriv=deriv)
+
+
+@pytest.mark.parametrize("d, N", [(1, 7), (1, 16), (2, 5), (2, 8), (3, 4)])
+def test_interp_sample_shifts_rows_are_one_shift_samples_bit_for_bit(rng, d, N):
+    u = random_displacement(LatticeSpec(d=d, A=np.eye(d), N=N), rng, scale=1.0)
+    S = np.concatenate([np.zeros((1, d)), rng.uniform(-1.5, 2.5, (5, d))])
+    for deriv in [None] + [tuple(e) for e in np.eye(d, dtype=int)]:
+        batch = interp_sample_shifts(u, S, deriv=deriv)
+        assert batch.shape == (len(S),) + (N,) * d + (d,)
+        for row, s in zip(batch, S):
+            assert row.tobytes() == interp_sample(u, s, deriv=deriv).tobytes(), (s, deriv)
+            # the per-shift real FFT pair that the batch replaced
+            assert row.tobytes() == interp_sample_at(u, s, deriv=deriv).tobytes(), (s, deriv)
+    assert interp_sample(u, 0.37).tobytes() == interp_sample_at(u, 0.37).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 1), (3, 3), (0, 2), (1, 2, 1)])
+def test_interp_sample_shifts_rejects_other_shapes(rng, shape):
+    u = random_displacement(LatticeSpec(d=2, A=np.eye(2), N=4), rng, scale=1.0)
+    with pytest.raises(ValueError, match=rf"shifts must have shape \(Q, 2\).*got {re.escape(str(shape))}"):
+        interp_sample_shifts(u, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ response prediction and frozen regression anchors.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from latcb.stress import CBModel
 from conftest import eam_chain, lj_chain, lj_square, morse_chain, single_mode_load, site_coords
 from dense_cb_static import solve_cb_static as dense_solve_cb_static
 from hat_quadrature import zeta_convolve
+import offset_gap
 from point_gap import point_gradient_gap, point_value_gap
 from scipy_cg import scipy_newton_krylov
 
@@ -487,7 +489,7 @@ def test_interp_gap_scales_linearly():
 
 @pytest.mark.parametrize("d, N_list", [(1, [8, 16, 64, 256]), (2, [8, 16, 32])])
 def test_gap_metrics_match_point_oracle(rng, d, N_list):
-    """Grid samples of both sides, one grid per Gauss offset, give the point-by-point gaps."""
+    """Grid samples of both sides, all Gauss offsets in one pass, give the point-by-point gaps."""
     terms = _TRANSFER_TERMS[d]
     U = TrigField.from_terms(d, d, terms)
     V = U.scale(-0.8)
@@ -504,6 +506,94 @@ def test_gap_metrics_match_point_oracle(rng, d, N_list):
             got, ref = interp_value_gap(V, va, eps, q=q), point_value_gap(V, va, eps, q=q)
             assert ref > 0.0
             assert got == pytest.approx(ref, rel=1e-10), (N, q)
+
+
+def _gap_inputs(rng, d: int, N: int):
+    """A continuum field with modes past N/2 and two lattice fields near its transfer."""
+    modes = rng.integers(-3 * N // 2, 3 * N // 2 + 1, (7, d))
+    U = TrigField(d, modes, rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d)))
+    lattice = LatticeSpec(d=d, A=np.eye(d), N=N)
+    base = static._hat_transfer(U, 1.0 / N, 1.0).values
+    ua = DisplacementField(lattice, base + 1e-2 * rng.standard_normal(base.shape))
+    va = DisplacementField(lattice, base + 1e-3 * rng.standard_normal(base.shape))
+    return U, ua, va
+
+
+@pytest.mark.parametrize("d, N_list", [(1, [5, 8, 64, 512]), (2, [4, 7, 16]), (3, [4, 5])])
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_gap_metrics_match_offset_oracle_bit_for_bit(rng, d, N_list, q):
+    """All Gauss offsets in one pass give the bits of one offset at a time."""
+    for N in N_list:
+        U, ua, va = _gap_inputs(rng, d, N)
+        got, ref = interp_gradient_gap(U, ua, 1.0 / N, q=q), offset_gap.interp_gradient_gap(U, ua, 1.0 / N, q=q)
+        assert repr(got) == repr(ref), (N, got, ref)
+        got, ref = interp_value_gap(U, va, 1.0 / N, q=q), offset_gap.interp_value_gap(U, va, 1.0 / N, q=q)
+        assert repr(got) == repr(ref), (N, got, ref)
+
+
+def test_static_member_gap_matches_offset_oracle_bit_for_bit(monkeypatch):
+    # the eps = 1/16 member of the shipped LJ-chain sweep, with the per-offset gap swapped in
+    cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
+    U_c = solve_cb_static(CBModel(cfg.P), cfg.load).field
+    payload = (cfg.P, U_c, cfg.load, 1.0 / 16.0, 1e-10, 6)
+    got = static._static_member(payload)
+    monkeypatch.setattr(static, "interp_gradient_gap", offset_gap.interp_gradient_gap)
+    ref = static._static_member(payload)
+    assert got["error"] > 0.0
+    assert repr(got) == repr(ref)
+
+
+def test_gauss_offsets_are_cached_and_read_only():
+    for q, d in ((6, 1), (3, 2), (2, 3)):
+        offsets, weights = static._gauss_offsets(q, d)
+        assert static._gauss_offsets(q, d)[0] is offsets
+        assert offsets.shape == (q ** d, d) and weights.shape == (q ** d,)
+        assert not offsets.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
+
+
+@pytest.mark.parametrize("gap", [interp_gradient_gap, interp_value_gap])
+def test_gap_metrics_reject_mismatched_inputs(rng, gap):
+    name = gap.__name__
+    on_64 = DisplacementField(LatticeSpec(d=1, A=np.eye(1), N=64), rng.standard_normal((64, 1)))
+    U1 = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.1)])
+    with pytest.raises(ValueError, match=rf"^{name}: eps = 0.03125 has period 32, but the lattice has N = 64$"):
+        gap(U1, on_64, 1.0 / 32.0)
+    on_2d = DisplacementField(LatticeSpec(d=2, A=np.eye(2), N=8), rng.standard_normal((8, 8, 2)))
+    one_component = TrigField.from_terms(2, 1, [((1, 0), 0, "sin", 0.1)])
+    with pytest.raises(ValueError, match=rf"^{name}: the field has d = 2 and 1 components, "
+                                         r"but the lattice needs d = 2 and 2$"):
+        gap(one_component, on_2d, 1.0 / 8.0)
+    with pytest.raises(ValueError, match=rf"^{name}: the field has d = 1 and 1 components, "
+                                         r"but the lattice needs d = 2 and 2$"):
+        gap(U1, on_2d, 1.0 / 8.0)
+
+
+def _count_fft_calls(monkeypatch) -> Counter:
+    """Count the calls of every public ``np.fft`` function from here on."""
+    calls = Counter()
+    for name in np.fft.__all__:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_gap_metric_fft_calls_do_not_grow_with_q(rng, monkeypatch, d, q):
+    # one batched pass per side and component of the gradient, whatever the q^d offsets
+    U, ua, va = _gap_inputs(rng, d, 8)
+    calls = _count_fft_calls(monkeypatch)
+    interp_gradient_gap(U, ua, 1.0 / 8.0, q=q)
+    assert calls == Counter(ifftn=d, rfftn=d, irfftn=d)
+    calls.clear()
+    interp_value_gap(U, va, 1.0 / 8.0, q=q)
+    assert calls == Counter(ifftn=1, rfftn=1, irfftn=1)
 
 
 # ---------------------------------------------------------------------------
