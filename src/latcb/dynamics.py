@@ -65,14 +65,14 @@ class Trajectory:
     """Snapshot record of either integrator: lattice values or continuum grids.
 
     ``u`` and ``v`` stack the state and velocity at each snapshot, shape
-    ``(n_snap,) + state shape``; ``energies`` holds the total energy there
-    and ``dt`` the target step.
+    ``(n_snap,) + state shape``, and ``dt`` is the target step.  Quantities
+    of the motion, such as its energy, are computed from the snapshots by
+    the code that reports them.
     """
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    energies: np.ndarray
     dt: float
 
 
@@ -94,11 +94,11 @@ def make_initial_data(
 # time stepping (shared by the lattice and the continuum)
 # ---------------------------------------------------------------------------
 
-def _verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
+def _verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
     """Velocity Verlet from t = 0, recording a snapshot at every snapshot time.
 
-    ``accel(x, t)`` returns the acceleration and ``energy(x, v)`` the total
-    energy stored with each snapshot.  Snapshot times must be nonnegative
+    ``accel(x, t)`` returns the acceleration; each snapshot records the
+    time, state and velocity.  Snapshot times must be nonnegative
     and strictly increasing; each snapshot interval is split into equal
     steps no longer than ``dt_target`` so snapshots land exactly, and a
     snapshot at the current time records without stepping.  A non-finite
@@ -115,7 +115,7 @@ def _verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
         raise ValueError("snapshot times must be >= 0 and strictly increasing")
     t, x, v = 0.0, x.copy(), v.copy()
     a = accel(x, t)
-    times, xs, vs, energies = [], [], [], []
+    times, xs, vs = [], [], []
     for t_snap in snap_times:
         span = t_snap - t
         if span > 1e-14:
@@ -133,9 +133,7 @@ def _verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
         times.append(t)
         xs.append(x.copy())
         vs.append(v.copy())
-        energies.append(energy(x, v))
-    return Trajectory(np.array(times), np.stack(xs), np.stack(vs), np.array(energies),
-                      float(dt_target))
+    return Trajectory(np.array(times), np.stack(xs), np.stack(vs), float(dt_target))
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +152,10 @@ def integrate_atomistic(
     The step size is ``cfl / max phonon frequency``; each snapshot interval
     is subdivided evenly so snapshots land exactly.  Admissibility of the
     stencil field is checked on every step and a violation aborts with the
-    simulation time in the message.  Snapshot energies (potential +
-    kinetic) are recorded; for a symplectic integrator their drift is
-    O(dt^2).  Snapshots hold the site values, shape
-    ``(n_snap,) + u0.values.shape``.
+    simulation time in the message.  Snapshots hold the site values and
+    velocities, shape ``(n_snap,) + u0.values.shape``; the total energy
+    (``total_energy`` plus the kinetic ``|v|^2 / 2``) of each snapshot
+    drifts by O(dt^2) under this symplectic integrator.
     """
     def accel(vals, t):
         try:
@@ -166,10 +164,7 @@ def integrate_atomistic(
             raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
         return np.negative(a, out=a)
 
-    def energy(u, v):
-        return total_energy(P, u) + 0.5 * float(np.sum(v * v))
-
-    return _verlet(u0.values, v0.values, accel, energy, snap_times, cfl / max_frequency(P))
+    return _verlet(u0.values, v0.values, accel, snap_times, cfl / max_frequency(P))
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +217,8 @@ def solve_cb_wave(
         s = M.stress(up[:, None, None])[:, 0, 0]
         return _spectral_ddx(s)
 
-    def energy(Uv, Vv):
-        up = _spectral_ddx(Uv)
-        return float(np.mean(0.5 * Vv * Vv + M.energy_density(up[:, None, None])))
-
     c_max = float(np.sqrt(np.max(checked_moduli(U)[1])))
-    return _verlet(U, V, accel, energy, snap_times, cfl / (n_grid * c_max))
+    return _verlet(U, V, accel, snap_times, cfl / (n_grid * c_max))
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +231,26 @@ def _interpolants(cb: Trajectory) -> tuple[list, list]:
 
 
 def _dynamic_member(payload) -> dict:
-    """One spacing member of the dynamic sweep (picklable for process pools)."""
+    """One spacing member of the dynamic sweep (picklable for process pools).
+
+    Its energy drift is ``max_j |E_j - E_0|`` over the lattice snapshots.
+    """
     (P, data, cb_times, cb_U, cb_V, eps, cfl, q) = payload
     u0, v0 = make_initial_data(data, eps)
     micro_times = cb_times / eps
     traj = integrate_atomistic(P, u0, v0, micro_times, cfl=cfl)
-    errors = []
+    errors, energies = [], []
     for Uj, Vj, uj, vj in zip(cb_U, cb_V, traj.u, traj.v):
         e_grad = interp_gradient_gap(Uj, DisplacementField(u0.lattice, uj), eps, q=q)
         e_vel = interp_value_gap(Vj, DisplacementField(u0.lattice, vj), eps, q=q)
         errors.append(e_grad + e_vel)
+        energies.append(total_energy(P, uj) + 0.5 * float(np.sum(vj * vj)))
+    energies = np.array(energies)
     return {
         "eps": float(eps),
         "error": float(np.max(errors)),
         "per_snapshot": [float(e) for e in errors],
-        "energy_drift": float(np.max(np.abs(traj.energies - traj.energies[0]))),
+        "energy_drift": float(np.max(np.abs(energies - energies[0]))),
     }
 
 
@@ -299,7 +295,6 @@ def dynamic_error_sweep(
         "eps": [float(e) for e in eps_list],
         "errors": [m["error"] for m in members],
         "T": float(T),
-        "cb_energy_drift": float(np.max(np.abs(cb.energies - cb.energies[0]))),
         "details": members,
         "half_dt": {
             "eps": float(finest),

@@ -27,11 +27,10 @@ from .lattice import supercell_period
 from .potentials import potential_from_config
 from .stability import (
     ZONE_GRID,
-    _zone_min,
     dispersion_spectrum,
     instability_eigenprobe,
-    legendre_hadamard_min,
     max_frequency,
+    stability_constants,
     zone_grid,
 )
 from .static import MacroForce, static_converge_sweep
@@ -463,13 +462,8 @@ def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
 def _run_stability(cfg: ExperimentConfig, workers: int):
     """lattice stability constant, max frequency, Legendre-Hadamard minimum"""
     P, probe_N = cfg.P, cfg.values["eigenprobe_N"]
-    # stability_constant's value, with the k -> 0 limit computed once for both
-    lh_min = legendre_hadamard_min(CBModel(P))
-    report = {
-        "gamma": min(_zone_min(P, cfg.values["n_grid"]), lh_min),
-        "omega_max": max_frequency(P),
-        "lh_min": lh_min,
-    }
+    gamma, lh_min = stability_constants(P, cfg.values["n_grid"])
+    report = {"gamma": gamma, "omega_max": max_frequency(P), "lh_min": lh_min}
     if probe_N is not None:
         report["alternating_quotient"], _ = instability_eigenprobe(P, probe_N)
     return report, ("quantity", "value"), list(report.items())

@@ -148,11 +148,6 @@ class StencilSet:
         return self.directions.shape[1]
 
     @cached_property
-    def norms(self) -> np.ndarray:
-        """Euclidean lengths |rho| of all directions, shape (n,)."""
-        return np.linalg.norm(self.directions, axis=1)
-
-    @cached_property
     def inv_sq_norms(self) -> np.ndarray:
         """Inverse squared lengths 1 / |rho|^2 of all directions, shape (n,)."""
         return 1.0 / np.sum(self.directions * self.directions, axis=1)
@@ -184,9 +179,6 @@ class DisplacementField:
     @classmethod
     def zeros(cls, lattice: LatticeSpec) -> "DisplacementField":
         return cls(lattice, np.zeros((lattice.N,) * lattice.d + (lattice.d,)))
-
-    def copy(self) -> "DisplacementField":
-        return DisplacementField(self.lattice, self.values.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "difference_symbol",
     "dispersion_spectrum",
     "stability_constant",
+    "stability_constants",
     "max_frequency",
     "zone_grid",
     "ZONE_GRID",
@@ -157,8 +158,19 @@ def stability_constant(P: Potential, n_grid: int | None = None) -> float:
     Legendre-Hadamard minimum is the exact k -> 0 value.  Accuracy is well
     below 1e-6 for the closed-form chain examples.
     """
+    return stability_constants(P, n_grid)[0]
+
+
+def stability_constants(P: Potential, n_grid: int | None = None) -> tuple[float, float]:
+    """The stability constant and its k -> 0 limit, ``(gamma, lh_min)``.
+
+    ``gamma`` is ``stability_constant(P, n_grid)``: the smaller of the zone
+    minimum and ``lh_min``, the Legendre-Hadamard minimum of ``CBModel(P)``,
+    which is computed once for both.
+    """
     n_grid = ZONE_GRID[P.d] if n_grid is None else n_grid
-    return min(_zone_min(P, n_grid), legendre_hadamard_min(CBModel(P)))
+    lh_min = legendre_hadamard_min(CBModel(P))
+    return min(_zone_min(P, n_grid), lh_min), lh_min
 
 
 def _polished_min(fn, grid: np.ndarray, h: float) -> float:

@@ -78,7 +78,7 @@ MODULE_API = {
     ],
     "stability": [
         "DispersionSpectrum", "dynamical_symbol", "difference_symbol", "dispersion_spectrum",
-        "stability_constant", "max_frequency", "zone_grid", "ZONE_GRID",
+        "stability_constant", "stability_constants", "max_frequency", "zone_grid", "ZONE_GRID",
         "legendre_hadamard_min", "instability_eigenprobe",
     ],
     "static": [

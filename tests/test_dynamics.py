@@ -8,6 +8,9 @@ the sweep anchors.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from latcb.fields import TrigField
 from latcb.lattice import DisplacementField, LatticeSpec
 from latcb.potentials import HarmonicChain, total_energy
 from latcb.stability import dynamical_symbol, max_frequency
-from latcb.static import SolverError
+from latcb.static import SolverError, _spectral_ddx
 from latcb.stress import CBModel
 
 from conftest import lj_chain, site_coords
@@ -51,6 +54,34 @@ def _sin_field(amp=AMP):
 
 def _zero_field():
     return TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.0)])
+
+
+def _lattice_energies(P, traj):
+    """Total energy of each lattice snapshot, by the sweep member's formula."""
+    return np.array([total_energy(P, u) + 0.5 * float(np.sum(v * v))
+                     for u, v in zip(traj.u, traj.v)])
+
+
+def _cb_energies(M, cb):
+    """Total energy of each continuum snapshot: the grid mean of the kinetic
+    and the stored energy density."""
+    return np.array([float(np.mean(0.5 * V * V + M.energy_density(_spectral_ddx(U)[:, None, None])))
+                     for U, V in zip(cb.u, cb.v)])
+
+
+def _drift(energies):
+    return float(np.max(np.abs(energies - energies[0])))
+
+
+def _companion_member_payload():
+    """A sweep member's payload: the c09 companion's data (gradient 0.005,
+    cfl 0.05) at eps = 1/32 over a short horizon, five snapshots."""
+    P = lj_chain()
+    data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
+    cb_times = np.linspace(0.0, 0.125, 5)
+    cb_U, cb_V = dynamics._interpolants(solve_cb_wave(CBModel(P), data, cb_times, n_grid=128,
+                                                      cfl=0.05))
+    return (P, data, cb_times, cb_U, cb_V, 1.0 / 32.0, 0.05, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +131,7 @@ def test_plane_wave_oscillates_at_symbol_frequency():
         np.testing.assert_allclose(uj, A * np.cos(omega * t) * mode, atol=5e-8)
         np.testing.assert_allclose(vj, -A * omega * np.sin(omega * t) * mode, atol=1e-7)
     assert traj.u[0] == pytest.approx(u0.values)
-    assert np.max(np.abs(np.diff(traj.energies))) < 1e-7
+    assert np.max(np.abs(np.diff(_lattice_energies(P, traj)))) < 1e-7
 
 
 def test_verlet_is_second_order_against_fft_oracle(rng):
@@ -133,7 +164,7 @@ def test_energy_drift_is_second_order(rng):
         traj = integrate_atomistic(P, DisplacementField(lattice, u0),
                                    DisplacementField.zeros(lattice), snap,
                                    cfl=dt * max_frequency(P))
-        drift[dt] = float(np.max(np.abs(traj.energies - traj.energies[0])))
+        drift[dt] = _drift(_lattice_energies(P, traj))
     assert drift[1.0 / 100.0] / drift[1.0 / 200.0] == pytest.approx(4.0, rel=0.15)
 
 
@@ -192,7 +223,13 @@ def test_verlet_rejects_non_finite_snapshot(shape):
         return np.full(shape, np.nan if t > 0.5 else 0.0)
 
     with pytest.raises(SolverError, match=r"non-finite state at the snapshot t=1$"):
-        _verlet(np.zeros(shape), np.ones(shape), accel, lambda x, v: 0.0, [0.25, 1.0], 0.1)
+        _verlet(np.zeros(shape), np.ones(shape), accel, [0.25, 1.0], 0.1)
+
+
+def test_stepper_records_states_only():
+    assert list(inspect.signature(_verlet).parameters) == [
+        "x", "v", "accel", "snap_times", "dt_target"]
+    assert [f.name for f in dataclasses.fields(dynamics.Trajectory)] == ["times", "u", "v", "dt"]
 
 
 @pytest.mark.parametrize("run", ["lj_companion", "unstable_chain", "cb_wave"])
@@ -230,25 +267,29 @@ def test_in_place_verlet_matches_the_reference_bit_for_bit(monkeypatch, run):
     assert len({x.tobytes() for x in new.v}) == len(new.v)
     monkeypatch.setattr(dynamics, "_verlet", reference_verlet)
     ref = go()
-    for name in ("times", "u", "v", "energies"):
-        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in ("times", "u", "v", "dt"):
+        got, want = (np.asarray(getattr(t, name)).tobytes() for t in (new, ref))
+        assert got == want, name
 
 
 def test_dynamic_member_gaps_match_offset_oracle_bit_for_bit(monkeypatch):
-    # the c09 companion's data (gradient 0.005, cfl 0.05) at eps = 1/32 over a short
-    # horizon, with the per-offset gradient and value gaps swapped in
-    P = lj_chain()
-    data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
-    cb_times = np.linspace(0.0, 0.125, 5)
-    cb_U, cb_V = dynamics._interpolants(solve_cb_wave(CBModel(P), data, cb_times, n_grid=128,
-                                                      cfl=0.05))
-    payload = (P, data, cb_times, cb_U, cb_V, 1.0 / 32.0, 0.05, 6)
+    # the per-offset gradient and value gaps swapped in
+    payload = _companion_member_payload()
     got = dynamics._dynamic_member(payload)
     monkeypatch.setattr(dynamics, "interp_gradient_gap", offset_gap.interp_gradient_gap)
     monkeypatch.setattr(dynamics, "interp_value_gap", offset_gap.interp_value_gap)
     ref = dynamics._dynamic_member(payload)
     assert min(got["per_snapshot"][1:]) > 0.0
     assert repr(got) == repr(ref)
+
+
+def test_dynamic_member_measures_energy_drift_from_its_snapshots():
+    P, data, cb_times, _, _, eps, cfl, _ = payload = _companion_member_payload()
+    got = dynamics._dynamic_member(payload)["energy_drift"]
+    u0, v0 = make_initial_data(data, eps)
+    traj = integrate_atomistic(P, u0, v0, cb_times / eps, cfl=cfl)
+    assert got > 0.0
+    assert repr(got) == repr(_drift(_lattice_energies(P, traj)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +311,7 @@ def test_cb_wave_dalembert_standing_wave():
         np.testing.assert_allclose(Uj, expect, atol=1e-6)
         expect_v = -AMP * 2.0 * np.pi * np.sin(2.0 * np.pi * X) * np.sin(2.0 * np.pi * t)
         np.testing.assert_allclose(Vj, expect_v, atol=5e-6)
-    assert np.max(np.abs(cb.energies - cb.energies[0])) < 1e-7
+    assert _drift(_cb_energies(M, cb)) < 1e-7
 
 
 @pytest.mark.parametrize("snap", BAD_SNAPSHOT_TIMES)
@@ -298,11 +339,12 @@ def test_cb_wave_matches_generic_oracle():
     the companion's data (gradient 0.005, cfl 0.05) over a short horizon."""
     data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
     snap = np.linspace(0.0, 0.02, 5)
-    got, ref = (solve_cb_wave(make(lj_chain()), data, snap, cfl=0.05)
-                for make in (CBModel, GenericCBModel))
+    models = [make(lj_chain()) for make in (CBModel, GenericCBModel)]
+    got, ref = (solve_cb_wave(M, data, snap, cfl=0.05) for M in models)
     assert got.dt == pytest.approx(ref.dt, rel=1e-14)
     assert np.array_equal(got.times, ref.times)
-    for a, b in ((got.u, ref.u), (got.v, ref.v), (got.energies, ref.energies)):
+    energies = [_cb_energies(M, cb) for M, cb in zip(models, (got, ref))]
+    for a, b in ((got.u, ref.u), (got.v, ref.v), energies):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
@@ -331,9 +373,10 @@ def test_cb_wave_rejects_nan_state():
 # ---------------------------------------------------------------------------
 
 def test_dynamic_sweep_harmonic():
+    data = InitialData(_sin_field(), _zero_field())
     sweep = dynamic_error_sweep(
         _chain(),
-        InitialData(_sin_field(), _zero_field()),
+        data,
         T=0.5,
         eps_list=[1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
         n_snap=9,
@@ -343,7 +386,10 @@ def test_dynamic_sweep_harmonic():
     slope = np.polyfit(np.log(sweep["eps"]), np.log(sweep["errors"]), 1)[0]
     assert 1.7 <= slope <= 2.3
     assert sweep["half_dt"]["rel_change"] < 0.1
-    assert sweep["cb_energy_drift"] < 1e-6
+    # the continuum solve the sweep shares, rerun with its parameters
+    M = CBModel(_chain())
+    cb = solve_cb_wave(M, data, np.linspace(0.0, 0.5, 9), n_grid=64)
+    assert _drift(_cb_energies(M, cb)) < 1e-6
     for m in sweep["details"]:
         assert len(m["per_snapshot"]) == 9
         assert m["error"] == pytest.approx(max(m["per_snapshot"]))
@@ -362,7 +408,8 @@ def test_sweep_energy_drift_is_measured_from_t0():
         e0 = total_energy(P, u0.values) + 0.5 * float(np.sum(v0.values * v0.values))
         traj = integrate_atomistic(P, u0, v0, [T / eps])
         assert m["energy_drift"] > 0.0
-        assert m["energy_drift"] == pytest.approx(abs(traj.energies[-1] - e0), rel=1e-12)
+        drift = abs(_lattice_energies(P, traj)[-1] - e0)
+        assert m["energy_drift"] == pytest.approx(drift, rel=1e-12)
 
 
 def test_sweep_maps_control_and_members_in_one_call(monkeypatch):
@@ -402,6 +449,25 @@ def test_instability_demo_quick():
     # the continuum of the unstable chain is stable: modulus a1 + 4 a2 = 1
     assert demo["cb_modulus"] == 1.0
     assert len(demo["times"]) == len(demo["velocity_norms"])
+
+
+def test_instability_demo_computes_no_energy(monkeypatch):
+    # the demo reads velocity norms only, so its lattice runs evaluate forces
+    # and no energy
+    calls = []
+
+    def counting(name):
+        fn = getattr(dynamics, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for name in ("total_energy", "gradient_array"):
+        monkeypatch.setattr(dynamics, name, counting(name))
+    instability_demo(1.0 / 64.0)
+    assert (calls.count("total_energy"), calls.count("gradient_array")) == (0, 503)
 
 
 def test_instability_demo_requires_even_reciprocal():

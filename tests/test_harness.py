@@ -259,8 +259,6 @@ def test_stability_run_takes_the_lh_minimum_once(tmp_path, monkeypatch, pot):
         calls.append(M)
         return legendre_hadamard_min(M)
 
-    # both bindings: the runner's own and the one stability_constant calls
-    monkeypatch.setattr(latcb.harness, "legendre_hadamard_min", counted)
     monkeypatch.setattr(latcb.stability, "legendre_hadamard_min", counted)
     obj = _stability_cfg(name="once", potential=pot, params={}, tolerances={"gamma_min": -1e9})
     assert run(_write_cfg(tmp_path, obj), out_dir=tmp_path / "out") == 0

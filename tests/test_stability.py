@@ -292,6 +292,21 @@ def test_stability_constant_long_wave_limit_is_the_lh_minimum():
         assert stability_constant(P) == legendre_hadamard_min(CBModel(P))
 
 
+@pytest.mark.parametrize("make", [lj_chain, lj_square], ids=["1d", "2d"])
+def test_stability_constants_take_the_lh_minimum_once(monkeypatch, make):
+    P = make()
+    want = (stability_constant(P, n_grid=64), legendre_hadamard_min(CBModel(P)))
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return legendre_hadamard_min(M)
+
+    monkeypatch.setattr(stability, "legendre_hadamard_min", counted)
+    assert stability.stability_constants(P, n_grid=64) == want
+    assert len(calls) == 1
+
+
 def test_eam_square_infimum_is_long_wave():
     P = eam_square()
     gamma = stability_constant(P, n_grid=96)

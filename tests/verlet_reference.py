@@ -16,7 +16,7 @@ from latcb.dynamics import Trajectory
 from latcb.static import SolverError
 
 
-def reference_verlet(x, v, accel, energy, snap_times, dt_target: float) -> Trajectory:
+def reference_verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
     """``_verlet`` with a new array for every intermediate state."""
     snap_times = np.asarray(snap_times, dtype=float)
     if (
@@ -28,7 +28,7 @@ def reference_verlet(x, v, accel, energy, snap_times, dt_target: float) -> Traje
         raise ValueError("snapshot times must be >= 0 and strictly increasing")
     t = 0.0
     a = accel(x, t)
-    times, xs, vs, energies = [], [], [], []
+    times, xs, vs = [], [], []
     for t_snap in snap_times:
         span = t_snap - t
         if span > 1e-14:
@@ -46,6 +46,4 @@ def reference_verlet(x, v, accel, energy, snap_times, dt_target: float) -> Traje
         times.append(t)
         xs.append(x)
         vs.append(v)
-        energies.append(energy(x, v))
-    return Trajectory(np.array(times), np.stack(xs), np.stack(vs), np.array(energies),
-                      float(dt_target))
+    return Trajectory(np.array(times), np.stack(xs), np.stack(vs), float(dt_target))
