@@ -1,12 +1,14 @@
 """Lattice stability analysis via the dynamical symbol.
 
 For a plane wave ``v(xi) = a exp(i k . xi)`` the energy Hessian at the
-reference state acts through the Hermitian symbol
+reference state acts through the symbol
 
-    H(k) = sum_{rho, sigma} V_{rho sigma}(0) (e^{ik.rho} - 1)(e^{-ik.sigma} - 1),
+    H(k) = sum_{rho, sigma} V_{rho sigma}(0) (e^{ik.rho} - 1)(e^{-ik.sigma} - 1).
 
-evaluated here in the cancellation-free factored form
-``4 sin(k.rho/2) sin(k.sigma/2) e^{i(k.rho - k.sigma)/2}``.  The stability
+latcb potentials are point symmetric, V_{-rho,-sigma} = V_{rho sigma}, so by
+Re[(e^{ix} - 1)(e^{-iy} - 1)] = 2 [sin^2(x/2) + sin^2(y/2) - sin^2((x - y)/2)]
+H(k) is the real Born-von Karman series ``sum_tau W_tau sin^2(k.tau/2)``,
+each term second order at k = 0, so free of cancellation there.  The stability
 constant is the infimum of the smallest symbol eigenvalue normalized by the
 first-difference symbol ``sum_alpha 4 sin^2(k_alpha / 2)``; it bounds
 Rayleigh quotients of the real-space Hessian with respect to the discrete
@@ -19,6 +21,7 @@ these objects have closed forms that the tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,45 +61,59 @@ def zone_grid(d: int, n: int, offset: float = _GOLDEN_FRAC) -> np.ndarray:
     return tensor_grid([axis] * d)
 
 
-# wave vectors per block of the symbol product: the complex intermediate
-# (block, n d n d) stays near 1.5 MB on the 2D stencils
-_K_BLOCK = 2048
+@lru_cache(maxsize=16)
+def _sine_plan(dir_bytes: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half vectors ``tau / 2`` (d, T) of one stencil's sine-square terms and
+    their (T, n^2) incidence matrix: slot pair (a, b) adds 2 at ``rho_a`` and
+    ``rho_b``, -2 at ``rho_a - rho_b``; +-tau is one term.  Keyed as ``lattice._plan``."""
+    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
+    ab = np.arange(len(dirs) ** 2)
+    a, b = np.divmod(ab, len(dirs))
+    off = a != b
+    vecs = np.concatenate([dirs[a], dirs[b], dirs[a[off]] - dirs[b[off]]])
+    vecs *= np.sign(vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)])[:, None]
+    tau, rows = np.unique(vecs, axis=0, return_inverse=True)
+    incidence = np.zeros((len(tau), ab.size))
+    np.add.at(incidence, (rows.ravel(), np.concatenate([ab, ab, ab[off]])),
+              np.repeat([2.0, 2.0, -2.0], [ab.size, ab.size, int(off.sum())]))
+    half = 0.5 * tau.T
+    half.flags.writeable = incidence.flags.writeable = False
+    return half, incidence
 
 
-def _symbol_blocks(P: Potential) -> np.ndarray:
-    """Hessian blocks V_{rho sigma}(0), shape (n, d, n, d)."""
-    g0 = np.zeros((P.S.n, P.d))
-    return P.site_hessian(g0)
+def _force_constants(P: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """``(tau / 2, W)``, H(k) = sum_tau W_tau sin^2(k.tau/2) with the nonzero rows
+    W (T, d d), from one ``site_hessian``; ValueError unless V(0) is point symmetric."""
+    n, d = P.S.n, P.d
+    V = P.site_hessian(np.zeros((n, d)))
+    # the stencil is sorted and closed under negation: -rho_a sits in slot n-1-a
+    if abs(V - V[::-1, :, ::-1]).max() > 4.0 * np.finfo(float).eps * abs(V).max():
+        raise ValueError("the reference Hessian blocks are not point symmetric, "
+                         "so the dynamical symbol would be complex")
+    half, incidence = _sine_plan(P.S.directions.tobytes(), d)
+    W = (incidence @ V.transpose(0, 2, 1, 3).reshape(n * n, d * d)).reshape(-1, d, d)
+    W = (0.5 * (W + W.transpose(0, 2, 1))).reshape(-1, d * d)  # H == H^T bit for bit
+    keep = W.any(axis=1)
+    return half[:, keep], W[keep]
 
 
-def _symbol(P: Potential, blocks: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """H(k) at the rows of ``pts`` (K, d) from the blocks V(0); shape (K, d, d).
-
-    Per block of wave vectors, one matrix product contracts ``rho`` and a
-    two-operand einsum contracts ``sigma``.
-    """
-    n, d = blocks.shape[:2]
-    flat = blocks.reshape(n, d * n * d).astype(complex)
-    dirs = P.S.directions.T.astype(float)
-    out = np.empty((pts.shape[0], d, d), dtype=complex)
-    for lo in range(0, pts.shape[0], _K_BLOCK):
-        theta = 0.5 * (pts[lo:lo + _K_BLOCK] @ dirs)  # (K, n)
-        # factor_ab = 4 sin(theta_a) sin(theta_b) e^{i (theta_a - theta_b)}
-        fa = 2.0 * np.sin(theta) * np.exp(1j * theta)
-        left = (fa @ flat).reshape(-1, d, n, d)
-        out[lo:lo + _K_BLOCK] = np.einsum("Kibj,Kb->Kij", left, np.conj(fa))
-    return out
+def _symbol(fc: tuple[np.ndarray, np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """H(k) at the rows of ``pts`` (K, d) from the force constants; shape (K, d, d)."""
+    s = pts @ fc[0]
+    np.sin(s, out=s)
+    s *= s
+    return (s @ fc[1]).reshape(-1, pts.shape[1], pts.shape[1])
 
 
 def dynamical_symbol(P: Potential, k) -> np.ndarray:
-    """Hermitian symbol H(k) of the reference Hessian, shape (..., d, d).
+    """Real symmetric symbol H(k) of the reference Hessian, shape (..., d, d).
 
     ``k`` is a wave-vector batch of shape (..., d) (components in
     [-pi, pi] per axis, though any values are accepted by periodicity).
-    H(0) = 0, H(-k) = conj(H(k)).
+    H(0) = 0, H(-k) = H(k).
     """
     k = np.asarray(k, dtype=float)
-    H = _symbol(P, _symbol_blocks(P), k.reshape(-1, k.shape[-1]))
+    H = _symbol(_force_constants(P), k.reshape(-1, k.shape[-1]))
     return H[0] if k.ndim == 1 else H.reshape(k.shape[:-1] + H.shape[-2:])
 
 
@@ -136,10 +153,9 @@ def dispersion_spectrum(P: Potential, k_grid) -> DispersionSpectrum:
     return DispersionSpectrum(k=k, eigs=eigs, normalizer=g, ratios=ratios)
 
 
-def _min_ratio(P: Potential, blocks: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _min_ratio(fc: tuple[np.ndarray, np.ndarray], k: np.ndarray) -> np.ndarray:
     """Smallest symbol eigenvalue over the normalizer at the rows of ``k``, +inf at k ~ 0."""
-    H = _symbol(P, blocks, k)
-    lam = np.linalg.eigvalsh(H)[..., 0]
+    lam = np.linalg.eigvalsh(_symbol(fc, k))[..., 0]
     g = difference_symbol(k)
     out = np.full(lam.shape, np.inf)
     ok = g > 1e-13
@@ -197,8 +213,8 @@ def _polished_min(fn, grid: np.ndarray, h: float) -> float:
 def _zone_min(P: Potential, n_grid: int) -> float:
     """The stability constant's minimum over k != 0 of the zone: the grid
     minimum, polished by a compass search from its minimizer, grid spacing first."""
-    blocks = _symbol_blocks(P)
-    return _polished_min(lambda k: _min_ratio(P, blocks, k), zone_grid(P.d, n_grid),
+    fc = _force_constants(P)
+    return _polished_min(lambda k: _min_ratio(fc, k), zone_grid(P.d, n_grid),
                          2.0 * np.pi / n_grid)
 
 
@@ -216,8 +232,7 @@ def max_frequency(P: Potential, n_grid: int | None = None) -> float:
     """
     if n_grid is None:
         n_grid = ZONE_GRID[P.d]
-    H = dynamical_symbol(P, zone_grid(P.d, n_grid, offset=0.5))
-    lam = np.linalg.eigvalsh(H)
+    lam = np.linalg.eigvalsh(dynamical_symbol(P, zone_grid(P.d, n_grid, offset=0.5)))
     return float(np.sqrt(np.max(np.abs(lam))))
 
 

@@ -325,7 +325,7 @@ def solve_atomistic_static(
         return merit, float(np.max(np.abs(G))), G
 
     k = 2.0 * np.pi * np.arange(N) / N
-    symbol = np.real(dynamical_symbol(P, k[:, None])[:, 0, 0])
+    symbol = dynamical_symbol(P, k[:, None])[:, 0, 0]
     symbol[0] = 1.0  # the gauge mode: translations
     symbol = np.maximum(symbol, 1e-8)
     u = u0.values if u0 is not None else np.zeros_like(fv)

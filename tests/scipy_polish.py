@@ -13,7 +13,7 @@ import numpy as np
 from scipy import optimize
 
 from latcb.lattice import tensor_grid
-from latcb.stability import _acoustic_min, _min_ratio, _symbol_blocks, zone_grid
+from latcb.stability import _acoustic_min, _force_constants, _min_ratio, zone_grid
 from latcb.stress import CBModel
 
 
@@ -21,23 +21,23 @@ def scipy_zone_min(P, n_grid: int) -> float:
     """Grid minimum of the symbol ratio, polished by Brent or Nelder-Mead."""
     d = P.d
     h = 2.0 * np.pi / n_grid
-    blocks = _symbol_blocks(P)
+    fc = _force_constants(P)
     pts = zone_grid(d, n_grid)
-    vals = _min_ratio(P, blocks, pts)
+    vals = _min_ratio(fc, pts)
     best_idx = int(np.argmin(vals))
     best_k = pts[best_idx]
     best = float(vals[best_idx])
     if d == 1:
         lo, hi = best_k[0] - h, best_k[0] + h
         res = optimize.minimize_scalar(
-            lambda t: float(_min_ratio(P, blocks, np.array([[t]]))[0]),
+            lambda t: float(_min_ratio(fc, np.array([[t]]))[0]),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-12},
         )
     else:
         res = optimize.minimize(
-            lambda t: float(_min_ratio(P, blocks, t[None, :])[0]),
+            lambda t: float(_min_ratio(fc, t[None, :])[0]),
             best_k,
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12},

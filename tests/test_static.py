@@ -237,7 +237,7 @@ def test_atomistic_solver_matches_fft_oracle():
     # dense-free oracle: \hat u(k) = \hat f(k) / H(k) on nonzero modes
     N = 16
     k = 2.0 * np.pi * np.arange(N) / N
-    sym = np.real(dynamical_symbol(P, k[:, None])[:, 0, 0])
+    sym = dynamical_symbol(P, k[:, None])[:, 0, 0]
     fh = np.fft.fft(f_a.values[:, 0])
     uh = np.zeros_like(fh)
     uh[1:] = fh[1:] / sym[1:]
