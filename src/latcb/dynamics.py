@@ -30,7 +30,7 @@ from .potentials import (
 )
 from .stability import max_frequency
 from .static import SolverError, interp_gradient_gap, interp_value_gap
-from .static import _hat_transfer, _map_members, _spectral_ddx
+from .static import _hat_transfer, _map_members, _require_stable, _spectral_ddx
 from .stress import CBModel
 
 __all__ = [
@@ -65,15 +65,13 @@ class Trajectory:
     """Snapshot record of either integrator: lattice values or continuum grids.
 
     ``u`` and ``v`` stack the state and velocity at each snapshot, shape
-    ``(n_snap,) + state shape``, and ``dt`` is the target step.  Quantities
-    of the motion, such as its energy, are computed from the snapshots by
-    the code that reports them.
+    ``(n_snap,) + state shape``.  Quantities of the motion, such as its
+    energy, are computed from the snapshots by the code that reports them.
     """
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    dt: float
 
 
 def make_initial_data(
@@ -133,7 +131,7 @@ def _verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
         times.append(t)
         xs.append(x.copy())
         vs.append(v.copy())
-    return Trajectory(np.array(times), np.stack(xs), np.stack(vs), float(dt_target))
+    return Trajectory(np.array(times), np.stack(xs), np.stack(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +270,10 @@ def dynamic_error_sweep(
     lattice to the corresponding microscopic horizon ``T / eps`` and the
     error is the maximum over snapshots of the scaled gradient gap plus
     velocity gap.  The finest spacing is re-run at half the time step
-    (``half_dt``) to confirm integration error is subdominant.
+    (``half_dt``) to confirm integration error is subdominant.  An unstable
+    reference lattice raises SolverError before any solve.
     """
+    _require_stable(P)
     M = CBModel(P)
     cb_times = np.linspace(0.0, T, n_snap)
     cb = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=cfl)

@@ -147,9 +147,11 @@ class TrigField:
         shifts = np.asarray(shifts, dtype=float)
         if shifts.ndim != 2 or shifts.shape[0] < 1 or shifts.shape[1] != self.d:
             raise ValueError(f"shifts must have shape (Q, {self.d}) with Q >= 1, got {shifts.shape}")
-        # one matrix-vector product per shift: a batched product may add up
-        # m . s in another order, and a shift's memory layout picks the order
-        phase = np.array([self.modes @ s for s in shifts])
+        # m . s elementwise, one axis after another: a matrix product may add
+        # it up in an order that the shifts' memory layout picks
+        phase = shifts[:, 0, None] * self.modes[:, 0]
+        for a in range(1, self.d):
+            phase = phase + shifts[:, a, None] * self.modes[:, a]
         coeff = self._deriv_amps(deriv) * np.exp(_TWO_PI * 1j * phase / N)[:, :, None]
         spec = np.zeros((len(shifts),) + (N,) * self.d + (self.n_components,), dtype=complex)
         np.add.at(spec, (slice(None),) + tuple(np.mod(self.modes, N).T), coeff)

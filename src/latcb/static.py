@@ -35,7 +35,7 @@ from .potentials import (
     hessian_operator,
     total_energy,
 )
-from .stability import dynamical_symbol
+from .stability import dynamical_symbol, stability_constants
 from .stress import CBModel
 
 __all__ = [
@@ -128,17 +128,15 @@ class StaticSolution:
 # damped Newton-Krylov (shared by both solvers)
 # ---------------------------------------------------------------------------
 
-def _line_search(x, delta, evaluate, base: float, slope: float, rnorm: float,
-                 floor: float, solver: str):
+def _line_search(x, delta, evaluate, base: float, slope: float, floor: float, solver: str):
     """Backtrack ``x + t delta`` from t = 1 by halving, up to 40 times.
 
-    ``evaluate(trial)`` returns a tuple that starts with the merit and the
-    residual norm of a trial; an inadmissible trial counts as infinitely
-    bad.  A step is accepted on the Armijo condition relaxed by the noise
-    ``floor`` (merit differences cancel at roundoff once the true decrease
-    is that small) or on a plain residual decrease, which accepts steps in
-    the quadratic phase.  Returns the accepted trial and its evaluation, so
-    the caller never evaluates that state again.
+    ``evaluate(trial)`` returns a tuple that starts with the merit of a
+    trial; an inadmissible trial counts as infinitely bad.  The one
+    acceptance rule is the Armijo condition relaxed by the noise ``floor``
+    (merit differences cancel at roundoff once the true decrease is that
+    small).  Returns the accepted trial and its evaluation, so the caller
+    never evaluates that state again.
     """
     t = 1.0
     for _ in range(40):
@@ -146,8 +144,8 @@ def _line_search(x, delta, evaluate, base: float, slope: float, rnorm: float,
         try:
             ev = evaluate(trial)
         except AdmissibilityError:
-            ev = (math.inf, math.inf)
-        if ev[0] <= base + 1e-4 * t * slope + floor or ev[1] <= (1.0 - 1e-4 * t) * rnorm:
+            ev = (math.inf,)
+        if ev[0] <= base + 1e-4 * t * slope + floor:
             return trial, ev
         t *= 0.5
     raise SolverError(f"line search failed in the {solver} solver")
@@ -172,8 +170,10 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
     gradients from zero, preconditioned by dividing by ``symbol``, until
     ``|r| < _CG_RTOL |G|`` (at most ``8 n`` steps), projects the gauge out
     of ``delta``, and backtracks along it with ``_line_search`` on the
-    merit, with slope ``<G, delta>``.  The start is projected too, so no
-    iterate has a gauge component; an inadmissible start raises
+    merit, with slope ``<G, delta>``.  A CG direction with ``p.Hp <= 0``
+    raises SolverError (the truncated-Newton safeguard), so every step
+    descends: ``<G, delta> = -delta.H delta < 0``.  The start is projected
+    too, so no iterate has a gauge component; an inadmissible start raises
     SolverError.  Returns the final state, its residual norm, the
     iteration count and the residual and CG-count histories.
     """
@@ -194,15 +194,19 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
             raise SolverError(f"{solver} gradient left the admissible region (iter {it})") from exc
         b = -G.ravel()
         bnorm = np.linalg.norm(b)
-        delta, r, k = (np.zeros(n) if bnorm else b), b.copy(), 0
-        while bnorm and not np.linalg.norm(r) < _CG_RTOL * bnorm:
+        delta, r, k = np.zeros(n), b.copy(), 0
+        while not np.linalg.norm(r) < _CG_RTOL * bnorm:
             z = np.real(np.fft.ifft(np.fft.fft(r) / symbol))
             rz = np.dot(r, z)
             # a contiguous copy: np.dot may sum the strided view z in another order
             p = z.copy() if k == 0 else p * (rz / rz_prev) + z
             v = p.reshape(shape)
             q = (H(v) + gauge(v)).ravel()
-            alpha = rz / np.dot(p, q)
+            pq = np.dot(p, q)
+            if not pq > 0.0:
+                raise SolverError(f"{solver} Hessian is not positive definite "
+                                  f"(p.Hp = {pq:.3e} at Newton iteration {it})")
+            alpha = rz / pq
             delta += alpha * p
             r -= alpha * q
             rz_prev, k = rz, k + 1
@@ -213,7 +217,7 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
         delta = delta - gauge(delta)
         slope = float(np.sum(G * delta))
         floor = 64.0 * n * np.finfo(float).eps * (1.0 + abs(merit))
-        x, (merit, rnorm, G) = _line_search(x, delta, evaluate, merit, slope, rnorm, floor, solver)
+        x, (merit, rnorm, G) = _line_search(x, delta, evaluate, merit, slope, floor, solver)
     raise SolverError(
         f"{solver} Newton did not reach tol={tol:g} in {_NEWTON_MAX_ITER} iterations "
         f"(last residual {res_hist[-1]:.3e})"
@@ -409,6 +413,14 @@ def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 
 # convergence sweep
 # ---------------------------------------------------------------------------
 
+def _require_stable(P: Potential) -> None:
+    """Raise SolverError unless ``P``'s reference lattice has gamma > 0, as the
+    convergence theorems assume."""
+    gamma, _ = stability_constants(P)
+    if not gamma > 0.0:
+        raise SolverError(f"reference lattice is unstable (gamma={gamma:.6g})")
+
+
 def _map_members(fn, payloads: list, workers: int) -> list:
     """Sweep members in order, in a process pool when ``workers > 1``.
 
@@ -455,8 +467,10 @@ def static_converge_sweep(
     the quasi-interpolated continuum start, and evaluates the scaled
     gradient gap.  The whole sweep is run for ``F`` and for ``F`` scaled by
     one half, giving the linear-response control ``half_ratios`` (errors
-    should scale by about 0.5).
+    should scale by about 0.5).  An unstable reference lattice raises
+    SolverError before any solve.
     """
+    _require_stable(P)
     M = CBModel(P)
     loads = {"full": F, "half": F.scaled(0.5)}
     cbs = {tag: solve_cb_static(M, load, n_grid=n_grid, tol=min(tol, 1e-10))

@@ -101,9 +101,8 @@ def solve_cb_static(
         delta = strip_null(delta)
         slope = float(np.mean(R * delta))  # directional derivative of the merit
         floor = 64.0 * np.finfo(float).eps * (1.0 + abs(merit_U))
-        U, (merit_U, rnorm, R) = _line_search(
-            U, delta, evaluate, merit_U, slope, rnorm, floor, "continuum"
-        )
+        U, (merit_U, rnorm, R) = _line_search(U, delta, evaluate, merit_U, slope, floor,
+                                              "continuum")
     else:
         raise SolverError(
             f"continuum Newton did not reach tol={tol:g} in {_CB_MAX_ITER} iterations "

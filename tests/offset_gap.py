@@ -24,7 +24,10 @@ _TWO_PI = 2.0 * np.pi
 def trig_sample(U, N: int, shift=0.0, deriv: tuple | None = None) -> np.ndarray:
     """``TrigField.sample`` for one shift: fold the modes, one inverse FFT."""
     shift = np.broadcast_to(np.asarray(shift, dtype=float), (U.d,))
-    coeff = U._deriv_amps(deriv) * np.exp(_TWO_PI * 1j * (U.modes @ shift) / N)[:, None]
+    phase = shift[0] * U.modes[:, 0]  # m . shift axis by axis, as the library adds it
+    for a in range(1, U.d):
+        phase = phase + shift[a] * U.modes[:, a]
+    coeff = U._deriv_amps(deriv) * np.exp(_TWO_PI * 1j * phase / N)[:, None]
     axes = tuple(range(U.d))
     spec = np.zeros((N,) * U.d + (U.n_components,), dtype=complex)
     np.add.at(spec, tuple(np.mod(U.modes, N).T), coeff)

@@ -46,7 +46,7 @@ def scipy_newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver:
         delta = delta - gauge(delta)
         slope = float(np.sum(G * delta))
         floor = 64.0 * n * np.finfo(float).eps * (1.0 + abs(merit))
-        x, (merit, rnorm, G) = _line_search(x, delta, evaluate, merit, slope, rnorm, floor, solver)
+        x, (merit, rnorm, G) = _line_search(x, delta, evaluate, merit, slope, floor, solver)
     raise SolverError(
         f"{solver} Newton did not reach tol={tol:g} in {_NEWTON_MAX_ITER} iterations "
         f"(last residual {res_hist[-1]:.3e})"

@@ -56,6 +56,18 @@ def _zero_field():
     return TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.0)])
 
 
+def _record_steps(monkeypatch, stepper=_verlet) -> list:
+    """Swap ``stepper`` in for ``dynamics._verlet``; the list fills with each call's ``dt_target``."""
+    steps = []
+
+    def recorded(x, v, accel, snap_times, dt_target):
+        steps.append(dt_target)
+        return stepper(x, v, accel, snap_times, dt_target)
+
+    monkeypatch.setattr(dynamics, "_verlet", recorded)
+    return steps
+
+
 def _lattice_energies(P, traj):
     """Total energy of each lattice snapshot, by the sweep member's formula."""
     return np.array([total_energy(P, u) + 0.5 * float(np.sum(v * v))
@@ -229,7 +241,7 @@ def test_verlet_rejects_non_finite_snapshot(shape):
 def test_stepper_records_states_only():
     assert list(inspect.signature(_verlet).parameters) == [
         "x", "v", "accel", "snap_times", "dt_target"]
-    assert [f.name for f in dataclasses.fields(dynamics.Trajectory)] == ["times", "u", "v", "dt"]
+    assert [f.name for f in dataclasses.fields(dynamics.Trajectory)] == ["times", "u", "v"]
 
 
 @pytest.mark.parametrize("run", ["lj_companion", "unstable_chain", "cb_wave"])
@@ -259,16 +271,18 @@ def test_in_place_verlet_matches_the_reference_bit_for_bit(monkeypatch, run):
         def go():
             return integrate_atomistic(P, u0, v0, snap, cfl=cfl)
     before = [a.copy() for a in inputs]
+    steps = _record_steps(monkeypatch)
     new = go()
     for a, b in zip(inputs, before):
         assert a.tobytes() == b.tobytes()  # the caller's state is not stepped
     # a snapshot that aliased the stepped state would repeat the final one
     assert len({x.tobytes() for x in new.u}) == len(new.u)
     assert len({x.tobytes() for x in new.v}) == len(new.v)
-    monkeypatch.setattr(dynamics, "_verlet", reference_verlet)
+    ref_steps = _record_steps(monkeypatch, reference_verlet)
     ref = go()
-    for name in ("times", "u", "v", "dt"):
-        got, want = (np.asarray(getattr(t, name)).tobytes() for t in (new, ref))
+    assert steps == ref_steps
+    for name in ("times", "u", "v"):
+        got, want = (getattr(t, name).tobytes() for t in (new, ref))
         assert got == want, name
 
 
@@ -296,14 +310,15 @@ def test_dynamic_member_measures_energy_drift_from_its_snapshots():
 # continuum wave solver
 # ---------------------------------------------------------------------------
 
-def test_cb_wave_dalembert_standing_wave():
+def test_cb_wave_dalembert_standing_wave(monkeypatch):
     # gamma = 1: U_tt = U_XX, so sin data stands and returns after one period
     M = CBModel(_chain())
     data = InitialData(_sin_field(), _zero_field())
     snap = np.array([0.0, 0.25, 0.5, 1.0])
+    steps = _record_steps(monkeypatch)
     cb = solve_cb_wave(M, data, snap)
     # the initial wave speed is 1, so the target step is cfl / (n_grid * 1)
-    assert cb.dt == pytest.approx(0.2 / (128 * 1.0), rel=1e-12)
+    assert steps == [pytest.approx(0.2 / (128 * 1.0), rel=1e-12)]
     # snapshots are the grid values at X_i = i / 128
     X = np.arange(128) / 128.0
     for t, Uj, Vj in zip(cb.times, cb.u, cb.v):
@@ -334,14 +349,15 @@ def test_cb_wave_aborts():
         solve_cb_wave(M2, InitialData(mid, _zero_field()), [0.5])
 
 
-def test_cb_wave_matches_generic_oracle():
+def test_cb_wave_matches_generic_oracle(monkeypatch):
     """The half-stencil pair path and the generic contraction give one wave:
     the companion's data (gradient 0.005, cfl 0.05) over a short horizon."""
     data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
     snap = np.linspace(0.0, 0.02, 5)
     models = [make(lj_chain()) for make in (CBModel, GenericCBModel)]
+    steps = _record_steps(monkeypatch)
     got, ref = (solve_cb_wave(M, data, snap, cfl=0.05) for M in models)
-    assert got.dt == pytest.approx(ref.dt, rel=1e-14)
+    assert steps[0] == pytest.approx(steps[1], rel=1e-14)
     assert np.array_equal(got.times, ref.times)
     energies = [_cb_energies(M, cb) for M, cb in zip(models, (got, ref))]
     for a, b in ((got.u, ref.u), (got.v, ref.v), energies):

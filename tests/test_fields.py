@@ -69,6 +69,9 @@ def test_sample_shifts_rows_are_one_shift_samples_bit_for_bit(rng, d, N):
             assert row.tobytes() == trig_sample(U, N, s, deriv=deriv).tobytes(), (s, deriv)
     # a scalar shift keeps the bits of the per-shift code too
     assert U.sample(N, 0.37).tobytes() == trig_sample(U, N, 0.37).tobytes()
+    # the phase does not depend on how the shifts are laid out in memory
+    assert U.sample(N, 0.37).tobytes() == U.sample(N, np.full(d, 0.37)).tobytes()
+    assert U.sample_shifts(N, np.asfortranarray(S)).tobytes() == U.sample_shifts(N, S).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2,), (3, 1), (3, 3), (0, 2), (1, 2, 1)])

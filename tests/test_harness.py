@@ -376,6 +376,26 @@ def _demo_cfg(**params):
     return {"experiment": "instability-demo", "params": params}
 
 
+STRETCHED_LJ_POT = {**LJ_POT, "A": [[1.11]]}  # gamma = lh_min = -0.869
+UNSTABLE_CHAIN_POT = {"variant": "harmonic_chain", "a1": -1.0, "a2": 0.5}  # gamma = -1, LH > 0
+
+
+@pytest.mark.parametrize("pot, gamma", [(STRETCHED_LJ_POT, "-0.869257"),
+                                        (UNSTABLE_CHAIN_POT, "-1")], ids=["stretched_lj", "chain"])
+@pytest.mark.parametrize("obj", [
+    _static_cfg(),
+    {**_dynamic_cfg(T=0.1, U0={"grad_amplitude": 0.05, "mode": 1}),
+     "tolerances": {"slope_band": [1.8, 2.2]}},
+], ids=["static", "dynamic"])
+def test_sweeps_on_an_unstable_reference_exit_three(tmp_path, capsys, obj, pot, gamma):
+    # the convergence theorems need gamma > 0; unguarded, three of these four
+    # runs pass their slope band (the stretched chain's statics at saddles)
+    path = _write_cfg(tmp_path, {**obj, "potential": pot})
+    assert run(path, out_dir=tmp_path / "out") == 3
+    assert capsys.readouterr().err.strip() == (
+        f"runtime error: SolverError: reference lattice is unstable (gamma={gamma})")
+
+
 @pytest.mark.parametrize(
     "obj",
     [

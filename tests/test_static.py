@@ -7,6 +7,7 @@ response prediction and frozen regression anchors.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -17,8 +18,15 @@ from latcb import static
 from latcb.dynamics import InitialData, make_initial_data
 from latcb.fields import TrigField
 from latcb.harness import ExperimentConfig
-from latcb.lattice import DisplacementField, LatticeSpec
-from latcb.potentials import AdmissibilityError, HarmonicChain, gradient_array, hessian_operator
+from latcb.lattice import DisplacementField, LatticeSpec, StencilSet
+from latcb.potentials import (
+    AdmissibilityError,
+    HarmonicChain,
+    PairPotential,
+    gradient_array,
+    hessian_operator,
+    lennard_jones,
+)
 from latcb.stability import dynamical_symbol
 from latcb.static import (
     MacroForce,
@@ -309,26 +317,25 @@ class _Trials:
 
 
 def test_line_search_accepts_full_step_on_armijo():
-    # merit x^2 / 2 from x = 1 along the Newton step; the residual never
-    # decreases, so only the Armijo test can accept
+    # merit x^2 / 2 from x = 1 along the Newton step; the residual plays no part
     trials = _Trials(lambda x: (0.5 * x * x, np.inf))
-    x, ev = _line_search(1.0, -1.0, trials, base=0.5, slope=-1.0, rnorm=1.0,
-                         floor=0.0, solver="test")
+    x, ev = _line_search(1.0, -1.0, trials, base=0.5, slope=-1.0, floor=0.0, solver="test")
     assert x == 0.0
     assert ev == (0.0, np.inf)
     assert trials.seen == [0.0]
 
 
-def test_line_search_accepts_residual_decrease_when_merit_is_flat():
-    # a merit flat at roundoff rises by more than the floor: the Armijo test
-    # fails and a halved residual accepts the step
+def test_line_search_backtracks_a_rising_merit_whose_residual_halves():
+    # the full step halves the residual, but its merit rises by more than the
+    # floor: Armijo is the one acceptance rule, so the step is halved
     base = 1.0
     floor = 64.0 * np.finfo(float).eps * (1.0 + base)
-    trials = _Trials(lambda x: (base + 2.0 * floor, 0.5))
-    x, _ = _line_search(1.0, -0.25, trials, base=base, slope=-1e-20, rnorm=1.0,
-                        floor=floor, solver="test")
-    assert x == 0.75
-    assert trials.seen == [0.75]
+    trials = _Trials(lambda x: (base + 2.0 * floor, 0.5) if x == 0.75 else (base, 0.75))
+    x, ev = _line_search(1.0, -0.25, trials, base=base, slope=-1e-20, floor=floor,
+                         solver="test")
+    assert x == 0.875
+    assert ev == (base, 0.75)
+    assert trials.seen == [0.75, 0.875]
 
 
 def test_line_search_backtracks_inadmissible_trials():
@@ -338,8 +345,7 @@ def test_line_search_backtracks_inadmissible_trials():
         return 0.5 * (x - 4.0) ** 2, abs(x - 4.0)
 
     trials = _Trials(evaluate)
-    x, ev = _line_search(0.0, 4.0, trials, base=8.0, slope=-16.0, rnorm=4.0,
-                         floor=0.0, solver="test")
+    x, ev = _line_search(0.0, 4.0, trials, base=8.0, slope=-16.0, floor=0.0, solver="test")
     assert x == 1.0
     # the accepted trial's evaluation comes back with it
     assert ev == (4.5, 3.0)
@@ -349,8 +355,7 @@ def test_line_search_backtracks_inadmissible_trials():
 def test_line_search_gives_up_after_forty_halvings():
     trials = _Trials(lambda x: (np.inf, np.inf))
     with pytest.raises(SolverError, match="line search failed in the lattice solver"):
-        _line_search(0.0, 1.0, trials, base=0.0, slope=-1.0, rnorm=1.0,
-                     floor=0.0, solver="lattice")
+        _line_search(0.0, 1.0, trials, base=0.0, slope=-1.0, floor=0.0, solver="lattice")
     assert trials.seen == [0.5**j for j in range(40)]
 
 
@@ -361,13 +366,15 @@ def test_line_search_gives_up_after_forty_halvings():
 def _identity_problem():
     """Scripted problem on four unknowns: identity Hessian, no gauge.
 
-    ``evaluate`` reports a merit that falls by 1 at every call and a
-    residual that stays at 1, with the gradient of ``|x|^2 / 2``.
+    ``evaluate`` reports a merit that falls by 1 at every call and the
+    constant gradient ``(1, 1, 1, 1) / 2``, whose norm 1 it reports as the
+    residual.
     """
     merits = iter(-np.arange(100.0))
+    G = np.full(4, 0.5)
 
     def evaluate(x):
-        return next(merits), 1.0, x.copy()
+        return next(merits), 1.0, G.copy()
 
     return dict(evaluate=evaluate, hessian=lambda x: lambda v: v, symbol=np.ones(4),
                 gauge=lambda v: 0.0)
@@ -375,8 +382,9 @@ def _identity_problem():
 
 @pytest.mark.parametrize("solver", ["continuum", "lattice"])
 def test_newton_krylov_iteration_cap(solver):
-    # every step lowers the merit, so the line search accepts it, but the
-    # residual stays at 1: the loop stops at its cap with the last residual
+    # every step is the descent step -G with slope -1 and lowers the merit,
+    # so the line search accepts it, but the residual stays at 1: the loop
+    # stops at its cap with the last residual
     problem = _identity_problem()
     with pytest.raises(SolverError, match=rf"^{solver} Newton did not reach tol=1e-10 in "
                        rf"40 iterations \(last residual 1\.000e\+00\)$"):
@@ -384,14 +392,45 @@ def test_newton_krylov_iteration_cap(solver):
 
 
 def test_newton_krylov_inner_cg_failure():
-    # a zero Hessian and no gauge leave CG without a descent: it exhausts
-    # its 8n iterations and the loop reports where
+    # I + 10 S with S skew has p.Hp = |p|^2 > 0 on every direction, but CG
+    # assumes a symmetric operator: it exhausts its 8n iterations and the
+    # loop reports where
     problem = _identity_problem()
-    problem["hessian"] = lambda x: np.zeros_like
-    with np.errstate(all="ignore"), pytest.raises(
+    S = np.triu(np.ones((4, 4)), 1)
+    S = S - S.T
+    problem["hessian"] = lambda x: lambda v: v + 10.0 * (S @ v)
+    with pytest.raises(
         SolverError, match=r"^inner CG failed \(info=32\) at Newton iteration 1$"
     ):
         _newton_krylov(np.ones(4), tol=1e-10, solver="lattice", **problem)
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0])
+def test_newton_krylov_stops_on_nonpositive_curvature(curvature):
+    # a zero or negative Hessian gives the first CG direction p.Hp <= 0
+    problem = _identity_problem()
+    problem["hessian"] = lambda x: lambda v: curvature * v
+    message = f"lattice Hessian is not positive definite (p.Hp = {curvature:.3e} at Newton iteration 1)"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        _newton_krylov(np.ones(4), tol=1e-10, solver="lattice", **problem)
+
+
+def _stretched_lj_chain():
+    """The Lennard-Jones chain stretched to A = 1.11, where gamma = -0.869."""
+    return PairPotential(d=1, A=np.array([[1.11]]), S=StencilSet.ball(1, 3.0), kappa=0.25,
+                         phi=lennard_jones())
+
+
+@pytest.mark.parametrize("solver, solve", [
+    ("continuum", lambda P, F: solve_cb_static(CBModel(P), F)),
+    ("lattice", lambda P, F: solve_atomistic_static(P, make_forces(F, 1.0 / 16.0))),
+])
+def test_solvers_stop_on_the_stretched_chain(solver, solve):
+    # the static_converge_lj load: without the curvature check both solves
+    # take ascent steps and converge to a saddle
+    with pytest.raises(SolverError, match=rf"^{solver} Hessian is not positive definite "
+                       r"\(p\.Hp = -\d\.\d{3}e[-+]\d{2} at Newton iteration 1\)$"):
+        solve(_stretched_lj_chain(), single_mode_load(0.01))
 
 
 def _solve_with_both_cgs(monkeypatch, solve):

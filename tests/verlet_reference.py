@@ -46,4 +46,4 @@ def reference_verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
         times.append(t)
         xs.append(x)
         vs.append(v)
-    return Trajectory(np.array(times), np.stack(xs), np.stack(vs), float(dt_target))
+    return Trajectory(np.array(times), np.stack(xs), np.stack(vs))
