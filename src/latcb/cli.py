@@ -17,7 +17,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel sweep jobs; only static-converge and dynamic-converge use it")
+                       help="processes for the sweep's two jobs, one per continuum reference "
+                            "(static-converge, dynamic-converge); more than 2 adds nothing")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 

@@ -223,17 +223,9 @@ def solve_cb_wave(
 # convergence sweep
 # ---------------------------------------------------------------------------
 
-def _interpolants(cb: Trajectory) -> tuple[list, list]:
-    """Trigonometric interpolants of the continuum snapshots, (U, V)."""
-    return tuple([TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v))
-
-
-def _dynamic_member(payload) -> dict:
-    """One spacing member of the dynamic sweep (picklable for process pools).
-
-    Its energy drift is ``max_j |E_j - E_0|`` over the lattice snapshots.
-    """
-    (P, data, cb_times, cb_U, cb_V, eps, cfl, q) = payload
+def _dynamic_member(P: Potential, data: InitialData, cb_times, cb_U, cb_V, eps, cfl, q) -> dict:
+    """The lattice run at ``eps`` against the continuum snapshots' interpolants ``cb_U``,
+    ``cb_V``; its energy drift is ``max_j |E_j - E_0|`` over the lattice snapshots."""
     u0, v0 = make_initial_data(data, eps)
     micro_times = cb_times / eps
     traj = integrate_atomistic(P, u0, v0, micro_times, cfl=cfl)
@@ -247,9 +239,17 @@ def _dynamic_member(payload) -> dict:
     return {
         "eps": float(eps),
         "error": float(np.max(errors)),
-        "per_snapshot": [float(e) for e in errors],
         "energy_drift": float(np.max(np.abs(energies - energies[0]))),
     }
+
+
+def _dynamic_run(job) -> list:
+    """One continuum reference of the dynamic sweep (module-level so process pools can
+    pickle it): the wave at CFL fraction ``cfl``, then its members at that fraction."""
+    P, data, cb_times, n_grid, cfl, q, spacings = job
+    cb = solve_cb_wave(CBModel(P), data, cb_times, n_grid=n_grid, cfl=cfl)
+    cb_U, cb_V = ([TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v))
+    return [_dynamic_member(P, data, cb_times, cb_U, cb_V, eps, cfl, q) for eps in spacings]
 
 
 def dynamic_error_sweep(
@@ -270,24 +270,20 @@ def dynamic_error_sweep(
     lattice to the corresponding microscopic horizon ``T / eps`` and the
     error is the maximum over snapshots of the scaled gradient gap plus
     velocity gap.  The finest spacing is re-run at half the time step
-    (``half_dt``) to confirm integration error is subdominant.  An unstable
+    (``half_dt``) to confirm integration error is subdominant; the sweep and
+    this control are one pool job each, the sweep first.  An unstable
     reference lattice raises SolverError before any solve.
     """
     _require_stable(P)
-    M = CBModel(P)
     cb_times = np.linspace(0.0, T, n_snap)
-    cb = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=cfl)
+    finest = min(eps_list)
     # Both integrators are re-run at half step: the continuum solve is shared
     # across the sweep, so its dt error is a common bias that an
     # atomistic-only control would miss entirely.
-    cb_half = solve_cb_wave(M, data, cb_times, n_grid=n_grid, cfl=0.5 * cfl)
-    finest = min(eps_list)
-    cb_U, cb_V = _interpolants(cb)
-    # the control is the longest job, so it goes to the pool first
-    control, *members = _map_members(
-        _dynamic_member,
-        [(P, data, cb_times, *_interpolants(cb_half), finest, 0.5 * cfl, q)]
-        + [(P, data, cb_times, cb_U, cb_V, eps, cfl, q) for eps in eps_list],
+    members, (control,) = _map_members(
+        _dynamic_run,
+        [(P, data, cb_times, n_grid, c, q, spacings)
+         for c, spacings in ((cfl, list(eps_list)), (0.5 * cfl, [finest]))],
         workers,
     )
     base = members[list(eps_list).index(finest)]["error"]

@@ -421,23 +421,20 @@ def _require_stable(P: Potential) -> None:
         raise SolverError(f"reference lattice is unstable (gamma={gamma:.6g})")
 
 
-def _map_members(fn, payloads: list, workers: int) -> list:
-    """Sweep members in order, in a process pool when ``workers > 1``.
-
-    The pool is capped at the CPU count and the number of members.
-    """
-    n_proc = min(workers, os.cpu_count() or 1, len(payloads))
+def _map_members(fn, jobs: list, workers: int) -> list:
+    """``fn`` of each sweep job (one per continuum reference), in order, in a
+    process pool when ``workers > 1``, capped at the CPU count and the job count."""
+    n_proc = min(workers, os.cpu_count() or 1, len(jobs))
     if n_proc > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
-def _static_member(payload) -> dict:
-    """One sweep member (module-level so process pools can pickle it)."""
-    P, U_c, F, eps, tol, q = payload
+def _static_member(P: Potential, U_c: TrigField, F: MacroForce, eps, tol, q) -> dict:
+    """The lattice equilibrium at spacing ``eps`` and its gap to the continuum ``U_c``."""
     f_a = make_forces(F, eps)
     # initial guess: the quasi-interpolant zeta * u_c of u_c(x) = U_c(eps x) / eps
     u0 = _hat_transfer(U_c, eps, 1.0 / eps)
@@ -449,6 +446,15 @@ def _static_member(payload) -> dict:
         "residual": sol.residual,
         "newton_iterations": sol.iterations,
     }
+
+
+def _static_run(job) -> dict:
+    """One load of the static sweep (module-level so process pools can pickle it):
+    its Cauchy-Born equilibrium, then every spacing's member against it."""
+    P, F, eps_list, n_grid, tol, q = job
+    cb = solve_cb_static(CBModel(P), F, n_grid=n_grid, tol=min(tol, 1e-10))
+    return {"cb_residual": cb.residual,
+            "members": [_static_member(P, cb.field, F, eps, tol, q) for eps in eps_list]}
 
 
 def static_converge_sweep(
@@ -467,21 +473,13 @@ def static_converge_sweep(
     the quasi-interpolated continuum start, and evaluates the scaled
     gradient gap.  The whole sweep is run for ``F`` and for ``F`` scaled by
     one half, giving the linear-response control ``half_ratios`` (errors
-    should scale by about 0.5).  An unstable reference lattice raises
-    SolverError before any solve.
+    should scale by about 0.5); each load is one pool job, the full load
+    first.  An unstable reference lattice raises SolverError before any solve.
     """
     _require_stable(P)
-    M = CBModel(P)
     loads = {"full": F, "half": F.scaled(0.5)}
-    cbs = {tag: solve_cb_static(M, load, n_grid=n_grid, tol=min(tol, 1e-10))
-           for tag, load in loads.items()}
-    # one map over both loads' members, so the pool never idles between them
-    payloads = [(P, cbs[tag].field, load, eps, tol, q)
-                for tag, load in loads.items() for eps in eps_list]
-    members = _map_members(_static_member, payloads, workers)
-    n = len(eps_list)
-    runs = {tag: {"cb_residual": cbs[tag].residual, "members": members[i * n:(i + 1) * n]}
-            for i, tag in enumerate(loads)}
+    runs = dict(zip(loads, _map_members(
+        _static_run, [(P, load, eps_list, n_grid, tol, q) for load in loads.values()], workers)))
 
     errors = [m["error"] for m in runs["full"]["members"]]
     errors_half = [m["error"] for m in runs["half"]["members"]]

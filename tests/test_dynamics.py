@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 import pytest
 
-from latcb import dynamics
+from latcb import dynamics, static
 from latcb.dynamics import (
     InitialData,
     _verlet,
@@ -85,14 +85,14 @@ def _drift(energies):
     return float(np.max(np.abs(energies - energies[0])))
 
 
-def _companion_member_payload():
-    """A sweep member's payload: the c09 companion's data (gradient 0.005,
+def _companion_member_args():
+    """A sweep member's arguments: the c09 companion's data (gradient 0.005,
     cfl 0.05) at eps = 1/32 over a short horizon, five snapshots."""
     P = lj_chain()
     data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
     cb_times = np.linspace(0.0, 0.125, 5)
-    cb_U, cb_V = dynamics._interpolants(solve_cb_wave(CBModel(P), data, cb_times, n_grid=128,
-                                                      cfl=0.05))
+    cb = solve_cb_wave(CBModel(P), data, cb_times, n_grid=128, cfl=0.05)
+    cb_U, cb_V = ([TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v))
     return (P, data, cb_times, cb_U, cb_V, 1.0 / 32.0, 0.05, 6)
 
 
@@ -287,19 +287,27 @@ def test_in_place_verlet_matches_the_reference_bit_for_bit(monkeypatch, run):
 
 
 def test_dynamic_member_gaps_match_offset_oracle_bit_for_bit(monkeypatch):
-    # the per-offset gradient and value gaps swapped in
-    payload = _companion_member_payload()
-    got = dynamics._dynamic_member(payload)
-    monkeypatch.setattr(dynamics, "interp_gradient_gap", offset_gap.interp_gradient_gap)
-    monkeypatch.setattr(dynamics, "interp_value_gap", offset_gap.interp_value_gap)
-    ref = dynamics._dynamic_member(payload)
-    assert min(got["per_snapshot"][1:]) > 0.0
-    assert repr(got) == repr(ref)
+    # the batched gaps, then the per-offset gradient and value gaps swapped
+    # in: every snapshot's two gaps and the member agree bit for bit
+    args, results, gaps = _companion_member_args(), [], []
+    for module in (static, offset_gap):
+        gaps.append([])
+        for name in ("interp_gradient_gap", "interp_value_gap"):
+            def recorded(*a, _fn=getattr(module, name), _out=gaps[-1], **kw):
+                _out.append(_fn(*a, **kw))
+                return _out[-1]
+            monkeypatch.setattr(dynamics, name, recorded)
+        results.append(dynamics._dynamic_member(*args))
+    assert len(gaps[0]) == 10 and min(gaps[0][2:]) > 0.0  # both gaps after t = 0
+    # the member's error is the largest snapshot's gradient plus value gap
+    assert results[0]["error"] == max(g + v for g, v in zip(gaps[0][::2], gaps[0][1::2]))
+    assert repr(gaps[0]) == repr(gaps[1])
+    assert repr(results[0]) == repr(results[1])
 
 
 def test_dynamic_member_measures_energy_drift_from_its_snapshots():
-    P, data, cb_times, _, _, eps, cfl, _ = payload = _companion_member_payload()
-    got = dynamics._dynamic_member(payload)["energy_drift"]
+    P, data, cb_times, _, _, eps, cfl, _ = args = _companion_member_args()
+    got = dynamics._dynamic_member(*args)["energy_drift"]
     u0, v0 = make_initial_data(data, eps)
     traj = integrate_atomistic(P, u0, v0, cb_times / eps, cfl=cfl)
     assert got > 0.0
@@ -407,8 +415,6 @@ def test_dynamic_sweep_harmonic():
     cb = solve_cb_wave(M, data, np.linspace(0.0, 0.5, 9), n_grid=64)
     assert _drift(_cb_energies(M, cb)) < 1e-6
     for m in sweep["details"]:
-        assert len(m["per_snapshot"]) == 9
-        assert m["error"] == pytest.approx(max(m["per_snapshot"]))
         assert m["energy_drift"] < 1e-5
 
 
@@ -429,23 +435,29 @@ def test_sweep_energy_drift_is_measured_from_t0():
 
 
 def test_sweep_maps_control_and_members_in_one_call(monkeypatch):
-    # the half-dt control goes first, as the longest job; the job order does
-    # not change a bit of the result
-    import latcb.dynamics as dyn
+    # two jobs, one per continuum reference: the sweep's own first, then the
+    # half-dt control, the finest spacing at half the CFL fraction.  No wave
+    # is solved before the map, and the job order does not change a bit of
+    # the result.
+    calls, solved = [], []
 
-    calls = []
+    def reversed_map(fn, jobs, workers):
+        calls.append((jobs, list(solved)))
+        return [fn(job) for job in jobs[::-1]][::-1]
 
-    def reversed_map(fn, payloads, workers):
-        calls.append(payloads)
-        return [fn(p) for p in payloads[::-1]][::-1]
+    def recorded_solve(M, data, snap_times, n_grid, cfl):
+        solved.append(cfl)
+        return solve_cb_wave(M, data, snap_times, n_grid=n_grid, cfl=cfl)
 
     args = (_chain(), InitialData(_sin_field(), _zero_field()))
     kw = dict(T=1.0 / 16.0, eps_list=[1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0], n_snap=3, n_grid=32)
     ref = dynamic_error_sweep(*args, **kw)
-    monkeypatch.setattr(dyn, "_map_members", reversed_map)
+    monkeypatch.setattr(dynamics, "_map_members", reversed_map)
+    monkeypatch.setattr(dynamics, "solve_cb_wave", recorded_solve)
     assert dynamic_error_sweep(*args, **kw) == ref
-    (payloads,) = calls
-    assert [p[5:7] for p in payloads] == [(1.0 / 32.0, 0.1)] + [(e, 0.2) for e in kw["eps_list"]]
+    ((jobs, solved_before),) = calls
+    assert solved_before == [] and solved == [0.1, 0.2]
+    assert [(job[4], job[6]) for job in jobs] == [(0.2, kw["eps_list"]), (0.1, [1.0 / 32.0])]
 
 
 # ---------------------------------------------------------------------------

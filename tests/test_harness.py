@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import latcb
 from latcb.cli import main
+from latcb.dynamics import InitialData, solve_cb_wave
 from latcb.harness import (
     _CHECKS,
     _FIELD_SPECS,
@@ -30,6 +31,7 @@ from latcb.harness import (
 )
 
 from latcb.stability import legendre_hadamard_min, stability_constant
+from latcb.static import SolverError
 from latcb.stress import CBModel
 
 from point_gap import trig_grad
@@ -796,6 +798,25 @@ def test_parallel_sweep_is_byte_identical(tmp_path, obj):
         assert main(argv) == 0
     for fname in (f"{obj['name']}.csv", f"{obj['name']}.report.json"):
         assert (tmp_path / "w1" / fname).read_bytes() == (tmp_path / "w2" / fname).read_bytes()
+
+
+def test_parallel_sweep_reports_its_own_continuum_failure(tmp_path, capsys):
+    # c09: the sweep's wave loses hyperbolicity, and so, later, does the
+    # half-cfl control's.  The sweep's own job goes to the pool first, so at
+    # either worker count the run exits 3 with the sweep's wave's error.
+    path = CONFIGS / "dynamic_converge_lj.json"
+    cfg = ExperimentConfig.from_file(path)
+    v = cfg.values
+    with pytest.raises(SolverError) as info:
+        solve_cb_wave(CBModel(cfg.P), InitialData(cfg.fields["U0"], cfg.fields["U1"]),
+                      np.linspace(0.0, v["T"], v["n_snap"]), n_grid=v["n_grid"], cfl=v["cfl"])
+    want = f"runtime error: SolverError: {info.value}\n"
+    assert "lost hyperbolicity (modulus <= 0) at T=0.144856" in want
+    for workers in (1, 2):
+        argv = ["dynamic-converge", "--config", str(path), "--out", str(tmp_path / f"w{workers}"),
+                "--workers", str(workers)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == want
 
 
 def _cli(*args) -> subprocess.CompletedProcess:

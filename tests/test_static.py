@@ -7,6 +7,7 @@ response prediction and frozen regression anchors.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from latcb import static
 from latcb.dynamics import InitialData, make_initial_data
 from latcb.fields import TrigField
-from latcb.harness import ExperimentConfig
+from latcb.harness import ExperimentConfig, _run_static_converge
 from latcb.lattice import DisplacementField, LatticeSpec, StencilSet
 from latcb.potentials import (
     AdmissibilityError,
@@ -27,7 +28,7 @@ from latcb.potentials import (
     hessian_operator,
     lennard_jones,
 )
-from latcb.stability import dynamical_symbol
+from latcb.stability import dynamical_symbol, stability_constants
 from latcb.static import (
     MacroForce,
     SolverError,
@@ -295,7 +296,7 @@ def test_static_solvers_evaluate_each_state_once(monkeypatch):
 
     for name in ("total_energy", "gradient_array"):
         monkeypatch.setattr(static, name, counted(getattr(static, name), name))
-    member = static._static_member((P, cb.field, F, 1.0 / 64.0, 1e-10, 6))
+    member = static._static_member(P, cb.field, F, 1.0 / 64.0, 1e-10, 6)
     assert member["newton_iterations"] == 2
     assert calls["total_energy"] == calls["gradient_array"] == 2
 
@@ -574,10 +575,10 @@ def test_static_member_gap_matches_offset_oracle_bit_for_bit(monkeypatch):
     # the eps = 1/16 member of the shipped LJ-chain sweep, with the per-offset gap swapped in
     cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
     U_c = solve_cb_static(CBModel(cfg.P), cfg.load).field
-    payload = (cfg.P, U_c, cfg.load, 1.0 / 16.0, 1e-10, 6)
-    got = static._static_member(payload)
+    args = (cfg.P, U_c, cfg.load, 1.0 / 16.0, 1e-10, 6)
+    got = static._static_member(*args)
     monkeypatch.setattr(static, "interp_gradient_gap", offset_gap.interp_gradient_gap)
-    ref = static._static_member(payload)
+    ref = static._static_member(*args)
     assert got["error"] > 0.0
     assert repr(got) == repr(ref)
 
@@ -653,19 +654,65 @@ def test_static_sweep_short_lj():
     assert out["delta"] == pytest.approx(0.01, rel=1e-12)
 
 
+# LJ chains stretched by A = [[a]] toward the spinodal (gamma 70.61 at a = 1, 0.559 at 1.103)
+STRETCHES = (1.00, 1.04, 1.08, 1.09, 1.095, 1.10, 1.103)
+
+
+def test_static_error_constant_grows_as_the_stability_margin_shrinks():
+    """The shipped ``static_converge_lj`` sweep on stretched chains.
+
+    Measured (a: gamma, slope, finest error, finest error x gamma^2, finest
+    half ratio): 1.00: 70.61, 2.120, 4.73e-11, 2.36e-7, 0.5000002; 1.04:
+    27.69, 2.040, 2.25e-10, 1.73e-7, 0.4999999; 1.08: 6.971, 1.987,
+    2.64e-9, 1.28e-7, 0.499997; 1.09: 3.821, 1.976, 8.17e-9, 1.19e-7,
+    0.49997; 1.095: 2.464, 1.968, 1.89e-8, 1.15e-7, 0.49986; 1.10: 1.237,
+    1.952, 7.28e-8, 1.11e-7, 0.4980; 1.103: 0.559, 1.896, 3.96e-7,
+    1.24e-7, 0.4524.
+    """
+    base = json.loads((CONFIGS / "static_converge_lj.json").read_text())
+    gammas, slopes, finest, ratios = [], [], [], []
+    for a in STRETCHES:
+        cfg = ExperimentConfig.from_dict({**base, "potential": {**base["potential"], "A": [[a]]}})
+        report, _, rows = _run_static_converge(cfg, 1)
+        gammas.append(stability_constants(cfg.P)[0])
+        slopes.append(report["rate"]["slope"])
+        finest.append(rows[-1][1])
+        ratios.append(rows[-1][5])
+    assert np.all(np.diff(gammas) < 0) and gammas[-1] == pytest.approx(0.559, abs=1e-3)
+    # second order at every stretch: the shipped slope band holds all of 1.896-2.120
+    assert all(1.8 <= s <= 2.2 for s in slopes)
+    # the error constant grows as the stability margin shrinks
+    assert np.all(np.diff(finest) > 0)
+    # the O(eps^2) gap passes through two inverses of the stiffness: over
+    # gamma in [1.2, 4], error x gamma^2 is flat at 1.114e-7 to 1.192e-7
+    flat = [e * g * g for g, e in zip(gammas, finest) if 1.2 <= g <= 4.0]
+    assert len(flat) == 3 and all(1.05e-7 <= x <= 1.25e-7 for x in flat)
+    # linear response in the load while gamma >= 1.2 (worst 0.4980 at gamma
+    # 1.237); at gamma 0.559 the load is no longer small against gamma
+    assert all(abs(r - 0.5) <= 0.005 for g, r in zip(gammas, ratios) if g >= 1.2)
+    assert ratios[-1] == pytest.approx(0.452, abs=1e-3)
+
+
 def test_static_sweep_maps_both_loads_in_one_call(monkeypatch):
-    import latcb.static as static
+    # two jobs, one per continuum reference: the full load with every
+    # spacing first, then the half load.  No continuum equilibrium is solved
+    # before the map, and the job order does not change a bit of the result.
+    calls, solved = [], []
 
-    calls = []
+    def reversed_map(fn, jobs, workers):
+        calls.append((jobs, list(solved)))
+        return [fn(job) for job in jobs[::-1]][::-1]
 
-    def reversed_map(fn, payloads, workers):
-        calls.append(payloads)
-        return [fn(p) for p in payloads[::-1]][::-1]
+    def recorded_solve(M, F, n_grid, tol):
+        solved.append(F.delta)
+        return solve_cb_static(M, F, n_grid=n_grid, tol=tol)
 
     F, eps_list = single_mode_load(0.01), [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
     ref = static_converge_sweep(lj_chain(), F, eps_list)
     monkeypatch.setattr(static, "_map_members", reversed_map)
+    monkeypatch.setattr(static, "solve_cb_static", recorded_solve)
     assert static_converge_sweep(lj_chain(), F, eps_list) == ref
-    (payloads,) = calls
-    assert [p[3] for p in payloads] == eps_list + eps_list
-    assert [p[2].delta for p in payloads] == pytest.approx([0.01] * 3 + [0.005] * 3, rel=1e-12)
+    ((jobs, solved_before),) = calls
+    assert solved_before == [] and solved == pytest.approx([0.005, 0.01], rel=1e-12)
+    assert [job[2] for job in jobs] == [eps_list, eps_list]
+    assert [job[1].delta for job in jobs] == pytest.approx([0.01, 0.005], rel=1e-12)
