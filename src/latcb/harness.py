@@ -416,7 +416,10 @@ def _atomic_write(path: Path, text: str):
 
 
 def _format_value(v) -> str:
-    """A CSV cell: a float by its shortest round-trip repr, anything else by str."""
+    """A CSV cell: a float by its shortest round-trip repr, anything else by str.
+    Exact Python floats, the cells of ``tolist()`` rows, take the first test."""
+    if type(v) is float:
+        return repr(v)
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 

@@ -230,6 +230,16 @@ class PolynomialEmbedding:
 # potential variants
 # ---------------------------------------------------------------------------
 
+def _require_finite(f, name: str, x, where: str) -> None:
+    """ValueError unless ``f`` and its first two derivatives are finite at ``x``:
+    a non-finite reference state would pass NaN into every symbol and solver."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [f.deriv(x, order) for order in range(3)]
+    for value, primes in zip(values, ("", "'", "''")):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name}{primes} is not finite at {where}")
+
+
 @dataclass
 class Potential:
     """Common bookkeeping for site potentials.
@@ -335,6 +345,7 @@ class PairPotential(Potential):
                 )
             if self.mu * self.bond_len.min() <= self.phi.r_min:
                 raise ValueError("admissible bonds can leave the profile domain")
+        _require_finite(self.phi, "phi", self.bond_len, "the reference bond lengths")
         self._phi_ref = self.phi.deriv(self.bond_len, 0)
         # positive half stencil: reference bonds component-major (d, h, 1), 1/|rho|^2
         self._half_ref = self.bond_ref[self.S.half].T[:, :, None].copy()
@@ -403,9 +414,13 @@ class EAMPotential(Potential):
         super().__post_init__()
         if math.isfinite(self.kappa) and self.mu <= 0.0:
             raise ValueError(f"kappa={self.kappa} allows bond collapse")
+        for f, name in ((self.phi, "phi"), (self.psi, "psi")):
+            _require_finite(f, name, self.bond_len, "the reference bond lengths")
         self._phi_ref = self.phi.deriv(self.bond_len, 0)
         self._psi_ref = self.psi.deriv(self.bond_len, 0)
         self._s_ref = float(np.sum(self._psi_ref))
+        _require_finite(self.embed, "G", self._s_ref,
+                        f"the reference density {self._s_ref:.6g}")
 
     def site_energy(self, g):
         _, r, _ = self._bond_geometry(g)
@@ -459,6 +474,9 @@ class HarmonicChain(Potential):
         super().__post_init__()
         if self.d != 1:
             raise ValueError("HarmonicChain requires d = 1")
+        for name, value in (("a1", self.a1), ("a2", self.a2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
         coeff = {1: self.a1 / 4.0, 2: self.a2 / 4.0}
         self._c = np.array([coeff[int(abs(r[0]))] for r in self.S.directions])
 

@@ -16,6 +16,10 @@ gradient norm, and its positivity is the sharp condition separating stable
 lattices from ones with short-wavelength (typically zone-boundary)
 instabilities.  In one dimension with nearest/next-nearest coupling all of
 these objects have closed forms that the tests pin down.
+
+The symbol blocks are (d, d); their eigenvalues come from ``_eigvalsh``,
+closed forms for d = 1 and 2 and LAPACK for d = 3, and the same helper
+serves the acoustic tensors of the Legendre-Hadamard minimum.
 """
 
 from __future__ import annotations
@@ -105,6 +109,37 @@ def _symbol(fc: tuple[np.ndarray, np.ndarray], pts: np.ndarray) -> np.ndarray:
     return (s @ fc[1]).reshape(-1, pts.shape[1], pts.shape[1])
 
 
+def _eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric blocks ``H`` (..., d, d).
+
+    d = 1 is the entry itself, bit-equal to ``np.linalg.eigvalsh``.  d = 2
+    follows LAPACK ``dlaev2``: the larger-magnitude eigenvalue is
+    ``big = (tr + copysign(hypot(a - c, 2 b), tr)) / 2``, the sum of two terms
+    of one sign, and the other is ``det / big = (a / big) c - (b / big) b``
+    (0 for a zero block); both are within a few ulps of max |lambda|.
+    d = 3 goes to ``np.linalg.eigvalsh``, as a closed form would lose accuracy
+    near degenerate eigenvalues.
+    """
+    d = H.shape[-1]
+    if d == 1:
+        return H[..., 0]
+    if d > 2:
+        return np.linalg.eigvalsh(H)
+    a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+    tr = a + c
+    big = np.hypot(a - c, 2.0 * b)
+    np.copysign(big, tr, out=big)
+    big += tr
+    big *= 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        other = (a / big) * c - (b / big) * b
+    other[big == 0.0] = 0.0
+    lam = np.empty(H.shape[:-1])
+    np.minimum(big, other, out=lam[..., 0])
+    np.maximum(big, other, out=lam[..., 1])
+    return lam
+
+
 def dynamical_symbol(P: Potential, k) -> np.ndarray:
     """Real symmetric symbol H(k) of the reference Hessian, shape (..., d, d).
 
@@ -143,10 +178,10 @@ class DispersionSpectrum:
 
 
 def dispersion_spectrum(P: Potential, k_grid) -> DispersionSpectrum:
-    """Eigen-decomposition of the dynamical symbol along a k sample."""
+    """Ascending symbol eigenvalues (``_eigvalsh``) along a k sample."""
     k = np.atleast_2d(np.asarray(k_grid, dtype=float))
     H = dynamical_symbol(P, k)
-    eigs = np.linalg.eigvalsh(H)
+    eigs = _eigvalsh(H)
     g = difference_symbol(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(g[:, None] > 1e-300, eigs / g[:, None], np.nan)
@@ -155,7 +190,7 @@ def dispersion_spectrum(P: Potential, k_grid) -> DispersionSpectrum:
 
 def _min_ratio(fc: tuple[np.ndarray, np.ndarray], k: np.ndarray) -> np.ndarray:
     """Smallest symbol eigenvalue over the normalizer at the rows of ``k``, +inf at k ~ 0."""
-    lam = np.linalg.eigvalsh(_symbol(fc, k))[..., 0]
+    lam = _eigvalsh(_symbol(fc, k))[..., 0]
     g = difference_symbol(k)
     out = np.full(lam.shape, np.inf)
     ok = g > 1e-13
@@ -232,7 +267,7 @@ def max_frequency(P: Potential, n_grid: int | None = None) -> float:
     """
     if n_grid is None:
         n_grid = ZONE_GRID[P.d]
-    lam = np.linalg.eigvalsh(dynamical_symbol(P, zone_grid(P.d, n_grid, offset=0.5)))
+    lam = _eigvalsh(dynamical_symbol(P, zone_grid(P.d, n_grid, offset=0.5)))
     return float(np.sqrt(np.max(np.abs(lam))))
 
 
@@ -248,7 +283,7 @@ def _acoustic_min(C: np.ndarray, ang: np.ndarray) -> np.ndarray:
     else:
         t, p = ang[:, 0], ang[:, 1]
         b = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=1)
-    return np.linalg.eigvalsh(np.einsum("ipjq,Kp,Kq->Kij", C, b, b))[:, 0]
+    return _eigvalsh(np.einsum("ipjq,Kp,Kq->Kij", C, b, b))[:, 0]
 
 
 def legendre_hadamard_min(M: CBModel) -> float:

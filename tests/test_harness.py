@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +117,27 @@ def test_power_law_length_mismatch_returns_two(tmp_path, capsys, powers, coeffs)
     err = capsys.readouterr().err
     assert "config error: config field 'potential': not resolvable" in err
     assert "powers and coeffs must be nonempty and of equal length" in err
+
+
+_POWER_OVERFLOW = {"kind": "power_law", "powers": [-12, -6], "coeffs": [1e307, -2.0]}
+
+
+@pytest.mark.parametrize("experiment", ["stability", "dispersion"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("pot, quantity", [
+    ({"variant": "pair", "r_cut": 2.0, "phi": _POWER_OVERFLOW}, "phi''"),
+    ({"variant": "eam", "r_cut": 1.5, "psi": _POWER_OVERFLOW}, "psi''"),
+], ids=["pair", "eam"])
+def test_nonfinite_reference_state_exits_two(tmp_path, capsys, experiment, d, pot, quantity):
+    # phi'' (psi'') overflows at the reference bonds: before the check a 2D
+    # stability run wrote "gamma": NaN and a dispersion run exited 3
+    path = _write_cfg(tmp_path, {"experiment": experiment, "potential": {**pot, "d": d}})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config field 'potential': not resolvable: "
+        f"{quantity} is not finite at the reference bond lengths\n")
+    assert not out.exists()
 
 
 def test_config_defaults():
@@ -273,12 +295,15 @@ def test_stability_run_takes_the_lh_minimum_once(tmp_path, monkeypatch, pot):
 
 
 def test_csv_cells_format_by_one_rule(tmp_path):
-    # floats by their shortest round-trip repr, every other cell by str
-    cells = [True, np.bool_(False), 3, np.int64(4), 0.1, np.float32(0.1), np.float64(5e-324),
-             "gamma", None]
+    # floats by their shortest round-trip repr, every other cell by str; exact
+    # Python floats take a fast path with the same text
+    cells = [True, np.bool_(False), 3, np.int64(4), 0.1, np.float64(0.1), np.float32(0.1),
+             np.float64(5e-324), "gamma", None, math.nan, np.float64(math.nan), math.inf,
+             -math.inf, np.float64(-math.inf), -0.0, np.float64(-0.0), 1e-310, 1 / 3]
     write_csv(tmp_path / "cells.csv", [], [f"c{i}" for i in range(len(cells))], [cells])
     line = (tmp_path / "cells.csv").read_text().splitlines()[-1]
-    assert line == "True,False,3,4,0.1,0.10000000149011612,5e-324,gamma,None"
+    assert line == ("True,False,3,4,0.1,0.1,0.10000000149011612,5e-324,gamma,None,nan,nan,inf,"
+                    "-inf,-inf,-0.0,-0.0,1e-310,0.3333333333333333")
 
 
 def test_run_outputs_are_byte_identical(tmp_path):

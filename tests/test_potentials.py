@@ -216,6 +216,30 @@ def test_nonfinite_stencils_rejected(bad):
             P.check_admissible(g)
 
 
+@pytest.mark.parametrize("make, quantity", [
+    (lambda d: PairPotential(d=d, A=np.eye(d), S=StencilSet.ball(d, 2.0), kappa=0.25,
+                             phi=PowerLawProfile(powers=(-12,), coeffs=(math.nan,))), "phi"),
+    (lambda d: EAMPotential(d=d, A=np.eye(d), S=StencilSet.ball(d, 1.5), kappa=0.25,
+                            phi=PowerLawProfile(powers=(-12, -6), coeffs=(1e307, -2.0))),
+     "phi''"),
+    (lambda d: EAMPotential(d=d, A=np.eye(d), S=StencilSet.ball(d, 1.5), kappa=0.25,
+                            embed=PolynomialEmbedding((0.0, 1.0, 1e308))), "G"),
+], ids=["pair_phi", "eam_phi2", "eam_G"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_nonfinite_reference_state_rejected(make, quantity, d):
+    # a NaN or inf at the reference state would reach every symbol and solver
+    # (psi'' and the pair phi'' go through the CLI in test_harness)
+    with pytest.raises(ValueError, match=f"^{quantity} is not finite at the reference"):
+        make(d)
+
+
+@pytest.mark.parametrize("a1, a2, bad", [(math.inf, 0.0, "a1 = inf"), (1.0, math.nan, "a2 = nan")])
+def test_harmonic_chain_rejects_nonfinite_coefficients(a1, a2, bad):
+    # JSON's Infinity and NaN tokens reach the chain; gamma would be NaN
+    with pytest.raises(ValueError, match=f"^{bad} is not finite$"):
+        HarmonicChain.build(a1=a1, a2=a2)
+
+
 def test_kappa_guard_against_bond_collapse():
     with pytest.raises(ValueError):
         lj_chain(kappa=1.0)  # mu = 1 - kappa ||A^-1|| would reach zero

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latcb import stability
 from latcb.lattice import StencilSet
@@ -175,6 +176,103 @@ def test_difference_symbol_values(rng):
         difference_symbol(k), np.sum(4.0 * np.sin(0.5 * k) ** 2, axis=-1), rtol=1e-14
     )
     assert difference_symbol(np.array([np.pi, np.pi])) == pytest.approx(8.0)
+
+
+# ---------------------------------------------------------------------------
+# symbol eigenvalues: closed forms for d <= 2, checked against LAPACK
+# ---------------------------------------------------------------------------
+
+_BLOCK_KINDS = ("random", "diagonal", "a_eq_c", "rank_one", "zero", "negative_trace", "graded")
+
+
+def _sym_blocks(kind, rng, n=64):
+    """``n`` symmetric 2x2 blocks of one kind, entries of order one except
+    "graded": definite blocks of either sign whose eigenvalues are about 1
+    and 1e-8, with ``b^2 << ac``, so the small one is well conditioned."""
+    a, b, c = rng.normal(size=(3, n))
+    if kind == "diagonal":
+        b = np.zeros(n)
+    elif kind == "a_eq_c":
+        c = a.copy()
+    elif kind == "rank_one":
+        u, v = rng.normal(size=(2, n))
+        sign = rng.choice([-1.0, 1.0], size=n)
+        a, b, c = sign * u * u, sign * u * v, sign * v * v
+    elif kind == "zero":
+        a = b = c = np.zeros(n)
+    elif kind == "negative_trace":
+        a, c = -np.abs(a) - np.abs(b), -np.abs(c) - np.abs(b)
+    elif kind == "graded":
+        sign = rng.choice([-1.0, 1.0], size=n)
+        a, b, c = sign * (1.0 + np.abs(a)), sign * 1e-6 * b, sign * 1e-8 * (1.0 + np.abs(c))
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_BLOCK_KINDS), st.integers(-150, 150), st.integers(0, 2**32 - 1))
+def test_closed_form_2x2_eigenvalues_match_lapack(kind, exponent, seed):
+    # ascending, and within a few ulps of max |lambda| of eigvalsh per block;
+    # on graded blocks the small eigenvalue keeps its own few ulps, which
+    # tr - big would not (worst measured: 2.9 and 3.8 ulps)
+    H = _sym_blocks(kind, np.random.default_rng(seed)) * 10.0 ** exponent
+    lam, ref = stability._eigvalsh(H), np.linalg.eigvalsh(H)
+    assert lam.shape == ref.shape == (len(H), 2)
+    assert np.all(lam[:, 0] <= lam[:, 1])
+    eps = np.finfo(float).eps
+    scale = np.abs(ref).max(axis=1)
+    assert np.all(np.abs(lam - ref).max(axis=1) <= 4.0 * eps * scale)
+    if kind == "graded":
+        assert np.all(np.abs(lam - ref) <= 8.0 * eps * np.abs(ref))
+    if kind == "zero":
+        assert not lam.any()
+
+
+def test_1d_eigenvalues_are_the_entries_bit_for_bit(rng):
+    H = np.concatenate([rng.normal(size=999) * 10.0 ** rng.integers(-300, 300, size=999),
+                        [0.0, -0.0, 5e-324, -1e308]]).reshape(-1, 1, 1)
+    assert stability._eigvalsh(H).tobytes() == np.linalg.eigvalsh(H).tobytes()
+    P = lj_chain()
+    k = zone_grid(1, 512)
+    ref = np.linalg.eigvalsh(dynamical_symbol(P, k))
+    assert dispersion_spectrum(P, k).eigs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("make, lapack", [(lj_chain, False), (lj_square, False),
+                                          (eam_square, False), (_lj_cubic, True)],
+                         ids=["1d", "2d_pair", "2d_eam", "3d"])
+def test_only_3d_symbols_go_to_lapack(monkeypatch, make, lapack):
+    P = make()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(H):
+        calls.append(H.shape)
+        return eigvalsh(H)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    stability.stability_constants(P, n_grid=8)
+    max_frequency(P, n_grid=8)
+    dispersion_spectrum(P, zone_grid(P.d, 4))
+    assert bool(calls) == lapack
+    assert all(shape[-2:] == (3, 3) for shape in calls)
+
+
+# gamma, lh_min and omega_max at the default grids, as LAPACK's eigvalsh gave
+# them before the 2x2 closed form; no shipped config is 2D
+_2D_PINS = {
+    "lj_square": (lj_square, -3.3749999999999973, -3.190429687499999, 16.969312139085687),
+    "eam_square": (eam_square, -8.863826434590072, -8.863826434590063, 20.0603261131619),
+    "lj_triangular": (lj_triangular, 18.000000000000018, 18.285322359396453,
+                      20.783044647942724),
+}
+
+
+@pytest.mark.parametrize("name", list(_2D_PINS))
+def test_2d_stability_numbers_pinned(name):
+    make, gamma, lh_min, omega_max = _2D_PINS[name]
+    P = make()
+    got = stability.stability_constants(P) + (max_frequency(P),)
+    np.testing.assert_allclose(got, (gamma, lh_min, omega_max), rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
