@@ -17,7 +17,7 @@ which the consistency experiment measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -169,6 +169,15 @@ def _bond_gradient_table(P: Potential, u) -> np.ndarray:
 _BLOCK = 4096
 
 
+@lru_cache(maxsize=64)
+def _window_offsets(rho: tuple) -> np.ndarray:
+    """Per-axis site offsets ``-max(rho_alpha, 0) .. 1 - min(rho_alpha, 0)`` of
+    ``_window`` as one tensor grid, (K, d), for a direction tuple (read-only)."""
+    out = tensor_grid([np.arange(-max(r, 0), 2 - min(r, 0)) for r in rho])
+    out.flags.writeable = False
+    return out
+
+
 def _window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Sites xi with chi_{xi,rho} possibly nonzero at each point, (P, K, d).
 
@@ -177,10 +186,10 @@ def _window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``x_alpha - 1 - max(rho_alpha, 0) < xi_alpha < x_alpha + 1 - min(rho_alpha, 0)``
     of the kernel.  The window has the same size at every point; at an
     integer coordinate it leaves out the site on the open upper end, whose
-    kernel and kernel gradient are exactly zero there.
+    kernel and kernel gradient are exactly zero there.  The offsets j are
+    built once per direction (``_window_offsets``).
     """
-    offsets = tensor_grid([np.arange(-max(r, 0), 2 - min(r, 0)) for r in rho])  # (K, d)
-    return (np.ceil(x).astype(int) - 1)[:, None, :] + offsets
+    return (np.ceil(x).astype(int) - 1)[:, None, :] + _window_offsets(tuple(rho.tolist()))
 
 
 @dataclass
@@ -188,11 +197,17 @@ class StressField:
     """Atomistic stress as a field with its divergence.
 
     Both evaluations run one batch per stencil direction: every point gets
-    the same fixed window of sites per direction (see ``_window``), the
-    kernels of all (point, site) pairs come from one ``chi_eval`` or
-    ``grad_chi_eval`` call, and the sum over the window is one contraction.
-    Points are processed in blocks of ``_BLOCK``.  ``table`` holds the bond
-    gradients of one periodic cell, shape (N,)*d + (n, d).
+    the same fixed window of sites per direction (see ``_window``), and the
+    sum over the window is one contraction.  A kernel ``chi_{xi,rho}(x)``
+    depends on x only through its cell position, so the kernels come from
+    one ``chi_eval`` or ``grad_chi_eval`` call on the windows of the
+    distinct cell positions ``c = x - trunc(x)`` of a block, not one per
+    (point, site) pair; the staggered comparison grid has ``n_per_cell**d``
+    of them.  The subtraction is exact, and ``s - x`` equals
+    ``(s - trunc(x)) - c`` as a real number for every integer site s, so
+    every weight has the bits of a direct evaluation at x.  Points are
+    processed in blocks of ``_BLOCK``.  ``table`` holds the bond gradients
+    of one periodic cell, shape (N,)*d + (n, d).
     """
 
     P: Potential
@@ -203,38 +218,45 @@ class StressField:
         idx = np.mod(sites, self.table.shape[0])
         return self.table[tuple(np.moveaxis(idx, -1, 0)) + (slot,)]
 
-    def _sum_bonds(self, x, term, shape: tuple) -> np.ndarray:
-        """sum over directions of ``term(sites, phi, rho, x)`` at points (..., d)."""
+    def _sum_bonds(self, x, kernel, contract, shape: tuple) -> np.ndarray:
+        """sum over directions of ``contract(w, phi, rho)`` at points (..., d),
+        with the window weights ``w = kernel(sites, rho, x)``.
+
+        Raises ValueError naming the first non-finite point (a row of the
+        points flattened to (P, d)) before any kernel runs.
+        """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValueError(f"stress field points must be finite; row {bad[0]} "
+                             f"is {pts[bad[0]].tolist()}")
         out = np.zeros((pts.shape[0],) + shape)
         for lo in range(0, pts.shape[0], _BLOCK):
             p = pts[lo:lo + _BLOCK]
+            c, inverse = np.unique(p - np.trunc(p), axis=0, return_inverse=True)
+            inverse = inverse.reshape(-1)
             for slot, rho in enumerate(self.P.S.directions):
-                sites = _window(rho, p)
-                out[lo:lo + _BLOCK] += term(
-                    sites.astype(float), self._phi(sites, slot), rho, p[:, None, :]
-                )
+                w = kernel(_window(rho, c).astype(float), rho, c[:, None, :])[inverse]
+                out[lo:lo + _BLOCK] += contract(w, self._phi(_window(rho, p), slot), rho)
         return out.reshape(x.shape[:-1] + shape)
 
     def eval(self, x) -> np.ndarray:
         """Stress tensors at points ``x`` of shape (..., d); returns (..., d, d)."""
 
-        def term(sites, phi, rho, p):
-            w = chi_eval(sites, rho, p)
+        def contract(w, phi, rho):
             return np.einsum("pK,pKi,a->pia", w, phi, rho.astype(float))
 
         d = self.P.d
-        return self._sum_bonds(x, term, (d, d))
+        return self._sum_bonds(x, chi_eval, contract, (d, d))
 
     def div(self, x) -> np.ndarray:
         """Distributional divergence at points away from kernel kinks, (..., d)."""
 
-        def term(sites, phi, rho, p):
-            gw = grad_chi_eval(sites, rho, p)
+        def contract(gw, phi, rho):
             return (gw[:, None, :] @ phi)[:, 0]
 
-        return self._sum_bonds(x, term, (self.P.d,))
+        return self._sum_bonds(x, grad_chi_eval, contract, (self.P.d,))
 
 
 def atomistic_stress(P: Potential, u) -> StressField:

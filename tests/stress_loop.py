@@ -2,8 +2,8 @@
 
 These are the original ``StressField.eval`` and ``StressField.div`` loops
 with the per-point site window ``chi_window``.  The library now evaluates
-one batch per stencil direction over a fixed window; the tests compare the
-two bit for bit.
+one batch per stencil direction over a fixed window, with one kernel row
+per distinct cell position; the tests compare the two bit for bit.
 """
 
 from __future__ import annotations

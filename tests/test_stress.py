@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcb.fields import TrigField
+from latcb.interpolation import chi_eval, grad_chi_eval
 from latcb.lattice import (
     DisplacementField,
     LatticeSpec,
@@ -278,6 +279,98 @@ def test_batched_stress_shapes():
     assert field.div(np.zeros((3, 4, 2)) + 0.5).shape == (3, 4, 2)
 
 
+def _staggered_grid(d, n_cells, n_per_cell, shift=0.0):
+    """The comparison grid of ``stress_consistency_field`` over ``n_cells`` cells
+    per axis, its cell indices moved by ``shift``."""
+    offsets = (np.arange(n_per_cell) + 0.5) / n_per_cell
+    axis = np.add.outer(np.arange(n_cells, dtype=float) + shift, offsets).ravel()
+    return tensor_grid([axis] * d)
+
+
+@pytest.mark.parametrize("shift", [0.0, -7.0, -2.0**20, 2.0**30])
+@pytest.mark.parametrize("n_per_cell", [3, 4, 5])
+@pytest.mark.parametrize("make", [lj_chain, lj_square, lj_triangular])
+def test_staggered_grid_stress_matches_point_loop(make, n_per_cell, shift):
+    """On the staggered grid every cell position repeats in every cell, so each
+    block shares one kernel row per position among its points; the result is
+    still bit-identical to the per-point loop, far from the origin too."""
+    P = make()
+    d = P.d
+    U = TrigField.from_terms(d, d, [((1,) * d, 0, "cos", 0.01), ((2,) * d, d - 1, "sin", 0.01)])
+    field = atomistic_stress(P, _restricted(U, 8))
+    pts = _staggered_grid(d, 9 if d == 1 else 2, n_per_cell, shift)
+    assert np.array_equal(field.eval(pts), loop_eval(field, pts))
+    assert np.array_equal(field.div(pts), loop_div(field, pts))
+
+
+@pytest.mark.parametrize("make", [lj_chain, lj_square])
+def test_stress_just_below_zero_matches_point_loop(make, rng):
+    """Points in (-1/2, 0): ``x - floor(x)`` rounds there, ``x - trunc(x)`` does
+    not, so the shared kernels keep the bits of the per-point loop."""
+    P = make()
+    d = P.d
+    U = TrigField.from_terms(d, d, [((1,) * d, 0, "cos", 0.01)])
+    field = atomistic_stress(P, _restricted(U, 8))
+    pts = np.concatenate([rng.uniform(-0.5, 0.0, size=(20, d)), np.full((1, d), -1e-20)])
+    assert np.array_equal(field.eval(pts), loop_eval(field, pts))
+    assert np.array_equal(field.div(pts), loop_div(field, pts))
+
+
+def _counted(monkeypatch, kernel, rows):
+    """Replace ``kernel`` in ``latcb.stress`` by a pass-through that records the
+    number of points (cell positions) of each call."""
+
+    def counted(xi, rho, x):
+        rows.append(x.shape[0])
+        return kernel(xi, rho, x)
+
+    monkeypatch.setattr(f"latcb.stress.{kernel.__name__}", counted)
+
+
+@pytest.mark.parametrize("make", [lj_chain, lj_square])
+def test_stress_kernels_run_once_per_cell_position(make, rng, monkeypatch):
+    """64 cells with 4 points each share 4 cell positions per axis; random
+    points share none."""
+    P = make()
+    d = P.d
+    U = TrigField.from_terms(d, d, [((1,) * d, 0, "sin", 0.01)])
+    field = atomistic_stress(P, _restricted(U, 8))
+    grid = _staggered_grid(d, 64 if d == 1 else 8, 4)
+    scattered = rng.uniform(-9.0, 17.0, size=(50, d))
+    for pts, positions in ((grid, 4**d), (scattered, 50)):
+        ref = field.eval(pts), field.div(pts)
+        eval_rows, div_rows = [], []
+        with monkeypatch.context() as m:
+            _counted(m, chi_eval, eval_rows)
+            _counted(m, grad_chi_eval, div_rows)
+            S, div = field.eval(pts), field.div(pts)
+        assert eval_rows == div_rows == [positions] * P.S.n
+        assert np.array_equal(S, ref[0]) and np.array_equal(div, ref[1])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("method", ["eval", "div"])
+@pytest.mark.parametrize("make", [lj_chain, lj_square])
+def test_stress_field_rejects_non_finite_points(make, method, bad, monkeypatch):
+    """A non-finite point raises before any kernel runs, naming its row and value."""
+    P = make()
+    d = P.d
+    field = atomistic_stress(P, AffineDisplacement(np.zeros((d, d))))
+    pts = np.full((2, 3, d), 0.5)
+    pts[1, 0, d - 1] = bad
+    pts[1, 2, 0] = bad  # a later row is not the one named
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran on non-finite points")
+
+    monkeypatch.setattr("latcb.stress.chi_eval", no_kernel)
+    monkeypatch.setattr("latcb.stress.grad_chi_eval", no_kernel)
+    value = [0.5] * (d - 1) + [float(bad)]
+    with pytest.raises(ValueError, match="must be finite") as info:
+        getattr(field, method)(pts)
+    assert str(info.value).endswith(f"row 3 is {value}")
+
+
 # ---------------------------------------------------------------------------
 # weak-form pairing
 # ---------------------------------------------------------------------------
@@ -445,6 +538,16 @@ def test_stress_consistency_field_decay(rng):
     assert r8["err_stress"] / r16["err_stress"] > 3.0  # second-order decay
     assert r8["err_div"] / r16["err_div"] > 3.0
     assert r8["n_points"] == 8 * 4
+
+
+def test_stress_consistency_field_decay_2d():
+    """Second-order stress and divergence gaps on the LJ square crystal."""
+    M = CBModel(lj_square())
+    U = TrigField.from_terms(2, 2, [((1, 0), 0, "sin", 0.005), ((0, 1), 1, "cos", 0.005)])
+    r16 = stress_consistency_field(M, U, 1.0 / 16.0)
+    r32 = stress_consistency_field(M, U, 1.0 / 32.0)
+    for key in ("err_stress", "err_div"):
+        assert 1.8 <= np.log2(r16[key] / r32[key]) <= 2.2, key
 
 
 @pytest.mark.parametrize("P, terms", [
