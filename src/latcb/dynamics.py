@@ -101,7 +101,10 @@ def _verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
     steps no longer than ``dt_target`` so snapshots land exactly, and a
     snapshot at the current time records without stepping.  A non-finite
     snapshot raises ``SolverError`` with its time.  The state is a copy of
-    ``x`` and ``v`` updated in place, and each snapshot copies it.
+    ``x`` and ``v`` updated in place, and each snapshot copies it.  The
+    half kick ``(0.5 dt) a`` and the drift ``dt v`` of every step are
+    formed in one reused buffer; ``0.5 * dt * a`` evaluates the same
+    product, so the bits are those of the plain expressions.
     """
     snap_times = np.asarray(snap_times, dtype=float)
     if (
@@ -112,6 +115,7 @@ def _verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
     ):
         raise ValueError("snapshot times must be >= 0 and strictly increasing")
     t, x, v = 0.0, x.copy(), v.copy()
+    kick = np.empty_like(v)
     a = accel(x, t)
     times, xs, vs = [], [], []
     for t_snap in snap_times:
@@ -119,12 +123,13 @@ def _verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
         if span > 1e-14:
             n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
             dt = span / n_steps
+            half = 0.5 * dt
             for _ in range(n_steps):
-                v += 0.5 * dt * a
-                x += dt * v
+                v += np.multiply(half, a, out=kick)
+                x += np.multiply(dt, v, out=kick)
                 t += dt
                 a = accel(x, t)
-                v += 0.5 * dt * a
+                v += np.multiply(half, a, out=kick)
             t = t_snap  # guard accumulated roundoff
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
             raise SolverError(f"non-finite state at the snapshot t={t:.6g}")
@@ -181,41 +186,41 @@ def solve_cb_wave(
     Pseudo-spectral in space (derivatives via FFT on ``n_grid`` points),
     velocity Verlet in time.  The step is ``cfl * dx / c_max``, with the
     largest wave speed ``c_max = sqrt(max C(U_X))`` of the initial data,
-    fixed for the whole run.  Every acceleration checks the gradient: it
-    must stay in the admissible region, and the smallest modulus must stay
-    positive (loss of hyperbolicity); either failure aborts with
-    ``SolverError`` and the time.  Snapshots hold displacement and velocity
-    on the grid ``X_i = i / n_grid``, shape ``(n_snap, n_grid)``.
+    fixed for the whole run.  Every acceleration takes the stress and the
+    moduli from one bond pass (``CBModel._tangent``) and checks the
+    gradient: it must stay in the admissible region, and the smallest
+    modulus must stay positive (loss of hyperbolicity); either failure
+    aborts with ``SolverError`` and the time.  Snapshots hold displacement
+    and velocity on the grid ``X_i = i / n_grid``, shape
+    ``(n_snap, n_grid)``.
     """
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
     U = data.U0.sample(n_grid)[:, 0]
     V = data.U1.sample(n_grid)[:, 0]
 
-    def checked_moduli(Uv, t=0.0):
-        """The gradient U_X and its moduli, once both checks pass."""
-        up = _spectral_ddx(Uv)
+    def tangent(Uv, t=0.0):
+        """Stress and moduli at the gradient U_X, once both checks pass."""
         try:
-            mods = M.moduli(up[:, None, None])[:, 0, 0, 0, 0]
+            s, mods = M._tangent(_spectral_ddx(Uv)[:, None, None])
         except AdmissibilityError as exc:
             raise SolverError(
                 f"continuum gradient left the admissible region at T={t:.6g}"
             ) from exc
+        mods = mods[:, 0, 0, 0, 0]
         if not float(np.min(mods)) > 0.0:
             raise SolverError(
                 f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t:.6g}"
             )
-        return up, mods
+        return s[:, 0, 0], mods
 
     def accel(Uv, t):
         # Regularity is monitored every step, not just at snapshots: once the
         # gradient leaves the admissible region the quasilinear problem is no
         # longer meaningful and everything downstream would be silent noise.
-        up, _ = checked_moduli(Uv, t)
-        s = M.stress(up[:, None, None])[:, 0, 0]
-        return _spectral_ddx(s)
+        return _spectral_ddx(tangent(Uv, t)[0])
 
-    c_max = float(np.sqrt(np.max(checked_moduli(U)[1])))
+    c_max = float(np.sqrt(np.max(tangent(U)[1])))
     return _verlet(U, V, accel, snap_times, cfl / (n_grid * c_max))
 
 

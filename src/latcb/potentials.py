@@ -350,6 +350,8 @@ class PairPotential(Potential):
         # positive half stencil: reference bonds component-major (d, h, 1), 1/|rho|^2
         self._half_ref = self.bond_ref[self.S.half].T[:, :, None].copy()
         self._half_inv_sq = self.S.inv_sq_norms[self.S.half]
+        # max 1/|rho|^2: the pair kernel's one-reduction admissibility bound
+        self._max_inv_sq = float(self._half_inv_sq.max())
 
     def _bond(self, r2: np.ndarray, stiffness: bool = False):
         """Bond force per unit length ``phi'(r)/r`` at squared bond lengths ``r2``;
@@ -552,16 +554,30 @@ def _pair_gradient(P: PairPotential, values: np.ndarray) -> np.ndarray:
     Arrays are component-major, (d, h, sites), so every operation runs
     over contiguous site rows; one array turns from the differences ``g``
     into the bonds ``b`` and then the forces ``f`` in place.
+
+    Admissibility is cleared by one reduction, the bound
+    ``sqrt(max |g|^2 * max 1/|rho|^2)``: every product ``|g|^2 / |rho|^2``
+    is at most the product of the maxima, and rounding is monotone, so the
+    bound is never below the rule's own norm.  Only a bound that is not a
+    finite number at most kappa (NaN included: the maximum propagates it)
+    goes to the exact rule ``_require_admissible``, which decides and words
+    the error.  In 1D the scatter is returned directly.
     """
     cell, d = values.shape[:-1], values.shape[-1]
     half = neighbour_plan(cell, P.S)[2]  # (h, sites)
     ut = values.reshape(-1, d).T
     f = ut.take(half, axis=1)
     f -= ut[:, None, :]
-    P._require_admissible(_sq_norm(f).max(axis=1), P._half_inv_sq)
+    sq = _sq_norm(f)
+    bound = math.sqrt(float(sq.max()) * P._max_inv_sq)
+    if not (bound <= P.kappa and bound < math.inf):
+        P._require_admissible(sq.max(axis=1), P._half_inv_sq)
     f += P._half_ref
     f *= P._bond(_sq_norm(f))
     n_sites, idx = ut.shape[1], half.ravel()
+    if d == 1:
+        return (np.bincount(idx, f[0].ravel(), n_sites)
+                - np.add.reduce(f[0], axis=0)).reshape(values.shape)
     out = np.empty((n_sites, d))
     for c, fc in enumerate(f):
         out[:, c] = np.bincount(idx, fc.ravel(), n_sites) - np.add.reduce(fc, axis=0)

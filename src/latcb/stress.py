@@ -47,6 +47,8 @@ class CBModel:
     A pair potential takes the positive half stencil: each bond ``{rho, -rho}``
     once, through the potential's one bond routine ``PairPotential._bond``.
     Other variants contract their site derivatives over the full stencil.
+    ``_tangent`` returns the stress and the moduli together, from one bond
+    pass on the pair path (the wave solver's step).
     """
 
     P: Potential
@@ -109,10 +111,9 @@ class CBModel:
         if self._half is None:
             Vr = self.P.site_gradient(self.homogeneous_stencil(F))
             return np.einsum("...ni,na->...ia", Vr, self.P.S.directions.astype(float))
-        rho = self._half[0]
         b, r2 = self._half_bonds(F)
         b *= self.P._bond(r2)[:, None, :]
-        return (b.reshape(-1, rho.shape[0]) @ rho).reshape(np.shape(F))
+        return self._pair_stress(b, F)
 
     def moduli(self, F) -> np.ndarray:
         """Elasticity tensor C_{i alpha j beta}(F) = sum_{rho sigma} (V_{rho sigma})_{ij} rho_alpha sigma_beta.
@@ -124,10 +125,34 @@ class CBModel:
             H = self.P.site_hessian(self.homogeneous_stencil(F))
             dirs = self.P.S.directions.astype(float)
             return np.einsum("...aibj,ap,bq->...ipjq", H, dirs, dirs)
+        b, r2 = self._half_bonds(F)
+        return self._pair_moduli(b, r2, *self.P._bond(r2, stiffness=True), F)
+
+    def _tangent(self, F) -> tuple[np.ndarray, np.ndarray]:
+        """``(stress(F), moduli(F))`` with the bits of the two calls.
+
+        Pair: one ``_half_bonds`` and one ``_bond(r2, stiffness=True)`` serve
+        both; the stress takes the forces on a copy of the bonds.  Other
+        variants call ``moduli`` and then ``stress``.
+        """
+        if self._half is None:
+            C = self.moduli(F)
+            return self.stress(F), C
+        b, r2 = self._half_bonds(F)
+        f, stiff = self.P._bond(r2, stiffness=True)
+        S = self._pair_stress(b * f[:, None, :], F)
+        return S, self._pair_moduli(b, r2, f, stiff, F)
+
+    def _pair_stress(self, fb: np.ndarray, F) -> np.ndarray:
+        """Stress from the half-stencil bond forces ``fb`` (B, d, h)."""
+        rho = self._half[0]
+        return (fb.reshape(-1, rho.shape[0]) @ rho).reshape(np.shape(F))
+
+    def _pair_moduli(self, u, r2, f, stiff, F) -> np.ndarray:
+        """Moduli from the half-stencil bonds ``u`` (B, d, h), which turn into
+        unit bonds in place, and their bond terms ``f``, ``stiff`` (B, h)."""
         d = self.P.d
         rho_rho = self._half[1]
-        u, r2 = self._half_bonds(F)
-        f, stiff = self.P._bond(r2, stiffness=True)
         u /= np.sqrt(r2)[:, None, :]
         uu = u[:, :, None, :] * u[:, None, :, :]  # (B, i, j, h)
         K = stiff[:, None, None, :] * uu + f[:, None, None, :] * (np.eye(d)[:, :, None] - uu)
@@ -178,8 +203,9 @@ def _window_offsets(rho: tuple) -> np.ndarray:
     return out
 
 
-def _window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sites xi with chi_{xi,rho} possibly nonzero at each point, (P, K, d).
+def _window(rho: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Sites xi with chi_{xi,rho} possibly nonzero at each point, (P, K, d),
+    from the points' window bases ``base = ceil(x) - 1`` (P, d).
 
     Per axis ``xi_alpha = ceil(x_alpha) - 1 + j`` for j from
     ``-max(rho_alpha, 0)`` to ``1 - min(rho_alpha, 0)``: the support
@@ -187,9 +213,15 @@ def _window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
     of the kernel.  The window has the same size at every point; at an
     integer coordinate it leaves out the site on the open upper end, whose
     kernel and kernel gradient are exactly zero there.  The offsets j are
-    built once per direction (``_window_offsets``).
+    built once per direction (``_window_offsets``), the bases once per
+    block of points.
     """
-    return (np.ceil(x).astype(int) - 1)[:, None, :] + _window_offsets(tuple(rho.tolist()))
+    return base[:, None, :] + _window_offsets(tuple(rho.tolist()))
+
+
+# largest point coordinate: from 2**52 on, a double holds no position inside
+# a cell (and the window bases would overflow int64 from 2**63 on)
+_MAX_COORD = 2.0**52
 
 
 @dataclass
@@ -222,23 +254,25 @@ class StressField:
         """sum over directions of ``contract(w, phi, rho)`` at points (..., d),
         with the window weights ``w = kernel(sites, rho, x)``.
 
-        Raises ValueError naming the first non-finite point (a row of the
-        points flattened to (P, d)) before any kernel runs.
+        Raises ValueError naming the first point that is not finite or has a
+        coordinate of magnitude ``2**52`` or more (a row of the points
+        flattened to (P, d)) before any kernel runs.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        bad = np.flatnonzero(~(np.abs(pts) < _MAX_COORD).all(axis=1))
         if bad.size:
-            raise ValueError(f"stress field points must be finite; row {bad[0]} "
-                             f"is {pts[bad[0]].tolist()}")
+            raise ValueError(f"stress field points must be finite and below 2**52 in "
+                             f"magnitude; row {bad[0]} is {pts[bad[0]].tolist()}")
         out = np.zeros((pts.shape[0],) + shape)
         for lo in range(0, pts.shape[0], _BLOCK):
             p = pts[lo:lo + _BLOCK]
             c, inverse = np.unique(p - np.trunc(p), axis=0, return_inverse=True)
             inverse = inverse.reshape(-1)
+            base_c, base_p = (np.ceil(y).astype(int) - 1 for y in (c, p))
             for slot, rho in enumerate(self.P.S.directions):
-                w = kernel(_window(rho, c).astype(float), rho, c[:, None, :])[inverse]
-                out[lo:lo + _BLOCK] += contract(w, self._phi(_window(rho, p), slot), rho)
+                w = kernel(_window(rho, base_c).astype(float), rho, c[:, None, :])[inverse]
+                out[lo:lo + _BLOCK] += contract(w, self._phi(_window(rho, base_p), slot), rho)
         return out.reshape(x.shape[:-1] + shape)
 
     def eval(self, x) -> np.ndarray:

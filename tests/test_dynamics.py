@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -31,12 +32,13 @@ from latcb.stability import dynamical_symbol, max_frequency
 from latcb.static import SolverError, _spectral_ddx
 from latcb.stress import CBModel
 
-from conftest import lj_chain, site_coords
+from conftest import eam_chain, lj_chain, site_coords
 from generic_cb import GenericCBModel
 from hat_quadrature import zeta_convolve
 import offset_gap
 from point_gap import trig_grad
 from verlet_reference import reference_verlet
+from wave_reference import reference_solve_cb_wave
 
 AMP = 0.05 / (2.0 * np.pi)  # unit-torus sin amplitude with gradient sup 0.05
 
@@ -390,6 +392,59 @@ def test_cb_wave_rejects_nan_state():
     with pytest.raises(SolverError, match=r"admissible region at T=0$") as info:
         solve_cb_wave(CBModel(lj_chain()), InitialData(nan, _zero_field()), [0.5], n_grid=16)
     assert "non-finite" in str(info.value.__cause__)
+
+
+def _wave_case(case):
+    """(model, data, snapshot times, n_grid) of a wave run for the fused-pass checks."""
+    smooth = InitialData(_sin_field(), TrigField.from_terms(1, 1, [((1,), 0, "cos", 0.03)]))
+    snap = [0.0, 0.05, 0.1]
+    return {
+        "lj": (CBModel(lj_chain()), smooth, snap, 64),
+        "eam": (CBModel(eam_chain()), smooth, snap, 64),
+        "generic_lj": (GenericCBModel(lj_chain()), smooth, snap, 64),
+        "hyperbolicity": (CBModel(lj_chain()), InitialData(_sin_field(0.09 / (2.0 * np.pi)),
+                                                          _zero_field()), [0.5], 32),
+        "admissibility": (CBModel(lj_chain(kappa=0.05)),
+                          InitialData(_sin_field(0.07 / (2.0 * np.pi)), _zero_field()), [0.5], 32),
+        "nan": (CBModel(lj_chain()), InitialData(_sin_field(float("nan")), _zero_field()),
+                [0.5], 16),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["lj", "eam", "generic_lj", "hyperbolicity",
+                                  "admissibility", "nan"])
+def test_cb_wave_matches_two_call_reference_bit_for_bit(case):
+    """Stress and moduli from one bond pass give the two-call solver's wave,
+    and its aborts in the same words."""
+    def outcome(solve):
+        M, data, snap, n_grid = _wave_case(case)
+        try:
+            traj = solve(M, data, snap, n_grid=n_grid)
+        except SolverError as exc:
+            return str(exc), str(exc.__cause__)
+        return tuple(getattr(traj, name).tobytes() for name in ("times", "u", "v"))
+
+    got = outcome(solve_cb_wave)
+    assert got == outcome(reference_solve_cb_wave)
+    assert (len(got) == 2) == (case in ("hyperbolicity", "admissibility", "nan"))
+
+
+def test_cb_wave_forms_one_bond_pass_per_step(monkeypatch):
+    """The wave speed, the first acceleration and every step form the bonds once."""
+    calls = []
+    half_bonds = CBModel._half_bonds
+
+    def counted(self, F):
+        calls.append(np.shape(F))
+        return half_bonds(self, F)
+
+    monkeypatch.setattr(CBModel, "_half_bonds", counted)
+    M, data, snap, n_grid = _wave_case("lj")
+    dt = _record_steps(monkeypatch)
+    solve_cb_wave(M, data, snap, n_grid=n_grid)
+    steps = sum(max(1, math.ceil(span / dt[0] - 1e-12)) for span in np.diff(snap))
+    assert steps > 2
+    assert len(calls) == steps + 2
 
 
 # ---------------------------------------------------------------------------

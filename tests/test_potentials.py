@@ -37,6 +37,7 @@ from conftest import (
     index_of,
     lj_chain,
     lj_square,
+    lj_triangular,
     morse_chain,
     random_displacement,
 )
@@ -214,6 +215,62 @@ def test_nonfinite_stencils_rejected(bad):
         g[0, 0] = bad
         with pytest.raises(AdmissibilityError, match="non-finite"):
             P.check_admissible(g)
+
+
+# states around the admissibility boundary: u(3) = 0.25 on a zero field
+# gives |g_rho| / |rho| = 0.25 on the nearest-neighbour bonds of site 3
+_BOUNDARY_STATES = {
+    "at_kappa": 0.25,
+    "ulp_above": math.nextafter(0.25, math.inf),
+    "nan": math.nan,
+    "inf": math.inf,
+}
+
+
+def _boundary_case(make, state, kappa):
+    P = make(kappa=kappa)
+    values = np.zeros((8,) * P.d + (P.d,))
+    values.reshape(-1, P.d)[3, 0] = _BOUNDARY_STATES[state]
+    return P, values
+
+
+def _outcome(call):
+    try:
+        call()
+    except AdmissibilityError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("state, kappa", [
+    ("at_kappa", 0.25), ("ulp_above", 0.25), ("nan", 0.25), ("inf", 0.25),
+    ("nan", math.inf), ("inf", math.inf),
+])
+@pytest.mark.parametrize("make", [lj_chain, lj_square, lj_triangular])
+def test_pair_kernel_decides_admissibility_as_the_rule(make, state, kappa, monkeypatch):
+    """The pair kernel's one-reduction bound accepts and rejects exactly as the
+    rule on the full stencil does, in the same words; an admissible state
+    never reaches the rule from the kernel."""
+    P, values = _boundary_case(make, state, kappa)
+    want = _outcome(lambda: P.check_admissible(all_stencils(values, P.S)))
+    assert (want is None) == (state == "at_kappa")
+    rule_calls = []
+    rule = PairPotential._require_admissible
+
+    def counted(self, *args, **kwargs):
+        rule_calls.append(args)
+        return rule(self, *args, **kwargs)
+
+    monkeypatch.setattr(PairPotential, "_require_admissible", counted)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _outcome(lambda: gradient_array(P, values))
+    assert got == want
+    assert len(rule_calls) == (want is not None)
+    if want is None:
+        # a random admissible state stays on the bound as well
+        u = 0.02 * np.random.default_rng(7).standard_normal(values.shape)
+        gradient_array(P, u)
+        assert rule_calls == []
 
 
 @pytest.mark.parametrize("make, quantity", [

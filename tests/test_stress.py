@@ -39,6 +39,7 @@ from latcb.stress import (
 from conftest import (
     PAIR_LATTICES,
     PAIR_PROFILES,
+    eam_chain,
     eam_square,
     lj_chain,
     lj_square,
@@ -157,6 +158,39 @@ def _bad_F(P, bad):
     F = np.zeros((3, P.d, P.d))
     F[1] = np.nan if bad == "nan" else 2.0 * P.kappa * np.eye(P.d)
     return F
+
+
+_TANGENT_MODELS = {
+    "lj_chain": lambda: CBModel(lj_chain()),
+    "lj_square": lambda: CBModel(lj_square()),
+    "lj_triangular": lambda: CBModel(lj_triangular()),
+    "eam_chain": lambda: CBModel(eam_chain()),
+    "eam_square": lambda: CBModel(eam_square()),
+    "generic_lj_chain": lambda: GenericCBModel(lj_chain()),
+    "generic_lj_triangular": lambda: GenericCBModel(lj_triangular()),
+}
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("model", sorted(_TANGENT_MODELS))
+def test_tangent_is_stress_and_moduli_bit_for_bit(rng, model, batch):
+    """One bond pass gives the bits of ``stress`` and ``moduli`` called apart,
+    and rejects an inadmissible gradient in their words."""
+    M = _TANGENT_MODELS[model]()
+    d = M.P.d
+    F = rng.standard_normal(batch + (d, d))
+    scale = 0.8 * M.P.kappa * rng.uniform(0.05, 1.0, batch) / np.linalg.norm(F, 2, axis=(-2, -1))
+    F *= np.asarray(scale)[..., None, None]
+    S, C = M._tangent(F)
+    assert S.shape == batch + (d, d) and C.shape == batch + (d, d, d, d)
+    assert np.array_equal(S, M.stress(F)) and np.array_equal(C, M.moduli(F))
+    for bad in ("beyond", "nan"):
+        F = _bad_F(M.P, bad)
+        with pytest.raises(AdmissibilityError) as want:
+            M.moduli(F)
+        with pytest.raises(AdmissibilityError, match="Cauchy-Born gradient") as got:
+            M._tangent(F)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("bad", ["beyond", "nan"])
@@ -369,6 +403,45 @@ def test_stress_field_rejects_non_finite_points(make, method, bad, monkeypatch):
     with pytest.raises(ValueError, match="must be finite") as info:
         getattr(field, method)(pts)
     assert str(info.value).endswith(f"row 3 is {value}")
+
+
+@pytest.mark.parametrize("x", [3.0 * 2.0**63, 2.0**52, -(2.0**52)])
+@pytest.mark.parametrize("method", ["eval", "div"])
+@pytest.mark.parametrize("make", [lj_chain, lj_square])
+def test_stress_field_rejects_points_beyond_a_cell_position(make, method, x, monkeypatch):
+    """From 2**52 on a double holds no position inside a cell (and from 2**63
+    on the window bases would overflow): such a point raises, naming its row."""
+    P = make()
+    d = P.d
+    field = atomistic_stress(P, AffineDisplacement(np.zeros((d, d))))
+    pts = np.full((4, d), 0.5)
+    pts[3, d - 1] = x
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran on an out-of-range point")
+
+    monkeypatch.setattr("latcb.stress.chi_eval", no_kernel)
+    monkeypatch.setattr("latcb.stress.grad_chi_eval", no_kernel)
+    with pytest.raises(ValueError, match="below 2\\*\\*52 in magnitude") as info:
+        getattr(field, method)(pts)
+    assert str(info.value).endswith(f"row 3 is {[0.5] * (d - 1) + [x]}")
+
+
+@pytest.mark.parametrize("make", [lj_chain, lj_square])
+def test_stress_field_largest_points_match_their_periodic_image(make, rng):
+    """2**52 - 1 is the largest integer point kept; on a period-6 field it is
+    the image of 3.0, and eval and div there have the image's bits."""
+    P = make()
+    d = P.d
+    field = atomistic_stress(P, random_displacement(LatticeSpec(d=d, A=np.eye(d), N=6), rng))
+    far = np.full((2, d), 2.0**52 - 1)
+    far[1, 0] = 0.5
+    near = np.full((2, d), 3.0)
+    near[1, 0] = 0.5
+    for method in ("eval", "div"):
+        got, want = getattr(field, method)(far), getattr(field, method)(near)
+        assert np.max(np.abs(want)) > 0.0
+        assert np.array_equal(got, want), method
 
 
 # ---------------------------------------------------------------------------
