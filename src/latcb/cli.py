@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import argparse
+from functools import cache
 
 from .harness import EXPERIMENTS, run
 
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="latcb",
         description="Atomistic-to-continuum (Cauchy-Born) numerical laboratory.",

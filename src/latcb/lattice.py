@@ -99,6 +99,11 @@ def as_direction(rho, d: int) -> np.ndarray:
     return r.astype(int)
 
 
+# the most directions ``StencilSet.ball`` builds: a per-site Hessian holds
+# (n d)^2 entries and the symbol plan n^2 slot pairs; d = 3, r_cut = 3 has 122
+MAX_DIRECTIONS = 128
+
+
 @dataclass(frozen=True)
 class StencilSet:
     """Finite interaction range: all nonzero ``rho`` with ``|rho| <= r_cut``.
@@ -129,14 +134,30 @@ class StencilSet:
             if e not in as_set:
                 raise ValueError(f"stencil must contain nearest neighbour {e}")
         order = np.lexsort(dirs.T[::-1])
-        object.__setattr__(self, "directions", dirs[order])
+        dirs = dirs[order]
+        dirs.flags.writeable = False  # potentials and cached plans key on these bytes
+        object.__setattr__(self, "directions", dirs)
 
     @classmethod
     def ball(cls, d: int, r_cut: float) -> "StencilSet":
-        """All nonzero integer vectors with Euclidean norm <= r_cut."""
+        """All nonzero integer vectors with Euclidean norm <= r_cut.
+
+        ValueError for a non-finite ``r_cut`` or a ball of more than
+        ``MAX_DIRECTIONS`` vectors.  The ball holds the ``2 d floor(r_cut)``
+        vectors on the axes, so a large ``r_cut`` is refused before its
+        ``(2 floor(r_cut) + 1)^d`` box is built.
+        """
+        if not math.isfinite(r_cut):
+            raise ValueError(f"r_cut must be finite; got {r_cut}")
         m = int(np.floor(r_cut))
+        if 2 * d * m > MAX_DIRECTIONS:
+            raise ValueError(f"r_cut = {r_cut} in d = {d} gives at least {2 * d * m} "
+                             f"directions; at most {MAX_DIRECTIONS} are supported")
         box = tensor_grid([np.arange(-m, m + 1)] * d)
         dirs = box[box.any(axis=1) & (np.linalg.norm(box, axis=1) <= r_cut)]
+        if len(dirs) > MAX_DIRECTIONS:
+            raise ValueError(f"r_cut = {r_cut} in d = {d} gives {len(dirs)} "
+                             f"directions; at most {MAX_DIRECTIONS} are supported")
         return cls(r_cut=float(r_cut), directions=dirs)
 
     @property
@@ -149,13 +170,17 @@ class StencilSet:
 
     @cached_property
     def inv_sq_norms(self) -> np.ndarray:
-        """Inverse squared lengths 1 / |rho|^2 of all directions, shape (n,)."""
-        return 1.0 / np.sum(self.directions * self.directions, axis=1)
+        """Inverse squared lengths 1 / |rho|^2 of all directions, shape (n,), read-only."""
+        out = 1.0 / np.sum(self.directions * self.directions, axis=1)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def half(self) -> np.ndarray:
-        """Slots of the positive half stencil (see ``_positive_half``)."""
-        return _positive_half(self.directions)
+        """Slots of the positive half stencil (see ``_positive_half``), read-only."""
+        out = _positive_half(self.directions)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass

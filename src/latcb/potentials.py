@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -217,9 +217,18 @@ class PolynomialEmbedding:
 
     coeffs: tuple
 
+    @cached_property
+    def _derivs(self) -> tuple:
+        """Read-only coefficients of G, G', G'', ..., ending with the zero
+        polynomial one order past the degree, which serves every higher order."""
+        c = np.array(self.coeffs, dtype=float)
+        out = (c,) + tuple(np.polynomial.polynomial.polyder(c, k) for k in range(1, c.size + 1))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def deriv(self, s, order: int):
-        c = np.polynomial.polynomial.polyder(np.asarray(self.coeffs, dtype=float), order) \
-            if order > 0 else np.asarray(self.coeffs, dtype=float)
+        c = self._derivs[min(order, len(self._derivs) - 1)]
         return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), c)
 
     def __call__(self, s):
@@ -240,9 +249,33 @@ def _require_finite(f, name: str, x, where: str) -> None:
             raise ValueError(f"{name}{primes} is not finite at {where}")
 
 
-@dataclass
+@lru_cache(maxsize=16)
+def _sine_plan(dir_bytes: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half vectors ``tau / 2`` (d, T) of one stencil's sine-square terms and
+    their (T, n^2) incidence matrix: slot pair (a, b) adds 2 at ``rho_a`` and
+    ``rho_b``, -2 at ``rho_a - rho_b``; +-tau is one term.  Keyed as ``lattice._plan``."""
+    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
+    ab = np.arange(len(dirs) ** 2)
+    a, b = np.divmod(ab, len(dirs))
+    off = a != b
+    vecs = np.concatenate([dirs[a], dirs[b], dirs[a[off]] - dirs[b[off]]])
+    vecs *= np.sign(vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)])[:, None]
+    tau, rows = np.unique(vecs, axis=0, return_inverse=True)
+    incidence = np.zeros((len(tau), ab.size))
+    np.add.at(incidence, (rows.ravel(), np.concatenate([ab, ab, ab[off]])),
+              np.repeat([2.0, 2.0, -2.0], [ab.size, ab.size, int(off.sum())]))
+    half = 0.5 * tau.T
+    half.flags.writeable = incidence.flags.writeable = False
+    return half, incidence
+
+
+@dataclass(frozen=True)
 class Potential:
     """Common bookkeeping for site potentials.
+
+    Potentials are immutable: ``__post_init__`` derives the reference bonds
+    and the variant's reference values once, as read-only arrays, and
+    ``force_constants`` is computed on first use and kept.
 
     Attributes
     ----------
@@ -258,19 +291,50 @@ class Potential:
     kappa: float
 
     variant = "abstract"
+    # slot-diagonal variants, whose energy couples no two stencil slots, set
+    # ``hessian_blocks(g)``: the (..., n, d, d) blocks V_{rho rho}(g)
+    hessian_blocks = None
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        if self.A.shape != (self.d, self.d):
+        A = np.array(self.A, dtype=float)
+        if A.shape != (self.d, self.d):
             raise ValueError(f"A must be ({self.d}, {self.d})")
         if self.S.d != self.d:
             raise ValueError("stencil dimension does not match potential dimension")
         # reference bonds A rho and their lengths, aligned with stencil slots
-        self.bond_ref = self.S.directions @ self.A.T
-        self.bond_len = np.linalg.norm(self.bond_ref, axis=1)
-        self.inv_norm_A = float(np.linalg.norm(np.linalg.inv(self.A), 2))
+        bond_ref = self.S.directions @ A.T
+        self._derive(A=A, bond_ref=bond_ref, bond_len=np.linalg.norm(bond_ref, axis=1),
+                     inv_norm_A=float(np.linalg.norm(np.linalg.inv(A), 2)))
         if not (0.0 < self.kappa):
             raise ValueError("kappa must be positive")
+
+    def _derive(self, **values) -> None:
+        """Set attributes of the frozen instance in ``__post_init__``; arrays
+        become read-only."""
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def force_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(tau / 2, W)`` of the reference Hessian, read-only: the half vectors
+        (d, T) and the nonzero rows W (T, d d) of the real Born-von Karman
+        series H(k) = sum_tau W_tau sin^2(k.tau/2) (see ``stability``), from one
+        ``site_hessian`` at g = 0.  ValueError unless V(0) is point symmetric."""
+        n, d = self.S.n, self.d
+        V = self.site_hessian(np.zeros((n, d)))
+        # the stencil is sorted and closed under negation: -rho_a sits in slot n-1-a
+        if abs(V - V[::-1, :, ::-1]).max() > 4.0 * np.finfo(float).eps * abs(V).max():
+            raise ValueError("the reference Hessian blocks are not point symmetric, "
+                             "so the dynamical symbol would be complex")
+        half, incidence = _sine_plan(self.S.directions.tobytes(), d)
+        W = (incidence @ V.transpose(0, 2, 1, 3).reshape(n * n, d * d)).reshape(-1, d, d)
+        W = (0.5 * (W + W.transpose(0, 2, 1))).reshape(-1, d * d)  # H == H^T bit for bit
+        keep = W.any(axis=1)
+        half, W = half[:, keep], W[keep]
+        half.flags.writeable = W.flags.writeable = False
+        return half, W
 
     # -- admissibility ------------------------------------------------------
 
@@ -317,7 +381,15 @@ class Potential:
         raise NotImplementedError
 
     def site_hessian(self, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Hessian blocks V_{rho sigma}(g), shape (..., n, d, n, d); a
+        slot-diagonal variant places its ``hessian_blocks`` on the diagonal."""
+        blocks = self.hessian_blocks(g)
+        n, d = blocks.shape[-3], blocks.shape[-1]
+        out = np.zeros(blocks.shape[:-3] + (n, d, n, d))
+        idx = np.arange(n)
+        # advanced indexing puts the slot axis first
+        out[..., idx, :, idx, :] = np.moveaxis(blocks, -3, 0)
+        return out
 
     # -- helpers shared by pair-type variants -------------------------------
 
@@ -329,7 +401,7 @@ class Potential:
         return bonds, r, unit
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairPotential(Potential):
     """Half-counted pair interaction V(g) = 1/2 sum_rho (phi(|A rho + g_rho|) - phi(|A rho|))."""
 
@@ -346,12 +418,15 @@ class PairPotential(Potential):
             if self.mu * self.bond_len.min() <= self.phi.r_min:
                 raise ValueError("admissible bonds can leave the profile domain")
         _require_finite(self.phi, "phi", self.bond_len, "the reference bond lengths")
-        self._phi_ref = self.phi.deriv(self.bond_len, 0)
-        # positive half stencil: reference bonds component-major (d, h, 1), 1/|rho|^2
-        self._half_ref = self.bond_ref[self.S.half].T[:, :, None].copy()
-        self._half_inv_sq = self.S.inv_sq_norms[self.S.half]
-        # max 1/|rho|^2: the pair kernel's one-reduction admissibility bound
-        self._max_inv_sq = float(self._half_inv_sq.max())
+        half_inv_sq = self.S.inv_sq_norms[self.S.half]
+        self._derive(
+            _phi_ref=self.phi.deriv(self.bond_len, 0),
+            # positive half stencil: reference bonds component-major (d, h, 1), 1/|rho|^2
+            _half_ref=self.bond_ref[self.S.half].T[:, :, None].copy(),
+            _half_inv_sq=half_inv_sq,
+            # max 1/|rho|^2: the pair kernel's one-reduction admissibility bound
+            _max_inv_sq=float(half_inv_sq.max()),
+        )
 
     def _bond(self, r2: np.ndarray, stiffness: bool = False):
         """Bond force per unit length ``phi'(r)/r`` at squared bond lengths ``r2``;
@@ -381,22 +456,16 @@ class PairPotential(Potential):
         _, r, unit = self._bond_geometry(g)
         return 0.5 * self.phi.deriv(r, 1)[..., None] * unit
 
-    def site_hessian(self, g):
+    def hessian_blocks(self, g):
         _, r, unit = self._bond_geometry(g)
-        n, d = self.S.n, self.d
         p2 = self.phi.deriv(r, 2)
         p1_over_r = self.phi.deriv(r, 1) / r
-        eye = np.eye(d)
+        eye = np.eye(self.d)
         uu = unit[..., :, None] * unit[..., None, :]  # (..., n, d, d)
-        block = 0.5 * (p2[..., None, None] * uu + p1_over_r[..., None, None] * (eye - uu))
-        out = np.zeros(g.shape[:-2] + (n, d, n, d))
-        idx = np.arange(n)
-        # advanced indexing puts the slot axis first
-        out[..., idx, :, idx, :] = np.moveaxis(block, -3, 0)
-        return out
+        return 0.5 * (p2[..., None, None] * uu + p1_over_r[..., None, None] * (eye - uu))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EAMPotential(Potential):
     """Embedded-atom site energy: pair part plus embedded host density.
 
@@ -418,9 +487,9 @@ class EAMPotential(Potential):
             raise ValueError(f"kappa={self.kappa} allows bond collapse")
         for f, name in ((self.phi, "phi"), (self.psi, "psi")):
             _require_finite(f, name, self.bond_len, "the reference bond lengths")
-        self._phi_ref = self.phi.deriv(self.bond_len, 0)
-        self._psi_ref = self.psi.deriv(self.bond_len, 0)
-        self._s_ref = float(np.sum(self._psi_ref))
+        psi_ref = self.psi.deriv(self.bond_len, 0)
+        self._derive(_phi_ref=self.phi.deriv(self.bond_len, 0), _psi_ref=psi_ref,
+                     _s_ref=float(np.sum(psi_ref)))
         _require_finite(self.embed, "G", self._s_ref,
                         f"the reference density {self._s_ref:.6g}")
 
@@ -458,7 +527,7 @@ class EAMPotential(Potential):
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarmonicChain(Potential):
     """Quadratic first/second-neighbour chain in one dimension.
 
@@ -480,7 +549,7 @@ class HarmonicChain(Potential):
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is not finite")
         coeff = {1: self.a1 / 4.0, 2: self.a2 / 4.0}
-        self._c = np.array([coeff[int(abs(r[0]))] for r in self.S.directions])
+        self._derive(_c=np.array([coeff[int(abs(r[0]))] for r in self.S.directions]))
 
     @classmethod
     def build(cls, a1: float, a2: float, kappa: float = math.inf) -> "HarmonicChain":
@@ -499,15 +568,8 @@ class HarmonicChain(Potential):
     def site_gradient(self, g):
         return (2.0 * self._c)[..., None] * g
 
-    def site_hessian(self, g):
-        n = self.S.n
-        batch = g.shape[:-2]
-        out = np.zeros(batch + (n, 1, n, 1))
-        idx = np.arange(n)
-        # scalar separators keep the advanced block contiguous, so the slot
-        # axis stays in place and a (n,) right-hand side broadcasts
-        out[..., idx, 0, idx, 0] = 2.0 * self._c
-        return out
+    def hessian_blocks(self, g):
+        return np.broadcast_to((2.0 * self._c)[:, None, None], g.shape[:-2] + (self.S.n, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +653,19 @@ def hessian_operator(P: Potential, values: np.ndarray):
     blocks precomputed once, suitable for Krylov inner solves:
     (Hv)(eta) = sum_{rho, sigma} (M_{rho sigma}(eta - sigma)^T D_rho v(eta - sigma)
                                   - M_{rho sigma}(eta)^T D_rho v(eta)).
+    A slot-diagonal variant keeps only its blocks M_{rho rho}; the dense
+    contraction would add exact zeros to the same terms.
     """
     g = all_stencils(values, P.S)
-    M = P.site_hessian(g)  # (N..., n, d, n, d)
+    if P.hessian_blocks is None:
+        M, spec = P.site_hessian(g), "...aibj,...ai->...bj"  # (N..., n, d, n, d)
+    else:
+        M, spec = P.hessian_blocks(g), "...aij,...ai->...aj"  # (N..., n, d, d)
     S = P.S
 
     def apply(v_values: np.ndarray) -> np.ndarray:
         Dv = all_stencils(np.asarray(v_values, dtype=float), S)
-        return scatter_bonds(np.einsum("...aibj,...ai->...bj", M, Dv), S)
+        return scatter_bonds(np.einsum(spec, M, Dv), S)
 
     return apply
 
@@ -649,12 +716,12 @@ def potential_from_config(cfg: dict) -> Potential:
     """Build a potential from a plain configuration dictionary.
 
     Required keys: ``variant``; pair/eam also need ``r_cut``, the harmonic
-    chain needs ``a1``.  Defaults: ``d`` 1, ``A`` the identity, ``phi``
-    Lennard-Jones (pair) or Morse (eam), ``psi`` exp, ``embed`` the
-    coefficients (0, 1), ``a2`` 0; ``kappa`` is infinite for the harmonic
-    chain and otherwise 0.25 scaled by 1/||A^-1|| (a safely admissible
-    radius).  A key the variant, profile or embedding does not read raises
-    ``ValueError`` naming it.
+    chain needs ``a1``.  ``d`` must be the integer 1, 2 or 3.  Defaults:
+    ``d`` 1, ``A`` the identity, ``phi`` Lennard-Jones (pair) or Morse (eam),
+    ``psi`` exp, ``embed`` the coefficients (0, 1), ``a2`` 0; ``kappa`` is
+    infinite for the harmonic chain and otherwise 0.25 scaled by 1/||A^-1||
+    (a safely admissible radius).  A key the variant, profile or embedding
+    does not read raises ``ValueError`` naming it.
     """
     variant = cfg.get("variant")
     if variant not in _VARIANT_KEYS:
@@ -668,7 +735,9 @@ def potential_from_config(cfg: dict) -> Potential:
         )
     if "r_cut" not in cfg:
         raise ValueError(f"the {variant} potential needs r_cut")
-    d = int(cfg.get("d", 1))
+    d = cfg.get("d", 1)
+    if isinstance(d, bool) or not isinstance(d, int) or d not in (1, 2, 3):
+        raise ValueError(f"d must be the integer 1, 2 or 3; got {d!r}")
     A = np.asarray(cfg.get("A", np.eye(d)), dtype=float)
     S = StencilSet.ball(d, float(cfg["r_cut"]))
     kappa = cfg.get("kappa")

@@ -8,14 +8,15 @@ reference state acts through the symbol
 latcb potentials are point symmetric, V_{-rho,-sigma} = V_{rho sigma}, so by
 Re[(e^{ix} - 1)(e^{-iy} - 1)] = 2 [sin^2(x/2) + sin^2(y/2) - sin^2((x - y)/2)]
 H(k) is the real Born-von Karman series ``sum_tau W_tau sin^2(k.tau/2)``,
-each term second order at k = 0, so free of cancellation there.  The stability
-constant is the infimum of the smallest symbol eigenvalue normalized by the
-first-difference symbol ``sum_alpha 4 sin^2(k_alpha / 2)``; it bounds
-Rayleigh quotients of the real-space Hessian with respect to the discrete
-gradient norm, and its positivity is the sharp condition separating stable
-lattices from ones with short-wavelength (typically zone-boundary)
-instabilities.  In one dimension with nearest/next-nearest coupling all of
-these objects have closed forms that the tests pin down.
+each term second order at k = 0, so free of cancellation there.  Each potential
+builds its force constants ``(tau / 2, W)`` once (``Potential.force_constants``).
+The stability constant is the infimum of the smallest symbol eigenvalue
+normalized by the first-difference symbol ``sum_alpha 4 sin^2(k_alpha / 2)``;
+it bounds Rayleigh quotients of the real-space Hessian with respect to the
+discrete gradient norm, and its positivity is the sharp condition
+separating stable lattices from ones with short-wavelength (typically
+zone-boundary) instabilities.  In one dimension with nearest/next-nearest
+coupling all of these objects have closed forms that the tests pin down.
 
 The symbol blocks are (d, d); their eigenvalues come from ``_eigvalsh``,
 closed forms for d = 1 and 2 and LAPACK for d = 3, and the same helper
@@ -25,7 +26,6 @@ serves the acoustic tensors of the Legendre-Hadamard minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,42 +63,6 @@ def zone_grid(d: int, n: int, offset: float = _GOLDEN_FRAC) -> np.ndarray:
     """
     axis = -np.pi + (np.arange(n) + offset) * (2.0 * np.pi / n)
     return tensor_grid([axis] * d)
-
-
-@lru_cache(maxsize=16)
-def _sine_plan(dir_bytes: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half vectors ``tau / 2`` (d, T) of one stencil's sine-square terms and
-    their (T, n^2) incidence matrix: slot pair (a, b) adds 2 at ``rho_a`` and
-    ``rho_b``, -2 at ``rho_a - rho_b``; +-tau is one term.  Keyed as ``lattice._plan``."""
-    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
-    ab = np.arange(len(dirs) ** 2)
-    a, b = np.divmod(ab, len(dirs))
-    off = a != b
-    vecs = np.concatenate([dirs[a], dirs[b], dirs[a[off]] - dirs[b[off]]])
-    vecs *= np.sign(vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)])[:, None]
-    tau, rows = np.unique(vecs, axis=0, return_inverse=True)
-    incidence = np.zeros((len(tau), ab.size))
-    np.add.at(incidence, (rows.ravel(), np.concatenate([ab, ab, ab[off]])),
-              np.repeat([2.0, 2.0, -2.0], [ab.size, ab.size, int(off.sum())]))
-    half = 0.5 * tau.T
-    half.flags.writeable = incidence.flags.writeable = False
-    return half, incidence
-
-
-def _force_constants(P: Potential) -> tuple[np.ndarray, np.ndarray]:
-    """``(tau / 2, W)``, H(k) = sum_tau W_tau sin^2(k.tau/2) with the nonzero rows
-    W (T, d d), from one ``site_hessian``; ValueError unless V(0) is point symmetric."""
-    n, d = P.S.n, P.d
-    V = P.site_hessian(np.zeros((n, d)))
-    # the stencil is sorted and closed under negation: -rho_a sits in slot n-1-a
-    if abs(V - V[::-1, :, ::-1]).max() > 4.0 * np.finfo(float).eps * abs(V).max():
-        raise ValueError("the reference Hessian blocks are not point symmetric, "
-                         "so the dynamical symbol would be complex")
-    half, incidence = _sine_plan(P.S.directions.tobytes(), d)
-    W = (incidence @ V.transpose(0, 2, 1, 3).reshape(n * n, d * d)).reshape(-1, d, d)
-    W = (0.5 * (W + W.transpose(0, 2, 1))).reshape(-1, d * d)  # H == H^T bit for bit
-    keep = W.any(axis=1)
-    return half[:, keep], W[keep]
 
 
 def _symbol(fc: tuple[np.ndarray, np.ndarray], pts: np.ndarray) -> np.ndarray:
@@ -148,7 +112,7 @@ def dynamical_symbol(P: Potential, k) -> np.ndarray:
     H(0) = 0, H(-k) = H(k).
     """
     k = np.asarray(k, dtype=float)
-    H = _symbol(_force_constants(P), k.reshape(-1, k.shape[-1]))
+    H = _symbol(P.force_constants, k.reshape(-1, k.shape[-1]))
     return H[0] if k.ndim == 1 else H.reshape(k.shape[:-1] + H.shape[-2:])
 
 
@@ -248,7 +212,7 @@ def _polished_min(fn, grid: np.ndarray, h: float) -> float:
 def _zone_min(P: Potential, n_grid: int) -> float:
     """The stability constant's minimum over k != 0 of the zone: the grid
     minimum, polished by a compass search from its minimizer, grid spacing first."""
-    fc = _force_constants(P)
+    fc = P.force_constants
     return _polished_min(lambda k: _min_ratio(fc, k), zone_grid(P.d, n_grid),
                          2.0 * np.pi / n_grid)
 

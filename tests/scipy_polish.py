@@ -13,7 +13,7 @@ import numpy as np
 from scipy import optimize
 
 from latcb.lattice import tensor_grid
-from latcb.stability import _acoustic_min, _force_constants, _min_ratio, zone_grid
+from latcb.stability import _acoustic_min, _min_ratio, zone_grid
 from latcb.stress import CBModel
 
 
@@ -21,7 +21,7 @@ def scipy_zone_min(P, n_grid: int) -> float:
     """Grid minimum of the symbol ratio, polished by Brent or Nelder-Mead."""
     d = P.d
     h = 2.0 * np.pi / n_grid
-    fc = _force_constants(P)
+    fc = P.force_constants
     pts = zone_grid(d, n_grid)
     vals = _min_ratio(fc, pts)
     best_idx = int(np.argmin(vals))

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latcb
+import latcb.lattice
+from latcb import cli
 from latcb.cli import main
 from latcb.dynamics import InitialData, solve_cb_wave
 from latcb.harness import (
@@ -795,6 +797,49 @@ def test_workers_below_one_exit_two(tmp_path, capsys):
                  "--workers", "0"]) == 2
     assert "workers" in capsys.readouterr().err
     assert not (tmp_path / "static3.csv").exists()
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    missing = str(tmp_path / "missing.json")
+    assert main(["stability", "--config", missing]) == 2
+    assert main(["dispersion", "--config", missing]) == 2
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["stability"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"d": 4}, "d must be the integer 1, 2 or 3; got 4"),
+    ({"d": 1.5}, "d must be the integer 1, 2 or 3; got 1.5"),
+    ({"d": True}, "d must be the integer 1, 2 or 3; got True"),
+    ({"d": "1"}, "d must be the integer 1, 2 or 3; got '1'"),
+    ({"r_cut": math.inf}, "r_cut must be finite; got inf"),
+    ({"r_cut": 1e9}, "r_cut = 1000000000.0 in d = 1 gives at least 2000000000 directions; "
+                     "at most 128 are supported"),
+    ({"d": 3, "r_cut": 300.0}, "r_cut = 300.0 in d = 3 gives at least 1800 directions; "
+                               "at most 128 are supported"),
+    ({"d": 3, "r_cut": 4.0}, "r_cut = 4.0 in d = 3 gives 256 directions; "
+                             "at most 128 are supported"),
+], ids=["d4", "d1.5", "d_true", "d_str", "r_cut_inf", "r_cut_1e9", "d3_r_cut_300", "d3_r_cut_4"])
+def test_bad_potential_geometry_exits_two(tmp_path, capsys, monkeypatch, over, message):
+    # before, d = 4 and an infinite or huge r_cut ended in a traceback (exit
+    # 1, a failed band) and a non-integer d ran as d = 1
+    if over.get("r_cut", 0.0) > 100.0:
+        # a huge box is refused before it is built
+        def no_box(axes):
+            raise AssertionError("the stencil box was built")
+
+        monkeypatch.setattr(latcb.lattice, "tensor_grid", no_box)
+    path = _write_cfg(tmp_path, {"experiment": "stability", "potential": {**LJ_POT, **over}})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config field 'potential': not resolvable: {message}\n")
+    assert not out.exists()
 
 
 def test_negative_seed_override_exits_two(tmp_path, capsys):

@@ -98,6 +98,21 @@ def test_ball_matches_product_comprehension(d, r_cut):
     assert sorted(map(tuple, S.directions.tolist())) == sorted(expect)
 
 
+@pytest.mark.parametrize("d, r_cut, message", [
+    (1, float("nan"), "r_cut must be finite; got nan"),
+    (2, float("-inf"), "r_cut must be finite; got -inf"),
+    (1, 65.0, "gives at least 130 directions"),
+    (2, 6.5, "gives 136 directions"),
+])
+def test_ball_refuses_nonfinite_or_oversized_stencils(d, r_cut, message):
+    with pytest.raises(ValueError, match=message):
+        StencilSet.ball(d, r_cut)
+
+
+def test_ball_builds_stencils_up_to_128_directions():
+    assert [StencilSet.ball(d, r).n for d, r in [(1, 64.0), (2, 6.4), (3, 3.0)]] == [128, 128, 122]
+
+
 def test_as_direction_validation():
     np.testing.assert_array_equal(as_direction([1, -2], 2), [1, -2])
     np.testing.assert_array_equal(as_direction(np.array([2.0, 0.0]), 2), [2, 0])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from latcb.potentials import (
     potential_from_config,
     total_energy,
 )
+from latcb.stability import dynamical_symbol
 
 from conftest import (
     eam_chain,
@@ -90,6 +92,22 @@ def test_profile_derivatives_match_fd(profile):
         fd = (profile.deriv(r + h, order - 1) - profile.deriv(r - h, order - 1)) / (2 * h)
         got = profile.deriv(r, order)
         assert np.max(np.abs(got - fd) / (1.0 + np.abs(fd))) < 1e-6
+
+
+def test_polynomial_embedding_derivatives_are_polyder_bit_for_bit():
+    # the derivative coefficients are built once; past the degree the zero
+    # polynomial serves every order
+    poly = np.polynomial.polynomial
+    for coeffs in [(0.0, 1.0, 0.3, -0.05), (0.0, 1.0), (2.5,), (1, 2, 3)]:
+        G = PolynomialEmbedding(coeffs)
+        c = np.asarray(coeffs, dtype=float)
+        for s in [np.linspace(-1.0, 3.0, 9), np.float64(0.7), 1.3]:
+            for order in range(7):
+                want = poly.polyval(np.asarray(s, dtype=float), poly.polyder(c, order))
+                got = G.deriv(s, order)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (coeffs, order)
+        assert all(not a.flags.writeable for a in G._derivs)
 
 
 def test_polynomial_embedding_derivatives():
@@ -373,6 +391,89 @@ def test_hessian_operator_is_symmetric(rng):
             Hv, Hw = apply(v), apply(w)
             gap = abs(float(np.sum(Hv * w)) - float(np.sum(v * Hw)))
             assert gap <= 1e-12 * np.linalg.norm(Hv) * np.linalg.norm(w), name
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _variants()])
+def test_potentials_are_frozen_with_read_only_arrays(name):
+    P = dict(_variants())[name]
+    P.force_constants  # the cached reference data joins the instance
+    for f in dataclasses.fields(P):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(P, f.name, getattr(P, f.name))
+    for attr in ("bond_ref", "force_constants", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(P, attr, None)
+    arrays = [(key, a) for key, value in vars(P).items() for a in _arrays(value)]
+    names = {key for key, _ in arrays}
+    assert {"A", "bond_ref", "bond_len", "force_constants"} <= names
+    assert {"pair": {"_phi_ref", "_half_ref", "_half_inv_sq"}, "eam": {"_phi_ref", "_psi_ref"},
+            "harmonic_chain": {"_c"}}[P.variant] <= names
+    for key, a in arrays:
+        assert not a.flags.writeable, key
+    # the stencil the cached data were built from is read-only too
+    for a in (P.S.directions, P.S.inv_sq_norms, P.S.half):
+        assert not a.flags.writeable
+
+
+def test_potential_leaves_the_callers_matrix_writable():
+    A = np.eye(2)
+    P = PairPotential(d=2, A=A, S=StencilSet.ball(2, 2.0), kappa=0.25, phi=lennard_jones())
+    assert A.flags.writeable and not P.A.flags.writeable and not np.shares_memory(A, P.A)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _variants()])
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+def test_pickle_round_trip_keeps_every_bit(rng, name, cached):
+    P = dict(_variants())[name]
+    if cached:
+        P.force_constants
+    Q = pickle.loads(pickle.dumps(P))
+    assert type(Q) is type(P) and ("force_constants" in vars(Q)) == cached
+    lattice = LatticeSpec(d=P.d, A=P.A, N=6)
+    u = random_displacement(lattice, rng, scale=0.02).values
+    v = rng.standard_normal(u.shape)
+    k = rng.uniform(-np.pi, np.pi, size=(9, P.d))
+    for f in (lambda X: gradient_array(X, u), lambda X: hessian_operator(X, u)(v),
+              lambda X: dynamical_symbol(X, k)):
+        assert f(Q).tobytes() == f(P).tobytes()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _variants()])
+def test_slot_diagonal_hessian_is_its_blocks_on_the_diagonal(rng, name, monkeypatch):
+    P = dict(_variants())[name]
+    lattice = LatticeSpec(d=P.d, A=P.A, N=5)
+    u = random_displacement(lattice, rng, scale=0.02).values
+    v = rng.standard_normal(u.shape)
+    g = all_stencils(u, P.S)
+    M = P.site_hessian(g)
+    calls = []
+    site_hessian = type(P).site_hessian
+
+    def counted(self, g):
+        calls.append(g.shape)
+        return site_hessian(self, g)
+
+    monkeypatch.setattr(type(P), "site_hessian", counted)
+    hessian_operator(P, u)(v)
+    if P.variant == "eam":
+        # the embedding couples every slot pair: the dense blocks
+        assert P.hessian_blocks is None and calls == [g.shape]
+        return
+    assert calls == []  # the operator keeps the (..., n, d, d) blocks only
+    B = P.hessian_blocks(g)
+    assert B.shape == g.shape[:-1] + (P.d, P.d)
+    idx = np.arange(P.S.n)
+    off = M.copy()
+    off[..., idx, :, idx, :] = 0.0
+    assert np.array_equal(np.moveaxis(M[..., idx, :, idx, :], 0, -3), B) and not off.any()
 
 
 def test_harmonic_chain_quadratic_identities(rng):

@@ -73,7 +73,7 @@ def test_pair_force_constants_keep_the_half_stencil(make):
     # a pair potential couples each bond to itself only: one sine-square
     # term per bond +-rho, none from the differences rho - sigma
     P = make()
-    half, W = stability._force_constants(P)
+    half, W = P.force_constants
     assert half.shape == (P.d, len(P.S.half)) and W.shape == (len(P.S.half), P.d * P.d)
 
 
@@ -104,7 +104,7 @@ def test_shipped_potential_kinds_are_point_symmetric(make):
     P = make()
     V = P.site_hessian(np.zeros((P.S.n, P.d)))
     assert np.array_equal(V, V[::-1, :, ::-1])  # slot n-1-a holds -rho_a
-    stability._force_constants(P)
+    P.force_constants
 
 
 _ORACLE_CASES = {

@@ -716,3 +716,21 @@ def test_static_sweep_maps_both_loads_in_one_call(monkeypatch):
     assert solved_before == [] and solved == pytest.approx([0.005, 0.01], rel=1e-12)
     assert [job[2] for job in jobs] == [eps_list, eps_list]
     assert [job[1].delta for job in jobs] == pytest.approx([0.01, 0.005], rel=1e-12)
+
+
+def test_static_sweep_builds_the_reference_force_constants_once(monkeypatch):
+    # the stability guard and every lattice solve's preconditioner read one
+    # reference Hessian; before they were cached on the potential a sweep
+    # built it 1 + 2 * len(eps_list) times
+    site_hessian, at_zero = PairPotential.site_hessian, []
+
+    def counted(self, g):
+        if not g.any():
+            at_zero.append(g.shape)
+        return site_hessian(self, g)
+
+    monkeypatch.setattr(PairPotential, "site_hessian", counted)
+    P = lj_chain()
+    out = static_converge_sweep(P, single_mode_load(0.01), [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0])
+    assert at_zero == [(P.S.n, P.d)]
+    np.testing.assert_allclose(out["errors"], SWEEP_ERRORS, rtol=1e-6)

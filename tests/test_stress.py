@@ -138,14 +138,14 @@ def test_pair_cb_path_matches_generic_contraction(rng, profile, d, A, r_cut, bat
     M, oracle = CBModel(P), GenericCBModel(P)
     assert M._half is not None and oracle._half is None
 
-    def no_site_derivatives(g):
+    def no_site_derivatives(self, g):
         raise AssertionError("the pair path evaluated site derivatives")
 
     for name in ("energy_density", "stress", "moduli"):
         ref = getattr(oracle, name)(F)
         with monkeypatch.context() as m:
             for method in ("site_energy", "site_gradient", "site_hessian"):
-                m.setattr(P, method, no_site_derivatives)
+                m.setattr(type(P), method, no_site_derivatives)
             got = getattr(M, name)(F)
         assert got.shape == ref.shape == batch + {"energy_density": (), "stress": (d, d),
                                                    "moduli": (d, d, d, d)}[name]
