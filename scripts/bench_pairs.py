@@ -2,17 +2,18 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W [--pairs 10]
-       [--seed S] [--seconds 20]
+       [--seed S]
 
-Pair ``i`` runs ``bench/run_bench.py --workload W --seed S+i --seconds T``
-of each checkout, one after the other, the parent first in even pairs and
-the change first in odd ones.  For every end-to-end metric of the change's
+Pair ``i`` runs ``bench/run_bench.py --workload W --seed S+i`` of each
+checkout, at that benchmark's own run length, one after the other, the
+parent first in even pairs and the change first in odd ones.  For every end-to-end metric of the change's
 ``BENCHMARK.json`` the script prints each side's median and quartiles
 (``statistics.quantiles(values, n=4)``), the change's wins (a tie counts
 for neither side) and the verdict: a gain needs at least ten pairs, wins
-in at least nine tenths of them and a median better by more than the
-parent's interquartile distance.  It also prints each side's correctness and
-failed-operation share.
+in at least nine tenths of them, a median better by more than the
+parent's interquartile distance, every change run correct and no more
+failed operations than the parent.  It also prints each side's correctness
+and failed-operation share.
 
 ``setup_s`` depends on the directory a checkout lies in, and on whether
 latcb's byte code is cached in ``src/latcb/__pycache__`` (with
@@ -35,11 +36,11 @@ from pathlib import Path
 WIN_SHARE, MIN_PAIRS = 0.9, 10
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     """The result object a checkout's benchmark prints as its last line."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run_bench.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         capture_output=True, text=True, cwd=checkout,
     )
     lines = proc.stdout.splitlines()
@@ -58,7 +59,11 @@ def _quartiles(values: list) -> tuple[float, float, float]:
 
 def summarize(parent: list[dict], change: list[dict], metrics: dict[str, str]) -> dict:
     """Per metric (name -> "lower" or "higher" is better): each side's median
-    and quartiles, the change's wins over the pairs, and whether it is a gain."""
+    and quartiles, the change's wins over the pairs, and whether it is a gain.
+    No metric is a gain when a change run is not correct or the change fails
+    more operations than the parent."""
+    sound = (all(r["correct"] for r in change)
+             and sum(r["failed"] for r in change) <= sum(r["failed"] for r in parent))
     out = {}
     for name, better in metrics.items():
         a = [r["metrics"][name]["value"] for r in parent]
@@ -69,7 +74,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: dict[str, str]) -
         gap, iqr = sign * (pa[0] - pb[0]), pa[2] - pa[1]
         out[name] = {"parent": pa, "change": pb, "wins": wins, "pairs": len(a), "gap": gap,
                      "parent_iqr": iqr,
-                     "gain": len(a) >= MIN_PAIRS and wins >= WIN_SHARE * len(a) and gap > iqr}
+                     "gain": sound and len(a) >= MIN_PAIRS and wins >= WIN_SHARE * len(a)
+                     and gap > iqr}
     return out
 
 
@@ -99,8 +105,6 @@ def main(argv: list[str], run=run_bench) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=20.0,
-                        help="run length of each benchmark run")
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     if parent.parent != change.parent:
@@ -121,8 +125,7 @@ def main(argv: list[str], run=run_bench) -> int:
     try:
         for i in range(args.pairs):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                runs[side].append(run(checkouts[side], args.workload, args.seed + i,
-                                      args.seconds))
+                runs[side].append(run(checkouts[side], args.workload, args.seed + i))
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -99,13 +99,35 @@ def as_direction(rho, d: int) -> np.ndarray:
     return r.astype(int)
 
 
+def _read_only(value) -> None:
+    """Mark an array, or every array in a (nested) tuple, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+
+
+class _ReadOnlyState:
+    """Base of immutable classes whose array attributes are read-only.
+
+    Pickle rebuilds arrays writable, so unpickling (as in pool workers)
+    marks every array attribute, cached ones included, read-only again.
+    """
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            _read_only(value)
+        self.__dict__.update(state)
+
+
 # the most directions ``StencilSet.ball`` builds: a per-site Hessian holds
 # (n d)^2 entries and the symbol plan n^2 slot pairs; d = 3, r_cut = 3 has 122
 MAX_DIRECTIONS = 128
 
 
 @dataclass(frozen=True)
-class StencilSet:
+class StencilSet(_ReadOnlyState):
     """Finite interaction range: all nonzero ``rho`` with ``|rho| <= r_cut``.
 
     The direction list is closed under negation, contains the nearest

@@ -29,6 +29,8 @@ import numpy as np
 
 from .lattice import (
     StencilSet,
+    _read_only,
+    _ReadOnlyState,
     all_stencils,
     neighbour_plan,
     scatter_bonds,
@@ -212,7 +214,7 @@ class ExpProfile(RadialProfile):
 
 
 @dataclass(frozen=True)
-class PolynomialEmbedding:
+class PolynomialEmbedding(_ReadOnlyState):
     """Embedding function G(s) = sum_i c_i s^i with analytic derivatives."""
 
     coeffs: tuple
@@ -223,8 +225,7 @@ class PolynomialEmbedding:
         polynomial one order past the degree, which serves every higher order."""
         c = np.array(self.coeffs, dtype=float)
         out = (c,) + tuple(np.polynomial.polynomial.polyder(c, k) for k in range(1, c.size + 1))
-        for a in out:
-            a.flags.writeable = False
+        _read_only(out)
         return out
 
     def deriv(self, s, order: int):
@@ -270,12 +271,18 @@ def _sine_plan(dir_bytes: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class Potential:
+class Potential(_ReadOnlyState):
     """Common bookkeeping for site potentials.
 
     Potentials are immutable: ``__post_init__`` derives the reference bonds
     and the variant's reference values once, as read-only arrays, and
-    ``force_constants`` is computed on first use and kept.
+    ``force_constants`` is computed on first use and kept.  The arrays stay
+    read-only through pickling (see ``_ReadOnlyState``).
+
+    A slot-diagonal variant sets ``hessian_blocks`` and inherits
+    ``site_hessian``, which places the blocks on the diagonal, so the two
+    cannot disagree; a class that overrides ``site_hessian`` must leave
+    ``hessian_blocks`` None (checked when the class is defined).
 
     Attributes
     ----------
@@ -295,6 +302,12 @@ class Potential:
     # ``hessian_blocks(g)``: the (..., n, d, d) blocks V_{rho rho}(g)
     hessian_blocks = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.hessian_blocks is not None and cls.site_hessian is not Potential.site_hessian:
+            raise TypeError(f"{cls.__name__} overrides site_hessian but keeps hessian_blocks; "
+                            "hessian_operator would ignore its site_hessian")
+
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
         if A.shape != (self.d, self.d):
@@ -312,8 +325,7 @@ class Potential:
         """Set attributes of the frozen instance in ``__post_init__``; arrays
         become read-only."""
         for name, value in values.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            _read_only(value)
             object.__setattr__(self, name, value)
 
     @cached_property

@@ -56,6 +56,23 @@ def test_too_few_wins_or_a_small_gap_is_no_gain(change, wins):
     assert s["wins"] == wins and not s["gain"]
 
 
+@pytest.mark.parametrize("fault", ["incorrect", "failed"])
+def test_an_incorrect_run_or_more_failed_operations_is_no_gain(fault):
+    # a clear speed-up in every pair, but one change run is wrong or fails an operation
+    parent = [_result(v) for v in PARENT_RUN_S]
+    change = [_result(v - 0.1) for v in PARENT_RUN_S]
+    if fault == "incorrect":
+        change[3]["correct"] = False
+    else:
+        change[3]["failed"] = 1
+    s = bench_pairs.summarize(parent, change, {"run_s": "lower"})["run_s"]
+    assert s["wins"] == 10 and s["gap"] > s["parent_iqr"] and not s["gain"]
+    # as many failed operations as the parent keeps the verdict
+    if fault == "failed":
+        parent[5]["failed"] = 1
+        assert bench_pairs.summarize(parent, change, {"run_s": "lower"})["run_s"]["gain"]
+
+
 def test_fewer_than_ten_pairs_are_no_gain():
     parent = [_result(v) for v in PARENT_RUN_S[:9]]
     change = [_result(v - 0.1) for v in PARENT_RUN_S[:9]]
@@ -76,15 +93,15 @@ def test_pairs_alternate_and_the_summary_is_printed(tmp_path, capsys):
     shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
     calls = []
 
-    def canned(checkout, workload, seed, seconds):
-        calls.append((checkout.name, workload, seed, seconds))
+    def canned(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
         i = seed - 7
         return _result(PARENT_RUN_S[i] - (0.1 if checkout == change else 0.0))
 
-    argv = [str(parent), str(change), "--workload", "statics", "--seed", "7", "--seconds", "8"]
+    argv = [str(parent), str(change), "--workload", "statics", "--seed", "7"]
     assert bench_pairs.main(argv, run=canned) == 0
     assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 5
-    assert {c[1:] for c in calls[:2]} == {("statics", 7, 8.0)}
+    assert {c[1:] for c in calls[:2]} == {("statics", 7)}
     assert [c[2] for c in calls] == [seed for seed in range(7, 17) for _ in range(2)]
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["parent: 10/10 runs correct, 0/40 operations failed",

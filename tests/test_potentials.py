@@ -423,6 +423,14 @@ def test_potentials_are_frozen_with_read_only_arrays(name):
         assert not a.flags.writeable
 
 
+def test_a_variant_cannot_override_site_hessian_and_keep_its_blocks():
+    # hessian_operator contracts the blocks, so an overriding site_hessian would go unused
+    with pytest.raises(TypeError, match="overrides site_hessian but keeps hessian_blocks"):
+        class _Coupled(HarmonicChain):
+            def site_hessian(self, g):
+                return super().site_hessian(g) + 1.0
+
+
 def test_potential_leaves_the_callers_matrix_writable():
     A = np.eye(2)
     P = PairPotential(d=2, A=A, S=StencilSet.ball(2, 2.0), kappa=0.25, phi=lennard_jones())
@@ -437,6 +445,13 @@ def test_pickle_round_trip_keeps_every_bit(rng, name, cached):
         P.force_constants
     Q = pickle.loads(pickle.dumps(P))
     assert type(Q) is type(P) and ("force_constants" in vars(Q)) == cached
+    # pickle rebuilds arrays writable; unpickling marks them read-only again
+    for X in (Q, Q.S) + ((Q.embed,) if P.variant == "eam" else ()):
+        if isinstance(X, PolynomialEmbedding):
+            X._derivs
+        for key, value in vars(X).items():
+            for a in _arrays(value):
+                assert not a.flags.writeable, key
     lattice = LatticeSpec(d=P.d, A=P.A, N=6)
     u = random_displacement(lattice, rng, scale=0.02).values
     v = rng.standard_normal(u.shape)

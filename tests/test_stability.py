@@ -81,8 +81,13 @@ class _SkewChain(HarmonicChain):
     """A harmonic chain with a symmetric Hessian that is not point symmetric:
     the bond pair (-2, -1) is coupled but (2, 1) is not."""
 
+    hessian_blocks = None  # the coupling leaves the slot diagonal
+
     def site_hessian(self, g):
-        out = super().site_hessian(g)
+        blocks = HarmonicChain.hessian_blocks(self, g)
+        n = self.S.n
+        out = np.zeros(g.shape[:-2] + (n, 1, n, 1))
+        out[..., range(n), :, range(n), :] = np.moveaxis(blocks, -3, 0)
         out[..., 0, 0, 1, 0] = out[..., 1, 0, 0, 0] = 0.1
         return out
 
