@@ -14,13 +14,14 @@ perturbation that the (stable) continuum model cannot see.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import TrigField
-from .lattice import DisplacementField, LatticeSpec, supercell_period
+from .lattice import DisplacementField, LatticeSpec, stacked_plan, supercell_period
 from .potentials import (
     AdmissibilityError,
     HarmonicChain,
@@ -92,51 +93,119 @@ def make_initial_data(
 # time stepping (shared by the lattice and the continuum)
 # ---------------------------------------------------------------------------
 
-def _verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
-    """Velocity Verlet from t = 0, recording a snapshot at every snapshot time.
-
-    ``accel(x, t)`` returns the acceleration; each snapshot records the
-    time, state and velocity.  Snapshot times must be nonnegative
-    and strictly increasing; each snapshot interval is split into equal
-    steps no longer than ``dt_target`` so snapshots land exactly, and a
-    snapshot at the current time records without stepping.  A non-finite
-    snapshot raises ``SolverError`` with its time.  The state is a copy of
-    ``x`` and ``v`` updated in place, and each snapshot copies it.  The
-    half kick ``(0.5 dt) a`` and the drift ``dt v`` of every step are
-    formed in one reused buffer; ``0.5 * dt * a`` evaluates the same
-    product, so the bits are those of the plain expressions.
-    """
+def _intervals(snap_times, dt_target: float) -> list:
+    """``(steps, dt, t)`` of each snapshot interval: its equal steps no longer than
+    ``dt_target``, their size, and the time its snapshot records."""
     snap_times = np.asarray(snap_times, dtype=float)
+    times = snap_times.tolist()
     if (
         snap_times.ndim != 1
-        or snap_times.size == 0
-        or not snap_times[0] >= 0.0
-        or np.any(np.diff(snap_times) <= 0)
+        or not times
+        or not 0.0 <= times[0] <= times[-1] < math.inf
+        or not all(b - a > 0 for a, b in zip(times, times[1:]))  # NaN fails too
     ):
-        raise ValueError("snapshot times must be >= 0 and strictly increasing")
-    t, x, v = 0.0, x.copy(), v.copy()
-    kick = np.empty_like(v)
-    a = accel(x, t)
-    times, xs, vs = [], [], []
-    for t_snap in snap_times:
+        raise ValueError("snapshot times must be finite, >= 0 and strictly increasing")
+    if not 0.0 < dt_target < math.inf:
+        raise ValueError(f"the time step {dt_target:.6g} is not a finite positive number")
+    t, out = 0.0, []
+    for t_snap in times:
         span = t_snap - t
         if span > 1e-14:
             n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
-            dt = span / n_steps
-            half = 0.5 * dt
-            for _ in range(n_steps):
-                v += np.multiply(half, a, out=kick)
-                x += np.multiply(dt, v, out=kick)
-                t += dt
-                a = accel(x, t)
-                v += np.multiply(half, a, out=kick)
-            t = t_snap  # guard accumulated roundoff
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise SolverError(f"non-finite state at the snapshot t={t:.6g}")
-        times.append(t)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return Trajectory(np.array(times), np.stack(xs), np.stack(vs))
+            out.append((n_steps, span / n_steps, t_snap))
+            t = t_snap  # snapshots land exactly, whatever the steps' roundoff
+        else:
+            out.append((0, 0.0, t))
+    return out
+
+
+def _verlet(runs, grad) -> list:
+    """Velocity Verlet from t = 0 of several runs in lockstep, one ``grad`` per step.
+
+    Each run is ``(x, v, snap_times, dt_target)`` and records a snapshot
+    (time, state, velocity) at each of its snapshot times.  Snapshot times
+    must be finite, nonnegative and strictly increasing and the step
+    target a finite positive number, else ValueError before any step.
+    Each snapshot interval is split into equal steps no longer than
+    ``dt_target`` so snapshots land exactly, and a snapshot at the current
+    time records without stepping.
+
+    The states are stacked along the first axis, the runs with more steps
+    first (ties in the order given), so the runs still stepping fill a
+    prefix of the stack.  Every step calls ``grad(x, live, t)`` once on
+    that prefix for the negative acceleration (the energy gradient):
+    ``live`` holds the indices of its runs in stacking order (a new tuple
+    only when a run ends) and ``t`` their current times.  Each step's half
+    kicks ``v -= (0.5 dt) g`` and drift ``x += dt v`` multiply by per-row
+    arrays of ``0.5 dt`` and ``dt``, refreshed when a run enters a snapshot
+    interval, into one reused buffer.  Elementwise that is the scalar
+    product, and ``v - h g`` is ``v + h (-g)``, so each run has the bits of
+    stepping it alone with the acceleration ``-g``.  A snapshot copies the
+    run's rows.
+
+    Failures: the earliest lockstep step at which a run fails raises.
+    Within a step the gradient comes before the snapshots, and runs are
+    taken in the order given (``grad`` must keep that order among its
+    runs); a non-finite snapshot raises ``SolverError`` with its run's
+    time.  Returns one ``Trajectory`` per run, in the order given.
+    """
+    plans = [_intervals(snap, dt_target) for _, _, snap, dt_target in runs]
+    totals = [sum(n for n, _, _ in plan) for plan in plans]
+    order = sorted(range(len(runs)), key=totals.__getitem__, reverse=True)
+    k, live, step, k_views = len(runs), tuple(order), 0, None
+    x = np.concatenate([runs[i][0] for i in order])
+    t = np.zeros(k)  # each run's time, in stacking order
+    g = grad(x, live, t)
+    v = np.concatenate([runs[i][1] for i in order])
+    bounds = list(itertools.accumulate((len(runs[i][0]) for i in order), initial=0))
+    dt, half, kick, t_step = np.empty_like(x), np.empty_like(x), np.empty_like(x), np.zeros(k)
+    snaps = [([], [], []) for _ in runs]
+    pos = [0] * len(runs)  # each run's next snapshot
+    ends = [0] * len(runs)  # the lockstep step that ends each run's interval
+
+    def arrive(p, step, stepped):
+        """Record the snapshots of the run at ``p`` due at ``step`` (``stepped``: its
+        interval has just been stepped through), then enter its next interval."""
+        i, r0, r1 = order[p], bounds[p], bounds[p + 1]
+        while pos[p] < len(plans[i]):
+            n_steps, h, t_rec = plans[i][pos[p]]
+            if n_steps and not stepped:
+                ends[p] = step + n_steps
+                if h != t_step[p]:
+                    dt[r0:r1], half[r0:r1], t_step[p] = h, 0.5 * h, h
+                return
+            stepped, t[p] = False, t_rec
+            xp, vp = x[r0:r1], v[r0:r1]
+            if not (np.isfinite(xp).all() and np.isfinite(vp).all()):
+                raise SolverError(f"non-finite state at the snapshot t={t_rec:.6g}")
+            times, xs, vs = snaps[i]
+            times.append(t_rec)
+            xs.append(xp.copy())
+            vs.append(vp.copy())
+            pos[p] += 1
+
+    for p in sorted(range(k), key=order.__getitem__):
+        arrive(p, step, False)
+    while True:
+        while k and totals[order[k - 1]] <= step:
+            k -= 1
+        if not k:
+            break
+        if k != k_views:  # a run has ended: step the shorter prefix
+            k_views, live, n = k, tuple(order[:k]), bounds[k]
+            xk, vk, dtk, halfk, kickk, g = (arr[:n] for arr in (x, v, dt, half, kick, g))
+            tk, t_stepk = t[:k], t_step[:k]
+        next_end = min(ends[:k])
+        while step < next_end:
+            vk -= np.multiply(halfk, g, out=kickk)
+            xk += np.multiply(dtk, vk, out=kickk)
+            tk += t_stepk
+            step += 1
+            g = grad(xk, live, tk)
+            vk -= np.multiply(halfk, g, out=kickk)
+        for p in sorted((p for p in range(k) if ends[p] == step), key=order.__getitem__):
+            arrive(p, step, True)
+    return [Trajectory(np.array(times), np.stack(xs), np.stack(vs)) for times, xs, vs in snaps]
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +229,50 @@ def integrate_atomistic(
     (``total_energy`` plus the kinetic ``|v|^2 / 2``) of each snapshot
     drifts by O(dt^2) under this symplectic integrator.
     """
-    def accel(vals, t):
-        try:
-            a = gradient_array(P, vals)
-        except AdmissibilityError as exc:
-            raise SolverError(f"dynamics left the admissible region at t={t:.6g}: {exc}")
-        return np.negative(a, out=a)
+    return _integrate_runs(P, [(u0, v0, snap_times, cfl)])[0]
 
-    return _verlet(u0.values, v0.values, accel, snap_times, cfl / max_frequency(P))
+
+def _integrate_runs(P: Potential, runs) -> list:
+    """``integrate_atomistic`` of several runs ``(u0, v0, snap_times, cfl)`` of one
+    potential, in lockstep (see ``_verlet``), each with its own bits.
+
+    Every step evaluates the forces once, on the live runs' cells laid end
+    to end (``stacked_plan``).  When that state is inadmissible, the live
+    runs are evaluated one by one, in the order given, and the first that
+    fails raises with its own time and norm.
+    """
+    w, d = max_frequency(P), P.d
+    cells = [u0.values.shape[:-1] for u0, *_ in runs]
+    plans = {}
+
+    def grad(x, live, t):
+        plan = plans.get(live)
+        if plan is None:
+            plan = plans[live] = stacked_plan([cells[i] for i in live], P.S)
+        try:
+            return gradient_array(P, x, plan)
+        except AdmissibilityError as exc:
+            p, exc = (0, exc) if len(live) == 1 else _first_inadmissible(P, x, cells, live)
+            raise SolverError(f"dynamics left the admissible region at t={t[p]:.6g}: {exc}")
+
+    trajs = _verlet([(u0.values.reshape(-1, d), v0.values.reshape(-1, d), snap, cfl / w)
+                     for u0, v0, snap, cfl in runs], grad)
+    return [Trajectory(tr.times, tr.u.reshape(tr.u.shape[:1] + u0.values.shape),
+                       tr.v.reshape(tr.v.shape[:1] + u0.values.shape))
+            for tr, (u0, *_) in zip(trajs, runs)]
+
+
+def _first_inadmissible(P: Potential, x, cells, live) -> tuple:
+    """Stacking position and error of the first of the ``live`` runs, by index,
+    whose own cell (of shape ``cells[i]`` for run i) of the stacked state ``x``
+    is inadmissible."""
+    bounds = np.cumsum([0] + [math.prod(cells[i]) for i in live])
+    for p in sorted(range(len(live)), key=live.__getitem__):
+        try:
+            gradient_array(P, x[bounds[p]:bounds[p + 1]].reshape(cells[live[p]] + x.shape[-1:]))
+        except AdmissibilityError as exc:
+            return p, exc
+    raise AssertionError("the stacked state is inadmissible but none of its cells is")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +291,7 @@ def solve_cb_wave(
     Pseudo-spectral in space (derivatives via FFT on ``n_grid`` points),
     velocity Verlet in time.  The step is ``cfl * dx / c_max``, with the
     largest wave speed ``c_max = sqrt(max C(U_X))`` of the initial data,
-    fixed for the whole run.  Every acceleration takes the stress and the
+    fixed for the whole run.  Every step takes the stress and the
     moduli from one bond pass (``CBModel._tangent``) and checks the
     gradient: it must stay in the admissible region, and the smallest
     modulus must stay positive (loss of hyperbolicity); either failure
@@ -214,30 +319,49 @@ def solve_cb_wave(
             )
         return s[:, 0, 0], mods
 
-    def accel(Uv, t):
+    def grad(Uv, live, t):
         # Regularity is monitored every step, not just at snapshots: once the
         # gradient leaves the admissible region the quasilinear problem is no
         # longer meaningful and everything downstream would be silent noise.
-        return _spectral_ddx(tangent(Uv, t)[0])
+        a = _spectral_ddx(tangent(Uv, t[0])[0])
+        return np.negative(a, out=a)
 
     c_max = float(np.sqrt(np.max(tangent(U)[1])))
-    return _verlet(U, V, accel, snap_times, cfl / (n_grid * c_max))
+    return _verlet([(U, V, snap_times, cfl / (n_grid * c_max))], grad)[0]
 
 
 # ---------------------------------------------------------------------------
 # convergence sweep
 # ---------------------------------------------------------------------------
 
-def _dynamic_member(P: Potential, data: InitialData, cb_times, cb_U, cb_V, eps, cfl, q) -> dict:
-    """The lattice run at ``eps`` against the continuum snapshots' interpolants ``cb_U``,
-    ``cb_V``; its energy drift is ``max_j |E_j - E_0|`` over the lattice snapshots."""
-    u0, v0 = make_initial_data(data, eps)
-    micro_times = cb_times / eps
-    traj = integrate_atomistic(P, u0, v0, micro_times, cfl=cfl)
+def _dynamic_job(job):
+    """One job ``(fn, args)`` of the dynamic sweep: ``fn(*args)`` (module-level so
+    process pools can pickle it)."""
+    fn, args = job
+    return fn(*args)
+
+
+def _solve_waves(P: Potential, data: InitialData, cb_times, n_grid: int, cfls) -> list:
+    """The continuum references of the sweep: the wave at each CFL fraction, in order."""
+    return [solve_cb_wave(CBModel(P), data, cb_times, n_grid=n_grid, cfl=c) for c in cfls]
+
+
+def _lattice_runs(P: Potential, data: InitialData, cb_times, runs) -> list:
+    """The lattice run of each ``(eps, cfl)`` to the micro times ``cb_times / eps``,
+    all in one lockstep batch."""
+    return _integrate_runs(P, [(*make_initial_data(data, eps), cb_times / eps, cfl)
+                               for eps, cfl in runs])
+
+
+def _dynamic_member(P: Potential, cb_U, cb_V, traj: Trajectory, eps, q) -> dict:
+    """The lattice run ``traj`` at ``eps`` against the continuum snapshots'
+    interpolants ``cb_U``, ``cb_V``: the largest snapshot's gradient plus velocity
+    gap, and the energy drift ``max_j |E_j - E_0|`` over the lattice snapshots."""
+    lattice = LatticeSpec(d=1, A=np.eye(1), N=supercell_period(eps))
     errors, energies = [], []
     for Uj, Vj, uj, vj in zip(cb_U, cb_V, traj.u, traj.v):
-        e_grad = interp_gradient_gap(Uj, DisplacementField(u0.lattice, uj), eps, q=q)
-        e_vel = interp_value_gap(Vj, DisplacementField(u0.lattice, vj), eps, q=q)
+        e_grad = interp_gradient_gap(Uj, DisplacementField(lattice, uj), eps, q=q)
+        e_vel = interp_value_gap(Vj, DisplacementField(lattice, vj), eps, q=q)
         errors.append(e_grad + e_vel)
         energies.append(total_energy(P, uj) + 0.5 * float(np.sum(vj * vj)))
     energies = np.array(energies)
@@ -246,15 +370,6 @@ def _dynamic_member(P: Potential, data: InitialData, cb_times, cb_U, cb_V, eps, 
         "error": float(np.max(errors)),
         "energy_drift": float(np.max(np.abs(energies - energies[0]))),
     }
-
-
-def _dynamic_run(job) -> list:
-    """One continuum reference of the dynamic sweep (module-level so process pools can
-    pickle it): the wave at CFL fraction ``cfl``, then its members at that fraction."""
-    P, data, cb_times, n_grid, cfl, q, spacings = job
-    cb = solve_cb_wave(CBModel(P), data, cb_times, n_grid=n_grid, cfl=cfl)
-    cb_U, cb_V = ([TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v))
-    return [_dynamic_member(P, data, cb_times, cb_U, cb_V, eps, cfl, q) for eps in spacings]
 
 
 def dynamic_error_sweep(
@@ -275,9 +390,14 @@ def dynamic_error_sweep(
     lattice to the corresponding microscopic horizon ``T / eps`` and the
     error is the maximum over snapshots of the scaled gradient gap plus
     velocity gap.  The finest spacing is re-run at half the time step
-    (``half_dt``) to confirm integration error is subdominant; the sweep and
-    this control are one pool job each, the sweep first.  An unstable
-    reference lattice raises SolverError before any solve.
+    (``half_dt``) against a wave also solved at half the step, to confirm
+    integration error is subdominant.  The sweep is two pool jobs: first
+    both waves, then every lattice run in one lockstep batch (``_verlet``);
+    the gaps and energy drifts are computed after both.  A failing wave
+    raises before any lattice failure; among the lattice runs the one that
+    fails at the earliest lockstep step raises (at one step, the first in
+    ``eps_list`` order, the control last).  An unstable reference lattice
+    raises SolverError before any solve.
     """
     _require_stable(P)
     cb_times = np.linspace(0.0, T, n_snap)
@@ -285,12 +405,15 @@ def dynamic_error_sweep(
     # Both integrators are re-run at half step: the continuum solve is shared
     # across the sweep, so its dt error is a common bias that an
     # atomistic-only control would miss entirely.
-    members, (control,) = _map_members(
-        _dynamic_run,
-        [(P, data, cb_times, n_grid, c, q, spacings)
-         for c, spacings in ((cfl, list(eps_list)), (0.5 * cfl, [finest]))],
-        workers,
-    )
+    runs = [(eps, cfl) for eps in eps_list] + [(finest, 0.5 * cfl)]
+    waves, trajs = _map_members(_dynamic_job, [
+        (_solve_waves, (P, data, cb_times, n_grid, (cfl, 0.5 * cfl))),
+        (_lattice_runs, (P, data, cb_times, runs)),
+    ], workers)
+    refs = [[[TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v)]
+            for cb in waves]
+    *members, control = (_dynamic_member(P, *ref, traj, eps, q) for ref, traj, (eps, _) in
+                         zip([refs[0]] * len(eps_list) + [refs[1]], trajs, runs))
     base = members[list(eps_list).index(finest)]["error"]
     return {
         "eps": [float(e) for e in eps_list],

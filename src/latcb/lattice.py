@@ -271,36 +271,67 @@ def neighbour_plan(shape, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.nda
     return _plan(tuple(shape), S.directions.tobytes())
 
 
-def all_stencils(values: np.ndarray, S: StencilSet) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _stacked_plan(shapes: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    plans = [_plan(shape, dir_bytes) for shape in shapes]
+    if len(plans) == 1:
+        return plans[0]
+    n = plans[0][0].shape[1]
+    starts = np.cumsum([0] + [math.prod(shape) for shape in shapes[:-1]])
+    gather = np.concatenate([g + s for (g, _, _), s in zip(plans, starts)])
+    scatter = np.concatenate([sc + s * n for (_, sc, _), s in zip(plans, starts)], axis=1)
+    half = np.concatenate([h + s for (_, _, h), s in zip(plans, starts)], axis=1)
+    for table in (gather, scatter, half):
+        table.flags.writeable = False
+    return gather, scatter, half
+
+
+def stacked_plan(shapes, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached ``neighbour_plan`` tables of the periodic cells ``shapes`` laid end to end.
+
+    The cells' sites are stacked in row-major order, cell after cell; each
+    cell's tables are its own ``neighbour_plan``, with site indices offset
+    by the cell's first site (scatter addresses by that times ``S.n``).
+    Every site keeps its own neighbours, so the kernels given these tables
+    compute each cell's values bit for bit as on the cell alone.  One cell
+    gives its ``neighbour_plan``.
+    """
+    return _stacked_plan(tuple(tuple(shape) for shape in shapes), S.directions.tobytes())
+
+
+def all_stencils(values: np.ndarray, S: StencilSet, plan=None) -> np.ndarray:
     """Difference stencils at every site at once.
 
     Parameters
     ----------
     values : array, shape (N,)*d + (d,)
-        Periodic displacement values.
+        Periodic displacement values; with ``plan``, the (sites, d) values
+        of the cells the plan stacks.
     S : StencilSet
+    plan : tables of ``stacked_plan``, or None for the cell of ``values``.
 
     Returns
     -------
-    array, shape (N,)*d + (n, d)
+    array, shape values.shape[:-1] + (n, d)
         ``out[xi, i] = u(xi + rho_i) - u(xi)``.
     """
     cell, d = values.shape[:-1], values.shape[-1]
-    gather, _, _ = neighbour_plan(cell, S)
+    gather, _, _ = plan or neighbour_plan(cell, S)
     flat = values.reshape(-1, d)
     return (np.take(flat, gather, axis=0) - flat[:, None, :]).reshape(cell + (S.n, d))
 
 
-def scatter_bonds(Vr: np.ndarray, S: StencilSet) -> np.ndarray:
+def scatter_bonds(Vr: np.ndarray, S: StencilSet, plan=None) -> np.ndarray:
     """Adjoint of ``all_stencils``: sum_rho (Vr_rho(xi - rho) - Vr_rho(xi)).
 
-    ``Vr`` has shape (N,)*d + (n, d); the result has shape (N,)*d + (d,).
+    ``Vr`` has shape (N,)*d + (n, d), or (sites, n, d) with the ``plan`` of
+    stacked cells; the result drops the slot axis.
     The terms are laid out slot-major so the sum over slots runs in stencil
     order; numpy sums a contiguous axis of 8 or more entries pairwise,
     which would change the last bits of the result.
     """
     cell, d = Vr.shape[:-2], Vr.shape[-1]
-    _, scatter, _ = neighbour_plan(cell, S)
+    _, scatter, _ = plan or neighbour_plan(cell, S)
     terms = np.take(Vr.reshape(-1, d), scatter, axis=0)
     terms -= Vr.reshape(-1, S.n, d).swapaxes(0, 1)
     return terms.sum(axis=0).reshape(cell + (d,))

@@ -595,18 +595,23 @@ def total_energy(P: Potential, values: np.ndarray) -> float:
     return float(np.sum(P.site_energy(g)))
 
 
-def gradient_array(P: Potential, values: np.ndarray) -> np.ndarray:
+def gradient_array(P: Potential, values: np.ndarray, plan=None) -> np.ndarray:
     """Assembled energy gradient dE/du(eta) as a raw value array.
 
     Site gradients are scattered by the difference structure:
     dE/du(eta) = sum_rho (V_rho(Du(eta - rho)) - V_rho(Du(eta))).
     A pair potential visits each bond once instead (``_pair_gradient``).
+    With the ``plan`` of ``lattice.stacked_plan``, ``values`` are the
+    (sites, d) rows of several cells laid end to end, and each cell's
+    gradient has the bits of its own call; the admissibility rule then
+    holds on all the cells at once.
     """
+    plan = plan or neighbour_plan(values.shape[:-1], P.S)
     if isinstance(P, PairPotential):
-        return _pair_gradient(P, values)
-    g = all_stencils(values, P.S)
+        return _pair_gradient(P, values, plan[2])
+    g = all_stencils(values, P.S, plan)
     P.check_admissible(g)
-    return scatter_bonds(P.site_gradient(g), P.S)
+    return scatter_bonds(P.site_gradient(g), P.S, plan)
 
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
@@ -617,7 +622,7 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_gradient(P: PairPotential, values: np.ndarray) -> np.ndarray:
+def _pair_gradient(P: PairPotential, values: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Pair-potential gradient over the positive half stencil, one visit per bond.
 
     The bond ``b = A rho + u(xi + rho) - u(xi)`` carries the force
@@ -635,10 +640,10 @@ def _pair_gradient(P: PairPotential, values: np.ndarray) -> np.ndarray:
     bound is never below the rule's own norm.  Only a bound that is not a
     finite number at most kappa (NaN included: the maximum propagates it)
     goes to the exact rule ``_require_admissible``, which decides and words
-    the error.  In 1D the scatter is returned directly.
+    the error.  ``half`` is the plan's (h, sites) positive-half table.  In
+    1D the scatter is returned directly.
     """
-    cell, d = values.shape[:-1], values.shape[-1]
-    half = neighbour_plan(cell, P.S)[2]  # (h, sites)
+    d = values.shape[-1]
     ut = values.reshape(-1, d).T
     f = ut.take(half, axis=1)
     f -= ut[:, None, :]

@@ -27,17 +27,18 @@ from latcb.dynamics import (
 )
 from latcb.fields import TrigField
 from latcb.lattice import DisplacementField, LatticeSpec
-from latcb.potentials import HarmonicChain, total_energy
+from latcb.potentials import HarmonicChain, gradient_array, total_energy
 from latcb.stability import dynamical_symbol, max_frequency
 from latcb.static import SolverError, _spectral_ddx
 from latcb.stress import CBModel
 
-from conftest import eam_chain, lj_chain, site_coords
+from conftest import eam_chain, eam_square, lj_chain, site_coords
 from generic_cb import GenericCBModel
 from hat_quadrature import zeta_convolve
 import offset_gap
 from point_gap import trig_grad
-from verlet_reference import reference_verlet
+from dynamic_sweep_reference import reference_dynamic_error_sweep
+from verlet_reference import reference_batch
 from wave_reference import reference_solve_cb_wave
 
 AMP = 0.05 / (2.0 * np.pi)  # unit-torus sin amplitude with gradient sup 0.05
@@ -59,12 +60,13 @@ def _zero_field():
 
 
 def _record_steps(monkeypatch, stepper=_verlet) -> list:
-    """Swap ``stepper`` in for ``dynamics._verlet``; the list fills with each call's ``dt_target``."""
+    """Swap ``stepper`` in for ``dynamics._verlet``; the list fills with each run's
+    ``dt_target``."""
     steps = []
 
-    def recorded(x, v, accel, snap_times, dt_target):
-        steps.append(dt_target)
-        return stepper(x, v, accel, snap_times, dt_target)
+    def recorded(runs, grad):
+        steps.extend(dt_target for *_, dt_target in runs)
+        return stepper(runs, grad)
 
     monkeypatch.setattr(dynamics, "_verlet", recorded)
     return steps
@@ -89,13 +91,15 @@ def _drift(energies):
 
 def _companion_member_args():
     """A sweep member's arguments: the c09 companion's data (gradient 0.005,
-    cfl 0.05) at eps = 1/32 over a short horizon, five snapshots."""
-    P = lj_chain()
+    cfl 0.05) at eps = 1/32 over a short horizon, five snapshots, and the
+    lattice run alone."""
+    P, eps = lj_chain(), 1.0 / 32.0
     data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
     cb_times = np.linspace(0.0, 0.125, 5)
     cb = solve_cb_wave(CBModel(P), data, cb_times, n_grid=128, cfl=0.05)
     cb_U, cb_V = ([TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v))
-    return (P, data, cb_times, cb_U, cb_V, 1.0 / 32.0, 0.05, 6)
+    traj = integrate_atomistic(P, *make_initial_data(data, eps), cb_times / eps, cfl=0.05)
+    return (P, cb_U, cb_V, traj, eps, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ def test_integrator_validation_and_abort():
         integrate_atomistic(lj_chain(), zero, kick, [1.0])
 
 
-BAD_SNAPSHOT_TIMES = [[-1.0, -0.5], [-0.5, 0.5], [0.5, 0.5]]
+BAD_SNAPSHOT_TIMES = [[-1.0, -0.5], [-0.5, 0.5], [0.5, 0.5], [0.5, math.nan, 1.0], [0.5, math.inf]]
 
 
 @pytest.mark.parametrize("snap", BAD_SNAPSHOT_TIMES)
@@ -233,16 +237,15 @@ def test_integrator_rejects_nan_site(rng):
 def test_verlet_rejects_non_finite_snapshot(shape):
     # the stub acceleration turns NaN after t = 0.5 without raising, so only
     # the snapshot rule of the shared stepper can stop the run
-    def accel(x, t):
-        return np.full(shape, np.nan if t > 0.5 else 0.0)
+    def grad(x, live, t):
+        return np.full(shape, np.nan if t[0] > 0.5 else 0.0)
 
     with pytest.raises(SolverError, match=r"non-finite state at the snapshot t=1$"):
-        _verlet(np.zeros(shape), np.ones(shape), accel, [0.25, 1.0], 0.1)
+        _verlet([(np.zeros(shape), np.ones(shape), [0.25, 1.0], 0.1)], grad)
 
 
 def test_stepper_records_states_only():
-    assert list(inspect.signature(_verlet).parameters) == [
-        "x", "v", "accel", "snap_times", "dt_target"]
+    assert list(inspect.signature(_verlet).parameters) == ["runs", "grad"]
     assert [f.name for f in dataclasses.fields(dynamics.Trajectory)] == ["times", "u", "v"]
 
 
@@ -280,7 +283,7 @@ def test_in_place_verlet_matches_the_reference_bit_for_bit(monkeypatch, run):
     # a snapshot that aliased the stepped state would repeat the final one
     assert len({x.tobytes() for x in new.u}) == len(new.u)
     assert len({x.tobytes() for x in new.v}) == len(new.v)
-    ref_steps = _record_steps(monkeypatch, reference_verlet)
+    ref_steps = _record_steps(monkeypatch, reference_batch)
     ref = go()
     assert steps == ref_steps
     for name in ("times", "u", "v"):
@@ -308,12 +311,153 @@ def test_dynamic_member_gaps_match_offset_oracle_bit_for_bit(monkeypatch):
 
 
 def test_dynamic_member_measures_energy_drift_from_its_snapshots():
-    P, data, cb_times, _, _, eps, cfl, _ = args = _companion_member_args()
+    P, _, _, traj, _, _ = args = _companion_member_args()
     got = dynamics._dynamic_member(*args)["energy_drift"]
-    u0, v0 = make_initial_data(data, eps)
-    traj = integrate_atomistic(P, u0, v0, cb_times / eps, cfl=cfl)
     assert got > 0.0
     assert repr(got) == repr(_drift(_lattice_energies(P, traj)))
+
+
+BAD_STEPS = [0.0, -0.1, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("cfl", BAD_STEPS)
+def test_integrator_rejects_bad_step_before_stepping(monkeypatch, cfl):
+    lattice = LatticeSpec(d=1, A=np.eye(1), N=8)
+    zero = DisplacementField.zeros(lattice)
+    calls = []
+    monkeypatch.setattr(dynamics, "gradient_array", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=r"^the time step \S+ is not a finite positive number$"):
+        integrate_atomistic(lj_chain(), zero, zero, [1.0], cfl=cfl)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cfl", BAD_STEPS)
+def test_cb_wave_rejects_bad_step(cfl):
+    with pytest.raises(ValueError, match=r"^the time step \S+ is not a finite positive number$"):
+        solve_cb_wave(CBModel(_chain()), InitialData(_sin_field(), _zero_field()), [0.5],
+                      n_grid=16, cfl=cfl)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches of lattice runs
+# ---------------------------------------------------------------------------
+
+def _run(rng, P, N, snap, cfl, amp=0.002):
+    """A lattice run ``(u0, v0, snap_times, cfl)`` from small random data on the N-cell."""
+    lattice = LatticeSpec(d=P.d, A=np.eye(P.d), N=N)
+    u0, v0 = (DisplacementField(lattice, rng.uniform(-amp, amp, (N,) * P.d + (P.d,)))
+              for _ in range(2))
+    return u0, v0, snap, cfl
+
+
+def _kicked(P, N, kick, snap, cfl=0.2):
+    """A lattice run from rest under an alternating velocity kick of size ``kick``."""
+    lattice = LatticeSpec(d=1, A=np.eye(1), N=N)
+    v0 = DisplacementField(lattice, kick * (-1.0) ** np.arange(N).reshape(N, 1))
+    return DisplacementField.zeros(lattice), v0, snap, cfl
+
+
+@pytest.mark.parametrize("kind", ["lj", "eam", "harmonic", "eam_square"])
+def test_batch_runs_match_single_runs_bit_for_bit(monkeypatch, rng, kind):
+    """Each run of a batch has the bits of ``integrate_atomistic`` on it alone and
+    of the out-of-place reference stepper.  The batch mixes a first snapshot at
+    t = 0 and after it, two runs with equal step counts, a run that never
+    steps and two step sizes, and evaluates the forces once per lockstep step."""
+    P = {"lj": lj_chain, "eam": eam_chain, "harmonic": _chain, "eam_square": eam_square}[kind]()
+    n = (6, 4, 4, 8) if P.d == 2 else (32, 16, 16, 8)
+    runs = [_run(rng, P, n[0], [0.0, 0.5, 1.0], 0.2), _run(rng, P, n[1], [0.25, 0.75], 0.2),
+            _run(rng, P, n[2], [0.25, 0.75], 0.2), _run(rng, P, n[3], [0.0], 0.2),
+            _run(rng, P, n[0], [0.0, 0.5, 1.0], 0.1)]
+    calls = []
+
+    def counted(P, values, plan):
+        calls.append(len(values))
+        return gradient_array(P, values, plan)
+
+    monkeypatch.setattr(dynamics, "gradient_array", counted)
+    dt = _record_steps(monkeypatch)
+    got = dynamics._integrate_runs(P, runs)
+    # the longest run (the last, at half the step) sets the lockstep count
+    steps = [sum(max(1, math.ceil(s / dt[i] - 1e-12)) for s in np.diff([0.0, *r[2]]) if s > 1e-14)
+             for i, r in enumerate(runs)]
+    assert steps[1] == steps[2] > 0 and steps[3] == 0 and max(steps) == steps[4]
+    assert len(calls) == steps[4] + 1 and calls[0] == sum(u0.values[..., 0].size
+                                                          for u0, *_ in runs)
+    monkeypatch.undo()
+    single = [integrate_atomistic(P, *run[:3], cfl=run[3]) for run in runs]
+    _record_steps(monkeypatch, reference_batch)
+    ref = [integrate_atomistic(P, *run[:3], cfl=run[3]) for run in runs]
+    for trajs in (single, ref):
+        for a, b in zip(got, trajs):
+            for name in ("times", "u", "v"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def test_batch_reports_the_inadmissible_run_with_its_own_time():
+    P = lj_chain()
+    quiet, kicked = _run(np.random.default_rng(3), P, 16, [1.0], 0.2), _kicked(P, 8, 5.0, [1.0])
+    with pytest.raises(SolverError, match=r"admissible region at t=") as alone:
+        integrate_atomistic(P, *kicked[:3], cfl=kicked[3])
+    for runs in ([quiet, kicked], [kicked, quiet]):
+        with pytest.raises(SolverError) as batch:
+            dynamics._integrate_runs(P, runs)
+        assert str(batch.value) == str(alone.value)
+
+
+def test_batch_names_the_time_of_its_non_finite_snapshot():
+    # run 1 (stacked second: fewer steps) turns NaN after t = 0.4 without
+    # raising, so only its snapshot at 0.6 can stop the batch
+    def grad(x, live, t):
+        g = np.zeros_like(x)
+        if 1 in live and t[live.index(1)] > 0.4:
+            g[8:12] = np.nan
+        return g
+
+    runs = [(np.zeros((8, 1)), np.ones((8, 1)), [0.25, 1.0], 0.1),
+            (np.zeros((4, 1)), np.ones((4, 1)), [0.3, 0.6], 0.1)]
+    with pytest.raises(SolverError, match=r"non-finite state at the snapshot t=0.6$"):
+        _verlet(runs, grad)
+
+
+def _failure(P, runs):
+    with pytest.raises(SolverError) as info:
+        dynamics._integrate_runs(P, runs)
+    return str(info.value)
+
+
+def test_batch_raises_the_earliest_lockstep_failure():
+    """The run failing at the earliest lockstep step raises; at one step, the
+    first in the order given, however the runs are stacked."""
+    P = lj_chain()
+    slow, fast = _kicked(P, 8, 5.0, [1.0]), _kicked(P, 16, 8.0, [1.0])
+    alone = {k: _failure(P, [run]) for k, run in (("slow", slow), ("fast", fast))}
+    t_fail = {k: float(msg.split("t=")[1].split(":")[0]) for k, msg in alone.items()}
+    assert t_fail["fast"] < t_fail["slow"]
+    assert _failure(P, [slow, fast]) == _failure(P, [fast, slow]) == alone["fast"]
+    # kicks 20 and 30 both fail at the first step, with different norms
+    short, long = _kicked(P, 8, 20.0, [0.5]), _kicked(P, 16, 30.0, [1.0])
+    first = {k: _failure(P, [run]) for k, run in (("short", short), ("long", long))}
+    assert first["short"] != first["long"]
+    for msg, T in zip(first.values(), (0.5, 1.0)):
+        dt = T / math.ceil(T / (0.2 / max_frequency(P)) - 1e-12)
+        assert msg.startswith(f"dynamics left the admissible region at t={dt:.6g}:")
+    assert _failure(P, [short, long]) == first["short"]
+    assert _failure(P, [long, short]) == first["long"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["lj", "eam"])
+def test_sweep_matches_the_per_job_reference(kind, workers):
+    """The lockstep sweep and the one-job-per-reference sweep agree exactly; the
+    EAM sweep repeats a spacing, so two of its runs take equal step counts."""
+    P, eps_list = {"lj": (lj_chain(), [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]),
+                   "eam": (eam_chain(), [1.0 / 16.0, 1.0 / 8.0, 1.0 / 16.0])}[kind]
+    data = InitialData(_sin_field(0.005 / (2.0 * np.pi)), _zero_field())
+    kw = dict(T=1.0 / 32.0, eps_list=eps_list, n_snap=3, n_grid=32, cfl=0.1, workers=workers)
+    got, ref = dynamic_error_sweep(P, data, **kw), reference_dynamic_error_sweep(P, data, **kw)
+    assert got == ref and repr(got) == repr(ref)
+    assert got["half_dt"]["error"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -490,29 +634,41 @@ def test_sweep_energy_drift_is_measured_from_t0():
 
 
 def test_sweep_maps_control_and_members_in_one_call(monkeypatch):
-    # two jobs, one per continuum reference: the sweep's own first, then the
-    # half-dt control, the finest spacing at half the CFL fraction.  No wave
-    # is solved before the map, and the job order does not change a bit of
-    # the result.
-    calls, solved = [], []
+    # two jobs: both continuum references (the sweep's wave, then the half-dt
+    # control's at half the CFL fraction), then every lattice run in one
+    # lockstep batch, the control (finest spacing, half the fraction) last.
+    # Nothing is solved or stepped before the map, and the job order does
+    # not change a bit of the result.
+    calls, solved, batches = [], [], []
 
     def reversed_map(fn, jobs, workers):
-        calls.append((jobs, list(solved)))
+        calls.append((jobs, list(solved), list(batches)))
         return [fn(job) for job in jobs[::-1]][::-1]
 
     def recorded_solve(M, data, snap_times, n_grid, cfl):
         solved.append(cfl)
         return solve_cb_wave(M, data, snap_times, n_grid=n_grid, cfl=cfl)
 
+    def recorded_batch(P, runs):
+        batches.append([(u0.lattice.N, cfl) for u0, _, _, cfl in runs])
+        return integrate_runs(P, runs)
+
     args = (_chain(), InitialData(_sin_field(), _zero_field()))
     kw = dict(T=1.0 / 16.0, eps_list=[1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0], n_snap=3, n_grid=32)
     ref = dynamic_error_sweep(*args, **kw)
+    integrate_runs = dynamics._integrate_runs
     monkeypatch.setattr(dynamics, "_map_members", reversed_map)
     monkeypatch.setattr(dynamics, "solve_cb_wave", recorded_solve)
+    monkeypatch.setattr(dynamics, "_integrate_runs", recorded_batch)
     assert dynamic_error_sweep(*args, **kw) == ref
-    ((jobs, solved_before),) = calls
-    assert solved_before == [] and solved == [0.1, 0.2]
-    assert [(job[4], job[6]) for job in jobs] == [(0.2, kw["eps_list"]), (0.1, [1.0 / 32.0])]
+    ((jobs, solved_before, batches_before),) = calls
+    assert solved_before == batches_before == []
+    assert solved == [0.2, 0.1]
+    assert batches == [[(8, 0.2), (16, 0.2), (32, 0.2), (32, 0.1)]]
+    assert [job[0] for job in jobs] == [dynamics._solve_waves, dynamics._lattice_runs]
+    assert jobs[0][1][3:] == (32, (0.2, 0.1))
+    assert jobs[1][1][3] == [(1.0 / 8.0, 0.2), (1.0 / 16.0, 0.2), (1.0 / 32.0, 0.2),
+                             (1.0 / 32.0, 0.1)]
 
 
 # ---------------------------------------------------------------------------

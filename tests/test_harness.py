@@ -872,8 +872,9 @@ def test_parallel_sweep_is_byte_identical(tmp_path, obj):
 
 def test_parallel_sweep_reports_its_own_continuum_failure(tmp_path, capsys):
     # c09: the sweep's wave loses hyperbolicity, and so, later, does the
-    # half-cfl control's.  The sweep's own job goes to the pool first, so at
-    # either worker count the run exits 3 with the sweep's wave's error.
+    # half-cfl control's.  The waves' job goes to the pool first and solves
+    # the sweep's wave first, so at either worker count the run exits 3 with
+    # the sweep's wave's error.
     path = CONFIGS / "dynamic_converge_lj.json"
     cfg = ExperimentConfig.from_file(path)
     v = cfg.values

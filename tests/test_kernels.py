@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcb.lattice import StencilSet, all_stencils, scatter_bonds
+from latcb.lattice import StencilSet, all_stencils, neighbour_plan, scatter_bonds, stacked_plan
 from latcb.potentials import (
     AdmissibilityError,
     EAMPotential,
@@ -181,6 +181,61 @@ def test_pair_kernel_admissibility_matches_generic(rng, d, bad):
         gradient_array(P, u)
     assert str(pair.value) == str(generic.value)
     assert ("non-finite" if bad == "nan" else "exceeds kappa") in str(pair.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.lists(st.integers(4, 8), min_size=1, max_size=3),
+       st.sampled_from(("pair", "eam", "harmonic")))
+def test_stacked_cells_match_their_own_kernels_bit_for_bit(case, periods, kind):
+    """Cells laid end to end with ``stacked_plan``: each cell's stencils, scatter and
+    gradient rows are those of the kernels on the cell alone."""
+    S, N, rng = case
+    if kind == "harmonic":
+        P, S, shapes = HarmonicChain.build(2.0, -0.25), StencilSet.ball(1, 2.0), [(N,)]
+    else:
+        P, shapes = _potential(kind, S), [(N,) * S.d]
+    shapes += [(n,) * S.d for n in periods]
+    d = S.d
+    us = [_state(rng, shape[0], d) for shape in shapes]
+    Vrs = [rng.standard_normal(shape + (S.n, d)) for shape in shapes]
+    plan = stacked_plan(shapes, S)
+    rows = np.cumsum([0] + [u[..., 0].size for u in us])
+    stacked = [np.concatenate([a.reshape(-1, *a.shape[d:]) for a in arrays])
+               for arrays in (us, Vrs)]
+    got = (all_stencils(stacked[0], S, plan), scatter_bonds(stacked[1], S, plan),
+           gradient_array(P, stacked[0], plan))
+    for i, (u, Vr) in enumerate(zip(us, Vrs)):
+        want = (all_stencils(u, S), scatter_bonds(Vr, S), gradient_array(P, u))
+        for g, w in zip(got, want):
+            assert g[rows[i]:rows[i + 1]].tobytes() == w.tobytes()
+
+
+def test_stacked_plan_offsets_each_cell(rng):
+    S = StencilSet.ball(1, 2.0)
+    assert stacked_plan([(6,)], S) is neighbour_plan((6,), S)
+    plan = stacked_plan([(6,), (4,)], S)
+    assert plan is stacked_plan(((6,), (4,)), S)
+    for table, one, two, start in zip(plan, neighbour_plan((6,), S), neighbour_plan((4,), S),
+                                      (6, 6 * S.n, 6)):
+        assert not table.flags.writeable
+        tail = table[6:] if table.shape[0] == 10 else table[:, 6:]
+        head = table[:6] if table.shape[0] == 10 else table[:, :6]
+        assert np.array_equal(head, one) and np.array_equal(tail, two + start)
+
+
+@pytest.mark.parametrize("kind", ["pair", "eam"])
+def test_stacked_admissibility_fails_when_one_cell_does(rng, kind):
+    """The rule over stacked cells is the rule over each: one bad cell rejects all."""
+    P = _potential(kind, StencilSet.ball(1, 2.0))
+    u = [rng.uniform(-0.01, 0.01, (N, 1)) for N in (8, 6)]
+    plan = stacked_plan([(8,), (6,)], P.S)
+    gradient_array(P, np.concatenate(u), plan)
+    u[1][2, 0] = 0.4
+    with pytest.raises(AdmissibilityError) as alone:
+        gradient_array(P, u[1])
+    with pytest.raises(AdmissibilityError) as stacked:
+        gradient_array(P, np.concatenate(u), plan)
+    assert str(stacked.value) == str(alone.value)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,9 +1,12 @@
 """Reference velocity-Verlet stepper that forms new arrays on every step.
 
 This is ``latcb.dynamics._verlet`` as it was before the state was updated
-in place: each step builds ``v_half``, ``x`` and ``v`` as fresh arrays and
-each snapshot stores the arrays themselves.  The tests swap it in for the
-in-place stepper and compare trajectories bit for bit.
+in place and before runs were stepped in lockstep: each step builds
+``v_half``, ``x`` and ``v`` as fresh arrays, each snapshot stores the
+arrays themselves, and one call steps one run.  ``reference_batch`` has the
+lockstep stepper's signature and steps each of its runs alone with it; the
+tests swap it in for the library's stepper and compare trajectories bit
+for bit.
 """
 
 from __future__ import annotations
@@ -47,3 +50,10 @@ def reference_verlet(x, v, accel, snap_times, dt_target: float) -> Trajectory:
         xs.append(x)
         vs.append(v)
     return Trajectory(np.array(times), np.stack(xs), np.stack(vs))
+
+
+def reference_batch(runs, grad) -> list:
+    """``_verlet(runs, grad)`` stepping each run alone with ``reference_verlet``, at
+    the acceleration ``-grad``."""
+    return [reference_verlet(x, v, lambda y, t, i=i: -grad(y, (i,), [t]), snap, dt_target)
+            for i, (x, v, snap, dt_target) in enumerate(runs)]

@@ -35,9 +35,9 @@ def reference_solve_cb_wave(M, data, snap_times, n_grid: int = 128, cfl: float =
             )
         return up, mods
 
-    def accel(Uv, t):
-        up, _ = checked_moduli(Uv, t)
-        return _spectral_ddx(M.stress(up[:, None, None])[:, 0, 0])
+    def grad(Uv, live, t):
+        up, _ = checked_moduli(Uv, t[0])
+        return -_spectral_ddx(M.stress(up[:, None, None])[:, 0, 0])
 
     c_max = float(np.sqrt(np.max(checked_moduli(U)[1])))
-    return _verlet(U, V, accel, snap_times, cfl / (n_grid * c_max))
+    return _verlet([(U, V, snap_times, cfl / (n_grid * c_max))], grad)[0]
