@@ -467,6 +467,14 @@ def instability_demo(
     the Cauchy-Born modulus ``cb_modulus`` of the unstable chain at F = 0,
     a1 + 4 a2, which is positive: its continuum is stable and blind to the
     lattice-scale instability.
+
+    Each chain is built once.  The runs share their snapshot times and CFL
+    fraction and go through ``_integrate_runs`` as two lockstep batches,
+    each run with the bits of its own call: first the unstable chain's
+    alternating and smooth probes, then the stable chain's probe.  So a
+    failure of the unstable chain raises first, from whichever of its two
+    runs fails at the earlier lockstep step (at one step, the alternating
+    run), and the stable chain is not run.
     """
     N = supercell_period(eps)
     if N % 2:
@@ -474,26 +482,24 @@ def instability_demo(
     T_end = 3.0 * abs(math.log(eps))
     lattice = LatticeSpec(d=1, A=np.eye(1), N=N)
     zero = DisplacementField.zeros(lattice)
+    n_snap = max(64, int(math.ceil(T_end / 0.1)))
+    snap = np.linspace(0.0, T_end, n_snap + 1)
+    unstable, stable = (HarmonicChain.build(a1=a[0], a2=a[1]) for a in (a_unstable, a_stable))
 
-    def chain(a):
-        return HarmonicChain.build(a1=a[0], a2=a[1])
+    def runs(P, *probe_kinds):
+        """Snapshot times and velocity norms of each probe's run on the chain ``P``."""
+        kicks = [DisplacementField(lattice, eps**2 * _probe_field(lattice, kind))
+                 for kind in probe_kinds]
+        trajs = _integrate_runs(P, [(zero, v0, snap, cfl) for v0 in kicks])
+        return [(traj.times, np.array([_l2(v) for v in traj.v])) for traj in trajs]
 
-    def run(P, probe_kind):
-        v0 = DisplacementField(lattice, eps**2 * _probe_field(lattice, probe_kind))
-        n_snap = max(64, int(math.ceil(T_end / 0.1)))
-        snap = np.linspace(0.0, T_end, n_snap + 1)
-        traj = integrate_atomistic(P, zero, v0, snap, cfl=cfl)
-        norms = np.array([_l2(traj.v[j]) for j in range(len(traj.times))])
-        return traj.times, norms
-
-    t_u, n_u = run(chain(a_unstable), "alternating")
+    (t_u, n_u), (_, n_w) = runs(unstable, "alternating", "smooth")
+    [(_, n_s)] = runs(stable, "alternating")
     in_window = t_u >= window_start
     bound = 0.5 * eps**2 * np.exp(t_u[in_window])
     growth_ratios = n_u[in_window] / bound
-    t_s, n_s = run(chain(a_stable), "alternating")
-    t_w, n_w = run(chain(a_unstable), "smooth")
 
-    cb_modulus = float(CBModel(chain(a_unstable)).moduli(np.zeros((1, 1)))[0, 0, 0, 0])
+    cb_modulus = float(CBModel(unstable).moduli(np.zeros((1, 1)))[0, 0, 0, 0])
     return {
         "eps": float(eps),
         "window": [float(window_start), float(T_end)],

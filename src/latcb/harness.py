@@ -12,6 +12,7 @@ byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -417,17 +418,45 @@ def _atomic_write(path: Path, text: str):
 
 def _format_value(v) -> str:
     """A CSV cell: a float by its shortest round-trip repr, anything else by str.
-    Exact Python floats, the cells of ``tolist()`` rows, take the first test."""
+    Exact Python floats, the cells of ``tolist()`` rows, take the first test;
+    ``write_csv`` formats them in bulk with the same text."""
     if type(v) is float:
         return repr(v)
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
+def _cell_texts(rows: list) -> list:
+    """``_format_value`` of every cell of ``rows``, in order, formatting each
+    distinct bit pattern of the exact Python floats among them once.
+
+    The floats are grouped by bit pattern, not by value, which would merge
+    0.0 with -0.0; each group's text is scattered back to its cells.
+    """
+    texts = np.fromiter(itertools.chain.from_iterable(rows), dtype=object)
+    is_float = np.array([type(v) is float for v in texts], dtype=bool)
+    keys, inverse = np.unique(texts[is_float].astype(float).view(np.uint64),
+                              return_inverse=True)
+    # float.__repr__ of each np.float64 key: the repr of the Python float of its bits
+    key_texts = np.array(list(map(float.__repr__, keys.view(float))), dtype=object)
+    texts[is_float] = key_texts[inverse]
+    other = ~is_float
+    texts[other] = list(map(_format_value, texts[other]))
+    return texts.tolist()
+
+
 def write_csv(path: Path, comments, columns, rows):
+    """Comment lines, the column line and one line per row (a sequence of cells,
+    of any length) of ``_format_value`` texts, written atomically.
+
+    The cells of the whole table are formatted in one pass (``_cell_texts``);
+    the text is the per-row loop's, kept as the oracle ``tests/csv_reference.py``.
+    """
+    rows = list(rows)
+    # each row takes its own number of texts off one iterator
+    texts = iter(_cell_texts(rows))
     lines = [f"# {c}" for c in comments]
     lines.append("# columns: " + ",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(_format_value, row)))
+    lines.extend(map(",".join, map(itertools.islice, itertools.repeat(texts), map(len, rows))))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 

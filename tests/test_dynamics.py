@@ -38,6 +38,7 @@ from hat_quadrature import zeta_convolve
 import offset_gap
 from point_gap import trig_grad
 from dynamic_sweep_reference import reference_dynamic_error_sweep
+import instability_demo_reference
 from verlet_reference import reference_batch
 from wave_reference import reference_solve_cb_wave
 
@@ -705,8 +706,29 @@ def test_instability_demo_computes_no_energy(monkeypatch):
 
     for name in ("total_energy", "gradient_array"):
         monkeypatch.setattr(dynamics, name, counting(name))
+    batches = []
+    integrate_runs = dynamics._integrate_runs
+
+    def batched(P, runs):
+        batches.append(len(runs))
+        return integrate_runs(P, runs)
+
+    monkeypatch.setattr(dynamics, "_integrate_runs", batched)
     instability_demo(1.0 / 64.0)
-    assert (calls.count("total_energy"), calls.count("gradient_array")) == (0, 503)
+    # the unstable chain's two probes step in one batch (125 steps), then the
+    # stable chain's probe (250 steps), each batch with one force call per step
+    # plus the first
+    assert (calls.count("total_energy"), calls.count("gradient_array")) == (0, 377)
+    assert batches == [2, 1]
+
+
+@pytest.mark.parametrize("eps", [1.0 / 16.0, 1.0 / 64.0])
+def test_instability_demo_matches_the_sequential_reference(eps):
+    """The two batches give the three single runs' result, bit for bit."""
+    got = instability_demo(eps)
+    want = instability_demo_reference.instability_demo(eps)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_instability_demo_requires_even_reciprocal():

@@ -5,13 +5,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latcb
@@ -37,6 +39,7 @@ from latcb.stability import legendre_hadamard_min, stability_constant
 from latcb.static import SolverError
 from latcb.stress import CBModel
 
+import csv_reference
 from point_gap import trig_grad
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -306,6 +309,48 @@ def test_csv_cells_format_by_one_rule(tmp_path):
     line = (tmp_path / "cells.csv").read_text().splitlines()[-1]
     assert line == ("True,False,3,4,0.1,0.1,0.10000000149011612,5e-324,gamma,None,nan,nan,inf,"
                     "-inf,-inf,-0.0,-0.0,1e-310,0.3333333333333333")
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_SIGNED_NANS = [_bits_float(b) for b in (0x7FF8000000000000, 0xFFF8000000000000,
+                                         0x7FF8000000000001, 0xFFF0000000000001)]
+_CSV_SPECIALS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072e-308,
+                 *_SIGNED_NANS, np.float64(-0.0), np.float32(-0.0), np.float64(math.nan)]
+_csv_cells = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits_float),  # any bit pattern: NaN payloads, subnormals
+    st.floats(allow_subnormal=True),
+    st.sampled_from(_CSV_SPECIALS),
+    st.floats(allow_subnormal=True).map(np.float64),
+    st.floats(width=32, allow_subnormal=True).map(np.float32),
+    st.integers(-2**70, 2**70),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(alphabet="ab,-. ", max_size=3),
+    st.none(),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_csv_cells, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), max_size=6), max_size=8)))
+@example([])
+@example([[]])
+@example([[0.0, 1.5], [-0.0, 1.5], [0.0, -1.5]])
+@example([[x] for x in _SIGNED_NANS + [math.inf, -math.inf, 5e-324, -0.0, 0.0]])
+@example([[1.5, "a", None], [], [True, np.float32(0.1), 0.1, 3, np.float64(0.1)], [2.5]])
+def test_csv_matches_the_per_row_reference(rows):
+    """Bytes of the one-pass writer equal the per-row loop's, on mixed-type and
+    ragged tables that repeat cells (NaNs of any sign and payload, +-inf,
+    subnormals, 0.0 next to -0.0), the empty table and zero-length rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        args = (["c1", "c2"], ["a", "b"], rows)
+        write_csv(got, *args)
+        csv_reference.write_csv(want, *args)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_run_outputs_are_byte_identical(tmp_path):
