@@ -93,9 +93,10 @@ def make_initial_data(
 # time stepping (shared by the lattice and the continuum)
 # ---------------------------------------------------------------------------
 
-def _intervals(snap_times, dt_target: float) -> list:
-    """``(steps, dt, t)`` of each snapshot interval: its equal steps no longer than
-    ``dt_target``, their size, and the time its snapshot records."""
+def _schedule(snap_times, dt_target: float) -> dict:
+    """``{lockstep step: (times, h)}`` of one run from step 0: the snapshot times it
+    records there (one within 1e-14 of the current time records that time) and the
+    size ``h <= dt_target`` of the equal steps it takes next (None after the last)."""
     snap_times = np.asarray(snap_times, dtype=float)
     times = snap_times.tolist()
     if (
@@ -107,16 +108,16 @@ def _intervals(snap_times, dt_target: float) -> list:
         raise ValueError("snapshot times must be finite, >= 0 and strictly increasing")
     if not 0.0 < dt_target < math.inf:
         raise ValueError(f"the time step {dt_target:.6g} is not a finite positive number")
-    t, out = 0.0, []
+    step, t, table = 0, 0.0, {0: ([], None)}
     for t_snap in times:
         span = t_snap - t
         if span > 1e-14:
             n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
-            out.append((n_steps, span / n_steps, t_snap))
-            t = t_snap  # snapshots land exactly, whatever the steps' roundoff
-        else:
-            out.append((0, 0.0, t))
-    return out
+            table[step] = (table[step][0], span / n_steps)
+            step, t = step + n_steps, t_snap  # snapshots land exactly, whatever the roundoff
+            table[step] = ([], None)
+        table[step][0].append(t)
+    return table
 
 
 def _verlet(runs, grad) -> list:
@@ -127,21 +128,22 @@ def _verlet(runs, grad) -> list:
     must be finite, nonnegative and strictly increasing and the step
     target a finite positive number, else ValueError before any step.
     Each snapshot interval is split into equal steps no longer than
-    ``dt_target`` so snapshots land exactly, and a snapshot at the current
-    time records without stepping.
+    ``dt_target`` so snapshots land exactly (``_schedule``), and a snapshot
+    at the current time records without stepping.
 
     The states are stacked along the first axis, the runs with more steps
     first (ties in the order given), so the runs still stepping fill a
     prefix of the stack.  Every step calls ``grad(x, live, t)`` once on
     that prefix for the negative acceleration (the energy gradient):
     ``live`` holds the indices of its runs in stacking order (a new tuple
-    only when a run ends) and ``t`` their current times.  Each step's half
-    kicks ``v -= (0.5 dt) g`` and drift ``x += dt v`` multiply by per-row
-    arrays of ``0.5 dt`` and ``dt``, refreshed when a run enters a snapshot
-    interval, into one reused buffer.  Elementwise that is the scalar
-    product, and ``v - h g`` is ``v + h (-g)``, so each run has the bits of
-    stepping it alone with the acceleration ``-g``.  A snapshot copies the
-    run's rows.
+    only when a run ends) and ``t`` their current times.  The runs step
+    from event to event of their schedules; at each event a run records
+    its snapshots and, entering an interval, sets its rows of the per-row
+    arrays of ``0.5 dt`` and ``dt``.  Each step's half kicks
+    ``v -= (0.5 dt) g`` and drift ``x += dt v`` multiply by those arrays
+    into one reused buffer.  Elementwise that is the scalar product, and
+    ``v - h g`` is ``v + h (-g)``, so each run has the bits of stepping it
+    alone with the acceleration ``-g``.  A snapshot copies the run's rows.
 
     Failures: the earliest lockstep step at which a run fails raises.
     Within a step the gradient comes before the snapshots, and runs are
@@ -149,62 +151,46 @@ def _verlet(runs, grad) -> list:
     runs); a non-finite snapshot raises ``SolverError`` with its run's
     time.  Returns one ``Trajectory`` per run, in the order given.
     """
-    plans = [_intervals(snap, dt_target) for _, _, snap, dt_target in runs]
-    totals = [sum(n for n, _, _ in plan) for plan in plans]
+    tables = [_schedule(snap, dt_target) for _, _, snap, dt_target in runs]
+    totals = [max(table) for table in tables]
     order = sorted(range(len(runs)), key=totals.__getitem__, reverse=True)
-    k, live, step, k_views = len(runs), tuple(order), 0, None
+    where = sorted(range(len(runs)), key=order.__getitem__)  # each run's stacking position
+    live, step, k_views = tuple(order), 0, None
     x = np.concatenate([runs[i][0] for i in order])
-    t = np.zeros(k)  # each run's time, in stacking order
+    t = np.zeros(len(runs))  # each run's time, in stacking order
     g = grad(x, live, t)
     v = np.concatenate([runs[i][1] for i in order])
     bounds = list(itertools.accumulate((len(runs[i][0]) for i in order), initial=0))
-    dt, half, kick, t_step = np.empty_like(x), np.empty_like(x), np.empty_like(x), np.zeros(k)
+    dt, half, kick, t_step = np.empty_like(x), np.empty_like(x), np.empty_like(x), np.zeros_like(t)
     snaps = [([], [], []) for _ in runs]
-    pos = [0] * len(runs)  # each run's next snapshot
-    ends = [0] * len(runs)  # the lockstep step that ends each run's interval
-
-    def arrive(p, step, stepped):
-        """Record the snapshots of the run at ``p`` due at ``step`` (``stepped``: its
-        interval has just been stepped through), then enter its next interval."""
-        i, r0, r1 = order[p], bounds[p], bounds[p + 1]
-        while pos[p] < len(plans[i]):
-            n_steps, h, t_rec = plans[i][pos[p]]
-            if n_steps and not stepped:
-                ends[p] = step + n_steps
-                if h != t_step[p]:
-                    dt[r0:r1], half[r0:r1], t_step[p] = h, 0.5 * h, h
-                return
-            stepped, t[p] = False, t_rec
-            xp, vp = x[r0:r1], v[r0:r1]
-            if not (np.isfinite(xp).all() and np.isfinite(vp).all()):
-                raise SolverError(f"non-finite state at the snapshot t={t_rec:.6g}")
-            times, xs, vs = snaps[i]
-            times.append(t_rec)
-            xs.append(xp.copy())
-            vs.append(vp.copy())
-            pos[p] += 1
-
-    for p in sorted(range(k), key=order.__getitem__):
-        arrive(p, step, False)
-    while True:
-        while k and totals[order[k - 1]] <= step:
-            k -= 1
-        if not k:
-            break
-        if k != k_views:  # a run has ended: step the shorter prefix
+    for stop in sorted(set().union(*tables)):
+        k = sum(total >= stop for total in totals)
+        if k != k_views and step < stop:  # a run has ended: step the shorter prefix
             k_views, live, n = k, tuple(order[:k]), bounds[k]
             xk, vk, dtk, halfk, kickk, g = (arr[:n] for arr in (x, v, dt, half, kick, g))
             tk, t_stepk = t[:k], t_step[:k]
-        next_end = min(ends[:k])
-        while step < next_end:
+        while step < stop:
             vk -= np.multiply(halfk, g, out=kickk)
             xk += np.multiply(dtk, vk, out=kickk)
             tk += t_stepk
             step += 1
             g = grad(xk, live, tk)
             vk -= np.multiply(halfk, g, out=kickk)
-        for p in sorted((p for p in range(k) if ends[p] == step), key=order.__getitem__):
-            arrive(p, step, True)
+        for i, table in enumerate(tables):
+            if stop not in table:
+                continue
+            p, (times, h) = where[i], table[stop]
+            r0, r1 = bounds[p], bounds[p + 1]
+            xp, vp = x[r0:r1], v[r0:r1]
+            for t_rec in times:
+                t[p] = t_rec
+                if not (np.isfinite(xp).all() and np.isfinite(vp).all()):
+                    raise SolverError(f"non-finite state at the snapshot t={t_rec:.6g}")
+                snaps[i][0].append(t_rec)
+                snaps[i][1].append(xp.copy())
+                snaps[i][2].append(vp.copy())
+            if h is not None:
+                dt[r0:r1], half[r0:r1], t_step[p] = h, 0.5 * h, h
     return [Trajectory(np.array(times), np.stack(xs), np.stack(vs)) for times, xs, vs in snaps]
 
 
@@ -237,9 +223,9 @@ def _integrate_runs(P: Potential, runs) -> list:
     potential, in lockstep (see ``_verlet``), each with its own bits.
 
     Every step evaluates the forces once, on the live runs' cells laid end
-    to end (``stacked_plan``).  When that state is inadmissible, the live
-    runs are evaluated one by one, in the order given, and the first that
-    fails raises with its own time and norm.
+    to end (``stacked_plan``, built once per set of live runs).  When that
+    state is inadmissible, the live runs are evaluated one by one, in the
+    order given, and the first that fails raises with its own time and norm.
     """
     w, d = max_frequency(P), P.d
     cells = [u0.values.shape[:-1] for u0, *_ in runs]
@@ -251,8 +237,8 @@ def _integrate_runs(P: Potential, runs) -> list:
             plan = plans[live] = stacked_plan([cells[i] for i in live], P.S)
         try:
             return gradient_array(P, x, plan)
-        except AdmissibilityError as exc:
-            p, exc = (0, exc) if len(live) == 1 else _first_inadmissible(P, x, cells, live)
+        except AdmissibilityError:
+            p, exc = _first_inadmissible(P, x, cells, live)
             raise SolverError(f"dynamics left the admissible region at t={t[p]:.6g}: {exc}")
 
     trajs = _verlet([(u0.values.reshape(-1, d), v0.values.reshape(-1, d), snap, cfl / w)
@@ -334,13 +320,6 @@ def solve_cb_wave(
 # convergence sweep
 # ---------------------------------------------------------------------------
 
-def _dynamic_job(job):
-    """One job ``(fn, args)`` of the dynamic sweep: ``fn(*args)`` (module-level so
-    process pools can pickle it)."""
-    fn, args = job
-    return fn(*args)
-
-
 def _solve_waves(P: Potential, data: InitialData, cb_times, n_grid: int, cfls) -> list:
     """The continuum references of the sweep: the wave at each CFL fraction, in order."""
     return [solve_cb_wave(CBModel(P), data, cb_times, n_grid=n_grid, cfl=c) for c in cfls]
@@ -406,7 +385,7 @@ def dynamic_error_sweep(
     # across the sweep, so its dt error is a common bias that an
     # atomistic-only control would miss entirely.
     runs = [(eps, cfl) for eps in eps_list] + [(finest, 0.5 * cfl)]
-    waves, trajs = _map_members(_dynamic_job, [
+    waves, trajs = _map_members([
         (_solve_waves, (P, data, cb_times, n_grid, (cfl, 0.5 * cfl))),
         (_lattice_runs, (P, data, cb_times, runs)),
     ], workers)

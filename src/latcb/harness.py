@@ -229,8 +229,8 @@ class ExperimentConfig:
     def from_file(cls, path) -> ExperimentConfig:
         path = Path(path)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         try:
             obj = json.loads(text)
@@ -412,8 +412,12 @@ def fit_rate(eps_list, errors, noise_floor=None) -> RateReport:
 
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _format_value(v) -> str:
@@ -661,30 +665,30 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
         report_fields, columns, rows = EXPERIMENTS[cfg.experiment](cfg, workers)
         report_fields["checks"] = _evaluate_checks(cfg, report_fields)
+        passed = all(c["passed"] for c in report_fields["checks"])
+        comments = [
+            f"latcb {__version__}",
+            f"experiment: {cfg.experiment}",
+            f"config sha256: {cfg.config_hash}",
+            f"seed: {cfg.seed}",
+        ]
+        write_csv(out / f"{cfg.name}.csv", comments, columns, rows)
+        report = {
+            "experiment": cfg.experiment,
+            "name": cfg.name,
+            "version": __version__,
+            "config_sha256": cfg.config_hash,
+            "seed": cfg.seed,
+            "passed": passed,
+        }
+        report.update(report_fields)
+        _atomic_write(
+            out / f"{cfg.name}.report.json",
+            json.dumps(report, indent=2, sort_keys=True) + "\n",
+        )
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    passed = all(c["passed"] for c in report_fields["checks"])
-    comments = [
-        f"latcb {__version__}",
-        f"experiment: {cfg.experiment}",
-        f"config sha256: {cfg.config_hash}",
-        f"seed: {cfg.seed}",
-    ]
-    write_csv(out / f"{cfg.name}.csv", comments, columns, rows)
-    report = {
-        "experiment": cfg.experiment,
-        "name": cfg.name,
-        "version": __version__,
-        "config_sha256": cfg.config_hash,
-        "seed": cfg.seed,
-        "passed": passed,
-    }
-    report.update(report_fields)
-    _atomic_write(
-        out / f"{cfg.name}.report.json",
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-    )
     for c in report_fields["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {cfg.name}:{c['name']} observed={c['observed']} ({c['constraint']})")

@@ -271,32 +271,26 @@ def neighbour_plan(shape, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.nda
     return _plan(tuple(shape), S.directions.tobytes())
 
 
-@lru_cache(maxsize=64)
-def _stacked_plan(shapes: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    plans = [_plan(shape, dir_bytes) for shape in shapes]
-    if len(plans) == 1:
-        return plans[0]
-    n = plans[0][0].shape[1]
-    starts = np.cumsum([0] + [math.prod(shape) for shape in shapes[:-1]])
-    gather = np.concatenate([g + s for (g, _, _), s in zip(plans, starts)])
-    scatter = np.concatenate([sc + s * n for (_, sc, _), s in zip(plans, starts)], axis=1)
-    half = np.concatenate([h + s for (_, _, h), s in zip(plans, starts)], axis=1)
-    for table in (gather, scatter, half):
-        table.flags.writeable = False
-    return gather, scatter, half
-
-
 def stacked_plan(shapes, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached ``neighbour_plan`` tables of the periodic cells ``shapes`` laid end to end.
+    """``neighbour_plan`` tables of the periodic cells ``shapes`` laid end to end.
 
     The cells' sites are stacked in row-major order, cell after cell; each
     cell's tables are its own ``neighbour_plan``, with site indices offset
     by the cell's first site (scatter addresses by that times ``S.n``).
     Every site keeps its own neighbours, so the kernels given these tables
     compute each cell's values bit for bit as on the cell alone.  One cell
-    gives its ``neighbour_plan``.
+    gives its (cached) ``neighbour_plan``; more are built anew, read-only.
     """
-    return _stacked_plan(tuple(tuple(shape) for shape in shapes), S.directions.tobytes())
+    plans = [neighbour_plan(shape, S) for shape in shapes]
+    if len(plans) == 1:
+        return plans[0]
+    starts = np.cumsum([0] + [math.prod(shape) for shape in shapes[:-1]])
+    gather = np.concatenate([g + s for (g, _, _), s in zip(plans, starts)])
+    scatter = np.concatenate([sc + s * S.n for (_, sc, _), s in zip(plans, starts)], axis=1)
+    half = np.concatenate([h + s for (_, _, h), s in zip(plans, starts)], axis=1)
+    for table in (gather, scatter, half):
+        table.flags.writeable = False
+    return gather, scatter, half
 
 
 def all_stencils(values: np.ndarray, S: StencilSet, plan=None) -> np.ndarray:

@@ -276,9 +276,8 @@ class Potential(_ReadOnlyState):
 
     Potentials are immutable: ``__post_init__`` derives the reference bonds
     and the variant's reference values once, as read-only arrays, and
-    ``force_constants`` and ``zone_max_frequency`` are computed on first use
-    and kept.  The arrays stay read-only through pickling (see
-    ``_ReadOnlyState``).
+    ``force_constants`` is computed on first use and kept.  The arrays stay
+    read-only through pickling (see ``_ReadOnlyState``).
 
     A slot-diagonal variant sets ``hessian_blocks`` and inherits
     ``site_hessian``, which places the blocks on the diagonal, so the two
@@ -348,14 +347,6 @@ class Potential(_ReadOnlyState):
         half, W = half[:, keep], W[keep]
         half.flags.writeable = W.flags.writeable = False
         return half, W
-
-    @cached_property
-    def zone_max_frequency(self) -> float:
-        """``stability.max_frequency`` on its default zone grid (``ZONE_GRID[d]``),
-        which sets every lattice run's step; an explicit grid is not cached."""
-        from .stability import ZONE_GRID, _zone_max  # stability imports this module
-
-        return _zone_max(self, ZONE_GRID[self.d])
 
     # -- admissibility ------------------------------------------------------
 

@@ -227,14 +227,9 @@ def max_frequency(P: Potential, n_grid: int | None = None) -> float:
     (LJ square 16.969312 against 16.970485, EAM square 20.060326 against
     20.061733), which the CFL fraction absorbs.  For unstable potentials
     this also dominates the exponential growth rate sqrt(-lambda_min), so a
-    CFL fraction of it is safe either way.  The default-grid value is
-    computed once per potential and kept (``Potential.zone_max_frequency``).
+    CFL fraction of it is safe either way.
     """
-    return P.zone_max_frequency if n_grid is None else _zone_max(P, n_grid)
-
-
-def _zone_max(P: Potential, n_grid: int) -> float:
-    """``max_frequency`` from the cell midpoints of an ``n_grid^d`` zone grid."""
+    n_grid = ZONE_GRID[P.d] if n_grid is None else n_grid
     lam = _eigvalsh(dynamical_symbol(P, zone_grid(P.d, n_grid, offset=0.5)))
     return float(np.sqrt(np.max(np.abs(lam))))
 

@@ -421,16 +421,18 @@ def _require_stable(P: Potential) -> None:
         raise SolverError(f"reference lattice is unstable (gamma={gamma:.6g})")
 
 
-def _map_members(fn, jobs: list, workers: int) -> list:
-    """``fn`` of each sweep job (one per continuum reference), in order, in a
-    process pool when ``workers > 1``, capped at the CPU count and the job count."""
+def _map_members(jobs: list, workers: int) -> list:
+    """``fn(*args)`` of each sweep job ``(fn, args)`` (``fn`` module-level, to pickle),
+    in a process pool when ``workers > 1``, capped at the CPU count and the job
+    count.  Results are read in job order, so the first failing job raises first."""
     n_proc = min(workers, os.cpu_count() or 1, len(jobs))
     if n_proc > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            futures = [pool.submit(fn, *args) for fn, args in jobs]
+            return [f.result() for f in futures]
+    return [fn(*args) for fn, args in jobs]
 
 
 def _static_member(P: Potential, U_c: TrigField, F: MacroForce, eps, tol, q) -> dict:
@@ -448,10 +450,9 @@ def _static_member(P: Potential, U_c: TrigField, F: MacroForce, eps, tol, q) -> 
     }
 
 
-def _static_run(job) -> dict:
-    """One load of the static sweep (module-level so process pools can pickle it):
-    its Cauchy-Born equilibrium, then every spacing's member against it."""
-    P, F, eps_list, n_grid, tol, q = job
+def _static_run(P: Potential, F: MacroForce, eps_list, n_grid, tol, q) -> dict:
+    """One load of the static sweep: its Cauchy-Born equilibrium, then every
+    spacing's member against it."""
     cb = solve_cb_static(CBModel(P), F, n_grid=n_grid, tol=min(tol, 1e-10))
     return {"cb_residual": cb.residual,
             "members": [_static_member(P, cb.field, F, eps, tol, q) for eps in eps_list]}
@@ -479,7 +480,7 @@ def static_converge_sweep(
     _require_stable(P)
     loads = {"full": F, "half": F.scaled(0.5)}
     runs = dict(zip(loads, _map_members(
-        _static_run, [(P, load, eps_list, n_grid, tol, q) for load in loads.values()], workers)))
+        [(_static_run, (P, load, eps_list, n_grid, tol, q)) for load in loads.values()], workers)))
 
     errors = [m["error"] for m in runs["full"]["members"]]
     errors_half = [m["error"] for m in runs["half"]["members"]]

@@ -38,9 +38,8 @@ def reference_dynamic_member(P, data, cb_times, cb_U, cb_V, eps, cfl, q) -> dict
     }
 
 
-def reference_dynamic_run(job) -> list:
+def reference_dynamic_run(P, data, cb_times, n_grid, cfl, q, spacings) -> list:
     """One continuum reference: the wave at CFL fraction ``cfl``, then its members."""
-    P, data, cb_times, n_grid, cfl, q, spacings = job
     cb = solve_cb_wave(CBModel(P), data, cb_times, n_grid=n_grid, cfl=cfl)
     cb_U, cb_V = ([TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v))
     return [reference_dynamic_member(P, data, cb_times, cb_U, cb_V, eps, cfl, q)
@@ -54,8 +53,7 @@ def reference_dynamic_error_sweep(P, data, T, eps_list, n_snap=17, n_grid=128, c
     cb_times = np.linspace(0.0, T, n_snap)
     finest = min(eps_list)
     members, (control,) = _map_members(
-        reference_dynamic_run,
-        [(P, data, cb_times, n_grid, c, q, spacings)
+        [(reference_dynamic_run, (P, data, cb_times, n_grid, c, q, spacings))
          for c, spacings in ((cfl, list(eps_list)), (0.5 * cfl, [finest]))],
         workers,
     )

@@ -1,8 +1,10 @@
 """The public API: every exported name resolves, the package exports a fixed
-list, and importing it loads no scipy module."""
+list, importing it loads no scipy module, and its modules import each other
+without a cycle."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -116,3 +118,28 @@ def test_import_leaves_scipy_optimize_out():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_no_import_cycle_inside_the_package():
+    # every ``from .x import`` of every module, function-local ones included:
+    # a local import that closes a cycle hides it from import order alone
+    graph = {}
+    for path in Path(latcb.__file__).resolve().parent.glob("*.py"):
+        graph[path.stem] = {node.module.split(".")[0] for node in ast.walk(ast.parse(path.read_text()))
+                            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+    assert {"potentials", "stability"} <= graph["static"]  # the parse sees the imports
+    done = set()
+
+    def cycle_from(name, path):
+        """A cycle reachable from ``name`` along ``path``, as a list of modules."""
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name not in done:
+            for dep in sorted(graph.get(name, ())):
+                if found := cycle_from(dep, path + [name]):
+                    return found
+            done.add(name)
+        return None
+
+    cycles = [cycle for name in sorted(graph) if (cycle := cycle_from(name, []))]
+    assert not cycles, "import cycle: " + " -> ".join(cycles[0])

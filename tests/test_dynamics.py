@@ -363,12 +363,15 @@ def test_batch_runs_match_single_runs_bit_for_bit(monkeypatch, rng, kind):
     """Each run of a batch has the bits of ``integrate_atomistic`` on it alone and
     of the out-of-place reference stepper.  The batch mixes a first snapshot at
     t = 0 and after it, two runs with equal step counts, a run that never
-    steps and two step sizes, and evaluates the forces once per lockstep step."""
+    steps, two step sizes and a snapshot within 1e-14 of the one before it
+    mid-run (it records that time without stepping), and evaluates the
+    forces once per lockstep step."""
     P = {"lj": lj_chain, "eam": eam_chain, "harmonic": _chain, "eam_square": eam_square}[kind]()
     n = (6, 4, 4, 8) if P.d == 2 else (32, 16, 16, 8)
     runs = [_run(rng, P, n[0], [0.0, 0.5, 1.0], 0.2), _run(rng, P, n[1], [0.25, 0.75], 0.2),
             _run(rng, P, n[2], [0.25, 0.75], 0.2), _run(rng, P, n[3], [0.0], 0.2),
-            _run(rng, P, n[0], [0.0, 0.5, 1.0], 0.1)]
+            _run(rng, P, n[0], [0.0, 0.5, 1.0], 0.1),
+            _run(rng, P, n[1], [0.25, 0.5, 0.5 + 5e-15, 0.75], 0.2)]
     calls = []
 
     def counted(P, values, plan):
@@ -384,6 +387,7 @@ def test_batch_runs_match_single_runs_bit_for_bit(monkeypatch, rng, kind):
     assert steps[1] == steps[2] > 0 and steps[3] == 0 and max(steps) == steps[4]
     assert len(calls) == steps[4] + 1 and calls[0] == sum(u0.values[..., 0].size
                                                           for u0, *_ in runs)
+    assert got[5].times.tolist() == [0.25, 0.5, 0.5, 0.75]
     monkeypatch.undo()
     single = [integrate_atomistic(P, *run[:3], cfl=run[3]) for run in runs]
     _record_steps(monkeypatch, reference_batch)
@@ -642,9 +646,9 @@ def test_sweep_maps_control_and_members_in_one_call(monkeypatch):
     # not change a bit of the result.
     calls, solved, batches = [], [], []
 
-    def reversed_map(fn, jobs, workers):
+    def reversed_map(jobs, workers):
         calls.append((jobs, list(solved), list(batches)))
-        return [fn(job) for job in jobs[::-1]][::-1]
+        return [fn(*args) for fn, args in jobs[::-1]][::-1]
 
     def recorded_solve(M, data, snap_times, n_grid, cfl):
         solved.append(cfl)

@@ -397,6 +397,26 @@ def test_run_runtime_errors_return_three(tmp_path, capsys):
     assert "runtime error: AdmissibilityError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("artifact", ["cfg.csv", "cfg.report.json"])
+def test_unwritable_artifact_exits_three_and_leaves_no_tmp_file(tmp_path, capsys, artifact):
+    # a directory where an artifact goes cannot be replaced, even by root
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert run(_write_cfg(tmp_path, _stability_cfg(name="cfg")), out_dir=out) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime error: IsADirectoryError: ")
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not list(out.glob("*.tmp"))
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(path, out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config, edit, message", [
     ("static_converge_lj", lambda obj: obj["params"].update(delta=1000.0),
      "SolverError: continuum start left the admissible region: stencil norm 0.49479 "

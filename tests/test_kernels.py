@@ -214,7 +214,6 @@ def test_stacked_plan_offsets_each_cell(rng):
     S = StencilSet.ball(1, 2.0)
     assert stacked_plan([(6,)], S) is neighbour_plan((6,), S)
     plan = stacked_plan([(6,), (4,)], S)
-    assert plan is stacked_plan(((6,), (4,)), S)
     for table, one, two, start in zip(plan, neighbour_plan((6,), S), neighbour_plan((4,), S),
                                       (6, 6 * S.n, 6)):
         assert not table.flags.writeable

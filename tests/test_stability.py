@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcb import stability
-from latcb.dynamics import integrate_atomistic
-from latcb.lattice import DisplacementField, LatticeSpec, StencilSet
+from latcb.lattice import StencilSet
 from latcb.potentials import HarmonicChain, PairPotential, lennard_jones
 from latcb.stability import (
     ZONE_GRID,
@@ -341,27 +340,9 @@ def test_max_frequency():
 
 
 @pytest.mark.parametrize("make", [lj_chain, eam_square])
-def test_default_grid_zone_maximum_is_computed_once_per_potential(monkeypatch, make):
-    """Two lattice runs on one potential evaluate the zone maximum's symbol once,
-    and the kept value has the bits of the uncached explicit-grid call."""
+def test_default_grid_zone_maximum_has_the_bits_of_its_explicit_grid(make):
     P = make()
-    calls = []
-    symbol = stability._symbol
-
-    def counted(fc, pts):
-        calls.append(len(pts))
-        return symbol(fc, pts)
-
-    monkeypatch.setattr(stability, "_symbol", counted)
-    zero = DisplacementField.zeros(LatticeSpec(d=P.d, A=P.A, N=4))
-    for _ in range(2):
-        integrate_atomistic(P, zero, zero, [0.05], cfl=0.2)
-    assert calls == [ZONE_GRID[P.d] ** P.d]
-    assert max_frequency(P) is P.zone_max_frequency
-    uncached = max_frequency(P, n_grid=ZONE_GRID[P.d])
-    assert len(calls) == 2  # an explicit grid is evaluated every time
-    assert P.zone_max_frequency.hex() == uncached.hex()
-    assert max_frequency(make()) == uncached
+    assert max_frequency(P).hex() == max_frequency(P, n_grid=ZONE_GRID[P.d]).hex()
 
 
 def test_max_frequency_2d_default_grid():

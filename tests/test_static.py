@@ -699,9 +699,9 @@ def test_static_sweep_maps_both_loads_in_one_call(monkeypatch):
     # before the map, and the job order does not change a bit of the result.
     calls, solved = [], []
 
-    def reversed_map(fn, jobs, workers):
+    def reversed_map(jobs, workers):
         calls.append((jobs, list(solved)))
-        return [fn(job) for job in jobs[::-1]][::-1]
+        return [fn(*args) for fn, args in jobs[::-1]][::-1]
 
     def recorded_solve(M, F, n_grid, tol):
         solved.append(F.delta)
@@ -714,8 +714,9 @@ def test_static_sweep_maps_both_loads_in_one_call(monkeypatch):
     assert static_converge_sweep(lj_chain(), F, eps_list) == ref
     ((jobs, solved_before),) = calls
     assert solved_before == [] and solved == pytest.approx([0.005, 0.01], rel=1e-12)
-    assert [job[2] for job in jobs] == [eps_list, eps_list]
-    assert [job[1].delta for job in jobs] == pytest.approx([0.01, 0.005], rel=1e-12)
+    assert [fn for fn, _ in jobs] == [static._static_run, static._static_run]
+    assert [args[2] for _, args in jobs] == [eps_list, eps_list]
+    assert [args[1].delta for _, args in jobs] == pytest.approx([0.01, 0.005], rel=1e-12)
 
 
 def test_static_sweep_builds_the_reference_force_constants_once(monkeypatch):
