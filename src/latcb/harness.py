@@ -410,20 +410,30 @@ def fit_rate(eps_list, errors, noise_floor=None) -> RateReport:
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
+def _atomic_write(texts: dict):
+    """Write each ``{path: text}`` to ``path.tmp``, then replace the paths in
+    order.  On failure the ``.tmp`` files this call opened are removed; no
+    path changes unless every text was written, though a failing replace
+    leaves the paths replaced before it."""
+    tmps = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            tmp = path.with_name(path.name + ".tmp")
+            with open(tmp, "w") as fh:
+                tmps.append(tmp)
+                fh.write(text)
+        for tmp, path in zip(tmps, texts):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
 def _format_value(v) -> str:
     """A CSV cell: a float by its shortest round-trip repr, anything else by str.
     Exact Python floats, the cells of ``tolist()`` rows, take the first test;
-    ``write_csv`` formats them in bulk with the same text."""
+    ``csv_text`` formats them in bulk with the same text."""
     if type(v) is float:
         return repr(v)
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
@@ -448,9 +458,9 @@ def _cell_texts(rows: list) -> list:
     return texts.tolist()
 
 
-def write_csv(path: Path, comments, columns, rows):
+def csv_text(comments, columns, rows) -> str:
     """Comment lines, the column line and one line per row (a sequence of cells,
-    of any length) of ``_format_value`` texts, written atomically.
+    of any length) of ``_format_value`` texts.
 
     The cells of the whole table are formatted in one pass (``_cell_texts``);
     the text is the per-row loop's, kept as the oracle ``tests/csv_reference.py``.
@@ -461,7 +471,12 @@ def write_csv(path: Path, comments, columns, rows):
     lines = [f"# {c}" for c in comments]
     lines.append("# columns: " + ",".join(columns))
     lines.extend(map(",".join, map(itertools.islice, itertools.repeat(texts), map(len, rows))))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: Path, comments, columns, rows):
+    """``csv_text`` of the table, written atomically to ``path``."""
+    _atomic_write({Path(path): csv_text(comments, columns, rows)})
 
 
 def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
@@ -672,7 +687,7 @@ def run(
             f"config sha256: {cfg.config_hash}",
             f"seed: {cfg.seed}",
         ]
-        write_csv(out / f"{cfg.name}.csv", comments, columns, rows)
+        csv = csv_text(comments, columns, rows)
         report = {
             "experiment": cfg.experiment,
             "name": cfg.name,
@@ -682,10 +697,10 @@ def run(
             "passed": passed,
         }
         report.update(report_fields)
-        _atomic_write(
-            out / f"{cfg.name}.report.json",
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-        )
+        # both texts exist before either file is touched
+        _atomic_write({out / f"{cfg.name}.csv": csv,
+                       out / f"{cfg.name}.report.json":
+                       json.dumps(report, indent=2, sort_keys=True) + "\n"})
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

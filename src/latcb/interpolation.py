@@ -153,35 +153,52 @@ def interp_sample_shifts(u: DisplacementField, shifts, deriv: tuple | None = Non
 _T_GAUSS, _T_WEIGHTS = gauss_rule_01(3)
 
 
+def _directions(rho, d: int) -> np.ndarray:
+    """One direction (``as_direction``), or an integer array (..., d) of
+    nonzero directions, one per row."""
+    r = np.asarray(rho)
+    if r.ndim < 2:
+        return as_direction(rho, d)
+    if r.shape[-1] != d or not np.issubdtype(r.dtype, np.integer) or not r.any(axis=-1).all():
+        raise ValueError(f"directions must be nonzero integer rows of length {d}, "
+                         f"got shape {r.shape} of dtype {r.dtype}")
+    return r
+
+
 def chi_eval(xi, rho, x) -> np.ndarray:
     """Bond kernel chi_{xi,rho}(x) = int_0^1 zeta(xi + t rho - x) dt.
 
     ``xi`` may be a batch of shape (..., d) of lattice sites (not wrapped:
-    geometric coordinates); ``rho`` a direction; ``x`` a single point of
-    shape (d,) or a point batch that broadcasts against ``xi`` (points of
-    shape (P, 1, d) against per-point site windows (P, K, d) give (P, K)).
-    The t-integral is evaluated exactly by splitting at the parameter values
-    where any coordinate of ``xi + t rho - x`` crosses a kink of the hat
-    profile and applying 3-point Gauss per piece; every row is computed on
-    its own, so a batch gives the same bits as one point at a time.
+    geometric coordinates); ``rho`` a direction, or an integer array of
+    directions (..., d) that broadcasts against ``xi``, one per row, all
+    moving along the same axes (the same nonzero entries); ``x`` a single
+    point of shape (d,) or a point batch that broadcasts against ``xi``
+    (points of shape (P, 1, d) against per-point site windows (P, K, d) give
+    (P, K)).  The t-integral is evaluated exactly by splitting at the
+    parameter values where any coordinate of ``xi + t rho - x`` crosses a
+    kink of the hat profile and applying 3-point Gauss per piece; every row
+    is computed on its own, so a batch, of points or of directions, gives
+    the same bits as one row at a time.
 
     Example: in 1D, chi_{0,1}(0.5) = 3/4 (the bond from 0 to 1 is smeared
     so that its midpoint sees hat weight averaging 3/4).
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    rho = as_direction(rho, d)
+    rho = _directions(rho, d)
+    moves = (rho != 0).reshape(-1, d)
+    if not (moves == moves[0]).all():
+        raise ValueError("the directions of one chi_eval call must move along the same axes")
     rel = np.asarray(xi, dtype=float) - x
     single = rel.ndim == 1
     c0 = rel.reshape(-1, d)  # (K, d)
+    r = np.broadcast_to(rho, rel.shape).reshape(-1, d)  # each row's direction
     K = c0.shape[0]
 
     knot_cols = [np.zeros(K), np.ones(K)]
-    for alpha in range(d):
-        if rho[alpha] == 0:
-            continue
+    for alpha in np.flatnonzero(moves[0]):
         for level in (-1.0, 0.0, 1.0):
-            knot_cols.append((level - c0[:, alpha]) / rho[alpha])
+            knot_cols.append((level - c0[:, alpha]) / r[:, alpha])
     knots = np.clip(np.stack(knot_cols, axis=1), 0.0, 1.0)
     knots.sort(axis=1)
 
@@ -189,7 +206,7 @@ def chi_eval(xi, rho, x) -> np.ndarray:
     dt = knots[:, 1:] - lo  # (K, S)
     # Gauss nodes for every subinterval: (K, S, 3)
     tg = lo[:, :, None] + dt[:, :, None] * _T_GAUSS
-    args = c0[:, None, None, :] + tg[..., None] * rho  # (K, S, 3, d)
+    args = c0[:, None, None, :] + tg[..., None] * r[:, None, None, :]  # (K, S, 3, d)
     vals = zeta_eval(args)
     out = np.sum(vals * _T_WEIGHTS, axis=2) * dt
     out = out.sum(axis=1)
@@ -200,11 +217,12 @@ def grad_chi_eval(xi, rho, x) -> np.ndarray:
     """Directional derivative (rho . grad_x) of the bond kernel.
 
     Closed form: zeta(xi - x) - zeta(xi + rho - x), by the fundamental
-    theorem of calculus applied along the bond parameter.
+    theorem of calculus applied along the bond parameter.  ``rho`` is one
+    direction or an integer array of directions that broadcasts against
+    ``xi`` (any axes), as in ``chi_eval``.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    rho = as_direction(rho, d)
+    rho = _directions(rho, d)
     xi = np.asarray(xi, dtype=float)
     return zeta_eval(xi - x) - zeta_eval(xi + rho - x)
-

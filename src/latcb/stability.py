@@ -191,21 +191,29 @@ def stability_constants(P: Potential, n_grid: int | None = None) -> tuple[float,
 def _polished_min(fn, grid: np.ndarray, h: float) -> float:
     """Smallest value of ``fn`` (rows of points -> values) over ``grid``,
     polished by a compass search from the grid minimizer: try the 3^d - 1
-    points ``x + h s`` (s in {-1, 0, 1}^d, s != 0) in one call, the diagonals
-    following oblique valleys; move to the best while it improves, else
-    halve ``h``, down to ``h < 1e-10``.  Never above the grid minimum."""
+    points ``x + h s`` (s in {-1, 0, 1}^d, s != 0), the diagonals following
+    oblique valleys; move to the best while it improves, else halve ``h``,
+    down to ``h < 1e-10``.  One call tries every step length ``h, h/2, ...``
+    down to the last one of at least 1e-10 and moves at the first that
+    improves, the move of halving one call at a time.  Never above the grid
+    minimum."""
     vals = fn(grid)
     i = int(np.argmin(vals))
     x, f = grid[i], float(vals[i])
     steps = tensor_grid([[-1.0, 0.0, 1.0]] * x.size)
     steps = steps[steps.any(axis=1)]
     while h >= 1e-10:
-        vals = fn(x + h * steps)
-        i = int(np.argmin(vals))
-        if vals[i] < f:
-            x, f = x + h * steps[i], float(vals[i])
-        else:
-            h *= 0.5
+        hs = [h]
+        while hs[-1] * 0.5 >= 1e-10:
+            hs.append(hs[-1] * 0.5)
+        trials = x + np.array(hs)[:, None, None] * steps  # (levels, 3^d - 1, d)
+        vals = fn(trials.reshape(-1, x.size)).reshape(len(hs), -1)
+        best = np.argmin(vals, axis=1)
+        moves = np.flatnonzero(vals[np.arange(len(hs)), best] < f)
+        if not moves.size:
+            break
+        level = moves[0]
+        h, x, f = hs[level], trials[level, best[level]], float(vals[level, best[level]])
     return f
 
 

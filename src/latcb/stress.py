@@ -194,29 +194,57 @@ def _bond_gradient_table(P: Potential, u) -> np.ndarray:
 _BLOCK = 4096
 
 
-@lru_cache(maxsize=64)
-def _window_offsets(rho: tuple) -> np.ndarray:
-    """Per-axis site offsets ``-max(rho_alpha, 0) .. 1 - min(rho_alpha, 0)`` of
-    ``_window`` as one tensor grid, (K, d), for a direction tuple (read-only)."""
-    out = tensor_grid([np.arange(-max(r, 0), 2 - min(r, 0)) for r in rho])
-    out.flags.writeable = False
-    return out
+@dataclass(frozen=True)
+class _Layout:
+    """Every stencil direction's window of sites, as columns of one table.
 
-
-def _window(rho: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Sites xi with chi_{xi,rho} possibly nonzero at each point, (P, K, d),
-    from the points' window bases ``base = ceil(x) - 1`` (P, d).
-
-    Per axis ``xi_alpha = ceil(x_alpha) - 1 + j`` for j from
-    ``-max(rho_alpha, 0)`` to ``1 - min(rho_alpha, 0)``: the support
+    A direction rho's window holds the sites ``base + j``, per axis j from
+    ``-max(rho_alpha, 0)`` to ``1 - min(rho_alpha, 0)``, where
+    ``base = ceil(x) - 1``: the support
     ``x_alpha - 1 - max(rho_alpha, 0) < xi_alpha < x_alpha + 1 - min(rho_alpha, 0)``
     of the kernel.  The window has the same size at every point; at an
     integer coordinate it leaves out the site on the open upper end, whose
-    kernel and kernel gradient are exactly zero there.  The offsets j are
-    built once per direction (``_window_offsets``), the bases once per
-    block of points.
+    kernel and kernel gradient are exactly zero there.
+
+    The windows are concatenated group by group, a group being the
+    directions that move along the same axes (stencil order inside it), so
+    each group is one column range and each direction one range inside it.
     """
-    return base[:, None, :] + _window_offsets(tuple(rho.tolist()))
+
+    offsets: np.ndarray  # (K, d) window offsets j of every column
+    dirs: np.ndarray  # (K, d) the direction of each column
+    slots: np.ndarray  # (K,) the stencil slot of each column
+    groups: tuple  # (start, stop) column range of each group
+    spans: tuple  # (start, stop, float direction) of each slot, in stencil order
+    widest: int  # the largest window of one direction
+
+
+@lru_cache(maxsize=64)
+def _layout(dir_bytes: bytes, d: int) -> _Layout:
+    """The ``_Layout`` of a stencil's directions, keyed on their raw bytes
+    (``StencilSet`` compares on ``r_cut`` alone); its arrays are read-only."""
+    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
+    by_axes: dict = {}
+    for slot, rho in enumerate(dirs):
+        by_axes.setdefault(tuple(rho != 0), []).append(slot)
+    offsets, slots, groups, spans = [], [], [], [None] * len(dirs)
+    start = 0
+    for members in by_axes.values():
+        group_start = start
+        for slot in members:
+            rho = dirs[slot]
+            window = tensor_grid([np.arange(-max(r, 0), 2 - min(r, 0)) for r in rho.tolist()])
+            offsets.append(window)
+            slots.append(np.full(len(window), slot))
+            spans[slot] = (start, start + len(window), rho.astype(float))
+            start += len(window)
+        groups.append((group_start, start))
+    slots = np.concatenate(slots)
+    layout = _Layout(np.concatenate(offsets), dirs[slots], slots, tuple(groups), tuple(spans),
+                     max(len(w) for w in offsets))
+    for table in (layout.offsets, layout.dirs, layout.slots, *(s[2] for s in spans)):
+        table.flags.writeable = False
+    return layout
 
 
 # largest point coordinate: from 2**52 on, a double holds no position inside
@@ -228,58 +256,75 @@ _MAX_COORD = 2.0**52
 class StressField:
     """Atomistic stress as a field with its divergence.
 
-    Both evaluations run one batch per stencil direction: every point gets
-    the same fixed window of sites per direction (see ``_window``), and the
-    sum over the window is one contraction.  A kernel ``chi_{xi,rho}(x)``
-    depends on x only through its cell position, so the kernels come from
-    one ``chi_eval`` or ``grad_chi_eval`` call on the windows of the
-    distinct cell positions ``c = x - trunc(x)`` of a block, not one per
-    (point, site) pair; the staggered comparison grid has ``n_per_cell**d``
-    of them.  The subtraction is exact, and ``s - x`` equals
-    ``(s - trunc(x)) - c`` as a real number for every integer site s, so
-    every weight has the bits of a direct evaluation at x.  Points are
-    processed in blocks of ``_BLOCK``.  ``table`` holds the bond gradients
-    of one periodic cell, shape (N,)*d + (n, d).
+    Every point gets the same fixed window of sites per stencil direction
+    (``_Layout``).  A kernel ``chi_{xi,rho}(x)`` depends on x only through
+    its cell position, so per block of ``_BLOCK`` points the kernels are
+    evaluated on the windows of the distinct cell positions
+    ``c = x - trunc(x)`` only (the staggered comparison grid has
+    ``n_per_cell**d`` of them), with one ``chi_eval`` or ``grad_chi_eval``
+    call per group of directions that move along the same axes; a call
+    holds at most ``_BLOCK`` times the widest window rows, more positions
+    are split over several calls.  The subtraction is exact, and ``s - x``
+    equals ``(s - trunc(x)) - c`` as a real number for every integer site s,
+    so every weight has the bits of a direct evaluation at x.  The bond
+    gradients of all windows come from one gather per block; the sum over
+    each direction's window is one contraction, added in stencil order.
+    ``table`` holds the bond gradients of one periodic cell, shape
+    (N,)*d + (n, d).
     """
 
     P: Potential
     table: np.ndarray
 
-    def _phi(self, sites: np.ndarray, slot: int) -> np.ndarray:
-        """Bond gradients V_rho(Du(xi)) for a geometric site batch (..., d)."""
-        idx = np.mod(sites, self.table.shape[0])
-        return self.table[tuple(np.moveaxis(idx, -1, 0)) + (slot,)]
-
     def _sum_bonds(self, x, kernel, contract, shape: tuple) -> np.ndarray:
         """sum over directions of ``contract(w, phi, rho)`` at points (..., d),
         with the window weights ``w = kernel(sites, rho, x)``.
 
-        Raises ValueError naming the first point that is not finite or has a
-        coordinate of magnitude ``2**52`` or more (a row of the points
-        flattened to (P, d)) before any kernel runs.
+        Raises ValueError before any kernel runs when the points' last axis
+        is not of length d, or naming the first point that is not finite or
+        has a coordinate of magnitude ``2**52`` or more (a row of the points
+        flattened to (P, d)).
         """
         x = np.asarray(x, dtype=float)
-        pts = x.reshape(-1, x.shape[-1])
+        d = self.P.d
+        if x.ndim < 1 or x.shape[-1] != d:
+            raise ValueError(f"stress field points must have a last axis of length d = {d}, "
+                             f"got shape {x.shape}")
+        pts = x.reshape(-1, d)
         bad = np.flatnonzero(~(np.abs(pts) < _MAX_COORD).all(axis=1))
         if bad.size:
             raise ValueError(f"stress field points must be finite and below 2**52 in "
                              f"magnitude; row {bad[0]} is {pts[bad[0]].tolist()}")
+        L = _layout(self.P.S.directions.tobytes(), d)
+        rows = _BLOCK * L.widest  # the largest kernel call: _BLOCK points, widest window
         out = np.zeros((pts.shape[0],) + shape)
         for lo in range(0, pts.shape[0], _BLOCK):
             p = pts[lo:lo + _BLOCK]
-            c, inverse = np.unique(p - np.trunc(p), axis=0, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            base_c, base_p = (np.ceil(y).astype(int) - 1 for y in (c, p))
-            for slot, rho in enumerate(self.P.S.directions):
-                w = kernel(_window(rho, base_c).astype(float), rho, c[:, None, :])[inverse]
-                out[lo:lo + _BLOCK] += contract(w, self._phi(_window(rho, base_p), slot), rho)
+            c = p - np.trunc(p)
+            # distinct cell positions by bit pattern (no -0.0 arises, so by value)
+            keys, inverse = np.unique(c.view(np.dtype((np.void, 8 * d))).reshape(-1),
+                                      return_inverse=True)
+            c = keys.view(float).reshape(-1, d)
+            base_c = np.ceil(c).astype(int) - 1
+            w = np.empty((len(c), len(L.slots)))
+            for g0, g1 in L.groups:
+                step = max(1, rows // (g1 - g0))
+                for a in range(0, len(c), step):
+                    sites = (base_c[a:a + step, None, :] + L.offsets[g0:g1]).astype(float)
+                    w[a:a + step, g0:g1] = kernel(sites, L.dirs[g0:g1], c[a:a + step, None, :])
+            w = w[inverse]
+            sites = np.mod(np.ceil(p).astype(int)[:, None, :] - 1 + L.offsets, self.table.shape[0])
+            phi = self.table[tuple(sites[..., a] for a in range(d)) + (L.slots,)]
+            block = out[lo:lo + _BLOCK]
+            for s0, s1, rho in L.spans:
+                block += contract(w[:, s0:s1], phi[:, s0:s1], rho)
         return out.reshape(x.shape[:-1] + shape)
 
     def eval(self, x) -> np.ndarray:
         """Stress tensors at points ``x`` of shape (..., d); returns (..., d, d)."""
 
         def contract(w, phi, rho):
-            return np.einsum("pK,pKi,a->pia", w, phi, rho.astype(float))
+            return np.einsum("pK,pKi,a->pia", w, phi, rho)
 
         d = self.P.d
         return self._sum_bonds(x, chi_eval, contract, (d, d))

@@ -2,8 +2,8 @@
 
 These are the original ``StressField.eval`` and ``StressField.div`` loops
 with the per-point site window ``chi_window``.  The library now evaluates
-one batch per stencil direction over a fixed window, with one kernel row
-per distinct cell position; the tests compare the two bit for bit.
+fixed windows, with one kernel row per distinct cell position; the tests
+compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,12 @@ def chi_window(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
+def bond_gradients(field, sites: np.ndarray, slot: int) -> np.ndarray:
+    """Bond gradients V_rho(Du(xi)) of ``field`` at geometric sites (M, d), (M, d)."""
+    idx = np.mod(sites, field.table.shape[0])
+    return field.table[tuple(idx.T) + (slot,)]
+
+
 def loop_eval(field, x) -> np.ndarray:
     """Stress tensors at points ``x`` of shape (..., d); returns (..., d, d)."""
     x = np.asarray(x, dtype=float)
@@ -41,7 +47,7 @@ def loop_eval(field, x) -> np.ndarray:
         for slot, rho in enumerate(field.P.S.directions):
             window = chi_window(rho, p)
             w = chi_eval(window.astype(float), rho, p)
-            phi = field._phi(window, slot)
+            phi = bond_gradients(field, window, slot)
             acc += np.einsum("K,Ki,a->ia", w, phi, rho.astype(float))
         out[k] = acc
     return out.reshape(x.shape[:-1] + (d, d))
@@ -59,7 +65,7 @@ def loop_div(field, x) -> np.ndarray:
             window = chi_window(rho, p)
             wf = window.astype(float)
             grad_w = zeta_eval(wf - p) - zeta_eval(wf + rho - p)
-            phi = field._phi(window, slot)
+            phi = bond_gradients(field, window, slot)
             acc += grad_w @ phi
         out[k] = acc
     return out.reshape(x.shape[:-1] + (d,))

@@ -409,6 +409,25 @@ def test_unwritable_artifact_exits_three_and_leaves_no_tmp_file(tmp_path, capsys
     assert not list(out.glob("*.tmp"))
 
 
+def test_unencodable_report_changes_no_artifact(tmp_path, capsys, monkeypatch):
+    # the report is encoded before either artifact is touched
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cfg.csv").write_bytes(b"an earlier run's table\n")
+    runner = EXPERIMENTS["stability"]
+
+    def unencodable(cfg, workers):
+        report, columns, rows = runner(cfg, workers)
+        report["extra"] = {1, 2}  # no check reads it; json.dumps rejects a set
+        return report, columns, rows
+
+    monkeypatch.setitem(EXPERIMENTS, "stability", unencodable)
+    assert run(_write_cfg(tmp_path, _stability_cfg(name="cfg")), out_dir=out) == 3
+    assert capsys.readouterr().err.startswith("runtime error: TypeError: ")
+    assert (out / "cfg.csv").read_bytes() == b"an earlier run's table\n"
+    assert sorted(p.name for p in out.iterdir()) == ["cfg.csv"]
+
+
 def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(b"\xff\xfe{}")

@@ -314,6 +314,36 @@ def test_grad_chi_matches_finite_differences(rng):
             assert fd == pytest.approx(val, abs=2e-3), (d, rho, xi, x)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_direction_rows_are_one_direction_calls_bit_for_bit(rng, d):
+    """A (K, d) array of directions against (P, K, d) sites gives every column
+    the bits of its one-direction call; chi_eval's directions share their
+    nonzero axes, grad_chi_eval's need not."""
+    moves = rng.random(d) < 0.5
+    moves[rng.integers(d)] = True
+    same_axes = rng.integers(1, 4, size=(6, d)) * rng.choice([-1, 1], size=(6, d)) * moves
+    any_axes = np.array([_random_direction(rng, d) for _ in range(6)])
+    x = rng.uniform(-2.0, 2.0, size=(5, 1, d))
+    x[0, 0, 0] = 0.0  # a point on a cell boundary
+    xi = (np.floor(x) + rng.integers(-2, 3, size=(5, 6, d))).astype(float)
+    for kernel, rho in ((chi_eval, same_axes), (grad_chi_eval, any_axes), (grad_chi_eval, same_axes)):
+        got = kernel(xi, rho, x)
+        assert got.shape == (5, 6)
+        for k in range(6):
+            assert np.array_equal(got[:, k], kernel(xi[:, k], rho[k], x[:, 0])), (kernel, k)
+
+
+@pytest.mark.parametrize("rho, match", [
+    (np.array([[1, 0], [1, 1]]), "same axes"),
+    (np.array([[1, 0], [0, 0]]), "nonzero integer rows"),
+    (np.array([[1.0, 0.0]]), "nonzero integer rows"),
+    (np.array([[1, 0, 0]]), "nonzero integer rows of length 2"),
+])
+def test_chi_eval_rejects_bad_direction_arrays(rho, match):
+    with pytest.raises(ValueError, match=match):
+        chi_eval(np.zeros((3, len(rho), 2)), rho, np.full((3, 1, 2), 0.5))
+
+
 def _kernel_identity_violations(rng, d, n_samples):
     """Max violations of the five lattice-sum identities of the kernel."""
     worst = np.zeros(5)

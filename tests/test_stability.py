@@ -8,11 +8,14 @@ by the closed-form modulus sum at k -> 0.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcb import stability
+from latcb.harness import ExperimentConfig
 from latcb.lattice import StencilSet
 from latcb.potentials import HarmonicChain, PairPotential, lennard_jones
 from latcb.stability import (
@@ -28,6 +31,7 @@ from latcb.stability import (
 )
 from latcb.stress import CBModel
 
+from compass_reference import polished_min
 from conftest import eam_chain, eam_square, lj_chain, lj_square, lj_triangular, morse_chain
 from lh_scan import lh_scan
 from scipy_polish import scipy_lh_min, scipy_stability_constant
@@ -428,6 +432,46 @@ def test_compass_search_matches_scipy_polish(name):
         scipy_stability_constant(P, n_grid), rel=1e-12)
     M = CBModel(P)
     assert legendre_hadamard_min(M) == pytest.approx(scipy_lh_min(M), rel=1e-12)
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped_stability(name):
+    cfg = ExperimentConfig.from_file(_CONFIGS / f"{name}.json")
+    return cfg.P, cfg.values["n_grid"]
+
+
+_COMPASS_CASES = {
+    **{name: (lambda make=make, n=n: (make(), n)) for name, (make, n) in _POLISH_CASES.items()},
+    "eam_chain": lambda: (eam_chain(), 512),
+    "morse_chain": lambda: (morse_chain(), 512),
+    **{name: (lambda name=name: _shipped_stability(name))
+       for name in ("stability_lj", "stability_chain_stable", "stability_chain_unstable")},
+}
+
+
+@pytest.mark.parametrize("name", list(_COMPASS_CASES))
+def test_compass_search_has_the_bits_of_one_step_length_per_call(name, monkeypatch):
+    """Trying every step length in one call moves where halving one call at a
+    time moves: ``(gamma, lh_min)`` is hex-equal to the loop of
+    ``tests/compass_reference.py``, in fewer calls."""
+    P, n_grid = _COMPASS_CASES[name]()
+    calls = []
+
+    def counted(search):
+        def run(fn, grid, h):
+            return search(lambda pts: calls.append(len(pts)) or fn(pts), grid, h)
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "_polished_min", counted(stability._polished_min))
+        got = stability.stability_constants(P, n_grid)
+        batched = len(calls)
+        m.setattr(stability, "_polished_min", counted(polished_min))
+        want = stability.stability_constants(P, n_grid)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert batched < len(calls) - batched
 
 
 @pytest.mark.parametrize("make", [lj_chain, lj_square, _lj_cubic], ids=["1d", "2d", "3d"])

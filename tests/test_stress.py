@@ -28,6 +28,7 @@ from latcb.potentials import (
     gradient_array,
     lennard_jones,
 )
+from latcb import stress
 from latcb.stress import (
     AffineDisplacement,
     CBModel,
@@ -50,6 +51,7 @@ from conftest import (
 from generic_cb import GenericCBModel
 from hat_quadrature import zeta_convolve
 from point_gap import trig_grad, trig_hess
+from stress_directions import direction_div, direction_eval
 from stress_loop import loop_div, loop_eval
 
 
@@ -350,36 +352,115 @@ def test_stress_just_below_zero_matches_point_loop(make, rng):
     assert np.array_equal(field.div(pts), loop_div(field, pts))
 
 
-def _counted(monkeypatch, kernel, rows):
-    """Replace ``kernel`` in ``latcb.stress`` by a pass-through that records the
-    number of points (cell positions) of each call."""
+_SIZING_FIELDS = {"lj_chain": lj_chain, "lj_square": lj_square, "lj_triangular": lj_triangular,
+                  "eam_square": eam_square, "eam_chain": eam_chain}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("kind", ["periodic", "affine"])
+@pytest.mark.parametrize("name", sorted(_SIZING_FIELDS))
+def test_grouped_stress_matches_per_direction_reference(name, kind, block, rng, monkeypatch):
+    """One kernel call per direction group and one gather per block give the
+    bits of the per-direction batches of ``tests/stress_directions.py``, on
+    random points with integer coordinates among them, in one block or in
+    blocks of 7 points."""
+    P = _SIZING_FIELDS[name]()
+    d = P.d
+    if kind == "affine":
+        F = rng.standard_normal((d, d))
+        u = AffineDisplacement(F * (0.9 * P.kappa / np.linalg.norm(F, 2)))
+    else:
+        U = TrigField.from_terms(d, d, [((1,) * d, 0, "cos", 0.01), ((2,) * d, d - 1, "sin", 0.01)])
+        u = _restricted(U, 8)
+    field = atomistic_stress(P, u)
+    pts = rng.uniform(-9.0, 17.0, size=(300, d))
+    snap = rng.random(pts.shape) < 0.3
+    pts[snap] = np.round(pts[snap])
+    pts = np.concatenate([pts, _staggered_grid(d, 3, 4)])
+    if block is not None:
+        monkeypatch.setattr(stress, "_BLOCK", block)
+    assert np.array_equal(field.eval(pts), direction_eval(field, pts))
+    assert np.array_equal(field.div(pts), direction_div(field, pts))
+
+
+def _counted(monkeypatch, kernel, calls):
+    """Replace ``kernel`` in ``latcb.stress`` by a pass-through that records
+    each call's (cell positions, window sites)."""
 
     def counted(xi, rho, x):
-        rows.append(x.shape[0])
+        calls.append(xi.shape[:2])
         return kernel(xi, rho, x)
 
     monkeypatch.setattr(f"latcb.stress.{kernel.__name__}", counted)
 
 
+def _group_windows(P) -> list:
+    """Window sites of each group of directions that move along the same axes,
+    groups in the order of their first direction."""
+    sizes: dict = {}
+    for rho in P.S.directions:
+        key = tuple(rho != 0)
+        sizes[key] = sizes.get(key, 0) + int(np.prod(2 + np.abs(rho)))
+    return list(sizes.values())
+
+
 @pytest.mark.parametrize("make", [lj_chain, lj_square])
 def test_stress_kernels_run_once_per_cell_position(make, rng, monkeypatch):
     """64 cells with 4 points each share 4 cell positions per axis; random
-    points share none."""
+    points share none.  Each group of directions that move along the same
+    axes (1 in 1D, 3 on the square) is one call over the group's windows at
+    every cell position."""
     P = make()
     d = P.d
     U = TrigField.from_terms(d, d, [((1,) * d, 0, "sin", 0.01)])
     field = atomistic_stress(P, _restricted(U, 8))
     grid = _staggered_grid(d, 64 if d == 1 else 8, 4)
     scattered = rng.uniform(-9.0, 17.0, size=(50, d))
+    windows = _group_windows(P)
+    assert len(windows) == (1 if d == 1 else 3)
     for pts, positions in ((grid, 4**d), (scattered, 50)):
         ref = field.eval(pts), field.div(pts)
-        eval_rows, div_rows = [], []
+        eval_calls, div_calls = [], []
         with monkeypatch.context() as m:
-            _counted(m, chi_eval, eval_rows)
-            _counted(m, grad_chi_eval, div_rows)
+            _counted(m, chi_eval, eval_calls)
+            _counted(m, grad_chi_eval, div_calls)
             S, div = field.eval(pts), field.div(pts)
-        assert eval_rows == div_rows == [positions] * P.S.n
+        assert eval_calls == div_calls == [(positions, k) for k in windows]
         assert np.array_equal(S, ref[0]) and np.array_equal(div, ref[1])
+
+
+def test_stress_kernel_calls_hold_at_most_a_block_of_the_widest_window(rng, monkeypatch):
+    """5,000 random points on the LJ square: the 4,096 distinct positions of
+    the first block are split so that no call exceeds ``_BLOCK`` times the
+    widest window of one direction, the largest per-direction call."""
+    P = lj_square()
+    field = atomistic_stress(P, AffineDisplacement(np.zeros((2, 2))))
+    widest = max(int(np.prod(2 + np.abs(rho))) for rho in P.S.directions)
+    pts = rng.uniform(-9.0, 17.0, size=(5000, 2))
+    for method, kernel in (("eval", chi_eval), ("div", grad_chi_eval)):
+        calls = []
+        with monkeypatch.context() as m:
+            _counted(m, kernel, calls)
+            getattr(field, method)(pts)
+        rows = [positions * sites for positions, sites in calls]
+        assert max(rows) <= stress._BLOCK * widest
+        assert sum(positions for positions, _ in calls) == 5000 * len(_group_windows(P))
+
+
+@pytest.mark.parametrize("shape", [(), (3, 2), (4, 1, 3), (0,)])
+@pytest.mark.parametrize("method", ["eval", "div"])
+def test_stress_field_rejects_points_of_another_dimension(method, shape, monkeypatch):
+    """Points whose last axis is not of length d raise before any kernel runs,
+    naming the expected axis (the chain has d = 1)."""
+    field = atomistic_stress(lj_chain(), AffineDisplacement(np.zeros((1, 1))))
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran on points of another dimension")
+
+    monkeypatch.setattr("latcb.stress.chi_eval", no_kernel)
+    monkeypatch.setattr("latcb.stress.grad_chi_eval", no_kernel)
+    with pytest.raises(ValueError, match=r"last axis of length d = 1, got shape"):
+        getattr(field, method)(np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
