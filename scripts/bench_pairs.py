@@ -13,7 +13,10 @@ for neither side) and the verdict: a gain needs at least ten pairs, wins
 in at least nine tenths of them, a median better by more than the
 parent's interquartile distance, every change run correct and no more
 failed operations than the parent.  It also prints each side's correctness
-and failed-operation share.
+and failed-operation share, and each side's median time of every operation:
+right after each run the script reads that run's per-operation medians over
+its rounds from ``.bench_runs/W/timings.json`` in the checkout, so a gain can
+be tied to the operation that carries it.
 
 ``setup_s`` depends on the directory a checkout lies in, and on whether
 latcb's byte code is cached in ``src/latcb/__pycache__`` (with
@@ -45,10 +48,19 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     )
     lines = proc.stdout.splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise RuntimeError(f"{checkout} seed {seed} printed no result "
                            f"(exit {proc.returncode}):\n{proc.stderr}") from None
+    result["operations"] = operation_medians(checkout / ".bench_runs" / workload / "timings.json")
+    return result
+
+
+def operation_medians(timings: Path) -> dict:
+    """Each operation's median time over the rounds of a run's ``timings.json``."""
+    t = json.loads(timings.read_text())
+    return {name: statistics.median(times)
+            for name, times in zip(t["operations"], zip(*t["scaled_rounds"]))}
 
 
 def _quartiles(values: list) -> tuple[float, float, float]:
@@ -95,6 +107,10 @@ def report(summary: dict, parent: list[dict], change: list[dict]) -> str:
             f"[{qb1:.6g}, {qb3:.6g}] ({rel:+.1%}); wins {s['wins']}/{s['pairs']}; "
             f"gap {s['gap']:.4g} vs parent IQR {s['parent_iqr']:.4g}: "
             + ("gain" if s["gain"] else "no gain"))
+    for op in (op for op in parent[0]["operations"] if op in change[0]["operations"]):
+        ma, mb = (statistics.median(r["operations"][op] for r in runs) for runs in (parent, change))
+        rel = (mb - ma) / ma if ma else 0.0
+        lines.append(f"operation {op}: parent {ma:.6g} s -> change {mb:.6g} s ({rel:+.1%})")
     return "\n".join(lines)
 
 

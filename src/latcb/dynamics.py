@@ -141,9 +141,12 @@ def _verlet(runs, grad) -> list:
     its snapshots and, entering an interval, sets its rows of the per-row
     arrays of ``0.5 dt`` and ``dt``.  Each step's half kicks
     ``v -= (0.5 dt) g`` and drift ``x += dt v`` multiply by those arrays
-    into one reused buffer.  Elementwise that is the scalar product, and
-    ``v - h g`` is ``v + h (-g)``, so each run has the bits of stepping it
-    alone with the acceleration ``-g``.  A snapshot copies the run's rows.
+    into a ``kick`` and a ``drift`` buffer.  A step's closing half kick and
+    the next step's opening one are the same product, so it is formed once;
+    only after an event (new step rows, or a shorter prefix) is it formed
+    again.  Elementwise that is the scalar product, and ``v - h g`` is
+    ``v + h (-g)``, so each run has the bits of stepping it alone with the
+    acceleration ``-g``.  A snapshot copies the run's rows.
 
     Failures: the earliest lockstep step at which a run fails raises.
     Within a step the gradient comes before the snapshots, and runs are
@@ -161,21 +164,25 @@ def _verlet(runs, grad) -> list:
     g = grad(x, live, t)
     v = np.concatenate([runs[i][1] for i in order])
     bounds = list(itertools.accumulate((len(runs[i][0]) for i in order), initial=0))
-    dt, half, kick, t_step = np.empty_like(x), np.empty_like(x), np.empty_like(x), np.zeros_like(t)
+    dt, half, kick, drift = (np.empty_like(x) for _ in range(4))
+    t_step = np.zeros_like(t)
     snaps = [([], [], []) for _ in runs]
     for stop in sorted(set().union(*tables)):
-        k = sum(total >= stop for total in totals)
-        if k != k_views and step < stop:  # a run has ended: step the shorter prefix
-            k_views, live, n = k, tuple(order[:k]), bounds[k]
-            xk, vk, dtk, halfk, kickk, g = (arr[:n] for arr in (x, v, dt, half, kick, g))
-            tk, t_stepk = t[:k], t_step[:k]
-        while step < stop:
-            vk -= np.multiply(halfk, g, out=kickk)
-            xk += np.multiply(dtk, vk, out=kickk)
-            tk += t_stepk
-            step += 1
-            g = grad(xk, live, tk)
-            vk -= np.multiply(halfk, g, out=kickk)
+        if step < stop:
+            k = sum(total >= stop for total in totals)
+            if k != k_views:  # a run has ended: step the shorter prefix
+                k_views, live, n = k, tuple(order[:k]), bounds[k]
+                xk, vk, dtk, halfk, kickk, driftk, g = (
+                    arr[:n] for arr in (x, v, dt, half, kick, drift, g))
+                tk, t_stepk = t[:k], t_step[:k]
+            np.multiply(halfk, g, out=kickk)  # the events have set new step rows
+            while step < stop:
+                vk -= kickk
+                xk += np.multiply(dtk, vk, out=driftk)
+                tk += t_stepk
+                step += 1
+                g = grad(xk, live, tk)
+                vk -= np.multiply(halfk, g, out=kickk)
         for i, table in enumerate(tables):
             if stop not in table:
                 continue
@@ -283,53 +290,69 @@ def solve_cb_wave(
     modulus must stay positive (loss of hyperbolicity); either failure
     aborts with ``SolverError`` and the time.  Snapshots hold displacement
     and velocity on the grid ``X_i = i / n_grid``, shape
-    ``(n_snap, n_grid)``.
+    ``(n_snap, n_grid)``.  This is the batch of one of ``_cb_waves``.
+    """
+    return _cb_waves(M, data, snap_times, n_grid, (cfl,))[0]
+
+
+def _cb_waves(M: CBModel, data: InitialData, snap_times, n_grid: int, cfls) -> list:
+    """``solve_cb_wave`` of the same data at each CFL fraction of ``cfls``, in
+    lockstep (see ``_verlet``), each wave with the bits of its own call.
+
+    The wave speed is computed once, from the shared initial data.  The live
+    waves are the rows of one array, so every step takes one spectral
+    derivative pair and one ``CBModel._tangent`` call on all of them.  The
+    checks go wave by wave in the order given: when the stacked gradient is
+    inadmissible, each wave is re-checked alone, and the first that fails
+    raises with its own time and its own error as the cause.
     """
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
     U = data.U0.sample(n_grid)[:, 0]
     V = data.U1.sample(n_grid)[:, 0]
 
-    def tangent(Uv, t=0.0):
-        """Stress and moduli at the gradient U_X, once both checks pass."""
+    def tangent(Uv, t, live):
+        """Stress and moduli at the gradients U_X of the rows of ``Uv`` (wave
+        ``live[p]`` at time ``t[p]`` in row p), once every wave passes both checks."""
+        check = sorted(range(len(live)), key=live.__getitem__)
         try:
-            s, mods = M._tangent(_spectral_ddx(Uv)[:, None, None])
+            s, mods = M._tangent(_spectral_ddx(Uv).reshape(-1, 1, 1))
         except AdmissibilityError as exc:
-            raise SolverError(
-                f"continuum gradient left the admissible region at T={t:.6g}"
-            ) from exc
-        mods = mods[:, 0, 0, 0, 0]
-        if not float(np.min(mods)) > 0.0:
-            raise SolverError(
-                f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t:.6g}"
-            )
-        return s[:, 0, 0], mods
+            if len(live) == 1:
+                raise SolverError(
+                    f"continuum gradient left the admissible region at T={t[0]:.6g}"
+                ) from exc
+            for p in check:  # the first wave that fails alone raises
+                tangent(Uv[p:p + 1], t[p:p + 1], live[p:p + 1])
+            raise AssertionError("the stacked gradient is inadmissible but none of its waves is")
+        mods = mods.reshape(Uv.shape)
+        for p in check:
+            if not float(np.min(mods[p])) > 0.0:
+                raise SolverError(
+                    f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t[p]:.6g}"
+                )
+        return s.reshape(Uv.shape), mods
 
-    def grad(Uv, live, t):
+    def grad(x, live, t):
         # Regularity is monitored every step, not just at snapshots: once the
         # gradient leaves the admissible region the quasilinear problem is no
         # longer meaningful and everything downstream would be silent noise.
-        a = _spectral_ddx(tangent(Uv, t[0])[0])
-        return np.negative(a, out=a)
+        a = _spectral_ddx(tangent(x.reshape(len(live), n_grid), t, live)[0])
+        return np.negative(a, out=a).reshape(-1)
 
-    c_max = float(np.sqrt(np.max(tangent(U)[1])))
-    return _verlet([(U, V, snap_times, cfl / (n_grid * c_max))], grad)[0]
+    c_max = float(np.sqrt(np.max(tangent(U[None], [0.0], (0,))[1])))
+    return _verlet([(U, V, snap_times, cfl / (n_grid * c_max)) for cfl in cfls], grad)
 
 
 # ---------------------------------------------------------------------------
 # convergence sweep
 # ---------------------------------------------------------------------------
 
-def _solve_waves(P: Potential, data: InitialData, cb_times, n_grid: int, cfls) -> list:
-    """The continuum references of the sweep: the wave at each CFL fraction, in order."""
-    return [solve_cb_wave(CBModel(P), data, cb_times, n_grid=n_grid, cfl=c) for c in cfls]
-
-
 def _lattice_runs(P: Potential, data: InitialData, cb_times, runs) -> list:
     """The lattice run of each ``(eps, cfl)`` to the micro times ``cb_times / eps``,
-    all in one lockstep batch."""
-    return _integrate_runs(P, [(*make_initial_data(data, eps), cb_times / eps, cfl)
-                               for eps, cfl in runs])
+    all in one lockstep batch, from each distinct spacing's initial data built once."""
+    starts = {eps: make_initial_data(data, eps) for eps in {eps for eps, _ in runs}}
+    return _integrate_runs(P, [(*starts[eps], cb_times / eps, cfl) for eps, cfl in runs])
 
 
 def _dynamic_member(P: Potential, cb_U, cb_V, traj: Trajectory, eps, q) -> dict:
@@ -370,13 +393,14 @@ def dynamic_error_sweep(
     error is the maximum over snapshots of the scaled gradient gap plus
     velocity gap.  The finest spacing is re-run at half the time step
     (``half_dt``) against a wave also solved at half the step, to confirm
-    integration error is subdominant.  The sweep is two pool jobs: first
-    both waves, then every lattice run in one lockstep batch (``_verlet``);
-    the gaps and energy drifts are computed after both.  A failing wave
-    raises before any lattice failure; among the lattice runs the one that
-    fails at the earliest lockstep step raises (at one step, the first in
-    ``eps_list`` order, the control last).  An unstable reference lattice
-    raises SolverError before any solve.
+    integration error is subdominant.  The sweep is two pool jobs, each one
+    lockstep batch on the shared stepper (``_verlet``): first both waves
+    (``_cb_waves``), then every lattice run; the gaps and energy drifts are
+    computed after both.  A failing wave raises before any lattice failure.
+    Within each batch the run that fails at the earliest lockstep step
+    raises; at one step, the sweep's wave before the control's, and among
+    the lattice runs the first in ``eps_list`` order, the control last.  An
+    unstable reference lattice raises SolverError before any solve.
     """
     _require_stable(P)
     cb_times = np.linspace(0.0, T, n_snap)
@@ -386,7 +410,7 @@ def dynamic_error_sweep(
     # atomistic-only control would miss entirely.
     runs = [(eps, cfl) for eps in eps_list] + [(finest, 0.5 * cfl)]
     waves, trajs = _map_members([
-        (_solve_waves, (P, data, cb_times, n_grid, (cfl, 0.5 * cfl))),
+        (_cb_waves, (CBModel(P), data, cb_times, n_grid, (cfl, 0.5 * cfl))),
         (_lattice_runs, (P, data, cb_times, runs)),
     ], workers)
     refs = [[[TrigField.from_grid_1d(g[:, None]) for g in grids] for grids in (cb.u, cb.v)]

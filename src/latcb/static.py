@@ -237,8 +237,9 @@ def _ddx_symbol(n: int) -> np.ndarray:
 
 
 def _spectral_ddx(f: np.ndarray) -> np.ndarray:
-    """Derivative of the trigonometric interpolant of the samples ``f[j]`` at X = j / len(f)."""
-    n = f.shape[0]
+    """Derivative along the last axis of the trigonometric interpolant of the samples
+    ``f[..., j]`` at X = j / n, n = ``f.shape[-1]``."""
+    n = f.shape[-1]
     return np.fft.irfft(_ddx_symbol(n) * np.fft.rfft(f), n=n)
 
 

@@ -1,5 +1,6 @@
-"""``scripts/bench_pairs.py``: the pair order, the summary arithmetic and the
-refusal of checkouts in different directories, on canned results (no bench run)."""
+"""``scripts/bench_pairs.py``: the pair order, the summary arithmetic, the
+per-operation medians and the refusal of checkouts in different directories,
+on canned results and a stub benchmark (no real bench run)."""
 
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ PARENT_RUN_S = [0.20 + 0.01 * i for i in range(10)]  # median 0.245, quartiles 0
 def _result(run_s: float, setup_s: float = 0.25, rss: float = 47.0) -> dict:
     metrics = {"setup_s": setup_s, "run_s": run_s, "peak_rss_mb": rss}
     return {"correct": True, "attempted": 4, "failed": 0,
-            "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+            "operations": {"sweep": run_s - 0.05, "reject": 0.05}}
 
 
 def _summary(change_run_s: list, better: str = "lower") -> dict:
@@ -110,7 +112,34 @@ def test_pairs_alternate_and_the_summary_is_printed(tmp_path, capsys):
                                                                "no gain")
     assert out[3].startswith("run_s: parent 0.245 [0.2175, 0.2725] -> change 0.145 [")
     assert "(-40.8%); wins 10/10; gap 0.1 vs parent IQR 0.055: gain" in out[3]
-    assert len(out) == 5 and out[4].startswith("peak_rss_mb: ")
+    assert out[4].startswith("peak_rss_mb: ")
+    # each side's median of every operation's per-run median
+    assert out[5:] == ["operation sweep: parent 0.195 s -> change 0.095 s (-51.3%)",
+                       "operation reject: parent 0.05 s -> change 0.05 s (+0.0%)"]
+
+
+RUN_BENCH_STUB = """
+import json, pathlib, sys
+workload, seed = sys.argv[2], int(sys.argv[4])
+rundir = pathlib.Path(".bench_runs") / workload
+rundir.mkdir(parents=True, exist_ok=True)
+rounds = [[0.10 + seed, 0.02], [0.30 + seed, 0.01], [0.20 + seed, 0.03]]
+(rundir / "timings.json").write_text(json.dumps({"operations": ["sweep", "reject"],
+                                                 "scaled_rounds": rounds}))
+print("a progress line")
+print(json.dumps({"correct": True, "attempted": 6, "failed": 0, "metrics": {}}))
+"""
+
+
+def test_each_run_reads_its_operation_medians_right_after_it(tmp_path):
+    # the stub benchmark writes its timings.json in the checkout it runs in,
+    # with per-round times that depend on the seed
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run_bench.py").write_text(RUN_BENCH_STUB)
+    for seed in (0, 2):
+        result = bench_pairs.run_bench(tmp_path, "shadowing", seed)
+        assert result["attempted"] == 6
+        assert result["operations"] == {"sweep": pytest.approx(0.20 + seed), "reject": 0.02}
 
 
 def test_checkouts_in_different_directories_are_refused(tmp_path):

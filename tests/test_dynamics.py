@@ -560,21 +560,22 @@ def _wave_case(case):
     }[case]
 
 
+def _wave_outcome(solve, *args):
+    """A wave run's bytes, or its ``SolverError`` text and cause."""
+    try:
+        traj = solve(*args)
+    except SolverError as exc:
+        return str(exc), str(exc.__cause__)
+    return tuple(getattr(traj, name).tobytes() for name in ("times", "u", "v"))
+
+
 @pytest.mark.parametrize("case", ["lj", "eam", "generic_lj", "hyperbolicity",
                                   "admissibility", "nan"])
 def test_cb_wave_matches_two_call_reference_bit_for_bit(case):
     """Stress and moduli from one bond pass give the two-call solver's wave,
     and its aborts in the same words."""
-    def outcome(solve):
-        M, data, snap, n_grid = _wave_case(case)
-        try:
-            traj = solve(M, data, snap, n_grid=n_grid)
-        except SolverError as exc:
-            return str(exc), str(exc.__cause__)
-        return tuple(getattr(traj, name).tobytes() for name in ("times", "u", "v"))
-
-    got = outcome(solve_cb_wave)
-    assert got == outcome(reference_solve_cb_wave)
+    got = _wave_outcome(solve_cb_wave, *_wave_case(case))
+    assert got == _wave_outcome(reference_solve_cb_wave, *_wave_case(case))
     assert (len(got) == 2) == (case in ("hyperbolicity", "admissibility", "nan"))
 
 
@@ -594,6 +595,98 @@ def test_cb_wave_forms_one_bond_pass_per_step(monkeypatch):
     steps = sum(max(1, math.ceil(span / dt[0] - 1e-12)) for span in np.diff(snap))
     assert steps > 2
     assert len(calls) == steps + 2
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches of continuum waves
+# ---------------------------------------------------------------------------
+
+def _batch_outcomes(M, data, snap, n_grid, cfls) -> list:
+    """Each wave's bytes from ``_cb_waves``, or the batch's ``SolverError``."""
+    try:
+        trajs = dynamics._cb_waves(M, data, snap, n_grid, cfls)
+    except SolverError as exc:
+        return [(str(exc), str(exc.__cause__))]
+    return [tuple(getattr(t, name).tobytes() for name in ("times", "u", "v")) for t in trajs]
+
+
+@pytest.mark.parametrize("case", ["lj", "eam"])
+def test_wave_batch_matches_single_waves_bit_for_bit(monkeypatch, case):
+    """Each wave of a batch has the bits of ``solve_cb_wave`` at its fraction alone
+    and of the two-call reference: the pair path and the generic (EAM) path,
+    two step sizes, and a snapshot mid-run."""
+    M, data, snap, n_grid = _wave_case(case)
+    cfls = (0.2, 0.07)
+    steps = _record_steps(monkeypatch)
+    got = _batch_outcomes(M, data, snap, n_grid, cfls)
+    assert len(got) == 2 and len(set(got)) == 2
+    single = [_wave_outcome(solve_cb_wave, M, data, snap, n_grid, c) for c in cfls]
+    assert steps[:2] == steps[2:] and steps[0] != steps[1]
+    ref = [_wave_outcome(reference_solve_cb_wave, M, data, snap, n_grid, c) for c in cfls]
+    assert got == single == ref
+
+
+def test_wave_batch_forms_one_bond_pass_per_lockstep_step(monkeypatch):
+    """The wave speed, then the first acceleration and every lockstep step, form
+    the bonds of all live waves once: both waves until the shorter one ends."""
+    calls = []
+    half_bonds = CBModel._half_bonds
+
+    def counted(self, F):
+        calls.append(len(F))
+        return half_bonds(self, F)
+
+    monkeypatch.setattr(CBModel, "_half_bonds", counted)
+    M, data, snap, n_grid = _wave_case("lj")
+    dt = _record_steps(monkeypatch)
+    dynamics._cb_waves(M, data, snap, n_grid, (0.2, 0.07))
+    steps = [sum(max(1, math.ceil(span / h - 1e-12)) for span in np.diff(snap)) for h in dt]
+    assert 2 < steps[0] < steps[1]
+    assert calls == [n_grid] + [2 * n_grid] * (steps[0] + 1) + [n_grid] * (steps[1] - steps[0])
+
+
+def _kicked_wave(kick, kappa=0.25):
+    """A wave model and data near rest under a cos velocity kick of amplitude
+    ``kick``: on 32 points, kicks 50 and 100 fail at the first step."""
+    return (CBModel(lj_chain(kappa=kappa)),
+            InitialData(_sin_field(0.001), TrigField.from_terms(1, 1, [((1,), 0, "cos", kick)])),
+            [0.5], 32)
+
+
+@pytest.mark.parametrize("case", ["hyperbolicity", "admissibility", "nan"])
+def test_wave_batch_raises_the_earliest_failure_in_single_run_words(case):
+    """Mid-run, the wave at the larger step fails at the earlier lockstep step,
+    in either order, with the message and cause of its own run; NaN data fails
+    at the shared wave speed, in the words of a single run."""
+    args = _kicked_wave(1.0, kappa=0.1) if case == "admissibility" else _wave_case(case)
+    alone = _wave_outcome(solve_cb_wave, *args, 0.2)
+    assert {"hyperbolicity": "lost hyperbolicity", "admissibility": "admissible region",
+            "nan": "admissible region at T=0"}[case] in alone[0]
+    if case == "nan":
+        assert "non-finite" in alone[1]
+    else:
+        assert _wave_outcome(solve_cb_wave, *args, 0.1) != alone
+    for cfls in ((0.2, 0.1), (0.1, 0.2)):
+        assert _batch_outcomes(*args, cfls) == [alone]
+
+
+@pytest.mark.parametrize("kick, kappa, kinds", [
+    (50.0, 0.25, ("hyperbolicity", "hyperbolicity")),
+    (100.0, 0.25, ("admissible", "hyperbolicity")),
+    (100.0, 0.05, ("admissible", "admissible")),
+])
+def test_wave_batch_tie_raises_the_first_wave_in_the_order_given(monkeypatch, kick, kappa, kinds):
+    """Both waves fail at the first lockstep step, at different times (and
+    norms): the first in the order given raises, in the words and with the
+    cause of its own run, whichever check each wave fails."""
+    args = _kicked_wave(kick, kappa)
+    dt = _record_steps(monkeypatch)
+    alone = {c: _wave_outcome(solve_cb_wave, *args, c) for c in (0.2, 0.1)}
+    assert alone[0.2] != alone[0.1]
+    for (msg, _), kind, h in zip(alone.values(), kinds, dt):
+        assert kind in msg and msg.endswith(f" at T={0.5 / math.ceil(0.5 / h - 1e-12):.6g}")
+    for cfls in ((0.2, 0.1), (0.1, 0.2)):
+        assert _batch_outcomes(*args, cfls) == [alone[cfls[0]]]
 
 
 # ---------------------------------------------------------------------------
@@ -639,20 +732,25 @@ def test_sweep_energy_drift_is_measured_from_t0():
 
 
 def test_sweep_maps_control_and_members_in_one_call(monkeypatch):
-    # two jobs: both continuum references (the sweep's wave, then the half-dt
-    # control's at half the CFL fraction), then every lattice run in one
-    # lockstep batch, the control (finest spacing, half the fraction) last.
+    # two jobs: both continuum references in one lockstep batch (the sweep's
+    # wave, then the half-dt control's at half the CFL fraction), then every
+    # lattice run in one lockstep batch, the control (finest spacing, half the
+    # fraction) last.
     # Nothing is solved or stepped before the map, and the job order does
     # not change a bit of the result.
-    calls, solved, batches = [], [], []
+    calls, solved, batches, built = [], [], [], []
 
     def reversed_map(jobs, workers):
         calls.append((jobs, list(solved), list(batches)))
         return [fn(*args) for fn, args in jobs[::-1]][::-1]
 
-    def recorded_solve(M, data, snap_times, n_grid, cfl):
-        solved.append(cfl)
-        return solve_cb_wave(M, data, snap_times, n_grid=n_grid, cfl=cfl)
+    def recorded_waves(M, data, snap_times, n_grid, cfls):
+        solved.append(cfls)
+        return cb_waves(M, data, snap_times, n_grid, cfls)
+
+    def recorded_data(data, eps):
+        built.append(eps)
+        return make_initial_data(data, eps)
 
     def recorded_batch(P, runs):
         batches.append([(u0.lattice.N, cfl) for u0, _, _, cfl in runs])
@@ -661,16 +759,19 @@ def test_sweep_maps_control_and_members_in_one_call(monkeypatch):
     args = (_chain(), InitialData(_sin_field(), _zero_field()))
     kw = dict(T=1.0 / 16.0, eps_list=[1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0], n_snap=3, n_grid=32)
     ref = dynamic_error_sweep(*args, **kw)
-    integrate_runs = dynamics._integrate_runs
+    integrate_runs, cb_waves = dynamics._integrate_runs, dynamics._cb_waves
     monkeypatch.setattr(dynamics, "_map_members", reversed_map)
-    monkeypatch.setattr(dynamics, "solve_cb_wave", recorded_solve)
+    monkeypatch.setattr(dynamics, "_cb_waves", recorded_waves)
     monkeypatch.setattr(dynamics, "_integrate_runs", recorded_batch)
+    monkeypatch.setattr(dynamics, "make_initial_data", recorded_data)
     assert dynamic_error_sweep(*args, **kw) == ref
     ((jobs, solved_before, batches_before),) = calls
     assert solved_before == batches_before == []
-    assert solved == [0.2, 0.1]
+    assert solved == [(0.2, 0.1)]
     assert batches == [[(8, 0.2), (16, 0.2), (32, 0.2), (32, 0.1)]]
-    assert [job[0] for job in jobs] == [dynamics._solve_waves, dynamics._lattice_runs]
+    # the finest spacing's initial data serves its member and the control
+    assert sorted(built) == [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0]
+    assert [job[0] for job in jobs] == [recorded_waves, dynamics._lattice_runs]
     assert jobs[0][1][3:] == (32, (0.2, 0.1))
     assert jobs[1][1][3] == [(1.0 / 8.0, 0.2), (1.0 / 16.0, 0.2), (1.0 / 32.0, 0.2),
                              (1.0 / 32.0, 0.1)]

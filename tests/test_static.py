@@ -34,6 +34,7 @@ from latcb.static import (
     SolverError,
     _line_search,
     _newton_krylov,
+    _spectral_ddx,
     interp_gradient_gap,
     interp_value_gap,
     make_forces,
@@ -224,6 +225,19 @@ def test_cb_solver_never_accepts_an_inadmissible_trial(monkeypatch):
     with pytest.raises(SolverError, match="line search failed in the continuum solver"):
         solve_cb_static(M, single_mode_load(100.0), n_grid=64)
     assert len(seen) > 2 and max(seen) <= 0.06
+
+
+def test_spectral_ddx_differentiates_each_row_along_the_last_axis(rng):
+    # 1D samples of sin(2 pi X) give 2 pi cos(2 pi X); a stack of rows gives
+    # each row's own 1D derivative, bit for bit
+    X = np.arange(32) / 32
+    d = _spectral_ddx(np.sin(2.0 * np.pi * X))
+    np.testing.assert_allclose(d, 2.0 * np.pi * np.cos(2.0 * np.pi * X), atol=1e-12)
+    rows = rng.standard_normal((3, 32))
+    stacked = _spectral_ddx(rows)
+    assert stacked.shape == rows.shape
+    for got, row in zip(stacked, rows):
+        assert got.tobytes() == _spectral_ddx(row).tobytes()
 
 
 def test_cb_solver_is_one_dimensional():
