@@ -148,22 +148,37 @@ def _verlet(runs, grad) -> list:
     ``v + h (-g)``, so each run has the bits of stepping it alone with the
     acceleration ``-g``.  A snapshot copies the run's rows.
 
-    Failures: the earliest lockstep step at which a run fails raises.
-    Within a step the gradient comes before the snapshots, and runs are
-    taken in the order given (``grad`` must keep that order among its
-    runs); a non-finite snapshot raises ``SolverError`` with its run's
-    time.  Returns one ``Trajectory`` per run, in the order given.
+    Failures: the earliest lockstep step at which a run fails raises, and
+    within a step the gradient comes before the snapshots.  When ``grad``
+    raises ``SolverError`` on several live runs, it is called on each one's
+    rows alone, in the order given, and the first error propagates as it
+    is, in that run's words, time and cause (if none, ``AssertionError``).
+    A non-finite snapshot raises ``SolverError`` with its run's time.
+    Returns one ``Trajectory`` per run, in the order given.
     """
     tables = [_schedule(snap, dt_target) for _, _, snap, dt_target in runs]
     totals = [max(table) for table in tables]
     order = sorted(range(len(runs)), key=totals.__getitem__, reverse=True)
     where = sorted(range(len(runs)), key=order.__getitem__)  # each run's stacking position
     live, step, k_views = tuple(order), 0, None
+    bounds = list(itertools.accumulate((len(runs[i][0]) for i in order), initial=0))
+
+    def accel(x, live, t):
+        try:
+            return grad(x, live, t)
+        except SolverError as exc:
+            if len(live) == 1:
+                raise
+            batch_error = exc
+        # a batch fails as its first run, in the order given, that fails alone
+        for p in sorted(range(len(live)), key=live.__getitem__):
+            grad(x[bounds[p]:bounds[p + 1]], live[p:p + 1], t[p:p + 1])
+        raise AssertionError("the batch fails but none of its runs does alone") from batch_error
+
     x = np.concatenate([runs[i][0] for i in order])
     t = np.zeros(len(runs))  # each run's time, in stacking order
-    g = grad(x, live, t)
+    g = accel(x, live, t)
     v = np.concatenate([runs[i][1] for i in order])
-    bounds = list(itertools.accumulate((len(runs[i][0]) for i in order), initial=0))
     dt, half, kick, drift = (np.empty_like(x) for _ in range(4))
     t_step = np.zeros_like(t)
     snaps = [([], [], []) for _ in runs]
@@ -181,7 +196,7 @@ def _verlet(runs, grad) -> list:
                 xk += np.multiply(dtk, vk, out=driftk)
                 tk += t_stepk
                 step += 1
-                g = grad(xk, live, tk)
+                g = accel(xk, live, tk)
                 vk -= np.multiply(halfk, g, out=kickk)
         for i, table in enumerate(tables):
             if stop not in table:
@@ -230,9 +245,10 @@ def _integrate_runs(P: Potential, runs) -> list:
     potential, in lockstep (see ``_verlet``), each with its own bits.
 
     Every step evaluates the forces once, on the live runs' cells laid end
-    to end (``stacked_plan``, built once per set of live runs).  When that
-    state is inadmissible, the live runs are evaluated one by one, in the
-    order given, and the first that fails raises with its own time and norm.
+    to end (``stacked_plan``, built once per set of live runs).  An
+    inadmissible state raises ``SolverError`` with the time and the norm; in
+    a batch, ``_verlet`` names the first run, in the order given, whose own
+    state is inadmissible, with its own time and norm.
     """
     w, d = max_frequency(P), P.d
     cells = [u0.values.shape[:-1] for u0, *_ in runs]
@@ -244,28 +260,14 @@ def _integrate_runs(P: Potential, runs) -> list:
             plan = plans[live] = stacked_plan([cells[i] for i in live], P.S)
         try:
             return gradient_array(P, x, plan)
-        except AdmissibilityError:
-            p, exc = _first_inadmissible(P, x, cells, live)
-            raise SolverError(f"dynamics left the admissible region at t={t[p]:.6g}: {exc}")
+        except AdmissibilityError as exc:
+            raise SolverError(f"dynamics left the admissible region at t={t[0]:.6g}: {exc}")
 
     trajs = _verlet([(u0.values.reshape(-1, d), v0.values.reshape(-1, d), snap, cfl / w)
                      for u0, v0, snap, cfl in runs], grad)
     return [Trajectory(tr.times, tr.u.reshape(tr.u.shape[:1] + u0.values.shape),
                        tr.v.reshape(tr.v.shape[:1] + u0.values.shape))
             for tr, (u0, *_) in zip(trajs, runs)]
-
-
-def _first_inadmissible(P: Potential, x, cells, live) -> tuple:
-    """Stacking position and error of the first of the ``live`` runs, by index,
-    whose own cell (of shape ``cells[i]`` for run i) of the stacked state ``x``
-    is inadmissible."""
-    bounds = np.cumsum([0] + [math.prod(cells[i]) for i in live])
-    for p in sorted(range(len(live)), key=live.__getitem__):
-        try:
-            gradient_array(P, x[bounds[p]:bounds[p + 1]].reshape(cells[live[p]] + x.shape[-1:]))
-        except AdmissibilityError as exc:
-            return p, exc
-    raise AssertionError("the stacked state is inadmissible but none of its cells is")
 
 
 # ---------------------------------------------------------------------------
@@ -301,46 +303,39 @@ def _cb_waves(M: CBModel, data: InitialData, snap_times, n_grid: int, cfls) -> l
 
     The wave speed is computed once, from the shared initial data.  The live
     waves are the rows of one array, so every step takes one spectral
-    derivative pair and one ``CBModel._tangent`` call on all of them.  The
-    checks go wave by wave in the order given: when the stacked gradient is
-    inadmissible, each wave is re-checked alone, and the first that fails
-    raises with its own time and its own error as the cause.
+    derivative pair and one ``CBModel._tangent`` call on all of them.  A
+    failing check raises ``SolverError`` with the time; in a batch,
+    ``_verlet`` names the first wave, in the order given, that fails alone,
+    in its own words and with its own error as the cause.
     """
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
     U = data.U0.sample(n_grid)[:, 0]
     V = data.U1.sample(n_grid)[:, 0]
 
-    def tangent(Uv, t, live):
-        """Stress and moduli at the gradients U_X of the rows of ``Uv`` (wave
-        ``live[p]`` at time ``t[p]`` in row p), once every wave passes both checks."""
-        check = sorted(range(len(live)), key=live.__getitem__)
+    def tangent(Uv, t):
+        """Stress and moduli at the gradients U_X of the rows of ``Uv``, once
+        they pass both checks (named at the time ``t[0]``)."""
         try:
             s, mods = M._tangent(_spectral_ddx(Uv).reshape(-1, 1, 1))
         except AdmissibilityError as exc:
-            if len(live) == 1:
-                raise SolverError(
-                    f"continuum gradient left the admissible region at T={t[0]:.6g}"
-                ) from exc
-            for p in check:  # the first wave that fails alone raises
-                tangent(Uv[p:p + 1], t[p:p + 1], live[p:p + 1])
-            raise AssertionError("the stacked gradient is inadmissible but none of its waves is")
-        mods = mods.reshape(Uv.shape)
-        for p in check:
-            if not float(np.min(mods[p])) > 0.0:
-                raise SolverError(
-                    f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t[p]:.6g}"
-                )
+            raise SolverError(
+                f"continuum gradient left the admissible region at T={t[0]:.6g}"
+            ) from exc
+        if not float(np.min(mods)) > 0.0:
+            raise SolverError(
+                f"Cauchy-Born wave lost hyperbolicity (modulus <= 0) at T={t[0]:.6g}"
+            )
         return s.reshape(Uv.shape), mods
 
     def grad(x, live, t):
         # Regularity is monitored every step, not just at snapshots: once the
         # gradient leaves the admissible region the quasilinear problem is no
         # longer meaningful and everything downstream would be silent noise.
-        a = _spectral_ddx(tangent(x.reshape(len(live), n_grid), t, live)[0])
+        a = _spectral_ddx(tangent(x.reshape(len(live), n_grid), t)[0])
         return np.negative(a, out=a).reshape(-1)
 
-    c_max = float(np.sqrt(np.max(tangent(U[None], [0.0], (0,))[1])))
+    c_max = float(np.sqrt(np.max(tangent(U[None], [0.0])[1])))
     return _verlet([(U, V, snap_times, cfl / (n_grid * c_max)) for cfl in cfls], grad)
 
 
@@ -398,9 +393,10 @@ def dynamic_error_sweep(
     (``_cb_waves``), then every lattice run; the gaps and energy drifts are
     computed after both.  A failing wave raises before any lattice failure.
     Within each batch the run that fails at the earliest lockstep step
-    raises; at one step, the sweep's wave before the control's, and among
-    the lattice runs the first in ``eps_list`` order, the control last.  An
-    unstable reference lattice raises SolverError before any solve.
+    raises in its own words (``_verlet``'s rule); at one step, the sweep's
+    wave before the control's, and among the lattice runs the first in
+    ``eps_list`` order, the control last.  An unstable reference lattice
+    raises SolverError before any solve.
     """
     _require_stable(P)
     cb_times = np.linspace(0.0, T, n_snap)
@@ -477,7 +473,7 @@ def instability_demo(
     alternating and smooth probes, then the stable chain's probe.  So a
     failure of the unstable chain raises first, from whichever of its two
     runs fails at the earlier lockstep step (at one step, the alternating
-    run), and the stable chain is not run.
+    run; ``_verlet``'s rule), and the stable chain is not run.
     """
     N = supercell_period(eps)
     if N % 2:

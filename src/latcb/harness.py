@@ -432,10 +432,8 @@ def _atomic_write(texts: dict):
 
 def _format_value(v) -> str:
     """A CSV cell: a float by its shortest round-trip repr, anything else by str.
-    Exact Python floats, the cells of ``tolist()`` rows, take the first test;
-    ``csv_text`` formats them in bulk with the same text."""
-    if type(v) is float:
-        return repr(v)
+    Exact Python floats, the cells of ``tolist()`` rows, never reach it:
+    ``csv_text`` formats them itself in bulk, with the same text."""
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
@@ -472,11 +470,6 @@ def csv_text(comments, columns, rows) -> str:
     lines.append("# columns: " + ",".join(columns))
     lines.extend(map(",".join, map(itertools.islice, itertools.repeat(texts), map(len, rows))))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: Path, comments, columns, rows):
-    """``csv_text`` of the table, written atomically to ``path``."""
-    _atomic_write({Path(path): csv_text(comments, columns, rows)})
 
 
 def _evaluate_checks(cfg: ExperimentConfig, report: dict) -> list:
@@ -516,7 +509,7 @@ def _run_stability(cfg: ExperimentConfig, workers: int):
     gamma, lh_min = stability_constants(P, cfg.values["n_grid"])
     report = {"gamma": gamma, "omega_max": max_frequency(P), "lh_min": lh_min}
     if probe_N is not None:
-        report["alternating_quotient"], _ = instability_eigenprobe(P, probe_N)
+        report["alternating_quotient"] = instability_eigenprobe(P, probe_N)
     return report, ("quantity", "value"), list(report.items())
 
 

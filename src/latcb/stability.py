@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DisplacementField, LatticeSpec, tensor_grid
+from .lattice import tensor_grid
 from .potentials import Potential, hessian_operator
 from .stress import CBModel
 
@@ -280,7 +280,7 @@ def legendre_hadamard_min(M: CBModel) -> float:
 # real-space probes
 # ---------------------------------------------------------------------------
 
-def instability_eigenprobe(P: Potential, N: int) -> tuple[float, DisplacementField]:
+def instability_eigenprobe(P: Potential, N: int) -> float:
     """Rayleigh quotient of the alternating-strain probe.
 
     The probe ``v(xi) = (-1)^xi / 2`` has unit alternating strain; its
@@ -293,11 +293,9 @@ def instability_eigenprobe(P: Potential, N: int) -> tuple[float, DisplacementFie
         raise ValueError("the alternating probe is one-dimensional")
     if N % 2:
         raise ValueError("N must be even for the alternating pattern to be periodic")
-    lattice = LatticeSpec(d=1, A=P.A, N=N)
     vals = (0.5 * (-1.0) ** np.arange(N)).reshape(N, 1)
-    v = DisplacementField(lattice, vals)
     Hv = hessian_operator(P, np.zeros_like(vals))(vals)
     num = float(np.sum(vals * Hv))
     diff = np.roll(vals, -1, axis=0) - vals
     den = float(np.sum(diff * diff))
-    return num / den, v
+    return num / den

@@ -1,4 +1,4 @@
-"""Reference CSV writer, one row at a time: the oracle of ``harness.write_csv``.
+"""Reference CSV writer, one row at a time: the oracle of ``harness.csv_text``.
 
 The library formats a table's cells in one pass and formats each distinct
 bit pattern of its Python floats once.  This module keeps the per-row form

@@ -153,7 +153,7 @@ def test_c05_affine_exactness():
 def test_c06_stability_constants():
     g_stable = stability_constant(HarmonicChain.build(a1=2.0, a2=-0.25))
     g_unstable = stability_constant(HarmonicChain.build(a1=-1.0, a2=0.5))
-    quotient, _ = instability_eigenprobe(HarmonicChain.build(a1=-1.0, a2=0.5), N=64)
+    quotient = instability_eigenprobe(HarmonicChain.build(a1=-1.0, a2=0.5), N=64)
     ok = (
         abs(g_stable - 1.0) <= 1e-6
         and abs(g_unstable - (-1.0)) <= 1e-6

@@ -143,3 +143,26 @@ def test_no_import_cycle_inside_the_package():
 
     cycles = [cycle for name in sorted(graph) if (cycle := cycle_from(name, []))]
     assert not cycles, "import cycle: " + " -> ".join(cycles[0])
+
+
+def test_every_module_level_definition_has_a_caller_in_the_package():
+    # a module-level function or class that no name, attribute, import alias or
+    # string (``__all__`` included) of the package mentions is dead library code
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(latcb.__file__).resolve().parent.glob("*.py")}
+    mentioned = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.alias):
+                mentioned.update((node.name, node.asname))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                mentioned.add(node.value)
+    defined = [(module, node.name) for module, tree in sorted(trees.items()) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert ("harness", "csv_text") in defined  # the parse sees the definitions
+    dead = [f"{module}.{name}" for module, name in defined if name not in mentioned]
+    assert not dead, f"no caller in the package: {dead}"

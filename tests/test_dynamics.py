@@ -425,6 +425,92 @@ def test_batch_names_the_time_of_its_non_finite_snapshot():
         _verlet(runs, grad)
 
 
+def _resting(label, n, T, dt_target):
+    """A stepper run at rest on ``n`` rows of the value ``label``: under the zero
+    gradient its state keeps naming the run."""
+    return np.full((n, 1), label), np.zeros((n, 1)), [T], dt_target
+
+
+def _failing_grad(fail_after, calls):
+    """A zero gradient that fails once a live run's time passes ``fail_after`` of
+    its label.  Alone, a run fails in its own words, with its own cause; a
+    batch fails in words no single run uses.  ``calls`` records each call's
+    ``live`` and each error raised."""
+    def grad(x, live, t):
+        calls.append(live)
+        labels = dict.fromkeys(x[:, 0].tolist())  # each live run's label, in stacking order
+        if any(t[p] > fail_after[label] for p, label in enumerate(labels)):
+            if len(live) > 1:
+                calls.append(SolverError(f"the batch {live} fails"))
+                raise calls[-1]
+            assert np.all(x == x[0, 0])  # a run alone gets its own rows
+            cause = ValueError(f"{len(x)} rows")
+            calls.append(SolverError(f"run {x[0, 0]:g} fails at t={t[0]:.6g}"))
+            raise calls[-1] from cause
+        return np.zeros_like(x)
+
+    return grad
+
+
+def _stepper_failure(runs, fail_after) -> tuple:
+    """The text and the cause's text of the error ``_verlet`` raises."""
+    with pytest.raises(SolverError) as info:
+        _verlet(runs, _failing_grad(fail_after, []))
+    return str(info.value), str(info.value.__cause__)
+
+
+def test_stepper_raises_the_earliest_lockstep_failure_in_single_run_words():
+    # the long run takes more steps, so it is stacked first; each run fails
+    # alone, and whichever fails at the earlier lockstep step raises, in
+    # either order
+    short, long = _resting(1.0, 3, 0.5, 0.1), _resting(2.0, 4, 1.0, 0.1)
+    for fail_after, want in (({1.0: 0.25, 2.0: 0.55}, ("run 1 fails at t=0.3", "3 rows")),
+                             ({1.0: 0.45, 2.0: 0.25}, ("run 2 fails at t=0.3", "4 rows"))):
+        for runs in ([short, long], [long, short]):
+            assert _stepper_failure(runs, fail_after) == want
+
+
+@pytest.mark.parametrize("fail_after", [0.0, -1.0], ids=["first_step", "first_gradient"])
+def test_stepper_tie_raises_the_first_run_in_the_order_given(fail_after):
+    # both runs fail at one lockstep step, at different times; the run given
+    # first raises, however the runs are stacked
+    short, long = _resting(1.0, 3, 0.5, 0.1), _resting(2.0, 4, 1.0, 0.05)
+    t = {1.0: "0.1", 2.0: "0.05"} if fail_after == 0.0 else {1.0: "0", 2.0: "0"}
+    for runs in ([short, long], [long, short]):
+        label = runs[0][0][0, 0]
+        assert _stepper_failure(runs, {1.0: fail_after, 2.0: fail_after}) == (
+            f"run {label:g} fails at t={t[label]}", f"{len(runs[0][0])} rows")
+
+
+@pytest.mark.parametrize("n_runs", [1, 2])
+def test_stepper_passes_a_single_live_runs_failure_on_without_a_recall(n_runs):
+    # the long run fails after the short one has ended (or alone): its error is
+    # the one raised, and no call follows the failing one
+    runs = [_resting(1.0, 3, 0.2, 0.1), _resting(2.0, 4, 1.0, 0.1)][2 - n_runs:]
+    calls = []
+    with pytest.raises(SolverError) as info:
+        _verlet(runs, _failing_grad({1.0: math.inf, 2.0: 0.55}, calls))
+    assert info.value is calls[-1] and str(info.value) == "run 2 fails at t=0.6"
+    assert [live for live in calls if isinstance(live, tuple)][-2:] == [(n_runs - 1,)] * 2
+    assert len(calls) == 1 + 6 + 1  # the first gradient, six steps, the error
+
+
+def test_stepper_raises_assertion_when_no_run_fails_alone():
+    calls = []
+    grad = _failing_grad({1.0: math.inf, 2.0: math.inf}, calls)
+
+    def batch_only(x, live, t):
+        if len(live) > 1 and t[0] > 0.15:
+            calls.append(SolverError("the batch fails"))
+            raise calls[-1]
+        return grad(x, live, t)
+
+    with pytest.raises(AssertionError) as info:
+        _verlet([_resting(1.0, 3, 0.5, 0.1), _resting(2.0, 4, 1.0, 0.1)], batch_only)
+    assert info.value.__cause__ is calls[-3]
+    assert calls[-2:] == [(0,), (1,)]  # each run re-called alone, in the order given
+
+
 def _failure(P, runs):
     with pytest.raises(SolverError) as info:
         dynamics._integrate_runs(P, runs)

@@ -30,9 +30,9 @@ from latcb.harness import (
     ExperimentConfig,
     _initial_field,
     _macro_force,
+    csv_text,
     fit_rate,
     run,
-    write_csv,
 )
 
 from latcb.stability import legendre_hadamard_min, stability_constant
@@ -299,14 +299,13 @@ def test_stability_run_takes_the_lh_minimum_once(tmp_path, monkeypatch, pot):
     assert report["lh_min"] == legendre_hadamard_min(CBModel(cfg.P))
 
 
-def test_csv_cells_format_by_one_rule(tmp_path):
+def test_csv_cells_format_by_one_rule():
     # floats by their shortest round-trip repr, every other cell by str; exact
     # Python floats take a fast path with the same text
     cells = [True, np.bool_(False), 3, np.int64(4), 0.1, np.float64(0.1), np.float32(0.1),
              np.float64(5e-324), "gamma", None, math.nan, np.float64(math.nan), math.inf,
              -math.inf, np.float64(-math.inf), -0.0, np.float64(-0.0), 1e-310, 1 / 3]
-    write_csv(tmp_path / "cells.csv", [], [f"c{i}" for i in range(len(cells))], [cells])
-    line = (tmp_path / "cells.csv").read_text().splitlines()[-1]
+    line = csv_text([], [f"c{i}" for i in range(len(cells))], [cells]).splitlines()[-1]
     assert line == ("True,False,3,4,0.1,0.1,0.10000000149011612,5e-324,gamma,None,nan,nan,inf,"
                     "-inf,-inf,-0.0,-0.0,1e-310,0.3333333333333333")
 
@@ -346,11 +345,10 @@ def test_csv_matches_the_per_row_reference(rows):
     ragged tables that repeat cells (NaNs of any sign and payload, +-inf,
     subnormals, 0.0 next to -0.0), the empty table and zero-length rows."""
     with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        want = Path(tmp, "want.csv")
         args = (["c1", "c2"], ["a", "b"], rows)
-        write_csv(got, *args)
         csv_reference.write_csv(want, *args)
-        assert got.read_bytes() == want.read_bytes()
+        assert csv_text(*args).encode() == want.read_bytes()
 
 
 def test_run_outputs_are_byte_identical(tmp_path):
