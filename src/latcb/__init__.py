@@ -25,7 +25,6 @@ from .potentials import (
 )
 from .interpolation import (
     zeta_eval,
-    interp_sample,
     chi_eval,
     grad_chi_eval,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "AdmissibilityError",
     "total_energy",
     "zeta_eval",
-    "interp_sample",
     "chi_eval",
     "grad_chi_eval",
     "CBModel",

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _leading_entry
+
 __all__ = ["TrigField"]
 
 _TWO_PI = 2.0 * np.pi
@@ -30,8 +32,7 @@ def _canonical(modes: np.ndarray, amps: np.ndarray):
     duplicates add in input order onto a ``-0.0`` start, which keeps the
     signed zeros of a lone term; the modes come out sorted.
     """
-    first = modes[np.arange(modes.shape[0]), np.argmax(modes != 0, axis=1)]
-    flip = (first < 0)[:, None]
+    flip = (_leading_entry(modes) < 0)[:, None]
     M, inv = np.unique(np.where(flip, -modes, modes), axis=0, return_inverse=True)
     A = np.full((M.shape[0], amps.shape[1]), complex(-0.0, -0.0))
     np.add.at(A, inv, np.where(flip, np.conj(amps), amps))

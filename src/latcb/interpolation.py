@@ -24,14 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import DisplacementField, as_direction, gauss_rule_01
+from .lattice import DisplacementField, gauss_rule_01
 
 __all__ = [
     "zeta_eval",
     "hat",
     "b3",
     "b3_prime",
-    "interp_sample",
     "interp_sample_shifts",
     "chi_eval",
     "grad_chi_eval",
@@ -91,7 +90,7 @@ def zeta_eval(x) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _sample_symbol(N: int, n_modes: int, s: float, order: int) -> np.ndarray:
-    """Modes 0..n_modes-1 of one axis's multiplier in ``interp_sample`` (read-only).
+    """Modes 0..n_modes-1 of one axis's multiplier in ``interp_sample_shifts`` (read-only).
 
     The sites ``j = floor(s) + (-1, 0, 1, 2)`` reach the offset ``s`` with
     the taps ``b3(s - j)`` (``b3_prime`` for a first partial); the 4-tap
@@ -106,28 +105,19 @@ def _sample_symbol(N: int, n_modes: int, s: float, order: int) -> np.ndarray:
     return out
 
 
-def interp_sample(u: DisplacementField, shift=0.0, deriv: tuple | None = None) -> np.ndarray:
-    """The smoothed interpolant of ``u``, or one first partial, on the grid ``xi + shift``.
+def interp_sample_shifts(u: DisplacementField, shifts, deriv: tuple | None = None) -> np.ndarray:
+    """The smoothed interpolant of ``u``, or one first partial, on the grids
+    ``xi + shifts[q]`` of a (Q, d) batch of shifts.
 
     The smoothed interpolant ``I u(x) = sum_xi w(xi) prod_a b3(x_a - xi_a)``
     is the C^2 cubic B-spline quasi-interpolant of the values ``w`` whose
     B-spline filter [1/6, 2/3, 1/6] per axis gives back ``u``, so it matches
-    ``u`` at every site.  ``shift`` (a scalar or a d-vector) and ``deriv``
-    (None, or the order per axis with at most one 1) follow
-    ``TrigField.sample``; the result has shape (N,)*d + (d,): the one-row
-    case of ``interp_sample_shifts``.
-    """
-    shift = np.broadcast_to(np.asarray(shift, dtype=float), (u.lattice.d,))
-    return interp_sample_shifts(u, shift[None], deriv)[0]
-
-
-def interp_sample_shifts(u: DisplacementField, shifts, deriv: tuple | None = None) -> np.ndarray:
-    """``interp_sample`` on the grids ``xi + shifts[q]`` of a (Q, d) batch of shifts.
-
-    Returns shape (Q,) + (N,)*d + (d,).  Each grid is a circular
-    correlation of ``w`` with 4 B-spline taps per axis: one real FFT of
-    ``u``, a stack of per-axis multipliers, one per shift, and one batched
-    inverse FFT.  Each row has the bits of a one-shift call.
+    ``u`` at every site.  ``deriv`` (None, or the order per axis with at
+    most one 1) follows ``TrigField.sample``.  Returns shape
+    (Q,) + (N,)*d + (d,).  Each grid is a circular correlation of ``w``
+    with 4 B-spline taps per axis: one real FFT of ``u``, a stack of
+    per-axis multipliers, one per shift, and one batched inverse FFT.
+    Each row has the bits of a one-shift call.
     """
     d, N = u.lattice.d, u.lattice.N
     shifts = np.asarray(shifts, dtype=float)
@@ -154,12 +144,10 @@ _T_GAUSS, _T_WEIGHTS = gauss_rule_01(3)
 
 
 def _directions(rho, d: int) -> np.ndarray:
-    """One direction (``as_direction``), or an integer array (..., d) of
-    nonzero directions, one per row."""
+    """An integer array (..., d) of nonzero directions, one per row."""
     r = np.asarray(rho)
-    if r.ndim < 2:
-        return as_direction(rho, d)
-    if r.shape[-1] != d or not np.issubdtype(r.dtype, np.integer) or not r.any(axis=-1).all():
+    ok = r.ndim >= 1 and r.shape[-1] == d and np.issubdtype(r.dtype, np.integer)
+    if not (ok and r.any(axis=-1).all()):
         raise ValueError(f"directions must be nonzero integer rows of length {d}, "
                          f"got shape {r.shape} of dtype {r.dtype}")
     return r
@@ -169,16 +157,16 @@ def chi_eval(xi, rho, x) -> np.ndarray:
     """Bond kernel chi_{xi,rho}(x) = int_0^1 zeta(xi + t rho - x) dt.
 
     ``xi`` may be a batch of shape (..., d) of lattice sites (not wrapped:
-    geometric coordinates); ``rho`` a direction, or an integer array of
-    directions (..., d) that broadcasts against ``xi``, one per row, all
-    moving along the same axes (the same nonzero entries); ``x`` a single
-    point of shape (d,) or a point batch that broadcasts against ``xi``
-    (points of shape (P, 1, d) against per-point site windows (P, K, d) give
-    (P, K)).  The t-integral is evaluated exactly by splitting at the
-    parameter values where any coordinate of ``xi + t rho - x`` crosses a
-    kink of the hat profile and applying 3-point Gauss per piece; every row
-    is computed on its own, so a batch, of points or of directions, gives
-    the same bits as one row at a time.
+    geometric coordinates); ``rho`` an integer array of directions (..., d),
+    one per row, all moving along the same axes (the same nonzero entries);
+    ``x`` a single point of shape (d,) or a point batch.  The three
+    broadcast against each other (points of shape (P, 1, d) against
+    per-point site windows (P, K, d) give (P, K); one site, direction and
+    point give a 0-d array).  The t-integral is evaluated exactly by
+    splitting at the parameter values where any coordinate of
+    ``xi + t rho - x`` crosses a kink of the hat profile and applying
+    3-point Gauss per piece; every row is computed on its own, so a batch,
+    of points or of directions, gives the same bits as one row at a time.
 
     Example: in 1D, chi_{0,1}(0.5) = 3/4 (the bond from 0 to 1 is smeared
     so that its midpoint sees hat weight averaging 3/4).
@@ -189,10 +177,8 @@ def chi_eval(xi, rho, x) -> np.ndarray:
     moves = (rho != 0).reshape(-1, d)
     if not (moves == moves[0]).all():
         raise ValueError("the directions of one chi_eval call must move along the same axes")
-    rel = np.asarray(xi, dtype=float) - x
-    single = rel.ndim == 1
-    c0 = rel.reshape(-1, d)  # (K, d)
-    r = np.broadcast_to(rho, rel.shape).reshape(-1, d)  # each row's direction
+    rel, r = np.broadcast_arrays(np.asarray(xi, dtype=float) - x, rho)
+    c0, r = rel.reshape(-1, d), r.reshape(-1, d)  # (K, d): each row's offset and direction
     K = c0.shape[0]
 
     knot_cols = [np.zeros(K), np.ones(K)]
@@ -210,16 +196,16 @@ def chi_eval(xi, rho, x) -> np.ndarray:
     vals = zeta_eval(args)
     out = np.sum(vals * _T_WEIGHTS, axis=2) * dt
     out = out.sum(axis=1)
-    return float(out[0]) if single else out.reshape(rel.shape[:-1])
+    return out.reshape(rel.shape[:-1])
 
 
 def grad_chi_eval(xi, rho, x) -> np.ndarray:
     """Directional derivative (rho . grad_x) of the bond kernel.
 
     Closed form: zeta(xi - x) - zeta(xi + rho - x), by the fundamental
-    theorem of calculus applied along the bond parameter.  ``rho`` is one
-    direction or an integer array of directions that broadcasts against
-    ``xi`` (any axes), as in ``chi_eval``.
+    theorem of calculus applied along the bond parameter.  ``rho`` is an
+    integer array of directions that broadcasts against ``xi`` and ``x``
+    (any axes), as in ``chi_eval``.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]

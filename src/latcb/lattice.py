@@ -23,7 +23,6 @@ __all__ = [
     "LatticeSpec",
     "StencilSet",
     "DisplacementField",
-    "as_direction",
     "all_stencils",
     "scatter_bonds",
     "gauss_rule_01",
@@ -84,21 +83,6 @@ class LatticeSpec:
         object.__setattr__(self, "A", A)
 
 
-def as_direction(rho, d: int) -> np.ndarray:
-    """Validate an interaction direction: a nonzero integer d-vector."""
-    r = np.asarray(rho)
-    if r.shape != (d,):
-        raise ValueError(f"direction must be a length-{d} vector, got shape {r.shape}")
-    if not np.issubdtype(r.dtype, np.integer):
-        ri = np.rint(r).astype(int)
-        if not np.allclose(r, ri):
-            raise ValueError(f"direction must have integer entries, got {rho}")
-        r = ri
-    if not r.any():
-        raise ValueError("direction must be nonzero")
-    return r.astype(int)
-
-
 def _read_only(value) -> None:
     """Mark an array, or every array in a (nested) tuple, read-only."""
     if isinstance(value, np.ndarray):
@@ -128,22 +112,22 @@ MAX_DIRECTIONS = 128
 
 @dataclass(frozen=True)
 class StencilSet(_ReadOnlyState):
-    """Finite interaction range: all nonzero ``rho`` with ``|rho| <= r_cut``.
+    """Finite interaction range: a set of nonzero integer directions ``rho``.
 
     The direction list is closed under negation, contains the nearest
     neighbours, and is sorted lexicographically so that every array indexed
-    by stencil slot has a reproducible layout.
+    by stencil slot has a reproducible layout.  A stencil is its directions:
+    two stencils compare and hash equal when their directions are equal, so
+    every table built from the stencil alone is cached on it.
     """
 
-    r_cut: float
     directions: np.ndarray = field(compare=False)
+    _key: tuple = field(init=False, repr=False)  # (d, direction bytes): equality and hash
 
     def __post_init__(self):
         dirs = np.asarray(self.directions, dtype=int)
         if dirs.ndim != 2 or dirs.shape[0] == 0:
             raise ValueError("directions must be a nonempty (n, d) integer array")
-        if self.r_cut < 1.0:
-            raise ValueError("r_cut must be >= 1 so nearest neighbours interact")
         as_set = {tuple(r) for r in dirs}
         for r in dirs:
             if not r.any():
@@ -157,8 +141,9 @@ class StencilSet(_ReadOnlyState):
                 raise ValueError(f"stencil must contain nearest neighbour {e}")
         order = np.lexsort(dirs.T[::-1])
         dirs = dirs[order]
-        dirs.flags.writeable = False  # potentials and cached plans key on these bytes
+        dirs.flags.writeable = False  # the key below holds these bytes
         object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "_key", (d, dirs.tobytes()))
 
     @classmethod
     def ball(cls, d: int, r_cut: float) -> "StencilSet":
@@ -167,7 +152,8 @@ class StencilSet(_ReadOnlyState):
         ValueError for a non-finite ``r_cut`` or a ball of more than
         ``MAX_DIRECTIONS`` vectors.  The ball holds the ``2 d floor(r_cut)``
         vectors on the axes, so a large ``r_cut`` is refused before its
-        ``(2 floor(r_cut) + 1)^d`` box is built.
+        ``(2 floor(r_cut) + 1)^d`` box is built.  Below 1 the ball is
+        empty, which the constructor refuses.
         """
         if not math.isfinite(r_cut):
             raise ValueError(f"r_cut must be finite; got {r_cut}")
@@ -180,7 +166,7 @@ class StencilSet(_ReadOnlyState):
         if len(dirs) > MAX_DIRECTIONS:
             raise ValueError(f"r_cut = {r_cut} in d = {d} gives {len(dirs)} "
                              f"directions; at most {MAX_DIRECTIONS} are supported")
-        return cls(r_cut=float(r_cut), directions=dirs)
+        return cls(dirs)
 
     @property
     def n(self) -> int:
@@ -199,8 +185,12 @@ class StencilSet(_ReadOnlyState):
 
     @cached_property
     def half(self) -> np.ndarray:
-        """Slots of the positive half stencil (see ``_positive_half``), read-only."""
-        out = _positive_half(self.directions)
+        """Slots whose direction has a positive first nonzero entry, read-only.
+
+        The stencil is closed under negation, so these visit every bond
+        ``{xi, xi + rho}`` once, as ``rho``; ``-rho`` lies in the other half.
+        """
+        out = np.flatnonzero(_leading_entry(self.directions) > 0)
         out.flags.writeable = False
         return out
 
@@ -232,43 +222,36 @@ class DisplacementField:
 # difference stencils
 # ---------------------------------------------------------------------------
 
-def _positive_half(dirs: np.ndarray) -> np.ndarray:
-    """Slots whose direction has a positive first nonzero entry.
+def _leading_entry(v: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of ``v`` (0 for a zero row).
 
-    The stencil is closed under negation, so these visit every bond
-    ``{xi, xi + rho}`` once, as ``rho``; ``-rho`` lies in the other half.
+    Its sign picks one of ``+-v`` as the representative of the pair: the
+    positive half stencil, a sine-square term, a Fourier mode.
     """
-    first = dirs[np.arange(dirs.shape[0]), np.argmax(dirs != 0, axis=1)]
-    return np.flatnonzero(first > 0)
+    return v[np.arange(v.shape[0]), np.argmax(v != 0, axis=1)]
 
 
 @lru_cache(maxsize=64)
-def _plan(shape: tuple, dir_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat neighbour tables of the periodic cell ``shape`` for one stencil.
+def neighbour_plan(shape: tuple, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat neighbour tables of the periodic cell ``shape`` (a tuple) for the
+    stencil ``S``, cached per shape and stencil; the tables are read-only.
 
     ``gather[xi, i]`` is the row-major index of site ``xi + rho_i``;
     ``scatter[i, xi] = gather[xi, j] * n + i`` with ``rho_j = -rho_i``
     addresses slot ``i`` of site ``xi - rho_i`` in a flattened
     (sites * n, d) bond array; ``half[k, xi]`` is ``gather[xi, i]`` for the
-    k-th slot ``i`` of the positive half stencil, slot-major.  Keyed on the
-    raw direction bytes: ``StencilSet`` compares on ``r_cut`` alone.
+    k-th slot ``i`` of ``S.half``, slot-major.
     """
-    d = len(shape)
-    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
+    dirs, d = S.directions, len(shape)
     sites = np.indices(shape).reshape(d, -1).T
     nbrs = np.mod(sites[:, None, :] + dirs, shape)
     gather = np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), shape)
     neg = [int(np.flatnonzero((dirs == -r).all(axis=1))[0]) for r in dirs]
     scatter = gather[:, neg].T * len(dirs) + np.arange(len(dirs))[:, None]
-    half = np.ascontiguousarray(gather[:, _positive_half(dirs)].T)
+    half = np.ascontiguousarray(gather[:, S.half].T)
     for table in (gather, scatter, half):
         table.flags.writeable = False
     return gather, scatter, half
-
-
-def neighbour_plan(shape, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached ``(gather, scatter, half)`` tables for cell ``shape`` and stencil ``S``."""
-    return _plan(tuple(shape), S.directions.tobytes())
 
 
 def stacked_plan(shapes, S: StencilSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -31,6 +31,7 @@ from .lattice import (
     StencilSet,
     _read_only,
     _ReadOnlyState,
+    _leading_entry,
     all_stencils,
     neighbour_plan,
     scatter_bonds,
@@ -74,9 +75,6 @@ class RadialProfile:
     # Horner plan of the pair-bond terms in 1 / r^2 (see PowerLawProfile);
     # None: PairPotential._bond takes them from ``deriv``
     _horner_plan = None
-
-    def __call__(self, r):
-        return self.deriv(r, 0)
 
     def deriv(self, r, order: int):  # pragma: no cover - interface
         raise NotImplementedError
@@ -232,9 +230,6 @@ class PolynomialEmbedding(_ReadOnlyState):
         c = self._derivs[min(order, len(self._derivs) - 1)]
         return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), c)
 
-    def __call__(self, s):
-        return self.deriv(s, 0)
-
 
 # ---------------------------------------------------------------------------
 # potential variants
@@ -251,16 +246,16 @@ def _require_finite(f, name: str, x, where: str) -> None:
 
 
 @lru_cache(maxsize=16)
-def _sine_plan(dir_bytes: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half vectors ``tau / 2`` (d, T) of one stencil's sine-square terms and
+def _sine_plan(S: StencilSet) -> tuple[np.ndarray, np.ndarray]:
+    """Half vectors ``tau / 2`` (d, T) of the stencil's sine-square terms and
     their (T, n^2) incidence matrix: slot pair (a, b) adds 2 at ``rho_a`` and
-    ``rho_b``, -2 at ``rho_a - rho_b``; +-tau is one term.  Keyed as ``lattice._plan``."""
-    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
+    ``rho_b``, -2 at ``rho_a - rho_b``; +-tau is one term."""
+    dirs = S.directions
     ab = np.arange(len(dirs) ** 2)
     a, b = np.divmod(ab, len(dirs))
     off = a != b
     vecs = np.concatenate([dirs[a], dirs[b], dirs[a[off]] - dirs[b[off]]])
-    vecs *= np.sign(vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)])[:, None]
+    vecs *= np.sign(_leading_entry(vecs))[:, None]
     tau, rows = np.unique(vecs, axis=0, return_inverse=True)
     incidence = np.zeros((len(tau), ab.size))
     np.add.at(incidence, (rows.ravel(), np.concatenate([ab, ab, ab[off]])),
@@ -340,7 +335,7 @@ class Potential(_ReadOnlyState):
         if abs(V - V[::-1, :, ::-1]).max() > 4.0 * np.finfo(float).eps * abs(V).max():
             raise ValueError("the reference Hessian blocks are not point symmetric, "
                              "so the dynamical symbol would be complex")
-        half, incidence = _sine_plan(self.S.directions.tobytes(), d)
+        half, incidence = _sine_plan(self.S)
         W = (incidence @ V.transpose(0, 2, 1, 3).reshape(n * n, d * d)).reshape(-1, d, d)
         W = (0.5 * (W + W.transpose(0, 2, 1))).reshape(-1, d * d)  # H == H^T bit for bit
         keep = W.any(axis=1)

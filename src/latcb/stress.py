@@ -23,7 +23,8 @@ import numpy as np
 
 from .fields import TrigField
 from .interpolation import chi_eval, grad_chi_eval
-from .lattice import DisplacementField, LatticeSpec, all_stencils, supercell_period, tensor_grid
+from .lattice import DisplacementField, LatticeSpec, StencilSet, all_stencils, tensor_grid
+from .lattice import supercell_period
 from .potentials import PairPotential, Potential, _sq_norm
 
 __all__ = [
@@ -220,10 +221,9 @@ class _Layout:
 
 
 @lru_cache(maxsize=64)
-def _layout(dir_bytes: bytes, d: int) -> _Layout:
-    """The ``_Layout`` of a stencil's directions, keyed on their raw bytes
-    (``StencilSet`` compares on ``r_cut`` alone); its arrays are read-only."""
-    dirs = np.frombuffer(dir_bytes, dtype=int).reshape(-1, d)
+def _layout(S: StencilSet) -> _Layout:
+    """The ``_Layout`` of the stencil ``S``, cached on it; its arrays are read-only."""
+    dirs = S.directions
     by_axes: dict = {}
     for slot, rho in enumerate(dirs):
         by_axes.setdefault(tuple(rho != 0), []).append(slot)
@@ -295,7 +295,7 @@ class StressField:
         if bad.size:
             raise ValueError(f"stress field points must be finite and below 2**52 in "
                              f"magnitude; row {bad[0]} is {pts[bad[0]].tolist()}")
-        L = _layout(self.P.S.directions.tobytes(), d)
+        L = _layout(self.P.S)
         rows = _BLOCK * L.widest  # the largest kernel call: _BLOCK points, widest window
         out = np.zeros((pts.shape[0],) + shape)
         for lo in range(0, pts.shape[0], _BLOCK):

@@ -20,7 +20,7 @@ from latcb.potentials import (
     lennard_jones,
 )
 from latcb.fields import TrigField
-from latcb.lattice import DisplacementField, LatticeSpec, StencilSet, as_direction, tensor_grid
+from latcb.lattice import DisplacementField, LatticeSpec, StencilSet, tensor_grid
 from latcb.static import MacroForce
 
 
@@ -111,10 +111,10 @@ def site_coords(lattice: LatticeSpec) -> np.ndarray:
 
 def index_of(S: StencilSet, rho) -> int:
     """Slot of direction ``rho`` in the stencil ordering."""
-    r = as_direction(rho, S.d)
+    r = np.asarray(rho)
     hit = np.nonzero((S.directions == r).all(axis=1))[0]
     if hit.size == 0:
-        raise KeyError(f"direction {tuple(r)} not in stencil (r_cut={S.r_cut})")
+        raise KeyError(f"direction {tuple(r.tolist())} not in stencil {S.directions.tolist()}")
     return int(hit[0])
 
 

@@ -35,7 +35,7 @@ def trig_sample(U, N: int, shift=0.0, deriv: tuple | None = None) -> np.ndarray:
 
 
 def interp_sample_at(u, shift=0.0, deriv: tuple | None = None) -> np.ndarray:
-    """``interpolation.interp_sample`` for one shift: one real FFT pair."""
+    """One row of ``interpolation.interp_sample_shifts``, for one shift: one real FFT pair."""
     d, N = u.lattice.d, u.lattice.N
     shift = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
     orders = (0,) * d if deriv is None else tuple(deriv)

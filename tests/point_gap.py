@@ -2,7 +2,7 @@
 
 The library evaluates both sides of the gap metrics on shifted grids: the
 continuum field with ``TrigField.sample`` and the smoothed interpolant of
-the lattice function with ``interpolation.interp_sample``.  This module
+the lattice function with ``interpolation.interp_sample_shifts``.  This module
 computes the same quantities point by point: ``TrigField.eval`` at every
 Gauss point of every lattice cell, and the B-spline quasi-interpolant as a
 4^d-site window gather per point, after a deconvolution of the lattice

@@ -39,7 +39,7 @@ PACKAGE_API = [
     "LatticeSpec", "StencilSet", "DisplacementField",
     "Potential", "PairPotential", "EAMPotential", "HarmonicChain", "AdmissibilityError",
     "total_energy",
-    "zeta_eval", "interp_sample", "chi_eval", "grad_chi_eval",
+    "zeta_eval", "chi_eval", "grad_chi_eval",
     "CBModel", "StressField", "atomistic_stress", "div_cb_stress", "stress_consistency_field",
     "DispersionSpectrum", "dynamical_symbol", "dispersion_spectrum", "stability_constant",
     "legendre_hadamard_min", "instability_eigenprobe",
@@ -65,11 +65,10 @@ MODULE_API = {
     "fields": ["TrigField"],
     "harness": ["EXPERIMENTS", "ConfigError", "ExperimentConfig", "RateReport", "fit_rate", "run"],
     "interpolation": [
-        "zeta_eval", "hat", "b3", "b3_prime", "interp_sample", "interp_sample_shifts", "chi_eval",
-        "grad_chi_eval",
+        "zeta_eval", "hat", "b3", "b3_prime", "interp_sample_shifts", "chi_eval", "grad_chi_eval",
     ],
     "lattice": [
-        "tensor_grid", "supercell_period", "LatticeSpec", "StencilSet", "DisplacementField", "as_direction",
+        "tensor_grid", "supercell_period", "LatticeSpec", "StencilSet", "DisplacementField",
         "all_stencils", "scatter_bonds", "gauss_rule_01",
     ],
     "potentials": [

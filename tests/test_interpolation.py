@@ -23,7 +23,6 @@ from latcb.interpolation import (
     chi_eval,
     grad_chi_eval,
     hat,
-    interp_sample,
     interp_sample_shifts,
     zeta_eval,
 )
@@ -179,6 +178,12 @@ def test_smooth_nodal_interp_inverts_filter(rng):
 # smoothed interpolant on shifted grids
 # ---------------------------------------------------------------------------
 
+def interp_sample(u, shift=0.0, deriv=None) -> np.ndarray:
+    """One row of ``interp_sample_shifts``: the grid ``xi + shift`` (a scalar or a d-vector)."""
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), (u.lattice.d,))
+    return interp_sample_shifts(u, shift[None], deriv)[0]
+
+
 @pytest.mark.parametrize("d, N", [(1, 7), (1, 16), (2, 5), (2, 8), (3, 5), (3, 4)])
 def test_interp_sample_matches_point_oracle(rng, d, N):
     """Value and every first partial on shifted grids, against the window gather."""
@@ -331,6 +336,25 @@ def test_kernel_direction_rows_are_one_direction_calls_bit_for_bit(rng, d):
         assert got.shape == (5, 6)
         for k in range(6):
             assert np.array_equal(got[:, k], kernel(xi[:, k], rho[k], x[:, 0])), (kernel, k)
+
+
+def test_kernel_directions_broadcast_against_one_site():
+    """Directions (K, d) against one site and one point give K values, each
+    with the bits of its one-direction call."""
+    xi, x = np.zeros(1), np.array([0.5])
+    rho = np.array([[1], [2]])
+    assert grad_chi_eval(xi, rho, x).tolist() == [0.0, 0.5]
+    got = chi_eval(xi, rho, x)
+    assert got.shape == (2,)
+    for k in range(2):
+        assert got[k].tobytes() == chi_eval(xi, rho[k], x).tobytes()
+    xi2, x2 = np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, 1.0]]), np.array([0.3, 0.8])
+    rho2 = np.array([[[1, 2]], [[-2, 1]], [[3, 3]]])  # (3, 1, 2) against 3 sites
+    got = chi_eval(xi2, rho2, x2)
+    assert got.shape == (3, 3)
+    for k in range(3):
+        for j in range(3):
+            assert got[k, j].tobytes() == chi_eval(xi2[j], rho2[k, 0], x2).tobytes(), (k, j)
 
 
 @pytest.mark.parametrize("rho, match", [

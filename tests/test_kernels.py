@@ -14,6 +14,8 @@ bit with the out-of-place reference in ``pair_reference.py``.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,10 +30,12 @@ from latcb.potentials import (
     PairPotential,
     PolynomialEmbedding,
     PowerLawProfile,
+    _sine_plan,
     gradient_array,
     hessian_operator,
     lennard_jones,
 )
+from latcb.stress import _layout
 
 from conftest import PAIR_LATTICES, PAIR_PROFILES
 from pair_reference import reference_pair_gradient
@@ -53,8 +57,7 @@ def stencils(draw, d: int) -> StencilSet:
     )
     dirs = {tuple(int(a == k) for a in range(d)) for k in range(d)} | set(extra)
     dirs |= {tuple(-x for x in r) for r in dirs}
-    r_cut = max(1.0, max(float(np.linalg.norm(r)) for r in dirs))
-    return StencilSet(r_cut=r_cut, directions=np.array(sorted(dirs), dtype=int))
+    return StencilSet(np.array(sorted(dirs), dtype=int))
 
 
 @st.composite
@@ -253,11 +256,42 @@ def test_harmonic_chain_matches_roll(N, a1, a2, seed):
     assert np.array_equal(hessian_operator(P, u)(v), roll_hessian_operator(P, u)(v))
 
 
-def test_plan_cache_separates_equal_comparing_stencils(rng):
-    """StencilSet compares on r_cut alone; the plan must key on the directions."""
+def _stencil_tables(S: StencilSet) -> list:
+    """Every table cached on the stencil alone."""
+    return [neighbour_plan((4,) * S.d, S), _sine_plan(S), _layout(S)]
+
+
+def test_stencils_of_equal_directions_share_every_table():
+    """A stencil is its directions: balls of one direction set built from
+    other radii compare and hash equal and get the same cached tables."""
+    a, b = StencilSet.ball(1, 2.0), StencilSet.ball(1, 2.5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    for one, two in zip(_stencil_tables(a), _stencil_tables(b)):
+        assert one is two
+
+
+def test_pickled_stencil_is_equal_and_hits_the_caches():
+    """The copy a pool worker receives is the same stencil: equal, hash
+    equal, read-only, and served the tables cached on the original."""
+    S = StencilSet.ball(2, 1.5)
+    tables = _stencil_tables(S)
+    copy = pickle.loads(pickle.dumps(S))
+    assert copy is not S and copy == S and hash(copy) == hash(S)
+    assert not copy.directions.flags.writeable
+    for one, two in zip(tables, _stencil_tables(copy)):
+        assert one is two
+
+
+def test_stencils_of_other_dimensions_differ():
+    assert StencilSet.ball(1, 1.0) != StencilSet.ball(2, 1.0)
+
+
+def test_plan_cache_separates_stencils_of_other_directions(rng):
+    """A stencil is its directions: stencils of other directions compare
+    unequal and get their own plans."""
     full = StencilSet.ball(1, 2.0)
-    nearest = StencilSet(r_cut=2.0, directions=np.array([[-1], [1]]))
-    assert full == nearest and hash(full) == hash(nearest)
+    nearest = StencilSet(np.array([[-1], [1]]))
+    assert full != nearest
     u = rng.standard_normal((8, 1))
     for S in (full, nearest, full):
         g = all_stencils(u, S)
@@ -266,11 +300,11 @@ def test_plan_cache_separates_equal_comparing_stencils(rng):
         assert np.array_equal(scatter_bonds(g, S), roll_scatter(g, S))
 
     # same slot count, different directions
-    diag = StencilSet(r_cut=2.0, directions=np.array(
+    diag = StencilSet(np.array(
         [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]))
-    axial = StencilSet(r_cut=2.0, directions=np.array(
+    axial = StencilSet(np.array(
         [(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (0, 2), (0, -2)]))
-    assert diag == axial and diag.n == axial.n
+    assert diag != axial and diag.n == axial.n
     w = rng.standard_normal((6, 6, 2))
     for S in (diag, axial, diag):
         g = all_stencils(w, S)

@@ -15,7 +15,6 @@ from latcb.lattice import (
     LatticeSpec,
     StencilSet,
     all_stencils,
-    as_direction,
     gauss_rule_01,
     supercell_period,
     tensor_grid,
@@ -103,6 +102,7 @@ def test_ball_matches_product_comprehension(d, r_cut):
     (2, float("-inf"), "r_cut must be finite; got -inf"),
     (1, 65.0, "gives at least 130 directions"),
     (2, 6.5, "gives 136 directions"),
+    (2, 0.5, r"directions must be a nonempty \(n, d\) integer array"),
 ])
 def test_ball_refuses_nonfinite_or_oversized_stencils(d, r_cut, message):
     with pytest.raises(ValueError, match=message):
@@ -111,17 +111,6 @@ def test_ball_refuses_nonfinite_or_oversized_stencils(d, r_cut, message):
 
 def test_ball_builds_stencils_up_to_128_directions():
     assert [StencilSet.ball(d, r).n for d, r in [(1, 64.0), (2, 6.4), (3, 3.0)]] == [128, 128, 122]
-
-
-def test_as_direction_validation():
-    np.testing.assert_array_equal(as_direction([1, -2], 2), [1, -2])
-    np.testing.assert_array_equal(as_direction(np.array([2.0, 0.0]), 2), [2, 0])
-    with pytest.raises(ValueError):
-        as_direction([0, 0], 2)
-    with pytest.raises(ValueError):
-        as_direction([1.5, 0.0], 2)
-    with pytest.raises(ValueError):
-        as_direction([1], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +130,12 @@ def test_stencil_ball_members():
 
 def test_stencil_validation_errors():
     with pytest.raises(ValueError):
-        StencilSet(r_cut=0.5, directions=np.array([[1], [-1]]))
+        StencilSet(np.array([[1, 0], [-1, 0], [2, 0]]))
     with pytest.raises(ValueError):
-        StencilSet(r_cut=2.0, directions=np.array([[1, 0], [-1, 0], [2, 0]]))
-    with pytest.raises(ValueError):
-        StencilSet(r_cut=1.0, directions=np.array([[0, 0], [1, 0], [-1, 0]]))
+        StencilSet(np.array([[0, 0], [1, 0], [-1, 0]]))
     with pytest.raises(ValueError):
         # missing a nearest neighbour axis
-        StencilSet(r_cut=1.0, directions=np.array([[1, 0], [-1, 0]]))
+        StencilSet(np.array([[1, 0], [-1, 0]]))
 
 
 def test_stencil_index_and_negation_perm():

@@ -66,7 +66,7 @@ def test_lennard_jones_well():
     assert phi.deriv(np.array([1.0]), 1)[0] == pytest.approx(0.0, abs=1e-12)
     assert phi.deriv(np.array([1.0]), 2)[0] == pytest.approx(72.0, rel=1e-13)
     # r^-12 - 2 r^-6 at r = 2
-    assert phi(np.array([2.0]))[0] == pytest.approx(2.0**-12 - 2.0 * 2.0**-6, rel=1e-14)
+    assert phi.deriv(np.array([2.0]), 0)[0] == pytest.approx(2.0**-12 - 2.0 * 2.0**-6, rel=1e-14)
 
 
 def test_morse_well():
