@@ -125,8 +125,9 @@ def _verlet(runs, grad) -> list:
 
     Each run is ``(x, v, snap_times, dt_target)`` and records a snapshot
     (time, state, velocity) at each of its snapshot times.  Snapshot times
-    must be finite, nonnegative and strictly increasing and the step
-    target a finite positive number, else ValueError before any step.
+    must be finite, nonnegative and strictly increasing, the step target a
+    finite positive number and ``v`` of the shape of ``x``, else ValueError
+    before any step.
     Each snapshot interval is split into equal steps no longer than
     ``dt_target`` so snapshots land exactly (``_schedule``), and a snapshot
     at the current time records without stepping.
@@ -156,6 +157,10 @@ def _verlet(runs, grad) -> list:
     A non-finite snapshot raises ``SolverError`` with its run's time.
     Returns one ``Trajectory`` per run, in the order given.
     """
+    for i, (x0, v0, _, _) in enumerate(runs):
+        if np.shape(v0) != np.shape(x0):
+            raise ValueError(f"run {i}: the velocity's shape {np.shape(v0)} "
+                             f"differs from the state's {np.shape(x0)}")
     tables = [_schedule(snap, dt_target) for _, _, snap, dt_target in runs]
     totals = [max(table) for table in tables]
     order = sorted(range(len(runs)), key=totals.__getitem__, reverse=True)

@@ -371,7 +371,8 @@ class RateReport:
 def fit_rate(eps_list, errors, noise_floor=None) -> RateReport:
     """Least-squares slope of log error against log spacing.
 
-    Requires at least three positive pairs.  When ``noise_floor`` is given
+    Requires at least three positive pairs at distinct spacings (repeated
+    spacings leave the slope undetermined).  When ``noise_floor`` is given
     (the solver tolerance), the coarsest spacing is excluded if its error
     sits within 10x that floor — such a point measures solver noise, not
     the model error — provided at least three points remain.  The slope's
@@ -383,6 +384,8 @@ def fit_rate(eps_list, errors, noise_floor=None) -> RateReport:
         raise ValueError("rate fits need at least 3 (eps, error) pairs")
     if np.any(eps <= 0) or np.any(err <= 0):
         raise ValueError("rate fits need positive spacings and errors")
+    if len(set(eps.tolist())) != eps.size:
+        raise ValueError("rate fits need distinct spacings")
     order = np.argsort(eps)[::-1]
     eps, err = eps[order], err[order]
     dropped = []

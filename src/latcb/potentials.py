@@ -347,9 +347,7 @@ class Potential(_ReadOnlyState):
 
     @property
     def mu(self) -> float:
-        """Lower bond-compression factor 1 - kappa ||A^-1||; positive when finite."""
-        if math.isinf(self.kappa):
-            return -math.inf
+        """Lower bond-compression factor 1 - kappa ||A^-1||; -inf at an infinite kappa."""
         return 1.0 - self.kappa * self.inv_norm_A
 
     def check_admissible(self, g: np.ndarray, context: str = "") -> None:
@@ -425,15 +423,30 @@ class PairPotential(Potential):
             if self.mu * self.bond_len.min() <= self.phi.r_min:
                 raise ValueError("admissible bonds can leave the profile domain")
         _require_finite(self.phi, "phi", self.bond_len, "the reference bond lengths")
-        half_inv_sq = self.S.inv_sq_norms[self.S.half]
         self._derive(
             _phi_ref=self.phi.deriv(self.bond_len, 0),
             # positive half stencil: reference bonds component-major (d, h, 1), 1/|rho|^2
             _half_ref=self.bond_ref[self.S.half].T[:, :, None].copy(),
-            _half_inv_sq=half_inv_sq,
-            # max 1/|rho|^2: the pair kernel's one-reduction admissibility bound
-            _max_inv_sq=float(half_inv_sq.max()),
+            _half_inv_sq=self.S.inv_sq_norms[self.S.half],
         )
+
+    def _half_bonds(self, g: np.ndarray, context: str = "") -> np.ndarray:
+        """The half-stencil bond pass of the lattice kernel and the Cauchy-Born
+        model: admissibility of the differences ``g`` (d, h, X) on the positive
+        half slots (slot ``-rho`` holds ``-g_rho``, so they decide as the full
+        stencil does); then ``g`` becomes the bonds ``A rho + g_rho`` in place,
+        and their squared lengths (h, X) return.  As every ``|rho| >= 1``, the
+        one-reduction bound ``sqrt(max |g|^2)`` is never below the rule's norm
+        (rounding is monotone); only a bound that is not a finite number at
+        most kappa (NaN included) hands the per-slot maxima to the exact rule
+        ``_require_admissible``, which decides and words the error.
+        """
+        sq = _sq_norm(g)
+        bound = math.sqrt(float(sq.max()))
+        if not (bound <= self.kappa and bound < math.inf):
+            self._require_admissible(sq.max(axis=1), self._half_inv_sq, context)
+        g += self._half_ref
+        return _sq_norm(g)
 
     def _bond(self, r2: np.ndarray, stiffness: bool = False):
         """Bond force per unit length ``phi'(r)/r`` at squared bond lengths ``r2``;
@@ -623,31 +636,17 @@ def _pair_gradient(P: PairPotential, values: np.ndarray, half: np.ndarray) -> np
     The bond ``b = A rho + u(xi + rho) - u(xi)`` carries the force
     ``f = phi'(|b|) b / |b|``, which adds to ``dE/du(xi + rho)`` and
     subtracts from ``dE/du(xi)``; the slot ``-rho`` of site ``xi + rho``
-    is the same bond.  Since ``g_{-rho}(xi) = -g_rho(xi - rho)`` exactly,
-    the half stencil's ``|g|^2`` decide admissibility as the full one's do.
-    Arrays are component-major, (d, h, sites), so every operation runs
-    over contiguous site rows; one array turns from the differences ``g``
-    into the bonds ``b`` and then the forces ``f`` in place.
-
-    Admissibility is cleared by one reduction, the bound
-    ``sqrt(max |g|^2 * max 1/|rho|^2)``: every product ``|g|^2 / |rho|^2``
-    is at most the product of the maxima, and rounding is monotone, so the
-    bound is never below the rule's own norm.  Only a bound that is not a
-    finite number at most kappa (NaN included: the maximum propagates it)
-    goes to the exact rule ``_require_admissible``, which decides and words
-    the error.  ``half`` is the plan's (h, sites) positive-half table.  In
-    1D the scatter is returned directly.
+    is the same bond.  One component-major array (d, h, sites), contiguous
+    over the sites, turns from the differences into the bonds, admissibility
+    decided (``PairPotential._half_bonds``), and then the forces in place.
+    ``half`` is the plan's (h, sites) positive-half table.  In 1D the
+    scatter is returned directly.
     """
     d = values.shape[-1]
     ut = values.reshape(-1, d).T
     f = ut.take(half, axis=1)
     f -= ut[:, None, :]
-    sq = _sq_norm(f)
-    bound = math.sqrt(float(sq.max()) * P._max_inv_sq)
-    if not (bound <= P.kappa and bound < math.inf):
-        P._require_admissible(sq.max(axis=1), P._half_inv_sq)
-    f += P._half_ref
-    f *= P._bond(_sq_norm(f))
+    f *= P._bond(P._half_bonds(f))
     n_sites, idx = ut.shape[1], half.ravel()
     if d == 1:
         return (np.bincount(idx, f[0].ravel(), n_sites)

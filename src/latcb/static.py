@@ -160,8 +160,8 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
 
     The problem supplies four things.  ``evaluate(x)`` returns the merit,
     the residual norm and the merit's gradient ``G``.  ``hessian(x)``
-    returns the action of the merit's Hessian; it raises AdmissibilityError
-    where that is undefined.  ``symbol`` is the Fourier symbol of a
+    returns the action of the merit's Hessian, and is only called at a state
+    that ``evaluate`` has accepted.  ``symbol`` is the Fourier symbol of a
     constant-coefficient model of the Hessian, 1 at the gauge modes.
     ``gauge(v)`` is the component of ``v`` in the gauge modes, which the
     Hessian annihilates.
@@ -188,10 +188,7 @@ def _newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str)
         res_hist.append(rnorm)
         if rnorm <= tol:
             return x, rnorm, it, {"residual_history": res_hist, "cg_iterations": cg_iters}
-        try:
-            H = hessian(x)
-        except AdmissibilityError as exc:
-            raise SolverError(f"{solver} gradient left the admissible region (iter {it})") from exc
+        H = hessian(x)
         b = -G.ravel()
         bnorm = np.linalg.norm(b)
         delta, r, k = np.zeros(n), b.copy(), 0

@@ -25,7 +25,7 @@ from .fields import TrigField
 from .interpolation import chi_eval, grad_chi_eval
 from .lattice import DisplacementField, LatticeSpec, StencilSet, all_stencils, tensor_grid
 from .lattice import supercell_period
-from .potentials import PairPotential, Potential, _sq_norm
+from .potentials import PairPotential, Potential
 
 __all__ = [
     "CBModel",
@@ -46,7 +46,7 @@ class CBModel:
     """Continuum model induced by a site potential via the Cauchy-Born rule.
 
     A pair potential takes the positive half stencil: each bond ``{rho, -rho}``
-    once, through the potential's one bond routine ``PairPotential._bond``.
+    once, through the potential's ``PairPotential._half_bonds`` and ``_bond``.
     Other variants contract their site derivatives over the full stencil.
     ``_tangent`` returns the stress and the moduli together, from one bond
     pass on the pair path (the wave solver's step).
@@ -60,7 +60,8 @@ class CBModel:
         The admissibility check of Cauchy-Born gradients: a gradient outside
         the lattice's admissible region, or a non-finite one, raises
         AdmissibilityError, so every method below rejects it too (the pair
-        path makes the same check on the half slots, ``_half_bonds``).
+        path takes the decision on the half slots from the potential's bond
+        pass, ``PairPotential._half_bonds``, in the same words).
         """
         g = self.P.S.directions @ np.swapaxes(np.asarray(F, dtype=float), -1, -2)
         self.P.check_admissible(g, "Cauchy-Born gradient")
@@ -81,17 +82,15 @@ class CBModel:
         and their squared lengths, component-major over the flattened batch
         of F: (B, d, h) and (B, h).
 
-        ``homogeneous_stencil``'s check on the half slots: ``F (-rho)`` is
-        ``-F rho``, so it rejects the same gradients in the same words.
+        ``homogeneous_stencil``'s check on the half slots, by the potential's
+        bond pass on the (d, h, B) view: ``F (-rho)`` is ``-F rho``, so it
+        rejects the same gradients in the same words.
         """
         rho = self._half[0]
         F = np.asarray(F, dtype=float)
         d = F.shape[-1]
         b = (F.reshape(-1, d) @ rho.T).reshape(-1, d, rho.shape[0])
-        self.P._require_admissible(_sq_norm(b.swapaxes(0, 1)), self.P._half_inv_sq,
-                                   "Cauchy-Born gradient")
-        b += self.P._half_ref[:, :, 0]
-        return b, _sq_norm(b.swapaxes(0, 1))
+        return b, self.P._half_bonds(b.transpose(1, 2, 0), "Cauchy-Born gradient").T
 
     def energy_density(self, F) -> np.ndarray:
         """W(F) = V((F rho)_rho); W(0) = 0 in the reference state.

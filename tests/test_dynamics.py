@@ -245,6 +245,26 @@ def test_verlet_rejects_non_finite_snapshot(shape):
         _verlet([(np.zeros(shape), np.ones(shape), [0.25, 1.0], 0.1)], grad)
 
 
+@pytest.mark.parametrize("n_v", [16, 4])
+def test_stepper_refuses_a_velocity_of_another_shape(monkeypatch, n_v):
+    # a longer velocity used to be cut to the state's 8 sites without a word,
+    # and a shorter one failed in numpy's broadcasting words after a step
+    calls = []
+    monkeypatch.setattr(dynamics, "gradient_array", lambda *args: calls.append(args))
+    u0 = DisplacementField.zeros(LatticeSpec(d=1, A=np.eye(1), N=8))
+    v0 = DisplacementField(LatticeSpec(d=1, A=np.eye(1), N=n_v), np.full((n_v, 1), 1e-3))
+    with pytest.raises(ValueError, match=rf"^run 0: the velocity's shape \({n_v}, 1\) "
+                                         r"differs from the state's \(8, 1\)$"):
+        integrate_atomistic(lj_chain(), u0, v0, [0.1])
+    assert calls == []
+    # in a batch the run is named by its place in the order given
+    rest = (np.zeros((8, 1)), np.zeros((8, 1)), [0.1], 0.05)
+    with pytest.raises(ValueError, match=rf"^run 1: the velocity's shape \({n_v}, 1\)"):
+        _verlet([rest, (np.zeros((8, 1)), np.zeros((n_v, 1)), [0.1], 0.05)],
+                lambda *args: calls.append(args))
+    assert calls == []
+
+
 def test_stepper_records_states_only():
     assert list(inspect.signature(_verlet).parameters) == ["runs", "grad"]
     assert [f.name for f in dataclasses.fields(dynamics.Trajectory)] == ["times", "u", "v"]
@@ -880,6 +900,11 @@ def test_instability_demo_quick():
     # the continuum of the unstable chain is stable: modulus a1 + 4 a2 = 1
     assert demo["cb_modulus"] == 1.0
     assert len(demo["times"]) == len(demo["velocity_norms"])
+
+
+def test_unknown_probe_kind_is_refused():
+    with pytest.raises(ValueError, match="^unknown probe kind: 'bogus'$"):
+        dynamics._probe_field(LatticeSpec(d=1, A=np.eye(1), N=8), "bogus")
 
 
 def test_instability_demo_computes_no_energy(monkeypatch):

@@ -81,6 +81,21 @@ def test_sample_shifts_rejects_other_shapes(rng, shape):
         U.sample_shifts(8, np.zeros(shape))
 
 
+def test_modes_and_amplitudes_must_align():
+    with pytest.raises(ValueError, match="^modes and amps must align$"):
+        TrigField(1, np.array([[1], [2]]), np.array([[1.0]]))
+
+
+def test_sobolev_norm_counts_the_mean_only_at_order_zero():
+    # U = 3 + cos(2 pi X): the mean adds 3^2 to the squared L2 norm, is not
+    # seen by positive orders and leaves negative orders undefined
+    U = TrigField.from_terms(1, 1, [((0,), 0, "cos", 3.0), ((1,), 0, "cos", 1.0)])
+    assert U.sobolev_norm(0) == pytest.approx(np.sqrt(9.0 + 0.5), rel=1e-15)
+    assert U.sobolev_norm(1) == pytest.approx(2.0 * np.pi / np.sqrt(2.0), rel=1e-15)
+    with pytest.raises(ValueError, match="^negative-order norm of a field with nonzero mean$"):
+        U.sobolev_norm(-1)
+
+
 def _signed_parts(rng, shape):
     """Parts drawn from signed zeros, small exact values and normals."""
     pool = np.array([0.0, -0.0, 1.5, -2.25])

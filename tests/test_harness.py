@@ -72,6 +72,8 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict(["not", "a", "dict"])
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig.from_dict(_stability_cfg(seed=-1))
+    with pytest.raises(ConfigError, match="^config field 'params': must be a JSON object$"):
+        ExperimentConfig.from_dict(_stability_cfg(params=["T", 1.0]))
     with pytest.raises(ConfigError, match="variant"):
         ExperimentConfig.from_dict({"experiment": "stability", "potential": {}})
     with pytest.raises(ConfigError, match="not resolvable"):
@@ -91,9 +93,11 @@ def test_geometry_d_must_be_an_integer(tmp_path, capsys, d):
 
 
 @pytest.mark.parametrize("over, key", [({"experiment": ["stability"]}, "experiment"),
-                                       ({"seed": True}, "seed")])
+                                       ({"seed": True}, "seed"),
+                                       ({"params": ["T", 1.0]}, "params")])
 def test_config_root_types_return_two(tmp_path, capsys, over, key):
-    # a list experiment is unhashable and a bool seed is an int to Python
+    # a list experiment is unhashable, a bool seed is an int to Python, and a
+    # block must be an object before its keys are read
     path = _write_cfg(tmp_path, _stability_cfg(**over))
     assert run(path, out_dir=tmp_path / "out") == 2
     assert f"config error: config field {key!r}" in capsys.readouterr().err
@@ -249,6 +253,13 @@ def test_fit_rate_input_errors():
         fit_rate([0.25, 0.125], [1.0, 0.5])
     with pytest.raises(ValueError):
         fit_rate([0.25, 0.125, 0.0625], [1.0, -0.5, 0.25])
+    # repeated spacings leave the slope undetermined (lstsq returned -0.2796 here)
+    with pytest.raises(ValueError, match="^rate fits need distinct spacings$"):
+        fit_rate([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^rate fits need distinct spacings$"):
+        fit_rate([0.25, 0.125, 0.25], [1.0, 0.5, 0.9])
+    with pytest.raises(ValueError, match="non-finite slope"):
+        fit_rate([0.25, 0.125, 0.0625], [1.0, math.nan, 0.25])
 
 
 # ---------------------------------------------------------------------------

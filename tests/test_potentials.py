@@ -32,6 +32,7 @@ from latcb.potentials import (
     total_energy,
 )
 from latcb.stability import dynamical_symbol
+from latcb.stress import CBModel
 
 from conftest import (
     eam_chain,
@@ -291,6 +292,53 @@ def test_pair_kernel_decides_admissibility_as_the_rule(make, state, kappa, monke
         assert rule_calls == []
 
 
+@pytest.mark.parametrize("state, kappa", [
+    ("at_kappa", 0.25), ("ulp_above", 0.25), ("nan", 0.25), ("inf", 0.25),
+    ("nan", math.inf), ("inf", math.inf),
+])
+@pytest.mark.parametrize("make", [lj_chain, lj_square, lj_triangular])
+def test_cauchy_born_pair_path_decides_admissibility_as_the_rule(make, state, kappa,
+                                                                monkeypatch):
+    """Every Cauchy-Born method of a pair potential accepts and rejects a batch
+    of gradients exactly as ``homogeneous_stencil`` does, in the same words;
+    an admissible batch reaches the rule only when the one-reduction bound
+    ``sqrt(max |F rho|^2)`` cannot clear it."""
+    P = make(kappa=kappa)
+    M = CBModel(P)
+    # gradient 3 of the batch stretches the bond e_1 by the state: |F rho| / |rho|
+    # is at most the state, with equality on e_1
+    F = np.zeros((5, P.d, P.d))
+    F[3, 0, 0] = _BOUNDARY_STATES[state]
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _outcome(lambda: M.homogeneous_stencil(F))
+    assert (want is None) == (state == "at_kappa")
+    # at kappa, the bound clears only a stencil whose largest |F rho| is on a
+    # unit rho (the triangular index ball); a longer rho = 2 e_1 goes to the rule
+    ruled = want is not None or np.abs(P.S.directions[:, 0]).max() > 1
+    rule_calls = []
+    rule = PairPotential._require_admissible
+
+    def counted(self, *args, **kwargs):
+        rule_calls.append(args)
+        return rule(self, *args, **kwargs)
+
+    monkeypatch.setattr(PairPotential, "_require_admissible", counted)
+    methods = (M.energy_density, M.stress, M.moduli, M._tangent)
+    for method in methods:
+        rule_calls.clear()
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _outcome(lambda: method(F))
+        assert got == want, method.__name__
+        assert len(rule_calls) == ruled, method.__name__
+    if want is None:
+        # a random admissible batch stays on the bound
+        F = 0.02 * np.random.default_rng(7).standard_normal(F.shape)
+        rule_calls.clear()
+        for method in methods:
+            method(F)
+        assert rule_calls == []
+
+
 @pytest.mark.parametrize("make, quantity", [
     (lambda d: PairPotential(d=d, A=np.eye(d), S=StencilSet.ball(d, 2.0), kappa=0.25,
                              phi=PowerLawProfile(powers=(-12,), coeffs=(math.nan,))), "phi"),
@@ -319,6 +367,24 @@ def test_kappa_guard_against_bond_collapse():
     with pytest.raises(ValueError):
         lj_chain(kappa=1.0)  # mu = 1 - kappa ||A^-1|| would reach zero
     assert lj_chain(kappa=0.25).mu == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PairPotential(d=1, A=np.eye(2), S=StencilSet.ball(1, 3.0), kappa=0.25),
+     r"A must be \(1, 1\)"),
+    (lambda: PairPotential(d=2, A=np.eye(2), S=StencilSet.ball(1, 3.0), kappa=0.25),
+     "stencil dimension does not match potential dimension"),
+    (lambda: lj_chain(kappa=0.0), "kappa must be positive"),
+    # mu = 1e-9: the shortest admissible bond is below the power law's r_min
+    (lambda: lj_chain(kappa=1.0 - 1e-9), "admissible bonds can leave the profile domain"),
+    (lambda: eam_chain(kappa=1.0), "kappa=1.0 allows bond collapse"),
+    (lambda: HarmonicChain(d=2, A=np.eye(2), S=StencilSet.ball(2, 2.0), kappa=math.inf),
+     "HarmonicChain requires d = 1"),
+], ids=["A_shape", "stencil_d", "kappa_zero", "pair_profile_domain", "eam_collapse",
+        "harmonic_d2"])
+def test_potential_constructors_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_total_energy_rejects_inadmissible(rng):

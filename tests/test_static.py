@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from latcb import static
-from latcb.dynamics import InitialData, make_initial_data
+from latcb.dynamics import InitialData, make_initial_data, solve_cb_wave
 from latcb.fields import TrigField
 from latcb.harness import ExperimentConfig, _run_static_converge
 from latcb.lattice import DisplacementField, LatticeSpec, StencilSet
@@ -243,6 +243,23 @@ def test_spectral_ddx_differentiates_each_row_along_the_last_axis(rng):
 def test_cb_solver_is_one_dimensional():
     with pytest.raises(NotImplementedError):
         solve_cb_static(CBModel(lj_square()), single_mode_load(0.01))
+
+
+def _waves(d: int) -> InitialData:
+    """Initial data of one small mode on the d-torus."""
+    U0 = TrigField.from_terms(d, d, [((1,) + (0,) * (d - 1), 0, "sin", 0.01)])
+    return InitialData(U0, U0.scale(0.0))
+
+
+@pytest.mark.parametrize("solve, solver", [
+    (lambda: solve_atomistic_static(
+        lj_square(), DisplacementField.zeros(LatticeSpec(d=2, A=np.eye(2), N=8))), "lattice"),
+    (lambda: solve_cb_wave(CBModel(lj_square()), _waves(1), [0.1]), "wave"),
+    (lambda: solve_cb_wave(CBModel(lj_chain()), _waves(2), [0.1]), "wave"),
+], ids=["lattice_static", "wave_2d_potential", "wave_2d_data"])
+def test_lattice_and_wave_solvers_are_one_dimensional(solve, solver):
+    with pytest.raises(NotImplementedError, match=f"^the {solver} solver is one-dimensional$"):
+        solve()
 
 
 # ---------------------------------------------------------------------------

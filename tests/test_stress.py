@@ -240,6 +240,11 @@ def test_affine_states_reproduce_cb_stress(rng):
             assert np.max(np.abs(field.div(x))) < 1e-12
 
 
+def test_atomistic_stress_rejects_other_displacement_providers():
+    with pytest.raises(TypeError, match="^unsupported displacement provider: <class 'object'>$"):
+        atomistic_stress(lj_chain(), object())
+
+
 def test_reference_stress_values():
     # the NN chain reference is stress-free; the truncated r_cut=3 chain
     # carries the residual sum_{rho>0} rho phi'(rho) of the cut-off tails
