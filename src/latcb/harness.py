@@ -333,15 +333,12 @@ class ExperimentConfig:
             raise _field_error("geometry", "the spacing sweep needs at least 3 values")
         out = []
         for v in vals:
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                v = math.nan
-            if _period(v) < 4:
+            # a JSON number, named as written: float() would also read "0.125" or true
+            if not _is_number(v) or _period(v) < 4:
                 raise _field_error(
                     "geometry", f"spacings must be reciprocals of integers >= 4; got {v!r}"
                 )
-            out.append(v)
+            out.append(float(v))
         if len(set(out)) != len(out):
             raise _field_error("geometry", "spacings must be distinct")
         return sorted(out, reverse=True)

@@ -603,6 +603,24 @@ def total_energy(P: Potential, values: np.ndarray) -> float:
     return float(np.sum(P.site_energy(g)))
 
 
+def _energies_and_gradient(P: Potential, values: np.ndarray, plan=None):
+    """Site energies ``V(Du(xi))`` and the assembled gradient of one state,
+    admissibility checked, from one stencil pass.
+
+    The gradient is ``gradient_array``'s, and the energies summed give
+    ``total_energy``'s bits.  With the ``plan`` of ``lattice.stacked_plan``
+    (values as in ``gradient_array``) there is one energy per stacked site,
+    cell after cell, and each cell's entries summed on their own give its
+    energy.  A pair potential's gradient takes its own half-stencil pass.
+    """
+    plan = plan or neighbour_plan(values.shape[:-1], P.S)
+    g = all_stencils(values, P.S, plan)
+    P.check_admissible(g)
+    if isinstance(P, PairPotential):
+        return P.site_energy(g), _pair_gradient(P, values, plan[2])
+    return P.site_energy(g), scatter_bonds(P.site_gradient(g), P.S, plan)
+
+
 def gradient_array(P: Potential, values: np.ndarray, plan=None) -> np.ndarray:
     """Assembled energy gradient dE/du(eta) as a raw value array.
 
@@ -657,7 +675,7 @@ def _pair_gradient(P: PairPotential, values: np.ndarray, half: np.ndarray) -> np
     return out.reshape(values.shape)
 
 
-def hessian_operator(P: Potential, values: np.ndarray):
+def hessian_operator(P: Potential, values: np.ndarray, plan=None):
     """Matrix-free action of the energy Hessian at a fixed configuration.
 
     Returns ``apply(v_values) -> (H v)_values`` with the second-derivative
@@ -665,9 +683,12 @@ def hessian_operator(P: Potential, values: np.ndarray):
     (Hv)(eta) = sum_{rho, sigma} (M_{rho sigma}(eta - sigma)^T D_rho v(eta - sigma)
                                   - M_{rho sigma}(eta)^T D_rho v(eta)).
     A slot-diagonal variant keeps only its blocks M_{rho rho}; the dense
-    contraction would add exact zeros to the same terms.
+    contraction would add exact zeros to the same terms.  With the ``plan``
+    of ``lattice.stacked_plan``, ``values`` and ``v_values`` are the
+    (sites, d) rows of several cells laid end to end, and each cell's rows
+    of ``H v`` have the bits of its own operator.
     """
-    g = all_stencils(values, P.S)
+    g = all_stencils(values, P.S, plan)
     if P.hessian_blocks is None:
         M, spec = P.site_hessian(g), "...aibj,...ai->...bj"  # (N..., n, d, n, d)
     else:
@@ -675,8 +696,8 @@ def hessian_operator(P: Potential, values: np.ndarray):
     S = P.S
 
     def apply(v_values: np.ndarray) -> np.ndarray:
-        Dv = all_stencils(np.asarray(v_values, dtype=float), S)
-        return scatter_bonds(np.einsum(spec, M, Dv), S)
+        Dv = all_stencils(np.asarray(v_values, dtype=float), S, plan)
+        return scatter_bonds(np.einsum(spec, M, Dv), S, plan)
 
     return apply
 

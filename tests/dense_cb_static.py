@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from latcb.fields import TrigField
-from latcb.static import MacroForce, SolverError, StaticSolution, _line_search
+from latcb.static import MacroForce, SolverError, StaticSolution
 from latcb.stress import CBModel
+
+from single_newton import line_search
 
 
 def _spectral_derivative_matrix(M: int) -> np.ndarray:
@@ -101,8 +103,8 @@ def solve_cb_static(
         delta = strip_null(delta)
         slope = float(np.mean(R * delta))  # directional derivative of the merit
         floor = 64.0 * np.finfo(float).eps * (1.0 + abs(merit_U))
-        U, (merit_U, rnorm, R) = _line_search(U, delta, evaluate, merit_U, slope, floor,
-                                              "continuum")
+        U, (merit_U, rnorm, R) = line_search(U, delta, evaluate, merit_U, slope, floor,
+                                             "continuum")
     else:
         raise SolverError(
             f"continuum Newton did not reach tol={tol:g} in {_CB_MAX_ITER} iterations "

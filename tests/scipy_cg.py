@@ -4,7 +4,8 @@ This is ``latcb.static._newton_krylov`` as it was before the inner
 conjugate gradients were written in numpy: the Hessian action and the
 Fourier preconditioner wrapped as ``LinearOperator`` objects and handed to
 ``scipy.sparse.linalg.cg`` with the same tolerance and iteration cap.  The
-tests swap it in for the numpy loop and compare the solves bit for bit.
+tests swap it in for the numpy loop, one row at a time (``rows_alone``),
+and compare the solves bit for bit.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from latcb.potentials import AdmissibilityError
-from latcb.static import _CG_RTOL, _NEWTON_MAX_ITER, SolverError, _line_search
+from latcb.static import _CG_RTOL, _NEWTON_MAX_ITER, SolverError
+
+from single_newton import line_search, rows_alone
 
 
-def scipy_newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str):
-    """``_newton_krylov`` with scipy's ``cg`` as the inner solver."""
+def scipy_single_newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver: str):
+    """The Newton-Krylov iteration of one problem with scipy's ``cg`` as the inner solver."""
     shape, n = x.shape, x.size
     x = x - gauge(x)
     merit, rnorm, G = evaluate(x)
@@ -46,8 +49,11 @@ def scipy_newton_krylov(x, evaluate, hessian, symbol, gauge, tol: float, solver:
         delta = delta - gauge(delta)
         slope = float(np.sum(G * delta))
         floor = 64.0 * n * np.finfo(float).eps * (1.0 + abs(merit))
-        x, (merit, rnorm, G) = _line_search(x, delta, evaluate, merit, slope, floor, solver)
+        x, (merit, rnorm, G) = line_search(x, delta, evaluate, merit, slope, floor, solver)
     raise SolverError(
         f"{solver} Newton did not reach tol={tol:g} in {_NEWTON_MAX_ITER} iterations "
         f"(last residual {res_hist[-1]:.3e})"
     )
+
+
+scipy_newton_krylov = rows_alone(scipy_single_newton_krylov)

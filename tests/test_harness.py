@@ -183,6 +183,21 @@ def test_eps_list_rules():
             cfg(bad).eps_list()
 
 
+@pytest.mark.parametrize("eps_list, written", [
+    (["0.125", "0.0625", "0.03125"], "'0.125'"),  # strings that float() would read
+    ([0.125, "1e-1", 0.03125], "'1e-1'"),         # a string that would run as 0.1
+    ([0.125, 0.0625, True], "True"),              # a bool, once named as 1.0
+])
+def test_eps_list_entries_must_be_json_numbers(tmp_path, capsys, eps_list, written):
+    cfg = {"experiment": "static-converge", "potential": LJ_POT,
+           "geometry": {"eps_list": eps_list}}
+    assert run(_write_cfg(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: config field 'geometry': spacings must be reciprocals of integers "
+        f">= 4; got {written}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_ignores_key_order():
     a = ExperimentConfig.from_dict(_stability_cfg())
     flipped = dict(reversed(list(_stability_cfg().items())))
@@ -946,11 +961,16 @@ def test_negative_seed_override_exits_two(tmp_path, capsys):
     assert main([*args, "--seed", "0"]) == 0
 
 
+EAM_CHAIN_POT = {"variant": "eam", "d": 1, "r_cut": 2.0, "phi": {"kind": "morse"},
+                 "psi": {"kind": "exp"}, "embed": {"coeffs": [0.0, 1.0, 0.3, -0.05]}}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
         _static_cfg(),
         {**_dynamic_cfg(T=1.0 / 64.0, n_snap=3, n_grid=32), "name": "dynamic3"},
+        {**_static_cfg(), "name": "static3_eam", "potential": EAM_CHAIN_POT},
     ],
 )
 def test_parallel_sweep_is_byte_identical(tmp_path, obj):
@@ -961,6 +981,28 @@ def test_parallel_sweep_is_byte_identical(tmp_path, obj):
         assert main(argv) == 0
     for fname in (f"{obj['name']}.csv", f"{obj['name']}.report.json"):
         assert (tmp_path / "w1" / fname).read_bytes() == (tmp_path / "w2" / fname).read_bytes()
+
+
+@pytest.mark.parametrize("delta, code, err", [
+    (107.5, 1, ""),
+    (108.0, 3, "runtime error: SolverError: continuum Hessian is not positive definite "
+               "(p.Hp = -6.522e-05 at Newton iteration 5)\n"),
+])
+def test_static_sweep_at_the_continuum_fold(tmp_path, capsys, delta, code, err):
+    # the shipped LJ-chain sweep: at delta 107.5 every lattice batch converges
+    # (4, 4, 4, 4 and 3 Newton iterations) but the rate checks fail; at 108
+    # the continuum equilibrium has folded away
+    obj = json.loads((CONFIGS / "static_converge_lj.json").read_text())
+    obj["params"]["delta"] = delta
+    path = _write_cfg(tmp_path, obj)
+    for workers in (1, 2):
+        argv = ["static-converge", "--config", str(path), "--out", str(tmp_path / f"w{workers}"),
+                "--workers", str(workers)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+        if code == 1:
+            rows = (tmp_path / f"w{workers}" / "static_converge_lj.csv").read_text().splitlines()
+            assert [row.split(",")[3] for row in rows[5:]] == ["4", "4", "4", "4", "3"]
 
 
 def test_parallel_sweep_reports_its_own_continuum_failure(tmp_path, capsys):

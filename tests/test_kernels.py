@@ -31,9 +31,11 @@ from latcb.potentials import (
     PolynomialEmbedding,
     PowerLawProfile,
     _sine_plan,
+    _energies_and_gradient,
     gradient_array,
     hessian_operator,
     lennard_jones,
+    total_energy,
 )
 from latcb.stress import _layout
 
@@ -190,8 +192,11 @@ def test_pair_kernel_admissibility_matches_generic(rng, d, bad):
 @given(cases(), st.lists(st.integers(4, 8), min_size=1, max_size=3),
        st.sampled_from(("pair", "eam", "harmonic")))
 def test_stacked_cells_match_their_own_kernels_bit_for_bit(case, periods, kind):
-    """Cells laid end to end with ``stacked_plan``: each cell's stencils, scatter and
-    gradient rows are those of the kernels on the cell alone."""
+    """Cells laid end to end with ``stacked_plan``: each cell's stencils, scatter,
+    gradient and Hessian-apply rows are those of the kernels on the cell alone,
+    and its site energies sum to the bits of its own ``total_energy``; the
+    fused energies and gradient are those of the cell alone and of
+    ``gradient_array``."""
     S, N, rng = case
     if kind == "harmonic":
         P, S, shapes = HarmonicChain.build(2.0, -0.25), StencilSet.ball(1, 2.0), [(N,)]
@@ -201,16 +206,22 @@ def test_stacked_cells_match_their_own_kernels_bit_for_bit(case, periods, kind):
     d = S.d
     us = [_state(rng, shape[0], d) for shape in shapes]
     Vrs = [rng.standard_normal(shape + (S.n, d)) for shape in shapes]
+    vs = [rng.standard_normal(u.shape) for u in us]
     plan = stacked_plan(shapes, S)
     rows = np.cumsum([0] + [u[..., 0].size for u in us])
     stacked = [np.concatenate([a.reshape(-1, *a.shape[d:]) for a in arrays])
-               for arrays in (us, Vrs)]
+               for arrays in (us, Vrs, vs)]
+    energies, grad = _energies_and_gradient(P, stacked[0], plan)
     got = (all_stencils(stacked[0], S, plan), scatter_bonds(stacked[1], S, plan),
-           gradient_array(P, stacked[0], plan))
-    for i, (u, Vr) in enumerate(zip(us, Vrs)):
-        want = (all_stencils(u, S), scatter_bonds(Vr, S), gradient_array(P, u))
+           gradient_array(P, stacked[0], plan), hessian_operator(P, stacked[0], plan)(stacked[2]),
+           grad, energies)
+    for i, (u, Vr, v) in enumerate(zip(us, Vrs, vs)):
+        want = (all_stencils(u, S), scatter_bonds(Vr, S), gradient_array(P, u),
+                hessian_operator(P, u)(v), *_energies_and_gradient(P, u)[::-1])
         for g, w in zip(got, want):
             assert g[rows[i]:rows[i + 1]].tobytes() == w.tobytes()
+        energy = float(np.sum(energies[rows[i]:rows[i + 1]]))
+        assert repr(energy) == repr(total_energy(P, u))
 
 
 def test_stacked_plan_offsets_each_cell(rng):

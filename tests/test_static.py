@@ -24,6 +24,7 @@ from latcb.potentials import (
     AdmissibilityError,
     HarmonicChain,
     PairPotential,
+    _energies_and_gradient,
     gradient_array,
     hessian_operator,
     lennard_jones,
@@ -32,7 +33,6 @@ from latcb.stability import dynamical_symbol, stability_constants
 from latcb.static import (
     MacroForce,
     SolverError,
-    _line_search,
     _newton_krylov,
     _spectral_ddx,
     interp_gradient_gap,
@@ -50,6 +50,7 @@ from hat_quadrature import zeta_convolve
 import offset_gap
 from point_gap import point_gradient_gap, point_value_gap
 from scipy_cg import scipy_newton_krylov
+from single_newton import line_search, serial_newton_krylov
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -311,7 +312,7 @@ def test_static_solvers_evaluate_each_state_once(monkeypatch):
     # start plus one trial per step: as many as the iterations
     cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
     P, F = cfg.P, cfg.load
-    calls = {"energy_density": 0, "stress": 0, "total_energy": 0, "gradient_array": 0}
+    calls = {"energy_density": 0, "stress": 0, "_energies_and_gradient": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -325,11 +326,11 @@ def test_static_solvers_evaluate_each_state_once(monkeypatch):
     cb = solve_cb_static(M, F)
     assert calls["energy_density"] == calls["stress"] == cb.iterations
 
-    for name in ("total_energy", "gradient_array"):
-        monkeypatch.setattr(static, name, counted(getattr(static, name), name))
-    member = static._static_member(P, cb.field, F, 1.0 / 64.0, 1e-10, 6)
+    monkeypatch.setattr(static, "_energies_and_gradient",
+                        counted(static._energies_and_gradient, "_energies_and_gradient"))
+    (member,) = static._static_run(P, F, [1.0 / 64.0], 256, 1e-10, 6)["members"]
     assert member["newton_iterations"] == 2
-    assert calls["total_energy"] == calls["gradient_array"] == 2
+    assert calls["_energies_and_gradient"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ class _Trials:
 def test_line_search_accepts_full_step_on_armijo():
     # merit x^2 / 2 from x = 1 along the Newton step; the residual plays no part
     trials = _Trials(lambda x: (0.5 * x * x, np.inf))
-    x, ev = _line_search(1.0, -1.0, trials, base=0.5, slope=-1.0, floor=0.0, solver="test")
+    x, ev = line_search(1.0, -1.0, trials, base=0.5, slope=-1.0, floor=0.0, solver="test")
     assert x == 0.0
     assert ev == (0.0, np.inf)
     assert trials.seen == [0.0]
@@ -363,8 +364,8 @@ def test_line_search_backtracks_a_rising_merit_whose_residual_halves():
     base = 1.0
     floor = 64.0 * np.finfo(float).eps * (1.0 + base)
     trials = _Trials(lambda x: (base + 2.0 * floor, 0.5) if x == 0.75 else (base, 0.75))
-    x, ev = _line_search(1.0, -0.25, trials, base=base, slope=-1e-20, floor=floor,
-                         solver="test")
+    x, ev = line_search(1.0, -0.25, trials, base=base, slope=-1e-20, floor=floor,
+                        solver="test")
     assert x == 0.875
     assert ev == (base, 0.75)
     assert trials.seen == [0.75, 0.875]
@@ -377,17 +378,35 @@ def test_line_search_backtracks_inadmissible_trials():
         return 0.5 * (x - 4.0) ** 2, abs(x - 4.0)
 
     trials = _Trials(evaluate)
-    x, ev = _line_search(0.0, 4.0, trials, base=8.0, slope=-16.0, floor=0.0, solver="test")
+    x, ev = line_search(0.0, 4.0, trials, base=8.0, slope=-16.0, floor=0.0, solver="test")
     assert x == 1.0
     # the accepted trial's evaluation comes back with it
     assert ev == (4.5, 3.0)
     assert trials.seen == [4.0, 2.0, 1.0]
 
 
+def test_line_search_evaluates_the_rows_alone_when_the_stack_is_inadmissible():
+    # row 0's full step leaves the admissible region, row 1's is accepted:
+    # the stacked trial fails, so each row is evaluated alone, and row 0
+    # backtracks by itself
+    seen = []
+
+    def evaluate(trials, rows):
+        seen.append((rows, [float(x) for x in trials]))
+        if any(x > 1.5 for x in trials):
+            raise AdmissibilityError("trial left the admissible region")
+        return [(0.5 * (x - 1.0) ** 2, abs(x - 1.0)) for x in trials]
+
+    accepted = static._line_search([0.0, 0.0], [2.0, 1.0], evaluate, bases=[0.5, 0.5],
+                                   slopes=[-2.0, -1.0], floors=[0.0, 0.0], solver="test")
+    assert accepted == [(1.0, (0.0, 0.0)), (1.0, (0.0, 0.0))]
+    assert seen == [((0, 1), [2.0, 1.0]), ((0,), [2.0]), ((1,), [1.0]), ((0,), [1.0])]
+
+
 def test_line_search_gives_up_after_forty_halvings():
     trials = _Trials(lambda x: (np.inf, np.inf))
     with pytest.raises(SolverError, match="line search failed in the lattice solver"):
-        _line_search(0.0, 1.0, trials, base=0.0, slope=-1.0, floor=0.0, solver="lattice")
+        line_search(0.0, 1.0, trials, base=0.0, slope=-1.0, floor=0.0, solver="lattice")
     assert trials.seen == [0.5**j for j in range(40)]
 
 
@@ -412,6 +431,13 @@ def _identity_problem():
                 gauge=lambda v: 0.0)
 
 
+def _newton_one(x, evaluate, hessian, symbol, gauge, tol, solver):
+    """``_newton_krylov`` on the one row ``x`` of a one-problem ``evaluate`` and ``hessian``."""
+    (out,) = _newton_krylov([x], lambda xs, rows: [evaluate(xs[0])],
+                            lambda xs, rows: hessian(xs[0]), [symbol], [gauge], tol, solver)
+    return out
+
+
 @pytest.mark.parametrize("solver", ["continuum", "lattice"])
 def test_newton_krylov_iteration_cap(solver):
     # every step is the descent step -G with slope -1 and lowers the merit,
@@ -420,7 +446,7 @@ def test_newton_krylov_iteration_cap(solver):
     problem = _identity_problem()
     with pytest.raises(SolverError, match=rf"^{solver} Newton did not reach tol=1e-10 in "
                        rf"40 iterations \(last residual 1\.000e\+00\)$"):
-        _newton_krylov(np.ones(4), tol=1e-10, solver=solver, **problem)
+        _newton_one(np.ones(4), tol=1e-10, solver=solver, **problem)
 
 
 def test_newton_krylov_inner_cg_failure():
@@ -434,7 +460,7 @@ def test_newton_krylov_inner_cg_failure():
     with pytest.raises(
         SolverError, match=r"^inner CG failed \(info=32\) at Newton iteration 1$"
     ):
-        _newton_krylov(np.ones(4), tol=1e-10, solver="lattice", **problem)
+        _newton_one(np.ones(4), tol=1e-10, solver="lattice", **problem)
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
@@ -444,7 +470,7 @@ def test_newton_krylov_stops_on_nonpositive_curvature(curvature):
     problem["hessian"] = lambda x: lambda v: curvature * v
     message = f"lattice Hessian is not positive definite (p.Hp = {curvature:.3e} at Newton iteration 1)"
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
-        _newton_krylov(np.ones(4), tol=1e-10, solver="lattice", **problem)
+        _newton_one(np.ones(4), tol=1e-10, solver="lattice", **problem)
 
 
 def _stretched_lj_chain():
@@ -508,14 +534,173 @@ def test_cb_solver_matches_scipy_cg_bit_for_bit(monkeypatch, chain, delta):
 def test_lattice_solve_applies_the_hessian_once_per_cg_iteration(monkeypatch, chain):
     applies = []
 
-    def counted(P, values):
-        H = hessian_operator(P, values)
+    def counted(P, values, plan=None):
+        H = hessian_operator(P, values, plan)
         return lambda v: applies.append(1) or H(v)
 
     monkeypatch.setattr(static, "hessian_operator", counted)
     sol = solve_atomistic_static(chain(), make_forces(single_mode_load(1.0), 1.0 / 32.0))
     assert sol.iterations > 2
     assert len(applies) == sum(sol.diagnostics["cg_iterations"])
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches of lattice solves
+# ---------------------------------------------------------------------------
+
+SWEEP_EPS = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0]
+
+
+def _harmonic_chain():
+    return HarmonicChain.build(2.0, -0.25)
+
+
+def _sweep_rows(P, F, eps_list=SWEEP_EPS) -> list:
+    """Each spacing's (site load, start) as the static sweep builds them: the
+    start is the quasi-interpolant of the continuum equilibrium."""
+    U_c = solve_cb_static(CBModel(P), F).field
+    return [(make_forces(F, eps), static._hat_transfer(U_c, eps, 1.0 / eps)) for eps in eps_list]
+
+
+def _assert_same_solves(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.field.values.tobytes() == w.field.values.tobytes()
+        assert repr(g.residual) == repr(w.residual) and g.iterations == w.iterations
+        assert g.diagnostics == w.diagnostics  # residual and CG-count histories
+
+
+def _batch_checked(monkeypatch, P, rows) -> list:
+    """The lockstep batch of ``rows``, each row checked bit for bit against its
+    single solve and against the one-problem loop, row after row."""
+    batch = static._atomistic_statics(P, rows, 1e-10)
+    _assert_same_solves(batch, [solve_atomistic_static(P, f_a, u0=u0) for f_a, u0 in rows])
+    with monkeypatch.context() as m:
+        m.setattr(static, "_newton_krylov", serial_newton_krylov)
+        _assert_same_solves(batch, static._atomistic_statics(P, rows, 1e-10))
+    return batch
+
+
+@pytest.mark.parametrize("chain", [lj_chain, morse_chain, eam_chain, _harmonic_chain])
+@pytest.mark.parametrize("delta", [0.01, 0.02])
+def test_batch_rows_match_their_single_solves_bit_for_bit(monkeypatch, chain, delta):
+    P = chain()
+    batch = _batch_checked(monkeypatch, P, _sweep_rows(P, single_mode_load(delta)))
+    assert all(sum(s.diagnostics["cg_iterations"]) > 0 for s in batch)
+
+
+def test_batch_rows_leave_at_their_own_newton_steps(monkeypatch):
+    # at delta = 0.02 the coarsest spacing takes one Newton step more
+    P = lj_chain()
+    batch = _batch_checked(monkeypatch, P, _sweep_rows(P, single_mode_load(0.02)))
+    assert [s.iterations for s in batch] == [3, 2, 2, 2, 2]
+
+
+def test_batch_rows_near_the_fold_match_bit_for_bit(monkeypatch):
+    # the shipped LJ-chain sweep at delta = 107.5, just below the load where
+    # the continuum equilibrium folds: the finest spacing needs one step less
+    base = json.loads((CONFIGS / "static_converge_lj.json").read_text())
+    cfg = ExperimentConfig.from_dict({**base, "params": {**base["params"], "delta": 107.5}})
+    batch = _batch_checked(monkeypatch, cfg.P, _sweep_rows(cfg.P, cfg.load, cfg.spacings))
+    assert [s.iterations for s in batch] == [4, 4, 4, 4, 3]
+
+
+def _triangle_start(f_a: DisplacementField, slope: float) -> DisplacementField:
+    """A start whose bonds stretch by ``slope`` over the first half of the cell
+    and compress by as much over the second."""
+    N = f_a.lattice.N
+    ramp = np.concatenate([np.arange(N // 2), N // 2 - np.arange(N // 2)]) * slope
+    return DisplacementField(f_a.lattice, ramp[:, None])
+
+
+def test_batch_rows_far_from_equilibrium_match_bit_for_bit(monkeypatch):
+    # random starts: the rows need 7 to 11 Newton steps, their trials
+    # backtrack, and stacked trials leave the admissible region, so the
+    # rows are evaluated alone
+    P = lj_chain()
+    rng = np.random.default_rng(1)
+    rows = [(f_a, DisplacementField(f_a.lattice, rng.uniform(-0.06, 0.06, f_a.values.shape)))
+            for f_a, _ in _sweep_rows(P, single_mode_load(0.01))]
+    inadmissible = []
+
+    def recorded(P, values, plan=None):
+        try:
+            return _energies_and_gradient(P, values, plan)
+        except AdmissibilityError:
+            inadmissible.append(len(values))
+            raise
+
+    monkeypatch.setattr(static, "_energies_and_gradient", recorded)
+    batch = _batch_checked(monkeypatch, P, rows)
+    assert [s.iterations for s in batch] == [8, 7, 9, 9, 11]
+    assert max(inadmissible) > 128  # a stacked trial of several rows
+
+
+def _spiked_start(f_a: DisplacementField) -> DisplacementField:
+    """A start with one site moved past the admissible stencil norm."""
+    values = np.zeros_like(f_a.values)
+    values[3] = 0.4
+    return DisplacementField(f_a.lattice, values)
+
+
+_FAILING_STARTS = {"curvature": lambda f_a: _triangle_start(f_a, 0.2),
+                   "inadmissible": _spiked_start}
+
+
+@pytest.mark.parametrize("second, fourth", [("curvature", "inadmissible"),
+                                            ("inadmissible", "curvature")])
+def test_failing_batch_raises_its_first_failing_rows_error(monkeypatch, second, fourth):
+    # rows 2 and 4 fail, row 4 at an earlier lockstep step when its start is
+    # inadmissible: the batch raises row 2's own error, word for word, as the
+    # rows solved one after another do
+    P = lj_chain()
+    rows = _sweep_rows(P, single_mode_load(0.01))
+    for i, kind in ((1, second), (3, fourth)):
+        rows[i] = rows[i][0], _FAILING_STARTS[kind](rows[i][0])
+    errors = []
+    for f_a, u0 in (rows[1], rows[3]):
+        with pytest.raises(SolverError) as alone:
+            solve_atomistic_static(P, f_a, u0=u0)
+        errors.append(str(alone.value))
+    assert errors[0] != errors[1]
+    assert ("not positive definite" if second == "curvature"
+            else "lattice start left the admissible region") in errors[0]
+    with pytest.raises(SolverError) as batch:
+        static._atomistic_statics(P, rows, 1e-10)
+    assert str(batch.value) == errors[0]
+    with monkeypatch.context() as m:
+        m.setattr(static, "_newton_krylov", serial_newton_krylov)
+        with pytest.raises(SolverError) as serial:
+            static._atomistic_statics(P, rows, 1e-10)
+    assert str(serial.value) == errors[0]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 4099])
+def test_lattice_gauge_is_numpy_mean_bit_for_bit(rng, n):
+    for v in (rng.standard_normal((n, 1)), 1e3 * rng.standard_normal(n) + 1.0):
+        assert repr(static._mean(v)) == repr(np.mean(v))
+
+
+def test_static_run_solves_each_load_in_one_batch(monkeypatch):
+    # one evaluation and one Hessian per lockstep step, on all the spacings
+    # still iterating, and one Hessian apply per lockstep CG iteration
+    P, F = lj_chain(), single_mode_load(0.02)
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(P, values, plan=None):
+            calls.append((name, len(values)))
+            return fn(P, values, plan)
+        return wrapper
+
+    for name in ("_energies_and_gradient", "hessian_operator"):
+        monkeypatch.setattr(static, name, recorded(name, getattr(static, name)))
+    run = static._static_run(P, F, SWEEP_EPS, 256, 1e-10, 6)
+    assert [m["newton_iterations"] for m in run["members"]] == [3, 2, 2, 2, 2]
+    sites = sum(int(round(1.0 / eps)) for eps in SWEEP_EPS)
+    # start, step 1 (all rows), step 2 (only the coarsest row still iterates)
+    assert calls == [("_energies_and_gradient", sites), ("hessian_operator", sites),
+                     ("_energies_and_gradient", sites), ("hessian_operator", 8),
+                     ("_energies_and_gradient", 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +790,11 @@ def test_gap_metrics_match_offset_oracle_bit_for_bit(rng, d, N_list, q):
 def test_static_member_gap_matches_offset_oracle_bit_for_bit(monkeypatch):
     # the eps = 1/16 member of the shipped LJ-chain sweep, with the per-offset gap swapped in
     cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
-    U_c = solve_cb_static(CBModel(cfg.P), cfg.load).field
-    args = (cfg.P, U_c, cfg.load, 1.0 / 16.0, 1e-10, 6)
-    got = static._static_member(*args)
+    args = (cfg.P, cfg.load, [1.0 / 16.0], 256, 1e-10, 6)
+    got = static._static_run(*args)
     monkeypatch.setattr(static, "interp_gradient_gap", offset_gap.interp_gradient_gap)
-    ref = static._static_member(*args)
-    assert got["error"] > 0.0
+    ref = static._static_run(*args)
+    assert got["members"][0]["error"] > 0.0
     assert repr(got) == repr(ref)
 
 
