@@ -21,9 +21,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--workers", type=int, default=1,
-                       help="processes for the sweep's two jobs (static-converge: the full and "
-                            "the half load; dynamic-converge: both continuum waves, and every "
-                            "lattice run); more than 2 adds nothing")
+                       help="processes for dynamic-converge's two jobs (both continuum waves, and "
+                            "every lattice run); more than 2 adds nothing; static-converge and "
+                            "the other experiments run in one process")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 

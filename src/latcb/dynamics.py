@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .potentials import (
 )
 from .stability import max_frequency
 from .static import SolverError, interp_gradient_gap, interp_value_gap
-from .static import _hat_transfer, _map_members, _require_stable, _spectral_ddx
+from .static import _hat_transfer, _require_stable, _spectral_ddx
 from .stress import CBModel
 
 __all__ = [
@@ -347,6 +348,20 @@ def _cb_waves(M: CBModel, data: InitialData, snap_times, n_grid: int, cfls) -> l
 # ---------------------------------------------------------------------------
 # convergence sweep
 # ---------------------------------------------------------------------------
+
+def _map_members(jobs: list, workers: int) -> list:
+    """``fn(*args)`` of each sweep job ``(fn, args)`` (``fn`` module-level, to pickle),
+    in a process pool when ``workers > 1``, capped at the CPU count and the job
+    count.  Results are read in job order, so the first failing job raises first."""
+    n_proc = min(workers, os.cpu_count() or 1, len(jobs))
+    if n_proc > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+        with ProcessPoolExecutor(max_workers=n_proc) as pool:
+            futures = [pool.submit(fn, *args) for fn, args in jobs]
+            return [f.result() for f in futures]
+    return [fn(*args) for fn, args in jobs]
+
 
 def _lattice_runs(P: Potential, data: InitialData, cb_times, runs) -> list:
     """The lattice run of each ``(eps, cfl)`` to the micro times ``cb_times / eps``,

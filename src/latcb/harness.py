@@ -579,7 +579,7 @@ def _run_static_converge(cfg: ExperimentConfig, workers: int):
     """static equilibrium convergence rate study"""
     v = cfg.values
     sweep = static_converge_sweep(cfg.P, cfg.load, cfg.spacings, n_grid=v["n_grid"],
-                                  tol=v["solver_tol"], q=v["quadrature"], workers=workers)
+                                  tol=v["solver_tol"], q=v["quadrature"])
     rr = fit_rate(sweep["eps"], sweep["errors"], noise_floor=v["solver_tol"])
     columns = ("eps", "error", "residual", "newton_iterations", "error_half_delta", "half_ratio")
     rows = [

@@ -105,28 +105,35 @@ def _sample_symbol(N: int, n_modes: int, s: float, order: int) -> np.ndarray:
     return out
 
 
-def interp_sample_shifts(u: DisplacementField, shifts, deriv: tuple | None = None) -> np.ndarray:
+def interp_sample_shifts(u, shifts, deriv: tuple | None = None) -> np.ndarray:
     """The smoothed interpolant of ``u``, or one first partial, on the grids
     ``xi + shifts[q]`` of a (Q, d) batch of shifts.
 
     The smoothed interpolant ``I u(x) = sum_xi w(xi) prod_a b3(x_a - xi_a)``
     is the C^2 cubic B-spline quasi-interpolant of the values ``w`` whose
     B-spline filter [1/6, 2/3, 1/6] per axis gives back ``u``, so it matches
-    ``u`` at every site.  ``deriv`` (None, or the order per axis with at
-    most one 1) follows ``TrigField.sample``.  Returns shape
-    (Q,) + (N,)*d + (d,).  Each grid is a circular correlation of ``w``
-    with 4 B-spline taps per axis: one real FFT of ``u``, a stack of
+    ``u`` at every site.  ``u`` is a DisplacementField, or a list of them on
+    one lattice, whose components are taken side by side in the order
+    given (m components in all).  ``deriv`` (None, or the order per axis
+    with at most one 1) follows ``TrigField.sample``.  Returns shape
+    (Q,) + (N,)*d + (m,).  Each grid is a circular correlation of ``w``
+    with 4 B-spline taps per axis: one real FFT of the values, a stack of
     per-axis multipliers, one per shift, and one batched inverse FFT.
-    Each row has the bits of a one-shift call.
+    Each row, and each field of a list, has the bits of a one-shift call on
+    that field alone.
     """
-    d, N = u.lattice.d, u.lattice.N
+    if isinstance(u, DisplacementField):
+        lattice, values = u.lattice, u.values
+    else:
+        lattice, values = u[0].lattice, np.concatenate([f.values for f in u], axis=-1)
+    d, N = lattice.d, lattice.N
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 2 or shifts.shape[0] < 1 or shifts.shape[1] != d:
         raise ValueError(f"shifts must have shape (Q, {d}) with Q >= 1, got {shifts.shape}")
     orders = (0,) * d if deriv is None else tuple(deriv)
     if len(orders) != d or any(o not in (0, 1) for o in orders) or sum(orders) > 1:
         raise ValueError(f"deriv must give d = {d} orders with at most one 1, got {deriv!r}")
-    spec = np.fft.rfftn(u.values, axes=tuple(range(d)))
+    spec = np.fft.rfftn(values, axes=tuple(range(d)))
     out = spec[None]
     for axis, order in enumerate(orders):
         mult = np.array([_sample_symbol(N, spec.shape[axis], float(s), order)

@@ -8,20 +8,22 @@ convolution is exact in closed form: mode ``m`` is multiplied by
 ``prod_a sinc(m_a eps)^2`` (``TrigField.hat_smoothed``) and the smoothed
 field is evaluated at the sites.  Both equilibria minimize an energy with
 one damped Newton-Krylov loop (matrix-free numpy CG, preconditioned by a
-Fourier symbol): the Cauchy-Born one once per load (it is scale-free) on a
-spectral grid with the symbol ``C0 k^2``, the atomistic ones of all of a
-load's lattice spacings in one lockstep batch with the reference dynamical
-symbol.  The reported error is the
-scaled L2 norm of the gradient gap between the continuum solution and the
-smoothed interpolant of the atomistic one, the quantity that converges at
-second order in the spacing for stable potentials and small loads.
+Fourier symbol), which steps a batch of rows in lockstep.  A sweep runs a
+load and its half as one batch at every stage: the two Cauchy-Born
+equilibria (scale-free, on a spectral grid with the symbol ``C0 k^2``) are
+one batch, the atomistic ones of both loads at every lattice spacing
+another (with the reference dynamical symbol), and the two loads are the
+two columns of one field for the site transfers and the gaps.  The
+reported error is the scaled L2 norm of the gradient gap between the
+continuum solution and the smoothed interpolant of the atomistic one, the
+quantity that converges at second order in the spacing for stable
+potentials and small loads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -91,15 +93,27 @@ class MacroForce:
         return MacroForce(field=self.field.scale(factor))
 
 
-def _hat_transfer(U: TrigField, eps: float, c: float) -> DisplacementField:
-    """Site samples ``(zeta * u)(xi)`` of ``u(x) = c U(eps x)`` on the 1/eps supercell.
+def _hat_transfers(U: TrigField, eps: float, c: float) -> list[DisplacementField]:
+    """Site samples ``(zeta * u)(xi)`` of ``u(x) = c U(eps x)`` on the 1/eps supercell,
+    one field per column of ``U``: its components in groups of ``d``.
 
     In micro coordinates the hat kernel multiplies mode ``m`` of ``U`` by
     ``prod_a sinc(m_a eps)^2``, so the samples are ``c U.hat_smoothed(eps)``
     on the grid ``eps xi`` (``TrigField.sample``), exact up to roundoff.
+    One sample call serves every column, and each column, a contiguous copy
+    of its components, has the bits of its own call.
     """
-    N = supercell_period(eps)
-    return DisplacementField(LatticeSpec(d=U.d, A=np.eye(U.d), N=N), c * U.hat_smoothed(eps).sample(N))
+    d, N = U.d, supercell_period(eps)
+    lattice = LatticeSpec(d=d, A=np.eye(d), N=N)
+    values = c * U.hat_smoothed(eps).sample(N)
+    return [DisplacementField(lattice, np.ascontiguousarray(values[..., j:j + d]))
+            for j in range(0, values.shape[-1], d)]
+
+
+def _hat_transfer(U: TrigField, eps: float, c: float) -> DisplacementField:
+    """``_hat_transfers`` of a field of one column."""
+    (u_a,) = _hat_transfers(U, eps, c)
+    return u_a
 
 
 def make_forces(F: MacroForce, eps: float) -> DisplacementField:
@@ -341,29 +355,45 @@ def solve_cb_static(
 
     Minimizes the grid mean of ``W(U') - F U`` over zero-mean ``U`` on a
     trigonometric collocation grid, ``U'`` the spectral derivative, with the
-    shared Newton-Krylov iteration as a batch of one: the Hessian action
-    ``-(C(U') v')' / n_grid`` is matrix-free and preconditioned by its
-    reference symbol ``C0 k^2 / n_grid``.  The start is the linearized
-    solution of ``C0 U'' = -F``.  The solution is returned as a
-    trigonometric polynomial; the residual ``-d/dX S(U') - F`` is measured
-    in the grid L2 norm.
+    shared Newton-Krylov iteration as a batch of one (``_cb_statics``): the
+    Hessian action ``-(C(U') v')' / n_grid`` is matrix-free and
+    preconditioned by its reference symbol ``C0 k^2 / n_grid``.  The start
+    is the linearized solution of ``C0 U'' = -F``.  The solution is
+    returned as a trigonometric polynomial; the residual ``-d/dX S(U') - F``
+    is measured in the grid L2 norm.
+    """
+    return _cb_statics(M, [F], n_grid, tol)[0]
+
+
+def _cb_statics(M: CBModel, loads, n_grid: int, tol: float) -> list:
+    """``solve_cb_static`` of several loads on one grid in one lockstep batch
+    (see ``_newton_krylov``), each with the bits of its own solve.
+
+    The rows' states are the rows of one array: every evaluation takes one
+    spectral derivative pair and one ``stress`` and one ``energy_density``
+    call on all of them, and every Hessian one ``moduli`` call.  Merits,
+    residual norms and gradients are taken on each row's own slice.  The
+    batch fails as its first load, in the order given, that fails alone.
     """
     if M.P.d != 1:
         raise NotImplementedError("the continuum solver is one-dimensional")
     Mg = n_grid
-    Fv = F.field.sample(Mg)[:, 0]
+    Fv = np.stack([F.field.sample(Mg)[:, 0] for F in loads])
 
     def evaluate(Us, rows):
-        """Merit ``mean(W(U') - F U)``, residual norm and merit gradient of the one state."""
-        (U,) = Us
-        up = _spectral_ddx(U)
-        R = -_spectral_ddx(M.stress(up[:, None, None])[:, 0, 0]) - Fv
-        merit = float(np.mean(M.energy_density(up[:, None, None]) - Fv * U))
-        return [(merit, float(np.sqrt(np.mean(R * R))), R / Mg)]
+        """Per row: merit ``mean(W(U') - F U)``, residual norm and merit gradient."""
+        U = np.stack(Us)
+        up = _spectral_ddx(U).reshape(-1, 1, 1)
+        R = -_spectral_ddx(M.stress(up)[:, 0, 0].reshape(U.shape)) - Fv[list(rows)]
+        W = M.energy_density(up).reshape(U.shape)
+        return [(float(np.mean(W[j] - Fv[i] * Us[j])), float(np.sqrt(np.mean(R[j] * R[j]))),
+                 R[j] / Mg)
+                for j, i in enumerate(rows)]
 
     def hessian(Us, rows):
-        mod = M.moduli(_spectral_ddx(Us[0])[:, None, None])[:, 0, 0, 0, 0] / Mg
-        return lambda v: -_spectral_ddx(mod * _spectral_ddx(v))
+        U = np.stack(Us)
+        mod = M.moduli(_spectral_ddx(U).reshape(-1, 1, 1))[:, 0, 0, 0, 0].reshape(U.shape) / Mg
+        return lambda v: -_spectral_ddx(mod * _spectral_ddx(v.reshape(U.shape))).reshape(-1)
 
     # the spectral derivative annihilates the mean and, on even grids, the
     # Nyquist mode (-1)^j: both are gauge modes
@@ -378,12 +408,14 @@ def solve_cb_static(
     if Mg % 2 == 0:
         symbol[Mg // 2] = 1.0
     # linearized start -(C0 U')' = F: at U = 0 the merit's gradient is -F / Mg
-    U = np.real(np.fft.ifft(np.fft.fft(Fv / Mg) / symbol))
-    ((U, rnorm, it, diagnostics),) = _newton_krylov([U], evaluate, hessian, [symbol], [gauge],
-                                                    tol, "continuum")
-    diagnostics.update(grad_inf=float(np.max(np.abs(_spectral_ddx(U)))), n_grid=Mg)
-    return StaticSolution(field=TrigField.from_grid_1d(U[:, None]), residual=rnorm,
-                          iterations=it, diagnostics=diagnostics)
+    starts = [np.real(np.fft.ifft(np.fft.fft(f / Mg) / symbol)) for f in Fv]
+    out = []
+    for U, rnorm, it, diagnostics in _newton_krylov(starts, evaluate, hessian, [symbol] * len(Fv),
+                                                    [gauge] * len(Fv), tol, "continuum"):
+        diagnostics.update(grad_inf=float(np.max(np.abs(_spectral_ddx(U)))), n_grid=Mg)
+        out.append(StaticSolution(field=TrigField.from_grid_1d(U[:, None]), residual=rnorm,
+                                  iterations=it, diagnostics=diagnostics))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,39 +524,53 @@ def _check_gap_inputs(name: str, U: TrigField, u_a: DisplacementField, eps: floa
                          f"but the lattice needs d = {d} and {d}")
 
 
-def _interp_gap(u_a: DisplacementField, eps: float, q: int, exact, interp) -> float:
-    """Scaled L2 gap eps^{d/2} || u_c - I u_a ||_{L2(micro torus)} of a field or its gradient.
+def _interp_gap(U: TrigField, u_a, eps: float, q: int, grad: bool) -> list[float]:
+    """Scaled L2 gaps eps^{d/2} || u_c - I u_a ||_{L2(micro torus)} of fields or
+    their gradients, one per column.
 
-    ``I`` is the smoothed interpolant (``interp_sample_shifts``), which
-    matches ``u_a`` at every site.  The integral is a q-point Gauss rule per
-    lattice cell, which integrates the spline factors exactly: ``exact(S)``
-    and ``interp(S)`` sample both sides at the points ``xi + S[o]`` of every
-    cell ``xi`` for all q^d Gauss offsets ``S`` at once, as arrays of the
-    same shape with one row per offset.  Each row is summed on its own and
-    the weighted row sums add up in offset order.
+    ``u_a`` is a DisplacementField, or a list of them on one lattice: the
+    columns, whose components follow one another in ``U``'s (``U`` has d
+    components per column).  ``I`` is the smoothed interpolant
+    (``interp_sample_shifts``), which matches ``u_a`` at every site.  The
+    integral is a q-point Gauss rule per lattice cell, which integrates the
+    spline factors exactly: both sides are sampled at the points
+    ``xi + S[o]`` of every cell ``xi`` for all q^d Gauss offsets ``S`` at
+    once, the field or its d first partials (``grad``), every column in the
+    same call.  Each column's squared differences are a contiguous copy,
+    each offset's row of it is summed on its own, and the weighted row sums
+    add up in offset order, so each column has the bits of a one-column
+    call.
     """
-    d = u_a.lattice.d
+    d, N = U.d, supercell_period(eps)
     offsets, weights = _gauss_offsets(q, d)
-    diff = exact(offsets) - interp(offsets)
-    sums = np.sum((diff * diff).reshape(len(offsets), -1), axis=1)
-    val = 0.0
-    for w, s in zip(weights, sums):
-        val += w * float(s)
-    return eps ** (d / 2.0) * math.sqrt(val)
+    if grad:
+        axes = [tuple(a) for a in np.eye(d, dtype=int)]
+        exact = np.stack([U.sample_shifts(N, offsets, deriv=a) for a in axes], -1)
+        diff = exact - np.stack([interp_sample_shifts(u_a, offsets, deriv=a) for a in axes], -1)
+    else:
+        diff = U.sample_shifts(N, offsets) - interp_sample_shifts(u_a, offsets)
+    sq = (diff * diff).reshape(len(offsets), N ** d, U.n_components // d, -1)
+    gaps = []
+    for col in range(sq.shape[2]):
+        sums = np.sum(np.ascontiguousarray(sq[:, :, col]).reshape(len(offsets), -1), axis=1)
+        val = 0.0
+        for w, s in zip(weights, sums):
+            val += w * float(s)
+        gaps.append(eps ** (d / 2.0) * math.sqrt(val))
+    return gaps
 
 
 def interp_gradient_gap(U: TrigField, u_a: DisplacementField, eps: float, q: int = 6) -> float:
     """Scaled L2 gap eps^{d/2} || grad u_c - grad I u_a ||_{L2(micro torus)}.
 
-    Equals the macroscopic norm || grad U - (grad I u_a)(. / eps) ||_{L2(unit torus)}.
-    Raises ValueError unless ``eps`` is the lattice's spacing and ``U`` has
-    the lattice's dimension and d components.
+    Equals the macroscopic norm || grad U - (grad I u_a)(. / eps) ||_{L2(unit torus)}:
+    the one-column case of ``_interp_gap``.  Raises ValueError unless
+    ``eps`` is the lattice's spacing and ``U`` has the lattice's dimension
+    and d components.
     """
     _check_gap_inputs("interp_gradient_gap", U, u_a, eps)
-    N, axes = u_a.lattice.N, [tuple(a) for a in np.eye(U.d, dtype=int)]
-    return _interp_gap(u_a, eps, q,
-                       lambda S: np.stack([U.sample_shifts(N, S, deriv=a) for a in axes], -1),
-                       lambda S: np.stack([interp_sample_shifts(u_a, S, deriv=a) for a in axes], -1))
+    (gap,) = _interp_gap(U, u_a, eps, q, grad=True)
+    return gap
 
 
 def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 6) -> float:
@@ -534,8 +580,8 @@ def interp_value_gap(V: TrigField, v_a: DisplacementField, eps: float, q: int = 
     ValueError as ``interp_gradient_gap`` does.
     """
     _check_gap_inputs("interp_value_gap", V, v_a, eps)
-    return _interp_gap(v_a, eps, q, lambda S: V.sample_shifts(v_a.lattice.N, S),
-                       lambda S: interp_sample_shifts(v_a, S))
+    (gap,) = _interp_gap(V, v_a, eps, q, grad=False)
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -550,39 +596,17 @@ def _require_stable(P: Potential) -> None:
         raise SolverError(f"reference lattice is unstable (gamma={gamma:.6g})")
 
 
-def _map_members(jobs: list, workers: int) -> list:
-    """``fn(*args)`` of each sweep job ``(fn, args)`` (``fn`` module-level, to pickle),
-    in a process pool when ``workers > 1``, capped at the CPU count and the job
-    count.  Results are read in job order, so the first failing job raises first."""
-    n_proc = min(workers, os.cpu_count() or 1, len(jobs))
-    if n_proc > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+def _columns(fields) -> TrigField:
+    """The fields, which share their canonical modes, side by side: one field
+    whose components are theirs, in the order given.
 
-        with ProcessPoolExecutor(max_workers=n_proc) as pool:
-            futures = [pool.submit(fn, *args) for fn, args in jobs]
-            return [f.result() for f in futures]
-    return [fn(*args) for fn, args in jobs]
-
-
-def _static_run(P: Potential, F: MacroForce, eps_list, n_grid, tol, q) -> dict:
-    """One load of the static sweep: its Cauchy-Born equilibrium, then every
-    spacing's lattice equilibrium in one lockstep batch, then each one's gap
-    to the continuum.
-
-    Each lattice solve starts from the quasi-interpolant ``zeta * u_c`` of
-    ``u_c(x) = U_c(eps x) / eps``.  The batch fails as its first spacing, in
-    the order given, whose solve fails alone (``_newton_krylov``).
+    It skips the fold of ``TrigField.__post_init__``, as ``hat_smoothed``
+    does: on canonical modes it would change no bit.
     """
-    cb = solve_cb_static(CBModel(P), F, n_grid=n_grid, tol=min(tol, 1e-10))
-    U_c = cb.field
-    sols = _atomistic_statics(
-        P, [(make_forces(F, eps), _hat_transfer(U_c, eps, 1.0 / eps)) for eps in eps_list], tol)
-    return {"cb_residual": cb.residual,
-            "members": [{"eps": float(eps),
-                         "error": float(interp_gradient_gap(U_c, sol.field, eps, q=q)),
-                         "residual": sol.residual,
-                         "newton_iterations": sol.iterations}
-                        for eps, sol in zip(eps_list, sols)]}
+    out = object.__new__(TrigField)
+    out.d, out.modes = fields[0].d, fields[0].modes
+    out.amps = np.concatenate([f.amps for f in fields], axis=1)
+    return out
 
 
 def static_converge_sweep(
@@ -592,26 +616,44 @@ def static_converge_sweep(
     n_grid: int = 256,
     tol: float = 1e-10,
     q: int = 6,
-    workers: int = 1,
 ) -> dict:
     """Measure the static convergence rate over a spacing sweep.
 
-    Solves the Cauchy-Born problem once per load, then builds every
-    spacing's transferred site load, solves all the lattice equilibria from
-    the quasi-interpolated continuum starts in one lockstep batch
-    (``_static_run``), and evaluates each scaled gradient gap.  The whole
-    sweep is run for ``F`` and for ``F`` scaled by one half, giving the
+    The sweep is run for ``F`` and for ``F`` scaled by one half, giving the
     linear-response control ``half_ratios`` (errors should scale by about
-    0.5); each load is one pool job, the full load first, so a failure is
-    the full load's before the half load's and, within a load, the
-    continuum's before the first failing spacing's in ``eps_list`` order.
-    An unstable reference lattice raises SolverError before any solve.
+    0.5), and both loads are one batch at every stage.  Their Cauchy-Born
+    equilibria are one lockstep solve (``_cb_statics``).  The two loads and
+    the two continuum solutions become the two columns of one field each,
+    so one hat transfer per spacing gives both loads' site forces and one
+    both lattice starts, the quasi-interpolants ``zeta * u_c`` of
+    ``u_c(x) = U_c(eps x) / eps``.  All the lattice equilibria are one
+    lockstep batch (``_atomistic_statics``), the full load's spacings first,
+    and one ``_interp_gap`` call per spacing gives both loads' scaled
+    gradient gaps.  Every row and column keeps the bits of its own solve or
+    call.  An unstable reference lattice raises SolverError before any
+    solve; after that the sweep fails as the first of these that fails
+    alone: the full load's continuum solve, the half load's, then the
+    lattice solves, the full load's in ``eps_list`` order and then the half
+    load's.
     """
     _require_stable(P)
     loads = {"full": F, "half": F.scaled(0.5)}
-    runs = dict(zip(loads, _map_members(
-        [(_static_run, (P, load, eps_list, n_grid, tol, q)) for load in loads.values()], workers)))
-
+    cbs = _cb_statics(CBModel(P), list(loads.values()), n_grid, min(tol, 1e-10))
+    F_c, U_c = _columns([load.field for load in loads.values()]), _columns([cb.field for cb in cbs])
+    transfers = [(_hat_transfers(F_c, eps, eps), _hat_transfers(U_c, eps, 1.0 / eps))
+                 for eps in eps_list]
+    sols = _atomistic_statics(P, [(forces[j], starts[j]) for j in range(len(loads))
+                                  for forces, starts in transfers], tol)
+    by_load = [sols[:len(eps_list)], sols[len(eps_list):]]
+    gaps = [_interp_gap(U_c, [full.field, half.field], eps, q, grad=True)
+            for eps, full, half in zip(eps_list, *by_load)]
+    runs = {name: {"cb_residual": cb.residual,
+                   "members": [{"eps": float(eps),
+                                "error": float(gap[j]),
+                                "residual": sol.residual,
+                                "newton_iterations": sol.iterations}
+                               for eps, gap, sol in zip(eps_list, gaps, load_sols)]}
+            for j, (name, cb, load_sols) in enumerate(zip(loads, cbs, by_load))}
     errors = [m["error"] for m in runs["full"]["members"]]
     errors_half = [m["error"] for m in runs["half"]["members"]]
     return {

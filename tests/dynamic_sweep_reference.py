@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from latcb.dynamics import integrate_atomistic, make_initial_data, solve_cb_wave
+from latcb.dynamics import _map_members, integrate_atomistic, make_initial_data, solve_cb_wave
 from latcb.fields import TrigField
 from latcb.lattice import DisplacementField
 from latcb.potentials import total_energy
-from latcb.static import _map_members, _require_stable, interp_gradient_gap, interp_value_gap
+from latcb.static import _require_stable, interp_gradient_gap, interp_value_gap
 from latcb.stress import CBModel
 
 

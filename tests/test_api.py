@@ -107,7 +107,7 @@ def test_module_all_is_pinned(name):
 def test_import_leaves_scipy_optimize_out():
     # latcb runs on numpy alone: importing the package and its CLI loads no
     # scipy module at all, scipy.optimize and scipy.sparse.linalg included;
-    # nor the process pool, which only a sweep with workers > 1 imports
+    # nor the process pool, which only the dynamic sweep with workers > 1 imports
     src = str(Path(latcb.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import latcb, latcb.cli, sys; "

@@ -974,6 +974,7 @@ EAM_CHAIN_POT = {"variant": "eam", "d": 1, "r_cut": 2.0, "phi": {"kind": "morse"
     ],
 )
 def test_parallel_sweep_is_byte_identical(tmp_path, obj):
+    # the static sweep runs in one process, so for it the flag changes nothing
     path = _write_cfg(tmp_path, obj)
     for workers in (1, 2):
         argv = [obj["experiment"], "--config", str(path), "--out",

@@ -8,6 +8,7 @@ response prediction and frozen regression anchors.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,7 @@ from latcb import static
 from latcb.dynamics import InitialData, make_initial_data, solve_cb_wave
 from latcb.fields import TrigField
 from latcb.harness import ExperimentConfig, _run_static_converge
+from latcb.interpolation import interp_sample_shifts
 from latcb.lattice import DisplacementField, LatticeSpec, StencilSet
 from latcb.potentials import (
     AdmissibilityError,
@@ -48,6 +50,7 @@ from conftest import eam_chain, lj_chain, lj_square, morse_chain, single_mode_lo
 from dense_cb_static import solve_cb_static as dense_solve_cb_static
 from hat_quadrature import zeta_convolve
 import offset_gap
+import per_load_sweep
 from point_gap import point_gradient_gap, point_value_gap
 from scipy_cg import scipy_newton_krylov
 from single_newton import line_search, serial_newton_krylov
@@ -328,9 +331,9 @@ def test_static_solvers_evaluate_each_state_once(monkeypatch):
 
     monkeypatch.setattr(static, "_energies_and_gradient",
                         counted(static._energies_and_gradient, "_energies_and_gradient"))
-    (member,) = static._static_run(P, F, [1.0 / 64.0], 256, 1e-10, 6)["members"]
-    assert member["newton_iterations"] == 2
-    assert calls["_energies_and_gradient"] == 2
+    out = static_converge_sweep(P, F, [1.0 / 64.0])
+    assert [run["members"][0]["newton_iterations"] for run in out["details"].values()] == [2, 2]
+    assert calls["_energies_and_gradient"] == 2  # both loads' rows in each evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +685,8 @@ def test_lattice_gauge_is_numpy_mean_bit_for_bit(rng, n):
 
 def test_static_run_solves_each_load_in_one_batch(monkeypatch):
     # one evaluation and one Hessian per lockstep step, on all the spacings
-    # still iterating, and one Hessian apply per lockstep CG iteration
+    # of both loads still iterating, and one Hessian apply per lockstep CG
+    # iteration
     P, F = lj_chain(), single_mode_load(0.02)
     calls = []
 
@@ -694,10 +698,11 @@ def test_static_run_solves_each_load_in_one_batch(monkeypatch):
 
     for name in ("_energies_and_gradient", "hessian_operator"):
         monkeypatch.setattr(static, name, recorded(name, getattr(static, name)))
-    run = static._static_run(P, F, SWEEP_EPS, 256, 1e-10, 6)
-    assert [m["newton_iterations"] for m in run["members"]] == [3, 2, 2, 2, 2]
-    sites = sum(int(round(1.0 / eps)) for eps in SWEEP_EPS)
-    # start, step 1 (all rows), step 2 (only the coarsest row still iterates)
+    runs = static_converge_sweep(P, F, SWEEP_EPS)["details"]
+    assert [m["newton_iterations"] for m in runs["full"]["members"]] == [3, 2, 2, 2, 2]
+    assert [m["newton_iterations"] for m in runs["half"]["members"]] == [2, 2, 2, 2, 2]
+    sites = 2 * sum(int(round(1.0 / eps)) for eps in SWEEP_EPS)
+    # start, step 1 (all rows), step 2 (only the full load's coarsest row still iterates)
     assert calls == [("_energies_and_gradient", sites), ("hessian_operator", sites),
                      ("_energies_and_gradient", sites), ("hessian_operator", 8),
                      ("_energies_and_gradient", 8)]
@@ -790,11 +795,11 @@ def test_gap_metrics_match_offset_oracle_bit_for_bit(rng, d, N_list, q):
 def test_static_member_gap_matches_offset_oracle_bit_for_bit(monkeypatch):
     # the eps = 1/16 member of the shipped LJ-chain sweep, with the per-offset gap swapped in
     cfg = ExperimentConfig.from_file(CONFIGS / "static_converge_lj.json")
-    args = (cfg.P, cfg.load, [1.0 / 16.0], 256, 1e-10, 6)
-    got = static._static_run(*args)
-    monkeypatch.setattr(static, "interp_gradient_gap", offset_gap.interp_gradient_gap)
-    ref = static._static_run(*args)
-    assert got["members"][0]["error"] > 0.0
+    args = (cfg.P, cfg.load, [1.0 / 16.0])
+    got = static_converge_sweep(*args)
+    monkeypatch.setattr(per_load_sweep, "interp_gradient_gap", offset_gap.interp_gradient_gap)
+    ref = per_load_sweep.per_load_sweep(*args)
+    assert got["details"]["full"]["members"][0]["error"] > 0.0
     assert repr(got) == repr(ref)
 
 
@@ -908,30 +913,169 @@ def test_static_error_constant_grows_as_the_stability_margin_shrinks():
     assert ratios[-1] == pytest.approx(0.452, abs=1e-3)
 
 
-def test_static_sweep_maps_both_loads_in_one_call(monkeypatch):
-    # two jobs, one per continuum reference: the full load with every
-    # spacing first, then the half load.  No continuum equilibrium is solved
-    # before the map, and the job order does not change a bit of the result.
-    calls, solved = [], []
-
-    def reversed_map(jobs, workers):
-        calls.append((jobs, list(solved)))
-        return [fn(*args) for fn, args in jobs[::-1]][::-1]
-
-    def recorded_solve(M, F, n_grid, tol):
-        solved.append(F.delta)
-        return solve_cb_static(M, F, n_grid=n_grid, tol=tol)
-
+def test_static_sweep_solves_both_loads_as_one_batch(monkeypatch):
+    # both loads are one batch at every stage: one continuum batch of two
+    # rows, the full load first, before any lattice evaluation; one lattice
+    # evaluation per lockstep step on all the live rows of both loads; and
+    # one exact-side sample of both continuum solutions per spacing for the
+    # gaps.  The result is the per-load oracle's, bit for bit.
     F, eps_list = single_mode_load(0.01), [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
-    ref = static_converge_sweep(lj_chain(), F, eps_list)
-    monkeypatch.setattr(static, "_map_members", reversed_map)
-    monkeypatch.setattr(static, "solve_cb_static", recorded_solve)
-    assert static_converge_sweep(lj_chain(), F, eps_list) == ref
-    ((jobs, solved_before),) = calls
-    assert solved_before == [] and solved == pytest.approx([0.005, 0.01], rel=1e-12)
-    assert [fn for fn, _ in jobs] == [static._static_run, static._static_run]
-    assert [args[2] for _, args in jobs] == [eps_list, eps_list]
-    assert [args[1].delta for _, args in jobs] == pytest.approx([0.01, 0.005], rel=1e-12)
+    ref = per_load_sweep.per_load_sweep(lj_chain(), F, eps_list)
+    events = []
+    cb_statics, energies = static._cb_statics, static._energies_and_gradient
+    sample_shifts = TrigField.sample_shifts
+
+    def recorded_cb(M, loads, n_grid, tol):
+        events.append(("continuum", [load.delta for load in loads]))
+        return cb_statics(M, loads, n_grid, tol)
+
+    def recorded_energies(P, values, plan=None):
+        events.append(("lattice", len(values)))
+        return energies(P, values, plan)
+
+    def recorded_shifts(self, N, shifts, deriv=None):
+        if deriv is not None:  # the gaps' exact side; site transfers sample the field itself
+            events.append(("gap", N, self.n_components))
+        return sample_shifts(self, N, shifts, deriv)
+
+    monkeypatch.setattr(static, "_cb_statics", recorded_cb)
+    monkeypatch.setattr(static, "_energies_and_gradient", recorded_energies)
+    monkeypatch.setattr(TrigField, "sample_shifts", recorded_shifts)
+    out = static_converge_sweep(lj_chain(), F, eps_list)
+    assert repr(out) == repr(ref)
+    (kind, deltas), *rest = events
+    assert kind == "continuum" and deltas == pytest.approx([0.01, 0.005], rel=1e-12)
+    steps = max(m["newton_iterations"] for run in out["details"].values() for m in run["members"])
+    assert steps == 2  # every row converges after one Newton step
+    assert rest == [("lattice", 2 * (8 + 16 + 32))] * steps + [("gap", 8, 2), ("gap", 16, 2),
+                                                               ("gap", 32, 2)]
+
+
+@pytest.mark.parametrize("chain", [lj_chain, morse_chain, eam_chain, _harmonic_chain])
+@pytest.mark.parametrize("delta", [0.01, 0.02])
+def test_static_sweep_matches_the_per_load_oracle(chain, delta):
+    args = (chain(), single_mode_load(delta), SWEEP_EPS)
+    assert repr(static_converge_sweep(*args)) == repr(per_load_sweep.per_load_sweep(*args))
+
+
+def test_static_sweep_near_the_fold_matches_the_per_load_oracle():
+    # the shipped LJ-chain sweep at delta 107.5, just below the continuum fold
+    base = json.loads((CONFIGS / "static_converge_lj.json").read_text())
+    cfg = ExperimentConfig.from_dict({**base, "params": {**base["params"], "delta": 107.5}})
+    v = cfg.values
+    args = (cfg.P, cfg.load, cfg.spacings, v["n_grid"], v["solver_tol"], v["quadrature"])
+    out = static_converge_sweep(*args)
+    assert repr(out) == repr(per_load_sweep.per_load_sweep(*args))
+    assert [m["newton_iterations"] for m in out["details"]["full"]["members"]] == [4, 4, 4, 4, 3]
+
+
+def _assert_same_cb_solves(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.field.amps.tobytes() == w.field.amps.tobytes()
+        assert g.field.modes.tobytes() == w.field.modes.tobytes()
+        assert repr(g.residual) == repr(w.residual) and g.iterations == w.iterations
+        assert g.diagnostics == w.diagnostics  # residual and CG-count histories, grad_inf
+
+
+@pytest.mark.parametrize("chain", [lj_chain, morse_chain, eam_chain, _harmonic_chain])
+@pytest.mark.parametrize("delta", [0.01, 0.02])
+def test_cb_batch_rows_match_their_single_solves_bit_for_bit(chain, delta):
+    P, F = chain(), single_mode_load(delta)
+    M, loads = CBModel(P), [F, F.scaled(0.5), F.scaled(-1.5)]
+    batch = static._cb_statics(M, loads, 256, 1e-10)
+    _assert_same_cb_solves(batch, [solve_cb_static(M, load) for load in loads])
+    # the harmonic chain's linearized start is its equilibrium
+    harmonic = chain is _harmonic_chain
+    assert all((sum(s.diagnostics["cg_iterations"]) == 0) == harmonic for s in batch)
+
+
+def test_cb_batch_rows_near_the_fold_match_bit_for_bit():
+    # delta 107.5 and its half: the rows leave the batch at their own Newton steps
+    base = json.loads((CONFIGS / "static_converge_lj.json").read_text())
+    cfg = ExperimentConfig.from_dict({**base, "params": {**base["params"], "delta": 107.5}})
+    M, loads = CBModel(cfg.P), [cfg.load, cfg.load.scaled(0.5)]
+    batch = static._cb_statics(M, loads, 256, 1e-10)
+    _assert_same_cb_solves(batch, [solve_cb_static(M, load) for load in loads])
+    assert batch[0].iterations > batch[1].iterations
+
+
+@pytest.mark.parametrize("d, N_list", [(1, [5, 8, 64, 512]), (2, [4, 7, 16]), (3, [4, 5])])
+def test_column_transfers_and_gaps_match_one_column_calls_bit_for_bit(rng, d, N_list):
+    for N in N_list:
+        eps = 1.0 / N
+        modes = rng.integers(-3 * N // 2, 3 * N // 2 + 1, (7, d))
+        fields = [TrigField(d, modes, rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d)))
+                  for _ in range(2)]
+        both = static._columns(fields)
+        for c in (1.0, eps, 1.0 / eps):
+            got = static._hat_transfers(both, eps, c)
+            for g, U in zip(got, fields, strict=True):
+                assert g.values.tobytes() == static._hat_transfer(U, eps, c).values.tobytes()
+                assert g.values.flags.c_contiguous
+        lattice = LatticeSpec(d=d, A=np.eye(d), N=N)
+        sites = [DisplacementField(lattice, u.values + 1e-2 * rng.standard_normal(u.values.shape))
+                 for u in static._hat_transfers(both, eps, 1.0)]
+        S = static._gauss_offsets(3, d)[0]
+        stacked = interp_sample_shifts(sites, S, deriv=(1,) + (0,) * (d - 1))
+        for j, u in enumerate(sites):
+            one = interp_sample_shifts(u, S, deriv=(1,) + (0,) * (d - 1))
+            assert np.ascontiguousarray(stacked[..., j * d:(j + 1) * d]).tobytes() == one.tobytes()
+        for q in (1, 2, 6):
+            assert repr(static._interp_gap(both, sites, eps, q, grad=True)) == repr(
+                [interp_gradient_gap(U, u, eps, q=q) for U, u in zip(fields, sites)])
+            assert repr(static._interp_gap(both, sites, eps, q, grad=False)) == repr(
+                [interp_value_gap(U, u, eps, q=q) for U, u in zip(fields, sites)])
+
+
+def test_static_sweep_fails_in_its_stated_order(monkeypatch):
+    # the half load's continuum solve and the full load's lattice solve at
+    # eps = 1/16 both fail: the sweep solves both continuum rows first and
+    # raises the half load's continuum error, where the per-load oracle
+    # raises the full load's lattice error first
+    P, F, eps_list = lj_chain(), single_mode_load(0.01), [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
+    nan_half = MacroForce(F.field.scale(math.nan))
+    with pytest.raises(SolverError) as alone:
+        solve_cb_static(CBModel(P), nan_half)
+    continuum_error = str(alone.value)
+    start = _spiked_start(make_forces(F, 1.0 / 16.0))
+    with pytest.raises(SolverError) as alone:
+        solve_atomistic_static(P, make_forces(F, 1.0 / 16.0), u0=start)
+    lattice_error = str(alone.value)
+    half_forces = make_forces(F.scaled(0.5), 1.0 / 8.0)
+    with pytest.raises(SolverError) as alone:
+        solve_atomistic_static(P, half_forces, u0=_triangle_start(half_forces, 0.2))
+    half_lattice_error = str(alone.value)
+    assert continuum_error.startswith("continuum start left the admissible region")
+    assert lattice_error.startswith("lattice start left the admissible region")
+    assert half_lattice_error.startswith("lattice Hessian is not positive definite")
+
+    transfers, spiked = static._hat_transfers, []
+
+    def spiking(U, eps, c):
+        # the first start transferred at 1/16 is the full load's, in both
+        # sweeps; the sweep's starts at 1/8 also hold the half load's
+        out = transfers(U, eps, c)
+        if eps == 1.0 / 16.0 and c == 16.0 and not spiked:
+            spiked.append(eps)
+            out[0] = _spiked_start(out[0])
+        if eps == 1.0 / 8.0 and c == 8.0 and len(out) == 2:
+            out[1] = _triangle_start(out[1], 0.2)
+        return out
+
+    monkeypatch.setattr(static, "_hat_transfers", spiking)
+    # the full load's lattice rows come before the half load's, whatever their spacings
+    with pytest.raises(SolverError) as lattice_only:
+        static_converge_sweep(P, F, eps_list)
+    assert str(lattice_only.value) == lattice_error
+    for sweep, want in ((static_converge_sweep, continuum_error),
+                        (per_load_sweep.per_load_sweep, lattice_error)):
+        spiked.clear()
+        with monkeypatch.context() as m:
+            m.setattr(MacroForce, "scaled", lambda self, factor: nan_half)
+            with pytest.raises(SolverError) as both:
+                sweep(P, F, eps_list)
+        assert str(both.value) == want
+        assert spiked == ([] if sweep is static_converge_sweep else [1.0 / 16.0])
 
 
 def test_static_sweep_builds_the_reference_force_constants_once(monkeypatch):
