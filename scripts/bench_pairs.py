@@ -16,7 +16,10 @@ failed operations than the parent.  It also prints each side's correctness
 and failed-operation share, and each side's median time of every operation:
 right after each run the script reads that run's per-operation medians over
 its rounds from ``.bench_runs/W/timings.json`` in the checkout, so a gain can
-be tied to the operation that carries it.
+be tied to the operation that carries it.  After each pair it compares the
+two checkouts' output trees ``.bench_runs/W/out`` byte for byte, and it
+prints every file that differed, or was written on one side only, with its
+pair, and the number of pairs whose trees were identical.
 
 ``setup_s`` depends on the directory a checkout lies in, and on whether
 latcb's byte code is cached in ``src/latcb/__pycache__`` (with
@@ -30,6 +33,7 @@ the summary is printed.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import statistics
 import subprocess
@@ -63,6 +67,16 @@ def operation_medians(timings: Path) -> dict:
             for name, times in zip(t["operations"], zip(*t["scaled_rounds"]))}
 
 
+def differing_outputs(parent: Path, change: Path, workload: str) -> list[str]:
+    """The files of the two checkouts' ``.bench_runs/W/out`` trees, relative to
+    them, whose bytes differ or that one side lacks, in name order."""
+    trees = [c / ".bench_runs" / workload / "out" for c in (parent, change)]
+    files = [{p.relative_to(t).as_posix() for p in t.rglob("*") if p.is_file()} for t in trees]
+    return sorted(name for name in files[0] | files[1]
+                  if not (name in files[0] and name in files[1]
+                          and filecmp.cmp(trees[0] / name, trees[1] / name, shallow=False)))
+
+
 def _quartiles(values: list) -> tuple[float, float, float]:
     """Median, first and third quartile."""
     q1, _, q3 = statistics.quantiles(values, n=4)
@@ -91,7 +105,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: dict[str, str]) -
     return out
 
 
-def report(summary: dict, parent: list[dict], change: list[dict]) -> str:
+def report(summary: dict, parent: list[dict], change: list[dict], differing: list) -> str:
+    """The summary's lines; ``differing`` holds each pair's differing output files."""
     lines = []
     for side, runs in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in runs)
@@ -111,6 +126,10 @@ def report(summary: dict, parent: list[dict], change: list[dict]) -> str:
         ma, mb = (statistics.median(r["operations"][op] for r in runs) for runs in (parent, change))
         rel = (mb - ma) / ma if ma else 0.0
         lines.append(f"operation {op}: parent {ma:.6g} s -> change {mb:.6g} s ({rel:+.1%})")
+    for i, names in enumerate(differing):
+        lines.extend(f"output differs in pair {i}: {name}" for name in names)
+    same = sum(not names for names in differing)
+    lines.append(f"outputs: identical in {same}/{len(differing)} pairs")
     return "\n".join(lines)
 
 
@@ -137,15 +156,16 @@ def main(argv: list[str], run=run_bench) -> int:
         return 2
     spec = json.loads((change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    checkouts, runs = (parent, change), ([], [])
+    checkouts, runs, differing = (parent, change), ([], []), []
     try:
         for i in range(args.pairs):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 runs[side].append(run(checkouts[side], args.workload, args.seed + i))
+            differing.append(differing_outputs(parent, change, args.workload))
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
-    print(report(summarize(*runs, metrics), *runs))
+    print(report(summarize(*runs, metrics), *runs, differing))
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TrigField
+from .fields import TrigField, _require_resolved
 from .lattice import DisplacementField, LatticeSpec, stacked_plan, supercell_period
 from .potentials import (
     AdmissibilityError,
@@ -312,10 +312,13 @@ def _cb_waves(M: CBModel, data: InitialData, snap_times, n_grid: int, cfls) -> l
     derivative pair and one ``CBModel._tangent`` call on all of them.  A
     failing check raises ``SolverError`` with the time; in a batch,
     ``_verlet`` names the first wave, in the order given, that fails alone,
-    in its own words and with its own error as the cause.
+    in its own words and with its own error as the cause.  A mode of the
+    initial data that aliases on the grid is a ValueError (``_require_resolved``).
     """
     if M.P.d != 1 or data.U0.d != 1 or data.U0.n_components != 1:
         raise NotImplementedError("the wave solver is one-dimensional")
+    for U in (data.U0, data.U1):
+        _require_resolved(U, n_grid)
     U = data.U0.sample(n_grid)[:, 0]
     V = data.U1.sample(n_grid)[:, 0]
 
@@ -510,7 +513,10 @@ def instability_demo(
         kicks = [DisplacementField(lattice, eps**2 * _probe_field(lattice, kind))
                  for kind in probe_kinds]
         trajs = _integrate_runs(P, [(zero, v0, snap, cfl) for v0 in kicks])
-        return [(traj.times, np.array([_l2(v) for v in traj.v])) for traj in trajs]
+        # each snapshot's ell^2 norm, a contiguous row summed on its own: ``_l2``'s bits
+        return [(traj.times, np.sqrt(np.add.reduce((traj.v * traj.v).reshape(len(traj.v), -1),
+                                                   axis=1)))
+                for traj in trajs]
 
     (t_u, n_u), (_, n_w) = runs(unstable, "alternating", "smooth")
     [(_, n_s)] = runs(stable, "alternating")

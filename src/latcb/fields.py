@@ -41,6 +41,16 @@ def _canonical(modes: np.ndarray, amps: np.ndarray):
     return M, A
 
 
+def _require_resolved(U, n_grid: int) -> None:
+    """ValueError unless every mode of the field ``U`` resolves on the continuum
+    grid of ``n_grid`` points: a mode ``m`` with ``2 |m| >= n_grid`` aliases,
+    sampled there as another, lower mode."""
+    top = int(np.abs(U.modes).max(initial=0))
+    if 2 * top >= n_grid:
+        raise ValueError(f"mode {top} aliases on the continuum grid of n_grid = {n_grid}; "
+                         f"modes need |m| < {(n_grid + 1) // 2}")
+
+
 @dataclass
 class TrigField:
     """Real trigonometric polynomial on the unit torus.
@@ -82,16 +92,19 @@ class TrigField:
         """Exact trigonometric interpolant of equispaced 1D samples.
 
         ``values`` has shape (M,) or (M, m); sample j sits at X = j / M.
+        The modes 0, ..., M // 2 are canonical and the constant term's
+        imaginary part is +0.0, so the result skips the fold of
+        ``__post_init__``, as ``hat_smoothed`` does: it would change no bit.
         """
         v = np.atleast_2d(values.T).T  # (M, m)
         M = v.shape[0]
-        spec = np.fft.rfft(v, axis=0) / M
-        modes = np.arange(spec.shape[0])
-        amps = spec.copy()
+        amps = np.fft.rfft(v, axis=0) / M
         amps[1:] *= 2.0
         if M % 2 == 0:
             amps[-1] *= 0.5  # Nyquist mode is its own reflection
-        return cls(d=1, modes=modes.reshape(-1, 1), amps=amps)
+        out = object.__new__(cls)
+        out.d, out.modes, out.amps = 1, np.arange(len(amps)).reshape(-1, 1), amps
+        return out
 
     @property
     def n_components(self) -> int:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import TrigField
+from .fields import TrigField, _require_resolved
 from .lattice import supercell_period
 from .potentials import potential_from_config
 from .stability import (
@@ -307,12 +307,11 @@ class ExperimentConfig:
             if (U.d, U.n_components) != (P.d, P.d):
                 raise _field_error(f"params.{key}", f"the field has d = {U.d} and {U.n_components} "
                                    f"component(s); the potential needs d = {P.d} and {P.d}")
-            # a mode at or above n_grid/2 aliases on the continuum grid: the
-            # reference would be sampled as another, lower mode
-            n_grid, top = values.get("n_grid"), int(np.max(np.abs(U.modes)))
-            if n_grid is not None and 2 * top >= n_grid:
-                raise _field_error(f"params.{key}", f"mode {top} aliases on the continuum grid "
-                                   f"of n_grid = {n_grid}; modes need |m| < {n_grid // 2}")
+            if values.get("n_grid") is not None:
+                try:
+                    _require_resolved(U, values["n_grid"])
+                except ValueError as exc:
+                    raise _field_error(f"params.{key}", str(exc))
         read = {row[2] for row in _CHECKS if row[0] == self.experiment}
         read |= {_WITHIN[k][0] for k in read & _WITHIN.keys() & self.tolerances.keys()}
         for key, v in self.tolerances.items():
@@ -432,25 +431,30 @@ def _atomic_write(texts: dict):
 
 def _format_value(v) -> str:
     """A CSV cell: a float by its shortest round-trip repr, anything else by str.
-    Exact Python floats, the cells of ``tolist()`` rows, never reach it:
-    ``csv_text`` formats them itself in bulk, with the same text."""
+    Exact Python floats and float64 tables never reach it: ``csv_text``
+    formats them itself in bulk (``_float_texts``), with the same text."""
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _cell_texts(rows: list) -> list:
-    """``_format_value`` of every cell of ``rows``, in order, formatting each
-    distinct bit pattern of the exact Python floats among them once.
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The shortest round-trip repr of every float64 of ``values``, as an object
+    array of their shape, formatting each distinct bit pattern once: latcb's
+    one float formatter.
 
     The floats are grouped by bit pattern, not by value, which would merge
-    0.0 with -0.0; each group's text is scattered back to its cells.
+    0.0 with -0.0; each group's text is gathered back to its cells.
     """
+    keys, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    key_texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    return key_texts[inverse].reshape(values.shape)
+
+
+def _cell_texts(rows: list) -> list:
+    """``_format_value`` of every cell of ``rows``, in order, the exact Python
+    floats among them formatted in bulk (``_float_texts``)."""
     texts = np.fromiter(itertools.chain.from_iterable(rows), dtype=object)
     is_float = np.array([type(v) is float for v in texts], dtype=bool)
-    keys, inverse = np.unique(texts[is_float].astype(float).view(np.uint64),
-                              return_inverse=True)
-    # float.__repr__ of each np.float64 key: the repr of the Python float of its bits
-    key_texts = np.array(list(map(float.__repr__, keys.view(float))), dtype=object)
-    texts[is_float] = key_texts[inverse]
+    texts[is_float] = _float_texts(texts[is_float].astype(float))
     other = ~is_float
     texts[other] = list(map(_format_value, texts[other]))
     return texts.tolist()
@@ -460,15 +464,20 @@ def csv_text(comments, columns, rows) -> str:
     """Comment lines, the column line and one line per row (a sequence of cells,
     of any length) of ``_format_value`` texts.
 
-    The cells of the whole table are formatted in one pass (``_cell_texts``);
-    the text is the per-row loop's, kept as the oracle ``tests/csv_reference.py``.
+    A 2-D float64 array is formatted from its array (``_float_texts``); any
+    other table has the cells of all its rows formatted in one pass
+    (``_cell_texts``).  The text is the per-row loop's, kept as the oracle
+    ``tests/csv_reference.py``.
     """
-    rows = list(rows)
-    # each row takes its own number of texts off one iterator
-    texts = iter(_cell_texts(rows))
     lines = [f"# {c}" for c in comments]
     lines.append("# columns: " + ",".join(columns))
-    lines.extend(map(",".join, map(itertools.islice, itertools.repeat(texts), map(len, rows))))
+    if type(rows) is np.ndarray and rows.dtype == np.float64 and rows.ndim == 2:
+        lines.extend(map(",".join, _float_texts(rows).tolist()))
+    else:
+        rows = list(rows)
+        # each row takes its own number of texts off one iterator
+        texts = iter(_cell_texts(rows))
+        lines.extend(map(",".join, map(itertools.islice, itertools.repeat(texts), map(len, rows))))
     return "\n".join(lines) + "\n"
 
 
@@ -524,7 +533,7 @@ def _run_dispersion(cfg: ExperimentConfig, workers: int):
         + ("normalizer",)
         + tuple(f"ratio{i + 1}" for i in range(n_eig))
     )
-    rows = spec.to_rows().tolist()
+    rows = spec.to_rows()
     finite = spec.ratios[np.isfinite(spec.ratios)]
     min_ratio = float(np.min(finite))
     max_omega = float(np.sqrt(np.max(np.abs(spec.eigs))))
@@ -611,11 +620,9 @@ def _run_instability_demo(cfg: ExperimentConfig, workers: int):
     """exponential growth of the unstable chain vs its stable continuum"""
     # the demo's params are exactly its keyword arguments
     rep = instability_demo(**cfg.values)
-    eps = cfg.values["eps"]
-    rows = [
-        (t, n, 0.5 * eps**2 * math.exp(t))
-        for t, n in zip(rep["times"], rep["velocity_norms"])
-    ]
+    eps, times = cfg.values["eps"], rep["times"]
+    rows = np.column_stack([times, rep["velocity_norms"],
+                            [0.5 * eps**2 * math.exp(t) for t in times]])
     report = {k: v for k, v in rep.items() if k not in ("times", "velocity_norms")}
     return report, ("t", "velocity_norm", "growth_bound"), rows
 

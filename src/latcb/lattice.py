@@ -295,7 +295,7 @@ def all_stencils(values: np.ndarray, S: StencilSet, plan=None) -> np.ndarray:
     cell, d = values.shape[:-1], values.shape[-1]
     gather, _, _ = plan or neighbour_plan(cell, S)
     flat = values.reshape(-1, d)
-    return (np.take(flat, gather, axis=0) - flat[:, None, :]).reshape(cell + (S.n, d))
+    return (flat.take(gather, axis=0) - flat[:, None, :]).reshape(cell + (S.n, d))
 
 
 def scatter_bonds(Vr: np.ndarray, S: StencilSet, plan=None) -> np.ndarray:
@@ -309,9 +309,9 @@ def scatter_bonds(Vr: np.ndarray, S: StencilSet, plan=None) -> np.ndarray:
     """
     cell, d = Vr.shape[:-2], Vr.shape[-1]
     _, scatter, _ = plan or neighbour_plan(cell, S)
-    terms = np.take(Vr.reshape(-1, d), scatter, axis=0)
+    terms = Vr.reshape(-1, d).take(scatter, axis=0)
     terms -= Vr.reshape(-1, S.n, d).swapaxes(0, 1)
-    return terms.sum(axis=0).reshape(cell + (d,))
+    return np.add.reduce(terms, axis=0).reshape(cell + (d,))
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,7 @@ class Potential(_ReadOnlyState):
 
         Non-finite stencils are rejected for every kappa, infinite included.
         """
-        self._require_admissible(np.sum(g * g, axis=-1), self.S.inv_sq_norms, context)
+        self._require_admissible(_sq_norm(g, last=True), self.S.inv_sq_norms, context)
 
     def _require_admissible(self, sq: np.ndarray, inv_sq: np.ndarray,
                             context: str = "") -> None:
@@ -401,7 +401,7 @@ class Potential(_ReadOnlyState):
     def _bond_geometry(self, g: np.ndarray):
         """Deformed bonds, lengths and unit vectors for a stencil batch."""
         bonds = g + self.bond_ref
-        r = np.sqrt(np.sum(bonds * bonds, axis=-1))
+        r = np.sqrt(_sq_norm(bonds, last=True))
         unit = bonds / r[..., None]
         return bonds, r, unit
 
@@ -470,7 +470,7 @@ class PairPotential(Potential):
 
     def site_energy(self, g):
         _, r, _ = self._bond_geometry(g)
-        return 0.5 * np.sum(self.phi.deriv(r, 0) - self._phi_ref, axis=-1)
+        return 0.5 * np.add.reduce(self.phi.deriv(r, 0) - self._phi_ref, axis=-1)
 
     def site_gradient(self, g):
         _, r, unit = self._bond_geometry(g)
@@ -515,13 +515,13 @@ class EAMPotential(Potential):
 
     def site_energy(self, g):
         _, r, _ = self._bond_geometry(g)
-        pair = np.sum(self.phi.deriv(r, 0) - self._phi_ref, axis=-1)
-        s = np.sum(self.psi.deriv(r, 0), axis=-1)
+        pair = np.add.reduce(self.phi.deriv(r, 0) - self._phi_ref, axis=-1)
+        s = np.add.reduce(self.psi.deriv(r, 0), axis=-1)
         return pair + self.embed.deriv(s, 0) - self.embed.deriv(self._s_ref, 0)
 
     def site_gradient(self, g):
         _, r, unit = self._bond_geometry(g)
-        s = np.sum(self.psi.deriv(r, 0), axis=-1)
+        s = np.add.reduce(self.psi.deriv(r, 0), axis=-1)
         gprime = self.embed.deriv(s, 1)
         radial = self.phi.deriv(r, 1) + gprime[..., None] * self.psi.deriv(r, 1)
         return radial[..., None] * unit
@@ -529,7 +529,7 @@ class EAMPotential(Potential):
     def site_hessian(self, g):
         _, r, unit = self._bond_geometry(g)
         n, d = self.S.n, self.d
-        s = np.sum(self.psi.deriv(r, 0), axis=-1)
+        s = np.add.reduce(self.psi.deriv(r, 0), axis=-1)
         g1 = self.embed.deriv(s, 1)
         g2 = self.embed.deriv(s, 2)
         eye = np.eye(d)
@@ -569,7 +569,9 @@ class HarmonicChain(Potential):
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is not finite")
         coeff = {1: self.a1 / 4.0, 2: self.a2 / 4.0}
-        self._derive(_c=np.array([coeff[int(abs(r[0]))] for r in self.S.directions]))
+        c = np.array([coeff[int(abs(r[0]))] for r in self.S.directions])
+        # the slot stiffnesses 2 c, shaped (n, 1) against the (..., n, 1) stencils
+        self._derive(_c=c, _two_c=(2.0 * c)[:, None])
 
     @classmethod
     def build(cls, a1: float, a2: float, kappa: float = math.inf) -> "HarmonicChain":
@@ -583,13 +585,13 @@ class HarmonicChain(Potential):
         )
 
     def site_energy(self, g):
-        return np.sum(self._c * g[..., 0] ** 2, axis=-1)
+        return np.add.reduce(self._c * g[..., 0] ** 2, axis=-1)
 
     def site_gradient(self, g):
-        return (2.0 * self._c)[..., None] * g
+        return self._two_c * g
 
     def hessian_blocks(self, g):
-        return np.broadcast_to((2.0 * self._c)[:, None, None], g.shape[:-2] + (self.S.n, 1, 1))
+        return np.broadcast_to(self._two_c[:, :, None], g.shape[:-2] + (self.S.n, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +602,7 @@ def total_energy(P: Potential, values: np.ndarray) -> float:
     """Supercell energy E(u) = sum_xi V(Du(xi)) of the value array of u."""
     g = all_stencils(values, P.S)
     P.check_admissible(g)
-    return float(np.sum(P.site_energy(g)))
+    return float(np.add.reduce(P.site_energy(g), axis=None))
 
 
 def _energies_and_gradient(P: Potential, values: np.ndarray, plan=None):
@@ -640,10 +642,14 @@ def gradient_array(P: Potential, values: np.ndarray, plan=None) -> np.ndarray:
     return scatter_bonds(P.site_gradient(g), P.S, plan)
 
 
-def _sq_norm(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm over the leading (component) axis."""
-    out = x[0] * x[0]
-    for xc in x[1:]:
+def _sq_norm(x: np.ndarray, last: bool = False) -> np.ndarray:
+    """Squared Euclidean norm over the leading (component) axis, or with
+    ``last`` over the trailing one, summed component by component in order:
+    the bits of ``np.sum(x * x, axis)`` on that axis, without its per-call
+    overhead."""
+    parts = [x[..., c] for c in range(x.shape[-1])] if last else x
+    out = parts[0] * parts[0]
+    for xc in parts[1:]:
         out += xc * xc
     return out
 

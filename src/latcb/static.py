@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import TrigField
+from .fields import TrigField, _require_resolved
 from .interpolation import interp_sample_shifts
 from .lattice import (
     DisplacementField,
@@ -374,9 +374,12 @@ def _cb_statics(M: CBModel, loads, n_grid: int, tol: float) -> list:
     call on all of them, and every Hessian one ``moduli`` call.  Merits,
     residual norms and gradients are taken on each row's own slice.  The
     batch fails as its first load, in the order given, that fails alone.
+    A load mode that aliases on the grid is a ValueError (``_require_resolved``).
     """
     if M.P.d != 1:
         raise NotImplementedError("the continuum solver is one-dimensional")
+    for F in loads:
+        _require_resolved(F.field, n_grid)
     Mg = n_grid
     Fv = np.stack([F.field.sample(Mg)[:, 0] for F in loads])
 

@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``: the pair order, the summary arithmetic, the
-per-operation medians and the refusal of checkouts in different directories,
-on canned results and a stub benchmark (no real bench run)."""
+per-operation medians, the comparison of the output trees and the refusal of
+checkouts in different directories, on canned results and a stub benchmark
+(no real bench run)."""
 
 from __future__ import annotations
 
@@ -114,8 +115,44 @@ def test_pairs_alternate_and_the_summary_is_printed(tmp_path, capsys):
     assert "(-40.8%); wins 10/10; gap 0.1 vs parent IQR 0.055: gain" in out[3]
     assert out[4].startswith("peak_rss_mb: ")
     # each side's median of every operation's per-run median
-    assert out[5:] == ["operation sweep: parent 0.195 s -> change 0.095 s (-51.3%)",
-                       "operation reject: parent 0.05 s -> change 0.05 s (+0.0%)"]
+    assert out[5:7] == ["operation sweep: parent 0.195 s -> change 0.095 s (-51.3%)",
+                        "operation reject: parent 0.05 s -> change 0.05 s (+0.0%)"]
+    # the canned runs write no output tree on either side
+    assert out[7:] == ["outputs: identical in 10/10 pairs"]
+
+
+def test_each_pair_compares_the_output_trees(tmp_path, capsys):
+    """After each pair the two checkouts' output trees are compared byte for
+    byte: a file whose bytes differ, or that one side lacks, is printed with
+    its pair, and the pairs with identical trees are counted."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
+
+    def writing(checkout, workload, seed):
+        # each run rewrites its tree, as the benchmark does
+        out = checkout / ".bench_runs" / workload / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "sub").mkdir(parents=True)
+        (out / "a.csv").write_text(f"{seed}\n" + ("1.0\n" if checkout == change and seed == 9
+                                                   else "1.00\n"))
+        (out / "sub" / "b.json").write_text(f"{seed}")
+        if checkout == change and seed == 12:
+            (out / "sub" / "extra.txt").write_text("x")
+        if checkout == parent and seed == 14:
+            (out / "a.csv").unlink()
+        return _result(0.2)
+
+    argv = [str(parent), str(change), "--workload", "spectra", "--seed", "7"]
+    assert bench_pairs.main(argv, run=writing) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == ["output differs in pair 2: a.csv",
+                        "output differs in pair 5: sub/extra.txt",
+                        "output differs in pair 7: a.csv",
+                        "outputs: identical in 7/10 pairs"]
+    assert bench_pairs.differing_outputs(parent, change, "spectra") == []
+    assert bench_pairs.differing_outputs(parent, change, "statics") == []
 
 
 RUN_BENCH_STUB = """

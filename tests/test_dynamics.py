@@ -950,3 +950,40 @@ def test_instability_demo_matches_the_sequential_reference(eps):
 def test_instability_demo_requires_even_reciprocal():
     with pytest.raises(ValueError):
         instability_demo(1.0 / 15.0)
+
+
+@pytest.mark.parametrize("key, top", [("U0", 128), ("U1", 200)])
+def test_aliased_initial_data_is_refused_by_the_library(key, top):
+    """An initial-data mode at or above n_grid/2 aliases on the wave's grid: the
+    wave solver and the sweep refuse it in the CLI's words."""
+    fields = {"U0": TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.005)]),
+              "U1": TrigField.from_terms(1, 1, [((2,), 0, "cos", 0.001)])}
+    fields[key] = TrigField.from_terms(1, 1, [((1,), 0, "sin", 0.005), ((top,), 0, "sin", 1e-4)])
+    data = InitialData(**fields)
+    msg = f"mode {top} aliases on the continuum grid of n_grid = 256; modes need |m| < 128"
+    with pytest.raises(ValueError, match=msg):
+        solve_cb_wave(CBModel(lj_chain()), data, np.linspace(0.0, 0.1, 3), n_grid=256)
+    with pytest.raises(ValueError, match=msg):
+        dynamic_error_sweep(lj_chain(), data, T=0.1, eps_list=[1.0 / 8.0, 1.0 / 16.0],
+                            n_snap=3, n_grid=256)
+
+
+@pytest.mark.parametrize("N", [64, 256, 1024])
+def test_demo_norms_match_l2_per_snapshot(monkeypatch, N):
+    """The demo's snapshot norms, one reduction per run, have the bits of one
+    ``_l2`` call per snapshot: the reported norms of the unstable chain's
+    alternating run and the maxima of its smooth run and of the stable chain."""
+    trajs = []
+    integrate = dynamics._integrate_runs
+
+    def spy(P, runs):
+        out = integrate(P, runs)
+        trajs.extend(out)
+        return out
+
+    monkeypatch.setattr(dynamics, "_integrate_runs", spy)
+    rep = instability_demo(1.0 / N)
+    alternating, smooth, stable = ([dynamics._l2(v) for v in traj.v] for traj in trajs)
+    assert list(map(repr, rep["velocity_norms"])) == list(map(repr, alternating))
+    assert repr(rep["smooth_max_norm"]) == repr(max(smooth))
+    assert repr(rep["stable_max_norm"]) == repr(max(stable))

@@ -139,3 +139,35 @@ def test_hat_smoothed_skips_the_fold_bit_for_bit(rng, monkeypatch):
         assert got.amps.shape == ref.amps.shape and got.amps.tobytes() == ref.amps.tobytes()
         assert got.modes is not U.modes
     assert folds == []
+
+
+def _folded_grid_1d(values: np.ndarray) -> TrigField:
+    """``TrigField.from_grid_1d`` as it was: the interpolant through ``__post_init__``'s fold."""
+    v = np.atleast_2d(values.T).T
+    M = v.shape[0]
+    amps = np.fft.rfft(v, axis=0) / M
+    amps[1:] *= 2.0
+    if M % 2 == 0:
+        amps[-1] *= 0.5
+    return TrigField(d=1, modes=np.arange(amps.shape[0]).reshape(-1, 1), amps=amps)
+
+
+@pytest.mark.parametrize("M", [8, 9, 16, 33, 256, 255])
+@pytest.mark.parametrize("columns", [None, 1, 2, 3])
+def test_from_grid_1d_skips_the_fold_bit_for_bit(rng, monkeypatch, M, columns):
+    # the modes 0 ... M // 2 are canonical, so the unfolded interpolant has the
+    # folded construction's bits, its real constant term included
+    shape = (M,) if columns is None else (M, columns)
+    samples = [_signed_parts(rng, shape), rng.standard_normal(shape), np.zeros(shape),
+               np.full(shape, -0.0), (np.full(shape, 0.5).T * (-1.0) ** np.arange(M)).T]
+    refs = [_folded_grid_1d(x) for x in samples]
+    folds = []
+    monkeypatch.setattr(fields, "_canonical", lambda *args: folds.append(args) or _canonical(*args))
+    for x, ref in zip(samples, refs):
+        assert x.shape == shape
+        got = TrigField.from_grid_1d(x)
+        assert got.d == ref.d == 1
+        assert got.modes.dtype == ref.modes.dtype and got.modes.shape == ref.modes.shape
+        assert got.modes.tobytes() == ref.modes.tobytes()
+        assert got.amps.shape == ref.amps.shape and got.amps.tobytes() == ref.amps.tobytes()
+    assert folds == []

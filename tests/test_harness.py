@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import latcb
 import latcb.lattice
-from latcb import cli
+from latcb import cli, harness
 from latcb.cli import main
 from latcb.dynamics import InitialData, solve_cb_wave
 from latcb.harness import (
@@ -369,12 +369,75 @@ _csv_cells = st.one_of(
 def test_csv_matches_the_per_row_reference(rows):
     """Bytes of the one-pass writer equal the per-row loop's, on mixed-type and
     ragged tables that repeat cells (NaNs of any sign and payload, +-inf,
-    subnormals, 0.0 next to -0.0), the empty table and zero-length rows."""
+    subnormals, 0.0 next to -0.0), the empty table and zero-length rows.  A
+    table of Python floats in rows of one length gives the same bytes as a
+    float64 array."""
     with tempfile.TemporaryDirectory() as tmp:
         want = Path(tmp, "want.csv")
         args = (["c1", "c2"], ["a", "b"], rows)
         csv_reference.write_csv(want, *args)
         assert csv_text(*args).encode() == want.read_bytes()
+        if rows and len({len(r) for r in rows}) == 1 and all(
+                type(v) is float for r in rows for v in r):
+            assert csv_text(*args[:2], np.array(rows)).encode() == want.read_bytes()
+
+
+def _reference_csv(rows) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        want = Path(tmp, "want.csv")
+        csv_reference.write_csv(want, ["c"], ["a", "b"], rows)
+        return want.read_bytes()
+
+
+# 2-D float64 tables of any bit pattern (NaN payloads of either sign, +-0.0,
+# subnormals, +-inf), a few distinct patterns repeated, including the
+# shapes (0, k) and (n, 1)
+_table_bits = st.one_of(st.integers(0, 2**64 - 1),
+                        st.sampled_from([struct.unpack("<Q", struct.pack("<d", v))[0]
+                                         for v in _CSV_SPECIALS[:10]]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.tuples(st.integers(0, 12), st.integers(1, 7)),
+       st.lists(_table_bits, min_size=1, max_size=10), st.randoms(use_true_random=False))
+@example((0, 3), [0], None)
+@example((5, 1), [0, 2**63, 0x7FF8000000000001, 0xFFF0000000000001, 1], None)
+def test_float_array_tables_match_the_per_row_reference(shape, pool, rnd):
+    """A 2-D float64 array formats from its array with the per-row loop's bytes
+    on its ``tolist()`` rows, in C and in Fortran order."""
+    n = shape[0] * shape[1]
+    bits = [pool[i % len(pool)] for i in range(n)] if rnd is None else [
+        rnd.choice(pool) for _ in range(n)]
+    table = np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+    want = _reference_csv(table.tolist())
+    for rows in (table, np.asfortranarray(table)):
+        assert csv_text(["c"], ["a", "b"], rows).encode() == want
+
+
+@pytest.mark.parametrize("rows", [
+    np.arange(6, dtype=np.int64).reshape(3, 2),
+    np.array([[0.1, -0.0], [np.nan, 1e-45]], dtype=np.float32),
+    np.array([0.5, -0.0, 2.0]),  # one-dimensional: each float is a row
+    np.array([[[0.5, 1.5]], [[-0.0, 2.0]]]),  # three-dimensional: each row a (1, 2) block
+    np.array([[0.5, -0.0], [2.0, 3.25]], dtype=">f8"),  # float64 of the other byte order
+    np.array([[1.5, "a"]], dtype=object),
+])
+def test_other_arrays_take_the_row_path(monkeypatch, rows):
+    """Only 2-D float64 arrays skip the row path; any other array's cells go
+    through ``_cell_texts``, with the per-row loop's bytes."""
+    calls = []
+    cell_texts = harness._cell_texts
+    monkeypatch.setattr(harness, "_cell_texts", lambda r: calls.append(r) or cell_texts(r))
+    if rows.ndim == 1:
+        with pytest.raises(TypeError):  # a float is no sequence of cells, on either path
+            _reference_csv(rows)
+        with pytest.raises(TypeError):
+            csv_text(["c"], ["a", "b"], rows)
+    else:
+        assert csv_text(["c"], ["a", "b"], rows).encode() == _reference_csv(rows)
+    assert len(calls) == 1
+    monkeypatch.setattr(harness, "_cell_texts", None)
+    csv_text(["c"], ["a", "b"], np.zeros((2, 2)))  # the float64 table never calls it
 
 
 def test_run_outputs_are_byte_identical(tmp_path):

@@ -14,6 +14,7 @@ bit with the out-of-place reference in ``pair_reference.py``.
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
@@ -39,7 +40,8 @@ from latcb.potentials import (
 )
 from latcb.stress import _layout
 
-from conftest import PAIR_LATTICES, PAIR_PROFILES
+import kernel_reference as kref
+from conftest import PAIR_LATTICES, PAIR_PROFILES, lj_chain
 from pair_reference import reference_pair_gradient
 from roll_kernels import roll_gradient, roll_hessian_operator, roll_scatter, roll_stencils
 
@@ -326,3 +328,82 @@ def test_plan_cache_separates_stencils_of_other_directions(rng):
     for N in (5, 9, 5):
         x = rng.standard_normal((N, 1))
         assert np.array_equal(all_stencils(x, full), roll_stencils(x, full))
+
+
+# ---------------------------------------------------------------------------
+# the trimmed full-stencil kernel against its reference (kernel_reference.py)
+# ---------------------------------------------------------------------------
+
+def _admissibility_outcome(check, *args):
+    """None when the check passes, else its error text."""
+    try:
+        check(*args)
+    except AdmissibilityError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.sampled_from(("pair", "eam", "harmonic")), st.floats(0.05, 3.0),
+       st.sampled_from((None, math.nan, math.inf, -math.inf)))
+def test_trimmed_admissibility_decides_and_words_as_the_reference(case, kind, scale, special):
+    """Decisions and messages of ``check_admissible``, on stencils around kappa,
+    with a NaN or an infinity in one slot, and exactly at kappa."""
+    S, N, rng = case
+    if kind == "harmonic":
+        P = HarmonicChain.build(2.0, -0.25, kappa=0.25)
+        S = P.S
+    else:
+        P = _potential(kind, S)
+    g = rng.uniform(-1.0, 1.0, (N,) * S.d + (S.n, S.d)) * (scale * P.kappa / math.sqrt(S.d))
+    for state in (g, P.kappa * np.broadcast_to(S.directions, g.shape).astype(float)):
+        if special is not None:
+            state = state.copy()
+            state.flat[rng.integers(state.size)] = special
+        want = _admissibility_outcome(kref.check_admissible, P, state, "ctx")
+        assert _admissibility_outcome(P.check_admissible, state, "ctx") == want
+
+
+def _eam(d: int) -> EAMPotential:
+    return _potential("eam", StencilSet.ball(d, 1.5 if d > 1 else 2.0))
+
+
+def _stacked_state(rng, P, periods):
+    """The (sites, d) values of cells of the given periods laid end to end, and their plan."""
+    d = P.d
+    shapes = [(n,) * d for n in periods]
+    values = np.concatenate([_state(rng, n, d).reshape(-1, d) for n in periods])
+    return values, stacked_plan(shapes, P.S)
+
+
+@pytest.mark.parametrize("P", [_eam(1), _eam(2), _eam(3), HarmonicChain.build(-1.0, 0.5),
+                               HarmonicChain.build(2.0, -0.25, kappa=0.25)],
+                         ids=["eam1", "eam2", "eam3", "harmonic_unstable", "harmonic_kappa"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_trimmed_kernel_matches_the_reference_bit_for_bit(rng, P, stacked):
+    """``gradient_array``, ``_energies_and_gradient``, the Hessian apply and
+    ``total_energy`` of EAM in d = 1, 2, 3 and of the harmonic chain keep the
+    bits of the untrimmed kernel, on one cell and on stacked cells."""
+    for trial in range(3):
+        if stacked:
+            u, plan = _stacked_state(rng, P, (6, 4, 5) if P.d < 3 else (4, 5))
+        else:
+            u, plan = _state(rng, 6 if P.d < 3 else 4, P.d), None
+        v = rng.standard_normal(u.shape)
+        pairs = [(gradient_array(P, u, plan), kref.gradient_array(P, u, plan)),
+                 (hessian_operator(P, u, plan)(v), kref.hessian_operator(P, u, plan)(v))]
+        pairs += zip(_energies_and_gradient(P, u, plan), kref.energies_and_gradient(P, u, plan))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if not stacked:
+            assert repr(total_energy(P, u)) == repr(kref.total_energy(P, u))
+
+
+@pytest.mark.parametrize("N", [4, 8, 64])
+def test_trimmed_pair_energy_matches_the_reference_bit_for_bit(rng, N):
+    """``total_energy`` of a pair chain (``_bond_geometry``, the slot sum and the
+    total) keeps the untrimmed bits."""
+    P = lj_chain()
+    for trial in range(5):
+        u = rng.uniform(-0.02, 0.02, (N, 1))
+        assert repr(total_energy(P, u)) == repr(kref.total_energy(P, u))

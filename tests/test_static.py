@@ -1094,3 +1094,35 @@ def test_static_sweep_builds_the_reference_force_constants_once(monkeypatch):
     out = static_converge_sweep(P, single_mode_load(0.01), [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0])
     assert at_zero == [(P.S.n, P.d)]
     np.testing.assert_allclose(out["errors"], SWEEP_ERRORS, rtol=1e-6)
+
+
+def _two_mode_load(top: int, delta: float = 0.01) -> MacroForce:
+    """A zero-mean load of modes 1 and ``top``, scaled to the size ``delta``."""
+    F = MacroForce(TrigField.from_terms(1, 1, [((1,), 0, "sin", 1.0), ((top,), 0, "cos", 0.5)]))
+    return F.scaled(delta / F.delta)
+
+
+@pytest.mark.parametrize("top", [128, -130, 200])
+def test_aliased_load_is_refused_by_the_library(top):
+    """A load mode at or above n_grid/2 would be sampled on the continuum grid as
+    another, lower mode: the solver and the sweep refuse it in the CLI's words,
+    naming the mode and the grid, before any solve."""
+    F, P = _two_mode_load(top), lj_chain()
+    msg = f"mode {abs(top)} aliases on the continuum grid of n_grid = 256; modes need |m| < 128"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        solve_cb_static(CBModel(P), F, n_grid=256)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        static_converge_sweep(P, F, [1.0 / 8.0, 1.0 / 16.0], n_grid=256)
+    # the batch checks every load, not only the first
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        static._cb_statics(CBModel(P), [single_mode_load(0.01), F], 256, 1e-10)
+
+
+def test_highest_resolved_load_mode_still_solves():
+    sol = solve_cb_static(CBModel(lj_chain()), _two_mode_load(127, delta=1e-4), n_grid=256)
+    assert sol.residual <= 1e-10
+    # an odd grid resolves its modes below n_grid/2 = 127.5
+    sol = solve_cb_static(CBModel(lj_chain()), _two_mode_load(127, delta=1e-4), n_grid=255)
+    assert sol.residual <= 1e-10
+    with pytest.raises(ValueError, match=re.escape("n_grid = 253; modes need |m| < 127")):
+        solve_cb_static(CBModel(lj_chain()), _two_mode_load(127, delta=1e-4), n_grid=253)
